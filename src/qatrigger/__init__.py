@@ -30,7 +30,6 @@ from .combiner import (
     load_model,
     save_model,
     sigmoid,
-    sigmoid_prob,
     train,
 )
 from .corpus import (
@@ -67,15 +66,12 @@ from .evaluation import (
     tune_threshold,
 )
 from .ged import (
-    CostMatrix,
     GedConfig,
     PosCostTable,
     build_cost_matrix,
     default_pos_table,
     graph_edit_distance,
-    incident_edge_cost,
     load_pos_table,
-    node_cost,
     solve_assignment,
 )
 from .graphsim import (

@@ -15,9 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IngestionError
-
-SEMANTIC_TRIGGER_DEFAULT = 0.70
+from .errors import IngestionError, parse_number
 
 
 def tokenize(text: str) -> list[str]:
@@ -153,9 +151,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     pass
             word, values = parts[0], parts[1:]
             try:
-                vector = np.asarray([float(v) for v in values])
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: bad vector value") from exc
+                vector = np.fromiter(map(float, values), dtype=float, count=len(values))
+            except ValueError:
+                # Parsing the same fields again raises the named error.
+                for v in values:
+                    parse_number(v, path, lineno)
+            if not np.isfinite(vector).all():
+                raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
             if dim is None:
                 if len(values) == 0:
                     raise IngestionError(f"{path}: line {lineno}: empty vector")

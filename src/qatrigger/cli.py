@@ -27,13 +27,14 @@ from .combiner import (
     FeatureResources,
     TrainConfig,
     TriggerModel,
+    _fmt,
     extract_features,
     load_model,
     save_model,
     train,
 )
 from .corpus import QuestionGroup, attach_parses, load_scores, load_wikiqa
-from .errors import ConfigError, IngestionError, QaTriggerError
+from .errors import ConfigError, IngestionError, QaTriggerError, parse_number
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
 from .ged import GedConfig, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
@@ -289,10 +290,6 @@ def build_resources(
     return resources
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     if not config.manifest:
         raise ConfigError("no features enabled")
@@ -318,9 +315,11 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
 def read_features(
     path: str | Path,
 ) -> tuple[tuple[str, ...], list[tuple[str, str, int, np.ndarray]]]:
-    """Read a feature TSV into (feature_names, rows)."""
+    """Read a feature TSV into (feature_names, rows); every value must be finite."""
     path = Path(path)
-    rows: list[tuple[str, str, int, np.ndarray]] = []
+    keys: list[tuple[str, str, int]] = []
+    values: list[float] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\r\n").split("\t")
         if header[:3] != ["question_id", "candidate_id", "gold_label"]:
@@ -335,14 +334,22 @@ def read_features(
                 raise IngestionError(
                     f"{path}: line {lineno}: expected {3 + len(names)} columns"
                 )
-            rows.append(
-                (
-                    columns[0],
-                    columns[1],
-                    int(columns[2]),
-                    np.asarray([float(v) for v in columns[3:]]),
-                )
-            )
+            try:
+                label = int(columns[2])
+                values.extend(map(float, columns[3:]))
+            except ValueError:
+                # Parsing the same fields again raises the named error.
+                parse_number(columns[2], path, lineno, int)
+                for v in columns[3:]:
+                    parse_number(v, path, lineno)
+            keys.append((columns[0], columns[1], label))
+            linenos.append(lineno)
+    matrix = np.array(values, dtype=float).reshape(len(keys), len(names))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise IngestionError(f"{path}: line {linenos[row]}: feature value is not finite")
+    rows = [(qid, cid, label, vector) for (qid, cid, label), vector in zip(keys, matrix)]
     return names, rows
 
 

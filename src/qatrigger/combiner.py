@@ -20,7 +20,7 @@ from .baselines import AnswerPool, EmbeddingTable, bm25_score, ngram_score, sema
 from .corpus import QAPair
 from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
 from .depgraph import build_graph
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, parse_number
 from .ged import GedConfig, graph_edit_distance
 from .graphsim import DfTable, graph_similarity_features
 
@@ -203,11 +203,6 @@ class TriggerModel:
         return sigmoid(float(np.dot(self.weights, z)) + self.bias)
 
 
-def sigmoid_prob(model: TriggerModel, x: Sequence[float]) -> float:
-    """Trigger probability of one feature vector under the model."""
-    return model.prob(x)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.1
@@ -299,25 +294,31 @@ def save_model(model: TriggerModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TriggerModel:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        lines = [line.rstrip("\r\n") for line in handle if line.strip()]
-    if not lines or lines[0] != "version 1":
+        lines = [
+            (lineno, line.rstrip("\r\n"))
+            for lineno, line in enumerate(handle, start=1)
+            if line.strip()
+        ]
+    if not lines or lines[0][1] != "version 1":
         raise IngestionError(f"{path}: unsupported model file version")
     if len(lines) < 3:
         raise IngestionError(f"{path}: truncated model file")
-    threshold = float(lines[1])
+    threshold = parse_number(lines[1][1], path, lines[1][0])
     names, weights, means, stds = [], [], [], []
     bias: float | None = None
-    for line in lines[2:]:
+    for lineno, line in lines[2:]:
         columns = line.split("\t")
         if columns[0] == "BIAS":
-            bias = float(columns[1])
+            if len(columns) != 2:
+                raise IngestionError(f"{path}: line {lineno}: BIAS needs one value")
+            bias = parse_number(columns[1], path, lineno)
             continue
         if len(columns) != 4:
             raise IngestionError(f"{path}: malformed model row {line!r}")
         names.append(columns[0])
-        weights.append(float(columns[1]))
-        means.append(float(columns[2]))
-        stds.append(float(columns[3]))
+        weights.append(parse_number(columns[1], path, lineno))
+        means.append(parse_number(columns[2], path, lineno))
+        stds.append(parse_number(columns[3], path, lineno))
     if bias is None:
         raise IngestionError(f"{path}: missing BIAS row")
     return TriggerModel(

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IngestionError
+from .errors import IngestionError, parse_number
 
 WIKIQA_COLUMNS = 7
 
@@ -152,6 +152,17 @@ def _validate_parse(tokens: list[Token], where: str) -> None:
             raise IngestionError(f"{where}: token {t.index} is its own head")
     if [t.index for t in tokens] != list(range(1, n + 1)):
         raise IngestionError(f"{where}: token indices are not contiguous 1..{n}")
+    # Every head chain must reach the root; a chain that revisits a token is a cycle.
+    reaches_root = {0}
+    for t in tokens:
+        chain: set[int] = set()
+        node = t.index
+        while node not in reaches_root:
+            if node in chain:
+                raise IngestionError(f"{where}: cycle through token {node}")
+            chain.add(node)
+            node = tokens[node - 1].head
+        reaches_root |= chain
 
 
 def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
@@ -252,9 +263,9 @@ def attach_parses(
     With an index file, each CoNLL-U block (keyed by `# sent_id` comment or by
     1-based order) is mapped to a WikiQA QuestionID or SentenceID.  Without
     one, alignment is positional: all questions first, then all candidates,
-    both in corpus order.  Every used parse must have exactly one root and
-    in-range heads; sentences left without a parse raise IngestionError
-    listing the missing ids.
+    both in corpus order.  Every used parse must be a tree (exactly one root,
+    in-range heads, no cycles); sentences left without a parse raise
+    IngestionError listing the missing ids.
     """
     conllu_path = Path(conllu_path)
     blocks = _read_conllu_blocks(conllu_path)
@@ -336,14 +347,7 @@ def load_scores(tsv_path: str | Path) -> tuple[dict[tuple[str, str], float], int
                 raise IngestionError(
                     f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
                 )
-            try:
-                value = float(columns[2])
-            except ValueError as exc:
-                raise IngestionError(
-                    f"{path}: line {lineno}: non-numeric score {columns[2]!r}"
-                ) from exc
-            if value != value or value in (float("inf"), float("-inf")):
-                raise IngestionError(f"{path}: line {lineno}: score is not finite")
+            value = parse_number(columns[2], path, lineno)
             key = (columns[0], columns[1])
             if key in scores:
                 duplicates += 1

@@ -67,21 +67,3 @@ def edge_signatures(graph: DependencyGraph) -> Counter[tuple[str, str, str]]:
 def node_lemmas(graph: DependencyGraph) -> Counter[str]:
     """Multiset of node lemmas."""
     return Counter(t.lemma for t in graph.nodes)
-
-
-def incident_relations(graph: DependencyGraph) -> dict[int, Counter[str]]:
-    """Per node, the multiset of relation labels on its incident edges."""
-    relations: dict[int, Counter[str]] = {t.index: Counter() for t in graph.nodes}
-    for gov, dep, rel in graph.edges:
-        relations[gov][rel] += 1
-        relations[dep][rel] += 1
-    return relations
-
-
-def degrees(graph: DependencyGraph) -> dict[int, int]:
-    """Undirected degree of every node."""
-    degree = {t.index: 0 for t in graph.nodes}
-    for gov, dep, _ in graph.edges:
-        degree[gov] += 1
-        degree[dep] += 1
-    return degree

@@ -1,29 +1,31 @@
 """Normalized graph edit distance between two dependency graphs.
 
-The distance is approximated by a single minimum-cost assignment over an
-(n+m) x (n+m) cost matrix: an n x m substitution block, diagonal deletion
-and insertion blocks whose off-diagonal entries carry an infeasible
-sentinel, and an all-zero epsilon block.  Node substitution cost is zero
-for equal lemmas and otherwise a POS-pair substitute weight; every cost
-additionally charges the mismatch between the incident relation multisets
-of the two nodes.  The assignment total is normalized by the cost of
-deleting one graph entirely and inserting the other, which bounds the
-result to [0, 1].
+The distance is the bipartite approximation of Riesen & Bunke (2009): every
+question node is either substituted by one answer node or deleted, and every
+answer node not substituted is inserted.  Node substitution cost is zero for
+equal lemmas and otherwise a POS-pair substitute weight; every cost
+additionally charges the mismatch between the incident relation multisets of
+the two nodes, and deleting or inserting a node charges its incident edges.
+
+The optimum is found as in Serratosa's Fast BP (2014): instead of the
+(n+m) x (n+m) matrix with deletion, insertion and epsilon blocks, one n x m
+assignment over the reduced costs min(0, sub_ij - del_i - ins_j) selects the
+substitutions, and every node left out is deleted or inserted.  The edit cost
+is normalized by the cost of deleting one graph entirely and inserting the
+other, which bounds the result to [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Token
-from .depgraph import DependencyGraph, degrees, incident_relations
-from .errors import IngestionError
+from .depgraph import DependencyGraph
+from .errors import IngestionError, parse_number
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -82,7 +84,7 @@ def load_pos_table(path: str | Path) -> PosCostTable:
             if columns[0] == "DEFAULT":
                 if len(columns) != 2:
                     raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
-                default_cost = float(columns[1])
+                default_cost = parse_number(columns[1], path, lineno)
                 saw_default = True
                 continue
             if len(columns) != 3:
@@ -90,10 +92,7 @@ def load_pos_table(path: str | Path) -> PosCostTable:
                     f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
                 )
             a, b, raw = columns
-            try:
-                cost = float(raw)
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: bad cost {raw!r}") from exc
+            cost = parse_number(raw, path, lineno)
             if not 0.0 <= cost <= 1.0:
                 raise IngestionError(f"{path}: line {lineno}: cost must be in [0, 1]")
             if entries.get((b, a), cost) != cost or entries.get((a, b), cost) != cost:
@@ -111,86 +110,73 @@ class GedConfig:
     delete_cost: float = 1.0
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Square edit-cost matrix; off-diagonal epsilon entries hold `sentinel`."""
-
-    data: np.ndarray
-    n_question: int
-    n_answer: int
-    sentinel: float
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
-            raise ValueError("cost matrix must be square")
+def _relation_counts(graph: DependencyGraph, columns: dict[str, int]) -> np.ndarray:
+    """Per node (in node order), the count of each relation on its incident edges."""
+    row = {t.index: i for i, t in enumerate(graph.nodes)}
+    width = len(columns)
+    cells = [row[gov] * width + columns[rel] for gov, _, rel in graph.edges]
+    cells += [row[dep] * width + columns[rel] for _, dep, rel in graph.edges]
+    counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=len(row) * width)
+    return counts.reshape(len(row), width)
 
 
-def node_cost(u: Token, v: Token, table: PosCostTable) -> float:
-    """0 for equal lemmas (case-insensitive), else the POS substitute weight."""
-    if u.lemma.lower() == v.lemma.lower():
-        return 0.0
-    return table.cost(u.upos, v.upos)
-
-
-def incident_edge_cost(
-    u_relations: Counter[str], v_relations: Counter[str], edge_weight: float
-) -> float:
-    """Half the symmetric multiset difference of relation labels, times the weight."""
-    difference = (u_relations - v_relations) + (v_relations - u_relations)
-    return edge_weight * sum(difference.values()) / 2.0
+def _ids(values: Sequence[str], vocabulary: dict[str, int]) -> np.ndarray:
+    """Integer id of each value, adding unseen values to the vocabulary."""
+    ids = [vocabulary.setdefault(v, len(vocabulary)) for v in values]
+    return np.asarray(ids, dtype=np.intp)
 
 
 def build_cost_matrix(
-    gq: DependencyGraph,
-    ga: DependencyGraph,
-    table: PosCostTable,
-    edge_weight: float,
-    delete_cost: float,
-) -> CostMatrix:
-    n, m = len(gq.nodes), len(ga.nodes)
-    size = n + m
-    rels_q = incident_relations(gq)
-    rels_a = incident_relations(ga)
-    deg_q = degrees(gq)
-    deg_a = degrees(ga)
+    gq: DependencyGraph, ga: DependencyGraph, config: GedConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edit costs of a graph pair: (n x m substitutions, n deletions, m insertions).
 
-    substitution = np.zeros((n, m))
-    for i, u in enumerate(gq.nodes):
-        for j, v in enumerate(ga.nodes):
-            substitution[i, j] = node_cost(u, v, table) + incident_edge_cost(
-                rels_q[u.index], rels_a[v.index], edge_weight
-            )
-    deletions = [delete_cost + edge_weight * deg_q[u.index] for u in gq.nodes]
-    insertions = [delete_cost + edge_weight * deg_a[v.index] for v in ga.nodes]
-
-    sentinel = math.fsum(substitution.flat) + math.fsum(deletions) + math.fsum(insertions) + 1.0
-    data = np.full((size, size), sentinel)
-    data[:n, :m] = substitution
-    for i in range(n):
-        data[i, m + i] = deletions[i]
-    for j in range(m):
-        data[n + j, j] = insertions[j]
-    data[n:, m:] = 0.0
-    return CostMatrix(data=data, n_question=n, n_answer=m, sentinel=sentinel)
-
-
-def _jv_assignment(cost: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    """Shortest-augmenting-path assignment on a square matrix.
-
-    Returns (row_to_col, row_duals, col_duals); assigned entries are tight
-    against the duals, which the lexicographic refinement relies on.
+    A substitution costs 0 for equal lemmas (case-insensitive), else the POS
+    substitute weight, plus `edge_weight` times half the symmetric difference
+    of the two nodes' incident relation multisets.  Deleting or inserting a
+    node costs `delete_cost` plus `edge_weight` per incident edge.
     """
-    n = cost.shape[0]
+    relations: dict[str, int] = {}
+    for _, _, rel in gq.edges + ga.edges:
+        relations.setdefault(rel, len(relations))
+    counts_q = _relation_counts(gq, relations)
+    counts_a = _relation_counts(ga, relations)
+
+    lemmas: dict[str, int] = {}
+    same_lemma = (
+        _ids([t.lemma.lower() for t in gq.nodes], lemmas)[:, None]
+        == _ids([t.lemma.lower() for t in ga.nodes], lemmas)[None, :]
+    )
+    tags_q: dict[str, int] = {}
+    tags_a: dict[str, int] = {}
+    tag_q = _ids([t.upos for t in gq.nodes], tags_q)
+    tag_a = _ids([t.upos for t in ga.nodes], tags_a)
+    table = config.pos_table
+    pos_cost = np.asarray(
+        [[table.cost(a, b) for b in tags_a] for a in tags_q], dtype=float
+    ).reshape(len(tags_q), len(tags_a))
+    node = np.where(same_lemma, 0.0, pos_cost[tag_q[:, None], tag_a[None, :]])
+
+    mismatch = np.abs(counts_q[:, None, :] - counts_a[None, :, :]).sum(axis=2)
+    substitution = node + config.edge_weight * mismatch / 2.0
+    deletion = config.delete_cost + config.edge_weight * counts_q.sum(axis=1)
+    insertion = config.delete_cost + config.edge_weight * counts_a.sum(axis=1)
+    return substitution, deletion, insertion
+
+
+def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int]:
+    """Shortest-augmenting-path assignment of a rows <= columns matrix, as row_to_col."""
+    n = len(cost)
     inf = math.inf
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    col_row = [0] * (n + 1)  # 1-based; 0 means unassigned
-    way = [0] * (n + 1)
+    v = [0.0] * (n_cols + 1)
+    col_row = [0] * (n_cols + 1)  # 1-based; 0 means unassigned
+    way = [0] * (n_cols + 1)
     for i in range(1, n + 1):
         col_row[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [inf] * (n_cols + 1)
+        used = [False] * (n_cols + 1)
         while True:
             used[j0] = True
             i0 = col_row[j0]
@@ -198,7 +184,7 @@ def _jv_assignment(cost: np.ndarray) -> tuple[list[int], list[float], list[float
             j1 = 0
             row = cost[i0 - 1]
             ui0 = u[i0]
-            for j in range(1, n + 1):
+            for j in range(1, n_cols + 1):
                 if used[j]:
                     continue
                 current = row[j - 1] - ui0 - v[j]
@@ -208,7 +194,7 @@ def _jv_assignment(cost: np.ndarray) -> tuple[list[int], list[float], list[float
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(n_cols + 1):
                 if used[j]:
                     u[col_row[j]] += delta
                     v[j] -= delta
@@ -222,95 +208,34 @@ def _jv_assignment(cost: np.ndarray) -> tuple[list[int], list[float], list[float
             col_row[j0] = col_row[j1]
             j0 = j1
     row_to_col = [0] * n
-    for j in range(1, n + 1):
+    for j in range(1, n_cols + 1):
         if col_row[j]:
             row_to_col[col_row[j] - 1] = j - 1
-    return row_to_col, [u[i] for i in range(1, n + 1)], [v[j] for j in range(1, n + 1)]
-
-
-def _refine_lexicographic(
-    cost: np.ndarray,
-    assignment: list[int],
-    row_duals: list[float],
-    col_duals: list[float],
-) -> list[int]:
-    """Among cost-equal optima, steer toward the lexicographically smallest.
-
-    Optimal assignments only use edges that are tight against the duals, so
-    each row greedily tries smaller tight columns, re-matching displaced rows
-    through augmenting paths restricted to tight edges.
-    """
-    n = len(assignment)
-    if n <= 1:
-        return assignment
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
-    duals = np.asarray(col_duals)
-    tight: list[list[int]] = []
-    for i in range(n):
-        slack = cost[i] - row_duals[i] - duals
-        tight.append([j for j in range(n) if slack[j] <= tol])
-
-    row_match = list(assignment)
-    col_match: dict[int, int] = {c: r for r, c in enumerate(row_match)}
-    fixed_cols: set[int] = set()
-
-    def augment(row: int, banned_col: int, visited: set[int]) -> bool:
-        for j in tight[row]:
-            if j == banned_col or j in fixed_cols or j in visited:
-                continue
-            visited.add(j)
-            owner = col_match.get(j)
-            if owner is None or augment(owner, banned_col, visited):
-                col_match[j] = row
-                row_match[row] = j
-                return True
-        return False
-
-    for i in range(n):
-        for j in tight[i]:
-            if j >= row_match[i]:
-                break
-            if j in fixed_cols or j not in col_match:
-                continue
-            displaced = col_match[j]
-            del col_match[row_match[i]]
-            col_match[j] = i
-            old = row_match[i]
-            row_match[i] = j
-            if augment(displaced, j, set()):
-                break
-            # Revert: no perfect matching without this column for row i.
-            col_match[j] = displaced
-            row_match[i] = old
-            col_match[old] = i
-        fixed_cols.add(row_match[i])
-    return row_match
+    return row_to_col
 
 
 def solve_assignment(
-    matrix: CostMatrix | np.ndarray | Sequence[Sequence[float]],
+    matrix: np.ndarray | Sequence[Sequence[float]],
 ) -> tuple[tuple[int, ...], float]:
-    """Minimum-cost perfect matching of a square cost matrix.
+    """Minimum-cost assignment of a rectangular cost matrix.
 
-    Returns (row_to_column assignment, total cost).  Ties between optimal
-    assignments break toward the lexicographically smallest row_to_column
-    vector; the total is the exact float sum of the selected entries.
+    Every row is assigned a distinct column when rows <= columns; with more
+    rows than columns every column is assigned a distinct row and the
+    unassigned rows map to -1.  Returns (row_to_column assignment, total
+    cost); the total is the exact float sum of the selected entries.
     """
-    cost = matrix.data if isinstance(matrix, CostMatrix) else np.asarray(matrix, dtype=float)
-    if cost.size == 0:
-        return (), 0.0
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError("assignment requires a square matrix")
-    n = cost.shape[0]
-    assignment, row_duals, col_duals = _jv_assignment(cost)
-    total = math.fsum(cost[i, assignment[i]] for i in range(n))
-    refined = _refine_lexicographic(cost, assignment, row_duals, col_duals)
-    if refined != assignment:
-        refined_total = math.fsum(cost[i, refined[i]] for i in range(n))
-        # Only accept the refinement on true ties; optimality wins otherwise.
-        if refined_total == total:
-            assignment = refined
-    return tuple(assignment), total
+    cost = np.asarray(matrix, dtype=float)
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        cost = cost.T
+    assignment = _shortest_augmenting_paths(cost.tolist(), cost.shape[1])
+    total = math.fsum(cost[i, j] for i, j in enumerate(assignment))
+    if not transposed:
+        return tuple(assignment), total
+    row_to_col = [-1] * cost.shape[1]
+    for j, i in enumerate(assignment):
+        row_to_col[i] = j
+    return tuple(row_to_col), total
 
 
 def graph_edit_distance(
@@ -319,20 +244,28 @@ def graph_edit_distance(
     """Assignment-based edit distance, normalized to [0, 1].
 
     The normalizer is the cost of deleting every question node and inserting
-    every answer node, which is itself a feasible assignment; identical
-    graphs score 0, and an empty question against any answer scores 1.
+    every answer node, which is itself a feasible edit; identical graphs
+    score 0, and an empty question against any answer scores 1.
     """
     cfg = config or GedConfig()
-    n, m = len(gq.nodes), len(ga.nodes)
-    if n == 0 and m == 0:
+    if not gq.nodes and not ga.nodes:
         return 0.0
-    matrix = build_cost_matrix(gq, ga, cfg.pos_table, cfg.edge_weight, cfg.delete_cost)
-    _, total = solve_assignment(matrix)
-    deg_q = degrees(gq)
-    deg_a = degrees(ga)
-    denominator = math.fsum(
-        cfg.delete_cost + cfg.edge_weight * deg_q[t.index] for t in gq.nodes
-    ) + math.fsum(cfg.delete_cost + cfg.edge_weight * deg_a[t.index] for t in ga.nodes)
+    substitution, deletion, insertion = build_cost_matrix(gq, ga, cfg)
+    reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
+    assignment, _ = solve_assignment(reduced)
+    # Total over the original entries the assignment implies: a pair with a
+    # negative reduced cost is substituted, every other node deleted or inserted.
+    substituted = [
+        (i, j) for i, j in enumerate(assignment) if j >= 0 and reduced[i, j] < 0.0
+    ]
+    kept_q = {i for i, _ in substituted}
+    kept_a = {j for _, j in substituted}
+    total = math.fsum(
+        [substitution[i, j] for i, j in substituted]
+        + [cost for i, cost in enumerate(deletion) if i not in kept_q]
+        + [cost for j, cost in enumerate(insertion) if j not in kept_a]
+    )
+    denominator = math.fsum(deletion) + math.fsum(insertion)
     if denominator <= 0.0:
         return 0.0
     return min(1.0, max(0.0, total / denominator))

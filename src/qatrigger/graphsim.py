@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Sentence
 from .depgraph import DependencyGraph, build_graph
-from .errors import IngestionError
+from .errors import IngestionError, parse_number
 
 LEVELS = ("word", "pair", "triplet")
 
@@ -134,7 +134,7 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
             if lineno == 1:
                 if columns[0] != "N":
                     raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
-                n_docs = int(columns[1])
+                n_docs = parse_number(columns[1], path, lineno, int)
                 continue
             try:
                 df[columns[0]] = int(columns[1])

@@ -14,14 +14,16 @@ from collections import Counter
 
 
 def brute_force_assignment(matrix) -> float:
-    """Minimum assignment cost by trying every permutation (row-order sums)."""
-    n = len(matrix)
+    """Minimum assignment cost of a rows <= columns matrix by trying every
+    injection of rows into columns (row-order sums)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
     best = math.inf
-    for perm in itertools.permutations(range(n)):
-        total = math.fsum(matrix[i][perm[i]] for i in range(n))
+    for perm in itertools.permutations(range(cols), rows):
+        total = math.fsum(matrix[i][perm[i]] for i in range(rows))
         if total < best:
             best = total
-    return 0.0 if n == 0 else best
+    return 0.0 if rows == 0 else best
 
 
 def _incident(graph) -> dict[int, Counter]:

@@ -322,3 +322,94 @@ class TestBuildDf:
             "featurize", "--split", "dev", "--out", str(out_loaded),
         )
         assert out_self.read_bytes() == out_loaded.read_bytes()
+
+
+CYCLIC_CONLLU = (
+    "1\ta\ta\tNOUN\tNN\t_\t2\tdep\t_\t_\n"
+    "2\tb\tb\tNOUN\tNN\t_\t1\tdep\t_\t_\n"
+    "3\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
+    "\n"
+    "1\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
+)
+# A feature file's header and one valid row.
+FEATURES_HEAD = "question_id\tcandidate_id\tgold_label\tged\nq1\tc2\t0\t0.25\n"
+GOOD_FEATURES = FEATURES_HEAD + "q1\tc1\t1\t0.5\n"
+MODEL_ROWS = "version 1\n0.5\nged\t1.0\t0.3\t0.1\n"
+
+# (file kind, case, corrupt content); every case must end in exit 3 and one error line.
+CORRUPT_INPUTS = [
+    ("features", "non-numeric", FEATURES_HEAD + "q1\tc1\t1\thigh\n"),
+    ("features", "nan", FEATURES_HEAD + "q1\tc1\t1\tnan\n"),
+    ("features", "missing", FEATURES_HEAD + "q1\tc1\t1\t\n"),
+    ("features", "non-numeric-label", FEATURES_HEAD + "q1\tc1\tyes\t0.5\n"),
+    ("model", "non-numeric", "version 1\nhigh\nged\t1.0\t0.3\t0.1\nBIAS\t0\n"),
+    ("model", "nan", MODEL_ROWS.replace("0.3", "nan") + "BIAS\t0\n"),
+    ("model", "missing", MODEL_ROWS + "BIAS\n"),
+    ("pos_costs", "non-numeric", "DEFAULT\tone\n"),
+    ("pos_costs", "nan", "DEFAULT\tnan\n"),
+    ("pos_costs", "inf", "DEFAULT\tinf\n"),
+    ("pos_costs", "missing", "DEFAULT\t\n"),
+    ("df", "non-numeric", "N\tmany\nwho\t3\n"),
+    ("df", "nan", "N\t12\nwho\tnan\n"),
+    ("df", "missing", "N\t\nwho\t3\n"),
+    ("embeddings", "non-numeric", "who 0.1 high\n"),
+    ("embeddings", "nan", "who 0.1 nan\n"),
+    ("embeddings", "missing", "who 0.1 0.2\nwon 0.3\n"),
+    ("scores", "non-numeric", "Q1\tA1\thigh\n"),
+    ("scores", "nan", "Q1\tA1\tnan\n"),
+    ("scores", "missing", "Q1\tA1\t\n"),
+]
+
+
+def _corrupt_input_argv(kind, path, tmp_path, mini_config):
+    if kind == "features":
+        return ["train", "--features", str(path), "--model", str(tmp_path / "m.txt")]
+    if kind == "model":
+        features = tmp_path / "features.tsv"
+        features.write_text(GOOD_FEATURES)
+        return ["evaluate", "--model", str(path), "--features", str(features)]
+    manifest, keys = {
+        "pos_costs": ("ged", ["resources.pos_costs"]),
+        "df": ("sim_word", [f"resources.df_{level}" for level in ("word", "pair", "triplet")]),
+        "embeddings": ("semvec", ["data.embeddings"]),
+        "scores": ("ext_score", ["data.scores"]),
+    }[kind]
+    overrides = [f"features.manifest={manifest}"] + [f"{key}={path}" for key in keys]
+    return [
+        *(arg for item in overrides for arg in ("--set", item)),
+        "featurize", "--split", "dev", "--out", str(tmp_path / "out.tsv"),
+    ]
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize(
+        "kind, case, content",
+        CORRUPT_INPUTS,
+        ids=[f"{kind}-{case}" for kind, case, _ in CORRUPT_INPUTS],
+    )
+    def test_numeric_field_fails_with_one_data_error(
+        self, kind, case, content, mini_config, tmp_path, capsys
+    ):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(content)
+        argv = _corrupt_input_argv(kind, path, tmp_path, mini_config)
+        code = run("--config", mini_config, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:data:"), err
+        assert str(path) in err[0]
+
+    def test_cyclic_parse_fails_with_one_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("Q1\ta b c\tD\tt\tS1\tc\t0\n")
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(CYCLIC_CONLLU)
+        code = run(
+            "--set", f"data.train={corpus}", "--set", f"data.conllu_train={conllu}",
+            "--set", "features.manifest=ged",
+            "featurize", "--split", "train", "--out", str(tmp_path / "out.tsv"),
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:data:"), err
+        assert "cycle" in err[0]

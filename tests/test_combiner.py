@@ -13,7 +13,6 @@ from qatrigger.combiner import (
     loss_and_gradient,
     save_model,
     sigmoid,
-    sigmoid_prob,
     train,
 )
 from qatrigger.corpus import QAPair
@@ -255,4 +254,4 @@ class TestModelIO:
         x, y = separable_dataset()
         model = train(x, y, ("f1", "f2"))
         with pytest.raises(ValueError):
-            sigmoid_prob(model, [1.0, 2.0, 3.0])
+            model.prob([1.0, 2.0, 3.0])

@@ -152,6 +152,20 @@ def test_attach_parses_rejects_double_root(tmp_path):
         attach_parses(load_wikiqa(corpus), conllu)
 
 
+def test_attach_parses_rejects_cycle(tmp_path):
+    # Heads 1->2, 2->1, 3->0: one root, in-range heads, but 2 edges over 3 nodes.
+    corpus = write(tmp_path / "c.tsv", "Q1\ta b c\tD\tt\tS1\tc\t0\n")
+    cyclic = (
+        "1\ta\ta\tNOUN\tNN\t_\t2\tdep\t_\t_\n"
+        "2\tb\tb\tNOUN\tNN\t_\t1\tdep\t_\t_\n"
+        "3\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
+    )
+    good = "1\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
+    conllu = write(tmp_path / "p.conllu", cyclic + "\n" + good)
+    with pytest.raises(IngestionError, match="cycle"):
+        attach_parses(load_wikiqa(corpus), conllu)
+
+
 def test_attach_parses_missing_parse_lists_ids(tmp_path):
     corpus = write(tmp_path / "c.tsv", "Q1\tnobody won\tD\tt\tS1\talice won\t1\n")
     conllu = write(

@@ -3,7 +3,6 @@ import pytest
 
 from qatrigger.depgraph import (
     build_graph,
-    degrees,
     edge_signatures,
     node_lemmas,
     undirected_adjacency,
@@ -62,19 +61,6 @@ def test_adjacency_is_symmetric_with_matching_pair_count(answer_graph):
             assert u in adjacency[v]
     n_pairs = sum(len(v) for v in adjacency.values()) // 2
     assert n_pairs == len(answer_graph.edges)
-
-
-def test_chain_degrees():
-    chain = make_sentence(
-        "s",
-        [
-            ("a", "a", "NOUN", 2, "dep"),
-            ("b", "b", "NOUN", 0, "root"),
-            ("c", "c", "NOUN", 2, "dep"),
-        ],
-    )
-    degree = degrees(build_graph(chain))
-    assert [degree[i] for i in (1, 2, 3)] == [1, 2, 1]
 
 
 def test_edge_signature_multiset_counts_repeats():

@@ -1,18 +1,14 @@
-from collections import Counter
+import math
 
 import numpy as np
 import pytest
 
-from qatrigger.corpus import Token
-from qatrigger.depgraph import build_graph
+from qatrigger.depgraph import DependencyGraph, build_graph
 from qatrigger.ged import (
-    DEFAULT_POS_TABLE,
     GedConfig,
     build_cost_matrix,
     graph_edit_distance,
-    incident_edge_cost,
     load_pos_table,
-    node_cost,
     solve_assignment,
 )
 from qatrigger.errors import IngestionError
@@ -21,74 +17,106 @@ from conftest import make_sentence, random_tree_sentence
 from oracles import brute_force_assignment, brute_force_ged
 
 
-def token(lemma, upos):
-    return Token(1, lemma, lemma, upos, upos, 0, "root")
+def pair_costs(q_rows, a_rows, config=GedConfig()):
+    """build_cost_matrix of two sentences given as (form, lemma, upos, head, deprel) rows."""
+    gq = build_graph(make_sentence("q", q_rows))
+    ga = build_graph(make_sentence("a", a_rows))
+    return build_cost_matrix(gq, ga, config)
+
+
+def node_cost(u, v):
+    """Substitution cell of two single-node graphs: the node cost alone."""
+    substitution, _, _ = pair_costs(
+        [(u[0], u[0], u[1], 0, "root")], [(v[0], v[0], v[1], 0, "root")]
+    )
+    return substitution[0, 0]
+
+
+def edge_cost(u_relations, v_relations):
+    """Substitution cell of two equal-lemma hubs with the given dependents' relations."""
+    def star(relations):
+        return [("hub", "hub", "VERB", 0, "root")] + [
+            ("leaf", "leaf", "NOUN", 1, rel) for rel in relations
+        ]
+
+    substitution, _, _ = pair_costs(star(u_relations), star(v_relations))
+    return substitution[0, 0]
 
 
 class TestNodeCost:
     def test_same_lemma_is_free(self):
-        assert node_cost(token("die", "VERB"), token("die", "VERB"), DEFAULT_POS_TABLE) == 0.0
+        assert node_cost(("die", "VERB"), ("die", "VERB")) == 0.0
 
     def test_same_lemma_case_insensitive(self):
-        assert node_cost(token("Die", "VERB"), token("die", "AUX"), DEFAULT_POS_TABLE) == 0.0
+        assert node_cost(("Die", "VERB"), ("die", "AUX")) == 0.0
 
     def test_noun_vs_verb_costs_more_than_verb_vs_verb(self):
-        noun_verb = node_cost(token("dog", "NOUN"), token("run", "VERB"), DEFAULT_POS_TABLE)
-        verb_verb = node_cost(token("walk", "VERB"), token("run", "VERB"), DEFAULT_POS_TABLE)
+        noun_verb = node_cost(("dog", "NOUN"), ("run", "VERB"))
+        verb_verb = node_cost(("walk", "VERB"), ("run", "VERB"))
         assert noun_verb == 1.0
         assert verb_verb == 0.3
         assert noun_verb > verb_verb
 
     def test_same_class_discount(self):
-        assert node_cost(token("she", "PRON"), token("alice", "PROPN"), DEFAULT_POS_TABLE) == 0.5
+        assert node_cost(("she", "PRON"), ("alice", "PROPN")) == 0.5
 
 
 class TestIncidentEdgeCost:
     def test_identical_multisets_cost_zero(self):
-        rels = Counter({"nsubj": 1, "obj": 1})
-        assert incident_edge_cost(rels, rels, 0.5) == 0.0
+        assert edge_cost(["nsubj", "obj"], ["obj", "nsubj"]) == 0.0
 
     def test_one_sided_relation(self):
-        assert incident_edge_cost(Counter({"nsubj": 1}), Counter(), 0.5) == 0.25
+        assert edge_cost(["nsubj"], []) == 0.25
 
     def test_partial_overlap(self):
-        left = Counter({"nsubj": 1, "dobj": 1})
-        right = Counter({"nsubj": 1, "advmod": 1})
-        assert incident_edge_cost(left, right, 0.5) == 0.5
+        assert edge_cost(["nsubj", "dobj"], ["nsubj", "advmod"]) == 0.5
 
 
 class TestCostMatrix:
     def test_empty_graphs_give_empty_matrix(self):
         g = build_graph(make_sentence("s", [("x", "x", "NOUN", 0, "root")]))
-        matrix = build_cost_matrix(g, g, DEFAULT_POS_TABLE, 0.5, 1.0)
-        assert matrix.data.shape == (2, 2)
+        empty = DependencyGraph(nodes=(), edges=())
+        substitution, deletion, insertion = build_cost_matrix(g, empty, GedConfig())
+        assert substitution.shape == (1, 0)
+        assert deletion.tolist() == [1.0]
+        assert insertion.shape == (0,)
+        substitution, deletion, insertion = build_cost_matrix(empty, g, GedConfig())
+        assert substitution.shape == (0, 1)
+        assert deletion.shape == (0,)
+        assert insertion.tolist() == [1.0]
 
     def test_one_node_same_lemma(self):
         g = build_graph(make_sentence("s", [("die", "die", "VERB", 0, "root")]))
-        matrix = build_cost_matrix(g, g, DEFAULT_POS_TABLE, 0.5, 1.0)
-        assert matrix.data[0, 0] == 0.0
-        assert matrix.data[0, 1] == 1.0  # deletion of a degree-0 node
-        assert matrix.data[1, 0] == 1.0
-        assert matrix.data[1, 1] == 0.0
+        substitution, deletion, insertion = build_cost_matrix(g, g, GedConfig())
+        assert substitution.tolist() == [[0.0]]
+        assert deletion.tolist() == [1.0]  # deletion of a degree-0 node
+        assert insertion.tolist() == [1.0]
 
     def test_two_vs_one_matches_hand_computation(self):
-        gq = build_graph(
-            make_sentence(
-                "q",
-                [("dog", "dog", "NOUN", 2, "nsubj"), ("ran", "run", "VERB", 0, "root")],
-            )
+        substitution, deletion, insertion = pair_costs(
+            [("dog", "dog", "NOUN", 2, "nsubj"), ("ran", "run", "VERB", 0, "root")],
+            [("run", "run", "VERB", 0, "root")],
         )
-        ga = build_graph(make_sentence("a", [("run", "run", "VERB", 0, "root")]))
-        matrix = build_cost_matrix(gq, ga, DEFAULT_POS_TABLE, 0.5, 1.0)
+        assert substitution.shape == (2, 1)
         # dog vs run: POS default 1.0 plus {nsubj} vs {} edge mismatch 0.25
-        assert matrix.data[0, 0] == pytest.approx(1.25)
+        assert substitution[0, 0] == 1.25
         # run vs run: lemma match, {nsubj} vs {} edges
-        assert matrix.data[1, 0] == pytest.approx(0.25)
-        # deletions carry degree * edge weight
-        assert matrix.data[0, 1] == pytest.approx(1.5)
-        assert matrix.data[1, 2] == pytest.approx(1.5)
-        assert matrix.data[0, 2] == matrix.sentinel
-        assert matrix.data[2, 1] == 0.0
+        assert substitution[1, 0] == 0.25
+        # deletions and insertions carry degree * edge weight
+        assert deletion.tolist() == [1.5, 1.5]
+        assert insertion.tolist() == [1.0]
+
+    def test_chain_degrees(self):
+        _, deletion, _ = pair_costs(
+            [
+                ("a", "a", "NOUN", 2, "dep"),
+                ("b", "b", "NOUN", 0, "root"),
+                ("c", "c", "NOUN", 2, "dep"),
+            ],
+            [("x", "x", "NOUN", 0, "root")],
+            GedConfig(edge_weight=1.0, delete_cost=0.0),
+        )
+        assert deletion.tolist() == [1.0, 2.0, 1.0]
 
 
 class TestSolveAssignment:
@@ -103,12 +131,12 @@ class TestSolveAssignment:
         assert assignment == (0, 1, 2, 3)
         assert cost == 0.0
 
-    def test_all_zero_matrix_breaks_ties_lexicographically(self):
+    def test_all_zero_matrix_breaks_ties_in_row_order(self):
         assignment, cost = solve_assignment(np.zeros((5, 5)))
         assert assignment == (0, 1, 2, 3, 4)
         assert cost == 0.0
 
-    def test_tied_costs_pick_lexicographically_smallest(self):
+    def test_tied_costs_pick_smallest(self):
         # both permutations cost 2; (0, 1) is the smaller assignment vector
         assignment, cost = solve_assignment([[1.0, 1.0], [1.0, 1.0]])
         assert assignment == (0, 1)
@@ -123,6 +151,8 @@ class TestSolveAssignment:
 
     def test_empty_matrix(self):
         assert solve_assignment(np.zeros((0, 0))) == ((), 0.0)
+        assert solve_assignment(np.zeros((0, 3))) == ((), 0.0)
+        assert solve_assignment(np.zeros((2, 0))) == ((-1, -1), 0.0)
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(11)
@@ -132,9 +162,21 @@ class TestSolveAssignment:
             _, cost = solve_assignment(matrix)
             assert cost == brute_force_assignment(matrix.tolist())
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            solve_assignment(np.zeros((2, 3)))
+    def test_rectangular_matches_brute_force(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+            matrix = rng.random((rows, cols))
+            assignment, cost = solve_assignment(matrix)
+            if rows <= cols:
+                expected = brute_force_assignment(matrix.tolist())
+            else:
+                expected = brute_force_assignment(matrix.T.tolist())
+            assert cost == expected
+            chosen = [(i, j) for i, j in enumerate(assignment) if j >= 0]
+            assert len(chosen) == min(rows, cols)
+            assert len({j for _, j in chosen}) == len(chosen)
+            assert cost == math.fsum(matrix[i, j] for i, j in chosen)
 
 
 class TestGraphEditDistance:
@@ -154,15 +196,32 @@ class TestGraphEditDistance:
         empty = DependencyGraph(nodes=(), edges=())
         assert graph_edit_distance(empty, empty) == 0.0
 
-    def test_matches_partial_injection_oracle(self):
+    def test_matches_partial_injection_oracle(self, mini_dir):
+        # Every third pair draws from five lemmas, so equal-cost matchings
+        # abound; each pair is scored in both orientations, so both n < m and
+        # n > m occur; odd pairs use the mini corpus's POS table file with
+        # other edge and deletion weights.
         rng = np.random.default_rng(23)
-        cfg = GedConfig()
-        for _ in range(40):
-            gq = build_graph(random_tree_sentence(rng, max_nodes=4))
-            ga = build_graph(random_tree_sentence(rng, max_nodes=4))
-            fast = graph_edit_distance(gq, ga, cfg)
-            slow = brute_force_ged(gq, ga, cfg.pos_table, cfg.edge_weight, cfg.delete_cost)
-            assert fast == pytest.approx(slow, abs=1e-12)
+        table = load_pos_table(mini_dir / "pos_costs.tsv")
+        configs = (
+            GedConfig(),
+            GedConfig(pos_table=table, edge_weight=0.25, delete_cost=0.75),
+        )
+        tie_pool = ["die", "win", "city", "man", "sun"]
+        orientations = set()
+        for k in range(120):
+            cfg = configs[k % 2]
+            pool = tie_pool if k % 3 == 0 else None
+            gq = build_graph(random_tree_sentence(rng, max_nodes=5, lemma_pool=pool))
+            ga = build_graph(random_tree_sentence(rng, max_nodes=5, lemma_pool=pool))
+            for first, second in ((gq, ga), (ga, gq)):
+                orientations.add(np.sign(len(first.nodes) - len(second.nodes)))
+                fast = graph_edit_distance(first, second, cfg)
+                slow = brute_force_ged(
+                    first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost
+                )
+                assert fast == pytest.approx(slow, abs=1e-12)
+        assert orientations == {-1, 0, 1}
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(29)
