@@ -315,9 +315,11 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
 def read_features(
     path: str | Path,
 ) -> tuple[tuple[str, ...], list[tuple[str, str, int, np.ndarray]]]:
-    """Read a feature TSV into (feature_names, rows); every value must be finite."""
+    """Read a non-empty feature TSV of unique pairs and finite values into
+    (feature_names, rows)."""
     path = Path(path)
     keys: list[tuple[str, str, int]] = []
+    seen: set[tuple[str, str]] = set()
     values: list[float] = []
     linenos: list[int] = []
     with open(path, encoding="utf-8") as handle:
@@ -342,8 +344,14 @@ def read_features(
                 parse_number(columns[2], path, lineno, int)
                 for v in columns[3:]:
                     parse_number(v, path, lineno)
-            keys.append((columns[0], columns[1], label))
+            pair = (columns[0], columns[1])
+            if pair in seen:
+                raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
+            seen.add(pair)
+            keys.append((*pair, label))
             linenos.append(lineno)
+    if not keys:
+        raise IngestionError(f"{path}: no feature rows")
     matrix = np.array(values, dtype=float).reshape(len(keys), len(names))
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():

@@ -2,26 +2,19 @@
 
 Relation coverage counts one-to-one edge-signature matches relative to the
 question's edges; vocabulary coverage does the same over node lemmas.  Graph
-coverage builds a sub-graph of the answer graph spanned by shortest paths
-(unit weights, directions ignored) between answer nodes whose lemmas also
-occur in the question, keeping only paths of at most `m` edges, and reports
-the sub-graph's edge count relative to each side.
+coverage builds a sub-graph of the answer graph spanned by the unique tree
+path between each pair of answer nodes whose lemmas also occur in the
+question, keeping only paths of at most `m` edges, and reports the
+sub-graph's edge count relative to each side.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Sequence
 
-from .depgraph import (
-    DependencyGraph,
-    edge_signatures,
-    node_lemmas,
-    undirected_adjacency,
-)
+from .depgraph import DependencyGraph, edge_signatures, node_lemmas
 
 
 @dataclass(frozen=True)
@@ -56,47 +49,32 @@ def vocabulary_coverage(gq: DependencyGraph, ga: DependencyGraph) -> float:
 
 
 def find_path(
-    adjacency: Mapping[int, set[int]], source: int, dest: int
+    parent: Sequence[int], depth: Sequence[int], source: int, dest: int, m: int
 ) -> list[int]:
-    """Shortest unit-weight path from source to dest, or [] if unreachable.
+    """Tree path from source to dest when it has at most m edges, else [].
 
-    Priority-queue relaxation with strict improvement; equal-distance ties
-    resolve toward the smaller node index, so the returned path is
-    deterministic.
+    parent[v] is v's head and depth[v] its level (only differences matter).
+    The two endpoints climb toward their lowest common ancestor, the deeper
+    one first, and the walk stops as soon as it would need more than m edges.
     """
-    if source not in adjacency or dest not in adjacency:
-        return []
-    distance = {v: math.inf for v in adjacency}
-    parent: dict[int, int | None] = {v: None for v in adjacency}
-    distance[source] = 0
-    queue: list[tuple[float, int]] = [(0, source)]
-    while queue:
-        dist_u, u = heapq.heappop(queue)
-        if dist_u > distance[u]:
-            continue  # stale entry left behind by a decrease-key
-        for v in sorted(adjacency[u]):
-            candidate = dist_u + 1
-            if candidate < distance[v]:
-                distance[v] = candidate
-                parent[v] = u
-                heapq.heappush(queue, (candidate, v))
-    if distance[dest] is math.inf:
-        return []
-    path = []
-    vertex: int | None = dest
-    while vertex is not None:
-        path.append(vertex)
-        vertex = parent[vertex]
-    path.reverse()
-    return path
+    up, down = [source], [dest]
+    while up[-1] != down[-1]:
+        if len(up) + len(down) - 2 >= m:
+            return []  # not met yet, so the path needs at least one more edge
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph:
     """Answer sub-graph spanned by short paths between question-shared nodes.
 
     The shared node set holds every answer node whose lemma occurs in the
-    question; for each unordered pair, the shortest undirected path joins the
-    sub-graph when it exists and uses at most m edges.
+    question; for each unordered pair, the tree path joins the sub-graph when
+    it uses at most m edges.  Raises ValueError when the answer's heads do not
+    form one tree hanging from the root.
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
@@ -104,13 +82,25 @@ def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph
     common = [t.index for t in ga.nodes if t.lemma in question_lemmas]
     if len(common) < 2 or m == 0:
         return EMPTY_SUBGRAPH
-    adjacency = undirected_adjacency(ga)
+    parent = [0] * (len(ga.nodes) + 1)
+    children: list[list[int]] = [[] for _ in parent]
+    for t in ga.nodes:
+        parent[t.index] = t.head
+        children[t.head].append(t.index)
+    depth = [0] * len(parent)
+    stack, reached = [0], 0
+    while stack:
+        u = stack.pop()
+        for v in children[u]:
+            depth[v] = depth[u] + 1
+            stack.append(v)
+            reached += 1
+    if reached != len(ga.nodes):
+        raise ValueError("answer graph is not a single tree under its root")
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for source, dest in combinations(common, 2):
-        path = find_path(adjacency, source, dest)
-        if not path or len(path) - 1 > m:
-            continue
+        path = find_path(parent, depth, source, dest, m)
         nodes.update(path)
         for a, b in zip(path, path[1:]):
             edges.add((a, b) if a < b else (b, a))

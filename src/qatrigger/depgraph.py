@@ -24,19 +24,19 @@ class DependencyGraph:
 def build_graph(sentence: Sentence) -> DependencyGraph:
     """Build the dependency graph of a parsed sentence.
 
-    One edge per non-root token, so a valid parse yields a tree with
-    len(edges) == len(nodes) - 1.
+    Token indices must run 1..n in order.  One edge per non-root token, so a
+    valid parse yields a tree with len(edges) == len(nodes) - 1.
     """
     if not sentence.parsed:
         raise ValueError(f"sentence {sentence.sentence_id!r} has no parse")
     n = len(sentence.tokens)
     roots = 0
     edges = []
-    for token in sentence.tokens:
-        if token.head == token.index or token.head < 0 or token.head > n:
+    for position, token in enumerate(sentence.tokens, start=1):
+        if token.index != position or token.head == position or not 0 <= token.head <= n:
             raise ValueError(
-                f"sentence {sentence.sentence_id!r}: invalid head {token.head} "
-                f"for token {token.index}"
+                f"sentence {sentence.sentence_id!r}: invalid index {token.index} "
+                f"or head {token.head} for token {position}"
             )
         if token.head == 0:
             roots += 1

@@ -3,7 +3,10 @@ from pathlib import Path
 import pytest
 
 from qatrigger.corpus import Sentence, Token
-from qatrigger.depgraph import build_graph
+from qatrigger.coverage import find_path
+from qatrigger.depgraph import build_graph, undirected_adjacency
+
+from oracles import bfs_distances, tree_arrays
 
 MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 
@@ -67,8 +70,13 @@ def mini_dir():
     return MINI_DIR
 
 
-def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, prefix="t"):
-    """Random labeled tree as a parsed Sentence; parent indices precede children."""
+def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, prefix="t", relabel=False):
+    """Random labeled tree as a parsed Sentence.
+
+    Parent indices precede children unless relabel is set, which renumbers the
+    tokens by a random permutation so the root can be any token and heads can
+    point forward.
+    """
     lemmas = lemma_pool or ["die", "live", "win", "run", "city", "man", "dog", "sun"]
     upos = ["NOUN", "VERB", "PROPN", "ADV", "ADJ", "AUX", "DET"]
     rels = ["nsubj", "obj", "advmod", "det", "obl", "amod"]
@@ -80,4 +88,32 @@ def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, prefix="t"):
         tag = upos[int(rng.integers(0, len(upos)))]
         rel = "root" if head == 0 else rels[int(rng.integers(0, len(rels)))]
         rows.append((lemma, lemma, tag, head, rel))
+    if relabel:
+        new_index = [0] + [int(v) + 1 for v in rng.permutation(n)]
+        moved = [None] * n
+        for old, (form, lemma, tag, head, rel) in enumerate(rows, start=1):
+            moved[new_index[old] - 1] = (form, lemma, tag, new_index[head], rel)
+        rows = moved
     return make_sentence(f"{prefix}{rng.integers(0, 10**9)}", rows)
+
+
+def check_tree_paths_against_bfs(graph) -> int:
+    """Check find_path on every ordered node pair and every m from 0 to the
+    diameter + 1 against BFS distances; returns the number of paths kept."""
+    parent, depth = tree_arrays(graph)
+    adjacency = undirected_adjacency(graph)
+    kept = 0
+    for source in adjacency:
+        distances = bfs_distances(adjacency, source)
+        assert len(distances) == len(adjacency)  # trees are connected
+        for dest in adjacency:
+            for m in range(max(distances.values()) + 2):
+                path = find_path(parent, depth, source, dest, m)
+                if distances[dest] > m:
+                    assert path == []
+                    continue
+                assert path[0] == source and path[-1] == dest
+                assert len(path) - 1 == distances[dest]
+                assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+                kept += 1
+    return kept

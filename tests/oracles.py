@@ -104,6 +104,59 @@ def bfs_distances(adjacency, source) -> dict[int, int]:
     return seen
 
 
+def _adjacency(graph) -> dict[int, set[int]]:
+    adjacency: dict[int, set[int]] = {t.index: set() for t in graph.nodes}
+    for gov, dep, _ in graph.edges:
+        adjacency[gov].add(dep)
+        adjacency[dep].add(gov)
+    return adjacency
+
+
+def tree_arrays(graph) -> tuple[list[int], list[int]]:
+    """(parent, depth) lists indexed by token, depth by BFS from the root."""
+    parent = [0] * (len(graph.nodes) + 1)
+    for gov, dep, _ in graph.edges:
+        parent[dep] = gov
+    root = next(t.index for t in graph.nodes if t.head == 0)
+    depth = [0] * len(parent)
+    for node, hops in bfs_distances(_adjacency(graph), root).items():
+        depth[node] = hops
+    return parent, depth
+
+
+def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, int]]]:
+    """(nodes, sorted-pair edges) spanned by BFS-parent paths of at most m
+    edges between every pair of answer nodes whose lemma is in question_lemmas.
+
+    Trees have one path per pair, so the BFS path is the aligned one.
+    """
+    adjacency = _adjacency(graph)
+    common = [t.index for t in graph.nodes if t.lemma in question_lemmas]
+    nodes: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    for idx, s in enumerate(common):
+        for d in common[idx + 1:]:
+            parents = {s: None}
+            frontier = [s]
+            while frontier and d not in parents:
+                nxt = []
+                for u in frontier:
+                    for v in sorted(adjacency[u]):
+                        if v not in parents:
+                            parents[v] = u
+                            nxt.append(v)
+                frontier = nxt
+            if d not in parents:
+                continue
+            path = [d]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            if len(path) - 1 <= m:
+                nodes.update(path)
+                edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return nodes, edges
+
+
 def direct_tfidf_vector(graph, keys_of, n_docs, df, alpha) -> dict[str, float]:
     counts = Counter(keys_of(graph))
     out = {}

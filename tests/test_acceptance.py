@@ -19,8 +19,8 @@ from qatrigger.baselines import bm25_score, ngram_score, AnswerPool
 from qatrigger.cli import main
 from qatrigger.combiner import loss_and_gradient, sigmoid
 from qatrigger.corpus import attach_parses, load_wikiqa
-from qatrigger.coverage import align_subgraph, find_path
-from qatrigger.depgraph import build_graph, undirected_adjacency
+from qatrigger.coverage import align_subgraph
+from qatrigger.depgraph import build_graph
 from qatrigger.evaluation import (
     ScoredGroup,
     top_candidate,
@@ -30,9 +30,9 @@ from qatrigger.evaluation import (
 from qatrigger.ged import GedConfig, graph_edit_distance, load_pos_table, solve_assignment
 from qatrigger.graphsim import cosine
 
-from conftest import MINI_DIR, random_tree_sentence
+from conftest import MINI_DIR, check_tree_paths_against_bfs, random_tree_sentence
 from oracles import (
-    bfs_distances,
+    bfs_subgraph,
     brute_force_assignment,
     brute_force_ged,
     direct_bm25,
@@ -59,17 +59,11 @@ def test_criterion_1_assignment_matches_permutation_oracle():
 
 def test_criterion_2_shortest_paths_match_bfs_oracle():
     rng = np.random.default_rng(103)
-    checked = 0
-    for _ in range(500):
-        graph = build_graph(random_tree_sentence(rng, max_nodes=12))
-        adjacency = undirected_adjacency(graph)
-        for source in adjacency:
-            distances = bfs_distances(adjacency, source)
-            for dest in adjacency:
-                path = find_path(adjacency, source, dest)
-                assert len(path) - 1 == distances[dest]
-                checked += 1
-    report(2, f"find_path equals BFS distance on 500 random trees ({checked} pairs)")
+    checked = sum(
+        check_tree_paths_against_bfs(build_graph(random_tree_sentence(rng, max_nodes=12)))
+        for _ in range(500)
+    )
+    report(2, f"find_path equals the BFS tree path within m on 500 random trees ({checked} paths)")
 
 
 def test_criterion_3_ged_identity_symmetry_range():
@@ -342,31 +336,7 @@ class TestGoldenFeaturesAgainstOracles:
         lem_a = Counter(lemma_a.values())
         vocab_cov = sum(min(c, lem_a[w]) for w, c in lem_q.items()) / len(gq.nodes)
 
-        # tree paths are unique, so BFS parents reproduce the aligned sub-graph
-        adjacency = undirected_adjacency(ga)
-        common = [i for i, w in lemma_a.items() if w in set(lemma_q.values())]
-        edges = set()
-        for idx, s in enumerate(common):
-            for d in common[idx + 1:]:
-                parents = {s: None}
-                frontier = [s]
-                while frontier and d not in parents:
-                    nxt = []
-                    for u in frontier:
-                        for v in sorted(adjacency[u]):
-                            if v not in parents:
-                                parents[v] = u
-                                nxt.append(v)
-                    frontier = nxt
-                if d not in parents:
-                    continue
-                path = [d]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                if len(path) - 1 <= 3:
-                    edges.update(
-                        (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
-                    )
+        _, edges = bfs_subgraph(ga, set(lemma_q.values()), 3)
         cov_ans = len(edges) / len(ga.edges) if ga.edges else 0.0
         cov_ques = min(1.0, len(edges) / len(gq.edges)) if gq.edges else 0.0
 

@@ -360,6 +360,28 @@ CORRUPT_INPUTS = [
     ("scores", "missing", "Q1\tA1\t\n"),
 ]
 
+# One question and one candidate with their parses, keyed by sent_id.
+PARSED_CORPUS = "Q1\ta b\tD\tt\tS1\tc\t0\n"
+ROOT_ROW = "1\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
+GOOD_CONLLU = f"# sent_id = q\n{ROOT_ROW}\n# sent_id = s\n{ROOT_ROW}"
+GOOD_INDEX = "q\tQ1\ns\tS1\n"
+
+# (file kind, case, malformed content, expected message after the path).
+MALFORMED_INPUTS = [
+    ("features", "duplicate-pair", GOOD_FEATURES + "q1\tc1\t0\t0.5\n",
+     "line 4: duplicate pair ('q1', 'c1')"),
+    ("features", "header-only", FEATURES_HEAD.splitlines(True)[0], "no feature rows"),
+    ("features", "wrong-column-count", FEATURES_HEAD + "q1\tc1\t1\n",
+     "line 3: expected 4 columns"),
+    ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
+    ("conllu", "short-row", "# sent_id = q\n1\tc\tc\tVERB\n",
+     "line 2: expected 10 columns, got 4"),
+    ("conllu", "duplicate-sent-id", GOOD_CONLLU + f"\n# sent_id = q\n{ROOT_ROW}",
+     "duplicate sent_id 'q'"),
+    ("index", "duplicate-mapping", "q\tQ1\nq\tS1\n",
+     "line 2: duplicate mapping for 'q'"),
+]
+
 
 def _corrupt_input_argv(kind, path, tmp_path, mini_config):
     if kind == "features":
@@ -368,13 +390,21 @@ def _corrupt_input_argv(kind, path, tmp_path, mini_config):
         features = tmp_path / "features.tsv"
         features.write_text(GOOD_FEATURES)
         return ["evaluate", "--model", str(path), "--features", str(features)]
-    manifest, keys = {
-        "pos_costs": ("ged", ["resources.pos_costs"]),
-        "df": ("sim_word", [f"resources.df_{level}" for level in ("word", "pair", "triplet")]),
-        "embeddings": ("semvec", ["data.embeddings"]),
-        "scores": ("ext_score", ["data.scores"]),
-    }[kind]
-    overrides = [f"features.manifest={manifest}"] + [f"{key}={path}" for key in keys]
+    if kind in ("conllu", "index"):
+        parse_files = {"dev": PARSED_CORPUS, "conllu_dev": GOOD_CONLLU, "index_dev": GOOD_INDEX}
+        for key, content in parse_files.items():
+            (tmp_path / key).write_text(content)
+        overrides = ["features.manifest=ged"]
+        overrides += [f"data.{key}={tmp_path / key}" for key in parse_files]
+        overrides.append(f"data.{kind}_dev={path}")
+    else:
+        manifest, keys = {
+            "pos_costs": ("ged", ["resources.pos_costs"]),
+            "df": ("sim_word", [f"resources.df_{level}" for level in ("word", "pair", "triplet")]),
+            "embeddings": ("semvec", ["data.embeddings"]),
+            "scores": ("ext_score", ["data.scores"]),
+        }[kind]
+        overrides = [f"features.manifest={manifest}"] + [f"{key}={path}" for key in keys]
     return [
         *(arg for item in overrides for arg in ("--set", item)),
         "featurize", "--split", "dev", "--out", str(tmp_path / "out.tsv"),
@@ -398,6 +428,23 @@ class TestCorruptInputs:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error:data:"), err
         assert str(path) in err[0]
+
+    @pytest.mark.parametrize(
+        "kind, case, content, message",
+        MALFORMED_INPUTS,
+        ids=[f"{kind}-{case}" for kind, case, _, _ in MALFORMED_INPUTS],
+    )
+    def test_malformed_file_fails_with_one_data_error(
+        self, kind, case, content, message, mini_config, tmp_path, capsys
+    ):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(content)
+        argv = _corrupt_input_argv(kind, path, tmp_path, mini_config)
+        code = run("--config", mini_config, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:data:"), err
+        assert f"{path}: {message}" in err[0]
 
     def test_cyclic_parse_fails_with_one_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.tsv"

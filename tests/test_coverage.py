@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from qatrigger.coverage import (
+    SubGraph,
     align_subgraph,
     find_path,
     graph_coverage_features,
     relation_coverage,
     vocabulary_coverage,
 )
-from qatrigger.depgraph import build_graph, undirected_adjacency
+from qatrigger.depgraph import build_graph
 
-from conftest import make_sentence, random_tree_sentence
-from oracles import bfs_distances
+from conftest import check_tree_paths_against_bfs, make_sentence, random_tree_sentence
+from oracles import bfs_subgraph, tree_arrays
 
 
 def chain(*lemmas):
@@ -84,35 +85,51 @@ class TestVocabularyCoverage:
         assert vocabulary_coverage(gq, ga) == pytest.approx(1 / 3)
 
 
+def interior_ancestor_graph():
+    # a(1) -> p(2) -> mid(3) <- q(4) <- b(5), with mid under the root r(6):
+    # the a..b path has 4 edges and turns at the interior node 3, and heads
+    # point both forward and backward.
+    return build_graph(
+        make_sentence(
+            "fork",
+            [
+                ("a", "a", "NOUN", 2, "nmod"),
+                ("p", "p", "NOUN", 3, "nmod"),
+                ("mid", "mid", "NOUN", 6, "obj"),
+                ("q", "q", "NOUN", 3, "nmod"),
+                ("b", "b", "NOUN", 4, "nmod"),
+                ("r", "r", "VERB", 0, "root"),
+            ],
+        )
+    )
+
+
 class TestFindPath:
     def test_chain_path(self):
-        adjacency = undirected_adjacency(chain("a", "b", "c", "d"))
-        assert find_path(adjacency, 1, 4) == [1, 2, 3, 4]
-
-    def test_unreachable_returns_empty(self):
-        adjacency = {1: {2}, 2: {1}, 3: set()}
-        assert find_path(adjacency, 1, 3) == []
+        parent, depth = tree_arrays(chain("a", "b", "c", "d"))
+        assert find_path(parent, depth, 1, 4, 3) == [1, 2, 3, 4]
+        assert find_path(parent, depth, 4, 1, 3) == [4, 3, 2, 1]
+        assert find_path(parent, depth, 1, 4, 2) == []
 
     def test_source_equals_dest(self):
-        adjacency = undirected_adjacency(chain("a", "b"))
-        assert find_path(adjacency, 2, 2) == [2]
+        parent, depth = tree_arrays(chain("a", "b"))
+        assert find_path(parent, depth, 2, 2, 0) == [2]
 
-    def test_ties_prefer_smaller_intermediate_node(self):
-        # two length-2 routes from 1 to 4: via 2 and via 3
-        adjacency = {1: {2, 3}, 2: {1, 4}, 3: {1, 4}, 4: {2, 3}}
-        assert find_path(adjacency, 1, 4) == [1, 2, 4]
+    def test_exactly_m_edges_kept_through_interior_ancestor(self):
+        parent, depth = tree_arrays(interior_ancestor_graph())
+        assert find_path(parent, depth, 1, 5, 4) == [1, 2, 3, 4, 5]
+        assert find_path(parent, depth, 5, 1, 4) == [5, 4, 3, 2, 1]
+        assert find_path(parent, depth, 1, 5, 3) == []
+        # unequal depths: p(2) at depth 2 to b(5) at depth 3 is 3 edges
+        assert find_path(parent, depth, 2, 5, 3) == [2, 3, 4, 5]
+        assert find_path(parent, depth, 5, 2, 2) == []
 
     def test_lengths_match_bfs_on_random_trees(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            graph = build_graph(random_tree_sentence(rng, max_nodes=12))
-            adjacency = undirected_adjacency(graph)
-            for source in adjacency:
-                reference = bfs_distances(adjacency, source)
-                for dest in adjacency:
-                    path = find_path(adjacency, source, dest)
-                    assert dest in reference  # trees are connected
-                    assert len(path) - 1 == reference[dest]
+            check_tree_paths_against_bfs(
+                build_graph(random_tree_sentence(rng, max_nodes=12, relabel=True))
+            )
 
 
 class TestAlignSubgraph:
@@ -151,6 +168,42 @@ class TestAlignSubgraph:
                 assert previous.nodes <= current.nodes
                 assert previous.edges <= current.edges
                 previous = current
+
+    def test_matches_bfs_oracle_with_forward_heads(self):
+        rng = np.random.default_rng(41)
+        pool = ["die", "win", "sun", "man", "run"]
+        for _ in range(1000):
+            gq = build_graph(random_tree_sentence(rng, max_nodes=6, lemma_pool=pool))
+            ga = build_graph(
+                random_tree_sentence(rng, max_nodes=10, lemma_pool=pool, relabel=True)
+            )
+            lemmas = {t.lemma for t in gq.nodes}
+            for m in range(6):
+                nodes, edges = bfs_subgraph(ga, lemmas, m)
+                assert align_subgraph(gq, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
+
+    def test_exactly_m_edges_kept_through_interior_ancestor(self):
+        ga = interior_ancestor_graph()
+        gq = chain("a", "b")
+        kept = align_subgraph(gq, ga, 4)
+        assert kept.nodes == frozenset({1, 2, 3, 4, 5})
+        assert kept.edges == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
+        assert align_subgraph(gq, ga, 3) == SubGraph(frozenset(), frozenset())
+
+    def test_non_tree_heads_rejected(self):
+        # 1 -> 2 -> 1 is a cycle beside the root 3; build_graph accepts it
+        ga = build_graph(
+            make_sentence(
+                "cycle",
+                [
+                    ("a", "a", "NOUN", 2, "dep"),
+                    ("b", "b", "NOUN", 1, "dep"),
+                    ("c", "c", "VERB", 0, "root"),
+                ],
+            )
+        )
+        with pytest.raises(ValueError, match="not a single tree"):
+            graph_coverage_features(chain("a", "b"), ga, 3)
 
     def test_negative_m_rejected(self, question_graph, answer_graph):
         with pytest.raises(ValueError):

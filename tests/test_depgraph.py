@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def test_build_graph_rejects_unparsed_and_multirooted():
     )
     with pytest.raises(ValueError):
         build_graph(bad)
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_build_graph_rejects_out_of_order_index(index):
+    # coverage indexes per-token arrays by position, so an index outside 1..n
+    # would land outside them or, at 0, make its depth pass revisit the root
+    root = make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
+    tokens = (root.tokens[0], dataclasses.replace(root.tokens[1], index=index))
+    with pytest.raises(ValueError, match="invalid index"):
+        build_graph(dataclasses.replace(root, tokens=tokens))
 
 
 def test_adjacency_is_symmetric_with_matching_pair_count(answer_graph):
