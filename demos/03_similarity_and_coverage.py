@@ -53,7 +53,7 @@ gq, ga = build_graph(question), build_graph(answer)
 
 # Document frequencies normally come from the training split (or a file);
 # here the two sentences themselves act as a two-document corpus.
-tables = {level: build_df([question, answer], level) for level in ("word", "pair", "triplet")}
+tables = build_df([question, answer])
 
 sim_word, sim_pair, sim_triplet = graph_similarity_features(
     gq, ga, tables, alphas=(0.0, 0.0, 0.0)

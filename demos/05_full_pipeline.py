@@ -44,7 +44,7 @@ sentences = [g.question for g in train_groups]
 sentences += [s for g in train_groups for _, s, _ in g.candidates]
 resources = FeatureResources(
     ged_config=GedConfig(pos_table=load_pos_table(MINI / "pos_costs.tsv")),
-    df_tables={level: build_df(sentences, level) for level in ("word", "pair", "triplet")},
+    df_tables=build_df(sentences),
     alphas=(0.0, 0.0, 0.0),
 )
 

@@ -26,17 +26,16 @@ from .combiner import (
     FEATURE_NAMES,
     FeatureResources,
     TrainConfig,
-    TriggerModel,
     _fmt,
     extract_features,
     load_model,
     save_model,
     train,
 )
-from .corpus import QuestionGroup, attach_parses, load_scores, load_wikiqa
+from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
 from .errors import ConfigError, IngestionError, QaTriggerError, parse_number
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
-from .ged import GedConfig, load_pos_table
+from .ged import GedConfig, default_pos_table, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
 
 ENV_PREFIX = "QATRIGGER"
@@ -84,7 +83,6 @@ class RunConfig:
     lr: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
-    seed: int = 0
     threshold: float = 0.14
     # [baselines]
     bm25_threshold: float | None = None
@@ -151,7 +149,6 @@ _INT_KEYS = {
     ("hyper", "m"): "subgraph_m",
     ("hyper", "n_max"): "n_max",
     ("hyper", "epochs"): "epochs",
-    ("hyper", "seed"): "seed",
 }
 
 
@@ -243,10 +240,14 @@ def _df_tables(config: RunConfig) -> dict[str, object]:
         return {level: load_df_table(paths[level], level) for level in LEVELS}
     if any(p is not None for p in paths.values()):
         raise ConfigError("set all three DF table paths or none")
-    train_groups = load_split(config, "train", with_parses=True)
-    sentences = [g.question for g in train_groups]
-    sentences += [sent for g in train_groups for _, sent, _ in g.candidates]
-    return {level: build_df(sentences, level) for level in LEVELS}
+    return build_df(_train_sentences(config))
+
+
+def _train_sentences(config: RunConfig) -> list[Sentence]:
+    """Every question and candidate sentence of the parsed train split."""
+    groups = load_split(config, "train", with_parses=True)
+    sentences = [g.question for g in groups]
+    return sentences + [sent for g in groups for _, sent, _ in g.candidates]
 
 
 def build_resources(
@@ -259,17 +260,11 @@ def build_resources(
         b=config.b,
         n_max=config.n_max,
     )
-    pos_table = load_pos_table(config.pos_costs) if config.pos_costs else None
-    if pos_table is not None:
-        resources.ged_config = GedConfig(
-            pos_table=pos_table,
-            edge_weight=config.edge_weight,
-            delete_cost=config.delete_cost,
-        )
-    else:
-        resources.ged_config = GedConfig(
-            edge_weight=config.edge_weight, delete_cost=config.delete_cost
-        )
+    resources.ged_config = GedConfig(
+        pos_table=load_pos_table(config.pos_costs) if config.pos_costs else default_pos_table(),
+        edge_weight=config.edge_weight,
+        delete_cost=config.delete_cost,
+    )
     if any(name.startswith("sim_") for name in manifest):
         resources.df_tables = _df_tables(config)
     if "ext_score" in manifest:
@@ -344,6 +339,10 @@ def read_features(
                 parse_number(columns[2], path, lineno, int)
                 for v in columns[3:]:
                     parse_number(v, path, lineno)
+            if label not in (0, 1):
+                raise IngestionError(
+                    f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
+                )
             pair = (columns[0], columns[1])
             if pair in seen:
                 raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
@@ -372,24 +371,23 @@ def _scored_groups(
 
 def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     names, rows = read_features(features_path)
-    x = [row[3] for row in rows]
+    x = np.asarray([row[3] for row in rows])
     y = [row[2] for row in rows]
     try:
         model = train(
             x,
             y,
             names,
-            TrainConfig(lr=config.lr, epochs=config.epochs, l2=config.l2, seed=config.seed),
+            TrainConfig(lr=config.lr, epochs=config.epochs, l2=config.l2),
             threshold=config.threshold,
         )
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     save_model(model, model_path)
-    z = np.asarray([model.standardize(v) for v in x])
     loss, _, _ = combiner.loss_and_gradient(
-        model.weights, model.bias, z, np.asarray(y, dtype=float), config.l2
+        model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float), config.l2
     )
-    predictions = [1 if model.prob(v) > 0.5 else 0 for v in x]
+    predictions = [1 if p > 0.5 else 0 for p in model.scores(x)]
     accuracy = sum(p == label for p, label in zip(predictions, y)) / len(y)
     print(
         f"trained on {len(y)} pairs: epochs={config.epochs} "
@@ -398,20 +396,22 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     return 0
 
 
-def _model_scores(model: TriggerModel, rows) -> list[float]:
-    return [model.prob(row[3]) for row in rows]
-
-
-def cmd_tune(
-    config: RunConfig, model_path: Path, features_path: Path, update_model: bool
-) -> int:
+def _score_features(model_path: Path, features_path: Path):
+    """The model, the feature rows, and the model's probability for each row."""
     model = load_model(model_path)
     names, rows = read_features(features_path)
     if names != model.feature_names:
         raise ConfigError(
             f"feature file columns {names} do not match model features {model.feature_names}"
         )
-    groups = _scored_groups(rows, _model_scores(model, rows))
+    return model, rows, model.scores(np.asarray([row[3] for row in rows]))
+
+
+def cmd_tune(
+    config: RunConfig, model_path: Path, features_path: Path, update_model: bool
+) -> int:
+    model, rows, scores = _score_features(model_path, features_path)
+    groups = _scored_groups(rows, scores)
     try:
         threshold, best_f1 = tune_threshold(groups)
     except ValueError as exc:
@@ -427,14 +427,9 @@ def cmd_tune(
 def cmd_predict(
     config: RunConfig, model_path: Path, features_path: Path, out_path: Path
 ) -> int:
-    model = load_model(model_path)
-    names, rows = read_features(features_path)
-    if names != model.feature_names:
-        raise ConfigError(
-            f"feature file columns {names} do not match model features {model.feature_names}"
-        )
+    model, rows, scores = _score_features(model_path, features_path)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        for row, score in zip(rows, _model_scores(model, rows)):
+        for row, score in zip(rows, scores):
             handle.write(f"{row[0]}\t{row[1]}\t{_fmt(score)}\n")
     print(f"wrote {len(rows)} predictions -> {out_path}")
     return 0
@@ -455,13 +450,9 @@ def cmd_evaluate(
     report_path: Path | None,
     with_baselines: bool,
 ) -> int:
-    model = load_model(model_path)
-    names, rows = read_features(features_path)
-    if names != model.feature_names:
-        raise ConfigError(
-            f"feature file columns {names} do not match model features {model.feature_names}"
-        )
-    groups = _scored_groups(rows, _model_scores(model, rows))
+    model, rows, scores = _score_features(model_path, features_path)
+    groups = _scored_groups(rows, scores)
+    names = model.feature_names
     report = triggering_report(groups, model.threshold)
     sections = [
         f"== model (threshold {_fmt(model.threshold)}) ==",
@@ -488,16 +479,12 @@ def cmd_evaluate(
 
 
 def cmd_build_df(config: RunConfig, out_dir: Path | None) -> int:
-    groups = load_split(config, "train", with_parses=True)
-    sentences = [g.question for g in groups]
-    sentences += [sent for g in groups for _, sent, _ in g.candidates]
     targets = {
         "word": config.df_word,
         "pair": config.df_pair,
         "triplet": config.df_triplet,
     }
-    for level in LEVELS:
-        table = build_df(sentences, level)
+    for level, table in build_df(_train_sentences(config)).items():
         target = targets[level]
         if target is None:
             if out_dir is None:

@@ -187,20 +187,32 @@ class TriggerModel:
         if not (len(self.weights) == len(self.means) == len(self.stds) == k):
             raise ValueError("model dimensions disagree with feature names")
 
-    def standardize(self, x: Sequence[float]) -> np.ndarray:
+    def standardize(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Standardize one feature vector or every row of a matrix."""
         raw = np.asarray(x, dtype=float)
-        if raw.shape != self.weights.shape:
+        if raw.shape[-1:] != self.weights.shape:
             raise ValueError(
                 f"expected {len(self.weights)} features, got {raw.shape}"
             )
-        z = np.zeros_like(raw)
-        nonzero = self.stds > 0
-        z[nonzero] = (raw[nonzero] - self.means[nonzero]) / self.stds[nonzero]
-        return z
+        return _standardize(raw, self.means, self.stds)
 
     def prob(self, x: Sequence[float]) -> float:
         z = self.standardize(x)
         return sigmoid(float(np.dot(self.weights, z)) + self.bias)
+
+    def scores(self, matrix: np.ndarray) -> list[float]:
+        """prob of every row; a per-row np.dot and math.exp keep it bitwise
+        equal to prob, where `z @ w` or np.exp can differ in the last bit."""
+        z = self.standardize(matrix)
+        return [sigmoid(float(np.dot(self.weights, row)) + self.bias) for row in z]
+
+
+def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """(x - mean) / std over the last axis; constant columns become 0."""
+    z = np.zeros_like(x)
+    nonzero = stds > 0
+    z[..., nonzero] = (x[..., nonzero] - means[nonzero]) / stds[nonzero]
+    return z
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,6 @@ class TrainConfig:
     lr: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
-    seed: int = 0  # reserved; current training is deterministic
 
 
 def loss_and_gradient(
@@ -254,9 +265,7 @@ def train(
 
     means = x.mean(axis=0)
     stds = x.std(axis=0)
-    z = np.zeros_like(x)
-    nonzero = stds > 0
-    z[:, nonzero] = (x[:, nonzero] - means[nonzero]) / stds[nonzero]
+    z = _standardize(x, means, stds)
 
     weights = np.zeros(x.shape[1])
     bias = 0.0

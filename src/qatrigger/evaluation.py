@@ -10,7 +10,9 @@ question level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,14 @@ def top_candidate(group: ScoredGroup) -> tuple[str, float, int]:
     return best
 
 
+def _prf(correct: int, triggered: int, answerable: int) -> tuple[float, float, float]:
+    """Question-level precision, recall and F-score as percentages."""
+    precision = 100.0 * correct / triggered if triggered else 0.0
+    recall = 100.0 * correct / answerable if answerable else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def triggering_report(groups: list[ScoredGroup], threshold: float) -> EvalReport:
     """Question-level triggering metrics plus MAP/MRR over answerable groups."""
     answerable = 0
@@ -115,9 +125,7 @@ def triggering_report(groups: list[ScoredGroup], threshold: float) -> EvalReport
             triggered += 1
             if label == 1:
                 correct += 1
-    precision = 100.0 * correct / triggered if triggered else 0.0
-    recall = 100.0 * correct / answerable if answerable else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f1 = _prf(correct, triggered, answerable)
     return EvalReport(
         map_value=sum(ap_values) / answerable if answerable else 0.0,
         mrr_value=sum(rr_values) / answerable if answerable else 0.0,
@@ -139,17 +147,24 @@ def tune_threshold(groups: list[ScoredGroup]) -> tuple[float, float]:
     and one at the maximum (trigger none, since triggering is strict).
     Returns (threshold, best F-score); ties prefer the smallest threshold,
     except that a best F-score of zero falls back to triggering nothing.
+    One sort, then one bisection per candidate: a midpoint of adjacent floats
+    can round onto the upper score, so counts never come from its position.
     """
-    if not any(g.answerable for g in groups):
+    answerable = sum(g.answerable for g in groups)
+    if not answerable:
         raise ValueError("threshold tuning needs at least one answerable group")
-    tops = sorted({top_candidate(g)[1] for g in groups})
+    ranked = sorted((top_candidate(g) for g in groups), key=lambda c: c[1])
+    scores = [score for _, score, _ in ranked]
+    correct_upto = list(accumulate((label == 1 for _, _, label in ranked), initial=0))
+    tops = sorted(set(scores))
     candidates = [tops[0] - 1.0]
     candidates += [(a + b) / 2.0 for a, b in zip(tops, tops[1:])]
     candidates.append(tops[-1])
     best_threshold = candidates[0]
     best_f1 = -1.0
     for threshold in candidates:
-        f1 = triggering_report(groups, threshold).f1
+        cut = bisect_right(scores, threshold)
+        f1 = _prf(correct_upto[-1] - correct_upto[cut], len(scores) - cut, answerable)[2]
         if f1 > best_f1:
             best_f1 = f1
             best_threshold = threshold

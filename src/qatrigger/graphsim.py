@@ -57,17 +57,19 @@ def extract_keys(graph: DependencyGraph, level: str) -> Counter[str]:
     raise ValueError(f"unknown level {level!r}")
 
 
-def build_df(sentences: Iterable[Sentence], level: str) -> DfTable:
-    """Count each parsed sentence as one document at the given level."""
-    df: Counter[str] = Counter()
+def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
+    """Count each parsed sentence as one document, building its graph once
+    for all three levels."""
+    df: dict[str, Counter[str]] = {level: Counter() for level in LEVELS}
     n_docs = 0
     for sentence in sentences:
         n_docs += 1
-        for key in set(extract_keys(build_graph(sentence), level)):
-            df[key] += 1
+        graph = build_graph(sentence)
+        for level in LEVELS:
+            df[level].update(extract_keys(graph, level).keys())
     if n_docs == 0:
         raise ValueError("cannot build a DF table from zero sentences")
-    return DfTable(level=level, n_docs=n_docs, df=dict(df))
+    return {level: DfTable(level=level, n_docs=n_docs, df=dict(df[level])) for level in LEVELS}
 
 
 def tfidf_vector(graph: DependencyGraph, table: DfTable, alpha: float) -> dict[str, float]:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: the
 assignment oracle enumerates permutations, the edit-distance oracle
 enumerates partial injections, paths come from plain BFS, and the formula
-oracles transcribe the defining equations directly.
+oracles transcribe the defining equations directly.  The threshold oracle
+scores every candidate threshold with a full triggering report, whose
+metrics acceptance criterion 5 checks against exact rationals.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from qatrigger.evaluation import top_candidate, triggering_report
 
 
 def brute_force_assignment(matrix) -> float:
@@ -204,3 +208,28 @@ def direct_ngram_score(question, answer, n_max) -> float:
         if denom:
             total += sum(min(c, ga[g]) for g, c in gq.items()) / denom
     return total / sum(range(1, n_max + 1))
+
+
+def tune_threshold_exhaustive(groups) -> tuple[float, float]:
+    """The tuner's contract by brute force: one full report per candidate.
+
+    Candidates are the sentinel below the lowest top score, the midpoints of
+    consecutive distinct top scores, and the highest top score; the first
+    best F-score wins, and a best of zero means trigger nothing.
+    """
+    if not any(g.answerable for g in groups):
+        raise ValueError("threshold tuning needs at least one answerable group")
+    tops = sorted({top_candidate(g)[1] for g in groups})
+    candidates = [tops[0] - 1.0]
+    candidates += [(a + b) / 2.0 for a, b in zip(tops, tops[1:])]
+    candidates.append(tops[-1])
+    best_threshold = candidates[0]
+    best_f1 = -1.0
+    for threshold in candidates:
+        f1 = triggering_report(groups, threshold).f1
+        if f1 > best_f1:
+            best_f1 = f1
+            best_threshold = threshold
+    if best_f1 == 0.0:
+        return candidates[-1], 0.0
+    return best_threshold, best_f1

@@ -45,6 +45,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             load_config(None, overrides=["hyper.bogus=1"], env={})
 
+    def test_deleted_seed_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.ini"
+        config.write_text("[hyper]\nseed = 0\n")
+        code = run("--config", str(config), "build-df", "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error:config: unknown configuration key [hyper] seed"]
+
     def test_range_validation(self):
         with pytest.raises(ConfigError):
             load_config(None, overrides=["hyper.b=1.5"], env={})
@@ -373,6 +381,10 @@ MALFORMED_INPUTS = [
     ("features", "header-only", FEATURES_HEAD.splitlines(True)[0], "no feature rows"),
     ("features", "wrong-column-count", FEATURES_HEAD + "q1\tc1\t1\n",
      "line 3: expected 4 columns"),
+    ("features", "label-2", FEATURES_HEAD + "q1\tc1\t2\t0.5\n",
+     "line 3: label must be 0 or 1, got '2'"),
+    ("features", "label-minus-1", FEATURES_HEAD + "q1\tc1\t-1\t0.5\n",
+     "line 3: label must be 0 or 1, got '-1'"),
     ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
     ("conllu", "short-row", "# sent_id = q\n1\tc\tc\tVERB\n",
      "line 2: expected 10 columns, got 4"),

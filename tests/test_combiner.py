@@ -15,6 +15,7 @@ from qatrigger.combiner import (
     sigmoid,
     train,
 )
+from qatrigger.cli import read_features
 from qatrigger.corpus import QAPair
 from qatrigger.errors import ConfigError
 from qatrigger.graphsim import DfTable
@@ -255,3 +256,33 @@ class TestModelIO:
         model = train(x, y, ("f1", "f2"))
         with pytest.raises(ValueError):
             model.prob([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            model.scores(np.zeros((4, 3)))
+
+
+class TestScores:
+    def test_matrix_scores_equal_per_row_prob_bitwise(self):
+        rng = np.random.default_rng(71)
+        for k in range(1, 9):
+            x = rng.normal(0.0, 3.0, size=(200, k))
+            x[:, k // 2] = 1.25  # a constant column gets std 0
+            y = [int(v > 0) for v in x[:, 0]]
+            y[:2] = [0, 1]
+            model = train(x, y, tuple(f"f{i}" for i in range(k)))
+            assert model.stds[k // 2] == 0.0
+            probe = rng.normal(0.0, 3.0, size=(300, k))
+            assert model.scores(probe) == [model.prob(row) for row in probe]
+
+    def test_matrix_standardization_equals_per_row(self):
+        x, y = separable_dataset()
+        model = train(x, y, ("f1", "f2"))
+        matrix = model.standardize(np.asarray(x))
+        assert matrix.tobytes() == np.asarray([model.standardize(row) for row in x]).tobytes()
+
+
+def test_train_on_mini_features_matches_golden_model(mini_dir, tmp_path):
+    names, rows = read_features(mini_dir / "golden_features_train.tsv")
+    model = train(np.asarray([r[3] for r in rows]), [r[2] for r in rows], names)
+    save_model(model, tmp_path / "model.txt")
+    golden = mini_dir / "golden_model_train.txt"
+    assert (tmp_path / "model.txt").read_bytes() == golden.read_bytes()

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from qatrigger.evaluation import (
     triggering_report,
     tune_threshold,
 )
+
+from oracles import tune_threshold_exhaustive
 
 
 def group(qid, *candidates):
@@ -189,6 +192,76 @@ class TestTuneThreshold:
     def test_no_answerable_group_is_an_error(self):
         with pytest.raises(ValueError):
             tune_threshold([group("q", ("a", 0.5, 0))])
+
+    def test_equals_exhaustive_oracle_exactly(self):
+        rng = np.random.default_rng(67)
+        kinds = Counter()
+        for _ in range(2400):
+            groups = random_groups(rng)
+            if not any(g.answerable for g in groups):
+                kinds["unanswerable"] += 1
+                with pytest.raises(ValueError):
+                    tune_threshold(groups)
+                with pytest.raises(ValueError):
+                    tune_threshold_exhaustive(groups)
+                continue
+            assert tune_threshold(groups) == tune_threshold_exhaustive(groups)
+            tops = sorted({top_candidate(g)[1] for g in groups})
+            if len(tops) == 1:
+                kinds["single top"] += 1
+            if len(tops) < len(groups):
+                kinds["tied tops"] += 1
+            if any((a + b) / 2.0 == b for a, b in zip(tops, tops[1:])):
+                kinds["midpoint rounds up"] += 1
+            if not any(top_candidate(g)[2] == 1 for g in groups):
+                kinds["no correct top"] += 1
+        assert min(kinds[k] for k in KINDS) >= 20, kinds
+
+    def test_adjacent_floats_midpoint_equals_upper_score(self):
+        low = 0.3
+        high = float(np.nextafter(low, 1.0))
+        assert (low + high) / 2.0 == high
+        groups = [group("q1", ("a", high, 1)), group("q2", ("a", low, 0))]
+        # The midpoint is `high` itself, so it triggers nothing: only the
+        # sentinel below `low` triggers q1.  A sweep that counted tops by the
+        # candidate's position would report F 100 at a threshold giving F 0.
+        assert tune_threshold(groups) == (low - 1.0, 2 * 50.0 * 100.0 / 150.0)
+        assert triggering_report(groups, (low + high) / 2.0).questions_triggered == 0
+        assert tune_threshold(groups) == tune_threshold_exhaustive(groups)
+
+
+KINDS = ("unanswerable", "single top", "tied tops", "midpoint rounds up", "no correct top")
+
+
+def random_groups(rng):
+    """1-8 groups of 1-4 candidates, with scores drawn so that tops tie,
+    collapse to one value, or sit one ulp apart."""
+    style = int(rng.integers(0, 4))
+    if style == 3:
+        # Chains of adjacent floats: some midpoints round onto the upper end.
+        base = float(rng.choice([0.3, 0.5, 1e-300, -0.7]))
+        pool = [base]
+        for _ in range(3):
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+    groups = []
+    for q in range(int(rng.integers(1, 9))):
+        n = int(rng.integers(1, 5))
+        if style == 0:
+            scores = [float(rng.integers(0, 4)) / 4.0 for _ in range(n)]
+        elif style == 1:
+            scores = [0.25] * n
+        elif style == 2:
+            scores = [float(rng.random()) for _ in range(n)]
+        else:
+            scores = [pool[int(rng.integers(0, len(pool)))] for _ in range(n)]
+        labels = [int(rng.random() < 0.4) for _ in range(n)]
+        if rng.random() < 0.3:
+            # Gold answers only below the top candidate.
+            top = max(range(n), key=lambda i: (scores[i], -i))
+            labels[top] = 0
+        candidates = [(f"c{c}", s, y) for c, (s, y) in enumerate(zip(scores, labels))]
+        groups.append(group(f"q{q}", *candidates))
+    return groups
 
 
 class TestInvariances:

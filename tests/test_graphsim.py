@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qatrigger import graphsim
 from qatrigger.depgraph import build_graph
 from qatrigger.errors import IngestionError
 from qatrigger.graphsim import (
@@ -50,7 +52,7 @@ class TestBuildDf:
             "2",
             [("he", "he", "PRON", 2, "nsubj"), ("die", "die", "VERB", 0, "root")],
         )
-        table = build_df([s1, s2], "word")
+        table = build_df([s1, s2])["word"]
         assert table.n_docs == 2
         assert table.df["die"] == 2
         assert table.df["he"] == 1
@@ -63,7 +65,7 @@ class TestBuildDf:
              ("go", "go", "VERB", 0, "root"),
              ("fast", "fast", "ADV", 2, "advmod")],
         )
-        assert build_df([s], "word").df["fast"] == 1
+        assert build_df([s])["word"].df["fast"] == 1
 
     def test_ten_sentence_hand_count(self):
         sentences = []
@@ -75,12 +77,34 @@ class TestBuildDf:
                     [(lemma, lemma, "NOUN", 2, "nsubj"), ("is", "be", "AUX", 0, "root")],
                 )
             )
-        table = build_df(sentences, "word")
+        table = build_df(sentences)["word"]
         assert table.df == {"even": 5, "odd": 5, "be": 10}
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(ValueError):
-            build_df([], "word")
+            build_df([])
+
+    def test_one_graph_per_sentence_for_all_levels(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        sentences = [
+            random_tree_sentence(rng, lemma_pool=["a", "b", "c"], prefix=f"s{i}")
+            for i in range(30)
+        ]
+        built = []
+
+        def counting_build_graph(sentence):
+            built.append(sentence)
+            return build_graph(sentence)
+
+        monkeypatch.setattr(graphsim, "build_graph", counting_build_graph)
+        tables = build_df(sentences)
+        assert built == sentences
+        assert list(tables) == ["word", "pair", "triplet"]
+        for level, table in tables.items():
+            expected = Counter()
+            for sentence in sentences:
+                expected.update(set(extract_keys(build_graph(sentence), level)))
+            assert (table.level, table.n_docs, table.df) == (level, 30, dict(expected))
 
 
 class TestTfidfVector:
