@@ -9,7 +9,6 @@ against a threshold-tuned BM25 baseline on the dev split.
 from pathlib import Path
 
 from qatrigger import (
-    AnswerPool,
     FeatureResources,
     ScoredGroup,
     TrainConfig,
@@ -17,12 +16,10 @@ from qatrigger import (
     extract_features,
     load_pos_table,
     load_wikiqa,
-    tokenize,
     train,
     triggering_report,
     tune_threshold,
 )
-from qatrigger.baselines import bm25_score
 from qatrigger.combiner import DEFAULT_MANIFEST
 from qatrigger.ged import GedConfig
 from qatrigger.graphsim import build_df
@@ -49,56 +46,45 @@ resources = FeatureResources(
 )
 
 
-def featurize(groups):
-    rows = []
+def featurize(groups, manifest=DEFAULT_MANIFEST):
+    """One feature row per candidate, every group in order."""
+    return [row for group in groups for row in extract_features(group, resources, manifest)]
+
+
+def scored(groups, scores):
+    """ScoredGroups from one score per candidate, every group in order."""
+    out, scores = [], iter(scores)
     for group in groups:
-        for pair in group.pairs():
-            rows.append((pair, extract_features(pair, resources, DEFAULT_MANIFEST)))
-    return rows
+        candidates = tuple((cid, next(scores), label) for cid, _, label in group.candidates)
+        out.append(ScoredGroup(group.question_id, candidates))
+    return out
 
 
 train_rows = featurize(train_groups)
 print(f"featurized {len(train_rows)} training pairs with {len(DEFAULT_MANIFEST)} features")
 
 model = train(
-    [values for _, values in train_rows],
-    [pair.gold_label for pair, _ in train_rows],
+    train_rows,
+    [label for g in train_groups for _, _, label in g.candidates],
     DEFAULT_MANIFEST,
     TrainConfig(lr=0.1, epochs=200, l2=1e-4),
 )
 for name, weight in sorted(zip(model.feature_names, model.weights), key=lambda x: -abs(x[1])):
     print(f"  weight {name:15s} {weight:+.3f}")
 
-
-def scored(groups, score_of):
-    out = []
-    for group in groups:
-        candidates = tuple(
-            (pair.candidate_id, score_of(pair), pair.gold_label) for pair in group.pairs()
-        )
-        out.append(ScoredGroup(group.question_id, candidates))
-    return out
-
-
-model_score = lambda pair: model.prob(extract_features(pair, resources, DEFAULT_MANIFEST))
-dev_scored = scored(dev_groups, model_score)
+dev_scored = scored(dev_groups, model.scores(featurize(dev_groups)))
 threshold, dev_f1 = tune_threshold(dev_scored)
 print(f"\ntuned threshold {threshold:.4f} -> dev F1 {dev_f1:.2f}")
 
-report = triggering_report(scored(test_groups, model_score), threshold)
+report = triggering_report(scored(test_groups, model.scores(featurize(test_groups))), threshold)
 print("\ntest-set report (graph-feature model):")
 print(report.as_text())
 
-# BM25 baseline, threshold tuned on the same dev split.
-pools = {
-    g.question_id: AnswerPool.build([tokenize(s.text) for _, s, _ in g.candidates])
-    for g in dev_groups + test_groups
-}
-bm25 = lambda pair: bm25_score(
-    tokenize(pair.question.text), tokenize(pair.answer.text), pools[pair.question_id]
-)
-bm25_threshold, bm25_dev_f1 = tune_threshold(scored(dev_groups, bm25))
-bm25_report = triggering_report(scored(test_groups, bm25), bm25_threshold)
+# BM25 baseline, threshold tuned on the same dev split; each question's
+# candidates form its BM25 pool.
+bm25 = lambda groups: scored(groups, [row[0] for row in featurize(groups, ["bm25"])])
+bm25_threshold, bm25_dev_f1 = tune_threshold(bm25(dev_groups))
+bm25_report = triggering_report(bm25(test_groups), bm25_threshold)
 print(f"\nBM25 baseline: dev F1 {bm25_dev_f1:.2f}, test report:")
 print(bm25_report.as_text())
 

@@ -33,7 +33,6 @@ from .combiner import (
     train,
 )
 from .corpus import (
-    QAPair,
     QuestionGroup,
     Sentence,
     Token,

@@ -14,13 +14,14 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import combiner
-from .baselines import AnswerPool, load_embeddings, tokenize
+from .baselines import load_embeddings
 from .combiner import (
     DEFAULT_MANIFEST,
     FEATURE_NAMES,
@@ -47,47 +48,51 @@ _POSITIONAL_NOTE = (
 )
 
 
+def _key(section: str, default: object = None, key: str | None = None):
+    """A RunConfig field set by `[section] key`; the key defaults to the field name."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class RunConfig:
-    """Typed view of the configuration file plus overrides."""
+    """Typed view of the configuration file plus overrides.
 
-    # [data]
-    train: Path | None = None
-    dev: Path | None = None
-    test: Path | None = None
-    conllu_train: Path | None = None
-    conllu_dev: Path | None = None
-    conllu_test: Path | None = None
-    index_train: Path | None = None
-    index_dev: Path | None = None
-    index_test: Path | None = None
-    scores: Path | None = None
-    embeddings: Path | None = None
-    # [resources]
-    df_word: Path | None = None
-    df_pair: Path | None = None
-    df_triplet: Path | None = None
-    pos_costs: Path | None = None
-    # [features]
-    manifest: tuple[str, ...] = DEFAULT_MANIFEST
-    # [hyper]
-    alpha1: float = 7.0
-    alpha2: float = 5.0
-    alpha3: float = 2.0
-    subgraph_m: int = 3
-    edge_weight: float = 0.5
-    delete_cost: float = 1.0
-    k1: float = 1.5
-    b: float = 0.75
-    n_max: int = 3
-    lr: float = 0.1
-    epochs: int = 200
-    l2: float = 1e-4
-    threshold: float = 0.14
-    # [baselines]
-    bm25_threshold: float | None = None
-    ngram_threshold: float | None = None
-    semvec_threshold: float | None = 0.70
+    Each field names its INI section (and key) in its metadata; its type
+    picks the parser: a path, a number, an integer or the feature manifest.
+    """
+
+    train: Path | None = _key("data")
+    dev: Path | None = _key("data")
+    test: Path | None = _key("data")
+    conllu_train: Path | None = _key("data")
+    conllu_dev: Path | None = _key("data")
+    conllu_test: Path | None = _key("data")
+    index_train: Path | None = _key("data")
+    index_dev: Path | None = _key("data")
+    index_test: Path | None = _key("data")
+    scores: Path | None = _key("data")
+    embeddings: Path | None = _key("data")
+    df_word: Path | None = _key("resources")
+    df_pair: Path | None = _key("resources")
+    df_triplet: Path | None = _key("resources")
+    pos_costs: Path | None = _key("resources")
+    manifest: tuple[str, ...] = _key("features", DEFAULT_MANIFEST)
+    alpha1: float = _key("hyper", 7.0)
+    alpha2: float = _key("hyper", 5.0)
+    alpha3: float = _key("hyper", 2.0)
+    subgraph_m: int = _key("hyper", 3, key="m")
+    edge_weight: float = _key("hyper", 0.5)
+    delete_cost: float = _key("hyper", 1.0)
+    k1: float = _key("hyper", 1.5)
+    b: float = _key("hyper", 0.75)
+    n_max: int = _key("hyper", 3)
+    lr: float = _key("hyper", 0.1)
+    epochs: int = _key("hyper", 200)
+    l2: float = _key("hyper", 1e-4)
+    threshold: float = _key("hyper", 0.14)
+    bm25_threshold: float | None = _key("baselines")
+    ngram_threshold: float | None = _key("baselines")
+    semvec_threshold: float | None = _key("baselines", 0.70)
 
     def validate(self) -> None:
         if min(self.alpha1, self.alpha2, self.alpha3) < 0:
@@ -107,72 +112,32 @@ class RunConfig:
             raise ConfigError(f"unknown features in manifest: {', '.join(bad)}")
 
 
-def _parse_manifest(raw: str) -> tuple[str, ...]:
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
-
-
-_PATH_KEYS = {
-    ("data", "train"): "train",
-    ("data", "dev"): "dev",
-    ("data", "test"): "test",
-    ("data", "conllu_train"): "conllu_train",
-    ("data", "conllu_dev"): "conllu_dev",
-    ("data", "conllu_test"): "conllu_test",
-    ("data", "index_train"): "index_train",
-    ("data", "index_dev"): "index_dev",
-    ("data", "index_test"): "index_test",
-    ("data", "scores"): "scores",
-    ("data", "embeddings"): "embeddings",
-    ("resources", "df_word"): "df_word",
-    ("resources", "df_pair"): "df_pair",
-    ("resources", "df_triplet"): "df_triplet",
-    ("resources", "pos_costs"): "pos_costs",
+# (section, key) -> RunConfig field name, and field name -> type.
+_FIELDS = {
+    (f.metadata["section"], f.metadata["key"] or f.name): f.name for f in fields(RunConfig)
 }
-
-_FLOAT_KEYS = {
-    ("hyper", "alpha1"): "alpha1",
-    ("hyper", "alpha2"): "alpha2",
-    ("hyper", "alpha3"): "alpha3",
-    ("hyper", "edge_weight"): "edge_weight",
-    ("hyper", "delete_cost"): "delete_cost",
-    ("hyper", "k1"): "k1",
-    ("hyper", "b"): "b",
-    ("hyper", "lr"): "lr",
-    ("hyper", "l2"): "l2",
-    ("hyper", "threshold"): "threshold",
-    ("baselines", "bm25_threshold"): "bm25_threshold",
-    ("baselines", "ngram_threshold"): "ngram_threshold",
-    ("baselines", "semvec_threshold"): "semvec_threshold",
-}
-
-_INT_KEYS = {
-    ("hyper", "m"): "subgraph_m",
-    ("hyper", "n_max"): "n_max",
-    ("hyper", "epochs"): "epochs",
-}
+_TYPES = get_type_hints(RunConfig)
 
 
 def _apply(config: RunConfig, section: str, key: str, value: str, base: Path | None) -> None:
     section, key = section.lower(), key.lower()
-    if (section, key) in _PATH_KEYS:
+    name = _FIELDS.get((section, key))
+    if name is None:
+        raise ConfigError(f"unknown configuration key [{section}] {key}")
+    kind = _TYPES[name]
+    if kind == Path | None:
         path = Path(value)
         if base is not None and not path.is_absolute():
             path = base / path
-        setattr(config, _PATH_KEYS[(section, key)], path)
-    elif (section, key) in _FLOAT_KEYS:
-        try:
-            setattr(config, _FLOAT_KEYS[(section, key)], float(value))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a number: {value!r}") from exc
-    elif (section, key) in _INT_KEYS:
-        try:
-            setattr(config, _INT_KEYS[(section, key)], int(value))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not an integer: {value!r}") from exc
-    elif (section, key) == ("features", "manifest"):
-        config.manifest = _parse_manifest(value)
+        setattr(config, name, path)
+    elif kind == tuple[str, ...]:
+        setattr(config, name, tuple(n.strip() for n in value.split(",") if n.strip()))
     else:
-        raise ConfigError(f"unknown configuration key [{section}] {key}")
+        number, what = (int, "an integer") if kind is int else (float, "a number")
+        try:
+            setattr(config, name, number(value))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: not {what}: {value!r}") from exc
 
 
 def load_config(
@@ -253,6 +218,12 @@ def _train_sentences(config: RunConfig) -> list[Sentence]:
 def build_resources(
     config: RunConfig, manifest: tuple[str, ...], groups: list[QuestionGroup]
 ) -> FeatureResources:
+    """Resources for the manifest's features.
+
+    `groups` is unused, since extract_features builds each group's BM25 pool.
+    It stays because bench/run.py, which changes only with the benchmark,
+    passes it.
+    """
     resources = FeatureResources(
         alphas=(config.alpha1, config.alpha2, config.alpha3),
         subgraph_m=config.subgraph_m,
@@ -275,13 +246,6 @@ def build_resources(
     if "semvec" in manifest:
         emb_path = _require(config.embeddings, "[data] embeddings (semvec enabled)")
         resources.embeddings = load_embeddings(emb_path)
-    if "bm25" in manifest:
-        resources.pools = {
-            g.question_id: AnswerPool.build(
-                [tokenize(sent.text) for _, sent, _ in g.candidates]
-            )
-            for g in groups
-        }
     return resources
 
 
@@ -295,10 +259,10 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
             "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
         )
         for group in groups:
-            for pair in group.pairs():
-                values = extract_features(pair, resources, config.manifest)
+            rows = extract_features(group, resources, config.manifest)
+            for (cid, _, label), values in zip(group.candidates, rows):
                 handle.write(
-                    f"{pair.question_id}\t{pair.candidate_id}\t{pair.gold_label}\t"
+                    f"{group.question_id}\t{cid}\t{label}\t"
                     + "\t".join(_fmt(v) for v in values)
                     + "\n"
                 )
@@ -309,9 +273,9 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
 
 def read_features(
     path: str | Path,
-) -> tuple[tuple[str, ...], list[tuple[str, str, int, np.ndarray]]]:
+) -> tuple[tuple[str, ...], list[tuple[str, str, int]], np.ndarray]:
     """Read a non-empty feature TSV of unique pairs and finite values into
-    (feature_names, rows)."""
+    (feature_names, (question_id, candidate_id, label) per row, matrix)."""
     path = Path(path)
     keys: list[tuple[str, str, int]] = []
     seen: set[tuple[str, str]] = set()
@@ -356,23 +320,19 @@ def read_features(
     if not finite.all():
         row = int(np.argmin(finite))
         raise IngestionError(f"{path}: line {linenos[row]}: feature value is not finite")
-    rows = [(qid, cid, label, vector) for (qid, cid, label), vector in zip(keys, matrix)]
-    return names, rows
+    return names, keys, matrix
 
 
-def _scored_groups(
-    rows: list[tuple[str, str, int, np.ndarray]], scores: list[float]
-) -> list[ScoredGroup]:
+def _scored_groups(keys: list[tuple[str, str, int]], scores: list[float]) -> list[ScoredGroup]:
     grouped: dict[str, list[tuple[str, float, int]]] = {}
-    for (qid, cid, label, _), score in zip(rows, scores):
+    for (qid, cid, label), score in zip(keys, scores):
         grouped.setdefault(qid, []).append((cid, score, label))
     return [ScoredGroup(qid, tuple(cands)) for qid, cands in grouped.items()]
 
 
 def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
-    names, rows = read_features(features_path)
-    x = np.asarray([row[3] for row in rows])
-    y = [row[2] for row in rows]
+    names, keys, x = read_features(features_path)
+    y = [label for _, _, label in keys]
     try:
         model = train(
             x,
@@ -397,21 +357,22 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
 
 
 def _score_features(model_path: Path, features_path: Path):
-    """The model, the feature rows, and the model's probability for each row."""
+    """The model, the feature file's keys and matrix, and the model's
+    probability for each row."""
     model = load_model(model_path)
-    names, rows = read_features(features_path)
+    names, keys, matrix = read_features(features_path)
     if names != model.feature_names:
         raise ConfigError(
             f"feature file columns {names} do not match model features {model.feature_names}"
         )
-    return model, rows, model.scores(np.asarray([row[3] for row in rows]))
+    return model, keys, matrix, model.scores(matrix)
 
 
 def cmd_tune(
     config: RunConfig, model_path: Path, features_path: Path, update_model: bool
 ) -> int:
-    model, rows, scores = _score_features(model_path, features_path)
-    groups = _scored_groups(rows, scores)
+    model, keys, _, scores = _score_features(model_path, features_path)
+    groups = _scored_groups(keys, scores)
     try:
         threshold, best_f1 = tune_threshold(groups)
     except ValueError as exc:
@@ -427,11 +388,11 @@ def cmd_tune(
 def cmd_predict(
     config: RunConfig, model_path: Path, features_path: Path, out_path: Path
 ) -> int:
-    model, rows, scores = _score_features(model_path, features_path)
+    _, keys, _, scores = _score_features(model_path, features_path)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        for row, score in zip(rows, scores):
-            handle.write(f"{row[0]}\t{row[1]}\t{_fmt(score)}\n")
-    print(f"wrote {len(rows)} predictions -> {out_path}")
+        for (qid, cid, _), score in zip(keys, scores):
+            handle.write(f"{qid}\t{cid}\t{_fmt(score)}\n")
+    print(f"wrote {len(keys)} predictions -> {out_path}")
     return 0
 
 
@@ -450,8 +411,8 @@ def cmd_evaluate(
     report_path: Path | None,
     with_baselines: bool,
 ) -> int:
-    model, rows, scores = _score_features(model_path, features_path)
-    groups = _scored_groups(rows, scores)
+    model, keys, matrix, scores = _score_features(model_path, features_path)
+    groups = _scored_groups(keys, scores)
     names = model.feature_names
     report = triggering_report(groups, model.threshold)
     sections = [
@@ -464,7 +425,7 @@ def cmd_evaluate(
             if name not in names:
                 continue
             column = names.index(name)
-            baseline_groups = _scored_groups(rows, [float(r[3][column]) for r in rows])
+            baseline_groups = _scored_groups(keys, matrix[:, column].tolist())
             threshold = _baseline_threshold(config, name, baseline_groups)
             baseline_report = triggering_report(baseline_groups, threshold)
             sections.append(f"== baseline {name} (threshold {_fmt(threshold)}) ==")

@@ -1,10 +1,14 @@
 """Feature extraction and the logistic-regression trigger model.
 
-A question/answer pair is turned into a fixed-order feature vector (graph
-alignment features, lexical baselines, and optionally an external neural
-score), and a standardized logistic regression maps the vector to a trigger
-probability.  Training is full-batch gradient descent on L2-regularized log
-loss, zero-initialized, so identical inputs always give identical models.
+Features are computed one question group at a time: the question's graph
+and tokens are built once per group, each candidate's once, and the group's
+BM25 pool comes from those same candidate tokens.  Each candidate becomes a
+fixed-order feature vector (graph alignment features, lexical baselines,
+and optionally an external neural score) drawn from a table of feature
+families, and a standardized logistic regression maps the vector to a
+trigger probability.  Training is full-batch gradient descent on
+L2-regularized log loss, zero-initialized, so identical inputs always give
+identical models.
 """
 
 from __future__ import annotations
@@ -12,48 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .baselines import AnswerPool, EmbeddingTable, bm25_score, ngram_score, semantic_similarity, tokenize
-from .corpus import QAPair
+from .corpus import QuestionGroup
 from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
-from .depgraph import build_graph
+from .depgraph import DependencyGraph, build_graph
 from .errors import ConfigError, IngestionError, parse_number
 from .ged import GedConfig, graph_edit_distance
 from .graphsim import DfTable, graph_similarity_features
-
-FEATURE_NAMES = (
-    "ext_score",
-    "ged",
-    "sim_word",
-    "sim_pair",
-    "sim_triplet",
-    "rel_cov",
-    "graph_cov_ans",
-    "graph_cov_ques",
-    "vocab_cov",
-    "bm25",
-    "ngram",
-    "semvec",
-)
-
-DEFAULT_MANIFEST = (
-    "ged",
-    "sim_word",
-    "sim_pair",
-    "sim_triplet",
-    "rel_cov",
-    "graph_cov_ans",
-    "graph_cov_ques",
-    "vocab_cov",
-)
-
-GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
-
-DEFAULT_ALPHAS = (7.0, 5.0, 2.0)
-DEFAULT_SUBGRAPH_M = 3
 
 
 @dataclass
@@ -62,107 +35,121 @@ class FeatureResources:
 
     ged_config: GedConfig = field(default_factory=GedConfig)
     df_tables: Mapping[str, DfTable] | None = None
-    alphas: tuple[float, float, float] = DEFAULT_ALPHAS
-    subgraph_m: int = DEFAULT_SUBGRAPH_M
+    alphas: tuple[float, float, float] = (7.0, 5.0, 2.0)
+    subgraph_m: int = 3
     embeddings: EmbeddingTable | None = None
     scores: Mapping[tuple[str, str], float] | None = None
-    pools: Mapping[str, AnswerPool] | None = None
     k1: float = 1.5
     b: float = 0.75
     n_max: int = 3
 
 
+class _Pair(NamedTuple):
+    """One question/candidate pair, with the inputs its group built once."""
+
+    key: tuple[str, str]
+    gq: DependencyGraph | None
+    ga: DependencyGraph | None
+    q_tokens: list[str] | None
+    a_tokens: list[str] | None
+    pool: AnswerPool | None
+
+
+def _ext_score(pair: _Pair, res: FeatureResources) -> tuple[float]:
+    if pair.key not in res.scores:
+        raise ConfigError(f"ext_score missing for pair {pair.key[0]}/{pair.key[1]}")
+    return (res.scores[pair.key],)
+
+
+class _Family(NamedTuple):
+    """Columns computed together from one pair by one function."""
+
+    columns: tuple[str, ...]
+    # What the group must build: "graphs" (needs parses), "tokens", "pool".
+    inputs: frozenset[str]
+    # (FeatureResources field that must be set, the error when it is not).
+    requires: tuple[str, str] | None
+    values: Callable[[_Pair, FeatureResources], Sequence[float]]
+
+
+_GRAPHS = frozenset({"graphs"})
+_TOKENS = frozenset({"tokens"})
+
+_FAMILIES = (
+    _Family(("ext_score",), frozenset(), ("scores", "ext_score requires a score file"),
+            _ext_score),
+    _Family(("ged",), _GRAPHS, None,
+            lambda p, res: (graph_edit_distance(p.gq, p.ga, res.ged_config),)),
+    _Family(("sim_word", "sim_pair", "sim_triplet"), _GRAPHS,
+            ("df_tables", "similarity features require DF tables"),
+            lambda p, res: graph_similarity_features(p.gq, p.ga, res.df_tables, res.alphas)),
+    _Family(("rel_cov",), _GRAPHS, None, lambda p, res: (relation_coverage(p.gq, p.ga),)),
+    _Family(("graph_cov_ans", "graph_cov_ques"), _GRAPHS, None,
+            lambda p, res: graph_coverage_features(p.gq, p.ga, res.subgraph_m)),
+    _Family(("vocab_cov",), _GRAPHS, None, lambda p, res: (vocabulary_coverage(p.gq, p.ga),)),
+    _Family(("bm25",), _TOKENS | {"pool"}, None,
+            lambda p, res: (bm25_score(p.q_tokens, p.a_tokens, p.pool, res.k1, res.b),)),
+    _Family(("ngram",), _TOKENS, None,
+            lambda p, res: (ngram_score(p.q_tokens, p.a_tokens, res.n_max),)),
+    _Family(("semvec",), _TOKENS, ("embeddings", "semvec requires an embedding table"),
+            lambda p, res: (semantic_similarity(p.q_tokens, p.a_tokens, res.embeddings),)),
+)
+
+FEATURE_NAMES = tuple(name for family in _FAMILIES for name in family.columns)
+
+DEFAULT_MANIFEST = tuple(
+    name for family in _FAMILIES if family.inputs == _GRAPHS for name in family.columns
+)
+
+GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
+
+
 def extract_features(
-    pair: QAPair,
+    group: QuestionGroup,
     resources: FeatureResources,
     manifest: Sequence[str] = DEFAULT_MANIFEST,
-) -> list[float]:
-    """Feature values for one pair, in manifest order.
+) -> list[list[float]]:
+    """Feature rows for the group's candidates, in candidate order; each row
+    holds the manifest's features in manifest order.
 
     Raises ConfigError when an enabled feature's resource is missing; an
-    enabled ext_score with no entry for the pair is an error, never imputed.
+    enabled ext_score with no entry for a pair is an error, never imputed.
     """
     unknown = [name for name in manifest if name not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown features in manifest: {', '.join(unknown)}")
     if not manifest:
         raise ConfigError("no features enabled")
+    families = [f for f in _FAMILIES if any(name in manifest for name in f.columns)]
+    for family in families:
+        if family.requires and getattr(resources, family.requires[0]) is None:
+            raise ConfigError(family.requires[1])
+    inputs = frozenset().union(*(family.inputs for family in families))
+    graphs, tokens = "graphs" in inputs, "tokens" in inputs
 
-    needs_graphs = any(name in GRAPH_FEATURES for name in manifest)
-    gq = ga = None
-    if needs_graphs:
-        if not (pair.question.parsed and pair.answer.parsed):
-            raise ConfigError(
-                f"graph features require dependency parses "
-                f"(pair {pair.question_id}/{pair.candidate_id} has none)"
-            )
-        gq = build_graph(pair.question)
-        ga = build_graph(pair.answer)
-
-    cache: dict[str, object] = {}
-
-    def sims() -> tuple[float, float, float]:
-        if "sims" not in cache:
-            if resources.df_tables is None:
-                raise ConfigError("similarity features require DF tables")
-            cache["sims"] = graph_similarity_features(
-                gq, ga, resources.df_tables, resources.alphas
-            )
-        return cache["sims"]
-
-    def graph_cov() -> tuple[float, float]:
-        if "graph_cov" not in cache:
-            cache["graph_cov"] = graph_coverage_features(gq, ga, resources.subgraph_m)
-        return cache["graph_cov"]
-
-    def lexical(which: str) -> float:
-        if "q_tokens" not in cache:
-            cache["q_tokens"] = tokenize(pair.question.text)
-            cache["a_tokens"] = tokenize(pair.answer.text)
-        q_tokens, a_tokens = cache["q_tokens"], cache["a_tokens"]
-        if which == "bm25":
-            if resources.pools is None or pair.question_id not in resources.pools:
-                raise ConfigError("bm25 requires per-question answer pools")
-            return bm25_score(
-                q_tokens, a_tokens, resources.pools[pair.question_id],
-                resources.k1, resources.b,
-            )
-        if which == "ngram":
-            return ngram_score(q_tokens, a_tokens, resources.n_max)
-        if resources.embeddings is None:
-            raise ConfigError("semvec requires an embedding table")
-        return semantic_similarity(q_tokens, a_tokens, resources.embeddings)
-
-    values = []
-    for name in manifest:
-        if name == "ext_score":
-            if resources.scores is None:
-                raise ConfigError("ext_score requires a score file")
-            key = (pair.question_id, pair.candidate_id)
-            if key not in resources.scores:
+    qid, question = group.question_id, group.question
+    if graphs:
+        for cid, answer, _ in group.candidates:
+            if not (question.parsed and answer.parsed):
                 raise ConfigError(
-                    f"ext_score missing for pair {key[0]}/{key[1]}"
+                    f"graph features require dependency parses (pair {qid}/{cid} has none)"
                 )
-            values.append(resources.scores[key])
-        elif name == "ged":
-            values.append(graph_edit_distance(gq, ga, resources.ged_config))
-        elif name == "sim_word":
-            values.append(sims()[0])
-        elif name == "sim_pair":
-            values.append(sims()[1])
-        elif name == "sim_triplet":
-            values.append(sims()[2])
-        elif name == "rel_cov":
-            values.append(relation_coverage(gq, ga))
-        elif name == "graph_cov_ans":
-            values.append(graph_cov()[0])
-        elif name == "graph_cov_ques":
-            values.append(graph_cov()[1])
-        elif name == "vocab_cov":
-            values.append(vocabulary_coverage(gq, ga))
-        else:
-            values.append(lexical(name))
-    return values
+    gq = build_graph(question) if graphs else None
+    q_tokens = tokenize(question.text) if tokens else None
+    answers = [
+        (cid, build_graph(answer) if graphs else None, tokenize(answer.text) if tokens else None)
+        for cid, answer, _ in group.candidates
+    ]
+    pool = AnswerPool.build([a_tokens for _, _, a_tokens in answers]) if "pool" in inputs else None
+
+    rows = []
+    for cid, ga, a_tokens in answers:
+        pair = _Pair((qid, cid), gq, ga, q_tokens, a_tokens, pool)
+        values: dict[str, float] = {}
+        for family in families:
+            values.update(zip(family.columns, family.values(pair, resources)))
+        rows.append([values[name] for name in manifest])
+    return rows
 
 
 def sigmoid(x: float) -> float:

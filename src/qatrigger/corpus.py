@@ -43,15 +43,6 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class QAPair:
-    question_id: str
-    candidate_id: str
-    question: Sentence
-    answer: Sentence
-    gold_label: int
-
-
-@dataclass(frozen=True)
 class QuestionGroup:
     """One question with its candidate answers in corpus order."""
 
@@ -62,12 +53,6 @@ class QuestionGroup:
     @property
     def answerable(self) -> bool:
         return any(label == 1 for _, _, label in self.candidates)
-
-    def pairs(self) -> list[QAPair]:
-        return [
-            QAPair(self.question_id, cid, self.question, sent, label)
-            for cid, sent, label in self.candidates
-        ]
 
 
 def _is_header(columns: list[str]) -> bool:

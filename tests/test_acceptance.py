@@ -240,9 +240,9 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
     from qatrigger.combiner import load_model
 
     model = load_model(first_dir / "model.txt")
-    _, dev_rows = read_features(first_dir / "f_dev.tsv")
+    _, dev_keys, dev_matrix = read_features(first_dir / "f_dev.tsv")
     model_groups = {}
-    for qid, cid, label, values in dev_rows:
+    for (qid, cid, label), values in zip(dev_keys, dev_matrix):
         model_groups.setdefault(qid, []).append((cid, model.prob(values), label))
     model_f1 = tune_threshold(
         [ScoredGroup(q, tuple(c)) for q, c in model_groups.items()]
@@ -253,9 +253,9 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
         "--config", config, "--set", "features.manifest=bm25",
         "featurize", "--split", "dev", "--out", str(bm25_path),
     ]) == 0
-    _, bm25_rows = read_features(bm25_path)
+    _, bm25_keys, bm25_matrix = read_features(bm25_path)
     bm25_groups = {}
-    for qid, cid, label, values in bm25_rows:
+    for (qid, cid, label), values in zip(bm25_keys, bm25_matrix):
         bm25_groups.setdefault(qid, []).append((cid, float(values[0]), label))
     bm25_f1 = tune_threshold(
         [ScoredGroup(q, tuple(c)) for q, c in bm25_groups.items()]
@@ -287,9 +287,9 @@ def test_criterion_9_real_wikiqa_split_sizes():
 class TestGoldenFeaturesAgainstOracles:
     """The committed golden feature file must agree with independent oracles."""
 
-    def _oracle_features(self, pair, pos_table, df_tables, n_docs):
-        gq = build_graph(pair.question)
-        ga = build_graph(pair.answer)
+    def _oracle_features(self, question, answer, pos_table, df_tables, n_docs):
+        gq = build_graph(question)
+        ga = build_graph(answer)
         lemma_q = {t.index: t.lemma for t in gq.nodes}
         lemma_a = {t.index: t.lemma for t in ga.nodes}
 
@@ -376,11 +376,11 @@ class TestGoldenFeaturesAgainstOracles:
 
         checked = 0
         for group in groups:
-            for pair in group.pairs():
+            for cid, answer, _ in group.candidates:
                 expected = self._oracle_features(
-                    pair, pos_table, df_tables, len(sentences)
+                    group.question, answer, pos_table, df_tables, len(sentences)
                 )
-                actual = golden[(pair.question_id, pair.candidate_id)]
+                actual = golden[(group.question_id, cid)]
                 assert actual == pytest.approx(expected, abs=1e-9)
                 checked += 1
         assert checked == 44

@@ -1,6 +1,9 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from qatrigger.cli import build_parser, load_config, main, read_features
+from qatrigger.cli import RunConfig, build_parser, load_config, main, read_features
 from qatrigger.combiner import load_model
 from qatrigger.errors import ConfigError
 
@@ -14,7 +17,68 @@ def mini_config(mini_dir):
     return str(mini_dir / "config.ini")
 
 
+# Every configuration key: (section, key, value, RunConfig field, parsed value).
+EVERY_KEY = [
+    *(("data", name, f"{name}.txt", name, Path(f"{name}.txt")) for name in (
+        "train", "dev", "test", "conllu_train", "conllu_dev", "conllu_test",
+        "index_train", "index_dev", "index_test", "scores", "embeddings",
+    )),
+    *(("resources", name, f"{name}.tsv", name, Path(f"{name}.tsv")) for name in (
+        "df_word", "df_pair", "df_triplet", "pos_costs",
+    )),
+    ("features", "manifest", " bm25 ,ged,", "manifest", ("bm25", "ged")),
+    ("hyper", "alpha1", "1.5", "alpha1", 1.5),
+    ("hyper", "alpha2", "2.5", "alpha2", 2.5),
+    ("hyper", "alpha3", "3.5", "alpha3", 3.5),
+    ("hyper", "m", "4", "subgraph_m", 4),
+    ("hyper", "edge_weight", "0.25", "edge_weight", 0.25),
+    ("hyper", "delete_cost", "0.75", "delete_cost", 0.75),
+    ("hyper", "k1", "1.25", "k1", 1.25),
+    ("hyper", "b", "0.5", "b", 0.5),
+    ("hyper", "n_max", "2", "n_max", 2),
+    ("hyper", "lr", "0.05", "lr", 0.05),
+    ("hyper", "epochs", "7", "epochs", 7),
+    ("hyper", "l2", "0.001", "l2", 0.001),
+    ("hyper", "threshold", "0.3", "threshold", 0.3),
+    ("baselines", "bm25_threshold", "1.75", "bm25_threshold", 1.75),
+    ("baselines", "ngram_threshold", "0.125", "ngram_threshold", 0.125),
+    ("baselines", "semvec_threshold", "0.5", "semvec_threshold", 0.5),
+]
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "section, key, value, name, expected",
+        EVERY_KEY,
+        ids=[f"{section}.{key}" for section, key, *_ in EVERY_KEY],
+    )
+    def test_every_key_through_file_flag_and_env(
+        self, section, key, value, name, expected, tmp_path
+    ):
+        assert sorted(row[3] for row in EVERY_KEY) == sorted(f.name for f in fields(RunConfig))
+        config_file = tmp_path / "config.ini"
+        config_file.write_text(f"[{section}]\n{key} = {value}\n")
+        env_name = f"QATRIGGER_{section.upper()}_{key.upper()}"
+        configs = {
+            "file": load_config(config_file, env={}),
+            "flag": load_config(None, overrides=[f"{section}.{key}={value}"], env={}),
+            "env": load_config(None, env={env_name: value}),
+        }
+        default = RunConfig()
+        for source, config in configs.items():
+            wanted = expected
+            if source == "file" and isinstance(expected, Path):
+                wanted = config_file.parent.resolve() / expected
+            assert getattr(config, name) == wanted, source
+            assert getattr(default, name) != wanted
+            others = [f.name for f in fields(RunConfig) if f.name != name]
+            assert [getattr(config, f) for f in others] == [getattr(default, f) for f in others]
+        if isinstance(expected, (int, float)):
+            what = "an integer" if isinstance(expected, int) else "a number"
+            with pytest.raises(ConfigError) as error:
+                load_config(None, overrides=[f"{section}.{key}=x"], env={})
+            assert str(error.value) == f"[{section}] {key}: not {what}: 'x'"
+
     def test_defaults_carry_published_hyperparameters(self):
         config = load_config(None, env={})
         assert (config.alpha1, config.alpha2, config.alpha3) == (7.0, 5.0, 2.0)
@@ -97,13 +161,13 @@ class TestFeaturize:
             "--config", mini_config, "--set", "features.manifest=ext_score",
             "featurize", "--split", "dev", "--out", str(out),
         )
-        names, rows = read_features(out)
+        names, keys, matrix = read_features(out)
         assert names == ("ext_score",)
         scores = {}
         for line in (mini_dir / "scores.tsv").read_text().splitlines():
             qid, cid, value = line.split("\t")
             scores[(qid, cid)] = float(value)
-        for qid, cid, _, values in rows:
+        for (qid, cid, _), values in zip(keys, matrix):
             assert values[0] == scores[(qid, cid)]
 
     def test_missing_corpus_fails_with_data_category(self, tmp_path, capsys):

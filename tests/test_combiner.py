@@ -1,11 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qatrigger.baselines import AnswerPool, EmbeddingTable, tokenize
+from qatrigger import combiner
+from qatrigger.baselines import (
+    AnswerPool,
+    EmbeddingTable,
+    bm25_score,
+    ngram_score,
+    semantic_similarity,
+    tokenize,
+)
 from qatrigger.combiner import (
     DEFAULT_MANIFEST,
+    FEATURE_NAMES,
+    GRAPH_FEATURES,
     FeatureResources,
     TrainConfig,
     extract_features,
@@ -15,66 +26,92 @@ from qatrigger.combiner import (
     sigmoid,
     train,
 )
-from qatrigger.cli import read_features
-from qatrigger.corpus import QAPair
+from qatrigger.cli import main, read_features
+from qatrigger.corpus import QuestionGroup, Sentence, load_wikiqa
+from qatrigger.coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
+from qatrigger.depgraph import build_graph
 from qatrigger.errors import ConfigError
-from qatrigger.graphsim import DfTable
+from qatrigger.ged import graph_edit_distance
+from qatrigger.graphsim import DfTable, graph_similarity_features
 
 from conftest import make_sentence
 
 
+def one_candidate(question, answer, qid="q1", cid="a1"):
+    return QuestionGroup(qid, question, ((cid, answer, 1),))
+
+
 @pytest.fixture
-def fig_pair(question_sentence, answer_sentence):
-    return QAPair("q1", "a1", question_sentence, answer_sentence, 1)
+def fig_group(question_sentence, answer_sentence):
+    return one_candidate(question_sentence, answer_sentence)
 
 
 def uniform_tables():
     return {level: DfTable(level, n_docs=1, df={}) for level in ("word", "pair", "triplet")}
 
 
+def per_module_features(question, answer, key, resources, pool):
+    """All twelve features of one pair, each from its own module, by name."""
+    gq, ga = build_graph(question), build_graph(answer)
+    q_tokens, a_tokens = tokenize(question.text), tokenize(answer.text)
+    sims = graph_similarity_features(gq, ga, resources.df_tables, resources.alphas)
+    cov = graph_coverage_features(gq, ga, resources.subgraph_m)
+    values = [
+        resources.scores[key],
+        graph_edit_distance(gq, ga, resources.ged_config),
+        *sims,
+        relation_coverage(gq, ga),
+        *cov,
+        vocabulary_coverage(gq, ga),
+        bm25_score(q_tokens, a_tokens, pool, resources.k1, resources.b),
+        ngram_score(q_tokens, a_tokens, resources.n_max),
+        semantic_similarity(q_tokens, a_tokens, resources.embeddings),
+    ]
+    return dict(zip(FEATURE_NAMES, values))
+
+
 class TestExtractFeatures:
-    def test_identity_pair_identity_features(self, question_sentence):
-        pair = QAPair("q", "c", question_sentence, question_sentence, 1)
-        values = extract_features(pair, FeatureResources(), ["ged", "rel_cov"])
-        assert values == [0.0, 1.0]
-
-    def test_ext_score_pass_through(self, fig_pair):
-        resources = FeatureResources(scores={("q1", "a1"): 0.73})
-        assert extract_features(fig_pair, resources, ["ext_score"]) == [0.73]
-
-    def test_missing_ext_score_is_an_error(self, fig_pair):
-        resources = FeatureResources(scores={("q1", "other"): 0.5})
-        with pytest.raises(ConfigError, match="ext_score"):
-            extract_features(fig_pair, resources, ["ext_score"])
-
-    def test_no_score_file_is_an_error(self, fig_pair):
-        with pytest.raises(ConfigError, match="score"):
-            extract_features(fig_pair, FeatureResources(), ["ext_score"])
-
-    def test_empty_manifest_is_an_error(self, fig_pair):
-        with pytest.raises(ConfigError, match="no features"):
-            extract_features(fig_pair, FeatureResources(), [])
-
-    def test_unknown_feature_is_an_error(self, fig_pair):
-        with pytest.raises(ConfigError, match="unknown"):
-            extract_features(fig_pair, FeatureResources(), ["ged", "mystery"])
-
-    def test_full_default_manifest_matches_per_module_values(self, fig_pair):
-        from qatrigger.coverage import (
-            graph_coverage_features,
-            relation_coverage,
-            vocabulary_coverage,
+    def test_feature_names_and_default_manifest(self):
+        assert FEATURE_NAMES == (
+            "ext_score", "ged", "sim_word", "sim_pair", "sim_triplet", "rel_cov",
+            "graph_cov_ans", "graph_cov_ques", "vocab_cov", "bm25", "ngram", "semvec",
         )
-        from qatrigger.depgraph import build_graph
-        from qatrigger.ged import graph_edit_distance
-        from qatrigger.graphsim import graph_similarity_features
+        assert DEFAULT_MANIFEST == FEATURE_NAMES[1:9]
+        assert GRAPH_FEATURES == frozenset(DEFAULT_MANIFEST)
 
+    def test_identity_pair_identity_features(self, question_sentence):
+        group = one_candidate(question_sentence, question_sentence, "q", "c")
+        rows = extract_features(group, FeatureResources(), ["ged", "rel_cov"])
+        assert rows == [[0.0, 1.0]]
+
+    def test_ext_score_pass_through(self, fig_group):
+        resources = FeatureResources(scores={("q1", "a1"): 0.73})
+        assert extract_features(fig_group, resources, ["ext_score"]) == [[0.73]]
+
+    def test_missing_ext_score_is_an_error(self, fig_group):
+        resources = FeatureResources(scores={("q1", "other"): 0.5})
+        with pytest.raises(ConfigError, match="ext_score missing for pair q1/a1"):
+            extract_features(fig_group, resources, ["ext_score"])
+
+    def test_no_score_file_is_an_error(self, fig_group):
+        with pytest.raises(ConfigError, match="score"):
+            extract_features(fig_group, FeatureResources(), ["ext_score"])
+
+    def test_empty_manifest_is_an_error(self, fig_group):
+        with pytest.raises(ConfigError, match="no features"):
+            extract_features(fig_group, FeatureResources(), [])
+
+    def test_unknown_feature_is_an_error(self, fig_group):
+        with pytest.raises(ConfigError, match="unknown"):
+            extract_features(fig_group, FeatureResources(), ["ged", "mystery"])
+
+    def test_full_default_manifest_matches_per_module_values(self, fig_group):
         resources = FeatureResources(df_tables=uniform_tables(), alphas=(0.0, 0.0, 0.0))
-        values = extract_features(fig_pair, resources, DEFAULT_MANIFEST)
+        [values] = extract_features(fig_group, resources, DEFAULT_MANIFEST)
         assert len(values) == 8
 
-        gq = build_graph(fig_pair.question)
-        ga = build_graph(fig_pair.answer)
+        gq = build_graph(fig_group.question)
+        ga = build_graph(fig_group.candidates[0][1])
         sims = graph_similarity_features(gq, ga, uniform_tables(), (0.0, 0.0, 0.0))
         cov = graph_coverage_features(gq, ga, resources.subgraph_m)
         expected = [
@@ -89,38 +126,104 @@ class TestExtractFeatures:
         ]
         assert values == pytest.approx(expected)
 
-    def test_graph_features_need_parses(self):
-        from qatrigger.corpus import Sentence
+    def test_three_candidates_match_per_module_values(
+        self, question_sentence, answer_sentence
+    ):
+        other = make_sentence(
+            "a3",
+            [
+                ("carradine", "carradine", "PROPN", 2, "nsubj"),
+                ("acted", "act", "VERB", 0, "root"),
+                ("in", "in", "ADP", 4, "case"),
+                ("kung-fu", "kung-fu", "NOUN", 2, "obl"),
+            ],
+        )
+        answers = [("a1", answer_sentence), ("a2", question_sentence), ("a3", other)]
+        group = QuestionGroup(
+            "q1", question_sentence, tuple((cid, s, i % 2) for i, (cid, s) in enumerate(answers))
+        )
+        resources = FeatureResources(
+            df_tables={
+                "word": DfTable("word", n_docs=4, df={"die": 2, "carradine": 3}),
+                "pair": DfTable("pair", n_docs=4, df={"die|carradine": 1}),
+                "triplet": DfTable("triplet", n_docs=4, df={}),
+            },
+            embeddings=EmbeddingTable(
+                dim=2,
+                vectors={"die": np.array([1.0, 0.0]), "carradine": np.array([0.5, 0.5])},
+            ),
+            scores={("q1", cid): 0.25 * i for i, (cid, _) in enumerate(answers)},
+            alphas=(0.0, 0.5, 1.0),
+            subgraph_m=2,
+        )
+        pool = AnswerPool.build([tokenize(s.text) for _, s in answers])
+        manifest = FEATURE_NAMES[::-1] + ("sim_pair",)
+        rows = extract_features(group, resources, manifest)
+        assert len(rows) == 3
+        for (cid, answer), row in zip(answers, rows):
+            expected = per_module_features(
+                question_sentence, answer, ("q1", cid), resources, pool
+            )
+            assert row == [expected[name] for name in manifest]
+        # One column of a family, alone.
+        assert extract_features(group, resources, ["graph_cov_ques"]) == [
+            [row[manifest.index("graph_cov_ques")]] for row in rows
+        ]
 
-        bare = QAPair(
-            "q", "c",
+    def test_graph_features_need_parses(self):
+        bare = one_candidate(
             Sentence("q", "text without a parse"),
             make_sentence("a", [("y", "y", "NOUN", 0, "root")]),
-            0,
+            "q", "c",
         )
-        with pytest.raises(ConfigError, match="parses"):
+        with pytest.raises(ConfigError, match=r"parses \(pair q/c has none\)"):
             extract_features(bare, FeatureResources(), ["ged"])
 
-    def test_lexical_features_without_parses(self, fig_pair):
+    def test_lexical_features_without_parses(self, fig_group):
         resources = FeatureResources(
             embeddings=EmbeddingTable(dim=2, vectors={"die": np.array([1.0, 0.0])}),
-            pools={"q1": AnswerPool.build([tokenize(fig_pair.answer.text)])},
         )
-        values = extract_features(fig_pair, resources, ["bm25", "ngram", "semvec"])
+        [values] = extract_features(fig_group, resources, ["bm25", "ngram", "semvec"])
         assert len(values) == 3
         assert values[1] > 0  # shared words give n-gram mass
 
-    def test_bm25_requires_pool(self, fig_pair):
-        with pytest.raises(ConfigError, match="pool"):
-            extract_features(fig_pair, FeatureResources(), ["bm25"])
-
-    def test_semvec_requires_embeddings(self, fig_pair):
+    def test_semvec_requires_embeddings(self, fig_group):
         with pytest.raises(ConfigError, match="embedding"):
-            extract_features(fig_pair, FeatureResources(), ["semvec"])
+            extract_features(fig_group, FeatureResources(), ["semvec"])
 
-    def test_sims_require_df_tables(self, fig_pair):
+    def test_sims_require_df_tables(self, fig_group):
         with pytest.raises(ConfigError, match="DF"):
-            extract_features(fig_pair, FeatureResources(), ["sim_word"])
+            extract_features(fig_group, FeatureResources(), ["sim_word"])
+
+    @pytest.mark.parametrize("manifest", [DEFAULT_MANIFEST, FEATURE_NAMES])
+    def test_each_sentence_built_and_tokenized_once(
+        self, manifest, mini_dir, tmp_path, monkeypatch
+    ):
+        built, tokenized = Counter(), Counter()
+
+        def counting_build_graph(sentence):
+            built[sentence.sentence_id] += 1
+            return build_graph(sentence)
+
+        def counting_tokenize(text):
+            tokenized[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(combiner, "build_graph", counting_build_graph)
+        monkeypatch.setattr(combiner, "tokenize", counting_tokenize)
+        assert main([
+            "--config", str(mini_dir / "config.ini"),
+            "--set", f"features.manifest={','.join(manifest)}",
+            "featurize", "--split", "train", "--out", str(tmp_path / "f.tsv"),
+        ]) == 0
+
+        groups = load_wikiqa(mini_dir / "train.tsv")
+        sentences = [g.question for g in groups]
+        sentences += [s for g in groups for _, s, _ in g.candidates]
+        assert len(sentences) == 56
+        assert built == Counter(s.sentence_id for s in sentences)
+        lexical = manifest == FEATURE_NAMES
+        assert tokenized == (Counter(s.text for s in sentences) if lexical else Counter())
 
 
 class TestSigmoid:
@@ -281,8 +384,8 @@ class TestScores:
 
 
 def test_train_on_mini_features_matches_golden_model(mini_dir, tmp_path):
-    names, rows = read_features(mini_dir / "golden_features_train.tsv")
-    model = train(np.asarray([r[3] for r in rows]), [r[2] for r in rows], names)
+    names, keys, matrix = read_features(mini_dir / "golden_features_train.tsv")
+    model = train(matrix, [label for _, _, label in keys], names)
     save_model(model, tmp_path / "model.txt")
     golden = mini_dir / "golden_model_train.txt"
     assert (tmp_path / "model.txt").read_bytes() == golden.read_bytes()
