@@ -8,7 +8,7 @@ edge per non-root token running from governor to dependent.
 from pathlib import Path
 import tempfile
 
-from qatrigger import attach_parses, build_graph, edge_signatures, load_wikiqa, undirected_adjacency
+from qatrigger import attach_parses, build_graph, edge_signatures, load_wikiqa
 
 # A two-row corpus: one question with one candidate answer.
 corpus = (
@@ -62,8 +62,3 @@ for gov, dep, rel in answer_graph.edges:
 # "die" and "died" differ on the surface.
 shared = edge_signatures(question_graph) & edge_signatures(answer_graph)
 print("\nshared edge signatures:", sorted(shared))
-
-# Directions are ignored by the coverage features downstream.
-print("\nundirected adjacency of the question graph:")
-for node, neighbors in undirected_adjacency(question_graph).items():
-    print(f"  {node}: {sorted(neighbors)}")

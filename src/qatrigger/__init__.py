@@ -53,7 +53,6 @@ from .depgraph import (
     DependencyGraph,
     build_graph,
     edge_signatures,
-    undirected_adjacency,
 )
 from .errors import ConfigError, IngestionError, QaTriggerError
 from .evaluation import (

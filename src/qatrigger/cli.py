@@ -198,9 +198,14 @@ def _needs_parses(manifest: tuple[str, ...]) -> bool:
     return any(name in combiner.GRAPH_FEATURES for name in manifest)
 
 
+def _df_paths(config: RunConfig) -> dict[str, Path | None]:
+    """The configured DF table path of each level, None where unset."""
+    return {level: getattr(config, f"df_{level}") for level in LEVELS}
+
+
 def _df_tables(config: RunConfig) -> dict[str, object]:
     """Load the three DF tables, or derive them from the training split."""
-    paths = {"word": config.df_word, "pair": config.df_pair, "triplet": config.df_triplet}
+    paths = _df_paths(config)
     if all(p is not None for p in paths.values()):
         return {level: load_df_table(paths[level], level) for level in LEVELS}
     if any(p is not None for p in paths.values()):
@@ -440,11 +445,7 @@ def cmd_evaluate(
 
 
 def cmd_build_df(config: RunConfig, out_dir: Path | None) -> int:
-    targets = {
-        "word": config.df_word,
-        "pair": config.df_pair,
-        "triplet": config.df_triplet,
-    }
+    targets = _df_paths(config)
     for level, table in build_df(_train_sentences(config)).items():
         target = targets[level]
         if target is None:

@@ -10,8 +10,9 @@ never produced.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .errors import IngestionError, parse_number
 
@@ -31,11 +32,60 @@ class Token:
     deprel: str
 
 
+def tree_depths(tokens: Sequence[Token]) -> tuple[int, ...]:
+    """Depth of each token of a dependency tree; slot 0 is the virtual root.
+
+    The root token has depth 1.  Raises ValueError unless the tokens form one
+    tree: exactly one root, every index and head in range, no self-head,
+    indices 1..n in order, and no cycle.  Linear in n: each head chain is
+    walked only up to the first token already placed.
+    """
+    n = len(tokens)
+    roots = sum(1 for t in tokens if t.head == 0)
+    if roots != 1:
+        raise ValueError(f"single-root violation ({roots} roots in {n} tokens)")
+    for t in tokens:
+        if t.index < 1 or t.index > n:
+            raise ValueError(f"token index {t.index} out of range 1..{n}")
+        if t.head < 0 or t.head > n:
+            raise ValueError(f"head {t.head} out of range 0..{n}")
+        if t.head == t.index:
+            raise ValueError(f"token {t.index} is its own head")
+    if [t.index for t in tokens] != list(range(1, n + 1)):
+        raise ValueError(f"token indices are not contiguous 1..{n}")
+    # -1 marks a token not yet reached, -2 one on the chain being walked.
+    depth = [0] + [-1] * n
+    for t in tokens:
+        chain = []
+        node = t.index
+        while depth[node] < 0:
+            if depth[node] == -2:
+                raise ValueError(f"cycle through token {node}")
+            depth[node] = -2
+            chain.append(node)
+            node = tokens[node - 1].head
+        level = depth[node]
+        for node in reversed(chain):
+            level += 1
+            depth[node] = level
+    return tuple(depth)
+
+
 @dataclass(frozen=True)
 class Sentence:
+    """A sentence, parsed when it carries tokens.
+
+    Tokens given at construction must form a dependency tree (see
+    `tree_depths`), else ValueError; `depth` then holds each token's depth.
+    """
+
     sentence_id: str
     text: str
     tokens: tuple[Token, ...] = ()
+    depth: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "depth", tree_depths(self.tokens) if self.tokens else ())
 
     @property
     def parsed(self) -> bool:
@@ -119,35 +169,6 @@ def save_wikiqa(groups: list[QuestionGroup], tsv_path: str | Path) -> None:
                     f"{group.question_id}\t{group.question.text}\tD0\t-\t"
                     f"{cid}\t{sent.text}\t{label}\n"
                 )
-
-
-def _validate_parse(tokens: list[Token], where: str) -> None:
-    n = len(tokens)
-    roots = [t.index for t in tokens if t.head == 0]
-    if len(roots) != 1:
-        raise IngestionError(
-            f"{where}: single-root violation ({len(roots)} roots in {n} tokens)"
-        )
-    for t in tokens:
-        if t.index < 1 or t.index > n:
-            raise IngestionError(f"{where}: token index {t.index} out of range 1..{n}")
-        if t.head < 0 or t.head > n:
-            raise IngestionError(f"{where}: head {t.head} out of range 0..{n}")
-        if t.head == t.index:
-            raise IngestionError(f"{where}: token {t.index} is its own head")
-    if [t.index for t in tokens] != list(range(1, n + 1)):
-        raise IngestionError(f"{where}: token indices are not contiguous 1..{n}")
-    # Every head chain must reach the root; a chain that revisits a token is a cycle.
-    reaches_root = {0}
-    for t in tokens:
-        chain: set[int] = set()
-        node = t.index
-        while node not in reaches_root:
-            if node in chain:
-                raise IngestionError(f"{where}: cycle through token {node}")
-            chain.add(node)
-            node = tokens[node - 1].head
-        reaches_root |= chain
 
 
 def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
@@ -248,9 +269,9 @@ def attach_parses(
     With an index file, each CoNLL-U block (keyed by `# sent_id` comment or by
     1-based order) is mapped to a WikiQA QuestionID or SentenceID.  Without
     one, alignment is positional: all questions first, then all candidates,
-    both in corpus order.  Every used parse must be a tree (exactly one root,
-    in-range heads, no cycles); sentences left without a parse raise
-    IngestionError listing the missing ids.
+    both in corpus order.  A parse that is not a tree (see `tree_depths`)
+    raises IngestionError naming the file and the sentence; sentences left
+    without a parse raise IngestionError listing the missing ids.
     """
     conllu_path = Path(conllu_path)
     blocks = _read_conllu_blocks(conllu_path)
@@ -294,9 +315,10 @@ def attach_parses(
         )
 
     def parsed(sentence: Sentence, key: str) -> Sentence:
-        tokens = by_wikiqa_id[key]
-        _validate_parse(tokens, f"{conllu_path}: sentence {key!r}")
-        return dataclasses.replace(sentence, tokens=tuple(tokens))
+        try:
+            return dataclasses.replace(sentence, tokens=tuple(by_wikiqa_id[key]))
+        except ValueError as exc:
+            raise IngestionError(f"{conllu_path}: sentence {key!r}: {exc}") from exc
 
     result = []
     for group in groups:

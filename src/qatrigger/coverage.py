@@ -73,8 +73,8 @@ def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph
 
     The shared node set holds every answer node whose lemma occurs in the
     question; for each unordered pair, the tree path joins the sub-graph when
-    it uses at most m edges.  Raises ValueError when the answer's heads do not
-    form one tree hanging from the root.
+    it uses at most m edges.  The answer graph comes from build_graph, so it
+    is a tree and carries each node's depth.
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
@@ -82,25 +82,11 @@ def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph
     common = [t.index for t in ga.nodes if t.lemma in question_lemmas]
     if len(common) < 2 or m == 0:
         return EMPTY_SUBGRAPH
-    parent = [0] * (len(ga.nodes) + 1)
-    children: list[list[int]] = [[] for _ in parent]
-    for t in ga.nodes:
-        parent[t.index] = t.head
-        children[t.head].append(t.index)
-    depth = [0] * len(parent)
-    stack, reached = [0], 0
-    while stack:
-        u = stack.pop()
-        for v in children[u]:
-            depth[v] = depth[u] + 1
-            stack.append(v)
-            reached += 1
-    if reached != len(ga.nodes):
-        raise ValueError("answer graph is not a single tree under its root")
+    parent = [0] + [t.head for t in ga.nodes]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for source, dest in combinations(common, 2):
-        path = find_path(parent, depth, source, dest, m)
+        path = find_path(parent, ga.depth, source, dest, m)
         nodes.update(path)
         for a, b in zip(path, path[1:]):
             edges.add((a, b) if a < b else (b, a))

@@ -1,8 +1,10 @@
 """Dependency graphs over parsed sentences.
 
 A sentence parse is turned into a rooted tree whose nodes are the tokens and
-whose labeled edges run from governor to dependent.  All downstream features
-(edit distance, similarity, coverage) consume these graphs.
+whose labeled edges run from governor to dependent.  The tree rule itself is
+checked once, when the Sentence is built (corpus.tree_depths); the graph
+carries the depths that check computed.  All downstream features (edit
+distance, similarity, coverage) consume these graphs.
 """
 
 from __future__ import annotations
@@ -15,47 +17,27 @@ from .corpus import Sentence, Token
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    """Nodes in sentence order plus (governor, dependent, relation) edges."""
+    """Nodes in sentence order plus (governor, dependent, relation) edges.
+
+    depth[v] is node v's depth in the tree (slot 0 the virtual root, the root
+    token at 1), as the sentence's tree check computed it.
+    """
 
     nodes: tuple[Token, ...]
     edges: tuple[tuple[int, int, str], ...]
+    depth: tuple[int, ...] = ()
 
 
 def build_graph(sentence: Sentence) -> DependencyGraph:
     """Build the dependency graph of a parsed sentence.
 
-    Token indices must run 1..n in order.  One edge per non-root token, so a
-    valid parse yields a tree with len(edges) == len(nodes) - 1.
+    The Sentence has already checked that its tokens form a tree, so there is
+    one edge per non-root token and len(edges) == len(nodes) - 1.
     """
     if not sentence.parsed:
         raise ValueError(f"sentence {sentence.sentence_id!r} has no parse")
-    n = len(sentence.tokens)
-    roots = 0
-    edges = []
-    for position, token in enumerate(sentence.tokens, start=1):
-        if token.index != position or token.head == position or not 0 <= token.head <= n:
-            raise ValueError(
-                f"sentence {sentence.sentence_id!r}: invalid index {token.index} "
-                f"or head {token.head} for token {position}"
-            )
-        if token.head == 0:
-            roots += 1
-        else:
-            edges.append((token.head, token.index, token.deprel))
-    if roots != 1:
-        raise ValueError(
-            f"sentence {sentence.sentence_id!r}: expected exactly one root, got {roots}"
-        )
-    return DependencyGraph(nodes=sentence.tokens, edges=tuple(edges))
-
-
-def undirected_adjacency(graph: DependencyGraph) -> dict[int, set[int]]:
-    """Symmetric adjacency over node indices, ignoring edge direction."""
-    adjacency: dict[int, set[int]] = {t.index: set() for t in graph.nodes}
-    for gov, dep, _ in graph.edges:
-        adjacency[gov].add(dep)
-        adjacency[dep].add(gov)
-    return adjacency
+    edges = tuple((t.head, t.index, t.deprel) for t in sentence.tokens if t.head)
+    return DependencyGraph(nodes=sentence.tokens, edges=edges, depth=sentence.depth)
 
 
 def edge_signatures(graph: DependencyGraph) -> Counter[tuple[str, str, str]]:

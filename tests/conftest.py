@@ -4,9 +4,9 @@ import pytest
 
 from qatrigger.corpus import Sentence, Token
 from qatrigger.coverage import find_path
-from qatrigger.depgraph import build_graph, undirected_adjacency
+from qatrigger.depgraph import build_graph
 
-from oracles import bfs_distances, tree_arrays
+from oracles import adjacency, bfs_distances, tree_arrays
 
 MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 
@@ -101,12 +101,12 @@ def check_tree_paths_against_bfs(graph) -> int:
     """Check find_path on every ordered node pair and every m from 0 to the
     diameter + 1 against BFS distances; returns the number of paths kept."""
     parent, depth = tree_arrays(graph)
-    adjacency = undirected_adjacency(graph)
+    neighbors = adjacency(graph)
     kept = 0
-    for source in adjacency:
-        distances = bfs_distances(adjacency, source)
-        assert len(distances) == len(adjacency)  # trees are connected
-        for dest in adjacency:
+    for source in neighbors:
+        distances = bfs_distances(neighbors, source)
+        assert len(distances) == len(neighbors)  # trees are connected
+        for dest in neighbors:
             for m in range(max(distances.values()) + 2):
                 path = find_path(parent, depth, source, dest, m)
                 if distances[dest] > m:
@@ -114,6 +114,6 @@ def check_tree_paths_against_bfs(graph) -> int:
                     continue
                 assert path[0] == source and path[-1] == dest
                 assert len(path) - 1 == distances[dest]
-                assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+                assert all(b in neighbors[a] for a, b in zip(path, path[1:]))
                 kept += 1
     return kept

@@ -108,23 +108,28 @@ def bfs_distances(adjacency, source) -> dict[int, int]:
     return seen
 
 
-def _adjacency(graph) -> dict[int, set[int]]:
-    adjacency: dict[int, set[int]] = {t.index: set() for t in graph.nodes}
+def adjacency(graph) -> dict[int, set[int]]:
+    """Symmetric adjacency over node indices, ignoring edge direction."""
+    neighbors: dict[int, set[int]] = {t.index: set() for t in graph.nodes}
     for gov, dep, _ in graph.edges:
-        adjacency[gov].add(dep)
-        adjacency[dep].add(gov)
-    return adjacency
+        neighbors[gov].add(dep)
+        neighbors[dep].add(gov)
+    return neighbors
 
 
 def tree_arrays(graph) -> tuple[list[int], list[int]]:
-    """(parent, depth) lists indexed by token, depth by BFS from the root."""
+    """(parent, depth) lists indexed by token, slot 0 the virtual root.
+
+    Depth is the BFS hop count from the root token plus one, so the root
+    token sits at depth 1 as in DependencyGraph.depth.
+    """
     parent = [0] * (len(graph.nodes) + 1)
     for gov, dep, _ in graph.edges:
         parent[dep] = gov
     root = next(t.index for t in graph.nodes if t.head == 0)
     depth = [0] * len(parent)
-    for node, hops in bfs_distances(_adjacency(graph), root).items():
-        depth[node] = hops
+    for node, hops in bfs_distances(adjacency(graph), root).items():
+        depth[node] = hops + 1
     return parent, depth
 
 
@@ -134,7 +139,7 @@ def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, in
 
     Trees have one path per pair, so the BFS path is the aligned one.
     """
-    adjacency = _adjacency(graph)
+    neighbors = adjacency(graph)
     common = [t.index for t in graph.nodes if t.lemma in question_lemmas]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
@@ -145,7 +150,7 @@ def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, in
             while frontier and d not in parents:
                 nxt = []
                 for u in frontier:
-                    for v in sorted(adjacency[u]):
+                    for v in sorted(neighbors[u]):
                         if v not in parents:
                             parents[v] = u
                             nxt.append(v)

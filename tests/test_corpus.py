@@ -1,6 +1,8 @@
 import pytest
 
 from qatrigger.corpus import (
+    Sentence,
+    Token,
     attach_parses,
     load_scores,
     load_wikiqa,
@@ -164,6 +166,36 @@ def test_attach_parses_rejects_cycle(tmp_path):
     conllu = write(tmp_path / "p.conllu", cyclic + "\n" + good)
     with pytest.raises(IngestionError, match="cycle"):
         attach_parses(load_wikiqa(corpus), conllu)
+
+
+NON_TREES = [
+    pytest.param([(1, 0), (2, 0)], "single-root violation (2 roots in 2 tokens)", id="two-roots"),
+    pytest.param([(1, 0), (2, 3)], "head 3 out of range 0..2", id="head-out-of-range"),
+    pytest.param([(1, 0), (2, 2)], "token 2 is its own head", id="self-head"),
+    pytest.param([(1, 2), (2, 1), (3, 0)], "cycle through token 1", id="two-cycle"),
+    pytest.param([(2, 0), (1, 2)], "token indices are not contiguous 1..2", id="out-of-order"),
+    pytest.param([(1, 0), (0, 1)], "token index 0 out of range 1..2", id="index-0"),
+    pytest.param([(1, 0), (-1, 1)], "token index -1 out of range 1..2", id="index-minus-1"),
+    pytest.param([(1, 0), (3, 1)], "token index 3 out of range 1..2", id="index-3"),
+]
+
+
+@pytest.mark.parametrize("rows, message", NON_TREES)
+def test_non_tree_rejected_when_sentence_is_built(tmp_path, rows, message):
+    """rows: (index, head) per token."""
+    tokens = tuple(Token(i, "w", "w", "NOUN", "NN", head, "dep") for i, head in rows)
+    with pytest.raises(ValueError) as built:
+        Sentence("S1", "w", tokens)
+    assert str(built.value) == message
+    if any(i < 0 for i, _ in rows):
+        return  # a CoNLL-U id containing "-" is a multi-word range, skipped on reading
+    corpus = write(tmp_path / "c.tsv", "Q1\tw\tD\tt\tS1\tw\t0\n")
+    good = "1\tw\tw\tNOUN\tNN\t_\t0\troot\t_\t_\n"
+    bad = "".join(f"{i}\tw\tw\tNOUN\tNN\t_\t{head}\tdep\t_\t_\n" for i, head in rows)
+    conllu = write(tmp_path / "p.conllu", good + "\n" + bad)
+    with pytest.raises(IngestionError) as ingested:
+        attach_parses(load_wikiqa(corpus), conllu)
+    assert str(ingested.value) == f"{conllu}: sentence 'S1': {message}"
 
 
 def test_attach_parses_missing_parse_lists_ids(tmp_path):

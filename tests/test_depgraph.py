@@ -3,14 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qatrigger.depgraph import (
-    build_graph,
-    edge_signatures,
-    node_lemmas,
-    undirected_adjacency,
-)
+from qatrigger.depgraph import build_graph, edge_signatures, node_lemmas
 
 from conftest import make_sentence, random_tree_sentence
+from oracles import tree_arrays
 
 
 def test_fig_style_question_graph(question_graph):
@@ -47,32 +43,28 @@ def test_five_token_fixture_edges():
 def test_build_graph_rejects_unparsed_and_multirooted():
     from qatrigger.corpus import Sentence
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has no parse"):
         build_graph(Sentence("s", "text"))
-    bad = make_sentence(
-        "s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 0, "root")]
-    )
-    with pytest.raises(ValueError):
-        build_graph(bad)
+    # a non-tree never becomes a Sentence, so build_graph cannot receive one
+    with pytest.raises(ValueError, match="single-root violation"):
+        make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 0, "root")])
 
 
 @pytest.mark.parametrize("index", [0, -1, 3])
 def test_build_graph_rejects_out_of_order_index(index):
-    # coverage indexes per-token arrays by position, so an index outside 1..n
-    # would land outside them or, at 0, make its depth pass revisit the root
+    # coverage indexes per-token arrays by position, so the Sentence rejects
+    # an index outside 1..n when it is built, before any graph exists
     root = make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
     tokens = (root.tokens[0], dataclasses.replace(root.tokens[1], index=index))
-    with pytest.raises(ValueError, match="invalid index"):
-        build_graph(dataclasses.replace(root, tokens=tokens))
+    with pytest.raises(ValueError, match=f"token index {index} out of range 1..2"):
+        dataclasses.replace(root, tokens=tokens)
 
 
-def test_adjacency_is_symmetric_with_matching_pair_count(answer_graph):
-    adjacency = undirected_adjacency(answer_graph)
-    for u, neighbors in adjacency.items():
-        for v in neighbors:
-            assert u in adjacency[v]
-    n_pairs = sum(len(v) for v in adjacency.values()) // 2
-    assert n_pairs == len(answer_graph.edges)
+def test_graph_depth_matches_bfs_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        graph = build_graph(random_tree_sentence(rng, max_nodes=10, relabel=True))
+        assert list(graph.depth) == tree_arrays(graph)[1]
 
 
 def test_edge_signature_multiset_counts_repeats():
@@ -86,11 +78,6 @@ def test_edge_signature_multiset_counts_repeats():
     )
     signatures = edge_signatures(build_graph(sentence))
     assert signatures[("run", "fast", "advmod")] == 2
-
-
-def test_empty_edge_graph_adjacency():
-    graph = build_graph(make_sentence("s", [("hi", "hi", "INTJ", 0, "root")]))
-    assert undirected_adjacency(graph) == {1: set()}
 
 
 def test_random_trees_satisfy_tree_property():
