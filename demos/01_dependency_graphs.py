@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Build dependency graphs from CoNLL-U parses and inspect their structure.
+"""Read dependency graphs from CoNLL-U parses and inspect their structure.
 
-A parsed sentence becomes a rooted tree: one node per token, one labeled
-edge per non-root token running from governor to dependent.
+A parsed sentence is a rooted tree: one node per token, one labeled edge per
+non-root token running from governor to dependent.
 """
 
 from pathlib import Path
 import tempfile
 
-from qatrigger import attach_parses, build_graph, edge_signatures, load_wikiqa
+from qatrigger import attach_parses, load_wikiqa
+from qatrigger.coverage import edge_signatures
 
 # A two-row corpus: one question with one candidate answer.
 corpus = (
@@ -42,23 +43,18 @@ with tempfile.TemporaryDirectory() as tmp:
     groups = attach_parses(groups, conllu_path)  # no index file -> positional
 
 group = groups[0]
-question_graph = build_graph(group.question)
-answer_graph = build_graph(group.candidates[0][1])
+question = group.question
+answer = group.candidates[0][1]
 
-print("question:", group.question.text)
-for gov, dep, rel in question_graph.edges:
-    gov_tok = question_graph.nodes[gov - 1]
-    dep_tok = question_graph.nodes[dep - 1]
-    print(f"  {gov_tok.form} -[{rel}]-> {dep_tok.form}")
-
-print("\nanswer:", group.candidates[0][1].text)
-for gov, dep, rel in answer_graph.edges:
-    gov_tok = answer_graph.nodes[gov - 1]
-    dep_tok = answer_graph.nodes[dep - 1]
-    print(f"  {gov_tok.form} -[{rel}]-> {dep_tok.form}")
+for label, sentence in (("question", question), ("answer", answer)):
+    print(f"{label}:", sentence.text)
+    print("  edges (head, dependent, relation):", sentence.edges)
+    for gov, dep, rel in sentence.edges:
+        print(f"  {sentence.tokens[gov - 1].form} -[{rel}]-> {sentence.tokens[dep - 1].form}")
+    print()
 
 # Edge signatures are (governor lemma, dependent lemma, relation) triples;
 # the question and the answer share the compound and nsubj links even though
 # "die" and "died" differ on the surface.
-shared = edge_signatures(question_graph) & edge_signatures(answer_graph)
-print("\nshared edge signatures:", sorted(shared))
+shared = edge_signatures(question) & edge_signatures(answer)
+print("shared edge signatures:", sorted(shared))

@@ -9,7 +9,7 @@ total is normalized by the all-delete/all-insert cost, so 0 means
 identical graphs and 1 means nothing aligns.
 """
 
-from qatrigger import GedConfig, build_graph, graph_edit_distance
+from qatrigger import GedConfig, graph_edit_distance
 from qatrigger.corpus import Sentence, Token
 
 
@@ -80,12 +80,11 @@ candidates = {
     ),
 }
 
-gq = build_graph(question)
 config = GedConfig()  # default POS weights, edge weight 0.5, delete cost 1.0
 
 print("question:", question.text, "\n")
 ranked = sorted(
-    (graph_edit_distance(gq, build_graph(answer), config), text)
+    (graph_edit_distance(question, answer, config), text)
     for text, answer in candidates.items()
 )
 for distance, text in ranked:

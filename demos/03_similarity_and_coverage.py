@@ -11,7 +11,6 @@ between shared nodes.
 from qatrigger import (
     align_subgraph,
     build_df,
-    build_graph,
     graph_coverage_features,
     graph_similarity_features,
     relation_coverage,
@@ -49,14 +48,12 @@ answer = sentence(
     ],
 )
 
-gq, ga = build_graph(question), build_graph(answer)
-
 # Document frequencies normally come from the training split (or a file);
 # here the two sentences themselves act as a two-document corpus.
 tables = build_df([question, answer])
 
 sim_word, sim_pair, sim_triplet = graph_similarity_features(
-    gq, ga, tables, alphas=(0.0, 0.0, 0.0)
+    question, answer, tables, alphas=(0.0, 0.0, 0.0)
 )
 print("question:", question.text)
 print("answer:  ", answer.text, "\n")
@@ -65,14 +62,14 @@ print(f"pair-level similarity:    {sim_pair:.4f}")
 print(f"triplet-level similarity: {sim_triplet:.4f}")
 
 # Raising a threshold only ever removes vector entries, never adds them.
-strict_word, _, _ = graph_similarity_features(gq, ga, tables, alphas=(1.5, 0.0, 0.0))
+strict_word, _, _ = graph_similarity_features(question, answer, tables, alphas=(1.5, 0.0, 0.0))
 print(f"word similarity with alpha=1.5:  {strict_word:.4f} (filtering drops weights)")
 
-print(f"\nrelation coverage:  {relation_coverage(gq, ga):.4f}  (matched edges / question edges)")
-print(f"vocabulary coverage: {vocabulary_coverage(gq, ga):.4f}  (matched lemmas / question nodes)")
+print(f"\nrelation coverage:  {relation_coverage(question, answer):.4f}  (matched edges / question edges)")
+print(f"vocabulary coverage: {vocabulary_coverage(question, answer):.4f}  (matched lemmas / question nodes)")
 
-sub = align_subgraph(gq, ga, m=3)
+sub = align_subgraph(question, answer, m=3)
 print(f"\naligned sub-graph over shared lemmas: nodes {sorted(sub.nodes)}, edges {sorted(sub.edges)}")
-cov_ans, cov_ques = graph_coverage_features(gq, ga, m=3)
+cov_ans, cov_ques = graph_coverage_features(question, answer, m=3)
 print(f"graph coverage vs answer:   {cov_ans:.4f}")
 print(f"graph coverage vs question: {cov_ques:.4f}")

@@ -39,7 +39,6 @@ from .corpus import (
     attach_parses,
     load_scores,
     load_wikiqa,
-    save_wikiqa,
 )
 from .coverage import (
     SubGraph,
@@ -48,11 +47,6 @@ from .coverage import (
     graph_coverage_features,
     relation_coverage,
     vocabulary_coverage,
-)
-from .depgraph import (
-    DependencyGraph,
-    build_graph,
-    edge_signatures,
 )
 from .errors import ConfigError, IngestionError, QaTriggerError
 from .evaluation import (

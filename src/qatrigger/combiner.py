@@ -1,8 +1,9 @@
 """Feature extraction and the logistic-regression trigger model.
 
-Features are computed one question group at a time: the question's graph
-and tokens are built once per group, each candidate's once, and the group's
-BM25 pool comes from those same candidate tokens.  Each candidate becomes a
+Features are computed one question group at a time.  The graph features
+read each parsed Sentence directly, as its dependency graph; the question's
+tokens are built once per group, each candidate's once, and the group's BM25
+pool comes from those same candidate tokens.  Each candidate becomes a
 fixed-order feature vector (graph alignment features, lexical baselines,
 and optionally an external neural score) drawn from a table of feature
 families, and a standardized logistic regression maps the vector to a
@@ -21,9 +22,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .baselines import AnswerPool, EmbeddingTable, bm25_score, ngram_score, semantic_similarity, tokenize
-from .corpus import QuestionGroup
+from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
-from .depgraph import DependencyGraph, build_graph
 from .errors import ConfigError, IngestionError, parse_number
 from .ged import GedConfig, graph_edit_distance
 from .graphsim import DfTable, graph_similarity_features
@@ -45,11 +45,12 @@ class FeatureResources:
 
 
 class _Pair(NamedTuple):
-    """One question/candidate pair, with the inputs its group built once."""
+    """One question/candidate pair: its two sentences, which are also their
+    dependency graphs, and the inputs its group built once."""
 
     key: tuple[str, str]
-    gq: DependencyGraph | None
-    ga: DependencyGraph | None
+    question: Sentence
+    answer: Sentence
     q_tokens: list[str] | None
     a_tokens: list[str] | None
     pool: AnswerPool | None
@@ -65,28 +66,31 @@ class _Family(NamedTuple):
     """Columns computed together from one pair by one function."""
 
     columns: tuple[str, ...]
-    # What the group must build: "graphs" (needs parses), "tokens", "pool".
+    # What the pair must carry: "parses", "tokens", "pool".
     inputs: frozenset[str]
     # (FeatureResources field that must be set, the error when it is not).
     requires: tuple[str, str] | None
     values: Callable[[_Pair, FeatureResources], Sequence[float]]
 
 
-_GRAPHS = frozenset({"graphs"})
+_PARSES = frozenset({"parses"})
 _TOKENS = frozenset({"tokens"})
 
 _FAMILIES = (
     _Family(("ext_score",), frozenset(), ("scores", "ext_score requires a score file"),
             _ext_score),
-    _Family(("ged",), _GRAPHS, None,
-            lambda p, res: (graph_edit_distance(p.gq, p.ga, res.ged_config),)),
-    _Family(("sim_word", "sim_pair", "sim_triplet"), _GRAPHS,
+    _Family(("ged",), _PARSES, None,
+            lambda p, res: (graph_edit_distance(p.question, p.answer, res.ged_config),)),
+    _Family(("sim_word", "sim_pair", "sim_triplet"), _PARSES,
             ("df_tables", "similarity features require DF tables"),
-            lambda p, res: graph_similarity_features(p.gq, p.ga, res.df_tables, res.alphas)),
-    _Family(("rel_cov",), _GRAPHS, None, lambda p, res: (relation_coverage(p.gq, p.ga),)),
-    _Family(("graph_cov_ans", "graph_cov_ques"), _GRAPHS, None,
-            lambda p, res: graph_coverage_features(p.gq, p.ga, res.subgraph_m)),
-    _Family(("vocab_cov",), _GRAPHS, None, lambda p, res: (vocabulary_coverage(p.gq, p.ga),)),
+            lambda p, res: graph_similarity_features(
+                p.question, p.answer, res.df_tables, res.alphas)),
+    _Family(("rel_cov",), _PARSES, None,
+            lambda p, res: (relation_coverage(p.question, p.answer),)),
+    _Family(("graph_cov_ans", "graph_cov_ques"), _PARSES, None,
+            lambda p, res: graph_coverage_features(p.question, p.answer, res.subgraph_m)),
+    _Family(("vocab_cov",), _PARSES, None,
+            lambda p, res: (vocabulary_coverage(p.question, p.answer),)),
     _Family(("bm25",), _TOKENS | {"pool"}, None,
             lambda p, res: (bm25_score(p.q_tokens, p.a_tokens, p.pool, res.k1, res.b),)),
     _Family(("ngram",), _TOKENS, None,
@@ -98,7 +102,7 @@ _FAMILIES = (
 FEATURE_NAMES = tuple(name for family in _FAMILIES for name in family.columns)
 
 DEFAULT_MANIFEST = tuple(
-    name for family in _FAMILIES if family.inputs == _GRAPHS for name in family.columns
+    name for family in _FAMILIES if family.inputs == _PARSES for name in family.columns
 )
 
 GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
@@ -125,26 +129,25 @@ def extract_features(
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
     inputs = frozenset().union(*(family.inputs for family in families))
-    graphs, tokens = "graphs" in inputs, "tokens" in inputs
+    tokens = "tokens" in inputs
 
     qid, question = group.question_id, group.question
-    if graphs:
+    if "parses" in inputs:
         for cid, answer, _ in group.candidates:
             if not (question.parsed and answer.parsed):
                 raise ConfigError(
                     f"graph features require dependency parses (pair {qid}/{cid} has none)"
                 )
-    gq = build_graph(question) if graphs else None
     q_tokens = tokenize(question.text) if tokens else None
     answers = [
-        (cid, build_graph(answer) if graphs else None, tokenize(answer.text) if tokens else None)
+        (cid, answer, tokenize(answer.text) if tokens else None)
         for cid, answer, _ in group.candidates
     ]
     pool = AnswerPool.build([a_tokens for _, _, a_tokens in answers]) if "pool" in inputs else None
 
     rows = []
-    for cid, ga, a_tokens in answers:
-        pair = _Pair((qid, cid), gq, ga, q_tokens, a_tokens, pool)
+    for cid, answer, a_tokens in answers:
+        pair = _Pair((qid, cid), question, answer, q_tokens, a_tokens, pool)
         values: dict[str, float] = {}
         for family in families:
             values.update(zip(family.columns, family.values(pair, resources)))
@@ -183,13 +186,10 @@ class TriggerModel:
             )
         return _standardize(raw, self.means, self.stds)
 
-    def prob(self, x: Sequence[float]) -> float:
-        z = self.standardize(x)
-        return sigmoid(float(np.dot(self.weights, z)) + self.bias)
-
     def scores(self, matrix: np.ndarray) -> list[float]:
-        """prob of every row; a per-row np.dot and math.exp keep it bitwise
-        equal to prob, where `z @ w` or np.exp can differ in the last bit."""
+        """Trigger probability of every row; a per-row np.dot and math.exp
+        keep each bitwise equal to scoring its row alone, where `z @ w` or
+        np.exp can differ in the last bit."""
         z = self.standardize(matrix)
         return [sigmoid(float(np.dot(self.weights, row)) + self.bias) for row in z]
 

@@ -4,12 +4,15 @@ Reads the public 7-column WikiQA TSV (QuestionID, Question, DocumentID,
 DocumentTitle, SentenceID, Sentence, Label), groups candidate answers by
 question, and aligns every sentence with a dependency parse supplied as a
 CoNLL-U sidecar file.  Parsing itself is out of scope: parses are ingested,
-never produced.
+never produced.  A parsed Sentence is the dependency graph every feature
+reads: its tokens are the nodes, and `Sentence.edges` gives one labeled edge
+per non-root token, from governor to dependent.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +20,10 @@ from typing import Sequence
 from .errors import IngestionError, parse_number
 
 WIKIQA_COLUMNS = 7
+
+# CoNLL-U ids of lines that are not tree tokens: a multi-word range or an
+# empty node.
+_RANGE_OR_EMPTY_NODE = re.compile(r"\d+-\d+|\d+\.\d+")
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,11 @@ class Sentence:
     def parsed(self) -> bool:
         return bool(self.tokens)
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        """(head, index, deprel) of each non-root token, in token order."""
+        return tuple([(t.head, t.index, t.deprel) for t in self.tokens if t.head])
+
 
 @dataclass(frozen=True)
 class QuestionGroup:
@@ -157,26 +169,13 @@ def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
     ]
 
 
-def save_wikiqa(groups: list[QuestionGroup], tsv_path: str | Path) -> None:
-    """Write groups back to the 7-column TSV layout (placeholder doc fields)."""
-    with open(tsv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(
-            "QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\tLabel\n"
-        )
-        for group in groups:
-            for cid, sent, label in group.candidates:
-                handle.write(
-                    f"{group.question_id}\t{group.question.text}\tD0\t-\t"
-                    f"{cid}\t{sent.text}\t{label}\n"
-                )
-
-
 def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
     """Read CoNLL-U blocks as (block_id, tokens).
 
     The block id is the `# sent_id = ...` comment when present, otherwise the
     1-based block ordinal as a string.  Multi-word-token lines (id "1-2") and
-    empty-node lines (id "1.1") are skipped.
+    empty-node lines (id "1.1") are skipped; any other id that is not an
+    integer raises IngestionError naming the line.
     """
     blocks: list[tuple[str, list[Token]]] = []
     sent_id: str | None = None
@@ -204,13 +203,12 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
                 raise IngestionError(
                     f"{conllu_path}: line {lineno}: expected 10 columns, got {len(columns)}"
                 )
-            token_id = columns[0]
-            if "-" in token_id or "." in token_id:
-                continue
             try:
-                index = int(token_id)
+                index = int(columns[0])
                 head = int(columns[6])
             except ValueError as exc:
+                if _RANGE_OR_EMPTY_NODE.fullmatch(columns[0]):
+                    continue
                 raise IngestionError(
                     f"{conllu_path}: line {lineno}: non-numeric id or head"
                 ) from exc

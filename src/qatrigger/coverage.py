@@ -1,20 +1,22 @@
 """Coverage features between question and answer dependency graphs.
 
-Relation coverage counts one-to-one edge-signature matches relative to the
-question's edges; vocabulary coverage does the same over node lemmas.  Graph
-coverage builds a sub-graph of the answer graph spanned by the unique tree
-path between each pair of answer nodes whose lemmas also occur in the
+Each graph is a parsed Sentence (tokens as nodes, `Sentence.edges` as
+edges).  Relation coverage counts one-to-one edge-signature matches relative
+to the question's edges; vocabulary coverage does the same over node lemmas.
+Graph coverage builds a sub-graph of the answer graph spanned by the unique
+tree path between each pair of answer nodes whose lemmas also occur in the
 question, keeping only paths of at most `m` edges, and reports the
 sub-graph's edge count relative to each side.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .depgraph import DependencyGraph, edge_signatures, node_lemmas
+from .corpus import Sentence
 
 
 @dataclass(frozen=True)
@@ -28,24 +30,35 @@ class SubGraph:
 EMPTY_SUBGRAPH = SubGraph(nodes=frozenset(), edges=frozenset())
 
 
-def relation_coverage(gq: DependencyGraph, ga: DependencyGraph) -> float:
+def edge_signatures(graph: Sentence) -> Counter[tuple[str, str, str]]:
+    """Multiset of (governor lemma, dependent lemma, relation) per edge."""
+    lemma = {t.index: t.lemma for t in graph.tokens}
+    return Counter((lemma[gov], lemma[dep], rel) for gov, dep, rel in graph.edges)
+
+
+def node_lemmas(graph: Sentence) -> Counter[str]:
+    """Multiset of node lemmas."""
+    return Counter(t.lemma for t in graph.tokens)
+
+
+def relation_coverage(gq: Sentence, ga: Sentence) -> float:
     """Matched edge signatures over question edge count; 0 for an edgeless question."""
-    if not gq.edges:
-        return 0.0
     sig_q = edge_signatures(gq)
+    if not sig_q:
+        return 0.0
     sig_a = edge_signatures(ga)
     matched = sum(min(count, sig_a[sig]) for sig, count in sig_q.items())
-    return matched / len(gq.edges)
+    return matched / sig_q.total()
 
 
-def vocabulary_coverage(gq: DependencyGraph, ga: DependencyGraph) -> float:
+def vocabulary_coverage(gq: Sentence, ga: Sentence) -> float:
     """Matched lemmas over question node count."""
-    if not gq.nodes:
+    if not gq.tokens:
         return 0.0
     lem_q = node_lemmas(gq)
     lem_a = node_lemmas(ga)
     matched = sum(min(count, lem_a[lemma]) for lemma, count in lem_q.items())
-    return matched / len(gq.nodes)
+    return matched / len(gq.tokens)
 
 
 def find_path(
@@ -68,21 +81,21 @@ def find_path(
     return up + down[-2::-1]
 
 
-def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph:
+def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
     """Answer sub-graph spanned by short paths between question-shared nodes.
 
     The shared node set holds every answer node whose lemma occurs in the
     question; for each unordered pair, the tree path joins the sub-graph when
-    it uses at most m edges.  The answer graph comes from build_graph, so it
-    is a tree and carries each node's depth.
+    it uses at most m edges.  The answer Sentence checked its tree when it
+    was built and holds each token's depth.
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
     question_lemmas = set(node_lemmas(gq))
-    common = [t.index for t in ga.nodes if t.lemma in question_lemmas]
+    common = [t.index for t in ga.tokens if t.lemma in question_lemmas]
     if len(common) < 2 or m == 0:
         return EMPTY_SUBGRAPH
-    parent = [0] + [t.head for t in ga.nodes]
+    parent = [0] + [t.head for t in ga.tokens]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for source, dest in combinations(common, 2):
@@ -93,12 +106,10 @@ def align_subgraph(gq: DependencyGraph, ga: DependencyGraph, m: int) -> SubGraph
     return SubGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
-def graph_coverage_features(
-    gq: DependencyGraph, ga: DependencyGraph, m: int
-) -> tuple[float, float]:
+def graph_coverage_features(gq: Sentence, ga: Sentence, m: int) -> tuple[float, float]:
     """(coverage vs answer edges, coverage vs question edges), both in [0, 1]."""
-    sub = align_subgraph(gq, ga, m)
-    n_sub = len(sub.edges)
-    cov_ans = n_sub / len(ga.edges) if ga.edges else 0.0
-    cov_ques = min(1.0, n_sub / len(gq.edges)) if gq.edges else 0.0
+    n_sub = len(align_subgraph(gq, ga, m).edges)
+    edges_a, edges_q = len(ga.edges), len(gq.edges)
+    cov_ans = n_sub / edges_a if edges_a else 0.0
+    cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0
     return cov_ans, cov_ques

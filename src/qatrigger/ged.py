@@ -1,6 +1,7 @@
 """Normalized graph edit distance between two dependency graphs.
 
-The distance is the bipartite approximation of Riesen & Bunke (2009): every
+Each graph is a parsed Sentence (tokens as nodes, `Sentence.edges` as
+edges).  The distance is the bipartite approximation of Riesen & Bunke (2009): every
 question node is either substituted by one answer node or deleted, and every
 answer node not substituted is inserted.  Node substitution cost is zero for
 equal lemmas and otherwise a POS-pair substitute weight; every cost
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .depgraph import DependencyGraph
+from .corpus import Sentence
 from .errors import IngestionError, parse_number
 
 UPOS_TAGS = (
@@ -110,12 +111,14 @@ class GedConfig:
     delete_cost: float = 1.0
 
 
-def _relation_counts(graph: DependencyGraph, columns: dict[str, int]) -> np.ndarray:
-    """Per node (in node order), the count of each relation on its incident edges."""
-    row = {t.index: i for i, t in enumerate(graph.nodes)}
+def _relation_counts(
+    graph: Sentence, edges: Sequence[tuple[int, int, str]], columns: dict[str, int]
+) -> np.ndarray:
+    """Per node (in token order), the count of each relation on its incident edges."""
+    row = {t.index: i for i, t in enumerate(graph.tokens)}
     width = len(columns)
-    cells = [row[gov] * width + columns[rel] for gov, _, rel in graph.edges]
-    cells += [row[dep] * width + columns[rel] for _, dep, rel in graph.edges]
+    cells = [row[gov] * width + columns[rel] for gov, _, rel in edges]
+    cells += [row[dep] * width + columns[rel] for _, dep, rel in edges]
     counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=len(row) * width)
     return counts.reshape(len(row), width)
 
@@ -127,7 +130,7 @@ def _ids(values: Sequence[str], vocabulary: dict[str, int]) -> np.ndarray:
 
 
 def build_cost_matrix(
-    gq: DependencyGraph, ga: DependencyGraph, config: GedConfig
+    gq: Sentence, ga: Sentence, config: GedConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edit costs of a graph pair: (n x m substitutions, n deletions, m insertions).
 
@@ -136,21 +139,22 @@ def build_cost_matrix(
     of the two nodes' incident relation multisets.  Deleting or inserting a
     node costs `delete_cost` plus `edge_weight` per incident edge.
     """
+    edges_q, edges_a = gq.edges, ga.edges
     relations: dict[str, int] = {}
-    for _, _, rel in gq.edges + ga.edges:
+    for _, _, rel in edges_q + edges_a:
         relations.setdefault(rel, len(relations))
-    counts_q = _relation_counts(gq, relations)
-    counts_a = _relation_counts(ga, relations)
+    counts_q = _relation_counts(gq, edges_q, relations)
+    counts_a = _relation_counts(ga, edges_a, relations)
 
     lemmas: dict[str, int] = {}
     same_lemma = (
-        _ids([t.lemma.lower() for t in gq.nodes], lemmas)[:, None]
-        == _ids([t.lemma.lower() for t in ga.nodes], lemmas)[None, :]
+        _ids([t.lemma.lower() for t in gq.tokens], lemmas)[:, None]
+        == _ids([t.lemma.lower() for t in ga.tokens], lemmas)[None, :]
     )
     tags_q: dict[str, int] = {}
     tags_a: dict[str, int] = {}
-    tag_q = _ids([t.upos for t in gq.nodes], tags_q)
-    tag_a = _ids([t.upos for t in ga.nodes], tags_a)
+    tag_q = _ids([t.upos for t in gq.tokens], tags_q)
+    tag_a = _ids([t.upos for t in ga.tokens], tags_a)
     table = config.pos_table
     pos_cost = np.asarray(
         [[table.cost(a, b) for b in tags_a] for a in tags_q], dtype=float
@@ -239,7 +243,7 @@ def solve_assignment(
 
 
 def graph_edit_distance(
-    gq: DependencyGraph, ga: DependencyGraph, config: GedConfig | None = None
+    gq: Sentence, ga: Sentence, config: GedConfig | None = None
 ) -> float:
     """Assignment-based edit distance, normalized to [0, 1].
 
@@ -248,7 +252,7 @@ def graph_edit_distance(
     score 0, and an empty question against any answer scores 1.
     """
     cfg = config or GedConfig()
-    if not gq.nodes and not ga.nodes:
+    if not gq.tokens and not ga.tokens:
         return 0.0
     substitution, deletion, insertion = build_cost_matrix(gq, ga, cfg)
     reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])

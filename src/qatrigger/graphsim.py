@@ -1,10 +1,11 @@
 """TF-IDF weighted similarity between dependency graphs.
 
-Each graph is rendered as a weighted vector at three granularities: node
-lemmas (word), governor|dependent lemma pairs (pair), and pairs extended
-with the relation label (triplet).  Weights are tf * idf with
-idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's threshold
-are dropped, and similarity is the cosine of the surviving vectors.
+Each graph, a parsed Sentence, is rendered as a weighted vector at three
+granularities: node lemmas (word), governor|dependent lemma pairs (pair),
+and pairs extended with the relation label (triplet).  Weights are tf * idf
+with idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's
+threshold are dropped, and similarity is the cosine of the surviving
+vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Sentence
-from .depgraph import DependencyGraph, build_graph
 from .errors import IngestionError, parse_number
 
 LEVELS = ("word", "pair", "triplet")
@@ -43,11 +43,11 @@ class DfTable:
         return math.log((self.n_docs + 1) / (self.df.get(key, 0) + 1)) + 1.0
 
 
-def extract_keys(graph: DependencyGraph, level: str) -> Counter[str]:
+def extract_keys(graph: Sentence, level: str) -> Counter[str]:
     """Multiset of keys of a graph at one level."""
     if level == "word":
-        return Counter(t.lemma for t in graph.nodes)
-    lemma = {t.index: t.lemma for t in graph.nodes}
+        return Counter(t.lemma for t in graph.tokens)
+    lemma = {t.index: t.lemma for t in graph.tokens}
     if level == "pair":
         return Counter(f"{lemma[gov]}|{lemma[dep]}" for gov, dep, _ in graph.edges)
     if level == "triplet":
@@ -58,21 +58,25 @@ def extract_keys(graph: DependencyGraph, level: str) -> Counter[str]:
 
 
 def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
-    """Count each parsed sentence as one document, building its graph once
-    for all three levels."""
+    """Count each parsed sentence as one document at all three levels.
+
+    An unparsed sentence raises ValueError rather than count as an empty
+    document.
+    """
     df: dict[str, Counter[str]] = {level: Counter() for level in LEVELS}
     n_docs = 0
     for sentence in sentences:
+        if not sentence.parsed:
+            raise ValueError(f"sentence {sentence.sentence_id!r} has no parse")
         n_docs += 1
-        graph = build_graph(sentence)
         for level in LEVELS:
-            df[level].update(extract_keys(graph, level).keys())
+            df[level].update(extract_keys(sentence, level).keys())
     if n_docs == 0:
         raise ValueError("cannot build a DF table from zero sentences")
     return {level: DfTable(level=level, n_docs=n_docs, df=dict(df[level])) for level in LEVELS}
 
 
-def tfidf_vector(graph: DependencyGraph, table: DfTable, alpha: float) -> dict[str, float]:
+def tfidf_vector(graph: Sentence, table: DfTable, alpha: float) -> dict[str, float]:
     """tf * idf weights per key, keeping only weights strictly above alpha."""
     vector: dict[str, float] = {}
     for key, tf in sorted(extract_keys(graph, table.level).items()):
@@ -96,8 +100,8 @@ def cosine(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
 
 
 def graph_similarity_features(
-    gq: DependencyGraph,
-    ga: DependencyGraph,
+    gq: Sentence,
+    ga: Sentence,
     tables: Mapping[str, DfTable],
     alphas: tuple[float, float, float],
 ) -> tuple[float, float, float]:

@@ -4,7 +4,6 @@ import pytest
 
 from qatrigger.corpus import Sentence, Token
 from qatrigger.coverage import find_path
-from qatrigger.depgraph import build_graph
 
 from oracles import adjacency, bfs_distances, tree_arrays
 
@@ -53,16 +52,6 @@ def answer_sentence():
             ("asphyxiation", "asphyxiation", "NOUN", 3, "obl"),
         ],
     )
-
-
-@pytest.fixture
-def question_graph(question_sentence):
-    return build_graph(question_sentence)
-
-
-@pytest.fixture
-def answer_graph(answer_sentence):
-    return build_graph(answer_sentence)
 
 
 @pytest.fixture

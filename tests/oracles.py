@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here deliberately avoids the library's own code paths: the
-assignment oracle enumerates permutations, the edit-distance oracle
-enumerates partial injections, paths come from plain BFS, and the formula
-oracles transcribe the defining equations directly.  The threshold oracle
-scores every candidate threshold with a full triggering report, whose
-metrics acceptance criterion 5 checks against exact rationals.
+Everything here but `prob` deliberately avoids the library's own code
+paths: the assignment oracle enumerates permutations, the edit-distance
+oracle enumerates partial injections, paths come from plain BFS, and the
+formula oracles transcribe the defining equations directly.  Graph oracles
+take a parsed Sentence and derive its edges from the token heads themselves.
+The threshold oracle scores every candidate threshold with a full triggering
+report, whose metrics acceptance criterion 5 checks against exact rationals.
 """
 
 from __future__ import annotations
@@ -14,7 +15,23 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
+
+from qatrigger.combiner import sigmoid
 from qatrigger.evaluation import top_candidate, triggering_report
+
+
+def head_edges(sentence) -> list[tuple[int, int, str]]:
+    """(governor, dependent, relation) for every token with a head."""
+    return [(t.head, t.index, t.deprel) for t in sentence.tokens if t.head != 0]
+
+
+def prob(model, x) -> float:
+    """Trigger probability of one feature row through the model's own
+    standardization: the per-row reference TriggerModel.scores must equal
+    bitwise."""
+    z = model.standardize(x)
+    return sigmoid(float(np.dot(model.weights, z)) + model.bias)
 
 
 def brute_force_assignment(matrix) -> float:
@@ -31,16 +48,16 @@ def brute_force_assignment(matrix) -> float:
 
 
 def _incident(graph) -> dict[int, Counter]:
-    rels: dict[int, Counter] = {t.index: Counter() for t in graph.nodes}
-    for gov, dep, rel in graph.edges:
+    rels: dict[int, Counter] = {t.index: Counter() for t in graph.tokens}
+    for gov, dep, rel in head_edges(graph):
         rels[gov][rel] += 1
         rels[dep][rel] += 1
     return rels
 
 
 def _degree(graph) -> dict[int, int]:
-    deg = {t.index: 0 for t in graph.nodes}
-    for gov, dep, _ in graph.edges:
+    deg = {t.index: 0 for t in graph.tokens}
+    for gov, dep, _ in head_edges(graph):
         deg[gov] += 1
         deg[dep] += 1
     return deg
@@ -48,8 +65,8 @@ def _degree(graph) -> dict[int, int]:
 
 def brute_force_ged(gq, ga, pos_table, edge_weight, delete_cost) -> float:
     """Normalized edit distance by enumerating every partial injection."""
-    nodes_q = list(gq.nodes)
-    nodes_a = list(ga.nodes)
+    nodes_q = list(gq.tokens)
+    nodes_a = list(ga.tokens)
     rels_q, rels_a = _incident(gq), _incident(ga)
     deg_q, deg_a = _degree(gq), _degree(ga)
 
@@ -110,8 +127,8 @@ def bfs_distances(adjacency, source) -> dict[int, int]:
 
 def adjacency(graph) -> dict[int, set[int]]:
     """Symmetric adjacency over node indices, ignoring edge direction."""
-    neighbors: dict[int, set[int]] = {t.index: set() for t in graph.nodes}
-    for gov, dep, _ in graph.edges:
+    neighbors: dict[int, set[int]] = {t.index: set() for t in graph.tokens}
+    for gov, dep, _ in head_edges(graph):
         neighbors[gov].add(dep)
         neighbors[dep].add(gov)
     return neighbors
@@ -121,12 +138,12 @@ def tree_arrays(graph) -> tuple[list[int], list[int]]:
     """(parent, depth) lists indexed by token, slot 0 the virtual root.
 
     Depth is the BFS hop count from the root token plus one, so the root
-    token sits at depth 1 as in DependencyGraph.depth.
+    token sits at depth 1 as in Sentence.depth.
     """
-    parent = [0] * (len(graph.nodes) + 1)
-    for gov, dep, _ in graph.edges:
+    parent = [0] * (len(graph.tokens) + 1)
+    for gov, dep, _ in head_edges(graph):
         parent[dep] = gov
-    root = next(t.index for t in graph.nodes if t.head == 0)
+    root = next(t.index for t in graph.tokens if t.head == 0)
     depth = [0] * len(parent)
     for node, hops in bfs_distances(adjacency(graph), root).items():
         depth[node] = hops + 1
@@ -140,7 +157,7 @@ def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, in
     Trees have one path per pair, so the BFS path is the aligned one.
     """
     neighbors = adjacency(graph)
-    common = [t.index for t in graph.nodes if t.lemma in question_lemmas]
+    common = [t.index for t in graph.tokens if t.lemma in question_lemmas]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for idx, s in enumerate(common):

@@ -20,7 +20,6 @@ from qatrigger.cli import main
 from qatrigger.combiner import loss_and_gradient, sigmoid
 from qatrigger.corpus import attach_parses, load_wikiqa
 from qatrigger.coverage import align_subgraph
-from qatrigger.depgraph import build_graph
 from qatrigger.evaluation import (
     ScoredGroup,
     top_candidate,
@@ -37,6 +36,8 @@ from oracles import (
     brute_force_ged,
     direct_bm25,
     direct_ngram_score,
+    head_edges,
+    prob,
 )
 
 
@@ -60,7 +61,7 @@ def test_criterion_1_assignment_matches_permutation_oracle():
 def test_criterion_2_shortest_paths_match_bfs_oracle():
     rng = np.random.default_rng(103)
     checked = sum(
-        check_tree_paths_against_bfs(build_graph(random_tree_sentence(rng, max_nodes=12)))
+        check_tree_paths_against_bfs(random_tree_sentence(rng, max_nodes=12))
         for _ in range(500)
     )
     report(2, f"find_path equals the BFS tree path within m on 500 random trees ({checked} paths)")
@@ -70,8 +71,8 @@ def test_criterion_3_ged_identity_symmetry_range():
     rng = np.random.default_rng(107)
     config = GedConfig()
     for _ in range(200):
-        gq = build_graph(random_tree_sentence(rng, max_nodes=8))
-        ga = build_graph(random_tree_sentence(rng, max_nodes=8))
+        gq = random_tree_sentence(rng, max_nodes=8)
+        ga = random_tree_sentence(rng, max_nodes=8)
         assert graph_edit_distance(gq, gq, config) == 0.0
         assert graph_edit_distance(ga, ga, config) == 0.0
         forward = graph_edit_distance(gq, ga, config)
@@ -85,8 +86,8 @@ def test_criterion_4_subgraph_monotone_in_m():
     rng = np.random.default_rng(109)
     pool = ["die", "win", "sun", "man", "run"]
     for _ in range(200):
-        gq = build_graph(random_tree_sentence(rng, max_nodes=6, lemma_pool=pool))
-        ga = build_graph(random_tree_sentence(rng, max_nodes=8, lemma_pool=pool))
+        gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
+        ga = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool)
         at_zero = align_subgraph(gq, ga, 0)
         assert not at_zero.nodes and not at_zero.edges
         previous = at_zero
@@ -243,7 +244,7 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
     _, dev_keys, dev_matrix = read_features(first_dir / "f_dev.tsv")
     model_groups = {}
     for (qid, cid, label), values in zip(dev_keys, dev_matrix):
-        model_groups.setdefault(qid, []).append((cid, model.prob(values), label))
+        model_groups.setdefault(qid, []).append((cid, prob(model, values), label))
     model_f1 = tune_threshold(
         [ScoredGroup(q, tuple(c)) for q, c in model_groups.items()]
     )[1]
@@ -287,20 +288,19 @@ def test_criterion_9_real_wikiqa_split_sizes():
 class TestGoldenFeaturesAgainstOracles:
     """The committed golden feature file must agree with independent oracles."""
 
-    def _oracle_features(self, question, answer, pos_table, df_tables, n_docs):
-        gq = build_graph(question)
-        ga = build_graph(answer)
-        lemma_q = {t.index: t.lemma for t in gq.nodes}
-        lemma_a = {t.index: t.lemma for t in ga.nodes}
+    def _oracle_features(self, gq, ga, pos_table, df_tables, n_docs):
+        lemma_q = {t.index: t.lemma for t in gq.tokens}
+        lemma_a = {t.index: t.lemma for t in ga.tokens}
+        edges_q, edges_a = head_edges(gq), head_edges(ga)
 
         ged = brute_force_ged(gq, ga, pos_table, 0.5, 1.0)
 
         def keys(graph, lemma, level):
             if level == "word":
-                return [t.lemma for t in graph.nodes]
+                return [t.lemma for t in graph.tokens]
             if level == "pair":
-                return [f"{lemma[g]}|{lemma[d]}" for g, d, _ in graph.edges]
-            return [f"{lemma[g]}|{lemma[d]}|{r}" for g, d, r in graph.edges]
+                return [f"{lemma[g]}|{lemma[d]}" for g, d, _ in head_edges(graph)]
+            return [f"{lemma[g]}|{lemma[d]}|{r}" for g, d, r in head_edges(graph)]
 
         sims = []
         for level in ("word", "pair", "triplet"):
@@ -324,21 +324,21 @@ class TestGoldenFeaturesAgainstOracles:
                 / math.sqrt(sum(w * w for w in va.values()))
             )
 
-        sig_q = Counter((lemma_q[g], lemma_q[d], r) for g, d, r in gq.edges)
-        sig_a = Counter((lemma_a[g], lemma_a[d], r) for g, d, r in ga.edges)
+        sig_q = Counter((lemma_q[g], lemma_q[d], r) for g, d, r in edges_q)
+        sig_a = Counter((lemma_a[g], lemma_a[d], r) for g, d, r in edges_a)
         rel_cov = (
-            sum(min(c, sig_a[s]) for s, c in sig_q.items()) / len(gq.edges)
-            if gq.edges
+            sum(min(c, sig_a[s]) for s, c in sig_q.items()) / len(edges_q)
+            if edges_q
             else 0.0
         )
 
         lem_q = Counter(lemma_q.values())
         lem_a = Counter(lemma_a.values())
-        vocab_cov = sum(min(c, lem_a[w]) for w, c in lem_q.items()) / len(gq.nodes)
+        vocab_cov = sum(min(c, lem_a[w]) for w, c in lem_q.items()) / len(gq.tokens)
 
         _, edges = bfs_subgraph(ga, set(lemma_q.values()), 3)
-        cov_ans = len(edges) / len(ga.edges) if ga.edges else 0.0
-        cov_ques = min(1.0, len(edges) / len(gq.edges)) if gq.edges else 0.0
+        cov_ans = len(edges) / len(edges_a) if edges_a else 0.0
+        cov_ques = min(1.0, len(edges) / len(edges_q)) if edges_q else 0.0
 
         return [ged, sims[0], sims[1], sims[2], rel_cov, cov_ans, cov_ques, vocab_cov]
 
@@ -356,14 +356,13 @@ class TestGoldenFeaturesAgainstOracles:
         for level in ("word", "pair", "triplet"):
             df: Counter = Counter()
             for sentence in sentences:
-                graph = build_graph(sentence)
-                lemma = {t.index: t.lemma for t in graph.nodes}
+                lemma = {t.index: t.lemma for t in sentence.tokens}
                 if level == "word":
-                    ks = {t.lemma for t in graph.nodes}
+                    ks = {t.lemma for t in sentence.tokens}
                 elif level == "pair":
-                    ks = {f"{lemma[g]}|{lemma[d]}" for g, d, _ in graph.edges}
+                    ks = {f"{lemma[g]}|{lemma[d]}" for g, d, _ in head_edges(sentence)}
                 else:
-                    ks = {f"{lemma[g]}|{lemma[d]}|{r}" for g, d, r in graph.edges}
+                    ks = {f"{lemma[g]}|{lemma[d]}|{r}" for g, d, r in head_edges(sentence)}
                 for k in ks:
                     df[k] += 1
             df_tables[level] = dict(df)

@@ -438,6 +438,13 @@ ROOT_ROW = "1\tc\tc\tVERB\tVB\t_\t0\troot\t_\t_\n"
 GOOD_CONLLU = f"# sent_id = q\n{ROOT_ROW}\n# sent_id = s\n{ROOT_ROW}"
 GOOD_INDEX = "q\tQ1\ns\tS1\n"
 
+
+def _conllu_with_token_id(token_id):
+    """GOOD_CONLLU with a second token, on line 3, under the given id."""
+    row = f"{token_id}\tb\tb\tNOUN\tNN\t_\t1\tdep\t_\t_\n"
+    return GOOD_CONLLU.replace(ROOT_ROW, ROOT_ROW + row, 1)
+
+
 # (file kind, case, malformed content, expected message after the path).
 MALFORMED_INPUTS = [
     ("features", "duplicate-pair", GOOD_FEATURES + "q1\tc1\t0\t0.5\n",
@@ -454,6 +461,12 @@ MALFORMED_INPUTS = [
      "line 2: expected 10 columns, got 4"),
     ("conllu", "duplicate-sent-id", GOOD_CONLLU + f"\n# sent_id = q\n{ROOT_ROW}",
      "duplicate sent_id 'q'"),
+    ("conllu", "id-minus-1", _conllu_with_token_id("-1"),
+     "sentence 'Q1': token index -1 out of range 1..2"),
+    ("conllu", "id-open-range", _conllu_with_token_id("1-"), "line 3: non-numeric id or head"),
+    ("conllu", "id-fraction", _conllu_with_token_id(".5"), "line 3: non-numeric id or head"),
+    ("conllu", "id-three-part-range", _conllu_with_token_id("1-2-3"),
+     "line 3: non-numeric id or head"),
     ("index", "duplicate-mapping", "q\tQ1\nq\tS1\n",
      "line 2: duplicate mapping for 'q'"),
 ]

@@ -29,12 +29,12 @@ from qatrigger.combiner import (
 from qatrigger.cli import main, read_features
 from qatrigger.corpus import QuestionGroup, Sentence, load_wikiqa
 from qatrigger.coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
-from qatrigger.depgraph import build_graph
 from qatrigger.errors import ConfigError
 from qatrigger.ged import graph_edit_distance
 from qatrigger.graphsim import DfTable, graph_similarity_features
 
 from conftest import make_sentence
+from oracles import prob
 
 
 def one_candidate(question, answer, qid="q1", cid="a1"):
@@ -52,17 +52,16 @@ def uniform_tables():
 
 def per_module_features(question, answer, key, resources, pool):
     """All twelve features of one pair, each from its own module, by name."""
-    gq, ga = build_graph(question), build_graph(answer)
     q_tokens, a_tokens = tokenize(question.text), tokenize(answer.text)
-    sims = graph_similarity_features(gq, ga, resources.df_tables, resources.alphas)
-    cov = graph_coverage_features(gq, ga, resources.subgraph_m)
+    sims = graph_similarity_features(question, answer, resources.df_tables, resources.alphas)
+    cov = graph_coverage_features(question, answer, resources.subgraph_m)
     values = [
         resources.scores[key],
-        graph_edit_distance(gq, ga, resources.ged_config),
+        graph_edit_distance(question, answer, resources.ged_config),
         *sims,
-        relation_coverage(gq, ga),
+        relation_coverage(question, answer),
         *cov,
-        vocabulary_coverage(gq, ga),
+        vocabulary_coverage(question, answer),
         bm25_score(q_tokens, a_tokens, pool, resources.k1, resources.b),
         ngram_score(q_tokens, a_tokens, resources.n_max),
         semantic_similarity(q_tokens, a_tokens, resources.embeddings),
@@ -110,8 +109,8 @@ class TestExtractFeatures:
         [values] = extract_features(fig_group, resources, DEFAULT_MANIFEST)
         assert len(values) == 8
 
-        gq = build_graph(fig_group.question)
-        ga = build_graph(fig_group.candidates[0][1])
+        gq = fig_group.question
+        ga = fig_group.candidates[0][1]
         sims = graph_similarity_features(gq, ga, uniform_tables(), (0.0, 0.0, 0.0))
         cov = graph_coverage_features(gq, ga, resources.subgraph_m)
         expected = [
@@ -199,17 +198,12 @@ class TestExtractFeatures:
     def test_each_sentence_built_and_tokenized_once(
         self, manifest, mini_dir, tmp_path, monkeypatch
     ):
-        built, tokenized = Counter(), Counter()
-
-        def counting_build_graph(sentence):
-            built[sentence.sentence_id] += 1
-            return build_graph(sentence)
+        tokenized = Counter()
 
         def counting_tokenize(text):
             tokenized[text] += 1
             return tokenize(text)
 
-        monkeypatch.setattr(combiner, "build_graph", counting_build_graph)
         monkeypatch.setattr(combiner, "tokenize", counting_tokenize)
         assert main([
             "--config", str(mini_dir / "config.ini"),
@@ -221,7 +215,6 @@ class TestExtractFeatures:
         sentences = [g.question for g in groups]
         sentences += [s for g in groups for _, s, _ in g.candidates]
         assert len(sentences) == 56
-        assert built == Counter(s.sentence_id for s in sentences)
         lexical = manifest == FEATURE_NAMES
         assert tokenized == (Counter(s.text for s in sentences) if lexical else Counter())
 
@@ -254,7 +247,7 @@ class TestTrain:
     def test_separable_set_reaches_full_accuracy(self):
         x, y = separable_dataset()
         model = train(x, y, ("f1", "f2"), TrainConfig(lr=0.1, epochs=200, l2=1e-4))
-        predictions = [1 if model.prob(row) > 0.5 else 0 for row in x]
+        predictions = [1 if prob(model, row) > 0.5 else 0 for row in x]
         assert predictions == y
 
     def test_duplicated_dataset_trains_identically(self):
@@ -301,8 +294,8 @@ class TestTrain:
         model = train(x, y, ("f1", "f2"))
         model_scaled = train(scaled, y, ("f1", "f2"))
         for row, row_scaled in zip(x, scaled):
-            assert model.prob(row) == pytest.approx(
-                model_scaled.prob(row_scaled), abs=1e-9
+            assert prob(model, row) == pytest.approx(
+                prob(model_scaled, row_scaled), abs=1e-9
             )
 
     def test_constant_feature_is_ignored(self):
@@ -310,7 +303,7 @@ class TestTrain:
         y = [0, 0, 1, 1]
         model = train(x, y, ("f1", "const"))
         assert model.stds[1] == 0.0
-        assert model.prob([2.5, 999.0]) == model.prob([2.5, -999.0])
+        assert prob(model, [2.5, 999.0]) == prob(model, [2.5, -999.0])
 
 
 class TestGradient:
@@ -358,7 +351,7 @@ class TestModelIO:
         x, y = separable_dataset()
         model = train(x, y, ("f1", "f2"))
         with pytest.raises(ValueError):
-            model.prob([1.0, 2.0, 3.0])
+            prob(model, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             model.scores(np.zeros((4, 3)))
 
@@ -374,7 +367,7 @@ class TestScores:
             model = train(x, y, tuple(f"f{i}" for i in range(k)))
             assert model.stds[k // 2] == 0.0
             probe = rng.normal(0.0, 3.0, size=(300, k))
-            assert model.scores(probe) == [model.prob(row) for row in probe]
+            assert model.scores(probe) == [prob(model, row) for row in probe]
 
     def test_matrix_standardization_equals_per_row(self):
         x, y = separable_dataset()

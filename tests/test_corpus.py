@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qatrigger.corpus import (
@@ -6,9 +7,12 @@ from qatrigger.corpus import (
     attach_parses,
     load_scores,
     load_wikiqa,
-    save_wikiqa,
 )
+from qatrigger.coverage import edge_signatures, node_lemmas
 from qatrigger.errors import IngestionError
+
+from conftest import make_sentence, random_tree_sentence
+from oracles import head_edges, tree_arrays
 
 HEADER = "QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\tLabel\n"
 
@@ -16,6 +20,16 @@ HEADER = "QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def save_wikiqa(groups, path):
+    """Write groups back to the 7-column TSV layout (placeholder doc fields)."""
+    rows = [
+        f"{g.question_id}\t{g.question.text}\tD0\t-\t{cid}\t{sent.text}\t{label}\n"
+        for g in groups
+        for cid, sent, label in g.candidates
+    ]
+    write(path, HEADER + "".join(rows))
 
 
 def test_three_row_file_single_group(tmp_path):
@@ -187,8 +201,6 @@ def test_non_tree_rejected_when_sentence_is_built(tmp_path, rows, message):
     with pytest.raises(ValueError) as built:
         Sentence("S1", "w", tokens)
     assert str(built.value) == message
-    if any(i < 0 for i, _ in rows):
-        return  # a CoNLL-U id containing "-" is a multi-word range, skipped on reading
     corpus = write(tmp_path / "c.tsv", "Q1\tw\tD\tt\tS1\tw\t0\n")
     good = "1\tw\tw\tNOUN\tNN\t_\t0\troot\t_\t_\n"
     bad = "".join(f"{i}\tw\tw\tNOUN\tNN\t_\t{head}\tdep\t_\t_\n" for i, head in rows)
@@ -231,6 +243,66 @@ def test_attach_parses_mini_corpus_invariants(mini_dir):
             assert sum(1 for t in sentence.tokens if t.head == 0) == 1
             assert all(0 <= t.head <= n and t.head != t.index for t in sentence.tokens)
             assert all(t.lemma for t in sentence.tokens)
+
+
+def test_fig_style_question_graph(question_sentence):
+    assert ("carradine", "david", "compound") in edge_signatures(question_sentence)
+    assert len(question_sentence.edges) == len(question_sentence.tokens) - 1
+
+
+def test_single_token_sentence():
+    sentence = make_sentence("s", [("go", "go", "VERB", 0, "root")])
+    assert len(sentence.tokens) == 1
+    assert sentence.edges == ()
+    assert Sentence("s", "go").edges == ()
+
+
+def test_five_token_fixture_edges():
+    sentence = make_sentence(
+        "s",
+        [
+            ("the", "the", "DET", 2, "det"),
+            ("dog", "dog", "NOUN", 3, "nsubj"),
+            ("bit", "bite", "VERB", 0, "root"),
+            ("the", "the", "DET", 5, "det"),
+            ("man", "man", "NOUN", 3, "obj"),
+        ],
+    )
+    assert sentence.edges == (
+        (2, 1, "det"),
+        (3, 2, "nsubj"),
+        (5, 4, "det"),
+        (3, 5, "obj"),
+    )
+
+
+def test_edge_signature_multiset_counts_repeats():
+    sentence = make_sentence(
+        "s",
+        [
+            ("run", "run", "VERB", 0, "root"),
+            ("fast", "fast", "ADV", 1, "advmod"),
+            ("fast", "fast", "ADV", 1, "advmod"),
+        ],
+    )
+    assert edge_signatures(sentence)[("run", "fast", "advmod")] == 2
+
+
+def test_graph_depth_matches_bfs_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        sentence = random_tree_sentence(rng, max_nodes=10, relabel=True)
+        assert list(sentence.depth) == tree_arrays(sentence)[1]
+
+
+def test_random_trees_satisfy_tree_property():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        sentence = random_tree_sentence(rng, max_nodes=10, relabel=True)
+        assert len(sentence.edges) == len(sentence.tokens) - 1
+        assert list(sentence.edges) == head_edges(sentence)
+        assert all(gov != dep for gov, dep, _ in sentence.edges)
+        assert sum(node_lemmas(sentence).values()) == len(sentence.tokens)
 
 
 def test_lemma_falls_back_to_lowercased_form(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qatrigger.corpus import Sentence
 from qatrigger.coverage import (
     SubGraph,
     align_subgraph,
@@ -9,10 +12,9 @@ from qatrigger.coverage import (
     relation_coverage,
     vocabulary_coverage,
 )
-from qatrigger.depgraph import build_graph
 
 from conftest import check_tree_paths_against_bfs, make_sentence, random_tree_sentence
-from oracles import bfs_subgraph, tree_arrays
+from oracles import bfs_subgraph, head_edges, tree_arrays
 
 
 def chain(*lemmas):
@@ -21,12 +23,12 @@ def chain(*lemmas):
         head = 0 if i == 1 else i - 1
         rel = "root" if i == 1 else "dep"
         rows.append((lemma, lemma, "NOUN", head, rel))
-    return build_graph(make_sentence("chain", rows))
+    return make_sentence("chain", rows)
 
 
 class TestRelationCoverage:
-    def test_identical_graphs(self, question_graph):
-        assert relation_coverage(question_graph, question_graph) == 1.0
+    def test_identical_graphs(self, question_sentence):
+        assert relation_coverage(question_sentence, question_sentence) == 1.0
 
     def test_no_shared_signatures(self):
         g1 = chain("a", "b")
@@ -34,27 +36,23 @@ class TestRelationCoverage:
         assert relation_coverage(g1, g2) == 0.0
 
     def test_half_matched(self):
-        gq = build_graph(
-            make_sentence(
-                "q",
-                [
-                    ("a", "a", "NOUN", 5, "nsubj"),
-                    ("b", "b", "NOUN", 5, "obj"),
-                    ("c", "c", "NOUN", 5, "obl"),
-                    ("d", "d", "NOUN", 5, "advmod"),
-                    ("e", "e", "VERB", 0, "root"),
-                ],
-            )
+        gq = make_sentence(
+            "q",
+            [
+                ("a", "a", "NOUN", 5, "nsubj"),
+                ("b", "b", "NOUN", 5, "obj"),
+                ("c", "c", "NOUN", 5, "obl"),
+                ("d", "d", "NOUN", 5, "advmod"),
+                ("e", "e", "VERB", 0, "root"),
+            ],
         )
-        ga = build_graph(
-            make_sentence(
-                "a",
-                [
-                    ("a", "a", "NOUN", 3, "nsubj"),
-                    ("b", "b", "NOUN", 3, "obj"),
-                    ("e", "e", "VERB", 0, "root"),
-                ],
-            )
+        ga = make_sentence(
+            "a",
+            [
+                ("a", "a", "NOUN", 3, "nsubj"),
+                ("b", "b", "NOUN", 3, "obj"),
+                ("e", "e", "VERB", 0, "root"),
+            ],
         )
         # answer edges (e,a,nsubj) and (e,b,obj) match two of four question edges
         assert relation_coverage(gq, ga) == 0.5
@@ -64,20 +62,20 @@ class TestRelationCoverage:
         g2 = chain("x", "y")
         assert relation_coverage(g1, g2) == 0.0
 
-    def test_fig_pair(self, question_graph, answer_graph):
+    def test_fig_pair(self, question_sentence, answer_sentence):
         # compound and nsubj edges match; advmod and aux have no counterpart
-        assert relation_coverage(question_graph, answer_graph) == 0.5
+        assert relation_coverage(question_sentence, answer_sentence) == 0.5
 
 
 class TestVocabularyCoverage:
-    def test_identical(self, question_graph):
-        assert vocabulary_coverage(question_graph, question_graph) == 1.0
+    def test_identical(self, question_sentence):
+        assert vocabulary_coverage(question_sentence, question_sentence) == 1.0
 
     def test_disjoint(self):
         assert vocabulary_coverage(chain("a", "b"), chain("c", "d")) == 0.0
 
-    def test_fig_pair_three_of_five(self, question_graph, answer_graph):
-        assert vocabulary_coverage(question_graph, answer_graph) == pytest.approx(0.6)
+    def test_fig_pair_three_of_five(self, question_sentence, answer_sentence):
+        assert vocabulary_coverage(question_sentence, answer_sentence) == pytest.approx(0.6)
 
     def test_repeated_lemmas_match_one_to_one(self):
         gq = chain("go", "go", "go")
@@ -89,18 +87,16 @@ def interior_ancestor_graph():
     # a(1) -> p(2) -> mid(3) <- q(4) <- b(5), with mid under the root r(6):
     # the a..b path has 4 edges and turns at the interior node 3, and heads
     # point both forward and backward.
-    return build_graph(
-        make_sentence(
-            "fork",
-            [
-                ("a", "a", "NOUN", 2, "nmod"),
-                ("p", "p", "NOUN", 3, "nmod"),
-                ("mid", "mid", "NOUN", 6, "obj"),
-                ("q", "q", "NOUN", 3, "nmod"),
-                ("b", "b", "NOUN", 4, "nmod"),
-                ("r", "r", "VERB", 0, "root"),
-            ],
-        )
+    return make_sentence(
+        "fork",
+        [
+            ("a", "a", "NOUN", 2, "nmod"),
+            ("p", "p", "NOUN", 3, "nmod"),
+            ("mid", "mid", "NOUN", 6, "obj"),
+            ("q", "q", "NOUN", 3, "nmod"),
+            ("b", "b", "NOUN", 4, "nmod"),
+            ("r", "r", "VERB", 0, "root"),
+        ],
     )
 
 
@@ -128,30 +124,30 @@ class TestFindPath:
         rng = np.random.default_rng(17)
         for _ in range(100):
             check_tree_paths_against_bfs(
-                build_graph(random_tree_sentence(rng, max_nodes=12, relabel=True))
+                random_tree_sentence(rng, max_nodes=12, relabel=True)
             )
 
 
 class TestAlignSubgraph:
-    def test_single_common_node_gives_empty(self, answer_graph):
+    def test_single_common_node_gives_empty(self, answer_sentence):
         gq = chain("david")
-        sub = align_subgraph(gq, answer_graph, 3)
+        sub = align_subgraph(gq, answer_sentence, 3)
         assert not sub.nodes and not sub.edges
 
-    def test_m_zero_gives_empty(self, question_graph, answer_graph):
-        sub = align_subgraph(question_graph, answer_graph, 0)
+    def test_m_zero_gives_empty(self, question_sentence, answer_sentence):
+        sub = align_subgraph(question_sentence, answer_sentence, 0)
         assert not sub.nodes and not sub.edges
 
-    def test_fig_pair_connects_shared_nodes(self, question_graph, answer_graph):
-        sub = align_subgraph(question_graph, answer_graph, 3)
+    def test_fig_pair_connects_shared_nodes(self, question_sentence, answer_sentence):
+        sub = align_subgraph(question_sentence, answer_sentence, 3)
         # david(1), carradine(2), died(3) in the answer graph
         assert sub.nodes == frozenset({1, 2, 3})
         assert sub.edges == frozenset({(1, 2), (2, 3)})
 
-    def test_subgraph_edges_are_answer_edges(self, question_graph, answer_graph):
-        sub = align_subgraph(question_graph, answer_graph, 4)
+    def test_subgraph_edges_are_answer_edges(self, question_sentence, answer_sentence):
+        sub = align_subgraph(question_sentence, answer_sentence, 4)
         undirected = {
-            (min(g, d), max(g, d)) for g, d, _ in answer_graph.edges
+            (min(g, d), max(g, d)) for g, d, _ in answer_sentence.edges
         }
         assert sub.edges <= undirected
         assert all(a in sub.nodes and b in sub.nodes for a, b in sub.edges)
@@ -160,8 +156,8 @@ class TestAlignSubgraph:
         rng = np.random.default_rng(31)
         pool = ["die", "win", "sun", "man"]
         for _ in range(50):
-            gq = build_graph(random_tree_sentence(rng, max_nodes=6, lemma_pool=pool))
-            ga = build_graph(random_tree_sentence(rng, max_nodes=8, lemma_pool=pool))
+            gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
+            ga = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool)
             previous = align_subgraph(gq, ga, 0)
             for m in range(1, 5):
                 current = align_subgraph(gq, ga, m)
@@ -173,11 +169,9 @@ class TestAlignSubgraph:
         rng = np.random.default_rng(41)
         pool = ["die", "win", "sun", "man", "run"]
         for _ in range(1000):
-            gq = build_graph(random_tree_sentence(rng, max_nodes=6, lemma_pool=pool))
-            ga = build_graph(
-                random_tree_sentence(rng, max_nodes=10, lemma_pool=pool, relabel=True)
-            )
-            lemmas = {t.lemma for t in gq.nodes}
+            gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
+            ga = random_tree_sentence(rng, max_nodes=10, lemma_pool=pool, relabel=True)
+            lemmas = {t.lemma for t in gq.tokens}
             for m in range(6):
                 nodes, edges = bfs_subgraph(ga, lemmas, m)
                 assert align_subgraph(gq, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
@@ -203,9 +197,9 @@ class TestAlignSubgraph:
                 ],
             )
 
-    def test_negative_m_rejected(self, question_graph, answer_graph):
+    def test_negative_m_rejected(self, question_sentence, answer_sentence):
         with pytest.raises(ValueError):
-            align_subgraph(question_graph, answer_graph, -1)
+            align_subgraph(question_sentence, answer_sentence, -1)
 
 
 class TestGraphCoverage:
@@ -218,8 +212,8 @@ class TestGraphCoverage:
         g = chain("a", "b", "c")
         assert graph_coverage_features(g, g, 3) == (1.0, 1.0)
 
-    def test_fig_pair_ratios(self, question_graph, answer_graph):
-        cov_ans, cov_ques = graph_coverage_features(question_graph, answer_graph, 3)
+    def test_fig_pair_ratios(self, question_sentence, answer_sentence):
+        cov_ans, cov_ques = graph_coverage_features(question_sentence, answer_sentence, 3)
         assert cov_ans == pytest.approx(2 / 9)
         assert cov_ques == pytest.approx(2 / 4)
 
@@ -235,8 +229,30 @@ class TestGraphCoverage:
         rng = np.random.default_rng(37)
         pool = ["die", "win", "sun"]
         for _ in range(50):
-            gq = build_graph(random_tree_sentence(rng, max_nodes=5, lemma_pool=pool))
-            ga = build_graph(random_tree_sentence(rng, max_nodes=7, lemma_pool=pool))
+            gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
+            ga = random_tree_sentence(rng, max_nodes=7, lemma_pool=pool)
             cov_ans, cov_ques = graph_coverage_features(gq, ga, 3)
             assert 0.0 <= cov_ans <= 1.0
             assert 0.0 <= cov_ques <= 1.0
+
+    def test_depths_come_from_the_tokens_however_the_sentence_is_made(self):
+        # A Sentence built by hand, or copied with other tokens, computes its
+        # own depths; coverage must read those, never stale or missing ones.
+        rng = np.random.default_rng(53)
+        pool = ["die", "win", "sun"]
+        for _ in range(200):
+            gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
+            shape = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
+            other = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
+            by_hand = Sentence("a", shape.text, shape.tokens)
+            replaced = dataclasses.replace(by_hand, tokens=other.tokens)
+            lemmas = {t.lemma for t in gq.tokens}
+            for ga in (by_hand, replaced):
+                assert list(ga.depth) == tree_arrays(ga)[1]
+                _, edges = bfs_subgraph(ga, lemmas, 3)
+                n_q, n_a = len(head_edges(gq)), len(head_edges(ga))
+                expected = (
+                    len(edges) / n_a if n_a else 0.0,
+                    min(1.0, len(edges) / n_q) if n_q else 0.0,
+                )
+                assert graph_coverage_features(gq, ga, 3) == expected

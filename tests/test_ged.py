@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qatrigger.depgraph import DependencyGraph, build_graph
+from qatrigger.corpus import Sentence
 from qatrigger.ged import (
     GedConfig,
     build_cost_matrix,
@@ -19,8 +19,8 @@ from oracles import brute_force_assignment, brute_force_ged
 
 def pair_costs(q_rows, a_rows, config=GedConfig()):
     """build_cost_matrix of two sentences given as (form, lemma, upos, head, deprel) rows."""
-    gq = build_graph(make_sentence("q", q_rows))
-    ga = build_graph(make_sentence("a", a_rows))
+    gq = make_sentence("q", q_rows)
+    ga = make_sentence("a", a_rows)
     return build_cost_matrix(gq, ga, config)
 
 
@@ -74,8 +74,8 @@ class TestIncidentEdgeCost:
 
 class TestCostMatrix:
     def test_empty_graphs_give_empty_matrix(self):
-        g = build_graph(make_sentence("s", [("x", "x", "NOUN", 0, "root")]))
-        empty = DependencyGraph(nodes=(), edges=())
+        g = make_sentence("s", [("x", "x", "NOUN", 0, "root")])
+        empty = Sentence("e", "")
         substitution, deletion, insertion = build_cost_matrix(g, empty, GedConfig())
         assert substitution.shape == (1, 0)
         assert deletion.tolist() == [1.0]
@@ -86,7 +86,7 @@ class TestCostMatrix:
         assert insertion.tolist() == [1.0]
 
     def test_one_node_same_lemma(self):
-        g = build_graph(make_sentence("s", [("die", "die", "VERB", 0, "root")]))
+        g = make_sentence("s", [("die", "die", "VERB", 0, "root")])
         substitution, deletion, insertion = build_cost_matrix(g, g, GedConfig())
         assert substitution.tolist() == [[0.0]]
         assert deletion.tolist() == [1.0]  # deletion of a degree-0 node
@@ -180,20 +180,16 @@ class TestSolveAssignment:
 
 
 class TestGraphEditDistance:
-    def test_identical_graphs_distance_zero(self, question_graph):
-        assert graph_edit_distance(question_graph, question_graph) == 0.0
+    def test_identical_graphs_distance_zero(self, question_sentence):
+        assert graph_edit_distance(question_sentence, question_sentence) == 0.0
 
-    def test_empty_question_vs_answer_is_one(self, answer_graph):
-        from qatrigger.depgraph import DependencyGraph
-
-        empty = DependencyGraph(nodes=(), edges=())
-        assert graph_edit_distance(empty, answer_graph) == 1.0
-        assert graph_edit_distance(answer_graph, empty) == 1.0
+    def test_empty_question_vs_answer_is_one(self, answer_sentence):
+        empty = Sentence("e", "")
+        assert graph_edit_distance(empty, answer_sentence) == 1.0
+        assert graph_edit_distance(answer_sentence, empty) == 1.0
 
     def test_both_empty_is_zero(self):
-        from qatrigger.depgraph import DependencyGraph
-
-        empty = DependencyGraph(nodes=(), edges=())
+        empty = Sentence("e", "")
         assert graph_edit_distance(empty, empty) == 0.0
 
     def test_matches_partial_injection_oracle(self, mini_dir):
@@ -212,10 +208,10 @@ class TestGraphEditDistance:
         for k in range(120):
             cfg = configs[k % 2]
             pool = tie_pool if k % 3 == 0 else None
-            gq = build_graph(random_tree_sentence(rng, max_nodes=5, lemma_pool=pool))
-            ga = build_graph(random_tree_sentence(rng, max_nodes=5, lemma_pool=pool))
+            gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
+            ga = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             for first, second in ((gq, ga), (ga, gq)):
-                orientations.add(np.sign(len(first.nodes) - len(second.nodes)))
+                orientations.add(np.sign(len(first.tokens) - len(second.tokens)))
                 fast = graph_edit_distance(first, second, cfg)
                 slow = brute_force_ged(
                     first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost
@@ -226,8 +222,8 @@ class TestGraphEditDistance:
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
-            gq = build_graph(random_tree_sentence(rng, max_nodes=6))
-            ga = build_graph(random_tree_sentence(rng, max_nodes=6))
+            gq = random_tree_sentence(rng, max_nodes=6)
+            ga = random_tree_sentence(rng, max_nodes=6)
             d1 = graph_edit_distance(gq, ga)
             d2 = graph_edit_distance(ga, gq)
             assert abs(d1 - d2) <= 1e-12
@@ -291,9 +287,8 @@ class TestGraphEditDistance:
                 ("film", "film", "NOUN", 6, "obl"),
             ],
         )
-        gq = build_graph(question)
         distances = [
-            graph_edit_distance(gq, build_graph(candidate))
+            graph_edit_distance(question, candidate)
             for candidate in (wrong_film, correct, wrong_censor)
         ]
         assert distances[1] == min(distances)

@@ -4,8 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qatrigger import graphsim
-from qatrigger.depgraph import build_graph
+from qatrigger.corpus import Sentence
 from qatrigger.errors import IngestionError
 from qatrigger.graphsim import (
     DfTable,
@@ -23,26 +22,26 @@ from oracles import direct_cosine, direct_tfidf_vector
 
 
 class TestExtractKeys:
-    def test_word_level_is_lemma_multiset(self, question_graph):
-        keys = extract_keys(question_graph, "word")
+    def test_word_level_is_lemma_multiset(self, question_sentence):
+        keys = extract_keys(question_sentence, "word")
         assert keys == {"how": 1, "do": 1, "david": 1, "carradine": 1, "die": 1}
 
-    def test_pair_and_triplet_keys(self, answer_graph):
-        pairs = extract_keys(answer_graph, "pair")
-        triplets = extract_keys(answer_graph, "triplet")
+    def test_pair_and_triplet_keys(self, answer_sentence):
+        pairs = extract_keys(answer_sentence, "pair")
+        triplets = extract_keys(answer_sentence, "triplet")
         assert "carradine|david" in pairs
         assert "carradine|david|compound" in triplets
-        assert sum(pairs.values()) == len(answer_graph.edges)
-        assert sum(triplets.values()) == len(answer_graph.edges)
+        assert sum(pairs.values()) == len(answer_sentence.edges)
+        assert sum(triplets.values()) == len(answer_sentence.edges)
 
     def test_single_node_has_no_pairs(self):
-        graph = build_graph(make_sentence("s", [("hi", "hi", "INTJ", 0, "root")]))
+        graph = make_sentence("s", [("hi", "hi", "INTJ", 0, "root")])
         assert not extract_keys(graph, "pair")
         assert not extract_keys(graph, "triplet")
 
-    def test_unknown_level_rejected(self, question_graph):
+    def test_unknown_level_rejected(self, question_sentence):
         with pytest.raises(ValueError):
-            extract_keys(question_graph, "quad")
+            extract_keys(question_sentence, "quad")
 
 
 class TestBuildDf:
@@ -84,60 +83,57 @@ class TestBuildDf:
         with pytest.raises(ValueError):
             build_df([])
 
-    def test_one_graph_per_sentence_for_all_levels(self, monkeypatch):
+    def test_unparsed_sentence_is_an_error(self):
+        parsed = make_sentence("1", [("die", "die", "VERB", 0, "root")])
+        with pytest.raises(ValueError, match="sentence 'bare' has no parse"):
+            build_df([parsed, Sentence("bare", "die")])
+
+    def test_one_graph_per_sentence_for_all_levels(self):
         rng = np.random.default_rng(73)
         sentences = [
             random_tree_sentence(rng, lemma_pool=["a", "b", "c"], prefix=f"s{i}")
             for i in range(30)
         ]
-        built = []
-
-        def counting_build_graph(sentence):
-            built.append(sentence)
-            return build_graph(sentence)
-
-        monkeypatch.setattr(graphsim, "build_graph", counting_build_graph)
         tables = build_df(sentences)
-        assert built == sentences
         assert list(tables) == ["word", "pair", "triplet"]
         for level, table in tables.items():
             expected = Counter()
             for sentence in sentences:
-                expected.update(set(extract_keys(build_graph(sentence), level)))
+                expected.update(set(extract_keys(sentence, level)))
             assert (table.level, table.n_docs, table.df) == (level, 30, dict(expected))
 
 
 class TestTfidfVector:
     def test_formula_with_saturated_df(self):
-        graph = build_graph(make_sentence("s", [("die", "die", "VERB", 0, "root")]))
+        graph = make_sentence("s", [("die", "die", "VERB", 0, "root")])
         table = DfTable("word", n_docs=4, df={"die": 4})
         vector = tfidf_vector(graph, table, alpha=0.0)
         assert vector["die"] == pytest.approx(math.log(5 / 5) + 1.0)
 
     def test_unseen_key_uses_zero_df(self):
-        graph = build_graph(make_sentence("s", [("new", "new", "ADJ", 0, "root")]))
+        graph = make_sentence("s", [("new", "new", "ADJ", 0, "root")])
         table = DfTable("word", n_docs=9, df={"old": 1})
         assert tfidf_vector(graph, table, 0.0)["new"] == pytest.approx(math.log(10) + 1)
 
-    def test_alpha_above_everything_empties_vector(self, question_graph):
+    def test_alpha_above_everything_empties_vector(self, question_sentence):
         table = DfTable("word", n_docs=2, df={})
-        assert tfidf_vector(question_graph, table, alpha=100.0) == {}
+        assert tfidf_vector(question_sentence, table, alpha=100.0) == {}
 
     def test_raising_alpha_never_adds_keys(self):
         rng = np.random.default_rng(3)
         table = DfTable("word", n_docs=50, df={"die": 10, "live": 40, "win": 2})
         for _ in range(25):
-            graph = build_graph(random_tree_sentence(rng, max_nodes=7))
+            graph = random_tree_sentence(rng, max_nodes=7)
             low = tfidf_vector(graph, table, 0.5)
             high = tfidf_vector(graph, table, 1.5)
             assert set(high) <= set(low)
 
-    def test_matches_direct_formula(self, answer_graph):
+    def test_matches_direct_formula(self, answer_sentence):
         table = DfTable("word", n_docs=12, df={"die": 3, "david": 1, "june": 2})
-        mine = tfidf_vector(answer_graph, table, 0.0)
+        mine = tfidf_vector(answer_sentence, table, 0.0)
         direct = direct_tfidf_vector(
-            answer_graph,
-            lambda g: [t.lemma for t in g.nodes],
+            answer_sentence,
+            lambda g: [t.lemma for t in g.tokens],
             12,
             table.df,
             0.0,
@@ -187,36 +183,36 @@ class TestSimilarityFeatures:
             tables[level] = DfTable(level, n_docs=len(graphs), df=df)
         return tables
 
-    def test_identical_graphs_score_one(self, question_graph):
-        tables = self.tables_for([question_graph])
+    def test_identical_graphs_score_one(self, question_sentence):
+        tables = self.tables_for([question_sentence])
         sims = graph_similarity_features(
-            question_graph, question_graph, tables, (0.0, 0.0, 0.0)
+            question_sentence, question_sentence, tables, (0.0, 0.0, 0.0)
         )
         assert sims == pytest.approx((1.0, 1.0, 1.0))
 
     def test_disjoint_graphs_score_zero(self):
-        g1 = build_graph(make_sentence("1", [("sun", "sun", "NOUN", 0, "root")]))
-        g2 = build_graph(make_sentence("2", [("rain", "rain", "NOUN", 0, "root")]))
+        g1 = make_sentence("1", [("sun", "sun", "NOUN", 0, "root")])
+        g2 = make_sentence("2", [("rain", "rain", "NOUN", 0, "root")])
         tables = self.tables_for([g1, g2])
         assert graph_similarity_features(g1, g2, tables, (0.0, 0.0, 0.0)) == (0, 0, 0)
 
-    def test_fig_pair_shares_word_level_mass(self, question_graph, answer_graph):
-        tables = self.tables_for([question_graph, answer_graph])
+    def test_fig_pair_shares_word_level_mass(self, question_sentence, answer_sentence):
+        tables = self.tables_for([question_sentence, answer_sentence])
         sims = graph_similarity_features(
-            question_graph, answer_graph, tables, (0.0, 0.0, 0.0)
+            question_sentence, answer_sentence, tables, (0.0, 0.0, 0.0)
         )
         assert sims[0] > 0  # die, david, carradine shared
         assert sims[1] > 0  # carradine|david pair shared
         assert sims[2] > 0  # compound triplet shared
         assert all(0.0 <= s <= 1.0 for s in sims)
 
-    def test_symmetry(self, question_graph, answer_graph):
-        tables = self.tables_for([question_graph, answer_graph])
+    def test_symmetry(self, question_sentence, answer_sentence):
+        tables = self.tables_for([question_sentence, answer_sentence])
         forward = graph_similarity_features(
-            question_graph, answer_graph, tables, (0.0, 0.0, 0.0)
+            question_sentence, answer_sentence, tables, (0.0, 0.0, 0.0)
         )
         backward = graph_similarity_features(
-            answer_graph, question_graph, tables, (0.0, 0.0, 0.0)
+            answer_sentence, question_sentence, tables, (0.0, 0.0, 0.0)
         )
         assert forward == pytest.approx(backward, abs=1e-12)
 
