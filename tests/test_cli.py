@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qatrigger.cli import RunConfig, build_parser, load_config, main, read_features
-from qatrigger.combiner import load_model
+from qatrigger.combiner import FEATURE_NAMES, load_model
 from qatrigger.errors import ConfigError
 
 
@@ -137,6 +137,17 @@ class TestFeaturize:
         out = tmp_path / "features.tsv"
         assert run("--config", mini_config, "featurize", "--split", "train", "--out", str(out)) == 0
         assert out.read_bytes() == (mini_dir / "golden_features_train.tsv").read_bytes()
+
+    def test_every_feature_matches_committed_lexical_golden_file(
+        self, mini_config, mini_dir, tmp_path
+    ):
+        out = tmp_path / "features.tsv"
+        assert run(
+            "--config", mini_config, "--set", f"features.manifest={','.join(FEATURE_NAMES)}",
+            "featurize", "--split", "train", "--out", str(out),
+        ) == 0
+        golden = mini_dir / "golden_features_lexical_train.tsv"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_empty_manifest_fails_cleanly(self, mini_config, tmp_path, capsys):
         code = run(
