@@ -39,9 +39,9 @@ for text, tokens in zip(answers, tokenized):
 
 # A toy embedding table; real runs load word2vec/GloVe-style text files.
 rng = np.random.default_rng(0)
-vocab = sorted({w for tokens in [question, *tokenized] for w in tokens})
+vocab = sorted({w for tokens in [question, *tokenized] for w in tokens} - {"how", "the", "did"})
 table = EmbeddingTable(
-    dim=8, vectors={w: rng.normal(size=8) for w in vocab if w not in ("how", "the", "did")}
+    matrix=rng.normal(size=(len(vocab), 8)), rows={w: i for i, w in enumerate(vocab)}
 )
 
 print("\naveraged-embedding cosine (out-of-vocabulary words are skipped)")

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Generate the bundled mini corpus under tests/data/mini/.
+"""Generate the bundled mini corpus, by default under tests/data/mini/.
+
+    python3 scripts/make_mini_corpus.py [--out DIR]
 
 Three WikiQA-style splits of 12 questions each, with hand-designed synthetic
 parses.  Correct answers share dependency edges with their question; each
@@ -12,10 +14,11 @@ bytes.
 
 from __future__ import annotations
 
+import argparse
 import math
 from pathlib import Path
 
-OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "mini"
+DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "mini"
 
 # token = (form, lemma, upos, xpos, head, deprel)
 Token = tuple[str, str, str, str, int, str]
@@ -261,13 +264,13 @@ def build_split(split: str):
     return groups, parses
 
 
-def write_split(split: str) -> tuple[list, dict]:
+def write_split(out: Path, split: str) -> tuple[list, dict]:
     groups, parses = build_split(split)
     tsv = ["QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\tLabel"]
     for qid, qtext, rows in groups:
         for cid, text, label in rows:
             tsv.append(f"{qid}\t{qtext}\tD-{qid}\t{qtext.split()[-1]}\t{cid}\t{text}\t{label}")
-    (OUT_DIR / f"{split}.tsv").write_text("\n".join(tsv) + "\n", encoding="utf-8")
+    (out / f"{split}.tsv").write_text("\n".join(tsv) + "\n", encoding="utf-8")
 
     conllu_lines = []
     index_lines = []
@@ -283,16 +286,16 @@ def write_split(split: str) -> tuple[list, dict]:
             )
         conllu_lines.append("")
         index_lines.append(f"{sent_id}\t{sent_id}")
-    (OUT_DIR / f"parses_{split}.conllu").write_text(
+    (out / f"parses_{split}.conllu").write_text(
         "\n".join(conllu_lines) + "\n", encoding="utf-8"
     )
-    (OUT_DIR / f"index_{split}.tsv").write_text(
+    (out / f"index_{split}.tsv").write_text(
         "\n".join(index_lines) + "\n", encoding="utf-8"
     )
     return groups, parses
 
 
-def write_scores(all_groups: dict) -> None:
+def write_scores(out: Path, all_groups: dict) -> None:
     lines = []
     flip = 0
     for split, groups in all_groups.items():
@@ -304,10 +307,10 @@ def write_scores(all_groups: dict) -> None:
                     score = 0.12 + 0.03 * ((flip + k) % 4)
                 flip += 1
                 lines.append(f"{qid}\t{cid}\t{score:.2f}")
-    (OUT_DIR / "scores.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "scores.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_embeddings(all_parses: list[dict]) -> None:
+def write_embeddings(out: Path, all_parses: list[dict]) -> None:
     vocab = set()
     skip = {"how", "did", "the", "a", "who", "him", "is", "was", "where", "when", "of", "in"}
     for parses in all_parses:
@@ -319,10 +322,10 @@ def write_embeddings(all_parses: list[dict]) -> None:
     for k, word in enumerate(sorted(vocab)):
         angle = 0.37 * (k + 1)
         lines.append(f"{word} {math.cos(angle):.6f} {math.sin(angle):.6f}")
-    (OUT_DIR / "embeddings.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "embeddings.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_pos_costs() -> None:
+def write_pos_costs(out: Path) -> None:
     tags = [
         "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
         "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
@@ -335,10 +338,10 @@ def write_pos_costs() -> None:
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 lines.append(f"{a}\t{b}\t0.5")
-    (OUT_DIR / "pos_costs.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "pos_costs.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_config() -> None:
+def write_config(out: Path) -> None:
     config = """[data]
 train = train.tsv
 dev = dev.tsv
@@ -364,23 +367,26 @@ alpha2 = 0
 alpha3 = 0
 m = 3
 """
-    (OUT_DIR / "config.ini").write_text(config, encoding="utf-8")
+    (out / "config.ini").write_text(config, encoding="utf-8")
 
 
-def main() -> None:
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="output directory")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     all_groups = {}
     all_parses = []
     for split in ("train", "dev", "test"):
-        groups, parses = write_split(split)
+        groups, parses = write_split(out, split)
         all_groups[split] = groups
         all_parses.append(parses)
-    write_scores(all_groups)
-    write_embeddings(all_parses)
-    write_pos_costs()
-    write_config()
+    write_scores(out, all_groups)
+    write_embeddings(out, all_parses)
+    write_pos_costs(out)
+    write_config(out)
     n = sum(len(g) for g in all_groups.values())
-    print(f"wrote mini corpus ({n} questions) to {OUT_DIR}")
+    print(f"wrote mini corpus ({n} questions) to {out}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,23 +70,44 @@ def bm25_score(
     The sum runs over question token occurrences; terms absent from the
     answer contribute nothing.
     """
-    if not question_tokens:
+    return bm25_scores(question_tokens, [answer_tokens], pool, k1, b)[0]
+
+
+def bm25_scores(
+    question_tokens: Sequence[str],
+    answers: Sequence[Sequence[str]],
+    pool: AnswerPool,
+    k1: float = 1.5,
+    b: float = 0.75,
+) -> list[float]:
+    """bm25_score of each answer; each distinct question term's idf is
+    computed once."""
+    idf = {term: bm25_idf(pool, term) for term in question_tokens}
+    scores = []
+    for answer_tokens in answers:
+        tf = Counter(answer_tokens)
+        length_ratio = len(answer_tokens) / pool.avgdl if pool.avgdl > 0 else 0.0
+        saturation = k1 * (1.0 - b + b * length_ratio)
+        total = 0.0
+        for term in question_tokens:
+            f = tf.get(term, 0)
+            if f:
+                total += idf[term] * f * (k1 + 1.0) / (f + saturation)
+        scores.append(total)
+    return scores
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    return zip(*(tokens[i:] for i in range(n)))
+
+
+def _coverage(counts_q: Counter, total: int, answer_tokens: Sequence[str], n: int) -> float:
+    """Clipped common n-gram count over `total`; only the answer's n-grams
+    that the question has are counted."""
+    if total == 0:
         return 0.0
-    tf = Counter(answer_tokens)
-    dl = len(answer_tokens)
-    length_ratio = dl / pool.avgdl if pool.avgdl > 0 else 0.0
-    saturation = k1 * (1.0 - b + b * length_ratio)
-    total = 0.0
-    for term in question_tokens:
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        total += bm25_idf(pool, term) * f * (k1 + 1.0) / (f + saturation)
-    return total
-
-
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    counts_a = Counter(filter(counts_q.__contains__, _ngrams(answer_tokens, n)))
+    return sum(min(count, counts_q[gram]) for gram, count in counts_a.items()) / total
 
 
 def ngram_coverage(
@@ -95,13 +116,8 @@ def ngram_coverage(
     """Clipped common n-gram count over the question's n-gram count."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts_q = _ngram_counts(question_tokens, n)
-    total = sum(counts_q.values())
-    if total == 0:
-        return 0.0
-    counts_a = _ngram_counts(answer_tokens, n)
-    common = sum(min(count, counts_a[gram]) for gram, count in counts_q.items())
-    return common / total
+    counts_q = Counter(_ngrams(question_tokens, n))
+    return _coverage(counts_q, counts_q.total(), answer_tokens, n)
 
 
 def ngram_score(
@@ -110,37 +126,62 @@ def ngram_score(
     n_max: int = 3,
 ) -> float:
     """Sum of 1..n_max coverages divided by 1 + 2 + ... + n_max."""
+    return ngram_scores(question_tokens, [answer_tokens], n_max)[0]
+
+
+def ngram_scores(
+    question_tokens: Sequence[str],
+    answers: Sequence[Sequence[str]],
+    n_max: int = 3,
+) -> list[float]:
+    """ngram_score of each answer; the question's n-grams are counted once."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    coverages = math.fsum(
-        ngram_coverage(question_tokens, answer_tokens, n) for n in range(1, n_max + 1)
-    )
-    return coverages / (n_max * (n_max + 1) / 2)
+    questions = []
+    for n in range(1, n_max + 1):
+        counts_q = Counter(_ngrams(question_tokens, n))
+        questions.append((n, counts_q, counts_q.total()))
+    return [
+        math.fsum(_coverage(counts_q, total, answer_tokens, n) for n, counts_q, total in questions)
+        / (n_max * (n_max + 1) / 2)
+        for answer_tokens in answers
+    ]
 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    dim: int
-    vectors: dict[str, np.ndarray]
+    """Word vectors as the rows of one (words x dim) matrix."""
 
-    def lookup(self, word: str) -> np.ndarray | None:
-        vector = self.vectors.get(word)
-        if vector is None:
-            vector = self.vectors.get(word.lower())
-        return vector
+    matrix: np.ndarray
+    rows: dict[str, int]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def lookup(self, word: str) -> int | None:
+        """Row of `word`, else of its lowercase form; None when neither has one."""
+        row = self.rows.get(word)
+        if row is None:
+            row = self.rows.get(word.lower())
+        return row
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a text embedding file: one `word v1 ... vd` line per word.
 
-    A leading `count dim` header line (word2vec text format) is skipped.
+    A leading `count dim` header line (word2vec text format) is skipped, and
+    a word given twice keeps its later vector.  The non-empty lines are
+    counted first, so the vectors are parsed straight into one matrix.
     """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    with open(path, encoding="utf-8") as handle:
+        n_lines = sum(1 for line in handle if not line.isspace())
+    matrix: np.ndarray | None = None
+    rows: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\r\n").split()
+            parts = line.split()
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2:
@@ -158,29 +199,28 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     parse_number(v, path, lineno)
             if not np.isfinite(vector).all():
                 raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
-            if dim is None:
+            if matrix is None:
                 if len(values) == 0:
                     raise IngestionError(f"{path}: line {lineno}: empty vector")
-                dim = len(values)
-            elif len(values) != dim:
+                matrix = np.empty((n_lines, len(values)))
+            elif len(values) != matrix.shape[1]:
                 raise IngestionError(
-                    f"{path}: line {lineno}: expected {dim} dims, got {len(values)}"
+                    f"{path}: line {lineno}: expected {matrix.shape[1]} dims, got {len(values)}"
                 )
-            vectors[word] = vector
-    if dim is None:
+            matrix[rows.setdefault(word, len(rows))] = vector
+    if matrix is None:
         raise IngestionError(f"{path}: no vectors found")
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(matrix=matrix[: len(rows)], rows=rows)
 
 
 def semantic_vector(
     tokens: Sequence[str], embeddings: EmbeddingTable
 ) -> np.ndarray | None:
     """Mean of the available word vectors; None when no token has one."""
-    found = [embeddings.lookup(t) for t in tokens]
-    found = [v for v in found if v is not None]
-    if not found:
+    rows = [row for row in map(embeddings.lookup, tokens) if row is not None]
+    if not rows:
         return None
-    return np.sum(found, axis=0) / len(found)
+    return embeddings.matrix[rows].sum(axis=0) / len(rows)
 
 
 def semantic_similarity(
@@ -189,11 +229,23 @@ def semantic_similarity(
     embeddings: EmbeddingTable,
 ) -> float:
     """Cosine of the two averaged sentence vectors; 0 when either is undefined."""
+    return semantic_similarities(question_tokens, [answer_tokens], embeddings)[0]
+
+
+def semantic_similarities(
+    question_tokens: Sequence[str],
+    answers: Sequence[Sequence[str]],
+    embeddings: EmbeddingTable,
+) -> list[float]:
+    """semantic_similarity of each answer; the question's mean vector and its
+    norm are computed once."""
     vq = semantic_vector(question_tokens, embeddings)
-    va = semantic_vector(answer_tokens, embeddings)
-    if vq is None or va is None:
-        return 0.0
-    norm = float(np.linalg.norm(vq) * np.linalg.norm(va))
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(vq, va) / norm)
+    if vq is None:
+        return [0.0] * len(answers)
+    norm_q = np.linalg.norm(vq)
+    scores = []
+    for answer_tokens in answers:
+        va = semantic_vector(answer_tokens, embeddings)
+        norm = 0.0 if va is None else float(norm_q * np.linalg.norm(va))
+        scores.append(0.0 if norm == 0.0 else float(np.dot(vq, va) / norm))
+    return scores

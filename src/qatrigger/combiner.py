@@ -3,13 +3,14 @@
 Features are computed one question group at a time.  The graph features
 read each parsed Sentence directly, as its dependency graph; the question's
 tokens are built once per group, each candidate's once, and the group's BM25
-pool comes from those same candidate tokens.  Each candidate becomes a
-fixed-order feature vector (graph alignment features, lexical baselines,
-and optionally an external neural score) drawn from a table of feature
-families, and a standardized logistic regression maps the vector to a
-trigger probability.  Training is full-batch gradient descent on
-L2-regularized log loss, zero-initialized, so identical inputs always give
-identical models.
+pool comes from those same candidate tokens.  Each feature family (graph
+alignment features, lexical baselines, and optionally an external neural
+score) is one per-group function that prepares the question's side once and
+then scores every candidate; the families' columns give each candidate a
+fixed-order feature vector, and a standardized logistic regression maps the
+vector to a trigger probability.  Training is full-batch gradient descent
+on L2-regularized log loss, zero-initialized, so identical inputs always
+give identical models.
 """
 
 from __future__ import annotations
@@ -21,12 +22,19 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import AnswerPool, EmbeddingTable, bm25_score, ngram_score, semantic_similarity, tokenize
+from .baselines import (
+    AnswerPool,
+    EmbeddingTable,
+    bm25_scores,
+    ngram_scores,
+    semantic_similarities,
+    tokenize,
+)
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
 from .errors import ConfigError, IngestionError, parse_number
-from .ged import GedConfig, graph_edit_distance
-from .graphsim import DfTable, graph_similarity_features
+from .ged import GedConfig, graph_edit_distances
+from .graphsim import DfTable, graph_similarities
 
 
 @dataclass
@@ -44,33 +52,40 @@ class FeatureResources:
     n_max: int = 3
 
 
-class _Pair(NamedTuple):
-    """One question/candidate pair: its two sentences, which are also their
-    dependency graphs, and the inputs its group built once."""
+class _Group(NamedTuple):
+    """One question group's inputs, each built once: the question and its
+    answers (Sentences, which are also their dependency graphs), their
+    tokens and the answers' BM25 pool."""
 
-    key: tuple[str, str]
+    keys: list[tuple[str, str]]
     question: Sentence
-    answer: Sentence
+    answers: list[Sentence]
     q_tokens: list[str] | None
-    a_tokens: list[str] | None
+    a_tokens: list[list[str]] | None
     pool: AnswerPool | None
 
 
-def _ext_score(pair: _Pair, res: FeatureResources) -> tuple[float]:
-    if pair.key not in res.scores:
-        raise ConfigError(f"ext_score missing for pair {pair.key[0]}/{pair.key[1]}")
-    return (res.scores[pair.key],)
+def _ext_scores(group: _Group, res: FeatureResources) -> list[tuple[float]]:
+    for qid, cid in group.keys:
+        if (qid, cid) not in res.scores:
+            raise ConfigError(f"ext_score missing for pair {qid}/{cid}")
+    return [(res.scores[key],) for key in group.keys]
+
+
+def _column(values: Sequence[float]) -> list[tuple[float]]:
+    return [(value,) for value in values]
 
 
 class _Family(NamedTuple):
-    """Columns computed together from one pair by one function."""
+    """Columns computed together for a whole group by one function."""
 
     columns: tuple[str, ...]
-    # What the pair must carry: "parses", "tokens", "pool".
+    # What the group must carry: "parses", "tokens", "pool".
     inputs: frozenset[str]
     # (FeatureResources field that must be set, the error when it is not).
     requires: tuple[str, str] | None
-    values: Callable[[_Pair, FeatureResources], Sequence[float]]
+    # One row of the family's columns per candidate, in candidate order.
+    rows: Callable[[_Group, FeatureResources], Sequence[Sequence[float]]]
 
 
 _PARSES = frozenset({"parses"})
@@ -78,25 +93,26 @@ _TOKENS = frozenset({"tokens"})
 
 _FAMILIES = (
     _Family(("ext_score",), frozenset(), ("scores", "ext_score requires a score file"),
-            _ext_score),
+            _ext_scores),
     _Family(("ged",), _PARSES, None,
-            lambda p, res: (graph_edit_distance(p.question, p.answer, res.ged_config),)),
+            lambda g, res: _column(graph_edit_distances(g.question, g.answers, res.ged_config))),
     _Family(("sim_word", "sim_pair", "sim_triplet"), _PARSES,
             ("df_tables", "similarity features require DF tables"),
-            lambda p, res: graph_similarity_features(
-                p.question, p.answer, res.df_tables, res.alphas)),
+            lambda g, res: graph_similarities(g.question, g.answers, res.df_tables, res.alphas)),
     _Family(("rel_cov",), _PARSES, None,
-            lambda p, res: (relation_coverage(p.question, p.answer),)),
+            lambda g, res: [(relation_coverage(g.question, a),) for a in g.answers]),
     _Family(("graph_cov_ans", "graph_cov_ques"), _PARSES, None,
-            lambda p, res: graph_coverage_features(p.question, p.answer, res.subgraph_m)),
+            lambda g, res: [
+                graph_coverage_features(g.question, a, res.subgraph_m) for a in g.answers
+            ]),
     _Family(("vocab_cov",), _PARSES, None,
-            lambda p, res: (vocabulary_coverage(p.question, p.answer),)),
+            lambda g, res: [(vocabulary_coverage(g.question, a),) for a in g.answers]),
     _Family(("bm25",), _TOKENS | {"pool"}, None,
-            lambda p, res: (bm25_score(p.q_tokens, p.a_tokens, p.pool, res.k1, res.b),)),
+            lambda g, res: _column(bm25_scores(g.q_tokens, g.a_tokens, g.pool, res.k1, res.b))),
     _Family(("ngram",), _TOKENS, None,
-            lambda p, res: (ngram_score(p.q_tokens, p.a_tokens, res.n_max),)),
+            lambda g, res: _column(ngram_scores(g.q_tokens, g.a_tokens, res.n_max))),
     _Family(("semvec",), _TOKENS, ("embeddings", "semvec requires an embedding table"),
-            lambda p, res: (semantic_similarity(p.q_tokens, p.a_tokens, res.embeddings),)),
+            lambda g, res: _column(semantic_similarities(g.q_tokens, g.a_tokens, res.embeddings))),
 )
 
 FEATURE_NAMES = tuple(name for family in _FAMILIES for name in family.columns)
@@ -128,31 +144,34 @@ def extract_features(
     for family in families:
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
-    inputs = frozenset().union(*(family.inputs for family in families))
-    tokens = "tokens" in inputs
+    needs = frozenset().union(*(family.inputs for family in families))
+    tokens = "tokens" in needs
 
     qid, question = group.question_id, group.question
-    if "parses" in inputs:
+    if "parses" in needs:
         for cid, answer, _ in group.candidates:
             if not (question.parsed and answer.parsed):
                 raise ConfigError(
                     f"graph features require dependency parses (pair {qid}/{cid} has none)"
                 )
-    q_tokens = tokenize(question.text) if tokens else None
-    answers = [
-        (cid, answer, tokenize(answer.text) if tokens else None)
-        for cid, answer, _ in group.candidates
-    ]
-    pool = AnswerPool.build([a_tokens for _, _, a_tokens in answers]) if "pool" in inputs else None
+    answers = [answer for _, answer, _ in group.candidates]
+    a_tokens = [tokenize(answer.text) for answer in answers] if tokens else None
+    inputs = _Group(
+        keys=[(qid, cid) for cid, _, _ in group.candidates],
+        question=question,
+        answers=answers,
+        q_tokens=tokenize(question.text) if tokens else None,
+        a_tokens=a_tokens,
+        pool=AnswerPool.build(a_tokens) if "pool" in needs else None,
+    )
 
-    rows = []
-    for cid, answer, a_tokens in answers:
-        pair = _Pair((qid, cid), question, answer, q_tokens, a_tokens, pool)
-        values: dict[str, float] = {}
-        for family in families:
-            values.update(zip(family.columns, family.values(pair, resources)))
-        rows.append([values[name] for name in manifest])
-    return rows
+    # (family, column within its rows) of each manifest feature.
+    where = {
+        name: (i, k) for i, family in enumerate(families) for k, name in enumerate(family.columns)
+    }
+    picks = [where[name] for name in manifest]
+    family_rows = [family.rows(inputs, resources) for family in families]
+    return [[family_rows[i][row][k] for i, k in picks] for row in range(len(answers))]
 
 
 def sigmoid(x: float) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +129,32 @@ def _ids(values: Sequence[str], vocabulary: dict[str, int]) -> np.ndarray:
     return np.asarray(ids, dtype=np.intp)
 
 
+class _QuestionNodes(NamedTuple):
+    """The question's half of every cost matrix against it."""
+
+    relations: dict[str, int]  # column of each question relation, in edge order
+    counts: np.ndarray  # n x len(relations) incident relation counts
+    lemmas: dict[str, int]
+    lemma_ids: np.ndarray
+    tags: dict[str, int]
+    tag_ids: np.ndarray
+    deletion: np.ndarray
+
+
+def _question_nodes(gq: Sentence, config: GedConfig) -> _QuestionNodes:
+    edges = gq.edges
+    relations: dict[str, int] = {}
+    for _, _, rel in edges:
+        relations.setdefault(rel, len(relations))
+    counts = _relation_counts(gq, edges, relations)
+    lemmas: dict[str, int] = {}
+    lemma_ids = _ids([t.lemma.lower() for t in gq.tokens], lemmas)
+    tags: dict[str, int] = {}
+    tag_ids = _ids([t.upos for t in gq.tokens], tags)
+    deletion = config.delete_cost + config.edge_weight * counts.sum(axis=1)
+    return _QuestionNodes(relations, counts, lemmas, lemma_ids, tags, tag_ids, deletion)
+
+
 def build_cost_matrix(
     gq: Sentence, ga: Sentence, config: GedConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,33 +165,39 @@ def build_cost_matrix(
     of the two nodes' incident relation multisets.  Deleting or inserting a
     node costs `delete_cost` plus `edge_weight` per incident edge.
     """
-    edges_q, edges_a = gq.edges, ga.edges
-    relations: dict[str, int] = {}
-    for _, _, rel in edges_q + edges_a:
-        relations.setdefault(rel, len(relations))
-    counts_q = _relation_counts(gq, edges_q, relations)
-    counts_a = _relation_counts(ga, edges_a, relations)
+    return _answer_costs(_question_nodes(gq, config), ga, config)
 
-    lemmas: dict[str, int] = {}
-    same_lemma = (
-        _ids([t.lemma.lower() for t in gq.tokens], lemmas)[:, None]
-        == _ids([t.lemma.lower() for t in ga.tokens], lemmas)[None, :]
+
+def _answer_costs(
+    q: _QuestionNodes, ga: Sentence, config: GedConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_cost_matrix against a question whose side is already built."""
+    edges = ga.edges
+    relations = dict(q.relations)
+    for _, _, rel in edges:
+        relations.setdefault(rel, len(relations))
+    counts = _relation_counts(ga, edges, relations)
+    # Relations past the question's columns count 0 on every question node.
+    width = len(q.relations)
+    mismatch = (
+        np.abs(q.counts[:, None, :] - counts[None, :, :width]).sum(axis=2)
+        + counts[:, width:].sum(axis=1)
     )
-    tags_q: dict[str, int] = {}
-    tags_a: dict[str, int] = {}
-    tag_q = _ids([t.upos for t in gq.tokens], tags_q)
-    tag_a = _ids([t.upos for t in ga.tokens], tags_a)
+
+    same_lemma = q.lemma_ids[:, None] == np.asarray(
+        [q.lemmas.get(t.lemma.lower(), -1) for t in ga.tokens], dtype=np.intp
+    )[None, :]
+    tags: dict[str, int] = {}
+    tag_ids = _ids([t.upos for t in ga.tokens], tags)
     table = config.pos_table
     pos_cost = np.asarray(
-        [[table.cost(a, b) for b in tags_a] for a in tags_q], dtype=float
-    ).reshape(len(tags_q), len(tags_a))
-    node = np.where(same_lemma, 0.0, pos_cost[tag_q[:, None], tag_a[None, :]])
+        [[table.cost(a, b) for b in tags] for a in q.tags], dtype=float
+    ).reshape(len(q.tags), len(tags))
+    node = np.where(same_lemma, 0.0, pos_cost[q.tag_ids[:, None], tag_ids[None, :]])
 
-    mismatch = np.abs(counts_q[:, None, :] - counts_a[None, :, :]).sum(axis=2)
     substitution = node + config.edge_weight * mismatch / 2.0
-    deletion = config.delete_cost + config.edge_weight * counts_q.sum(axis=1)
-    insertion = config.delete_cost + config.edge_weight * counts_a.sum(axis=1)
-    return substitution, deletion, insertion
+    insertion = config.delete_cost + config.edge_weight * counts.sum(axis=1)
+    return substitution, q.deletion, insertion
 
 
 def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int]:
@@ -251,10 +283,21 @@ def graph_edit_distance(
     every answer node, which is itself a feasible edit; identical graphs
     score 0, and an empty question against any answer scores 1.
     """
+    return graph_edit_distances(gq, [ga], config)[0]
+
+
+def graph_edit_distances(
+    gq: Sentence, answers: Sequence[Sentence], config: GedConfig | None = None
+) -> list[float]:
+    """graph_edit_distance of each answer graph; the question's relation
+    counts, lemma ids and tag ids are built once."""
     cfg = config or GedConfig()
-    if not gq.tokens and not ga.tokens:
-        return 0.0
-    substitution, deletion, insertion = build_cost_matrix(gq, ga, cfg)
+    question = _question_nodes(gq, cfg)
+    return [_distance(question, ga, cfg) for ga in answers]
+
+
+def _distance(question: _QuestionNodes, ga: Sentence, config: GedConfig) -> float:
+    substitution, deletion, insertion = _answer_costs(question, ga, config)
     reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
     assignment, _ = solve_assignment(reduced)
     # Total over the original entries the assignment implies: a pair with a
@@ -270,6 +313,6 @@ def graph_edit_distance(
         + [cost for j, cost in enumerate(insertion) if j not in kept_a]
     )
     denominator = math.fsum(deletion) + math.fsum(insertion)
-    if denominator <= 0.0:
+    if denominator <= 0.0:  # two empty graphs, or zero costs
         return 0.0
     return min(1.0, max(0.0, total / denominator))

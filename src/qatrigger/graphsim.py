@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
 from .errors import IngestionError, parse_number
@@ -43,18 +43,17 @@ class DfTable:
         return math.log((self.n_docs + 1) / (self.df.get(key, 0) + 1)) + 1.0
 
 
-def extract_keys(graph: Sentence, level: str) -> Counter[str]:
-    """Multiset of keys of a graph at one level."""
-    if level == "word":
-        return Counter(t.lemma for t in graph.tokens)
+def extract_keys(graph: Sentence) -> dict[str, Counter[str]]:
+    """Multiset of keys of a graph at each level; the edges are derived once
+    for both the pair and the triplet level."""
     lemma = {t.index: t.lemma for t in graph.tokens}
-    if level == "pair":
-        return Counter(f"{lemma[gov]}|{lemma[dep]}" for gov, dep, _ in graph.edges)
-    if level == "triplet":
-        return Counter(
-            f"{lemma[gov]}|{lemma[dep]}|{rel}" for gov, dep, rel in graph.edges
-        )
-    raise ValueError(f"unknown level {level!r}")
+    edges = graph.edges
+    pairs = [f"{lemma[gov]}|{lemma[dep]}" for gov, dep, _ in edges]
+    return {
+        "word": Counter(t.lemma for t in graph.tokens),
+        "pair": Counter(pairs),
+        "triplet": Counter(f"{pair}|{rel}" for pair, (_, _, rel) in zip(pairs, edges)),
+    }
 
 
 def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
@@ -69,17 +68,17 @@ def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
         if not sentence.parsed:
             raise ValueError(f"sentence {sentence.sentence_id!r} has no parse")
         n_docs += 1
-        for level in LEVELS:
-            df[level].update(extract_keys(sentence, level).keys())
+        for level, keys in extract_keys(sentence).items():
+            df[level].update(keys.keys())
     if n_docs == 0:
         raise ValueError("cannot build a DF table from zero sentences")
     return {level: DfTable(level=level, n_docs=n_docs, df=dict(df[level])) for level in LEVELS}
 
 
-def tfidf_vector(graph: Sentence, table: DfTable, alpha: float) -> dict[str, float]:
-    """tf * idf weights per key, keeping only weights strictly above alpha."""
+def tfidf_vector(keys: Counter[str], table: DfTable, alpha: float) -> dict[str, float]:
+    """tf * idf weights of a key multiset, keeping only weights strictly above alpha."""
     vector: dict[str, float] = {}
-    for key, tf in sorted(extract_keys(graph, table.level).items()):
+    for key, tf in sorted(keys.items()):
         weight = tf * table.idf(key)
         if weight > alpha:
             vector[key] = weight
@@ -106,13 +105,28 @@ def graph_similarity_features(
     alphas: tuple[float, float, float],
 ) -> tuple[float, float, float]:
     """(word, pair, triplet) cosine similarities between two graphs."""
-    sims = []
-    for level, alpha in zip(LEVELS, alphas):
-        table = tables[level]
-        sims.append(
-            cosine(tfidf_vector(gq, table, alpha), tfidf_vector(ga, table, alpha))
-        )
-    return tuple(sims)
+    return graph_similarities(gq, [ga], tables, alphas)[0]
+
+
+def graph_similarities(
+    gq: Sentence,
+    answers: Sequence[Sentence],
+    tables: Mapping[str, DfTable],
+    alphas: tuple[float, float, float],
+) -> list[tuple[float, float, float]]:
+    """graph_similarity_features of each answer graph; the question's TF-IDF
+    vectors are built once per level."""
+    levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]
+    keys_q = extract_keys(gq)
+    vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
+    rows = []
+    for ga in answers:
+        keys_a = extract_keys(ga)
+        rows.append(tuple(
+            cosine(vq, tfidf_vector(keys_a[table.level], table, alpha))
+            for vq, (table, alpha) in zip(vectors_q, levels)
+        ))
+    return rows
 
 
 def save_df_table(table: DfTable, path: str | Path) -> None:

@@ -232,6 +232,22 @@ def direct_ngram_score(question, answer, n_max) -> float:
     return total / sum(range(1, n_max + 1))
 
 
+def direct_semantic_similarity(question, answer, vectors) -> float:
+    """Cosine of the mean word vectors, averaged from a word -> vector dict
+    by stacking the found vectors, with the lowercase fallback."""
+
+    def mean(tokens):
+        found = [vectors.get(t, vectors.get(t.lower())) for t in tokens]
+        found = [v for v in found if v is not None]
+        return np.sum(found, axis=0) / len(found) if found else None
+
+    vq, va = mean(question), mean(answer)
+    if vq is None or va is None:
+        return 0.0
+    norm = float(np.linalg.norm(vq) * np.linalg.norm(va))
+    return 0.0 if norm == 0.0 else float(np.dot(vq, va) / norm)
+
+
 def tune_threshold_exhaustive(groups) -> tuple[float, float]:
     """The tuner's contract by brute force: one full report per candidate.
 

@@ -112,12 +112,8 @@ class TestNgram:
 class TestSemanticVector:
     def embeddings(self):
         return EmbeddingTable(
-            dim=2,
-            vectors={
-                "sun": np.array([1.0, 0.0]),
-                "moon": np.array([0.0, 1.0]),
-                "star": np.array([1.0, 1.0]),
-            },
+            matrix=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            rows={"sun": 0, "moon": 1, "star": 2},
         )
 
     def test_all_oov_gives_none(self):
@@ -161,11 +157,42 @@ class TestEmbeddingFile:
         plain.write_text("sun 1.0 0.0\nmoon 0.0 1.0\n")
         table = load_embeddings(plain)
         assert table.dim == 2
-        assert table.lookup("moon") == pytest.approx([0.0, 1.0])
+        assert table.matrix[table.lookup("moon")] == pytest.approx([0.0, 1.0])
 
         headed = tmp_path / "headed.txt"
         headed.write_text("2 3\nsun 1 0 0\nmoon 0 1 0\n")
-        assert load_embeddings(headed).dim == 3
+        table = load_embeddings(headed)
+        assert table.dim == 3
+        assert table.rows == {"sun": 0, "moon": 1}
+        assert table.matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
+
+    def test_duplicate_word_keeps_later_vector(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("sun 1 0\n\nmoon 0 1\nsun 2 2\n")
+        table = load_embeddings(path)
+        assert table.rows == {"sun": 0, "moon": 1}
+        assert table.matrix.tolist() == [[2, 2], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # The messages featurize reports for corrupt embedding files.
+            ("who 0.1 high\n", "line 1: not a number: 'high'"),
+            ("who 0.1 nan\n", "line 1: vector value is not finite"),
+            ("who 0.1 0.2\nwon 0.3\n", "line 2: expected 2 dims, got 1"),
+            ("who\n", "line 1: empty vector"),
+            ("\n\n", "no vectors found"),
+            # The first fault in file order is the one reported.
+            ("who 0.1 0.2\nwon inf 0.3\nwhy 0.4\n", "line 2: vector value is not finite"),
+            ("who 0.1 0.2\nwon 0.3\nwhy nan 0.4\n", "line 2: expected 2 dims, got 1"),
+        ],
+    )
+    def test_corrupt_file_names_its_first_bad_line(self, tmp_path, content, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        with pytest.raises(IngestionError) as error:
+            load_embeddings(path)
+        assert str(error.value) == f"{path}: {message}"
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -9,7 +9,10 @@ from qatrigger.baselines import (
     AnswerPool,
     EmbeddingTable,
     bm25_score,
+    bm25_scores,
     ngram_score,
+    ngram_scores,
+    semantic_similarities,
     semantic_similarity,
     tokenize,
 )
@@ -30,11 +33,11 @@ from qatrigger.cli import main, read_features
 from qatrigger.corpus import QuestionGroup, Sentence, load_wikiqa
 from qatrigger.coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
 from qatrigger.errors import ConfigError
-from qatrigger.ged import graph_edit_distance
-from qatrigger.graphsim import DfTable, graph_similarity_features
+from qatrigger.ged import GedConfig, graph_edit_distance, graph_edit_distances
+from qatrigger.graphsim import DfTable, build_df, graph_similarities, graph_similarity_features
 
-from conftest import make_sentence
-from oracles import prob
+from conftest import make_sentence, random_tree_sentence
+from oracles import direct_semantic_similarity, prob
 
 
 def one_candidate(question, answer, qid="q1", cid="a1"):
@@ -148,8 +151,7 @@ class TestExtractFeatures:
                 "triplet": DfTable("triplet", n_docs=4, df={}),
             },
             embeddings=EmbeddingTable(
-                dim=2,
-                vectors={"die": np.array([1.0, 0.0]), "carradine": np.array([0.5, 0.5])},
+                matrix=np.array([[1.0, 0.0], [0.5, 0.5]]), rows={"die": 0, "carradine": 1}
             ),
             scores={("q1", cid): 0.25 * i for i, (cid, _) in enumerate(answers)},
             alphas=(0.0, 0.5, 1.0),
@@ -180,7 +182,7 @@ class TestExtractFeatures:
 
     def test_lexical_features_without_parses(self, fig_group):
         resources = FeatureResources(
-            embeddings=EmbeddingTable(dim=2, vectors={"die": np.array([1.0, 0.0])}),
+            embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
         )
         [values] = extract_features(fig_group, resources, ["bm25", "ngram", "semvec"])
         assert len(values) == 3
@@ -217,6 +219,102 @@ class TestExtractFeatures:
         assert len(sentences) == 56
         lexical = manifest == FEATURE_NAMES
         assert tokenized == (Counter(s.text for s in sentences) if lexical else Counter())
+
+
+# Lexical questions for the per-group checks, each an edge case.
+EDGE_QUESTIONS = [
+    [],  # "?!" tokenizes to nothing
+    ["die", "die", "carradine", "die"],  # repeated tokens
+    ["die", "carradine"],  # shorter than n_max
+    ["zzz", "qqq"],  # all out of vocabulary
+    ["zero"],  # a zero vector: norm 0
+    ["SUN", "moon", "zzz"],  # SUN only through the lowercase fallback
+]
+WORDS = ["die", "carradine", "sun", "moon", "zero", "SUN", "zzz", "qqq", "of", "in"]
+
+
+class TestPerGroupEqualsPerPair:
+    """Preparing the question once for a group gives, bit for bit, what
+    preparing it again for every pair gives."""
+
+    @staticmethod
+    def vectors(rng):
+        vectors = {w: rng.normal(size=3) for w in ("die", "carradine", "sun", "moon", "of", "in")}
+        vectors["zero"] = np.zeros(3)
+        return vectors
+
+    @staticmethod
+    def random_tokens(rng, longest=7):
+        return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), int(rng.integers(0, longest)))]
+
+    def test_lexical_families(self):
+        rng = np.random.default_rng(2024)
+        vectors = self.vectors(rng)
+        words = list(vectors)
+        table = EmbeddingTable(np.array([vectors[w] for w in words]), {w: i for i, w in enumerate(words)})
+        questions = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(30)]
+        for question in questions:
+            answers = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(5)]
+            pool = AnswerPool.build(answers)
+            assert bm25_scores(question, answers, pool, 1.2, 0.6) == [
+                bm25_score(question, a, pool, 1.2, 0.6) for a in answers
+            ]
+            for n_max in (1, 3, 5):
+                assert ngram_scores(question, answers, n_max) == [
+                    ngram_score(question, a, n_max) for a in answers
+                ]
+            semvec = semantic_similarities(question, answers, table)
+            assert semvec == [semantic_similarity(question, a, table) for a in answers]
+            assert semvec == [direct_semantic_similarity(question, a, vectors) for a in answers]
+        for question in (["zzz", "qqq"], ["zero"]):
+            assert semantic_similarities(question, [["die"], ["zero"]], table) == [0.0, 0.0]
+        found = semantic_similarity(["SUN"], ["moon"], table)
+        assert found == semantic_similarity(["sun"], ["moon"], table) and found != 0.0
+
+    def test_graph_families(self):
+        rng = np.random.default_rng(2025)
+        lemmas = ["die", "live", "win", "city", "Die", "man"]
+        config = GedConfig(edge_weight=0.75, delete_cost=0.5)
+        for _ in range(25):
+            gq = random_tree_sentence(rng, lemma_pool=lemmas, relabel=True)
+            answers = [random_tree_sentence(rng, lemma_pool=lemmas) for _ in range(6)]
+            answers.append(make_sentence("one", [("die", "die", "VERB", 0, "root")]))
+            tables = build_df([gq, *answers])
+            assert graph_edit_distances(gq, answers, config) == [
+                graph_edit_distance(gq, a, config) for a in answers
+            ]
+            assert graph_similarities(gq, answers, tables, (0.0, 0.5, 1.0)) == [
+                graph_similarity_features(gq, a, tables, (0.0, 0.5, 1.0)) for a in answers
+            ]
+
+    def test_every_feature_of_seeded_groups(self):
+        rng = np.random.default_rng(2026)
+        lemmas = ["die", "live", "win", "city", "man", "sun", "of"]
+        unparsable = make_sentence("q?", [("?!", "?!", "PUNCT", 0, "root")])
+        vectors = self.vectors(rng)
+        words = list(vectors)
+        for g in range(12):
+            question = unparsable if g == 0 else random_tree_sentence(rng, lemma_pool=lemmas)
+            answers = [
+                (f"c{i}", random_tree_sentence(rng, lemma_pool=lemmas, relabel=True))
+                for i in range(int(rng.integers(1, 8)))
+            ]
+            qid = f"q{g}"
+            group = QuestionGroup(qid, question, tuple((cid, a, 0) for cid, a in answers))
+            resources = FeatureResources(
+                df_tables=build_df([question] + [a for _, a in answers]),
+                embeddings=EmbeddingTable(
+                    np.array([vectors[w] for w in words]), {w: i for i, w in enumerate(words)}
+                ),
+                scores={(qid, cid): float(rng.random()) for cid, _ in answers},
+                alphas=(0.0, 0.5, 1.0),
+            )
+            pool = AnswerPool.build([tokenize(a.text) for _, a in answers])
+            rows = extract_features(group, resources, FEATURE_NAMES)
+            assert rows == [
+                list(per_module_features(question, a, (qid, cid), resources, pool).values())
+                for cid, a in answers
+            ]
 
 
 class TestSigmoid:

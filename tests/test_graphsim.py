@@ -7,6 +7,7 @@ import pytest
 from qatrigger.corpus import Sentence
 from qatrigger.errors import IngestionError
 from qatrigger.graphsim import (
+    LEVELS,
     DfTable,
     build_df,
     cosine,
@@ -21,14 +22,18 @@ from conftest import make_sentence, random_tree_sentence
 from oracles import direct_cosine, direct_tfidf_vector
 
 
+def word_keys(graph):
+    return extract_keys(graph)["word"]
+
+
 class TestExtractKeys:
     def test_word_level_is_lemma_multiset(self, question_sentence):
-        keys = extract_keys(question_sentence, "word")
+        keys = extract_keys(question_sentence)["word"]
         assert keys == {"how": 1, "do": 1, "david": 1, "carradine": 1, "die": 1}
 
     def test_pair_and_triplet_keys(self, answer_sentence):
-        pairs = extract_keys(answer_sentence, "pair")
-        triplets = extract_keys(answer_sentence, "triplet")
+        keys = extract_keys(answer_sentence)
+        pairs, triplets = keys["pair"], keys["triplet"]
         assert "carradine|david" in pairs
         assert "carradine|david|compound" in triplets
         assert sum(pairs.values()) == len(answer_sentence.edges)
@@ -36,12 +41,16 @@ class TestExtractKeys:
 
     def test_single_node_has_no_pairs(self):
         graph = make_sentence("s", [("hi", "hi", "INTJ", 0, "root")])
-        assert not extract_keys(graph, "pair")
-        assert not extract_keys(graph, "triplet")
+        keys = extract_keys(graph)
+        assert not keys["pair"] and not keys["triplet"]
 
-    def test_unknown_level_rejected(self, question_sentence):
-        with pytest.raises(ValueError):
-            extract_keys(question_sentence, "quad")
+    def test_edges_derived_once_for_every_level(self, answer_sentence, monkeypatch):
+        derived = []
+        edges = Sentence.edges.fget
+        monkeypatch.setattr(Sentence, "edges", property(lambda s: derived.append(s) or edges(s)))
+        keys = extract_keys(answer_sentence)
+        assert list(keys) == list(LEVELS)
+        assert derived == [answer_sentence]
 
 
 class TestBuildDf:
@@ -99,7 +108,7 @@ class TestBuildDf:
         for level, table in tables.items():
             expected = Counter()
             for sentence in sentences:
-                expected.update(set(extract_keys(sentence, level)))
+                expected.update(set(extract_keys(sentence)[level]))
             assert (table.level, table.n_docs, table.df) == (level, 30, dict(expected))
 
 
@@ -107,30 +116,30 @@ class TestTfidfVector:
     def test_formula_with_saturated_df(self):
         graph = make_sentence("s", [("die", "die", "VERB", 0, "root")])
         table = DfTable("word", n_docs=4, df={"die": 4})
-        vector = tfidf_vector(graph, table, alpha=0.0)
+        vector = tfidf_vector(word_keys(graph), table, alpha=0.0)
         assert vector["die"] == pytest.approx(math.log(5 / 5) + 1.0)
 
     def test_unseen_key_uses_zero_df(self):
         graph = make_sentence("s", [("new", "new", "ADJ", 0, "root")])
         table = DfTable("word", n_docs=9, df={"old": 1})
-        assert tfidf_vector(graph, table, 0.0)["new"] == pytest.approx(math.log(10) + 1)
+        assert tfidf_vector(word_keys(graph), table, 0.0)["new"] == pytest.approx(math.log(10) + 1)
 
     def test_alpha_above_everything_empties_vector(self, question_sentence):
         table = DfTable("word", n_docs=2, df={})
-        assert tfidf_vector(question_sentence, table, alpha=100.0) == {}
+        assert tfidf_vector(word_keys(question_sentence), table, alpha=100.0) == {}
 
     def test_raising_alpha_never_adds_keys(self):
         rng = np.random.default_rng(3)
         table = DfTable("word", n_docs=50, df={"die": 10, "live": 40, "win": 2})
         for _ in range(25):
             graph = random_tree_sentence(rng, max_nodes=7)
-            low = tfidf_vector(graph, table, 0.5)
-            high = tfidf_vector(graph, table, 1.5)
+            low = tfidf_vector(word_keys(graph), table, 0.5)
+            high = tfidf_vector(word_keys(graph), table, 1.5)
             assert set(high) <= set(low)
 
     def test_matches_direct_formula(self, answer_sentence):
         table = DfTable("word", n_docs=12, df={"die": 3, "david": 1, "june": 2})
-        mine = tfidf_vector(answer_sentence, table, 0.0)
+        mine = tfidf_vector(word_keys(answer_sentence), table, 0.0)
         direct = direct_tfidf_vector(
             answer_sentence,
             lambda g: [t.lemma for t in g.tokens],
@@ -178,7 +187,7 @@ class TestSimilarityFeatures:
         for level in ("word", "pair", "triplet"):
             df = {}
             for g in graphs:
-                for key in set(extract_keys(g, level)):
+                for key in set(extract_keys(g)[level]):
                     df[key] = df.get(key, 0) + 1
             tables[level] = DfTable(level, n_docs=len(graphs), df=df)
         return tables
