@@ -244,14 +244,19 @@ class TestPerGroupEqualsPerPair:
         return vectors
 
     @staticmethod
+    def table(vectors):
+        words = list(vectors)
+        rows = {w: i for i, w in enumerate(words)}
+        return EmbeddingTable(np.array([vectors[w] for w in words]), rows)
+
+    @staticmethod
     def random_tokens(rng, longest=7):
         return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), int(rng.integers(0, longest)))]
 
     def test_lexical_families(self):
         rng = np.random.default_rng(2024)
         vectors = self.vectors(rng)
-        words = list(vectors)
-        table = EmbeddingTable(np.array([vectors[w] for w in words]), {w: i for i, w in enumerate(words)})
+        table = self.table(vectors)
         questions = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(30)]
         for question in questions:
             answers = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(5)]
@@ -290,11 +295,10 @@ class TestPerGroupEqualsPerPair:
     def test_every_feature_of_seeded_groups(self):
         rng = np.random.default_rng(2026)
         lemmas = ["die", "live", "win", "city", "man", "sun", "of"]
-        unparsable = make_sentence("q?", [("?!", "?!", "PUNCT", 0, "root")])
-        vectors = self.vectors(rng)
-        words = list(vectors)
+        no_tokens = make_sentence("q?", [("?!", "?!", "PUNCT", 0, "root")])  # tokenizes to []
+        table = self.table(self.vectors(rng))
         for g in range(12):
-            question = unparsable if g == 0 else random_tree_sentence(rng, lemma_pool=lemmas)
+            question = no_tokens if g == 0 else random_tree_sentence(rng, lemma_pool=lemmas)
             answers = [
                 (f"c{i}", random_tree_sentence(rng, lemma_pool=lemmas, relabel=True))
                 for i in range(int(rng.integers(1, 8)))
@@ -303,9 +307,7 @@ class TestPerGroupEqualsPerPair:
             group = QuestionGroup(qid, question, tuple((cid, a, 0) for cid, a in answers))
             resources = FeatureResources(
                 df_tables=build_df([question] + [a for _, a in answers]),
-                embeddings=EmbeddingTable(
-                    np.array([vectors[w] for w in words]), {w: i for i, w in enumerate(words)}
-                ),
+                embeddings=table,
                 scores={(qid, cid): float(rng.random()) for cid, _ in answers},
                 alphas=(0.0, 0.5, 1.0),
             )
