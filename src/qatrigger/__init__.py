@@ -43,7 +43,6 @@ from .corpus import (
 from .coverage import (
     SubGraph,
     align_subgraph,
-    find_path,
     graph_coverage_features,
     relation_coverage,
     vocabulary_coverage,

@@ -3,18 +3,19 @@
 Each graph is a parsed Sentence (tokens as nodes, `Sentence.edges` as
 edges).  Relation coverage counts one-to-one edge-signature matches relative
 to the question's edges; vocabulary coverage does the same over node lemmas.
-Graph coverage builds a sub-graph of the answer graph spanned by the unique
-tree path between each pair of answer nodes whose lemmas also occur in the
-question, keeping only paths of at most `m` edges, and reports the
-sub-graph's edge count relative to each side.
+Graph coverage builds the sub-graph of the answer tree spanned by every tree
+path of at most `m` edges between two answer nodes whose lemmas also occur
+in the question, and reports the sub-graph's edge count relative to each
+side.  An answer edge joins the sub-graph when the nearest shared node below
+it plus the nearest shared node outside that subtree, the edge counted, is
+at most `m` edges away; two linear passes over the tree find both distances
+for every edge at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
 
 from .corpus import Sentence
 
@@ -61,48 +62,55 @@ def vocabulary_coverage(gq: Sentence, ga: Sentence) -> float:
     return matched / len(gq.tokens)
 
 
-def find_path(
-    parent: Sequence[int], depth: Sequence[int], source: int, dest: int, m: int
-) -> list[int]:
-    """Tree path from source to dest when it has at most m edges, else [].
-
-    parent[v] is v's head and depth[v] its level (only differences matter).
-    The two endpoints climb toward their lowest common ancestor, the deeper
-    one first, and the walk stops as soon as it would need more than m edges.
-    """
-    up, down = [source], [dest]
-    while up[-1] != down[-1]:
-        if len(up) + len(down) - 2 >= m:
-            return []  # not met yet, so the path needs at least one more edge
-        if depth[up[-1]] >= depth[down[-1]]:
-            up.append(parent[up[-1]])
-        else:
-            down.append(parent[down[-1]])
-    return up + down[-2::-1]
-
-
 def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
     """Answer sub-graph spanned by short paths between question-shared nodes.
 
-    The shared node set holds every answer node whose lemma occurs in the
-    question; for each unordered pair, the tree path joins the sub-graph when
-    it uses at most m edges.  The answer Sentence checked its tree when it
-    was built and holds each token's depth.
+    A token is shared when its lemma occurs in the question.  The answer
+    edge (v, head of v) lies on a tree path of at most m edges between two
+    shared tokens exactly when down[v] + up[v] <= m: down[v] counts the edges
+    from v to the nearest shared token in v's subtree, up[v] those to the
+    nearest shared token outside it, the edge to v's head included.  Two
+    linear passes find both for every token: deepest tokens first (the
+    answer Sentence holds each token's depth), then shallowest first.  The
+    sub-graph holds the kept edges and their endpoints.
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
     question_lemmas = set(node_lemmas(gq))
-    common = [t.index for t in ga.tokens if t.lemma in question_lemmas]
-    if len(common) < 2 or m == 0:
+    shared = [False] + [t.lemma in question_lemmas for t in ga.tokens]
+    if sum(shared) < 2 or m == 0:
         return EMPTY_SUBGRAPH
-    parent = [0] + [t.head for t in ga.tokens]
+    far = m + 1  # any distance beyond m counts as unreachable
+    head = [0] + [t.head for t in ga.tokens]
+    order = sorted(range(1, len(head)), key=ga.depth.__getitem__, reverse=True)
+    # best[v] and second[v]: the two smallest of 1 + down[c] over v's children
+    # c, so that a child can see the best branch of its siblings.
+    best = [far] * len(head)
+    second = [far] * len(head)
+    down = [far] * len(head)  # edges to the nearest shared token in v's subtree
+    for v in order:
+        down[v] = 0 if shared[v] else best[v]
+        h, reach = head[v], down[v] + 1
+        if reach < best[h]:
+            best[h], second[h] = reach, best[h]
+        elif reach < second[h]:
+            second[h] = reach
+    up = [far] * len(head)  # edges to the nearest shared token outside v's subtree
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
-    for source, dest in combinations(common, 2):
-        path = find_path(parent, ga.depth, source, dest, m)
-        nodes.update(path)
-        for a, b in zip(path, path[1:]):
-            edges.add((a, b) if a < b else (b, a))
+    for v in reversed(order):
+        h = head[v]
+        if not h:
+            continue
+        if shared[h]:
+            outside = 0
+        else:
+            sibling = second[h] if down[v] + 1 == best[h] else best[h]
+            outside = min(up[h], sibling)
+        up[v] = min(outside + 1, far)
+        if down[v] + up[v] <= m:
+            nodes.update((v, h))
+            edges.add((v, h) if v < h else (h, v))
     return SubGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 
 

@@ -3,9 +3,8 @@ from pathlib import Path
 import pytest
 
 from qatrigger.corpus import Sentence, Token
-from qatrigger.coverage import find_path
 
-from oracles import adjacency, bfs_distances, tree_arrays
+from oracles import adjacency, bfs_distances, find_path, tree_arrays
 
 MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 

@@ -2,11 +2,13 @@
 
 Everything here but `prob` deliberately avoids the library's own code
 paths: the assignment oracle enumerates permutations, the edit-distance
-oracle enumerates partial injections, paths come from plain BFS, and the
-formula oracles transcribe the defining equations directly.  Graph oracles
-take a parsed Sentence and derive its edges from the token heads themselves.
-The threshold oracle scores every candidate threshold with a full triggering
-report, whose metrics acceptance criterion 5 checks against exact rationals.
+oracle enumerates partial injections, paths come from plain BFS, the
+pairwise sub-graph walks one tree path per pair of shared nodes with
+`find_path` (itself checked against BFS), and the formula oracles transcribe
+the defining equations directly.  Graph oracles take a parsed Sentence and
+derive its edges from the token heads themselves.  The threshold oracle
+scores every candidate threshold with a full triggering report, whose
+metrics acceptance criterion 5 checks against exact rationals.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -134,6 +137,26 @@ def adjacency(graph) -> dict[int, set[int]]:
     return neighbors
 
 
+def find_path(
+    parent: Sequence[int], depth: Sequence[int], source: int, dest: int, m: int
+) -> list[int]:
+    """Tree path from source to dest when it has at most m edges, else [].
+
+    parent[v] is v's head and depth[v] its level (only differences matter).
+    The two endpoints climb toward their lowest common ancestor, the deeper
+    one first, and the walk stops as soon as it would need more than m edges.
+    """
+    up, down = [source], [dest]
+    while up[-1] != down[-1]:
+        if len(up) + len(down) - 2 >= m:
+            return []  # not met yet, so the path needs at least one more edge
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    return up + down[-2::-1]
+
+
 def tree_arrays(graph) -> tuple[list[int], list[int]]:
     """(parent, depth) lists indexed by token, slot 0 the virtual root.
 
@@ -180,6 +203,22 @@ def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, in
             if len(path) - 1 <= m:
                 nodes.update(path)
                 edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return nodes, edges
+
+
+def pairwise_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, int]]]:
+    """(nodes, sorted-pair edges) spanned by the find_path walk of at most m
+    edges between every pair of answer nodes whose lemma is in
+    question_lemmas, with parents and depths from tree_arrays."""
+    parent, depth = tree_arrays(graph)
+    common = [t.index for t in graph.tokens if t.lemma in question_lemmas]
+    nodes: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    for idx, source in enumerate(common):
+        for dest in common[idx + 1:]:
+            path = find_path(parent, depth, source, dest, m)
+            nodes.update(path)
+            edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
     return nodes, edges
 
 

@@ -19,7 +19,7 @@ from qatrigger.baselines import bm25_score, ngram_score, AnswerPool
 from qatrigger.cli import main
 from qatrigger.combiner import loss_and_gradient, sigmoid
 from qatrigger.corpus import attach_parses, load_wikiqa
-from qatrigger.coverage import align_subgraph
+from qatrigger.coverage import SubGraph, align_subgraph
 from qatrigger.evaluation import (
     ScoredGroup,
     top_candidate,
@@ -31,6 +31,8 @@ from qatrigger.graphsim import cosine
 
 from conftest import MINI_DIR, check_tree_paths_against_bfs, random_tree_sentence
 from oracles import (
+    adjacency,
+    bfs_distances,
     bfs_subgraph,
     brute_force_assignment,
     brute_force_ged,
@@ -60,11 +62,22 @@ def test_criterion_1_assignment_matches_permutation_oracle():
 
 def test_criterion_2_shortest_paths_match_bfs_oracle():
     rng = np.random.default_rng(103)
-    checked = sum(
-        check_tree_paths_against_bfs(random_tree_sentence(rng, max_nodes=12))
-        for _ in range(500)
+    checked = subgraphs = 0
+    for _ in range(500):
+        tree = random_tree_sentence(rng, max_nodes=12)
+        checked += check_tree_paths_against_bfs(tree)
+        neighbors = adjacency(tree)
+        diameter = max(max(bfs_distances(neighbors, v).values()) for v in neighbors)
+        every_lemma = {t.lemma for t in tree.tokens}
+        for m in range(diameter + 2):
+            nodes, edges = bfs_subgraph(tree, every_lemma, m)
+            assert align_subgraph(tree, tree, m) == SubGraph(frozenset(nodes), frozenset(edges))
+            subgraphs += 1
+    report(
+        2,
+        f"find_path equals the BFS tree path within m on 500 random trees ({checked} paths); "
+        f"align_subgraph with every node shared equals the BFS sub-graph ({subgraphs} cases)",
     )
-    report(2, f"find_path equals the BFS tree path within m on 500 random trees ({checked} paths)")
 
 
 def test_criterion_3_ged_identity_symmetry_range():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,17 @@ def test_non_tree_rejected_when_sentence_is_built(tmp_path, rows, message):
     with pytest.raises(IngestionError) as ingested:
         attach_parses(load_wikiqa(corpus), conllu)
     assert str(ingested.value) == f"{conllu}: sentence 'S1': {message}"
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_copied_sentence_rejects_token_index_outside_1_to_n(index):
+    # coverage indexes per-token arrays by position, so the Sentence (which is
+    # the dependency graph) rejects an index outside 1..n whenever it is built,
+    # including when an existing Sentence is copied with new tokens
+    root = make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
+    tokens = (root.tokens[0], dataclasses.replace(root.tokens[1], index=index))
+    with pytest.raises(ValueError, match=f"token index {index} out of range 1..2"):
+        dataclasses.replace(root, tokens=tokens)
 
 
 def test_attach_parses_missing_parse_lists_ids(tmp_path):

@@ -7,14 +7,13 @@ from qatrigger.corpus import Sentence
 from qatrigger.coverage import (
     SubGraph,
     align_subgraph,
-    find_path,
     graph_coverage_features,
     relation_coverage,
     vocabulary_coverage,
 )
 
 from conftest import check_tree_paths_against_bfs, make_sentence, random_tree_sentence
-from oracles import bfs_subgraph, head_edges, tree_arrays
+from oracles import bfs_subgraph, find_path, head_edges, pairwise_subgraph, tree_arrays
 
 
 def chain(*lemmas):
@@ -200,6 +199,88 @@ class TestAlignSubgraph:
     def test_negative_m_rejected(self, question_sentence, answer_sentence):
         with pytest.raises(ValueError):
             align_subgraph(question_sentence, answer_sentence, -1)
+
+
+def sentence_of(heads, lemmas):
+    """Sentence with token i + 1 under heads[i] (0 for the root) and lemma lemmas[i]."""
+    rows = [
+        (lemma, lemma, "NOUN", head, "root" if head == 0 else "dep")
+        for head, lemma in zip(heads, lemmas)
+    ]
+    return make_sentence("s", rows)
+
+
+def matches_pairwise(gq, ga, m):
+    lemmas = {t.lemma for t in gq.tokens}
+    nodes, edges = pairwise_subgraph(ga, lemmas, m)
+    expected = SubGraph(frozenset(nodes), frozenset(edges))
+    assert align_subgraph(gq, ga, m) == expected
+    return expected
+
+
+class TestAlignSubgraphAgainstPairwiseWalk:
+    """The two-pass edge rule against one tree path per pair of shared nodes."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("pool_size", range(1, 8))
+    def test_random_trees(self, relabel, pool_size):
+        rng = np.random.default_rng(61 + pool_size)
+        pool = ["die", "win", "sun", "man", "run", "city", "dog"][:pool_size]
+        for _ in range(150):
+            gq = random_tree_sentence(rng, max_nodes=4, lemma_pool=pool)
+            ga = random_tree_sentence(rng, max_nodes=14, lemma_pool=pool, relabel=relabel)
+            for m in range(9):
+                matches_pairwise(gq, ga, m)
+
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_300_tokens_all_shared(self, shape):
+        heads = [0] + [i if shape == "chain" else 1 for i in range(1, 300)]
+        ga = sentence_of(heads, ["w"] * 300)
+        gq = chain("w")
+        everything = {(min(h, i), max(h, i)) for i, h in enumerate(heads, start=1) if h}
+        for m in range(7):
+            sub = matches_pairwise(gq, ga, m)
+            assert sub.edges == (everything if m else frozenset())
+
+    def test_shared_root(self):
+        # root 1 is shared; its only partner 4 hangs three edges below it
+        ga = sentence_of([0, 1, 2, 3, 1], ["q", "x", "x", "q", "x"])
+        gq = chain("q")
+        assert matches_pairwise(gq, ga, 2).edges == frozenset()
+        assert matches_pairwise(gq, ga, 3).edges == {(1, 2), (2, 3), (3, 4)}
+        for m in range(7):
+            matches_pairwise(gq, ga, m)
+
+    def test_both_shared_nodes_in_one_child_branch(self):
+        # r(1) <- v(2) <- a(3), v(2) <- b(4): v's own branch is r's best child,
+        # so the edge (r, v) must not see a partner through it
+        ga = sentence_of([0, 1, 2, 2], ["r", "v", "q", "q"])
+        gq = chain("q")
+        for m in range(7):
+            sub = matches_pairwise(gq, ga, m)
+            assert sub.edges == ({(2, 3), (2, 4)} if m >= 2 else frozenset())
+            assert (1, 2) not in sub.edges
+
+    def test_only_partner_in_a_sibling_branch(self):
+        # r(1) has children x(2) and y(3); a(4) under x, b(6) two below y:
+        # a..b is 5 edges, through r, which is not shared
+        ga = sentence_of([0, 1, 1, 2, 3, 5], ["r", "x", "y", "q", "y", "q"])
+        gq = chain("q")
+        assert matches_pairwise(gq, ga, 4).edges == frozenset()
+        kept = matches_pairwise(gq, ga, 5)
+        assert kept.nodes == frozenset(range(1, 7))
+        assert kept.edges == {(1, 2), (1, 3), (2, 4), (3, 5), (5, 6)}
+
+    @pytest.mark.parametrize("distance", range(1, 7))
+    def test_partners_exactly_m_and_m_plus_one_apart(self, distance):
+        # shared tokens at both ends of a chain hung below an unshared root
+        heads = [0] + list(range(1, distance + 2))
+        ga = sentence_of(heads, ["r"] + ["q"] + ["x"] * (distance - 1) + ["q"])
+        gq = chain("q")
+        path = {(i, i + 1) for i in range(2, distance + 2)}
+        assert matches_pairwise(gq, ga, distance).edges == path
+        assert matches_pairwise(gq, ga, distance - 1).edges == frozenset()
+        assert matches_pairwise(gq, ga, distance + 1).edges == path
 
 
 class TestGraphCoverage:
