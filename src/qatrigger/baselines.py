@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import string
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import IngestionError, parse_number
+from .errors import IngestionError, open_text, parse_number
 
 
 def tokenize(text: str) -> list[str]:
@@ -172,24 +173,92 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     A leading `count dim` header line (word2vec text format) is skipped, and
     a word given twice keeps its later vector.  The non-empty lines are
-    counted first, so the vectors are parsed straight into one matrix.
+    counted first, so the vectors are parsed straight into one matrix, by
+    numpy's C text reader when it takes the whole file and line by line
+    with float() otherwise.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         n_lines = sum(1 for line in handle if not line.isspace())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _load_chunked(path, n_lines)
+    except (ValueError, Warning):
+        # Only the per-line reader names the first bad line in file order,
+        # and only it takes what float() parses but numpy does not, like 1_0.
+        return _load_per_line(path, n_lines)
+
+
+# Lines per np.loadtxt call.  Each chunk's text and parsed block are held
+# beside the matrix; 512 lines parsed as fast as 1,024 with less peak memory.
+_CHUNK_LINES = 512
+
+
+def _is_header(line: str) -> bool:
+    """Whether `line` is a word2vec `count dim` header."""
+    parts = line.split()
+    if len(parts) != 2:
+        return False
+    try:
+        int(parts[0]), int(parts[1])
+    except ValueError:
+        return False
+    return True
+
+
+def _load_chunked(path: Path, n_lines: int) -> EmbeddingTable:
+    """The table with the vectors parsed by numpy's C text reader, chunk by
+    chunk; ValueError when a line has no vector or a chunk does not parse to
+    `dim` finite values on each of its lines."""
+    rows: dict[str, int] = {}  # word -> number of its last vector line
+    n_vectors = 0
+    chunk: list[str] = []
+    matrix: np.ndarray | None = None
+
+    def flush() -> None:
+        nonlocal matrix
+        block = np.loadtxt(chunk, dtype=float, comments=None, ndmin=2)
+        if matrix is None:
+            matrix = np.empty((n_lines, block.shape[1]))
+        if block.shape != (len(chunk), matrix.shape[1]) or not np.isfinite(block).all():
+            raise ValueError("a chunk is ragged or not finite")
+        matrix[n_vectors - len(chunk) : n_vectors] = block
+        chunk.clear()
+
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split(None, 1)
+            if not parts or (lineno == 1 and _is_header(line)):
+                continue
+            if len(parts) == 1:
+                raise ValueError("a line has no vector")
+            rows[parts[0]] = n_vectors
+            n_vectors += 1
+            chunk.append(parts[1])
+            if len(chunk) == _CHUNK_LINES:
+                flush()
+    if chunk:
+        flush()
+    if matrix is None:
+        raise ValueError("no vectors")
+    if len(rows) == n_vectors:
+        return EmbeddingTable(matrix=matrix[:n_vectors], rows=rows)
+    # A repeated word keeps the row of its first line and its last vector.
+    last = list(rows.values())
+    return EmbeddingTable(matrix=matrix[last], rows=dict(zip(rows, range(len(rows)))))
+
+
+def _load_per_line(path: Path, n_lines: int) -> EmbeddingTable:
+    """The table parsed one line at a time with float(); IngestionError names
+    the first bad line."""
     matrix: np.ndarray | None = None
     rows: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
-            if not parts:
+            if not parts or (lineno == 1 and _is_header(line)):
                 continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue
-                except ValueError:
-                    pass
             word, values = parts[0], parts[1:]
             try:
                 vector = np.fromiter(map(float, values), dtype=float, count=len(values))

@@ -34,7 +34,7 @@ from .combiner import (
     train,
 )
 from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
-from .errors import ConfigError, IngestionError, QaTriggerError, parse_number
+from .errors import ConfigError, IngestionError, QaTriggerError, open_text, parse_number
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
 from .ged import GedConfig, default_pos_table, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
@@ -149,9 +149,13 @@ def load_config(
     if config_path is not None:
         path = Path(config_path)
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path, encoding="utf-8")
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
+        try:
+            with open_text(path) as handle:
+                parser.read_file(handle)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except configparser.Error as exc:
+            raise ConfigError(" ".join(str(exc).split())) from exc
         for section in parser.sections():
             for key, value in parser.items(section):
                 _apply(config, section, key, value, base=path.parent.resolve())
@@ -286,7 +290,7 @@ def read_features(
     seen: set[tuple[str, str]] = set()
     values: list[float] = []
     linenos: list[int] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline().rstrip("\r\n").split("\t")
         if header[:3] != ["question_id", "candidate_id", "gold_label"]:
             raise IngestionError(f"{path}: not a feature file (bad header)")
@@ -548,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     except IngestionError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 4
     except QaTriggerError as exc:

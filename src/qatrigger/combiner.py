@@ -32,7 +32,7 @@ from .baselines import (
 )
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
-from .errors import ConfigError, IngestionError, parse_number
+from .errors import ConfigError, IngestionError, open_text, parse_number
 from .ged import GedConfig, graph_edit_distances
 from .graphsim import DfTable, graph_similarities
 
@@ -308,7 +308,7 @@ def save_model(model: TriggerModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TriggerModel:
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         lines = [
             (lineno, line.rstrip("\r\n"))
             for lineno, line in enumerate(handle, start=1)

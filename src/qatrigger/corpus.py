@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import IngestionError, parse_number
+from .errors import IngestionError, open_text, parse_number
 
 WIKIQA_COLUMNS = 7
 
@@ -132,7 +132,7 @@ def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
     """
     path = Path(tsv_path)
     grouped: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:
@@ -187,7 +187,7 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
             blocks.append((sent_id or str(len(blocks) + 1), tokens))
         sent_id, tokens = None, []
 
-    with open(conllu_path, encoding="utf-8") as handle:
+    with open_text(conllu_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:
@@ -233,7 +233,7 @@ def _read_index(index_path: Path) -> dict[str, str]:
     """Read `conllu_sent_id<TAB>wikiqa_id` lines; duplicates on either side fail."""
     mapping: dict[str, str] = {}
     seen_targets: set[str] = set()
-    with open(index_path, encoding="utf-8") as handle:
+    with open_text(index_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:
@@ -342,7 +342,7 @@ def load_scores(tsv_path: str | Path) -> tuple[dict[tuple[str, str], float], int
     path = Path(tsv_path)
     scores: dict[tuple[str, str], float] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:

@@ -1,10 +1,13 @@
-"""Exception types shared across the package, and the numeric-field parser
-that turns a bad number in an input file into an IngestionError."""
+"""Exception types shared across the package, the text reader that turns an
+undecodable input file into an IngestionError, and the numeric-field parser
+that does the same for a bad number."""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class QaTriggerError(Exception):
@@ -20,6 +23,20 @@ class IngestionError(QaTriggerError):
 
 class ConfigError(QaTriggerError):
     """A run configuration is invalid or a required resource is missing."""
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` as UTF-8 text for reading.
+
+    A byte that is not UTF-8, met anywhere while the block reads the file,
+    raises IngestionError naming the file; an OSError passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def parse_number(raw: str, path: str | Path, lineno: int, kind: type = float):

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Sentence
-from .errors import IngestionError, parse_number
+from .errors import IngestionError, open_text, parse_number
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -76,7 +76,7 @@ def load_pos_table(path: str | Path) -> PosCostTable:
     entries: dict[tuple[str, str], float] = {}
     default_cost = 1.0
     saw_default = False
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line or line.startswith("#"):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
-from .errors import IngestionError, parse_number
+from .errors import IngestionError, open_text, parse_number
 
 LEVELS = ("word", "pair", "triplet")
 
@@ -141,7 +141,7 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
     path = Path(path)
     df: dict[str, int] = {}
     n_docs: int | None = None
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:

@@ -1,8 +1,11 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
 
+from qatrigger import baselines
 from qatrigger.baselines import (
     AnswerPool,
     EmbeddingTable,
@@ -151,6 +154,151 @@ class TestSemanticVector:
         assert -1.0 <= value_ab <= 1.0
 
 
+# More vector lines than one chunk of the C reader holds, and the first line
+# of its third chunk.
+MANY = 2 * baselines._CHUNK_LINES + 17
+CHUNK_EDGE = 2 * baselines._CHUNK_LINES + 1
+
+
+def _long_table(faults):
+    """A 2,000-line table of 2-dim vectors with the lines in `faults` replaced."""
+    return "".join(faults.get(i, f"w{i} 0.5 0.25") + "\n" for i in range(1, 2001))
+
+
+def _random_field(rng):
+    """One vector value, spelled in one of the ways embedding tables use."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        # Any finite double, from 64 random bits.
+        while True:
+            value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(value):
+                return repr(value)
+    if kind == 1:
+        return repr(rng.uniform(-1.0, 1.0))
+    if kind == 2:
+        return rng.choice(
+            ["-0.0", "0", "1e-310", "-4.9e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e+308", "+.5", "-7."]
+        )
+    if kind == 3:
+        return f"{rng.uniform(-10.0, 10.0):.{rng.randrange(1, 10)}{rng.choice('eE')}}"
+    if kind == 4:
+        return str(rng.randrange(-1000, 1000))
+    return f"{rng.uniform(-1.0, 1.0):.6f}"
+
+
+def _random_table(rng, n_words, dim, header=False, crlf=False, blanks=False, repeats=0):
+    """The text of a random table, and the rows and matrix a reader must
+    return for it: words in order of first line, each with its last vector,
+    each field parsed by float()."""
+    words = [f"w{i}" for i in range(n_words)]
+    for _ in range(repeats):
+        words.insert(rng.randrange(1, len(words) + 1), rng.choice(words))
+    lines = [f"{n_words} {dim}"] if header else []
+    vectors: dict[str, list[str]] = {}
+    for word in words:
+        fields = [_random_field(rng) for _ in range(dim)]
+        vectors[word] = fields
+        separators = [rng.choice([" ", "\t", "   ", " \t "]) for _ in fields]
+        tail = rng.choice(["", " ", "\t"])
+        lines.append(word + "".join(sep + f for sep, f in zip(separators, fields)) + tail)
+        if blanks and rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "\t"]))
+    newline = "\r\n" if crlf else "\n"
+    rows = {word: i for i, word in enumerate(vectors)}
+    matrix = np.array([[float(f) for f in fields] for fields in vectors.values()])
+    return newline.join(lines) + newline, rows, matrix
+
+
+def _must_not_run(*args):
+    raise AssertionError("this reader must not run")
+
+
+def _chunks_fail(*args):
+    raise ValueError("chunked reader disabled")
+
+
+def _load_with(monkeypatch, path, disabled, replacement):
+    """load_embeddings with one of its two readers replaced."""
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, disabled, replacement)
+        return load_embeddings(path)
+
+
+def _assert_same_bits(table, rows, matrix):
+    assert table.rows == rows
+    assert table.matrix.shape == matrix.shape
+    assert table.matrix.tobytes() == matrix.tobytes()
+
+
+class TestEmbeddingReaders:
+    """The chunked C reader against the per-line float() reader, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n_words, dim, options",
+        [
+            (1, 4, {}),
+            (1, 1, {"header": True}),
+            (60, 1, {"blanks": True}),
+            (30, 300, {"header": True, "crlf": True}),
+            (MANY, 3, {"blanks": True, "crlf": True, "repeats": 40}),
+            (MANY, 1, {"header": True, "repeats": 3}),
+            (200, 8, {"header": True, "repeats": 60}),
+        ],
+        ids=[
+            "one-row", "one-row-header", "dim-1-blanks", "dim-300-header-crlf",
+            "past-one-chunk-repeats", "past-one-chunk-dim-1", "repeats-header",
+        ],
+    )
+    def test_chunked_reader_matches_per_line_reader(
+        self, monkeypatch, tmp_path, seed, n_words, dim, options
+    ):
+        text, rows, matrix = _random_table(random.Random(seed), n_words, dim, **options)
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        chunked = _load_with(monkeypatch, path, "_load_per_line", _must_not_run)
+        per_line = _load_with(monkeypatch, path, "_load_chunked", _chunks_fail)
+        _assert_same_bits(chunked, rows, matrix)
+        _assert_same_bits(per_line, rows, matrix)
+
+    def test_well_formed_tables_need_no_per_line_reader(self, monkeypatch, mini_dir, tmp_path):
+        mini = mini_dir / "embeddings.txt"
+        table = _load_with(monkeypatch, mini, "_load_per_line", _must_not_run)
+        expected = _load_with(monkeypatch, mini, "_load_chunked", _chunks_fail)
+        _assert_same_bits(table, expected.rows, expected.matrix)
+        assert table.dim == 2 and len(table.rows) > 0
+
+        text, rows, matrix = _random_table(random.Random(300), 50, 300, header=True)
+        path = tmp_path / "emb300.txt"
+        path.write_text(text, encoding="utf-8")
+        _assert_same_bits(
+            _load_with(monkeypatch, path, "_load_per_line", _must_not_run), rows, matrix
+        )
+
+    @pytest.mark.parametrize(
+        "content, word, vector",
+        [
+            ("sun 1_0 2\nmoon 0 1\n", "sun", [10.0, 2.0]),
+            ("sun 0 1\nmoon \uff11 \uff12.5\n", "moon", [1.0, 2.5]),
+            ("sun 0 1\nmoon \u0663 -\u0664\n", "moon", [3.0, -4.0]),
+            (_long_table({1500: "w1500 1_000.5 0.25"}), "w1500", [1000.5, 0.25]),
+        ],
+        ids=["underscore", "full-width-digits", "arabic-indic-digits", "underscore-line-1500"],
+    )
+    def test_fields_only_float_parses_are_read_line_by_line(
+        self, monkeypatch, tmp_path, content, word, vector
+    ):
+        path = tmp_path / "emb.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(AssertionError, match="must not run"):
+            _load_with(monkeypatch, path, "_load_per_line", _must_not_run)
+        table = load_embeddings(path)
+        assert table.matrix[table.rows[word]].tolist() == vector
+        assert len(table.rows) == len(content.splitlines())
+
+
 class TestEmbeddingFile:
     def test_load_plain_and_with_header(self, tmp_path):
         plain = tmp_path / "plain.txt"
@@ -185,6 +333,42 @@ class TestEmbeddingFile:
             # The first fault in file order is the one reported.
             ("who 0.1 0.2\nwon inf 0.3\nwhy 0.4\n", "line 2: vector value is not finite"),
             ("who 0.1 0.2\nwon 0.3\nwhy nan 0.4\n", "line 2: expected 2 dims, got 1"),
+            # Past the first chunk of the C reader, each fault still names its line.
+            pytest.param(
+                _long_table({1500: "w1500 0.1 high"}), "line 1500: not a number: 'high'",
+                id="line-1500-not-a-number",
+            ),
+            pytest.param(
+                _long_table({1500: "w1500 0.1 inf"}), "line 1500: vector value is not finite",
+                id="line-1500-not-finite",
+            ),
+            pytest.param(
+                _long_table({1500: "w1500 0.1"}), "line 1500: expected 2 dims, got 1",
+                id="line-1500-wrong-dims",
+            ),
+            pytest.param(
+                _long_table({1500: "w1500"}), "line 1500: expected 2 dims, got 0",
+                id="line-1500-word-only",
+            ),
+            pytest.param(
+                _long_table({i: f"w{i} 0.5" for i in range(CHUNK_EDGE, 2001)}),
+                f"line {CHUNK_EDGE}: expected 2 dims, got 1",
+                id="whole-chunks-of-wrong-dims",
+            ),
+            pytest.param(
+                "who 0.1\nwon 0.2 #3\n", "line 2: not a number: '#3'",
+                id="hash-is-not-a-comment",
+            ),
+            pytest.param(
+                _long_table({700: "w700 nan 0.1", 1500: "w1500 0.1 high"}),
+                "line 700: vector value is not finite",
+                id="two-faults-earlier-chunk-wins",
+            ),
+            pytest.param(
+                _long_table({600: "w600 0.3", 1800: "w1800 inf 0.1"}),
+                "line 600: expected 2 dims, got 1",
+                id="two-faults-ragged-before-not-finite",
+            ),
         ],
     )
     def test_corrupt_file_names_its_first_bad_line(self, tmp_path, content, message):

@@ -117,6 +117,31 @@ class TestConfig:
         assert code == 2
         assert err == ["error:config: unknown configuration key [hyper] seed"]
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("m = 3\n", "File contains no section headers. file: "),
+            ("[hyper]\nm = 3\nm = 4\n", "[line 3]: option 'm' in section 'hyper' already exists"),
+        ],
+        ids=["no-section", "repeated-key"],
+    )
+    def test_malformed_config_file_fails_with_one_config_error(
+        self, tmp_path, capsys, content, message
+    ):
+        config = tmp_path / "config.ini"
+        config.write_text(content)
+        code = run("--config", str(config), "build-df", "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert message in err[0] and str(config) in err[0]
+
+    def test_missing_config_file_fails_with_one_config_error(self, tmp_path, capsys):
+        config = tmp_path / "absent.ini"
+        code = run("--config", str(config), "build-df", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error:config: config file not found: {config}\n"
+
     def test_range_validation(self):
         with pytest.raises(ConfigError):
             load_config(None, overrides=["hyper.b=1.5"], env={})
@@ -490,7 +515,9 @@ def _corrupt_input_argv(kind, path, tmp_path, mini_config):
         features = tmp_path / "features.tsv"
         features.write_text(GOOD_FEATURES)
         return ["evaluate", "--model", str(path), "--features", str(features)]
-    if kind in ("conllu", "index"):
+    if kind == "corpus":
+        overrides = ["features.manifest=bm25", f"data.dev={path}"]
+    elif kind in ("conllu", "index"):
         parse_files = {"dev": PARSED_CORPUS, "conllu_dev": GOOD_CONLLU, "index_dev": GOOD_INDEX}
         for key, content in parse_files.items():
             (tmp_path / key).write_text(content)
@@ -511,7 +538,42 @@ def _corrupt_input_argv(kind, path, tmp_path, mini_config):
     ]
 
 
+# Every kind of file the CLI reads.
+INPUT_KINDS = (
+    "config", "corpus", "conllu", "index", "scores", "embeddings", "pos_costs", "df",
+    "features", "model",
+)
+
+
+def _input_argv(kind, path, tmp_path, mini_config):
+    """Full argv of a command that reads `path` as a file of the given kind."""
+    if kind == "config":
+        return ["--config", str(path), "train", "--features", "f.tsv", "--model", "m.txt"]
+    return ["--config", mini_config, *_corrupt_input_argv(kind, path, tmp_path, mini_config)]
+
+
 class TestCorruptInputs:
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_not_utf8_file_fails_with_one_data_error(
+        self, kind, mini_config, tmp_path, capsys
+    ):
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(b"who\t0.5\n\xff\n")
+        code = run(*_input_argv(kind, path, tmp_path, mini_config))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err == [f"error:data: {path}: not UTF-8 text: invalid start byte"]
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_directory_fails_with_one_io_error(self, kind, mini_config, tmp_path, capsys):
+        path = tmp_path / f"{kind}.d"
+        path.mkdir()
+        code = run(*_input_argv(kind, path, tmp_path, mini_config))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:io:"), err
+        assert str(path) in err[0]
+
     @pytest.mark.parametrize(
         "kind, case, content",
         CORRUPT_INPUTS,
