@@ -2,7 +2,9 @@
 """Read dependency graphs from CoNLL-U parses and inspect their structure.
 
 A parsed sentence is a rooted tree: one node per token, one labeled edge per
-non-root token running from governor to dependent.
+non-root token running from governor to dependent.  A Sentence keeps four
+CoNLL-U columns of each token (lemma, UPOS, head, deprel), so token i's lemma
+is `sentence.lemmas[i - 1]`.
 """
 
 from pathlib import Path
@@ -50,7 +52,7 @@ for label, sentence in (("question", question), ("answer", answer)):
     print(f"{label}:", sentence.text)
     print("  edges (head, dependent, relation):", sentence.edges)
     for gov, dep, rel in sentence.edges:
-        print(f"  {sentence.tokens[gov - 1].form} -[{rel}]-> {sentence.tokens[dep - 1].form}")
+        print(f"  {sentence.lemmas[gov - 1]} -[{rel}]-> {sentence.lemmas[dep - 1]}")
     print()
 
 # Edge signatures are (governor lemma, dependent lemma, relation) triples;

@@ -10,15 +10,14 @@ identical graphs and 1 means nothing aligns.
 """
 
 from qatrigger import GedConfig, graph_edit_distance
-from qatrigger.corpus import Sentence, Token
+from qatrigger.corpus import Sentence
 
 
 def sentence(sid, rows):
-    tokens = tuple(
-        Token(i, form, lemma, upos, upos, head, rel)
-        for i, (form, lemma, upos, head, rel) in enumerate(rows, start=1)
-    )
-    return Sentence(sid, " ".join(t.form for t in tokens), tokens)
+    """rows: (form, lemma, upos, head, deprel) of tokens 1, 2, ...; a Sentence
+    keeps the lemma, UPOS, head and deprel columns, and the forms as its text."""
+    forms, lemmas, upos, heads, deprels = zip(*rows)
+    return Sentence(sid, " ".join(forms), lemmas, upos, heads, deprels)
 
 
 question = sentence(

@@ -35,7 +35,6 @@ from .combiner import (
 from .corpus import (
     QuestionGroup,
     Sentence,
-    Token,
     attach_parses,
     load_scores,
     load_wikiqa,

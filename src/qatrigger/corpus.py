@@ -5,13 +5,13 @@ DocumentTitle, SentenceID, Sentence, Label), groups candidate answers by
 question, and aligns every sentence with a dependency parse supplied as a
 CoNLL-U sidecar file.  Parsing itself is out of scope: parses are ingested,
 never produced.  A parsed Sentence is the dependency graph every feature
-reads: its tokens are the nodes, and `Sentence.edges` gives one labeled edge
-per non-root token, from governor to dependent.
+reads, held as four columns (lemmas, UPOS tags, heads, deprels): token i is
+position i - 1 of each, and `Sentence.edges` gives one labeled edge per
+non-root token, from governor to dependent.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,51 +26,34 @@ WIKIQA_COLUMNS = 7
 _RANGE_OR_EMPTY_NODE = re.compile(r"\d+-\d+|\d+\.\d+")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One parsed token; indices are 1-based, head 0 marks the root."""
-
-    index: int
-    form: str
-    lemma: str
-    upos: str
-    xpos: str
-    head: int
-    deprel: str
-
-
-def tree_depths(tokens: Sequence[Token]) -> tuple[int, ...]:
+def tree_depths(heads: Sequence[int]) -> tuple[int, ...]:
     """Depth of each token of a dependency tree; slot 0 is the virtual root.
 
-    The root token has depth 1.  Raises ValueError unless the tokens form one
-    tree: exactly one root, every index and head in range, no self-head,
-    indices 1..n in order, and no cycle.  Linear in n: each head chain is
-    walked only up to the first token already placed.
+    heads[i - 1] is the head of token i, and 0 marks the root, whose depth
+    is 1.  Raises ValueError unless the heads form one tree: exactly one
+    root, every head in range, no self-head, and no cycle.  Linear in n:
+    each head chain is walked only up to the first token already placed.
     """
-    n = len(tokens)
-    roots = sum(1 for t in tokens if t.head == 0)
+    n = len(heads)
+    roots = heads.count(0)
     if roots != 1:
         raise ValueError(f"single-root violation ({roots} roots in {n} tokens)")
-    for t in tokens:
-        if t.index < 1 or t.index > n:
-            raise ValueError(f"token index {t.index} out of range 1..{n}")
-        if t.head < 0 or t.head > n:
-            raise ValueError(f"head {t.head} out of range 0..{n}")
-        if t.head == t.index:
-            raise ValueError(f"token {t.index} is its own head")
-    if [t.index for t in tokens] != list(range(1, n + 1)):
-        raise ValueError(f"token indices are not contiguous 1..{n}")
+    if min(heads) < 0 or max(heads) > n:
+        head = next(h for h in heads if not 0 <= h <= n)
+        raise ValueError(f"head {head} out of range 0..{n}")
     # -1 marks a token not yet reached, -2 one on the chain being walked.
     depth = [0] + [-1] * n
-    for t in tokens:
+    for start in range(1, n + 1):
         chain = []
-        node = t.index
+        node = start
         while depth[node] < 0:
             if depth[node] == -2:
+                if node == chain[-1]:
+                    raise ValueError(f"token {node} is its own head")
                 raise ValueError(f"cycle through token {node}")
             depth[node] = -2
             chain.append(node)
-            node = tokens[node - 1].head
+            node = heads[node - 1]
         level = depth[node]
         for node in reversed(chain):
             level += 1
@@ -80,28 +63,44 @@ def tree_depths(tokens: Sequence[Token]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence, parsed when it carries tokens.
+    """A sentence, parsed when it carries columns.
 
-    Tokens given at construction must form a dependency tree (see
-    `tree_depths`), else ValueError; `depth` then holds each token's depth.
+    Position i - 1 of each column describes token i of a parse: its lemma,
+    its UPOS tag, its head (0 for the root) and the relation to that head.  Lemmas
+    are lowercased here and nowhere else.  The heads must form a dependency
+    tree (see `tree_depths`), else ValueError; `depth` then holds each
+    token's depth, and `edges` the (head, index, deprel) of each non-root
+    token, in token order.
     """
 
     sentence_id: str
     text: str
-    tokens: tuple[Token, ...] = ()
-    depth: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lemmas: tuple[str, ...] = ()
+    upos: tuple[str, ...] = ()
+    heads: tuple[int, ...] = ()
+    deprels: tuple[str, ...] = ()
+    depth: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    edges: tuple[tuple[int, int, str], ...] = field(
+        default=(), init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "depth", tree_depths(self.tokens) if self.tokens else ())
+        heads = self.heads
+        if not len(self.lemmas) == len(self.upos) == len(self.deprels) == len(heads):
+            raise ValueError("lemma, UPOS, head and deprel columns differ in length")
+        if not heads:
+            return
+        object.__setattr__(self, "lemmas", tuple([lemma.lower() for lemma in self.lemmas]))
+        object.__setattr__(self, "depth", tree_depths(heads))
+        object.__setattr__(self, "edges", tuple([
+            (head, index, rel)
+            for index, (head, rel) in enumerate(zip(heads, self.deprels), start=1)
+            if head
+        ]))
 
     @property
     def parsed(self) -> bool:
-        return bool(self.tokens)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, str], ...]:
-        """(head, index, deprel) of each non-root token, in token order."""
-        return tuple([(t.head, t.index, t.deprel) for t in self.tokens if t.head])
+        return bool(self.heads)
 
 
 @dataclass(frozen=True)
@@ -169,23 +168,29 @@ def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
     ]
 
 
-def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
-    """Read CoNLL-U blocks as (block_id, tokens).
+# The columns of one CoNLL-U block, in token order: ids, lemmas, UPOS tags,
+# heads and deprels.
+_Block = tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...], tuple[int, ...], tuple[str, ...]]
+
+
+def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, _Block]]:
+    """Read CoNLL-U blocks as (block_id, columns).
 
     The block id is the `# sent_id = ...` comment when present, otherwise the
-    1-based block ordinal as a string.  Multi-word-token lines (id "1-2") and
-    empty-node lines (id "1.1") are skipped; any other id that is not an
-    integer raises IngestionError naming the line.
+    1-based block ordinal as a string.  Only ID, LEMMA (FORM when LEMMA is
+    empty or `_`), UPOS, HEAD and DEPREL are read.  Multi-word-token lines
+    (id "1-2") and empty-node lines (id "1.1") are skipped; any other id that
+    is not an integer raises IngestionError naming the line.
     """
-    blocks: list[tuple[str, list[Token]]] = []
+    blocks: list[tuple[str, _Block]] = []
     sent_id: str | None = None
-    tokens: list[Token] = []
+    rows: list[tuple[int, str, str, int, str]] = []
 
     def flush() -> None:
-        nonlocal sent_id, tokens
-        if tokens:
-            blocks.append((sent_id or str(len(blocks) + 1), tokens))
-        sent_id, tokens = None, []
+        nonlocal sent_id, rows
+        if rows:
+            blocks.append((sent_id or str(len(blocks) + 1), tuple(zip(*rows))))
+        sent_id, rows = None, []
 
     with open_text(conllu_path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -212,21 +217,21 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, list[Token]]]:
                 raise IngestionError(
                     f"{conllu_path}: line {lineno}: non-numeric id or head"
                 ) from exc
-            form = columns[1]
-            lemma = columns[2] if columns[2] not in ("", "_") else form
-            tokens.append(
-                Token(
-                    index=index,
-                    form=form,
-                    lemma=lemma.lower(),
-                    upos=columns[3],
-                    xpos=columns[4],
-                    head=head,
-                    deprel=columns[7],
-                )
-            )
+            lemma = columns[2] if columns[2] not in ("", "_") else columns[1]
+            rows.append((index, lemma, columns[3], head, columns[7]))
     flush()
     return blocks
+
+
+def _check_ids(ids: tuple[int, ...]) -> None:
+    """Raise ValueError unless the CoNLL-U ids of a block run 1..n in order."""
+    n = len(ids)
+    if ids == tuple(range(1, n + 1)):
+        return
+    for index in ids:
+        if not 1 <= index <= n:
+            raise ValueError(f"token index {index} out of range 1..{n}")
+    raise ValueError(f"token indices are not contiguous 1..{n}")
 
 
 def _read_index(index_path: Path) -> dict[str, str]:
@@ -262,27 +267,30 @@ def attach_parses(
     conllu_path: str | Path,
     index_path: str | Path | None = None,
 ) -> list[QuestionGroup]:
-    """Return new groups whose sentences carry tokens from a CoNLL-U file.
+    """Return new groups whose sentences carry columns from a CoNLL-U file.
 
     With an index file, each CoNLL-U block (keyed by `# sent_id` comment or by
     1-based order) is mapped to a WikiQA QuestionID or SentenceID.  Without
     one, alignment is positional: all questions first, then all candidates,
-    both in corpus order.  A parse that is not a tree (see `tree_depths`)
-    raises IngestionError naming the file and the sentence; sentences left
-    without a parse raise IngestionError listing the missing ids.
+    both in corpus order.  A parse whose ids do not run 1..n in order, or
+    that is not a tree (see `tree_depths`), raises IngestionError naming the
+    file and the sentence; sentences left without a parse raise
+    IngestionError listing the missing ids.
     """
     conllu_path = Path(conllu_path)
     blocks = _read_conllu_blocks(conllu_path)
 
-    by_wikiqa_id: dict[str, list[Token]] = {}
+    targets = [g.question_id for g in groups]
+    targets += [cid for g in groups for cid, _, _ in g.candidates]
+    by_wikiqa_id: dict[str, _Block] = {}
     if index_path is not None:
         by_block_id = {}
-        for block_id, tokens in blocks:
+        for block_id, block in blocks:
             if block_id in by_block_id:
                 raise IngestionError(
                     f"{conllu_path}: duplicate sent_id {block_id!r}"
                 )
-            by_block_id[block_id] = tokens
+            by_block_id[block_id] = block
         for conllu_id, wikiqa_id in _read_index(Path(index_path)).items():
             if conllu_id not in by_block_id:
                 raise IngestionError(
@@ -290,47 +298,35 @@ def attach_parses(
                 )
             by_wikiqa_id[wikiqa_id] = by_block_id[conllu_id]
     else:
-        targets = [g.question_id for g in groups]
-        targets += [cid for g in groups for cid, _, _ in g.candidates]
         if len(blocks) != len(targets):
             raise IngestionError(
                 f"{conllu_path}: positional alignment needs {len(targets)} parses, "
                 f"found {len(blocks)}"
             )
-        for target, (_, tokens) in zip(targets, blocks):
-            by_wikiqa_id[target] = tokens
+        by_wikiqa_id = {target: block for target, (_, block) in zip(targets, blocks)}
 
-    missing = [g.question_id for g in groups if g.question_id not in by_wikiqa_id]
-    missing += [
-        cid
-        for g in groups
-        for cid, _, _ in g.candidates
-        if cid not in by_wikiqa_id
-    ]
+    missing = [target for target in targets if target not in by_wikiqa_id]
     if missing:
         raise IngestionError(
             f"{conllu_path}: no parse for ids: {', '.join(missing)}"
         )
 
     def parsed(sentence: Sentence, key: str) -> Sentence:
+        ids, lemmas, upos, heads, deprels = by_wikiqa_id[key]
         try:
-            return dataclasses.replace(sentence, tokens=tuple(by_wikiqa_id[key]))
+            _check_ids(ids)
+            return Sentence(sentence.sentence_id, sentence.text, lemmas, upos, heads, deprels)
         except ValueError as exc:
             raise IngestionError(f"{conllu_path}: sentence {key!r}: {exc}") from exc
 
-    result = []
-    for group in groups:
-        candidates = tuple(
-            (cid, parsed(sent, cid), label) for cid, sent, label in group.candidates
+    return [
+        QuestionGroup(
+            group.question_id,
+            parsed(group.question, group.question_id),
+            tuple((cid, parsed(sent, cid), label) for cid, sent, label in group.candidates),
         )
-        result.append(
-            QuestionGroup(
-                group.question_id,
-                parsed(group.question, group.question_id),
-                candidates,
-            )
-        )
-    return result
+        for group in groups
+    ]
 
 
 def load_scores(tsv_path: str | Path) -> tuple[dict[tuple[str, str], float], int]:

@@ -1,8 +1,9 @@
 """Coverage features between question and answer dependency graphs.
 
-Each graph is a parsed Sentence (tokens as nodes, `Sentence.edges` as
-edges).  Relation coverage counts one-to-one edge-signature matches relative
-to the question's edges; vocabulary coverage does the same over node lemmas.
+Each graph is a parsed Sentence: token i is a node with lemma
+`lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
+Relation coverage counts one-to-one edge-signature matches relative to the
+question's edges; vocabulary coverage does the same over node lemmas.
 Graph coverage builds the sub-graph of the answer tree spanned by every tree
 path of at most `m` edges between two answer nodes whose lemmas also occur
 in the question, and reports the sub-graph's edge count relative to each
@@ -33,13 +34,13 @@ EMPTY_SUBGRAPH = SubGraph(nodes=frozenset(), edges=frozenset())
 
 def edge_signatures(graph: Sentence) -> Counter[tuple[str, str, str]]:
     """Multiset of (governor lemma, dependent lemma, relation) per edge."""
-    lemma = {t.index: t.lemma for t in graph.tokens}
-    return Counter((lemma[gov], lemma[dep], rel) for gov, dep, rel in graph.edges)
+    lemmas = graph.lemmas
+    return Counter((lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in graph.edges)
 
 
 def node_lemmas(graph: Sentence) -> Counter[str]:
     """Multiset of node lemmas."""
-    return Counter(t.lemma for t in graph.tokens)
+    return Counter(graph.lemmas)
 
 
 def relation_coverage(gq: Sentence, ga: Sentence) -> float:
@@ -54,12 +55,12 @@ def relation_coverage(gq: Sentence, ga: Sentence) -> float:
 
 def vocabulary_coverage(gq: Sentence, ga: Sentence) -> float:
     """Matched lemmas over question node count."""
-    if not gq.tokens:
+    if not gq.lemmas:
         return 0.0
     lem_q = node_lemmas(gq)
     lem_a = node_lemmas(ga)
     matched = sum(min(count, lem_a[lemma]) for lemma, count in lem_q.items())
-    return matched / len(gq.tokens)
+    return matched / len(gq.lemmas)
 
 
 def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
@@ -77,11 +78,11 @@ def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
     question_lemmas = set(node_lemmas(gq))
-    shared = [False] + [t.lemma in question_lemmas for t in ga.tokens]
+    shared = [False] + [lemma in question_lemmas for lemma in ga.lemmas]
     if sum(shared) < 2 or m == 0:
         return EMPTY_SUBGRAPH
     far = m + 1  # any distance beyond m counts as unreachable
-    head = [0] + [t.head for t in ga.tokens]
+    head = [0, *ga.heads]
     order = sorted(range(1, len(head)), key=ga.depth.__getitem__, reverse=True)
     # best[v] and second[v]: the two smallest of 1 + down[c] over v's children
     # c, so that a child can see the best branch of its siblings.

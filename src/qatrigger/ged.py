@@ -1,12 +1,14 @@
 """Normalized graph edit distance between two dependency graphs.
 
-Each graph is a parsed Sentence (tokens as nodes, `Sentence.edges` as
-edges).  The distance is the bipartite approximation of Riesen & Bunke (2009): every
-question node is either substituted by one answer node or deleted, and every
-answer node not substituted is inserted.  Node substitution cost is zero for
-equal lemmas and otherwise a POS-pair substitute weight; every cost
-additionally charges the mismatch between the incident relation multisets of
-the two nodes, and deleting or inserting a node charges its incident edges.
+Each graph is a parsed Sentence: token i is a node with lemma `lemmas[i - 1]`
+and tag `upos[i - 1]`, and `Sentence.edges` are the edges.  The distance is
+the bipartite approximation of Riesen & Bunke (2009): every question node is
+either substituted by one answer node or deleted, and every answer node not
+substituted is inserted.  Node substitution cost is zero for equal lemmas
+(the Sentence lowercases them when it is built) and otherwise a POS-pair
+substitute weight; every cost additionally charges the mismatch between the
+incident relation multisets of the two nodes, and deleting or inserting a
+node charges its incident edges.
 
 The optimum is found as in Serratosa's Fast BP (2014): instead of the
 (n+m) x (n+m) matrix with deletion, insertion and epsilon blocks, one n x m
@@ -71,7 +73,8 @@ DEFAULT_POS_TABLE = default_pos_table()
 
 
 def load_pos_table(path: str | Path) -> PosCostTable:
-    """Load `UPOS_A<TAB>UPOS_B<TAB>cost` lines plus one `DEFAULT<TAB>cost` line."""
+    """Load `UPOS_A<TAB>UPOS_B<TAB>cost` lines plus one `DEFAULT<TAB>cost` line;
+    every cost, the default's included, must lie in [0, 1]."""
     path = Path(path)
     entries: dict[tuple[str, str], float] = {}
     default_cost = 1.0
@@ -82,20 +85,20 @@ def load_pos_table(path: str | Path) -> PosCostTable:
             if not line or line.startswith("#"):
                 continue
             columns = line.split("\t")
-            if columns[0] == "DEFAULT":
-                if len(columns) != 2:
-                    raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
-                default_cost = parse_number(columns[1], path, lineno)
-                saw_default = True
-                continue
-            if len(columns) != 3:
+            is_default = columns[0] == "DEFAULT"
+            if is_default and len(columns) != 2:
+                raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
+            if not is_default and len(columns) != 3:
                 raise IngestionError(
                     f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
                 )
-            a, b, raw = columns
-            cost = parse_number(raw, path, lineno)
+            cost = parse_number(columns[-1], path, lineno)
             if not 0.0 <= cost <= 1.0:
                 raise IngestionError(f"{path}: line {lineno}: cost must be in [0, 1]")
+            if is_default:
+                default_cost, saw_default = cost, True
+                continue
+            a, b = columns[:2]
             if entries.get((b, a), cost) != cost or entries.get((a, b), cost) != cost:
                 raise IngestionError(f"{path}: line {lineno}: asymmetric entry {a}/{b}")
             entries[(a, b)] = cost
@@ -115,12 +118,11 @@ def _relation_counts(
     graph: Sentence, edges: Sequence[tuple[int, int, str]], columns: dict[str, int]
 ) -> np.ndarray:
     """Per node (in token order), the count of each relation on its incident edges."""
-    row = {t.index: i for i, t in enumerate(graph.tokens)}
-    width = len(columns)
-    cells = [row[gov] * width + columns[rel] for gov, _, rel in edges]
-    cells += [row[dep] * width + columns[rel] for _, dep, rel in edges]
-    counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=len(row) * width)
-    return counts.reshape(len(row), width)
+    n, width = len(graph.heads), len(columns)
+    cells = [(gov - 1) * width + columns[rel] for gov, _, rel in edges]
+    cells += [(dep - 1) * width + columns[rel] for _, dep, rel in edges]
+    counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=n * width)
+    return counts.reshape(n, width)
 
 
 def _ids(values: Sequence[str], vocabulary: dict[str, int]) -> np.ndarray:
@@ -148,9 +150,9 @@ def _question_nodes(gq: Sentence, config: GedConfig) -> _QuestionNodes:
         relations.setdefault(rel, len(relations))
     counts = _relation_counts(gq, edges, relations)
     lemmas: dict[str, int] = {}
-    lemma_ids = _ids([t.lemma.lower() for t in gq.tokens], lemmas)
+    lemma_ids = _ids(gq.lemmas, lemmas)
     tags: dict[str, int] = {}
-    tag_ids = _ids([t.upos for t in gq.tokens], tags)
+    tag_ids = _ids(gq.upos, tags)
     deletion = config.delete_cost + config.edge_weight * counts.sum(axis=1)
     return _QuestionNodes(relations, counts, lemmas, lemma_ids, tags, tag_ids, deletion)
 
@@ -160,10 +162,10 @@ def build_cost_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edit costs of a graph pair: (n x m substitutions, n deletions, m insertions).
 
-    A substitution costs 0 for equal lemmas (case-insensitive), else the POS
-    substitute weight, plus `edge_weight` times half the symmetric difference
-    of the two nodes' incident relation multisets.  Deleting or inserting a
-    node costs `delete_cost` plus `edge_weight` per incident edge.
+    A substitution costs 0 for equal lemmas, else the POS substitute weight,
+    plus `edge_weight` times half the symmetric difference of the two nodes'
+    incident relation multisets.  Deleting or inserting a node costs
+    `delete_cost` plus `edge_weight` per incident edge.
     """
     return _answer_costs(_question_nodes(gq, config), ga, config)
 
@@ -185,10 +187,10 @@ def _answer_costs(
     )
 
     same_lemma = q.lemma_ids[:, None] == np.asarray(
-        [q.lemmas.get(t.lemma.lower(), -1) for t in ga.tokens], dtype=np.intp
+        [q.lemmas.get(lemma, -1) for lemma in ga.lemmas], dtype=np.intp
     )[None, :]
     tags: dict[str, int] = {}
-    tag_ids = _ids([t.upos for t in ga.tokens], tags)
+    tag_ids = _ids(ga.upos, tags)
     table = config.pos_table
     pos_cost = np.asarray(
         [[table.cost(a, b) for b in tags] for a in q.tags], dtype=float

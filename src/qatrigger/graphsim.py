@@ -2,10 +2,10 @@
 
 Each graph, a parsed Sentence, is rendered as a weighted vector at three
 granularities: node lemmas (word), governor|dependent lemma pairs (pair),
-and pairs extended with the relation label (triplet).  Weights are tf * idf
-with idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's
-threshold are dropped, and similarity is the cosine of the surviving
-vectors.
+and pairs extended with the relation label (triplet); an edge's lemmas are
+read by token position from the lemma column.  Weights are tf * idf with
+idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's threshold
+are dropped, and similarity is the cosine of the surviving vectors.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ class DfTable:
 def extract_keys(graph: Sentence) -> dict[str, Counter[str]]:
     """Multiset of keys of a graph at each level; the edges are derived once
     for both the pair and the triplet level."""
-    lemma = {t.index: t.lemma for t in graph.tokens}
+    lemmas = graph.lemmas
     edges = graph.edges
-    pairs = [f"{lemma[gov]}|{lemma[dep]}" for gov, dep, _ in edges]
+    pairs = [f"{lemmas[gov - 1]}|{lemmas[dep - 1]}" for gov, dep, _ in edges]
     return {
-        "word": Counter(t.lemma for t in graph.tokens),
+        "word": Counter(lemmas),
         "pair": Counter(pairs),
         "triplet": Counter(f"{pair}|{rel}" for pair, (_, _, rel) in zip(pairs, edges)),
     }

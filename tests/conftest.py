@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from qatrigger.corpus import Sentence, Token
+from qatrigger.corpus import Sentence
 
 from oracles import adjacency, bfs_distances, find_path, tree_arrays
 
@@ -10,12 +10,10 @@ MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 
 
 def make_sentence(sentence_id, rows):
-    """rows: (form, lemma, upos, head, deprel); xpos mirrors upos."""
-    tokens = tuple(
-        Token(index=i, form=form, lemma=lemma, upos=upos, xpos=upos, head=head, deprel=rel)
-        for i, (form, lemma, upos, head, rel) in enumerate(rows, start=1)
-    )
-    return Sentence(sentence_id, " ".join(t.form for t in tokens), tokens)
+    """rows: (form, lemma, upos, head, deprel) of tokens 1..n; the text is
+    the forms joined by spaces."""
+    forms, lemmas, upos, heads, deprels = zip(*rows)
+    return Sentence(sentence_id, " ".join(forms), lemmas, upos, heads, deprels)
 
 
 @pytest.fixture

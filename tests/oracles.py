@@ -6,7 +6,8 @@ oracle enumerates partial injections, paths come from plain BFS, the
 pairwise sub-graph walks one tree path per pair of shared nodes with
 `find_path` (itself checked against BFS), and the formula oracles transcribe
 the defining equations directly.  Graph oracles take a parsed Sentence and
-derive its edges from the token heads themselves.  The threshold oracle
+derive its edges and depths from the head column themselves, never from
+`Sentence.edges` or `Sentence.depth`.  The threshold oracle
 scores every candidate threshold with a full triggering report, whose
 metrics acceptance criterion 5 checks against exact rationals.
 """
@@ -26,7 +27,13 @@ from qatrigger.evaluation import top_candidate, triggering_report
 
 def head_edges(sentence) -> list[tuple[int, int, str]]:
     """(governor, dependent, relation) for every token with a head."""
-    return [(t.head, t.index, t.deprel) for t in sentence.tokens if t.head != 0]
+    rows = enumerate(zip(sentence.heads, sentence.deprels), start=1)
+    return [(head, index, rel) for index, (head, rel) in rows if head != 0]
+
+
+def token_indices(sentence) -> range:
+    """Token indices 1..n."""
+    return range(1, len(sentence.heads) + 1)
 
 
 def prob(model, x) -> float:
@@ -51,7 +58,7 @@ def brute_force_assignment(matrix) -> float:
 
 
 def _incident(graph) -> dict[int, Counter]:
-    rels: dict[int, Counter] = {t.index: Counter() for t in graph.tokens}
+    rels: dict[int, Counter] = {i: Counter() for i in token_indices(graph)}
     for gov, dep, rel in head_edges(graph):
         rels[gov][rel] += 1
         rels[dep][rel] += 1
@@ -59,7 +66,7 @@ def _incident(graph) -> dict[int, Counter]:
 
 
 def _degree(graph) -> dict[int, int]:
-    deg = {t.index: 0 for t in graph.tokens}
+    deg = {i: 0 for i in token_indices(graph)}
     for gov, dep, _ in head_edges(graph):
         deg[gov] += 1
         deg[dep] += 1
@@ -68,24 +75,24 @@ def _degree(graph) -> dict[int, int]:
 
 def brute_force_ged(gq, ga, pos_table, edge_weight, delete_cost) -> float:
     """Normalized edit distance by enumerating every partial injection."""
-    nodes_q = list(gq.tokens)
-    nodes_a = list(ga.tokens)
+    nodes_q = list(token_indices(gq))
+    nodes_a = list(token_indices(ga))
     rels_q, rels_a = _incident(gq), _incident(ga)
     deg_q, deg_a = _degree(gq), _degree(ga)
 
     def node_sub(u, v):
-        if u.lemma.lower() == v.lemma.lower():
+        if gq.lemmas[u - 1].lower() == ga.lemmas[v - 1].lower():
             base = 0.0
         else:
-            base = pos_table.cost(u.upos, v.upos)
-        diff = (rels_q[u.index] - rels_a[v.index]) + (rels_a[v.index] - rels_q[u.index])
+            base = pos_table.cost(gq.upos[u - 1], ga.upos[v - 1])
+        diff = (rels_q[u] - rels_a[v]) + (rels_a[v] - rels_q[u])
         return base + edge_weight * sum(diff.values()) / 2.0
 
     def del_cost_of(u):
-        return delete_cost + edge_weight * deg_q[u.index]
+        return delete_cost + edge_weight * deg_q[u]
 
     def ins_cost_of(v):
-        return delete_cost + edge_weight * deg_a[v.index]
+        return delete_cost + edge_weight * deg_a[v]
 
     n, m = len(nodes_q), len(nodes_a)
     if n == 0 and m == 0:
@@ -130,7 +137,7 @@ def bfs_distances(adjacency, source) -> dict[int, int]:
 
 def adjacency(graph) -> dict[int, set[int]]:
     """Symmetric adjacency over node indices, ignoring edge direction."""
-    neighbors: dict[int, set[int]] = {t.index: set() for t in graph.tokens}
+    neighbors: dict[int, set[int]] = {i: set() for i in token_indices(graph)}
     for gov, dep, _ in head_edges(graph):
         neighbors[gov].add(dep)
         neighbors[dep].add(gov)
@@ -163,10 +170,10 @@ def tree_arrays(graph) -> tuple[list[int], list[int]]:
     Depth is the BFS hop count from the root token plus one, so the root
     token sits at depth 1 as in Sentence.depth.
     """
-    parent = [0] * (len(graph.tokens) + 1)
+    parent = [0] * (len(graph.heads) + 1)
     for gov, dep, _ in head_edges(graph):
         parent[dep] = gov
-    root = next(t.index for t in graph.tokens if t.head == 0)
+    root = graph.heads.index(0) + 1
     depth = [0] * len(parent)
     for node, hops in bfs_distances(adjacency(graph), root).items():
         depth[node] = hops + 1
@@ -180,7 +187,7 @@ def bfs_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[int, in
     Trees have one path per pair, so the BFS path is the aligned one.
     """
     neighbors = adjacency(graph)
-    common = [t.index for t in graph.tokens if t.lemma in question_lemmas]
+    common = [i for i in token_indices(graph) if graph.lemmas[i - 1] in question_lemmas]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for idx, s in enumerate(common):
@@ -211,7 +218,7 @@ def pairwise_subgraph(graph, question_lemmas, m) -> tuple[set[int], set[tuple[in
     edges between every pair of answer nodes whose lemma is in
     question_lemmas, with parents and depths from tree_arrays."""
     parent, depth = tree_arrays(graph)
-    common = [t.index for t in graph.tokens if t.lemma in question_lemmas]
+    common = [i for i in token_indices(graph) if graph.lemmas[i - 1] in question_lemmas]
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for idx, source in enumerate(common):

@@ -68,7 +68,7 @@ def test_criterion_2_shortest_paths_match_bfs_oracle():
         checked += check_tree_paths_against_bfs(tree)
         neighbors = adjacency(tree)
         diameter = max(max(bfs_distances(neighbors, v).values()) for v in neighbors)
-        every_lemma = {t.lemma for t in tree.tokens}
+        every_lemma = set(tree.lemmas)
         for m in range(diameter + 2):
             nodes, edges = bfs_subgraph(tree, every_lemma, m)
             assert align_subgraph(tree, tree, m) == SubGraph(frozenset(nodes), frozenset(edges))
@@ -302,15 +302,15 @@ class TestGoldenFeaturesAgainstOracles:
     """The committed golden feature file must agree with independent oracles."""
 
     def _oracle_features(self, gq, ga, pos_table, df_tables, n_docs):
-        lemma_q = {t.index: t.lemma for t in gq.tokens}
-        lemma_a = {t.index: t.lemma for t in ga.tokens}
+        lemma_q = dict(enumerate(gq.lemmas, start=1))
+        lemma_a = dict(enumerate(ga.lemmas, start=1))
         edges_q, edges_a = head_edges(gq), head_edges(ga)
 
         ged = brute_force_ged(gq, ga, pos_table, 0.5, 1.0)
 
         def keys(graph, lemma, level):
             if level == "word":
-                return [t.lemma for t in graph.tokens]
+                return list(graph.lemmas)
             if level == "pair":
                 return [f"{lemma[g]}|{lemma[d]}" for g, d, _ in head_edges(graph)]
             return [f"{lemma[g]}|{lemma[d]}|{r}" for g, d, r in head_edges(graph)]
@@ -347,7 +347,7 @@ class TestGoldenFeaturesAgainstOracles:
 
         lem_q = Counter(lemma_q.values())
         lem_a = Counter(lemma_a.values())
-        vocab_cov = sum(min(c, lem_a[w]) for w, c in lem_q.items()) / len(gq.tokens)
+        vocab_cov = sum(min(c, lem_a[w]) for w, c in lem_q.items()) / len(gq.lemmas)
 
         _, edges = bfs_subgraph(ga, set(lemma_q.values()), 3)
         cov_ans = len(edges) / len(edges_a) if edges_a else 0.0
@@ -369,9 +369,9 @@ class TestGoldenFeaturesAgainstOracles:
         for level in ("word", "pair", "triplet"):
             df: Counter = Counter()
             for sentence in sentences:
-                lemma = {t.index: t.lemma for t in sentence.tokens}
+                lemma = dict(enumerate(sentence.lemmas, start=1))
                 if level == "word":
-                    ks = {t.lemma for t in sentence.tokens}
+                    ks = set(sentence.lemmas)
                 elif level == "pair":
                     ks = {f"{lemma[g]}|{lemma[d]}" for g, d, _ in head_edges(sentence)}
                 else:

@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -173,6 +177,25 @@ class TestFeaturize:
         ) == 0
         golden = mini_dir / "golden_features_lexical_train.tsv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_every_feature_is_independent_of_the_hash_seed(
+        self, mini_config, mini_dir, tmp_path
+    ):
+        # Set and dict iteration order varies with PYTHONHASHSEED; no output may.
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"features-{seed}.tsv"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            subprocess.run(
+                [sys.executable, "-m", "qatrigger.cli", "--config", mini_config,
+                 "--set", f"features.manifest={','.join(FEATURE_NAMES)}",
+                 "featurize", "--split", "train", "--out", str(out)],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            outputs.append(out.read_bytes())
+        golden = (mini_dir / "golden_features_lexical_train.tsv").read_bytes()
+        assert outputs == [golden, golden]
 
     def test_empty_manifest_fails_cleanly(self, mini_config, tmp_path, capsys):
         code = run(
@@ -505,7 +528,41 @@ MALFORMED_INPUTS = [
      "line 3: non-numeric id or head"),
     ("index", "duplicate-mapping", "q\tQ1\nq\tS1\n",
      "line 2: duplicate mapping for 'q'"),
+    ("pos_costs", "default-below-0", "NOUN\tVERB\t0.5\nDEFAULT\t-3\n",
+     "line 2: cost must be in [0, 1]"),
+    ("pos_costs", "default-above-1", "DEFAULT\t7.5\n", "line 1: cost must be in [0, 1]"),
 ]
+
+
+# Field values a line mutation writes into a CoNLL-U column.
+CONLLU_VALUES = ("", "_", "0", "-1", "1", "2", "99", "1-2", "1.1", "1-", ".5", "x", "root")
+
+
+def mutate_conllu_line(lines, rng):
+    """A copy of CoNLL-U lines with one line deleted, repeated, swapped with
+    another, preceded by a blank or comment line, or with one column
+    replaced or dropped."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    op = rng.randrange(6)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 3:
+        lines.insert(i, rng.choice(("", "#", "# sent_id = train-q01")))
+    else:
+        columns = lines[i].split("\t")
+        k = rng.randrange(len(columns))
+        if op == 4:
+            columns[k] = rng.choice(CONLLU_VALUES)
+        else:
+            del columns[k]
+        lines[i] = "\t".join(columns)
+    return lines
 
 
 def _corrupt_input_argv(kind, path, tmp_path, mini_config):
@@ -607,6 +664,25 @@ class TestCorruptInputs:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error:data:"), err
         assert f"{path}: {message}" in err[0]
+
+    def test_mutated_parses_end_in_success_or_one_data_error(
+        self, mini_config, mini_dir, tmp_path, capsys
+    ):
+        rng = random.Random(1104)
+        lines = (mini_dir / "parses_train.conllu").read_text().splitlines()
+        path = tmp_path / "parses.conllu"
+        outcomes = []
+        for _ in range(200):
+            path.write_text("\n".join(mutate_conllu_line(lines, rng)) + "\n")
+            code = run(
+                "--config", mini_config, "--set", f"data.conllu_train={path}",
+                "featurize", "--split", "train", "--out", str(tmp_path / "out.tsv"),
+            )
+            err = capsys.readouterr().err.splitlines()
+            if code != 0:
+                assert code == 3 and len(err) == 1 and err[0].startswith("error:data:"), err
+            outcomes.append(code)
+        assert {0, 3} <= set(outcomes)  # both kinds of mutation were drawn
 
     def test_cyclic_parse_fails_with_one_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.tsv"

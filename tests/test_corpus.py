@@ -5,13 +5,20 @@ import pytest
 
 from qatrigger.corpus import (
     Sentence,
-    Token,
     attach_parses,
     load_scores,
     load_wikiqa,
 )
-from qatrigger.coverage import edge_signatures, node_lemmas
+from qatrigger.coverage import (
+    edge_signatures,
+    graph_coverage_features,
+    node_lemmas,
+    relation_coverage,
+    vocabulary_coverage,
+)
 from qatrigger.errors import IngestionError
+from qatrigger.ged import graph_edit_distance
+from qatrigger.graphsim import build_df, graph_similarity_features
 
 from conftest import make_sentence, random_tree_sentence
 from oracles import head_edges, tree_arrays
@@ -119,10 +126,12 @@ def test_attach_parses_positional(tmp_path):
     conllu = write(tmp_path / "p.conllu", CONLLU_TWO)
     groups = attach_parses(load_wikiqa(corpus), conllu)
     question = groups[0].question
-    assert [t.form for t in question.tokens] == ["nobody", "won"]
-    assert [t.head for t in question.tokens] == [2, 0]
+    assert question.lemmas == ("nobody", "win")
+    assert question.upos == ("PRON", "VERB")
+    assert question.heads == (2, 0)
+    assert question.deprels == ("nsubj", "root")
     _, answer, _ = groups[0].candidates[0]
-    assert answer.tokens[0].lemma == "alice"
+    assert answer.lemmas[0] == "alice"
 
 
 def test_attach_parses_by_index_file(tmp_path):
@@ -138,8 +147,8 @@ def test_attach_parses_by_index_file(tmp_path):
     conllu = write(tmp_path / "p.conllu", blocks)
     index = write(tmp_path / "i.tsv", "p-question\tQ1\np-answer\tS1\n")
     groups = attach_parses(load_wikiqa(corpus), conllu, index)
-    assert groups[0].question.tokens[0].form == "nobody"
-    assert groups[0].candidates[0][1].tokens[0].form == "alice"
+    assert groups[0].question.lemmas[0] == "nobody"
+    assert groups[0].candidates[0][1].lemmas[0] == "alice"
 
 
 def test_attach_parses_skips_mwt_and_empty_nodes(tmp_path):
@@ -152,7 +161,8 @@ def test_attach_parses_skips_mwt_and_empty_nodes(tmp_path):
     )
     conllu = write(tmp_path / "p.conllu", block + "\n" + block)
     groups = attach_parses(load_wikiqa(corpus), conllu)
-    assert len(groups[0].question.tokens) == 2
+    assert groups[0].question.lemmas == ("do", "it")
+    assert groups[0].question.heads == (0, 1)
 
 
 def test_attach_parses_rejects_double_root(tmp_path):
@@ -184,11 +194,38 @@ def test_attach_parses_rejects_cycle(tmp_path):
         attach_parses(load_wikiqa(corpus), conllu)
 
 
+def ingest_second_block(tmp_path, rows):
+    """attach_parses over a root-only question parse and a candidate parse
+    of `(id, head)` rows; returns the IngestionError and the CoNLL-U path."""
+    corpus = write(tmp_path / "c.tsv", "Q1\tw\tD\tt\tS1\tw\t0\n")
+    good = "1\tw\tw\tNOUN\tNN\t_\t0\troot\t_\t_\n"
+    bad = "".join(f"{i}\tw\tw\tNOUN\tNN\t_\t{head}\tdep\t_\t_\n" for i, head in rows)
+    conllu = write(tmp_path / "p.conllu", good + "\n" + bad)
+    with pytest.raises(IngestionError) as ingested:
+        attach_parses(load_wikiqa(corpus), conllu)
+    return ingested.value, conllu
+
+
 NON_TREES = [
-    pytest.param([(1, 0), (2, 0)], "single-root violation (2 roots in 2 tokens)", id="two-roots"),
-    pytest.param([(1, 0), (2, 3)], "head 3 out of range 0..2", id="head-out-of-range"),
-    pytest.param([(1, 0), (2, 2)], "token 2 is its own head", id="self-head"),
-    pytest.param([(1, 2), (2, 1), (3, 0)], "cycle through token 1", id="two-cycle"),
+    pytest.param([0, 0], "single-root violation (2 roots in 2 tokens)", id="two-roots"),
+    pytest.param([0, 3], "head 3 out of range 0..2", id="head-out-of-range"),
+    pytest.param([0, 2], "token 2 is its own head", id="self-head"),
+    pytest.param([2, 1, 0], "cycle through token 1", id="two-cycle"),
+]
+
+
+@pytest.mark.parametrize("heads, message", NON_TREES)
+def test_non_tree_rejected_when_sentence_is_built(tmp_path, heads, message):
+    """heads[i] is the head of token i + 1."""
+    n = len(heads)
+    with pytest.raises(ValueError) as built:
+        Sentence("S1", "w", ("w",) * n, ("NOUN",) * n, tuple(heads), ("dep",) * n)
+    assert str(built.value) == message
+    error, conllu = ingest_second_block(tmp_path, enumerate(heads, start=1))
+    assert str(error) == f"{conllu}: sentence 'S1': {message}"
+
+
+BAD_IDS = [
     pytest.param([(2, 0), (1, 2)], "token indices are not contiguous 1..2", id="out-of-order"),
     pytest.param([(1, 0), (0, 1)], "token index 0 out of range 1..2", id="index-0"),
     pytest.param([(1, 0), (-1, 1)], "token index -1 out of range 1..2", id="index-minus-1"),
@@ -196,31 +233,26 @@ NON_TREES = [
 ]
 
 
-@pytest.mark.parametrize("rows, message", NON_TREES)
-def test_non_tree_rejected_when_sentence_is_built(tmp_path, rows, message):
-    """rows: (index, head) per token."""
-    tokens = tuple(Token(i, "w", "w", "NOUN", "NN", head, "dep") for i, head in rows)
-    with pytest.raises(ValueError) as built:
-        Sentence("S1", "w", tokens)
-    assert str(built.value) == message
-    corpus = write(tmp_path / "c.tsv", "Q1\tw\tD\tt\tS1\tw\t0\n")
-    good = "1\tw\tw\tNOUN\tNN\t_\t0\troot\t_\t_\n"
-    bad = "".join(f"{i}\tw\tw\tNOUN\tNN\t_\t{head}\tdep\t_\t_\n" for i, head in rows)
-    conllu = write(tmp_path / "p.conllu", good + "\n" + bad)
-    with pytest.raises(IngestionError) as ingested:
-        attach_parses(load_wikiqa(corpus), conllu)
-    assert str(ingested.value) == f"{conllu}: sentence 'S1': {message}"
+@pytest.mark.parametrize("rows, message", BAD_IDS)
+def test_conllu_ids_outside_1_to_n_in_order_rejected(tmp_path, rows, message):
+    """rows: (CoNLL-U id, head) per token line."""
+    error, conllu = ingest_second_block(tmp_path, rows)
+    assert str(error) == f"{conllu}: sentence 'S1': {message}"
 
 
-@pytest.mark.parametrize("index", [0, -1, 3])
-def test_copied_sentence_rejects_token_index_outside_1_to_n(index):
-    # coverage indexes per-token arrays by position, so the Sentence (which is
-    # the dependency graph) rejects an index outside 1..n whenever it is built,
-    # including when an existing Sentence is copied with new tokens
+@pytest.mark.parametrize("heads, message", [
+    ((0, 3), "head 3 out of range 0..2"),
+    ((0, -1), "head -1 out of range 0..2"),
+    ((0, 1, 1), "lemma, UPOS, head and deprel columns differ in length"),
+])
+def test_copied_sentence_rejects_bad_heads(heads, message):
+    # coverage indexes per-token arrays by head, so the Sentence (which is the
+    # dependency graph) checks its columns whenever it is built, including
+    # when an existing Sentence is copied with new heads
     root = make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
-    tokens = (root.tokens[0], dataclasses.replace(root.tokens[1], index=index))
-    with pytest.raises(ValueError, match=f"token index {index} out of range 1..2"):
-        dataclasses.replace(root, tokens=tokens)
+    with pytest.raises(ValueError) as copied:
+        dataclasses.replace(root, heads=heads)
+    assert str(copied.value) == message
 
 
 def test_attach_parses_missing_parse_lists_ids(tmp_path):
@@ -251,21 +283,22 @@ def test_attach_parses_mini_corpus_invariants(mini_dir):
     for group in groups:
         sentences = [group.question] + [s for _, s, _ in group.candidates]
         for sentence in sentences:
-            n = len(sentence.tokens)
+            n = len(sentence.heads)
             assert n > 0
-            assert sum(1 for t in sentence.tokens if t.head == 0) == 1
-            assert all(0 <= t.head <= n and t.head != t.index for t in sentence.tokens)
-            assert all(t.lemma for t in sentence.tokens)
+            assert len(sentence.lemmas) == len(sentence.upos) == len(sentence.deprels) == n
+            assert sentence.heads.count(0) == 1
+            assert all(0 <= h <= n and h != i for i, h in enumerate(sentence.heads, start=1))
+            assert all(lemma and lemma == lemma.lower() for lemma in sentence.lemmas)
 
 
 def test_fig_style_question_graph(question_sentence):
     assert ("carradine", "david", "compound") in edge_signatures(question_sentence)
-    assert len(question_sentence.edges) == len(question_sentence.tokens) - 1
+    assert len(question_sentence.edges) == len(question_sentence.lemmas) - 1
 
 
 def test_single_token_sentence():
     sentence = make_sentence("s", [("go", "go", "VERB", 0, "root")])
-    assert len(sentence.tokens) == 1
+    assert sentence.lemmas == ("go",)
     assert sentence.edges == ()
     assert Sentence("s", "go").edges == ()
 
@@ -312,10 +345,10 @@ def test_random_trees_satisfy_tree_property():
     rng = np.random.default_rng(7)
     for _ in range(100):
         sentence = random_tree_sentence(rng, max_nodes=10, relabel=True)
-        assert len(sentence.edges) == len(sentence.tokens) - 1
+        assert len(sentence.edges) == len(sentence.heads) - 1
         assert list(sentence.edges) == head_edges(sentence)
         assert all(gov != dep for gov, dep, _ in sentence.edges)
-        assert sum(node_lemmas(sentence).values()) == len(sentence.tokens)
+        assert sum(node_lemmas(sentence).values()) == len(sentence.lemmas)
 
 
 def test_lemma_falls_back_to_lowercased_form(tmp_path):
@@ -323,7 +356,47 @@ def test_lemma_falls_back_to_lowercased_form(tmp_path):
     block = "1\tParis\t_\tPROPN\tNNP\t_\t0\troot\t_\t_\n"
     conllu = write(tmp_path / "p.conllu", block + "\n" + block)
     groups = attach_parses(load_wikiqa(corpus), conllu)
-    assert groups[0].question.tokens[0].lemma == "paris"
+    assert groups[0].question.lemmas == ("paris",)
+
+
+QUESTION_ROWS = [
+    ("how", "how", "ADV", 4, "advmod"),
+    ("did", "do", "AUX", 4, "aux"),
+    ("carradine", "carradine", "PROPN", 4, "nsubj"),
+    ("die", "die", "VERB", 0, "root"),
+]
+ANSWER_ROWS = [
+    ("carradine", "carradine", "PROPN", 2, "nsubj"),
+    ("died", "die", "VERB", 0, "root"),
+    ("of", "of", "ADP", 4, "case"),
+    ("asphyxiation", "asphyxiation", "NOUN", 2, "obl"),
+]
+
+
+def graph_features(gq, ga):
+    """Every graph feature of a pair, with DF tables built from the pair."""
+    tables = build_df([gq, ga])
+    return (
+        graph_edit_distance(gq, ga),
+        *graph_similarity_features(gq, ga, tables, (0.0, 0.0, 0.0)),
+        relation_coverage(gq, ga),
+        vocabulary_coverage(gq, ga),
+        *graph_coverage_features(gq, ga, 3),
+    )
+
+
+def test_lemma_case_is_normalized_once_for_every_feature():
+    # A Sentence lowercases its lemmas when it is built, so a pair that
+    # differs only in lemma case gets the same value from every feature.
+    def recased(rows, case):
+        return [(form, case(lemma), upos, head, rel) for form, lemma, upos, head, rel in rows]
+
+    lower = graph_features(make_sentence("q", QUESTION_ROWS), make_sentence("a", ANSWER_ROWS))
+    gq = make_sentence("q", recased(QUESTION_ROWS, str.upper))
+    ga = make_sentence("a", recased(ANSWER_ROWS, str.title))
+    assert gq.lemmas == ("how", "do", "carradine", "die")
+    assert graph_features(gq, ga) == lower
+    assert lower[5] == 0.5  # vocab_cov: carradine and die of four question lemmas
 
 
 def test_load_scores_roundtrip_and_duplicates(tmp_path):

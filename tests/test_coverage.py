@@ -170,7 +170,7 @@ class TestAlignSubgraph:
         for _ in range(1000):
             gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=10, lemma_pool=pool, relabel=True)
-            lemmas = {t.lemma for t in gq.tokens}
+            lemmas = set(gq.lemmas)
             for m in range(6):
                 nodes, edges = bfs_subgraph(ga, lemmas, m)
                 assert align_subgraph(gq, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
@@ -211,7 +211,7 @@ def sentence_of(heads, lemmas):
 
 
 def matches_pairwise(gq, ga, m):
-    lemmas = {t.lemma for t in gq.tokens}
+    lemmas = set(gq.lemmas)
     nodes, edges = pairwise_subgraph(ga, lemmas, m)
     expected = SubGraph(frozenset(nodes), frozenset(edges))
     assert align_subgraph(gq, ga, m) == expected
@@ -316,8 +316,8 @@ class TestGraphCoverage:
             assert 0.0 <= cov_ans <= 1.0
             assert 0.0 <= cov_ques <= 1.0
 
-    def test_depths_come_from_the_tokens_however_the_sentence_is_made(self):
-        # A Sentence built by hand, or copied with other tokens, computes its
+    def test_depths_come_from_the_heads_however_the_sentence_is_made(self):
+        # A Sentence built by hand, or copied with other columns, computes its
         # own depths; coverage must read those, never stale or missing ones.
         rng = np.random.default_rng(53)
         pool = ["die", "win", "sun"]
@@ -325,9 +325,14 @@ class TestGraphCoverage:
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             shape = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
             other = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
-            by_hand = Sentence("a", shape.text, shape.tokens)
-            replaced = dataclasses.replace(by_hand, tokens=other.tokens)
-            lemmas = {t.lemma for t in gq.tokens}
+            by_hand = Sentence(
+                "a", shape.text, shape.lemmas, shape.upos, shape.heads, shape.deprels
+            )
+            replaced = dataclasses.replace(
+                by_hand, lemmas=other.lemmas, upos=other.upos, heads=other.heads,
+                deprels=other.deprels,
+            )
+            lemmas = set(gq.lemmas)
             for ga in (by_hand, replaced):
                 assert list(ga.depth) == tree_arrays(ga)[1]
                 _, edges = bfs_subgraph(ga, lemmas, 3)

@@ -211,7 +211,7 @@ class TestGraphEditDistance:
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             for first, second in ((gq, ga), (ga, gq)):
-                orientations.add(np.sign(len(first.tokens) - len(second.tokens)))
+                orientations.add(np.sign(len(first.lemmas) - len(second.lemmas)))
                 fast = graph_edit_distance(first, second, cfg)
                 slow = brute_force_ged(
                     first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -44,13 +45,13 @@ class TestExtractKeys:
         keys = extract_keys(graph)
         assert not keys["pair"] and not keys["triplet"]
 
-    def test_edges_derived_once_for_every_level(self, answer_sentence, monkeypatch):
-        derived = []
-        edges = Sentence.edges.fget
-        monkeypatch.setattr(Sentence, "edges", property(lambda s: derived.append(s) or edges(s)))
+    def test_edges_derived_once_for_every_level(self, answer_sentence):
+        # A Sentence stores its edges (and depths) when it is built, so every
+        # level reads the same tuple and none derives it again.
+        stored = {f.name for f in dataclasses.fields(Sentence) if not f.init}
+        assert stored == {"depth", "edges"}
         keys = extract_keys(answer_sentence)
         assert list(keys) == list(LEVELS)
-        assert derived == [answer_sentence]
 
 
 class TestBuildDf:
@@ -142,7 +143,7 @@ class TestTfidfVector:
         mine = tfidf_vector(word_keys(answer_sentence), table, 0.0)
         direct = direct_tfidf_vector(
             answer_sentence,
-            lambda g: [t.lemma for t in g.tokens],
+            lambda g: list(g.lemmas),
             12,
             table.df,
             0.0,
