@@ -16,14 +16,21 @@ assignment over the reduced costs min(0, sub_ij - del_i - ins_j) selects the
 substitutions, and every node left out is deleted or inserted.  The edit cost
 is normalized by the cost of deleting one graph entirely and inserting the
 other, which bounds the result to [0, 1].
+
+A question is scored against its whole group of answers at once: every cost
+depends on one question node and one answer node only, so one numpy pass
+builds the n x sum(m) matrix of all answers side by side, reading POS
+weights from one array per PosCostTable, and each answer's columns then go
+to the assignment solver on their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +65,17 @@ class PosCostTable:
         if value is None:
             value = self.entries.get((upos_b, upos_a))
         return self.default_cost if value is None else value
+
+    @cached_property
+    def cost_rows(self) -> tuple[dict[str, int], np.ndarray]:
+        """(index of each UPOS tag and each tag the table names, the
+        (T+1) x (T+1) array of their `cost`s).  Index T stands for any other
+        tag: it costs `default_cost` against every tag, itself included,
+        since the table names no pair with it."""
+        tags = list(dict.fromkeys([*UPOS_TAGS, *(tag for pair in self.entries for tag in pair)]))
+        costs = np.full((len(tags) + 1, len(tags) + 1), self.default_cost, dtype=float)
+        costs[:-1, :-1] = [[self.cost(a, b) for b in tags] for a in tags]
+        return {tag: i for i, tag in enumerate(tags)}, costs
 
 
 def default_pos_table() -> PosCostTable:
@@ -115,46 +133,69 @@ class GedConfig:
 
 
 def _relation_counts(
-    graph: Sentence, edges: Sequence[tuple[int, int, str]], columns: dict[str, int]
+    graphs: Sequence[Sentence], columns: dict[str, int]
 ) -> np.ndarray:
-    """Per node (in token order), the count of each relation on its incident edges."""
-    n, width = len(graph.heads), len(columns)
-    cells = [(gov - 1) * width + columns[rel] for gov, _, rel in edges]
-    cells += [(dep - 1) * width + columns[rel] for _, dep, rel in edges]
-    counts = np.bincount(np.asarray(cells, dtype=np.intp), minlength=n * width)
-    return counts.reshape(n, width)
+    """Per node of the graphs stacked in order, the count of each relation on
+    its incident edges; a relation not yet in `columns` gets the next column."""
+    govs: list[int] = []
+    deps: list[int] = []
+    ids: list[int] = []
+    offset = 0
+    for graph in graphs:
+        edges = graph.edges
+        govs += [offset + gov for gov, _, _ in edges]
+        deps += [offset + dep for _, dep, _ in edges]
+        ids += [columns.setdefault(rel, len(columns)) for _, _, rel in edges]
+        offset += len(graph.heads)
+    width = len(columns)
+    ends = np.asarray(govs + deps, dtype=np.intp) - 1
+    cells = ends * width + np.asarray(ids + ids, dtype=np.intp)
+    return np.bincount(cells, minlength=offset * width).reshape(offset, width)
 
 
-def _ids(values: Sequence[str], vocabulary: dict[str, int]) -> np.ndarray:
-    """Integer id of each value, adding unseen values to the vocabulary."""
-    ids = [vocabulary.setdefault(v, len(vocabulary)) for v in values]
-    return np.asarray(ids, dtype=np.intp)
-
-
-class _QuestionNodes(NamedTuple):
-    """The question's half of every cost matrix against it."""
-
-    relations: dict[str, int]  # column of each question relation, in edge order
-    counts: np.ndarray  # n x len(relations) incident relation counts
-    lemmas: dict[str, int]
-    lemma_ids: np.ndarray
-    tags: dict[str, int]
-    tag_ids: np.ndarray
-    deletion: np.ndarray
-
-
-def _question_nodes(gq: Sentence, config: GedConfig) -> _QuestionNodes:
-    edges = gq.edges
+def group_cost_matrix(
+    gq: Sentence, answers: Sequence[Sentence], config: GedConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """build_cost_matrix of every answer, side by side, in one pass:
+    (n x sum(m) substitutions, n deletions, sum(m) insertions, bounds).
+    Answer k owns columns bounds[k]:bounds[k + 1].  Every cost depends only
+    on one question node and one answer node, so each answer's slice holds
+    the same bits as its own build_cost_matrix."""
+    bounds = [0]
+    for ga in answers:
+        bounds.append(bounds[-1] + len(ga.heads))
+    # Question relations take the first columns; the rest count 0 on every
+    # question node.
     relations: dict[str, int] = {}
-    for _, _, rel in edges:
-        relations.setdefault(rel, len(relations))
-    counts = _relation_counts(gq, edges, relations)
+    q_counts = _relation_counts([gq], relations)
+    width = len(relations)
+    a_counts = _relation_counts(answers, relations)
+    mismatch = (
+        np.abs(q_counts[:, None, :] - a_counts[None, :, :width]).sum(axis=2)
+        + a_counts[:, width:].sum(axis=1)
+    )
+
     lemmas: dict[str, int] = {}
-    lemma_ids = _ids(gq.lemmas, lemmas)
-    tags: dict[str, int] = {}
-    tag_ids = _ids(gq.upos, tags)
-    deletion = config.delete_cost + config.edge_weight * counts.sum(axis=1)
-    return _QuestionNodes(relations, counts, lemmas, lemma_ids, tags, tag_ids, deletion)
+    q_lemmas = np.asarray(
+        [lemmas.setdefault(lemma, len(lemmas)) for lemma in gq.lemmas], dtype=np.intp
+    )
+    a_lemmas = np.asarray(
+        [lemmas.get(lemma, -1) for ga in answers for lemma in ga.lemmas], dtype=np.intp
+    )
+    index, pos_costs = config.pos_table.cost_rows
+    other = len(index)
+    q_tags = np.asarray([index.get(tag, other) for tag in gq.upos], dtype=np.intp)
+    a_tags = np.asarray(
+        [index.get(tag, other) for ga in answers for tag in ga.upos], dtype=np.intp
+    )
+    node = np.where(
+        q_lemmas[:, None] == a_lemmas[None, :], 0.0, pos_costs[q_tags[:, None], a_tags[None, :]]
+    )
+
+    substitution = node + config.edge_weight * mismatch / 2.0
+    deletion = config.delete_cost + config.edge_weight * q_counts.sum(axis=1)
+    insertion = config.delete_cost + config.edge_weight * a_counts.sum(axis=1)
+    return substitution, deletion, insertion, bounds
 
 
 def build_cost_matrix(
@@ -167,86 +208,65 @@ def build_cost_matrix(
     incident relation multisets.  Deleting or inserting a node costs
     `delete_cost` plus `edge_weight` per incident edge.
     """
-    return _answer_costs(_question_nodes(gq, config), ga, config)
-
-
-def _answer_costs(
-    q: _QuestionNodes, ga: Sentence, config: GedConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """build_cost_matrix against a question whose side is already built."""
-    edges = ga.edges
-    relations = dict(q.relations)
-    for _, _, rel in edges:
-        relations.setdefault(rel, len(relations))
-    counts = _relation_counts(ga, edges, relations)
-    # Relations past the question's columns count 0 on every question node.
-    width = len(q.relations)
-    mismatch = (
-        np.abs(q.counts[:, None, :] - counts[None, :, :width]).sum(axis=2)
-        + counts[:, width:].sum(axis=1)
-    )
-
-    same_lemma = q.lemma_ids[:, None] == np.asarray(
-        [q.lemmas.get(lemma, -1) for lemma in ga.lemmas], dtype=np.intp
-    )[None, :]
-    tags: dict[str, int] = {}
-    tag_ids = _ids(ga.upos, tags)
-    table = config.pos_table
-    pos_cost = np.asarray(
-        [[table.cost(a, b) for b in tags] for a in q.tags], dtype=float
-    ).reshape(len(q.tags), len(tags))
-    node = np.where(same_lemma, 0.0, pos_cost[q.tag_ids[:, None], tag_ids[None, :]])
-
-    substitution = node + config.edge_weight * mismatch / 2.0
-    insertion = config.delete_cost + config.edge_weight * counts.sum(axis=1)
-    return substitution, q.deletion, insertion
+    return group_cost_matrix(gq, [ga], config)[:3]
 
 
 def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int]:
-    """Shortest-augmenting-path assignment of a rows <= columns matrix, as row_to_col."""
-    n = len(cost)
+    """Shortest-augmenting-path assignment of a rows <= columns matrix, as row_to_col.
+
+    Columns are 1-based and column 0 is the virtual start of each row's
+    search.  Each step scans the free columns in ascending order and keeps
+    the first strict minimum, which fixes the choice among tied optima.
+    """
     inf = math.inf
-    u = [0.0] * (n + 1)
+    u = [0.0] * (len(cost) + 1)
     v = [0.0] * (n_cols + 1)
-    col_row = [0] * (n_cols + 1)  # 1-based; 0 means unassigned
-    way = [0] * (n_cols + 1)
-    for i in range(1, n + 1):
+    col_row = [0] * (n_cols + 1)  # 0 means unassigned
+    columns = range(1, n_cols + 1)
+    for i, row in enumerate(cost, start=1):
         col_row[0] = i
-        j0 = 0
-        minv = [inf] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
-        while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            delta = inf
-            j1 = 0
-            row = cost[i0 - 1]
-            ui0 = u[i0]
-            for j in range(1, n_cols + 1):
-                if used[j]:
-                    continue
-                current = row[j - 1] - ui0 - v[j]
-                if current < minv[j]:
-                    minv[j] = current
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
+        # The first step, from column 0, reaches every column.
+        current = [row[j - 1] - u[i] - v[j] for j in columns]
+        delta = min(current)
+        j0 = current.index(delta) + 1
+        u[i] += delta
+        if col_row[j0]:
+            way = [0] * (n_cols + 1)
+            minv = [inf] + [c - delta for c in current]
+            used = [0, j0]
+            free = [j for j in columns if j != j0]
+            while True:
+                i0 = col_row[j0]
+                row0 = cost[i0 - 1]
+                ui0 = u[i0]
+                delta = inf
+                j1 = 0
+                for j in free:
+                    value = row0[j - 1] - ui0 - v[j]
+                    if value < minv[j]:
+                        minv[j] = value
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+                for j in used:
                     u[col_row[j]] += delta
                     v[j] -= delta
-                else:
+                j0 = j1
+                used.append(j0)
+                free.remove(j0)
+                if col_row[j0] == 0:
+                    break
+                for j in free:
                     minv[j] -= delta
-            j0 = j1
-            if col_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            col_row[j0] = col_row[j1]
-            j0 = j1
-    row_to_col = [0] * n
-    for j in range(1, n_cols + 1):
+            while j0:
+                j1 = way[j0]
+                col_row[j0] = col_row[j1]
+                j0 = j1
+        else:
+            col_row[j0] = i
+    row_to_col = [0] * len(cost)
+    for j in columns:
         if col_row[j]:
             row_to_col[col_row[j] - 1] = j - 1
     return row_to_col
@@ -266,8 +286,9 @@ def solve_assignment(
     transposed = cost.shape[0] > cost.shape[1]
     if transposed:
         cost = cost.T
-    assignment = _shortest_augmenting_paths(cost.tolist(), cost.shape[1])
-    total = math.fsum(cost[i, j] for i, j in enumerate(assignment))
+    rows = cost.tolist()
+    assignment = _shortest_augmenting_paths(rows, cost.shape[1])
+    total = math.fsum([rows[i][j] for i, j in enumerate(assignment)])
     if not transposed:
         return tuple(assignment), total
     row_to_col = [-1] * cost.shape[1]
@@ -291,30 +312,34 @@ def graph_edit_distance(
 def graph_edit_distances(
     gq: Sentence, answers: Sequence[Sentence], config: GedConfig | None = None
 ) -> list[float]:
-    """graph_edit_distance of each answer graph; the question's relation
-    counts, lemma ids and tag ids are built once."""
+    """graph_edit_distance of each answer graph, from one group_cost_matrix;
+    each answer's reduced costs go to solve_assignment on their own."""
     cfg = config or GedConfig()
-    question = _question_nodes(gq, cfg)
-    return [_distance(question, ga, cfg) for ga in answers]
-
-
-def _distance(question: _QuestionNodes, ga: Sentence, config: GedConfig) -> float:
-    substitution, deletion, insertion = _answer_costs(question, ga, config)
+    substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, cfg)
     reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
-    assignment, _ = solve_assignment(reduced)
-    # Total over the original entries the assignment implies: a pair with a
-    # negative reduced cost is substituted, every other node deleted or inserted.
-    substituted = [
-        (i, j) for i, j in enumerate(assignment) if j >= 0 and reduced[i, j] < 0.0
-    ]
-    kept_q = {i for i, _ in substituted}
-    kept_a = {j for _, j in substituted}
-    total = math.fsum(
-        [substitution[i, j] for i, j in substituted]
-        + [cost for i, cost in enumerate(deletion) if i not in kept_q]
-        + [cost for j, cost in enumerate(insertion) if j not in kept_a]
-    )
-    denominator = math.fsum(deletion) + math.fsum(insertion)
-    if denominator <= 0.0:  # two empty graphs, or zero costs
-        return 0.0
-    return min(1.0, max(0.0, total / denominator))
+    sub_rows, reduced_rows = substitution.tolist(), reduced.tolist()
+    deletion, insertion = deletion.tolist(), insertion.tolist()
+    deletion_total = math.fsum(deletion)
+    distances = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        assignment, _ = solve_assignment(reduced[:, lo:hi])
+        # Total over the original entries the assignment implies: a pair with
+        # a negative reduced cost is substituted, every other node deleted or
+        # inserted.
+        substituted = [
+            (i, lo + j) for i, j in enumerate(assignment)
+            if j >= 0 and reduced_rows[i][lo + j] < 0.0
+        ]
+        kept_q = {i for i, _ in substituted}
+        kept_a = {j for _, j in substituted}
+        total = math.fsum(
+            [sub_rows[i][j] for i, j in substituted]
+            + [cost for i, cost in enumerate(deletion) if i not in kept_q]
+            + [insertion[j] for j in range(lo, hi) if j not in kept_a]
+        )
+        denominator = deletion_total + math.fsum(insertion[lo:hi])
+        if denominator <= 0.0:  # two empty graphs, or zero costs
+            distances.append(0.0)
+        else:
+            distances.append(min(1.0, max(0.0, total / denominator)))
+    return distances

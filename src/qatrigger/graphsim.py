@@ -5,14 +5,16 @@ granularities: node lemmas (word), governor|dependent lemma pairs (pair),
 and pairs extended with the relation label (triplet); an edge's lemmas are
 read by token position from the lemma column.  Weights are tf * idf with
 idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's threshold
-are dropped, and similarity is the cosine of the surviving vectors.
+are dropped, and similarity is the cosine of the surviving vectors.  idf
+depends on a key only through its df, so each DfTable computes it once per
+distinct df; a question's vectors and norms are built once per group.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -29,18 +31,23 @@ class DfTable:
     level: str
     n_docs: int
     df: Mapping[str, int]
+    # idf of a key whose document frequency is d, for d = 0 (an unseen key)
+    # and every d in `df`: idf depends on nothing else, so each distinct df
+    # takes one math.log, and the dict is bounded by the table's size.
+    idf_by_df: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level not in LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
         if self.n_docs < 1:
             raise ValueError("n_docs must be positive")
-        bad = [k for k, v in self.df.items() if v < 1 or v > self.n_docs]
-        if bad:
+        dfs = set(self.df.values())
+        if dfs and (min(dfs) < 1 or max(dfs) > self.n_docs):
+            bad = [k for k, v in self.df.items() if v < 1 or v > self.n_docs]
             raise ValueError(f"df out of range for keys: {bad[:3]}")
-
-    def idf(self, key: str) -> float:
-        return math.log((self.n_docs + 1) / (self.df.get(key, 0) + 1)) + 1.0
+        n = self.n_docs
+        idf = {d: math.log((n + 1) / (d + 1)) + 1.0 for d in dfs | {0}}
+        object.__setattr__(self, "idf_by_df", idf)
 
 
 def extract_keys(graph: Sentence) -> dict[str, Counter[str]]:
@@ -77,22 +84,26 @@ def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
 
 def tfidf_vector(keys: Counter[str], table: DfTable, alpha: float) -> dict[str, float]:
     """tf * idf weights of a key multiset, keeping only weights strictly above alpha."""
-    vector: dict[str, float] = {}
-    for key, tf in sorted(keys.items()):
-        weight = tf * table.idf(key)
-        if weight > alpha:
-            vector[key] = weight
-    return vector
+    idf, df = table.idf_by_df, table.df.get
+    return {key: w for key, tf in keys.items() if (w := tf * idf[df(key, 0)]) > alpha}
+
+
+def _norm(vector: Mapping[str, float]) -> float:
+    return math.sqrt(math.fsum([w * w for w in vector.values()]))
 
 
 def cosine(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
     """Cosine over the key union; 0 when either vector is empty."""
+    return _cosine(v1, _norm(v1), v2)
+
+
+def _cosine(v1: Mapping[str, float], norm1: float, v2: Mapping[str, float]) -> float:
+    """cosine of v1, whose norm is given, and v2.  math.fsum is correctly
+    rounded, so the order of the keys cannot change the result."""
     if not v1 or not v2:
         return 0.0
-    shared = sorted(v1.keys() & v2.keys())
-    dot = math.fsum(v1[k] * v2[k] for k in shared)
-    norm1 = math.sqrt(math.fsum(w * w for _, w in sorted(v1.items())))
-    norm2 = math.sqrt(math.fsum(w * w for _, w in sorted(v2.items())))
+    dot = math.fsum([w * v2[k] for k, w in v1.items() if k in v2])
+    norm2 = _norm(v2)
     if norm1 == 0.0 or norm2 == 0.0:
         return 0.0
     return min(1.0, dot / (norm1 * norm2))
@@ -115,16 +126,17 @@ def graph_similarities(
     alphas: tuple[float, float, float],
 ) -> list[tuple[float, float, float]]:
     """graph_similarity_features of each answer graph; the question's TF-IDF
-    vectors are built once per level."""
+    vectors and their norms are built once per level."""
     levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]
     keys_q = extract_keys(gq)
     vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
+    question = [(vq, _norm(vq)) for vq in vectors_q]
     rows = []
     for ga in answers:
         keys_a = extract_keys(ga)
         rows.append(tuple(
-            cosine(vq, tfidf_vector(keys_a[table.level], table, alpha))
-            for vq, (table, alpha) in zip(vectors_q, levels)
+            _cosine(vq, norm_q, tfidf_vector(keys_a[table.level], table, alpha))
+            for (vq, norm_q), (table, alpha) in zip(question, levels)
         ))
     return rows
 

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here but `prob` deliberately avoids the library's own code
-paths: the assignment oracle enumerates permutations, the edit-distance
-oracle enumerates partial injections, paths come from plain BFS, the
-pairwise sub-graph walks one tree path per pair of shared nodes with
+paths: the assignment oracle enumerates permutations, the reference
+shortest-augmenting-path solver scans every column at every step, the
+edit-distance oracle enumerates partial injections, paths come from plain
+BFS, the pairwise sub-graph walks one tree path per pair of shared nodes with
 `find_path` (itself checked against BFS), and the formula oracles transcribe
 the defining equations directly.  Graph oracles take a parsed Sentence and
 derive its edges and depths from the head column themselves, never from
@@ -55,6 +56,59 @@ def brute_force_assignment(matrix) -> float:
         if total < best:
             best = total
     return 0.0 if rows == 0 else best
+
+
+def reference_shortest_augmenting_paths(cost, n_cols) -> list[int]:
+    """The shortest-augmenting-path loop as first written, as row_to_col of
+    a rows <= columns matrix: every step scans all columns, and `minv` is
+    updated after every step.  The library's solver must return the same
+    assignment, tie-breaks included."""
+    n = len(cost)
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n_cols + 1)
+    col_row = [0] * (n_cols + 1)  # 1-based; 0 means unassigned
+    way = [0] * (n_cols + 1)
+    for i in range(1, n + 1):
+        col_row[0] = i
+        j0 = 0
+        minv = [inf] * (n_cols + 1)
+        used = [False] * (n_cols + 1)
+        while True:
+            used[j0] = True
+            i0 = col_row[j0]
+            delta = inf
+            j1 = 0
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            for j in range(1, n_cols + 1):
+                if used[j]:
+                    continue
+                current = row[j - 1] - ui0 - v[j]
+                if current < minv[j]:
+                    minv[j] = current
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n_cols + 1):
+                if used[j]:
+                    u[col_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if col_row[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            col_row[j0] = col_row[j1]
+            j0 = j1
+    row_to_col = [0] * n
+    for j in range(1, n_cols + 1):
+        if col_row[j]:
+            row_to_col[col_row[j] - 1] = j - 1
+    return row_to_col
 
 
 def _incident(graph) -> dict[int, Counter]:
@@ -248,6 +302,18 @@ def direct_cosine(v1, v2) -> float:
     if n1 == 0 or n2 == 0:
         return 0.0
     return dot / (n1 * n2)
+
+
+def sorted_cosine(v1, v2) -> float:
+    """Cosine with every math.fsum taken over keys in sorted order."""
+    if not v1 or not v2:
+        return 0.0
+    dot = math.fsum(v1[k] * v2[k] for k in sorted(v1.keys() & v2.keys()))
+    norm1 = math.sqrt(math.fsum(v1[k] ** 2 for k in sorted(v1)))
+    norm2 = math.sqrt(math.fsum(v2[k] ** 2 for k in sorted(v2)))
+    if norm1 == 0.0 or norm2 == 0.0:
+        return 0.0
+    return min(1.0, dot / (norm1 * norm2))
 
 
 def direct_bm25(question, answer, pool_tokens, k1, b) -> float:

@@ -5,16 +5,26 @@ import pytest
 
 from qatrigger.corpus import Sentence
 from qatrigger.ged import (
+    SAME_TAG_COST,
+    UPOS_TAGS,
     GedConfig,
+    PosCostTable,
+    _shortest_augmenting_paths,
     build_cost_matrix,
     graph_edit_distance,
+    graph_edit_distances,
+    group_cost_matrix,
     load_pos_table,
     solve_assignment,
 )
 from qatrigger.errors import IngestionError
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import brute_force_assignment, brute_force_ged
+from oracles import (
+    brute_force_assignment,
+    brute_force_ged,
+    reference_shortest_augmenting_paths,
+)
 
 
 def pair_costs(q_rows, a_rows, config=GedConfig()):
@@ -59,6 +69,17 @@ class TestNodeCost:
 
     def test_same_class_discount(self):
         assert node_cost(("she", "PRON"), ("alice", "PROPN")) == 0.5
+
+    def test_unknown_tag_against_itself_costs_the_default(self):
+        # The table names no pair with XYZ, so XYZ/XYZ is not a same-tag pair.
+        assert node_cost(("a", "XYZ"), ("b", "XYZ")) == 1.0 != SAME_TAG_COST
+        assert node_cost(("a", "XYZ"), ("b", "_")) == 1.0
+        assert node_cost(("a", "XYZ"), ("b", "NOUN")) == 1.0
+        table = PosCostTable({("NOUN", "NOUN"): 0.2}, default_cost=0.9)
+        gq = make_sentence("q", [("a", "a", "XYZ", 0, "root")])
+        ga = make_sentence("a", [("b", "b", "XYZ", 0, "root")])
+        substitution, _, _ = build_cost_matrix(gq, ga, GedConfig(pos_table=table))
+        assert substitution[0, 0] == 0.9
 
 
 class TestIncidentEdgeCost:
@@ -177,6 +198,122 @@ class TestSolveAssignment:
             assert len(chosen) == min(rows, cols)
             assert len({j for _, j in chosen}) == len(chosen)
             assert cost == math.fsum(matrix[i, j] for i, j in chosen)
+
+
+def random_matrix(rng, n, m):
+    """n x m costs; about half the matrices draw from a few values, 0.0 and
+    -0.0 among them, so that ties between columns are common."""
+    if rng.random() < 0.5:
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0]
+        return [[values[int(k)] for k in rng.integers(0, len(values), m)] for _ in range(n)]
+    return (rng.standard_normal((n, m)) * rng.choice([1.0, 10.0])).tolist()
+
+
+class TestSolverMatchesReference:
+    def test_identical_row_to_col_on_seeded_matrices(self):
+        rng = np.random.default_rng(41)
+        shapes = set()
+        for _ in range(6000):
+            n = int(rng.integers(0, 8))
+            m = n + int(rng.integers(0, 6))
+            cost = random_matrix(rng, n, m)
+            shapes.add((n == 0, m == 0, n < m))
+            assert _shortest_augmenting_paths(cost, m) == reference_shortest_augmenting_paths(
+                cost, m
+            )
+        assert shapes == {(True, True, False), (True, False, True), (False, False, True),
+                          (False, False, False)}
+
+    def test_solve_assignment_with_more_rows_than_columns(self):
+        rng = np.random.default_rng(43)
+        for _ in range(1000):
+            m = int(rng.integers(0, 6))
+            n = m + int(rng.integers(1, 5))
+            matrix = np.asarray(random_matrix(rng, n, m)).reshape(n, m)
+            assignment, total = solve_assignment(matrix)
+            by_column = reference_shortest_augmenting_paths(matrix.T.tolist(), n)
+            expected = [-1] * n
+            for j, i in enumerate(by_column):
+                expected[i] = j
+            assert assignment == tuple(expected)
+            assert total == math.fsum(matrix[i, j] for j, i in enumerate(by_column))
+
+
+def random_group(rng):
+    """A question and up to 10 answers: some empty, some shorter than the
+    question, tags partly outside UPOS."""
+    tags = ["NOUN", "VERB", "PROPN", "AUX", "XYZ", "_", "ADJ"]
+    rels = ["nsubj", "obj", "amod", "x", "case"]
+    lemmas = ["a", "b", "c", "d", "e"][: int(rng.integers(2, 6))]
+
+    def sentence(name, max_nodes):
+        n = int(rng.integers(0, max_nodes + 1))
+        if n == 0:
+            return Sentence(name, "")
+        rows = []
+        for i in range(1, n + 1):
+            head = 0 if i == 1 else int(rng.integers(1, i))
+            lemma = lemmas[int(rng.integers(0, len(lemmas)))]
+            tag = tags[int(rng.integers(0, len(tags)))]
+            rel = "root" if head == 0 else rels[int(rng.integers(0, len(rels)))]
+            rows.append((lemma, lemma, tag, head, rel))
+        return make_sentence(name, rows)
+
+    question = sentence("q", 7)
+    return question, [sentence(f"a{k}", 9) for k in range(int(rng.integers(0, 11)))]
+
+
+class TestGroupCostPass:
+    def configs(self, tmp_path):
+        path = tmp_path / "pos.tsv"
+        path.write_text("DEFAULT\t0.8\nNOUN\tNOUN\t0.3\nXYZ\tXYZ\t0.1\nXYZ\tVERB\t0.6\n")
+        return (
+            GedConfig(),
+            GedConfig(pos_table=load_pos_table(path), edge_weight=0.25, delete_cost=0.75),
+        )
+
+    def test_group_equals_pair_by_pair_bitwise(self, tmp_path):
+        rng = np.random.default_rng(47)
+        configs = self.configs(tmp_path)
+        seen = set()
+        for k in range(400):
+            config = configs[k % 2]
+            question, answers = random_group(rng)
+            group = graph_edit_distances(question, answers, config)
+            single = [graph_edit_distance(question, a, config) for a in answers]
+            assert [d.hex() for d in group] == [d.hex() for d in single]
+            n = len(question.heads)
+            for a in answers:
+                m = len(a.heads)
+                seen.add("empty answer" if m == 0 else "n > m" if n > m else "n <= m")
+        assert seen == {"empty answer", "n > m", "n <= m"}
+
+    def test_build_cost_matrix_is_its_slice_of_the_group(self, tmp_path):
+        rng = np.random.default_rng(53)
+        configs = self.configs(tmp_path)
+        for k in range(200):
+            config = configs[k % 2]
+            question, answers = random_group(rng)
+            substitution, deletion, insertion, bounds = group_cost_matrix(
+                question, answers, config
+            )
+            assert bounds == [0, *np.cumsum([len(a.heads) for a in answers]).tolist()]
+            for a, lo, hi in zip(answers, bounds, bounds[1:]):
+                pair = build_cost_matrix(question, a, config)
+                group = (substitution[:, lo:hi], deletion, insertion[lo:hi])
+                for mine, theirs in zip(pair, group):
+                    assert mine.shape == theirs.shape
+                    assert mine.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+    def test_cost_rows_cover_every_named_tag(self, tmp_path):
+        table = self.configs(tmp_path)[1].pos_table
+        index, costs = table.cost_rows
+        assert list(index) == [*UPOS_TAGS, "XYZ"] and "_" not in index
+        assert costs.shape == (len(index) + 1, len(index) + 1)
+        for a in [*index, "_"]:
+            for b in [*index, "_"]:
+                cell = costs[index.get(a, len(index)), index.get(b, len(index))]
+                assert cell == table.cost(a, b)
 
 
 class TestGraphEditDistance:

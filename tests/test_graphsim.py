@@ -20,7 +20,7 @@ from qatrigger.graphsim import (
 )
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import direct_cosine, direct_tfidf_vector
+from oracles import direct_cosine, direct_tfidf_vector, sorted_cosine
 
 
 def word_keys(graph):
@@ -113,6 +113,14 @@ class TestBuildDf:
             assert (table.level, table.n_docs, table.df) == (level, 30, dict(expected))
 
 
+class TestIdfByDf:
+    def test_one_bitwise_idf_per_document_frequency(self):
+        table = DfTable("word", n_docs=40, df={f"k{d}": d for d in range(1, 41, 3)})
+        assert set(table.idf_by_df) == {0, *table.df.values()}
+        for d, idf in table.idf_by_df.items():
+            assert idf.hex() == (math.log((40 + 1) / (d + 1)) + 1.0).hex()
+
+
 class TestTfidfVector:
     def test_formula_with_saturated_df(self):
         graph = make_sentence("s", [("die", "die", "VERB", 0, "root")])
@@ -150,6 +158,22 @@ class TestTfidfVector:
         )
         assert mine == pytest.approx(direct)
 
+    def test_bitwise_equal_to_direct_formula_at_every_level(self):
+        rng = np.random.default_rng(79)
+        graphs = [random_tree_sentence(rng, max_nodes=9, prefix=f"g{i}") for i in range(60)]
+        tables = build_df(graphs[:30])
+        for graph in graphs:
+            for level, table in tables.items():
+                alpha = float(rng.random()) * 3
+                mine = tfidf_vector(extract_keys(graph)[level], table, alpha)
+                direct = direct_tfidf_vector(
+                    graph, lambda g: list(extract_keys(g)[level].elements()),
+                    table.n_docs, table.df, alpha,
+                )
+                assert {k: w.hex() for k, w in mine.items()} == {
+                    k: w.hex() for k, w in direct.items()
+                }
+
 
 class TestCosine:
     def test_identical_vectors(self):
@@ -175,6 +199,18 @@ class TestCosine:
             scaled1 = {k: w * scale for k, w in v1.items()}
             scaled2 = {k: w * scale for k, w in v2.items()}
             assert cosine(scaled1, scaled2) == pytest.approx(cosine(v1, v2), abs=1e-12)
+
+    def test_key_order_does_not_change_the_bits(self):
+        rng = np.random.default_rng(83)
+        keys = [f"k{i}" for i in range(30)]
+        for _ in range(300):
+            v1 = {k: float(rng.lognormal(0, 3)) for k in keys if rng.random() < 0.6}
+            v2 = {k: float(rng.lognormal(0, 3)) for k in keys if rng.random() < 0.6}
+            expected = sorted_cosine(v1, v2).hex()
+            for _ in range(3):
+                shuffled1 = dict(sorted(v1.items(), key=lambda _: rng.random()))
+                shuffled2 = dict(sorted(v2.items(), key=lambda _: rng.random()))
+                assert cosine(shuffled1, shuffled2).hex() == expected
 
     def test_matches_direct_formula(self):
         v1 = {"x": 0.3, "y": 1.7, "z": 0.2}
