@@ -9,7 +9,7 @@ total is normalized by the all-delete/all-insert cost, so 0 means
 identical graphs and 1 means nothing aligns.
 """
 
-from qatrigger import GedConfig, graph_edit_distance
+from qatrigger import GedConfig, graph_edit_distances
 from qatrigger.corpus import Sentence
 
 
@@ -82,10 +82,9 @@ candidates = {
 config = GedConfig()  # default POS weights, edge weight 0.5, delete cost 1.0
 
 print("question:", question.text, "\n")
-ranked = sorted(
-    (graph_edit_distance(question, answer, config), text)
-    for text, answer in candidates.items()
-)
+# One call scores the whole group: the question's side is prepared once.
+distances = graph_edit_distances(question, list(candidates.values()), config)
+ranked = sorted(zip(distances, candidates))
 for distance, text in ranked:
     print(f"  {distance:.4f}  {text}")
 

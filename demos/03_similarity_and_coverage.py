@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """TF-IDF graph similarity and coverage features on one question/answer pair.
 
+Every feature function scores a question against a group of answers and
+returns one value per answer; here the group holds one answer.
+
 Similarity renders each graph as weighted vectors of lemmas, lemma pairs,
 and (pair, relation) triplets, then takes cosines.  Coverage counts how
 much of the question's structure the answer reproduces: matched edge
@@ -12,9 +15,9 @@ from qatrigger import (
     align_subgraph,
     build_df,
     graph_coverage_features,
-    graph_similarity_features,
-    relation_coverage,
-    vocabulary_coverage,
+    graph_similarities,
+    relation_coverages,
+    vocabulary_coverages,
 )
 from qatrigger.corpus import Sentence
 
@@ -51,8 +54,8 @@ answer = sentence(
 # here the two sentences themselves act as a two-document corpus.
 tables = build_df([question, answer])
 
-sim_word, sim_pair, sim_triplet = graph_similarity_features(
-    question, answer, tables, alphas=(0.0, 0.0, 0.0)
+[(sim_word, sim_pair, sim_triplet)] = graph_similarities(
+    question, [answer], tables, alphas=(0.0, 0.0, 0.0)
 )
 print("question:", question.text)
 print("answer:  ", answer.text, "\n")
@@ -61,14 +64,16 @@ print(f"pair-level similarity:    {sim_pair:.4f}")
 print(f"triplet-level similarity: {sim_triplet:.4f}")
 
 # Raising a threshold only ever removes vector entries, never adds them.
-strict_word, _, _ = graph_similarity_features(question, answer, tables, alphas=(1.5, 0.0, 0.0))
+[(strict_word, _, _)] = graph_similarities(question, [answer], tables, alphas=(1.5, 0.0, 0.0))
 print(f"word similarity with alpha=1.5:  {strict_word:.4f} (filtering drops weights)")
 
-print(f"\nrelation coverage:  {relation_coverage(question, answer):.4f}  (matched edges / question edges)")
-print(f"vocabulary coverage: {vocabulary_coverage(question, answer):.4f}  (matched lemmas / question nodes)")
+[rel_cov] = relation_coverages(question, [answer])
+[vocab_cov] = vocabulary_coverages(question, [answer])
+print(f"\nrelation coverage:  {rel_cov:.4f}  (matched edges / question edges)")
+print(f"vocabulary coverage: {vocab_cov:.4f}  (matched lemmas / question nodes)")
 
-sub = align_subgraph(question, answer, m=3)
+sub = align_subgraph(set(question.lemmas), answer, m=3)
 print(f"\naligned sub-graph over shared lemmas: nodes {sorted(sub.nodes)}, edges {sorted(sub.edges)}")
-cov_ans, cov_ques = graph_coverage_features(question, answer, m=3)
+[(cov_ans, cov_ques)] = graph_coverage_features(question, [answer], m=3)
 print(f"graph coverage vs answer:   {cov_ans:.4f}")
 print(f"graph coverage vs question: {cov_ques:.4f}")

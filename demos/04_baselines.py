@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The three standalone lexical scorers: BM25, n-gram coverage, embeddings.
 
-Each treats the candidate answers of one question as a tiny document pool;
-no parses are involved.
+Each treats the candidate answers of one question as a tiny document pool
+and scores the whole group in one call; no parses are involved.
 """
 
 import numpy as np
@@ -11,10 +11,10 @@ from qatrigger import (
     AnswerPool,
     EmbeddingTable,
     bm25_idf,
-    bm25_score,
+    bm25_scores,
     ngram_coverage,
-    ngram_score,
-    semantic_similarity,
+    ngram_scores,
+    semantic_similarities,
     tokenize,
 )
 
@@ -28,14 +28,14 @@ tokenized = [tokenize(a) for a in answers]
 pool = AnswerPool.build(tokenized)
 
 print("BM25 (k1=1.5, b=0.75); pool idf saturates for terms shared across candidates")
-for text, tokens in zip(answers, tokenized):
-    print(f"  {bm25_score(question, tokens, pool):7.3f}  {text}")
+for text, score in zip(answers, bm25_scores(question, tokenized, pool)):
+    print(f"  {score:7.3f}  {text}")
 print(f"  idf('die') = {bm25_idf(pool, 'die'):.3f}, idf('carradine') = {bm25_idf(pool, 'carradine'):.3f}")
 
 print("\nn-gram coverage up to trigrams (clipped counts, weighted by 1+2+3)")
-for text, tokens in zip(answers, tokenized):
+for text, tokens, score in zip(answers, tokenized, ngram_scores(question, tokenized)):
     per_n = [ngram_coverage(question, tokens, n) for n in (1, 2, 3)]
-    print(f"  score {ngram_score(question, tokens):.3f}  per-n {per_n}  {text}")
+    print(f"  score {score:.3f}  per-n {per_n}  {text}")
 
 # A toy embedding table; real runs load word2vec/GloVe-style text files.
 rng = np.random.default_rng(0)
@@ -45,5 +45,5 @@ table = EmbeddingTable(
 )
 
 print("\naveraged-embedding cosine (out-of-vocabulary words are skipped)")
-for text, tokens in zip(answers, tokenized):
-    print(f"  {semantic_similarity(question, tokens, table):7.3f}  {text}")
+for text, score in zip(answers, semantic_similarities(question, tokenized, table)):
+    print(f"  {score:7.3f}  {text}")

@@ -12,12 +12,11 @@ from .baselines import (
     AnswerPool,
     EmbeddingTable,
     bm25_idf,
-    bm25_score,
+    bm25_scores,
     load_embeddings,
     ngram_coverage,
-    ngram_score,
-    semantic_similarity,
-    semantic_vector,
+    ngram_scores,
+    semantic_similarities,
     tokenize,
 )
 from .combiner import (
@@ -43,8 +42,8 @@ from .coverage import (
     SubGraph,
     align_subgraph,
     graph_coverage_features,
-    relation_coverage,
-    vocabulary_coverage,
+    relation_coverages,
+    vocabulary_coverages,
 )
 from .errors import ConfigError, IngestionError, QaTriggerError
 from .evaluation import (
@@ -58,9 +57,8 @@ from .evaluation import (
 from .ged import (
     GedConfig,
     PosCostTable,
-    build_cost_matrix,
     default_pos_table,
-    graph_edit_distance,
+    graph_edit_distances,
     load_pos_table,
     solve_assignment,
 )
@@ -68,11 +66,9 @@ from .graphsim import (
     DfTable,
     build_df,
     cosine,
-    extract_keys,
-    graph_similarity_features,
+    graph_similarities,
     load_df_table,
     save_df_table,
-    tfidf_vector,
 )
 
 __version__ = "0.1.0"

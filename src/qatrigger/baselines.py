@@ -1,7 +1,9 @@
 """Standalone lexical scorers: BM25, n-gram coverage, and embedding cosine.
 
 These operate on plain token lists (whitespace split, lowercased, punctuation
-stripped at token edges); dependency parses are not required.
+stripped at token edges); dependency parses are not required.  Each scorer
+takes a question and its whole group of answers, prepares the question once
+and returns one score per answer, in answer order.
 """
 
 from __future__ import annotations
@@ -59,21 +61,6 @@ def bm25_idf(pool: AnswerPool, term: str) -> float:
     return math.log((pool.size - n + 0.5) / (n + 0.5))
 
 
-def bm25_score(
-    question_tokens: Sequence[str],
-    answer_tokens: Sequence[str],
-    pool: AnswerPool,
-    k1: float = 1.5,
-    b: float = 0.75,
-) -> float:
-    """Okapi BM25 of an answer against the question, using pool statistics.
-
-    The sum runs over question token occurrences; terms absent from the
-    answer contribute nothing.
-    """
-    return bm25_scores(question_tokens, [answer_tokens], pool, k1, b)[0]
-
-
 def bm25_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
@@ -81,8 +68,12 @@ def bm25_scores(
     k1: float = 1.5,
     b: float = 0.75,
 ) -> list[float]:
-    """bm25_score of each answer; each distinct question term's idf is
-    computed once."""
+    """Okapi BM25 of each answer against the question, using pool statistics.
+
+    The sum runs over question token occurrences; terms absent from the
+    answer contribute nothing.  Each distinct question term's idf is
+    computed once.
+    """
     idf = {term: bm25_idf(pool, term) for term in question_tokens}
     scores = []
     for answer_tokens in answers:
@@ -121,21 +112,13 @@ def ngram_coverage(
     return _coverage(counts_q, counts_q.total(), answer_tokens, n)
 
 
-def ngram_score(
-    question_tokens: Sequence[str],
-    answer_tokens: Sequence[str],
-    n_max: int = 3,
-) -> float:
-    """Sum of 1..n_max coverages divided by 1 + 2 + ... + n_max."""
-    return ngram_scores(question_tokens, [answer_tokens], n_max)[0]
-
-
 def ngram_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
     n_max: int = 3,
 ) -> list[float]:
-    """ngram_score of each answer; the question's n-grams are counted once."""
+    """Sum of each answer's 1..n_max coverages divided by 1 + 2 + ... + n_max;
+    the question's n-grams are counted once."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     questions = []
@@ -292,22 +275,14 @@ def semantic_vector(
     return embeddings.matrix[rows].sum(axis=0) / len(rows)
 
 
-def semantic_similarity(
-    question_tokens: Sequence[str],
-    answer_tokens: Sequence[str],
-    embeddings: EmbeddingTable,
-) -> float:
-    """Cosine of the two averaged sentence vectors; 0 when either is undefined."""
-    return semantic_similarities(question_tokens, [answer_tokens], embeddings)[0]
-
-
 def semantic_similarities(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
     embeddings: EmbeddingTable,
 ) -> list[float]:
-    """semantic_similarity of each answer; the question's mean vector and its
-    norm are computed once."""
+    """Cosine of the question's and each answer's averaged word vectors, 0
+    when either is undefined; the question's mean vector and its norm are
+    computed once."""
     vq = semantic_vector(question_tokens, embeddings)
     if vq is None:
         return [0.0] * len(answers)

@@ -202,18 +202,22 @@ def _needs_parses(manifest: tuple[str, ...]) -> bool:
     return any(name in combiner.GRAPH_FEATURES for name in manifest)
 
 
-def _df_paths(config: RunConfig) -> dict[str, Path | None]:
-    """The configured DF table path of each level, None where unset."""
-    return {level: getattr(config, f"df_{level}") for level in LEVELS}
+def _df_paths(config: RunConfig) -> dict[str, Path] | None:
+    """The configured DF table path of each level, or None when none is set;
+    a config that sets only some of them is an error."""
+    paths = {level: getattr(config, f"df_{level}") for level in LEVELS}
+    if all(p is None for p in paths.values()):
+        return None
+    if any(p is None for p in paths.values()):
+        raise ConfigError("set all three DF table paths or none")
+    return paths
 
 
 def _df_tables(config: RunConfig) -> dict[str, object]:
     """Load the three DF tables, or derive them from the training split."""
     paths = _df_paths(config)
-    if all(p is not None for p in paths.values()):
+    if paths is not None:
         return {level: load_df_table(paths[level], level) for level in LEVELS}
-    if any(p is not None for p in paths.values()):
-        raise ConfigError("set all three DF table paths or none")
     return build_df(_train_sentences(config))
 
 
@@ -450,16 +454,13 @@ def cmd_evaluate(
 
 def cmd_build_df(config: RunConfig, out_dir: Path | None) -> int:
     targets = _df_paths(config)
+    if targets is None:
+        if out_dir is None:
+            raise ConfigError("set [resources] df_* paths or pass --out-dir")
+        targets = {level: out_dir / f"df_{level}.tsv" for level in LEVELS}
     for level, table in build_df(_train_sentences(config)).items():
-        target = targets[level]
-        if target is None:
-            if out_dir is None:
-                raise ConfigError(
-                    "set [resources] df_* paths or pass --out-dir"
-                )
-            target = out_dir / f"df_{level}.tsv"
-        save_df_table(table, target)
-        print(f"df[{level}]: {len(table.df)} keys over {table.n_docs} docs -> {target}")
+        save_df_table(table, targets[level])
+        print(f"df[{level}]: {len(table.df)} keys over {table.n_docs} docs -> {targets[level]}")
     return 0
 
 

@@ -5,12 +5,13 @@ read each parsed Sentence directly, as its dependency graph; the question's
 tokens are built once per group, each candidate's once, and the group's BM25
 pool comes from those same candidate tokens.  Each feature family (graph
 alignment features, lexical baselines, and optionally an external neural
-score) is one per-group function that prepares the question's side once and
-then scores every candidate; the families' columns give each candidate a
-fixed-order feature vector, and a standardized logistic regression maps the
-vector to a trigger probability.  Training is full-batch gradient descent
-on L2-regularized log loss, zero-initialized, so identical inputs always
-give identical models.
+score) is one call of one per-group function, from `ged`, `graphsim`,
+`coverage` or `baselines`, that prepares the question's side once and then
+scores every candidate; no family is scored pair by pair.  The families'
+columns give each candidate a fixed-order feature vector, and a
+standardized logistic regression maps the vector to a trigger probability.
+Training is full-batch gradient descent on L2-regularized log loss,
+zero-initialized, so identical inputs always give identical models.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .baselines import (
     tokenize,
 )
 from .corpus import QuestionGroup, Sentence
-from .coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
+from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from .errors import ConfigError, IngestionError, open_text, parse_number
 from .ged import GedConfig, graph_edit_distances
 from .graphsim import DfTable, graph_similarities
@@ -100,13 +101,11 @@ _FAMILIES = (
             ("df_tables", "similarity features require DF tables"),
             lambda g, res: graph_similarities(g.question, g.answers, res.df_tables, res.alphas)),
     _Family(("rel_cov",), _PARSES, None,
-            lambda g, res: [(relation_coverage(g.question, a),) for a in g.answers]),
+            lambda g, res: _column(relation_coverages(g.question, g.answers))),
     _Family(("graph_cov_ans", "graph_cov_ques"), _PARSES, None,
-            lambda g, res: [
-                graph_coverage_features(g.question, a, res.subgraph_m) for a in g.answers
-            ]),
+            lambda g, res: graph_coverage_features(g.question, g.answers, res.subgraph_m)),
     _Family(("vocab_cov",), _PARSES, None,
-            lambda g, res: [(vocabulary_coverage(g.question, a),) for a in g.answers]),
+            lambda g, res: _column(vocabulary_coverages(g.question, g.answers))),
     _Family(("bm25",), _TOKENS | {"pool"}, None,
             lambda g, res: _column(bm25_scores(g.q_tokens, g.a_tokens, g.pool, res.k1, res.b))),
     _Family(("ngram",), _TOKENS, None,

@@ -1,9 +1,13 @@
-"""Coverage features between question and answer dependency graphs.
+"""Coverage features between a question's dependency graph and each of its
+answers'.
 
 Each graph is a parsed Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
-Relation coverage counts one-to-one edge-signature matches relative to the
-question's edges; vocabulary coverage does the same over node lemmas.
+Each feature takes the question and its whole group of answers, builds the
+question's side (edge signatures, lemma multiset, lemma set) once, and
+returns one value per answer.  Relation coverage counts one-to-one
+edge-signature matches relative to the question's edges; vocabulary coverage
+does the same over node lemmas.
 Graph coverage builds the sub-graph of the answer tree spanned by every tree
 path of at most `m` edges between two answer nodes whose lemmas also occur
 in the question, and reports the sub-graph's edge count relative to each
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import AbstractSet, Sequence
 
 from .corpus import Sentence
 
@@ -38,35 +43,35 @@ def edge_signatures(graph: Sentence) -> Counter[tuple[str, str, str]]:
     return Counter((lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in graph.edges)
 
 
-def node_lemmas(graph: Sentence) -> Counter[str]:
-    """Multiset of node lemmas."""
-    return Counter(graph.lemmas)
-
-
-def relation_coverage(gq: Sentence, ga: Sentence) -> float:
-    """Matched edge signatures over question edge count; 0 for an edgeless question."""
+def relation_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
+    """Matched edge signatures of each answer over the question's edge count;
+    0 for an edgeless question."""
     sig_q = edge_signatures(gq)
     if not sig_q:
-        return 0.0
-    sig_a = edge_signatures(ga)
-    matched = sum(min(count, sig_a[sig]) for sig, count in sig_q.items())
-    return matched / sig_q.total()
+        return [0.0] * len(answers)
+    total = sig_q.total()
+    return [
+        sum(min(count, sig_a[sig]) for sig, count in sig_q.items()) / total
+        for sig_a in map(edge_signatures, answers)
+    ]
 
 
-def vocabulary_coverage(gq: Sentence, ga: Sentence) -> float:
-    """Matched lemmas over question node count."""
+def vocabulary_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
+    """Matched lemmas of each answer over the question's node count."""
     if not gq.lemmas:
-        return 0.0
-    lem_q = node_lemmas(gq)
-    lem_a = node_lemmas(ga)
-    matched = sum(min(count, lem_a[lemma]) for lemma, count in lem_q.items())
-    return matched / len(gq.lemmas)
+        return [0.0] * len(answers)
+    lem_q = Counter(gq.lemmas)
+    total = len(gq.lemmas)
+    return [
+        sum(min(count, lem_a[lemma]) for lemma, count in lem_q.items()) / total
+        for lem_a in (Counter(ga.lemmas) for ga in answers)
+    ]
 
 
-def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
+def align_subgraph(question_lemmas: AbstractSet[str], ga: Sentence, m: int) -> SubGraph:
     """Answer sub-graph spanned by short paths between question-shared nodes.
 
-    A token is shared when its lemma occurs in the question.  The answer
+    A token is shared when its lemma is one of `question_lemmas`.  The answer
     edge (v, head of v) lies on a tree path of at most m edges between two
     shared tokens exactly when down[v] + up[v] <= m: down[v] counts the edges
     from v to the nearest shared token in v's subtree, up[v] those to the
@@ -77,7 +82,6 @@ def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
-    question_lemmas = set(node_lemmas(gq))
     shared = [False] + [lemma in question_lemmas for lemma in ga.lemmas]
     if sum(shared) < 2 or m == 0:
         return EMPTY_SUBGRAPH
@@ -115,10 +119,18 @@ def align_subgraph(gq: Sentence, ga: Sentence, m: int) -> SubGraph:
     return SubGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
-def graph_coverage_features(gq: Sentence, ga: Sentence, m: int) -> tuple[float, float]:
-    """(coverage vs answer edges, coverage vs question edges), both in [0, 1]."""
-    n_sub = len(align_subgraph(gq, ga, m).edges)
-    edges_a, edges_q = len(ga.edges), len(gq.edges)
-    cov_ans = n_sub / edges_a if edges_a else 0.0
-    cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0
-    return cov_ans, cov_ques
+def graph_coverage_features(
+    gq: Sentence, answers: Sequence[Sentence], m: int
+) -> list[tuple[float, float]]:
+    """(coverage vs answer edges, coverage vs question edges) of each answer's
+    aligned sub-graph, both in [0, 1]; the question's lemma set is built once."""
+    question_lemmas = set(gq.lemmas)
+    edges_q = len(gq.edges)
+    rows = []
+    for ga in answers:
+        n_sub = len(align_subgraph(question_lemmas, ga, m).edges)
+        edges_a = len(ga.edges)
+        cov_ans = n_sub / edges_a if edges_a else 0.0
+        cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0
+        rows.append((cov_ans, cov_ques))
+    return rows

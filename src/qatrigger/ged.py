@@ -1,4 +1,5 @@
-"""Normalized graph edit distance between two dependency graphs.
+"""Normalized graph edit distance between a question's dependency graph and
+each of its answers'.
 
 Each graph is a parsed Sentence: token i is a node with lemma `lemmas[i - 1]`
 and tag `upos[i - 1]`, and `Sentence.edges` are the edges.  The distance is
@@ -87,9 +88,6 @@ def default_pos_table() -> PosCostTable:
     return PosCostTable(entries=entries, default_cost=1.0)
 
 
-DEFAULT_POS_TABLE = default_pos_table()
-
-
 def load_pos_table(path: str | Path) -> PosCostTable:
     """Load `UPOS_A<TAB>UPOS_B<TAB>cost` lines plus one `DEFAULT<TAB>cost` line;
     every cost, the default's included, must lie in [0, 1]."""
@@ -156,11 +154,17 @@ def _relation_counts(
 def group_cost_matrix(
     gq: Sentence, answers: Sequence[Sentence], config: GedConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """build_cost_matrix of every answer, side by side, in one pass:
+    """Edit costs of the question against every answer, side by side:
     (n x sum(m) substitutions, n deletions, sum(m) insertions, bounds).
-    Answer k owns columns bounds[k]:bounds[k + 1].  Every cost depends only
-    on one question node and one answer node, so each answer's slice holds
-    the same bits as its own build_cost_matrix."""
+    Answer k owns columns bounds[k]:bounds[k + 1].
+
+    A substitution costs 0 for equal lemmas, else the POS substitute weight,
+    plus `edge_weight` times half the symmetric difference of the two nodes'
+    incident relation multisets.  Deleting or inserting a node costs
+    `delete_cost` plus `edge_weight` per incident edge.  Every cost depends
+    only on one question node and one answer node, so an answer's slice
+    holds the same bits whatever its groupmates.
+    """
     bounds = [0]
     for ga in answers:
         bounds.append(bounds[-1] + len(ga.heads))
@@ -196,19 +200,6 @@ def group_cost_matrix(
     deletion = config.delete_cost + config.edge_weight * q_counts.sum(axis=1)
     insertion = config.delete_cost + config.edge_weight * a_counts.sum(axis=1)
     return substitution, deletion, insertion, bounds
-
-
-def build_cost_matrix(
-    gq: Sentence, ga: Sentence, config: GedConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edit costs of a graph pair: (n x m substitutions, n deletions, m insertions).
-
-    A substitution costs 0 for equal lemmas, else the POS substitute weight,
-    plus `edge_weight` times half the symmetric difference of the two nodes'
-    incident relation multisets.  Deleting or inserting a node costs
-    `delete_cost` plus `edge_weight` per incident edge.
-    """
-    return group_cost_matrix(gq, [ga], config)[:3]
 
 
 def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int]:
@@ -297,23 +288,17 @@ def solve_assignment(
     return tuple(row_to_col), total
 
 
-def graph_edit_distance(
-    gq: Sentence, ga: Sentence, config: GedConfig | None = None
-) -> float:
-    """Assignment-based edit distance, normalized to [0, 1].
-
-    The normalizer is the cost of deleting every question node and inserting
-    every answer node, which is itself a feasible edit; identical graphs
-    score 0, and an empty question against any answer scores 1.
-    """
-    return graph_edit_distances(gq, [ga], config)[0]
-
-
 def graph_edit_distances(
     gq: Sentence, answers: Sequence[Sentence], config: GedConfig | None = None
 ) -> list[float]:
-    """graph_edit_distance of each answer graph, from one group_cost_matrix;
-    each answer's reduced costs go to solve_assignment on their own."""
+    """Assignment-based edit distance of each answer graph, normalized to [0, 1].
+
+    The costs come from one group_cost_matrix, and each answer's reduced
+    costs go to solve_assignment on their own.  The normalizer is the cost of
+    deleting every question node and inserting every answer node, which is
+    itself a feasible edit; identical graphs score 0, and an empty question
+    against any answer scores 1.
+    """
     cfg = config or GedConfig()
     substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, cfg)
     reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])

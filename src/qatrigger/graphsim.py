@@ -1,4 +1,5 @@
-"""TF-IDF weighted similarity between dependency graphs.
+"""TF-IDF weighted similarity between a question's dependency graph and each
+of its answers'.
 
 Each graph, a parsed Sentence, is rendered as a weighted vector at three
 granularities: node lemmas (word), governor|dependent lemma pairs (pair),
@@ -109,24 +110,15 @@ def _cosine(v1: Mapping[str, float], norm1: float, v2: Mapping[str, float]) -> f
     return min(1.0, dot / (norm1 * norm2))
 
 
-def graph_similarity_features(
-    gq: Sentence,
-    ga: Sentence,
-    tables: Mapping[str, DfTable],
-    alphas: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    """(word, pair, triplet) cosine similarities between two graphs."""
-    return graph_similarities(gq, [ga], tables, alphas)[0]
-
-
 def graph_similarities(
     gq: Sentence,
     answers: Sequence[Sentence],
     tables: Mapping[str, DfTable],
     alphas: tuple[float, float, float],
 ) -> list[tuple[float, float, float]]:
-    """graph_similarity_features of each answer graph; the question's TF-IDF
-    vectors and their norms are built once per level."""
+    """(word, pair, triplet) cosine similarities between the question graph
+    and each answer graph; the question's TF-IDF vectors and their norms are
+    built once per level."""
     levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]
     keys_q = extract_keys(gq)
     vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
@@ -168,6 +160,8 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
                     raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
                 n_docs = parse_number(columns[1], path, lineno, int)
                 continue
+            if columns[0] in df:
+                raise IngestionError(f"{path}: line {lineno}: duplicate key {columns[0]!r}")
             try:
                 df[columns[0]] = int(columns[1])
             except ValueError as exc:

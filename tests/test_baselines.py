@@ -10,11 +10,11 @@ from qatrigger.baselines import (
     AnswerPool,
     EmbeddingTable,
     bm25_idf,
-    bm25_score,
+    bm25_scores,
     load_embeddings,
     ngram_coverage,
-    ngram_score,
-    semantic_similarity,
+    ngram_scores,
+    semantic_similarities,
     semantic_vector,
     tokenize,
 )
@@ -50,12 +50,12 @@ class TestBm25Idf:
 class TestBm25Score:
     def test_empty_question_scores_zero(self):
         pool = AnswerPool.build([["a"], ["b"]])
-        assert bm25_score([], ["a"], pool) == 0.0
+        assert bm25_scores([], [["a"]], pool)[0] == 0.0
 
     def test_absent_term_contributes_nothing(self):
         pool = AnswerPool.build([["alpha", "beta"], ["gamma"]])
-        with_term = bm25_score(["alpha"], ["alpha", "beta"], pool)
-        with_extra = bm25_score(["alpha", "zzz"], ["alpha", "beta"], pool)
+        with_term = bm25_scores(["alpha"], [["alpha", "beta"]], pool)[0]
+        with_extra = bm25_scores(["alpha", "zzz"], [["alpha", "beta"]], pool)[0]
         assert with_term == with_extra
 
     def test_matches_hand_oracle_on_three_candidate_pool(self):
@@ -66,15 +66,14 @@ class TestBm25Score:
         ]
         pool = AnswerPool.build(answers)
         question = ["the", "cat", "sat", "where"]
-        for answer in answers:
-            mine = bm25_score(question, answer, pool, k1=1.5, b=0.75)
-            reference = direct_bm25(question, answer, answers, k1=1.5, b=0.75)
-            assert mine == pytest.approx(reference, abs=1e-9)
+        mine = bm25_scores(question, answers, pool, k1=1.5, b=0.75)
+        reference = [direct_bm25(question, answer, answers, k1=1.5, b=0.75) for answer in answers]
+        assert mine == pytest.approx(reference, abs=1e-9)
 
     def test_repeated_query_terms_count_each_occurrence(self):
         pool = AnswerPool.build([["x", "y"], ["z"]])
-        once = bm25_score(["x"], ["x", "y"], pool)
-        twice = bm25_score(["x", "x"], ["x", "y"], pool)
+        once = bm25_scores(["x"], [["x", "y"]], pool)[0]
+        twice = bm25_scores(["x", "x"], [["x", "y"]], pool)[0]
         assert twice == pytest.approx(2 * once)
 
 
@@ -92,23 +91,26 @@ class TestNgram:
 
     def test_ngram_score_identical_three_tokens(self):
         tokens = ["a", "b", "c"]
-        assert ngram_score(tokens, tokens, 3) == pytest.approx(0.5)
+        assert ngram_scores(tokens, [tokens], 3)[0] == pytest.approx(0.5)
 
     def test_ngram_score_two_token_sentences(self):
         tokens = ["a", "b"]
-        assert ngram_score(tokens, tokens, 3) == pytest.approx((1 + 1 + 0) / 6)
+        assert ngram_scores(tokens, [tokens], 3)[0] == pytest.approx((1 + 1 + 0) / 6)
 
     def test_ngram_score_disjoint(self):
-        assert ngram_score(["a", "b"], ["c", "d"], 3) == 0.0
+        assert ngram_scores(["a", "b"], [["c", "d"]], 3)[0] == 0.0
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(41)
         vocab = list("abcde")
         for _ in range(50):
             q = [vocab[int(rng.integers(0, 5))] for _ in range(int(rng.integers(1, 8)))]
-            a = [vocab[int(rng.integers(0, 5))] for _ in range(int(rng.integers(1, 8)))]
-            assert ngram_score(q, a, 3) == pytest.approx(
-                direct_ngram_score(q, a, 3), abs=1e-12
+            answers = [
+                [vocab[int(rng.integers(0, 5))] for _ in range(int(rng.integers(1, 8)))]
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            assert ngram_scores(q, answers, 3) == pytest.approx(
+                [direct_ngram_score(q, a, 3) for a in answers], abs=1e-12
             )
 
 
@@ -136,20 +138,20 @@ class TestSemanticVector:
 
     def test_similarity_identical_sentences(self):
         emb = self.embeddings()
-        assert semantic_similarity(["sun", "moon"], ["sun", "moon"], emb) == pytest.approx(1.0)
+        assert semantic_similarities(["sun", "moon"], [["sun", "moon"]], emb)[0] == pytest.approx(1.0)
 
     def test_similarity_oov_side_is_zero(self):
-        assert semantic_similarity(["sun"], ["zzz"], self.embeddings()) == 0.0
+        assert semantic_similarities(["sun"], [["zzz"]], self.embeddings())[0] == 0.0
 
     def test_similarity_hand_cosine(self):
         emb = self.embeddings()
-        value = semantic_similarity(["sun"], ["star"], emb)
+        value = semantic_similarities(["sun"], [["star"]], emb)[0]
         assert value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_similarity_symmetric_and_bounded(self):
         emb = self.embeddings()
-        value_ab = semantic_similarity(["sun", "star"], ["moon"], emb)
-        value_ba = semantic_similarity(["moon"], ["sun", "star"], emb)
+        value_ab = semantic_similarities(["sun", "star"], [["moon"]], emb)[0]
+        value_ba = semantic_similarities(["moon"], [["sun", "star"]], emb)[0]
         assert value_ab == pytest.approx(value_ba)
         assert -1.0 <= value_ab <= 1.0
 

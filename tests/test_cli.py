@@ -454,6 +454,25 @@ class TestBuildDf:
         )
         assert out_self.read_bytes() == out_loaded.read_bytes()
 
+    @pytest.mark.parametrize("command", ["build-df", "featurize"])
+    def test_some_df_paths_set_fails_with_one_config_error(
+        self, command, mini_config, tmp_path, capsys
+    ):
+        argv = {
+            "build-df": ["build-df", "--out-dir", str(tmp_path)],
+            "featurize": ["featurize", "--split", "dev", "--out", str(tmp_path / "f.tsv")],
+        }[command]
+        code = run(
+            "--config", mini_config,
+            "--set", f"resources.df_word={tmp_path / 'df_word.tsv'}",
+            *argv,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error:config: set all three DF table paths or none\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
 
 CYCLIC_CONLLU = (
     "1\ta\ta\tNOUN\tNN\t_\t2\tdep\t_\t_\n"
@@ -531,6 +550,7 @@ MALFORMED_INPUTS = [
     ("pos_costs", "default-below-0", "NOUN\tVERB\t0.5\nDEFAULT\t-3\n",
      "line 2: cost must be in [0, 1]"),
     ("pos_costs", "default-above-1", "DEFAULT\t7.5\n", "line 1: cost must be in [0, 1]"),
+    ("df", "duplicate-key", "N\t5\nfoo\t2\nfoo\t3\n", "line 3: duplicate key 'foo'"),
 ]
 
 

@@ -8,12 +8,9 @@ from qatrigger import combiner
 from qatrigger.baselines import (
     AnswerPool,
     EmbeddingTable,
-    bm25_score,
     bm25_scores,
-    ngram_score,
     ngram_scores,
     semantic_similarities,
-    semantic_similarity,
     tokenize,
 )
 from qatrigger.combiner import (
@@ -31,10 +28,10 @@ from qatrigger.combiner import (
 )
 from qatrigger.cli import main, read_features
 from qatrigger.corpus import QuestionGroup, Sentence, load_wikiqa
-from qatrigger.coverage import graph_coverage_features, relation_coverage, vocabulary_coverage
+from qatrigger.coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from qatrigger.errors import ConfigError
-from qatrigger.ged import GedConfig, graph_edit_distance, graph_edit_distances
-from qatrigger.graphsim import DfTable, build_df, graph_similarities, graph_similarity_features
+from qatrigger.ged import GedConfig, graph_edit_distances
+from qatrigger.graphsim import DfTable, build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
 from oracles import direct_semantic_similarity, prob
@@ -54,20 +51,21 @@ def uniform_tables():
 
 
 def per_module_features(question, answer, key, resources, pool):
-    """All twelve features of one pair, each from its own module, by name."""
+    """All twelve features of one pair, each from its own module's per-group
+    function on the answer alone, by name."""
     q_tokens, a_tokens = tokenize(question.text), tokenize(answer.text)
-    sims = graph_similarity_features(question, answer, resources.df_tables, resources.alphas)
-    cov = graph_coverage_features(question, answer, resources.subgraph_m)
+    sims = graph_similarities(question, [answer], resources.df_tables, resources.alphas)[0]
+    cov = graph_coverage_features(question, [answer], resources.subgraph_m)[0]
     values = [
         resources.scores[key],
-        graph_edit_distance(question, answer, resources.ged_config),
+        graph_edit_distances(question, [answer], resources.ged_config)[0],
         *sims,
-        relation_coverage(question, answer),
+        relation_coverages(question, [answer])[0],
         *cov,
-        vocabulary_coverage(question, answer),
-        bm25_score(q_tokens, a_tokens, pool, resources.k1, resources.b),
-        ngram_score(q_tokens, a_tokens, resources.n_max),
-        semantic_similarity(q_tokens, a_tokens, resources.embeddings),
+        vocabulary_coverages(question, [answer])[0],
+        bm25_scores(q_tokens, [a_tokens], pool, resources.k1, resources.b)[0],
+        ngram_scores(q_tokens, [a_tokens], resources.n_max)[0],
+        semantic_similarities(q_tokens, [a_tokens], resources.embeddings)[0],
     ]
     return dict(zip(FEATURE_NAMES, values))
 
@@ -114,17 +112,17 @@ class TestExtractFeatures:
 
         gq = fig_group.question
         ga = fig_group.candidates[0][1]
-        sims = graph_similarity_features(gq, ga, uniform_tables(), (0.0, 0.0, 0.0))
-        cov = graph_coverage_features(gq, ga, resources.subgraph_m)
+        sims = graph_similarities(gq, [ga], uniform_tables(), (0.0, 0.0, 0.0))[0]
+        cov = graph_coverage_features(gq, [ga], resources.subgraph_m)[0]
         expected = [
-            graph_edit_distance(gq, ga),
+            graph_edit_distances(gq, [ga])[0],
             sims[0],
             sims[1],
             sims[2],
-            relation_coverage(gq, ga),
+            relation_coverages(gq, [ga])[0],
             cov[0],
             cov[1],
-            vocabulary_coverage(gq, ga),
+            vocabulary_coverages(gq, [ga])[0],
         ]
         assert values == pytest.approx(expected)
 
@@ -233,9 +231,10 @@ EDGE_QUESTIONS = [
 WORDS = ["die", "carradine", "sun", "moon", "zero", "SUN", "zzz", "qqq", "of", "in"]
 
 
-class TestPerGroupEqualsPerPair:
-    """Preparing the question once for a group gives, bit for bit, what
-    preparing it again for every pair gives."""
+class TestCandidateIndependence:
+    """A candidate's value does not depend on its groupmates: every per-group
+    function gives, bit for bit, on a whole group what it gives on each
+    candidate alone in a one-candidate group."""
 
     @staticmethod
     def vectors(rng):
@@ -253,6 +252,15 @@ class TestPerGroupEqualsPerPair:
     def random_tokens(rng, longest=7):
         return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), int(rng.integers(0, longest)))]
 
+    @staticmethod
+    def assert_alone_equals_together(score, question, answers):
+        """score(question, answers) returns one value or row per answer."""
+        together = score(question, answers)
+        alone = [score(question, [answer])[0] for answer in answers]
+        assert len(together) == len(answers)
+        # repr tells every float apart, 0.0 from -0.0 included.
+        assert repr(together) == repr(alone)
+
     def test_lexical_families(self):
         rng = np.random.default_rng(2024)
         vectors = self.vectors(rng)
@@ -261,36 +269,41 @@ class TestPerGroupEqualsPerPair:
         for question in questions:
             answers = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(5)]
             pool = AnswerPool.build(answers)
-            assert bm25_scores(question, answers, pool, 1.2, 0.6) == [
-                bm25_score(question, a, pool, 1.2, 0.6) for a in answers
+            scorers = [
+                lambda q, a: bm25_scores(q, a, pool, 1.2, 0.6),
+                *(lambda q, a, n=n: ngram_scores(q, a, n) for n in (1, 3, 5)),
+                lambda q, a: semantic_similarities(q, a, table),
             ]
-            for n_max in (1, 3, 5):
-                assert ngram_scores(question, answers, n_max) == [
-                    ngram_score(question, a, n_max) for a in answers
-                ]
-            semvec = semantic_similarities(question, answers, table)
-            assert semvec == [semantic_similarity(question, a, table) for a in answers]
-            assert semvec == [direct_semantic_similarity(question, a, vectors) for a in answers]
+            for score in scorers:
+                self.assert_alone_equals_together(score, question, answers)
+            assert semantic_similarities(question, answers, table) == [
+                direct_semantic_similarity(question, a, vectors) for a in answers
+            ]
         for question in (["zzz", "qqq"], ["zero"]):
             assert semantic_similarities(question, [["die"], ["zero"]], table) == [0.0, 0.0]
-        found = semantic_similarity(["SUN"], ["moon"], table)
-        assert found == semantic_similarity(["sun"], ["moon"], table) and found != 0.0
+        upper = semantic_similarities(["SUN"], [["moon"]], table)
+        assert upper == semantic_similarities(["sun"], [["moon"]], table) and upper != [0.0]
 
     def test_graph_families(self):
         rng = np.random.default_rng(2025)
         lemmas = ["die", "live", "win", "city", "Die", "man"]
         config = GedConfig(edge_weight=0.75, delete_cost=0.5)
-        for _ in range(25):
-            gq = random_tree_sentence(rng, lemma_pool=lemmas, relabel=True)
+        empty = Sentence("e", "")
+        for k in range(25):
+            gq = empty if k == 0 else random_tree_sentence(rng, lemma_pool=lemmas, relabel=True)
             answers = [random_tree_sentence(rng, lemma_pool=lemmas) for _ in range(6)]
             answers.append(make_sentence("one", [("die", "die", "VERB", 0, "root")]))
-            tables = build_df([gq, *answers])
-            assert graph_edit_distances(gq, answers, config) == [
-                graph_edit_distance(gq, a, config) for a in answers
+            answers.append(empty)
+            tables = build_df([s for s in (gq, *answers) if s.parsed])
+            scorers = [
+                lambda q, a: graph_edit_distances(q, a, config),
+                lambda q, a: graph_similarities(q, a, tables, (0.0, 0.5, 1.0)),
+                relation_coverages,
+                vocabulary_coverages,
+                *(lambda q, a, m=m: graph_coverage_features(q, a, m) for m in (0, 1, 3)),
             ]
-            assert graph_similarities(gq, answers, tables, (0.0, 0.5, 1.0)) == [
-                graph_similarity_features(gq, a, tables, (0.0, 0.5, 1.0)) for a in answers
-            ]
+            for score in scorers:
+                self.assert_alone_equals_together(score, gq, answers)
 
     def test_every_feature_of_seeded_groups(self):
         rng = np.random.default_rng(2026)

@@ -12,13 +12,12 @@ from qatrigger.corpus import (
 from qatrigger.coverage import (
     edge_signatures,
     graph_coverage_features,
-    node_lemmas,
-    relation_coverage,
-    vocabulary_coverage,
+    relation_coverages,
+    vocabulary_coverages,
 )
 from qatrigger.errors import IngestionError
-from qatrigger.ged import graph_edit_distance
-from qatrigger.graphsim import build_df, graph_similarity_features
+from qatrigger.ged import graph_edit_distances
+from qatrigger.graphsim import build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
 from oracles import head_edges, tree_arrays
@@ -348,7 +347,6 @@ def test_random_trees_satisfy_tree_property():
         assert len(sentence.edges) == len(sentence.heads) - 1
         assert list(sentence.edges) == head_edges(sentence)
         assert all(gov != dep for gov, dep, _ in sentence.edges)
-        assert sum(node_lemmas(sentence).values()) == len(sentence.lemmas)
 
 
 def test_lemma_falls_back_to_lowercased_form(tmp_path):
@@ -377,11 +375,11 @@ def graph_features(gq, ga):
     """Every graph feature of a pair, with DF tables built from the pair."""
     tables = build_df([gq, ga])
     return (
-        graph_edit_distance(gq, ga),
-        *graph_similarity_features(gq, ga, tables, (0.0, 0.0, 0.0)),
-        relation_coverage(gq, ga),
-        vocabulary_coverage(gq, ga),
-        *graph_coverage_features(gq, ga, 3),
+        graph_edit_distances(gq, [ga])[0],
+        *graph_similarities(gq, [ga], tables, (0.0, 0.0, 0.0))[0],
+        relation_coverages(gq, [ga])[0],
+        vocabulary_coverages(gq, [ga])[0],
+        *graph_coverage_features(gq, [ga], 3)[0],
     )
 
 

@@ -8,8 +8,8 @@ from qatrigger.coverage import (
     SubGraph,
     align_subgraph,
     graph_coverage_features,
-    relation_coverage,
-    vocabulary_coverage,
+    relation_coverages,
+    vocabulary_coverages,
 )
 
 from conftest import check_tree_paths_against_bfs, make_sentence, random_tree_sentence
@@ -27,12 +27,12 @@ def chain(*lemmas):
 
 class TestRelationCoverage:
     def test_identical_graphs(self, question_sentence):
-        assert relation_coverage(question_sentence, question_sentence) == 1.0
+        assert relation_coverages(question_sentence, [question_sentence])[0] == 1.0
 
     def test_no_shared_signatures(self):
         g1 = chain("a", "b")
         g2 = chain("c", "d")
-        assert relation_coverage(g1, g2) == 0.0
+        assert relation_coverages(g1, [g2])[0] == 0.0
 
     def test_half_matched(self):
         gq = make_sentence(
@@ -54,32 +54,32 @@ class TestRelationCoverage:
             ],
         )
         # answer edges (e,a,nsubj) and (e,b,obj) match two of four question edges
-        assert relation_coverage(gq, ga) == 0.5
+        assert relation_coverages(gq, [ga])[0] == 0.5
 
     def test_edgeless_question(self):
         g1 = chain("only")
         g2 = chain("x", "y")
-        assert relation_coverage(g1, g2) == 0.0
+        assert relation_coverages(g1, [g2])[0] == 0.0
 
     def test_fig_pair(self, question_sentence, answer_sentence):
         # compound and nsubj edges match; advmod and aux have no counterpart
-        assert relation_coverage(question_sentence, answer_sentence) == 0.5
+        assert relation_coverages(question_sentence, [answer_sentence])[0] == 0.5
 
 
 class TestVocabularyCoverage:
     def test_identical(self, question_sentence):
-        assert vocabulary_coverage(question_sentence, question_sentence) == 1.0
+        assert vocabulary_coverages(question_sentence, [question_sentence])[0] == 1.0
 
     def test_disjoint(self):
-        assert vocabulary_coverage(chain("a", "b"), chain("c", "d")) == 0.0
+        assert vocabulary_coverages(chain("a", "b"), [chain("c", "d")])[0] == 0.0
 
     def test_fig_pair_three_of_five(self, question_sentence, answer_sentence):
-        assert vocabulary_coverage(question_sentence, answer_sentence) == pytest.approx(0.6)
+        assert vocabulary_coverages(question_sentence, [answer_sentence])[0] == pytest.approx(0.6)
 
     def test_repeated_lemmas_match_one_to_one(self):
         gq = chain("go", "go", "go")
         ga = chain("go")
-        assert vocabulary_coverage(gq, ga) == pytest.approx(1 / 3)
+        assert vocabulary_coverages(gq, [ga])[0] == pytest.approx(1 / 3)
 
 
 def interior_ancestor_graph():
@@ -130,21 +130,21 @@ class TestFindPath:
 class TestAlignSubgraph:
     def test_single_common_node_gives_empty(self, answer_sentence):
         gq = chain("david")
-        sub = align_subgraph(gq, answer_sentence, 3)
+        sub = align_subgraph(set(gq.lemmas), answer_sentence, 3)
         assert not sub.nodes and not sub.edges
 
     def test_m_zero_gives_empty(self, question_sentence, answer_sentence):
-        sub = align_subgraph(question_sentence, answer_sentence, 0)
+        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 0)
         assert not sub.nodes and not sub.edges
 
     def test_fig_pair_connects_shared_nodes(self, question_sentence, answer_sentence):
-        sub = align_subgraph(question_sentence, answer_sentence, 3)
+        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 3)
         # david(1), carradine(2), died(3) in the answer graph
         assert sub.nodes == frozenset({1, 2, 3})
         assert sub.edges == frozenset({(1, 2), (2, 3)})
 
     def test_subgraph_edges_are_answer_edges(self, question_sentence, answer_sentence):
-        sub = align_subgraph(question_sentence, answer_sentence, 4)
+        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 4)
         undirected = {
             (min(g, d), max(g, d)) for g, d, _ in answer_sentence.edges
         }
@@ -157,9 +157,9 @@ class TestAlignSubgraph:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool)
-            previous = align_subgraph(gq, ga, 0)
+            previous = align_subgraph(set(gq.lemmas), ga, 0)
             for m in range(1, 5):
-                current = align_subgraph(gq, ga, m)
+                current = align_subgraph(set(gq.lemmas), ga, m)
                 assert previous.nodes <= current.nodes
                 assert previous.edges <= current.edges
                 previous = current
@@ -173,15 +173,15 @@ class TestAlignSubgraph:
             lemmas = set(gq.lemmas)
             for m in range(6):
                 nodes, edges = bfs_subgraph(ga, lemmas, m)
-                assert align_subgraph(gq, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
+                assert align_subgraph(lemmas, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
 
     def test_exactly_m_edges_kept_through_interior_ancestor(self):
         ga = interior_ancestor_graph()
         gq = chain("a", "b")
-        kept = align_subgraph(gq, ga, 4)
+        kept = align_subgraph(set(gq.lemmas), ga, 4)
         assert kept.nodes == frozenset({1, 2, 3, 4, 5})
         assert kept.edges == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
-        assert align_subgraph(gq, ga, 3) == SubGraph(frozenset(), frozenset())
+        assert align_subgraph(set(gq.lemmas), ga, 3) == SubGraph(frozenset(), frozenset())
 
     def test_non_tree_heads_rejected(self):
         # 1 -> 2 -> 1 is a cycle beside the root 3: the Sentence rejects it, so
@@ -198,7 +198,7 @@ class TestAlignSubgraph:
 
     def test_negative_m_rejected(self, question_sentence, answer_sentence):
         with pytest.raises(ValueError):
-            align_subgraph(question_sentence, answer_sentence, -1)
+            align_subgraph(set(question_sentence.lemmas), answer_sentence, -1)
 
 
 def sentence_of(heads, lemmas):
@@ -214,7 +214,7 @@ def matches_pairwise(gq, ga, m):
     lemmas = set(gq.lemmas)
     nodes, edges = pairwise_subgraph(ga, lemmas, m)
     expected = SubGraph(frozenset(nodes), frozenset(edges))
-    assert align_subgraph(gq, ga, m) == expected
+    assert align_subgraph(lemmas, ga, m) == expected
     return expected
 
 
@@ -287,14 +287,14 @@ class TestGraphCoverage:
     def test_empty_subgraph_scores_zero(self):
         g1 = chain("a", "b")
         g2 = chain("c", "d")
-        assert graph_coverage_features(g1, g2, 3) == (0.0, 0.0)
+        assert graph_coverage_features(g1, [g2], 3)[0] == (0.0, 0.0)
 
     def test_full_answer_coverage(self):
         g = chain("a", "b", "c")
-        assert graph_coverage_features(g, g, 3) == (1.0, 1.0)
+        assert graph_coverage_features(g, [g], 3)[0] == (1.0, 1.0)
 
     def test_fig_pair_ratios(self, question_sentence, answer_sentence):
-        cov_ans, cov_ques = graph_coverage_features(question_sentence, answer_sentence, 3)
+        cov_ans, cov_ques = graph_coverage_features(question_sentence, [answer_sentence], 3)[0]
         assert cov_ans == pytest.approx(2 / 9)
         assert cov_ques == pytest.approx(2 / 4)
 
@@ -302,7 +302,7 @@ class TestGraphCoverage:
         # tiny question, richly connected shared nodes in the answer
         gq = chain("a", "b")
         ga = chain("a", "b", "x", "a", "b")
-        cov_ans, cov_ques = graph_coverage_features(gq, ga, 4)
+        cov_ans, cov_ques = graph_coverage_features(gq, [ga], 4)[0]
         assert 0.0 <= cov_ans <= 1.0
         assert cov_ques == 1.0
 
@@ -312,7 +312,7 @@ class TestGraphCoverage:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=7, lemma_pool=pool)
-            cov_ans, cov_ques = graph_coverage_features(gq, ga, 3)
+            cov_ans, cov_ques = graph_coverage_features(gq, [ga], 3)[0]
             assert 0.0 <= cov_ans <= 1.0
             assert 0.0 <= cov_ques <= 1.0
 
@@ -341,4 +341,4 @@ class TestGraphCoverage:
                     len(edges) / n_a if n_a else 0.0,
                     min(1.0, len(edges) / n_q) if n_q else 0.0,
                 )
-                assert graph_coverage_features(gq, ga, 3) == expected
+                assert graph_coverage_features(gq, [ga], 3)[0] == expected

@@ -10,8 +10,6 @@ from qatrigger.ged import (
     GedConfig,
     PosCostTable,
     _shortest_augmenting_paths,
-    build_cost_matrix,
-    graph_edit_distance,
     graph_edit_distances,
     group_cost_matrix,
     load_pos_table,
@@ -28,10 +26,11 @@ from oracles import (
 
 
 def pair_costs(q_rows, a_rows, config=GedConfig()):
-    """build_cost_matrix of two sentences given as (form, lemma, upos, head, deprel) rows."""
+    """(substitutions, deletions, insertions) of two sentences given as
+    (form, lemma, upos, head, deprel) rows, the answer alone in its group."""
     gq = make_sentence("q", q_rows)
     ga = make_sentence("a", a_rows)
-    return build_cost_matrix(gq, ga, config)
+    return group_cost_matrix(gq, [ga], config)[:3]
 
 
 def node_cost(u, v):
@@ -78,7 +77,7 @@ class TestNodeCost:
         table = PosCostTable({("NOUN", "NOUN"): 0.2}, default_cost=0.9)
         gq = make_sentence("q", [("a", "a", "XYZ", 0, "root")])
         ga = make_sentence("a", [("b", "b", "XYZ", 0, "root")])
-        substitution, _, _ = build_cost_matrix(gq, ga, GedConfig(pos_table=table))
+        substitution = group_cost_matrix(gq, [ga], GedConfig(pos_table=table))[0]
         assert substitution[0, 0] == 0.9
 
 
@@ -97,18 +96,18 @@ class TestCostMatrix:
     def test_empty_graphs_give_empty_matrix(self):
         g = make_sentence("s", [("x", "x", "NOUN", 0, "root")])
         empty = Sentence("e", "")
-        substitution, deletion, insertion = build_cost_matrix(g, empty, GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(g, [empty], GedConfig())
         assert substitution.shape == (1, 0)
         assert deletion.tolist() == [1.0]
         assert insertion.shape == (0,)
-        substitution, deletion, insertion = build_cost_matrix(empty, g, GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(empty, [g], GedConfig())
         assert substitution.shape == (0, 1)
         assert deletion.shape == (0,)
         assert insertion.tolist() == [1.0]
 
     def test_one_node_same_lemma(self):
         g = make_sentence("s", [("die", "die", "VERB", 0, "root")])
-        substitution, deletion, insertion = build_cost_matrix(g, g, GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(g, [g], GedConfig())
         assert substitution.tolist() == [[0.0]]
         assert deletion.tolist() == [1.0]  # deletion of a degree-0 node
         assert insertion.tolist() == [1.0]
@@ -272,7 +271,7 @@ class TestGroupCostPass:
             GedConfig(pos_table=load_pos_table(path), edge_weight=0.25, delete_cost=0.75),
         )
 
-    def test_group_equals_pair_by_pair_bitwise(self, tmp_path):
+    def test_group_equals_one_answer_groups_bitwise(self, tmp_path):
         rng = np.random.default_rng(47)
         configs = self.configs(tmp_path)
         seen = set()
@@ -280,7 +279,7 @@ class TestGroupCostPass:
             config = configs[k % 2]
             question, answers = random_group(rng)
             group = graph_edit_distances(question, answers, config)
-            single = [graph_edit_distance(question, a, config) for a in answers]
+            single = [graph_edit_distances(question, [a], config)[0] for a in answers]
             assert [d.hex() for d in group] == [d.hex() for d in single]
             n = len(question.heads)
             for a in answers:
@@ -288,7 +287,7 @@ class TestGroupCostPass:
                 seen.add("empty answer" if m == 0 else "n > m" if n > m else "n <= m")
         assert seen == {"empty answer", "n > m", "n <= m"}
 
-    def test_build_cost_matrix_is_its_slice_of_the_group(self, tmp_path):
+    def test_one_answer_group_is_its_slice_of_the_group(self, tmp_path):
         rng = np.random.default_rng(53)
         configs = self.configs(tmp_path)
         for k in range(200):
@@ -299,7 +298,7 @@ class TestGroupCostPass:
             )
             assert bounds == [0, *np.cumsum([len(a.heads) for a in answers]).tolist()]
             for a, lo, hi in zip(answers, bounds, bounds[1:]):
-                pair = build_cost_matrix(question, a, config)
+                pair = group_cost_matrix(question, [a], config)[:3]
                 group = (substitution[:, lo:hi], deletion, insertion[lo:hi])
                 for mine, theirs in zip(pair, group):
                     assert mine.shape == theirs.shape
@@ -318,16 +317,16 @@ class TestGroupCostPass:
 
 class TestGraphEditDistance:
     def test_identical_graphs_distance_zero(self, question_sentence):
-        assert graph_edit_distance(question_sentence, question_sentence) == 0.0
+        assert graph_edit_distances(question_sentence, [question_sentence])[0] == 0.0
 
     def test_empty_question_vs_answer_is_one(self, answer_sentence):
         empty = Sentence("e", "")
-        assert graph_edit_distance(empty, answer_sentence) == 1.0
-        assert graph_edit_distance(answer_sentence, empty) == 1.0
+        assert graph_edit_distances(empty, [answer_sentence])[0] == 1.0
+        assert graph_edit_distances(answer_sentence, [empty])[0] == 1.0
 
     def test_both_empty_is_zero(self):
         empty = Sentence("e", "")
-        assert graph_edit_distance(empty, empty) == 0.0
+        assert graph_edit_distances(empty, [empty])[0] == 0.0
 
     def test_matches_partial_injection_oracle(self, mini_dir):
         # Every third pair draws from five lemmas, so equal-cost matchings
@@ -349,7 +348,7 @@ class TestGraphEditDistance:
             ga = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             for first, second in ((gq, ga), (ga, gq)):
                 orientations.add(np.sign(len(first.lemmas) - len(second.lemmas)))
-                fast = graph_edit_distance(first, second, cfg)
+                fast = graph_edit_distances(first, [second], cfg)[0]
                 slow = brute_force_ged(
                     first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost
                 )
@@ -361,8 +360,8 @@ class TestGraphEditDistance:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=6)
             ga = random_tree_sentence(rng, max_nodes=6)
-            d1 = graph_edit_distance(gq, ga)
-            d2 = graph_edit_distance(ga, gq)
+            d1 = graph_edit_distances(gq, [ga])[0]
+            d2 = graph_edit_distances(ga, [gq])[0]
             assert abs(d1 - d2) <= 1e-12
             assert 0.0 <= d1 <= 1.0
 
@@ -424,10 +423,7 @@ class TestGraphEditDistance:
                 ("film", "film", "NOUN", 6, "obl"),
             ],
         )
-        distances = [
-            graph_edit_distance(question, candidate)
-            for candidate in (wrong_film, correct, wrong_censor)
-        ]
+        distances = graph_edit_distances(question, [wrong_film, correct, wrong_censor])
         assert distances[1] == min(distances)
         assert distances[1] < distances[0]
         assert distances[1] < distances[2]

@@ -13,14 +13,14 @@ from qatrigger.graphsim import (
     build_df,
     cosine,
     extract_keys,
-    graph_similarity_features,
+    graph_similarities,
     load_df_table,
     save_df_table,
     tfidf_vector,
 )
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import direct_cosine, direct_tfidf_vector, sorted_cosine
+from oracles import direct_cosine, direct_tfidf_vector, head_edges, sorted_cosine
 
 
 def word_keys(graph):
@@ -231,35 +231,70 @@ class TestSimilarityFeatures:
 
     def test_identical_graphs_score_one(self, question_sentence):
         tables = self.tables_for([question_sentence])
-        sims = graph_similarity_features(
-            question_sentence, question_sentence, tables, (0.0, 0.0, 0.0)
-        )
+        sims = graph_similarities(
+            question_sentence, [question_sentence], tables, (0.0, 0.0, 0.0)
+        )[0]
         assert sims == pytest.approx((1.0, 1.0, 1.0))
 
     def test_disjoint_graphs_score_zero(self):
         g1 = make_sentence("1", [("sun", "sun", "NOUN", 0, "root")])
         g2 = make_sentence("2", [("rain", "rain", "NOUN", 0, "root")])
         tables = self.tables_for([g1, g2])
-        assert graph_similarity_features(g1, g2, tables, (0.0, 0.0, 0.0)) == (0, 0, 0)
+        assert graph_similarities(g1, [g2], tables, (0.0, 0.0, 0.0))[0] == (0, 0, 0)
 
     def test_fig_pair_shares_word_level_mass(self, question_sentence, answer_sentence):
         tables = self.tables_for([question_sentence, answer_sentence])
-        sims = graph_similarity_features(
-            question_sentence, answer_sentence, tables, (0.0, 0.0, 0.0)
-        )
+        sims = graph_similarities(
+            question_sentence, [answer_sentence], tables, (0.0, 0.0, 0.0)
+        )[0]
         assert sims[0] > 0  # die, david, carradine shared
         assert sims[1] > 0  # carradine|david pair shared
         assert sims[2] > 0  # compound triplet shared
         assert all(0.0 <= s <= 1.0 for s in sims)
 
+    def test_groups_match_direct_oracle(self):
+        # Keys come from the head column, weights and cosines from the direct
+        # formulas; a third of the sentences stay out of the DF tables, so
+        # unseen keys occur.
+        def keys_of(level):
+            def keys(graph):
+                lemma = dict(enumerate(graph.lemmas, start=1))
+                if level == "word":
+                    return list(graph.lemmas)
+                pairs = [(f"{lemma[g]}|{lemma[d]}", r) for g, d, r in head_edges(graph)]
+                return [p if level == "pair" else f"{p}|{r}" for p, r in pairs]
+            return keys
+
+        rng = np.random.default_rng(89)
+        pool = ["die", "win", "sun", "man", "city"]
+        for _ in range(60):
+            gq = random_tree_sentence(rng, max_nodes=7, lemma_pool=pool, relabel=True)
+            answers = [
+                random_tree_sentence(rng, max_nodes=9, lemma_pool=pool, relabel=True)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            tables = build_df([gq, *answers][: 1 + 2 * len(answers) // 3])
+            alphas = tuple(float(rng.random()) * 2 for _ in LEVELS)
+            rows = graph_similarities(gq, answers, tables, alphas)
+            for ga, row in zip(answers, rows):
+                expected = []
+                for level, alpha in zip(LEVELS, alphas):
+                    table = tables[level]
+                    vectors = [
+                        direct_tfidf_vector(g, keys_of(level), table.n_docs, table.df, alpha)
+                        for g in (gq, ga)
+                    ]
+                    expected.append(direct_cosine(*vectors))
+                assert row == pytest.approx(tuple(expected), abs=1e-12)
+
     def test_symmetry(self, question_sentence, answer_sentence):
         tables = self.tables_for([question_sentence, answer_sentence])
-        forward = graph_similarity_features(
-            question_sentence, answer_sentence, tables, (0.0, 0.0, 0.0)
-        )
-        backward = graph_similarity_features(
-            answer_sentence, question_sentence, tables, (0.0, 0.0, 0.0)
-        )
+        forward = graph_similarities(
+            question_sentence, [answer_sentence], tables, (0.0, 0.0, 0.0)
+        )[0]
+        backward = graph_similarities(
+            answer_sentence, [question_sentence], tables, (0.0, 0.0, 0.0)
+        )[0]
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
