@@ -79,7 +79,7 @@ candidates = {
     ),
 }
 
-config = GedConfig()  # default POS weights, edge weight 0.5, delete cost 1.0
+config = GedConfig()  # the default POS weights, edge weight and delete cost
 
 print("question:", question.text, "\n")
 # One call scores the whole group: the question's side is prepared once.

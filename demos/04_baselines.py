@@ -10,6 +10,7 @@ import numpy as np
 from qatrigger import (
     AnswerPool,
     EmbeddingTable,
+    FeatureResources,
     bm25_idf,
     bm25_scores,
     ngram_coverage,
@@ -26,15 +27,20 @@ answers = [
 ]
 tokenized = [tokenize(a) for a in answers]
 pool = AnswerPool.build(tokenized)
+# The published defaults, which the feature pipeline and the CLI use too.
+defaults = FeatureResources()
+k1, b, n_max = defaults.k1, defaults.b, defaults.n_max
 
-print("BM25 (k1=1.5, b=0.75); pool idf saturates for terms shared across candidates")
-for text, score in zip(answers, bm25_scores(question, tokenized, pool)):
+print(f"BM25 (k1={k1}, b={b}); pool idf saturates for terms shared across candidates")
+for text, score in zip(answers, bm25_scores(question, tokenized, pool, k1, b)):
     print(f"  {score:7.3f}  {text}")
 print(f"  idf('die') = {bm25_idf(pool, 'die'):.3f}, idf('carradine') = {bm25_idf(pool, 'carradine'):.3f}")
 
-print("\nn-gram coverage up to trigrams (clipped counts, weighted by 1+2+3)")
-for text, tokens, score in zip(answers, tokenized, ngram_scores(question, tokenized)):
-    per_n = [ngram_coverage(question, tokens, n) for n in (1, 2, 3)]
+orders = range(1, n_max + 1)
+weights = "+".join(map(str, orders))
+print(f"\nn-gram coverage up to trigrams (clipped counts, weighted by {weights})")
+for text, tokens, score in zip(answers, tokenized, ngram_scores(question, tokenized, n_max)):
+    per_n = [ngram_coverage(question, tokens, n) for n in orders]
     print(f"  score {score:.3f}  per-n {per_n}  {text}")
 
 # A toy embedding table; real runs load word2vec/GloVe-style text files.

@@ -67,7 +67,7 @@ model = train(
     train_rows,
     [label for g in train_groups for _, _, label in g.candidates],
     DEFAULT_MANIFEST,
-    TrainConfig(lr=0.1, epochs=200, l2=1e-4),
+    TrainConfig(),
 )
 for name, weight in sorted(zip(model.feature_names, model.weights), key=lambda x: -abs(x[1])):
     print(f"  weight {name:15s} {weight:+.3f}")

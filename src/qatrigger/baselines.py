@@ -35,24 +35,20 @@ def tokenize(text: str) -> list[str]:
 class AnswerPool:
     """Per-question candidate statistics shared by every BM25 score."""
 
-    candidates: tuple[tuple[str, ...], ...]
+    size: int
     avgdl: float
     df_in_pool: Counter
 
     @classmethod
     def build(cls, tokenized_candidates: Sequence[Sequence[str]]) -> "AnswerPool":
-        candidates = tuple(tuple(c) for c in tokenized_candidates)
-        if not candidates:
+        size = len(tokenized_candidates)
+        if not size:
             raise ValueError("answer pool must contain at least one candidate")
-        avgdl = sum(len(c) for c in candidates) / len(candidates)
+        avgdl = sum(len(c) for c in tokenized_candidates) / size
         df: Counter = Counter()
-        for candidate in candidates:
+        for candidate in tokenized_candidates:
             df.update(set(candidate))
-        return cls(candidates=candidates, avgdl=avgdl, df_in_pool=df)
-
-    @property
-    def size(self) -> int:
-        return len(self.candidates)
+        return cls(size=size, avgdl=avgdl, df_in_pool=df)
 
 
 def bm25_idf(pool: AnswerPool, term: str) -> float:
@@ -65,8 +61,8 @@ def bm25_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
     pool: AnswerPool,
-    k1: float = 1.5,
-    b: float = 0.75,
+    k1: float,
+    b: float,
 ) -> list[float]:
     """Okapi BM25 of each answer against the question, using pool statistics.
 
@@ -115,7 +111,7 @@ def ngram_coverage(
 def ngram_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
-    n_max: int = 3,
+    n_max: int,
 ) -> list[float]:
     """Sum of each answer's 1..n_max coverages divided by 1 + 2 + ... + n_max;
     the question's n-grams are counted once."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -36,7 +37,7 @@ from .combiner import (
 from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
 from .errors import ConfigError, IngestionError, QaTriggerError, open_text, parse_number
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
-from .ged import GedConfig, default_pos_table, load_pos_table
+from .ged import GedConfig, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
 
 ENV_PREFIX = "QATRIGGER"
@@ -58,7 +59,8 @@ class RunConfig:
     """Typed view of the configuration file plus overrides.
 
     Each field names its INI section (and key) in its metadata; its type
-    picks the parser: a path, a number, an integer or the feature manifest.
+    picks the parser: a path, a finite number, an integer or the feature
+    manifest.
     """
 
     train: Path | None = _key("data")
@@ -77,19 +79,20 @@ class RunConfig:
     df_triplet: Path | None = _key("resources")
     pos_costs: Path | None = _key("resources")
     manifest: tuple[str, ...] = _key("features", DEFAULT_MANIFEST)
-    alpha1: float = _key("hyper", 7.0)
-    alpha2: float = _key("hyper", 5.0)
-    alpha3: float = _key("hyper", 2.0)
-    subgraph_m: int = _key("hyper", 3, key="m")
-    edge_weight: float = _key("hyper", 0.5)
-    delete_cost: float = _key("hyper", 1.0)
-    k1: float = _key("hyper", 1.5)
-    b: float = _key("hyper", 0.75)
-    n_max: int = _key("hyper", 3)
-    lr: float = _key("hyper", 0.1)
-    epochs: int = _key("hyper", 200)
-    l2: float = _key("hyper", 1e-4)
-    threshold: float = _key("hyper", 0.14)
+    # Each [hyper] default is the library's, read from the field it sets.
+    alpha1: float = _key("hyper", FeatureResources.alphas[0])
+    alpha2: float = _key("hyper", FeatureResources.alphas[1])
+    alpha3: float = _key("hyper", FeatureResources.alphas[2])
+    subgraph_m: int = _key("hyper", FeatureResources.subgraph_m, key="m")
+    edge_weight: float = _key("hyper", GedConfig.edge_weight)
+    delete_cost: float = _key("hyper", GedConfig.delete_cost)
+    k1: float = _key("hyper", FeatureResources.k1)
+    b: float = _key("hyper", FeatureResources.b)
+    n_max: int = _key("hyper", FeatureResources.n_max)
+    lr: float = _key("hyper", TrainConfig.lr)
+    epochs: int = _key("hyper", TrainConfig.epochs)
+    l2: float = _key("hyper", TrainConfig.l2)
+    threshold: float = _key("hyper", TrainConfig.threshold)
     bm25_threshold: float | None = _key("baselines")
     ngram_threshold: float | None = _key("baselines")
     semvec_threshold: float | None = _key("baselines", 0.70)
@@ -135,9 +138,12 @@ def _apply(config: RunConfig, section: str, key: str, value: str, base: Path | N
     else:
         number, what = (int, "an integer") if kind is int else (float, "a number")
         try:
-            setattr(config, name, number(value))
+            parsed = number(value)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not {what}: {value!r}") from exc
+        if not math.isfinite(parsed):
+            raise ConfigError(f"[{section}] {key}: not a finite number: {value!r}")
+        setattr(config, name, parsed)
 
 
 def load_config(
@@ -237,17 +243,16 @@ def build_resources(
     It stays because bench/run.py, which changes only with the benchmark,
     passes it.
     """
+    pos_table = {"pos_table": load_pos_table(config.pos_costs)} if config.pos_costs else {}
     resources = FeatureResources(
+        ged_config=GedConfig(
+            edge_weight=config.edge_weight, delete_cost=config.delete_cost, **pos_table
+        ),
         alphas=(config.alpha1, config.alpha2, config.alpha3),
         subgraph_m=config.subgraph_m,
         k1=config.k1,
         b=config.b,
         n_max=config.n_max,
-    )
-    resources.ged_config = GedConfig(
-        pos_table=load_pos_table(config.pos_costs) if config.pos_costs else default_pos_table(),
-        edge_weight=config.edge_weight,
-        delete_cost=config.delete_cost,
     )
     if any(name.startswith("sim_") for name in manifest):
         resources.df_tables = _df_tables(config)
@@ -347,13 +352,10 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     names, keys, x = read_features(features_path)
     y = [label for _, _, label in keys]
     try:
-        model = train(
-            x,
-            y,
-            names,
-            TrainConfig(lr=config.lr, epochs=config.epochs, l2=config.l2),
-            threshold=config.threshold,
+        hyper = TrainConfig(
+            lr=config.lr, epochs=config.epochs, l2=config.l2, threshold=config.threshold
         )
+        model = train(x, y, names, hyper)
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     save_model(model, model_path)

@@ -40,7 +40,8 @@ from .graphsim import DfTable, graph_similarities
 
 @dataclass
 class FeatureResources:
-    """Everything extract_features may need, depending on the manifest."""
+    """Everything extract_features may need, depending on the manifest.  The
+    defaults are the published hyperparameters; the CLI's [hyper] reads them."""
 
     ged_config: GedConfig = field(default_factory=GedConfig)
     df_tables: Mapping[str, DfTable] | None = None
@@ -222,9 +223,12 @@ def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Gradient-descent settings, and the threshold a new model starts with."""
+
     lr: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
+    threshold: float = 0.14
 
 
 def loss_and_gradient(
@@ -253,7 +257,6 @@ def train(
     labels: Sequence[int],
     feature_names: Sequence[str],
     hyper: TrainConfig = TrainConfig(),
-    threshold: float = 0.14,
 ) -> TriggerModel:
     """Fit the trigger model by full-batch gradient descent.
 
@@ -284,7 +287,7 @@ def train(
         bias=bias,
         means=means,
         stds=stds,
-        threshold=threshold,
+        threshold=hyper.threshold,
     )
 
 

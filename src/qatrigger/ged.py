@@ -85,7 +85,7 @@ def default_pos_table() -> PosCostTable:
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 entries[(a, b)] = SAME_CLASS_COST
-    return PosCostTable(entries=entries, default_cost=1.0)
+    return PosCostTable(entries=entries)
 
 
 def load_pos_table(path: str | Path) -> PosCostTable:
@@ -289,7 +289,7 @@ def solve_assignment(
 
 
 def graph_edit_distances(
-    gq: Sentence, answers: Sequence[Sentence], config: GedConfig | None = None
+    gq: Sentence, answers: Sequence[Sentence], config: GedConfig
 ) -> list[float]:
     """Assignment-based edit distance of each answer graph, normalized to [0, 1].
 
@@ -299,8 +299,7 @@ def graph_edit_distances(
     itself a feasible edit; identical graphs score 0, and an empty question
     against any answer scores 1.
     """
-    cfg = config or GedConfig()
-    substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, cfg)
+    substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, config)
     reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
     sub_rows, reduced_rows = substitution.tolist(), reduced.tolist()
     deletion, insertion = deletion.tolist(), insertion.tolist()

@@ -50,12 +50,12 @@ class TestBm25Idf:
 class TestBm25Score:
     def test_empty_question_scores_zero(self):
         pool = AnswerPool.build([["a"], ["b"]])
-        assert bm25_scores([], [["a"]], pool)[0] == 0.0
+        assert bm25_scores([], [["a"]], pool, 1.5, 0.75)[0] == 0.0
 
     def test_absent_term_contributes_nothing(self):
         pool = AnswerPool.build([["alpha", "beta"], ["gamma"]])
-        with_term = bm25_scores(["alpha"], [["alpha", "beta"]], pool)[0]
-        with_extra = bm25_scores(["alpha", "zzz"], [["alpha", "beta"]], pool)[0]
+        with_term = bm25_scores(["alpha"], [["alpha", "beta"]], pool, 1.5, 0.75)[0]
+        with_extra = bm25_scores(["alpha", "zzz"], [["alpha", "beta"]], pool, 1.5, 0.75)[0]
         assert with_term == with_extra
 
     def test_matches_hand_oracle_on_three_candidate_pool(self):
@@ -72,8 +72,8 @@ class TestBm25Score:
 
     def test_repeated_query_terms_count_each_occurrence(self):
         pool = AnswerPool.build([["x", "y"], ["z"]])
-        once = bm25_scores(["x"], [["x", "y"]], pool)[0]
-        twice = bm25_scores(["x", "x"], [["x", "y"]], pool)[0]
+        once = bm25_scores(["x"], [["x", "y"]], pool, 1.5, 0.75)[0]
+        twice = bm25_scores(["x", "x"], [["x", "y"]], pool, 1.5, 0.75)[0]
         assert twice == pytest.approx(2 * once)
 
 

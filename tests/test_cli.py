@@ -7,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from qatrigger.cli import RunConfig, build_parser, load_config, main, read_features
-from qatrigger.combiner import FEATURE_NAMES, load_model
+from qatrigger.cli import (
+    RunConfig,
+    build_parser,
+    build_resources,
+    load_config,
+    main,
+    read_features,
+)
+from qatrigger.combiner import FEATURE_NAMES, TrainConfig, load_model, save_model, train
 from qatrigger.errors import ConfigError
+from qatrigger.ged import GedConfig, load_pos_table
 
 
 def run(*argv):
@@ -78,17 +86,94 @@ class TestConfig:
             others = [f.name for f in fields(RunConfig) if f.name != name]
             assert [getattr(config, f) for f in others] == [getattr(default, f) for f in others]
         if isinstance(expected, (int, float)):
-            what = "an integer" if isinstance(expected, int) else "a number"
-            with pytest.raises(ConfigError) as error:
-                load_config(None, overrides=[f"{section}.{key}=x"], env={})
-            assert str(error.value) == f"[{section}] {key}: not {what}: 'x'"
+            integer = isinstance(expected, int)
+            # Each bad value and the error it must raise.
+            bad = {"x": "not an integer" if integer else "not a number"}
+            for value in ("nan", "inf", "-inf"):
+                bad[value] = "not an integer" if integer else "not a finite number"
+            for value, message in bad.items():
+                with pytest.raises(ConfigError) as error:
+                    load_config(None, overrides=[f"{section}.{key}={value}"], env={})
+                assert str(error.value) == f"[{section}] {key}: {message}: {value!r}"
 
     def test_defaults_carry_published_hyperparameters(self):
         config = load_config(None, env={})
-        assert (config.alpha1, config.alpha2, config.alpha3) == (7.0, 5.0, 2.0)
-        assert config.subgraph_m == 3
-        assert config.threshold == 0.14
+        hyper = [f.name for f in fields(RunConfig) if f.metadata["section"] == "hyper"]
+        published = {
+            "alpha1": 7.0, "alpha2": 5.0, "alpha3": 2.0, "subgraph_m": 3,
+            "edge_weight": 0.5, "delete_cost": 1.0, "k1": 1.5, "b": 0.75, "n_max": 3,
+            "lr": 0.1, "epochs": 200, "l2": 1e-4, "threshold": 0.14,
+        }
+        # repr tells 3 from 3.0, so an integer key must default to an int.
+        assert {name: repr(getattr(config, name)) for name in hyper} == {
+            name: repr(value) for name, value in published.items()
+        }
         assert config.semvec_threshold == 0.70
+
+    def test_every_feature_key_reaches_its_library_field(self, tmp_path):
+        # Distinct values, so a key copied into the wrong field fails.
+        overrides = [
+            "features.manifest=ged,rel_cov,graph_cov_ans,bm25,ngram",
+            "hyper.alpha1=1.25", "hyper.alpha2=2.25", "hyper.alpha3=3.25", "hyper.m=5",
+            "hyper.edge_weight=0.375", "hyper.delete_cost=0.625",
+            "hyper.k1=1.125", "hyper.b=0.25", "hyper.n_max=4",
+        ]
+        config = load_config(None, overrides=overrides, env={})
+        resources = build_resources(config, config.manifest, [])
+        assert resources.alphas == (1.25, 2.25, 3.25)
+        assert resources.subgraph_m == 5
+        assert (resources.k1, resources.b, resources.n_max) == (1.125, 0.25, 4)
+        assert resources.ged_config == GedConfig(edge_weight=0.375, delete_cost=0.625)
+
+        pos_costs = tmp_path / "pos_costs.tsv"
+        pos_costs.write_text("DEFAULT\t0.875\nNOUN\tVERB\t0.125\n")
+        config = load_config(
+            None, overrides=[*overrides, f"resources.pos_costs={pos_costs}"], env={}
+        )
+        ged_config = build_resources(config, config.manifest, []).ged_config
+        assert ged_config == GedConfig(
+            pos_table=load_pos_table(pos_costs), edge_weight=0.375, delete_cost=0.625
+        )
+        assert ged_config.pos_table != GedConfig().pos_table
+
+    def test_every_train_key_reaches_the_model(self, mini_config, mini_dir, tmp_path):
+        features = mini_dir / "golden_features_train.tsv"
+        model = tmp_path / "model.txt"
+        assert run(
+            "--config", mini_config,
+            "--set", "hyper.lr=0.05", "--set", "hyper.epochs=37",
+            "--set", "hyper.l2=0.01", "--set", "hyper.threshold=0.3",
+            "train", "--features", str(features), "--model", str(model),
+        ) == 0
+        names, keys, x = read_features(features)
+        hyper = TrainConfig(lr=0.05, epochs=37, l2=0.01, threshold=0.3)
+        expected = tmp_path / "expected.txt"
+        save_model(train(x, [label for _, _, label in keys], names, hyper), expected)
+        assert model.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "setting, command",
+        [
+            ("hyper.lr=nan", ["train", "--features", "{golden}", "--model", "{out}"]),
+            ("hyper.edge_weight=inf", ["featurize", "--split", "dev", "--out", "{out}"]),
+            ("hyper.alpha1=nan", ["featurize", "--split", "dev", "--out", "{out}"]),
+        ],
+        ids=["lr-train", "edge_weight-featurize", "alpha1-featurize"],
+    )
+    def test_non_finite_value_fails_with_one_config_error(
+        self, setting, command, mini_config, mini_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out.txt"
+        golden = mini_dir / "golden_features_train.tsv"
+        argv = [arg.format(golden=golden, out=out) for arg in command]
+        code = run("--config", mini_config, "--set", setting, *argv)
+        target, value = setting.split("=")
+        section, key = target.split(".")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error:config: [{section}] {key}: not a finite number: {value!r}\n"
+        )
+        assert not out.exists()
 
     def test_file_paths_resolve_relative_to_config(self, mini_config, mini_dir):
         config = load_config(mini_config, env={})

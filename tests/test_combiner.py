@@ -115,7 +115,7 @@ class TestExtractFeatures:
         sims = graph_similarities(gq, [ga], uniform_tables(), (0.0, 0.0, 0.0))[0]
         cov = graph_coverage_features(gq, [ga], resources.subgraph_m)[0]
         expected = [
-            graph_edit_distances(gq, [ga])[0],
+            graph_edit_distances(gq, [ga], GedConfig())[0],
             sims[0],
             sims[1],
             sims[2],
@@ -447,7 +447,7 @@ class TestGradient:
 class TestModelIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
         x, y = separable_dataset(seed=3)
-        model = train(x, y, ("f1", "f2"), threshold=0.14)
+        model = train(x, y, ("f1", "f2"), TrainConfig(threshold=0.3))
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)

@@ -16,7 +16,7 @@ from qatrigger.coverage import (
     vocabulary_coverages,
 )
 from qatrigger.errors import IngestionError
-from qatrigger.ged import graph_edit_distances
+from qatrigger.ged import GedConfig, graph_edit_distances
 from qatrigger.graphsim import build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
@@ -375,7 +375,7 @@ def graph_features(gq, ga):
     """Every graph feature of a pair, with DF tables built from the pair."""
     tables = build_df([gq, ga])
     return (
-        graph_edit_distances(gq, [ga])[0],
+        graph_edit_distances(gq, [ga], GedConfig())[0],
         *graph_similarities(gq, [ga], tables, (0.0, 0.0, 0.0))[0],
         relation_coverages(gq, [ga])[0],
         vocabulary_coverages(gq, [ga])[0],

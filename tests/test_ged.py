@@ -317,16 +317,16 @@ class TestGroupCostPass:
 
 class TestGraphEditDistance:
     def test_identical_graphs_distance_zero(self, question_sentence):
-        assert graph_edit_distances(question_sentence, [question_sentence])[0] == 0.0
+        assert graph_edit_distances(question_sentence, [question_sentence], GedConfig())[0] == 0.0
 
     def test_empty_question_vs_answer_is_one(self, answer_sentence):
         empty = Sentence("e", "")
-        assert graph_edit_distances(empty, [answer_sentence])[0] == 1.0
-        assert graph_edit_distances(answer_sentence, [empty])[0] == 1.0
+        assert graph_edit_distances(empty, [answer_sentence], GedConfig())[0] == 1.0
+        assert graph_edit_distances(answer_sentence, [empty], GedConfig())[0] == 1.0
 
     def test_both_empty_is_zero(self):
         empty = Sentence("e", "")
-        assert graph_edit_distances(empty, [empty])[0] == 0.0
+        assert graph_edit_distances(empty, [empty], GedConfig())[0] == 0.0
 
     def test_matches_partial_injection_oracle(self, mini_dir):
         # Every third pair draws from five lemmas, so equal-cost matchings
@@ -360,8 +360,8 @@ class TestGraphEditDistance:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=6)
             ga = random_tree_sentence(rng, max_nodes=6)
-            d1 = graph_edit_distances(gq, [ga])[0]
-            d2 = graph_edit_distances(ga, [gq])[0]
+            d1 = graph_edit_distances(gq, [ga], GedConfig())[0]
+            d2 = graph_edit_distances(ga, [gq], GedConfig())[0]
             assert abs(d1 - d2) <= 1e-12
             assert 0.0 <= d1 <= 1.0
 
@@ -423,7 +423,9 @@ class TestGraphEditDistance:
                 ("film", "film", "NOUN", 6, "obl"),
             ],
         )
-        distances = graph_edit_distances(question, [wrong_film, correct, wrong_censor])
+        distances = graph_edit_distances(
+            question, [wrong_film, correct, wrong_censor], GedConfig()
+        )
         assert distances[1] == min(distances)
         assert distances[1] < distances[0]
         assert distances[1] < distances[2]
