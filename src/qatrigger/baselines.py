@@ -151,57 +151,33 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a text embedding file: one `word v1 ... vd` line per word.
 
     A leading `count dim` header line (word2vec text format) is skipped, and
-    a word given twice keeps its later vector.  The non-empty lines are
-    counted first, so the vectors are parsed straight into one matrix, by
-    numpy's C text reader when it takes the whole file and line by line
-    with float() otherwise.
+    a word given twice keeps the row of its first line and its later vector.
+    The non-empty lines are counted first, so the vectors are parsed straight
+    into one matrix, _CHUNK_LINES lines at a time by numpy's C text reader.
+    A chunk that reader rejects is parsed again line by line with float().
     """
     path = Path(path)
     with open_text(path) as handle:
         n_lines = sum(1 for line in handle if not line.isspace())
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return _load_chunked(path, n_lines)
-    except (ValueError, Warning):
-        # Only the per-line reader names the first bad line in file order,
-        # and only it takes what float() parses but numpy does not, like 1_0.
-        return _load_per_line(path, n_lines)
-
-
-# Lines per np.loadtxt call.  Each chunk's text and parsed block are held
-# beside the matrix; 512 lines parsed as fast as 1,024 with less peak memory.
-_CHUNK_LINES = 512
-
-
-def _is_header(line: str) -> bool:
-    """Whether `line` is a word2vec `count dim` header."""
-    parts = line.split()
-    if len(parts) != 2:
-        return False
-    try:
-        int(parts[0]), int(parts[1])
-    except ValueError:
-        return False
-    return True
-
-
-def _load_chunked(path: Path, n_lines: int) -> EmbeddingTable:
-    """The table with the vectors parsed by numpy's C text reader, chunk by
-    chunk; ValueError when a line has no vector or a chunk does not parse to
-    `dim` finite values on each of its lines."""
     rows: dict[str, int] = {}  # word -> number of its last vector line
     n_vectors = 0
-    chunk: list[str] = []
+    chunk: list[tuple[int, str]] = []  # (line number, vector text)
     matrix: np.ndarray | None = None
 
     def flush() -> None:
         nonlocal matrix
-        block = np.loadtxt(chunk, dtype=float, comments=None, ndmin=2)
+        dim = None if matrix is None else matrix.shape[1]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = np.loadtxt([text for _, text in chunk], comments=None, ndmin=2)
+            if block.shape != (len(chunk), dim or block.shape[1]) or not np.isfinite(block).all():
+                raise ValueError("a chunk is ragged or not finite")
+        except (ValueError, Warning):
+            # Only float() names the bad line and takes spellings like 1_0.
+            block = _parse_lines(chunk, dim, path)
         if matrix is None:
             matrix = np.empty((n_lines, block.shape[1]))
-        if block.shape != (len(chunk), matrix.shape[1]) or not np.isfinite(block).all():
-            raise ValueError("a chunk is ragged or not finite")
         matrix[n_vectors - len(chunk) : n_vectors] = block
         chunk.clear()
 
@@ -210,17 +186,15 @@ def _load_chunked(path: Path, n_lines: int) -> EmbeddingTable:
             parts = line.split(None, 1)
             if not parts or (lineno == 1 and _is_header(line)):
                 continue
-            if len(parts) == 1:
-                raise ValueError("a line has no vector")
             rows[parts[0]] = n_vectors
             n_vectors += 1
-            chunk.append(parts[1])
+            chunk.append((lineno, parts[1] if len(parts) == 2 else ""))
             if len(chunk) == _CHUNK_LINES:
                 flush()
     if chunk:
         flush()
     if matrix is None:
-        raise ValueError("no vectors")
+        raise IngestionError(f"{path}: no vectors found")
     if len(rows) == n_vectors:
         return EmbeddingTable(matrix=matrix[:n_vectors], rows=rows)
     # A repeated word keeps the row of its first line and its last vector.
@@ -228,37 +202,43 @@ def _load_chunked(path: Path, n_lines: int) -> EmbeddingTable:
     return EmbeddingTable(matrix=matrix[last], rows=dict(zip(rows, range(len(rows)))))
 
 
-def _load_per_line(path: Path, n_lines: int) -> EmbeddingTable:
-    """The table parsed one line at a time with float(); IngestionError names
-    the first bad line."""
-    matrix: np.ndarray | None = None
-    rows: dict[str, int] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts or (lineno == 1 and _is_header(line)):
-                continue
-            word, values = parts[0], parts[1:]
-            try:
-                vector = np.fromiter(map(float, values), dtype=float, count=len(values))
-            except ValueError:
-                # Parsing the same fields again raises the named error.
-                for v in values:
-                    parse_number(v, path, lineno)
-            if not np.isfinite(vector).all():
-                raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
-            if matrix is None:
-                if len(values) == 0:
-                    raise IngestionError(f"{path}: line {lineno}: empty vector")
-                matrix = np.empty((n_lines, len(values)))
-            elif len(values) != matrix.shape[1]:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected {matrix.shape[1]} dims, got {len(values)}"
-                )
-            matrix[rows.setdefault(word, len(rows))] = vector
-    if matrix is None:
-        raise IngestionError(f"{path}: no vectors found")
-    return EmbeddingTable(matrix=matrix[: len(rows)], rows=rows)
+# Lines per np.loadtxt call.  Each chunk's text and parsed block are held
+# beside the matrix; 512 lines parsed as fast as 1,024 with less peak memory.
+_CHUNK_LINES = 512
+
+
+def _is_header(line: str) -> bool:
+    """Whether `line` is a word2vec `count dim` header: two integers."""
+    try:
+        _count, _dim = map(int, line.split())
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> np.ndarray:
+    """The chunk's vectors parsed one line at a time with float(), `dim`
+    values each (None before the first vector); IngestionError names the
+    first bad line."""
+    block = []
+    for lineno, text in chunk:
+        values = text.split()
+        try:
+            vector = [float(v) for v in values]
+        except ValueError:
+            # Parsing the same fields again raises the named error.
+            for v in values:
+                parse_number(v, path, lineno)
+        if not all(map(math.isfinite, vector)):
+            raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
+        if dim is None:
+            if not values:
+                raise IngestionError(f"{path}: line {lineno}: empty vector")
+            dim = len(values)
+        elif len(values) != dim:
+            raise IngestionError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
+        block.append(vector)
+    return np.array(block)
 
 
 def semantic_vector(

@@ -494,10 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--split", choices=SPLITS, required=True)
     p.add_argument("--out", type=Path, required=True)
+    p.set_defaults(run=lambda config, args: cmd_featurize(config, args.split, args.out))
 
     p = sub.add_parser("train", help="fit the logistic-regression trigger model")
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
+    p.set_defaults(run=lambda config, args: cmd_train(config, args.features, args.model))
 
     p = sub.add_parser("tune", help="pick the triggering threshold on dev features")
     p.add_argument("--model", type=Path, required=True)
@@ -505,11 +507,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--update-model", action="store_true", help="write the tuned threshold back"
     )
+    p.set_defaults(
+        run=lambda config, args: cmd_tune(config, args.model, args.features, args.update_model)
+    )
 
     p = sub.add_parser("predict", help="write per-pair trigger probabilities")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
+    p.set_defaults(
+        run=lambda config, args: cmd_predict(config, args.model, args.features, args.out)
+    )
 
     p = sub.add_parser("evaluate", help="report MAP/MRR and triggering P/R/F")
     p.add_argument("--model", type=Path, required=True)
@@ -520,12 +528,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report each baseline feature column present in the file",
     )
+    p.set_defaults(
+        run=lambda config, args: cmd_evaluate(
+            config, args.model, args.features, args.report, args.baselines
+        )
+    )
 
     p = sub.add_parser(
         "build-df",
         help="build word/pair/triplet document-frequency tables from the train split",
     )
     p.add_argument("--out-dir", type=Path, default=None)
+    p.set_defaults(run=lambda config, args: cmd_build_df(config, args.out_dir))
     return parser
 
 
@@ -534,21 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, overrides=args.overrides)
-        if args.command == "featurize":
-            return cmd_featurize(config, args.split, args.out)
-        if args.command == "train":
-            return cmd_train(config, args.features, args.model)
-        if args.command == "tune":
-            return cmd_tune(config, args.model, args.features, args.update_model)
-        if args.command == "predict":
-            return cmd_predict(config, args.model, args.features, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(
-                config, args.model, args.features, args.report, args.baselines
-            )
-        if args.command == "build-df":
-            return cmd_build_df(config, args.out_dir)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(config, args)
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return 2
@@ -561,7 +561,6 @@ def main(argv: list[str] | None = None) -> int:
     except QaTriggerError as exc:
         print(f"error:internal: {exc}", file=sys.stderr)
         return 5
-    return 0
 
 
 if __name__ == "__main__":

@@ -199,8 +199,8 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, _Block]]:
                 flush()
                 continue
             if line.startswith("#"):
-                if line[1:].strip().startswith("sent_id"):
-                    _, _, value = line.partition("=")
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "sent_id":
                     sent_id = value.strip()
                 continue
             columns = line.split("\t")

@@ -27,13 +27,14 @@ class ConfigError(QaTriggerError):
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` as UTF-8 text for reading.
+    """Open `path` as UTF-8 text for reading; a leading byte order mark is
+    dropped.
 
     A byte that is not UTF-8, met anywhere while the block reads the file,
     raises IngestionError naming the file; an OSError passes through.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text: {exc.reason}") from exc

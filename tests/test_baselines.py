@@ -160,6 +160,8 @@ class TestSemanticVector:
 # of its third chunk.
 MANY = 2 * baselines._CHUNK_LINES + 17
 CHUNK_EDGE = 2 * baselines._CHUNK_LINES + 1
+# The first line of the last, partial chunk of a _long_table.
+LAST_CHUNK = 3 * baselines._CHUNK_LINES + 1
 
 
 def _long_table(faults):
@@ -214,17 +216,17 @@ def _random_table(rng, n_words, dim, header=False, crlf=False, blanks=False, rep
 
 
 def _must_not_run(*args):
-    raise AssertionError("this reader must not run")
+    raise AssertionError("the per-line parser must not run")
 
 
-def _chunks_fail(*args):
-    raise ValueError("chunked reader disabled")
+def _chunks_fail(*args, **kwargs):
+    raise ValueError("numpy's reader disabled")
 
 
-def _load_with(monkeypatch, path, disabled, replacement):
-    """load_embeddings with one of its two readers replaced."""
+def _load_with(monkeypatch, path, owner, name, replacement):
+    """load_embeddings with `owner.name` replaced."""
     with monkeypatch.context() as patch:
-        patch.setattr(baselines, disabled, replacement)
+        patch.setattr(owner, name, replacement)
         return load_embeddings(path)
 
 
@@ -235,7 +237,8 @@ def _assert_same_bits(table, rows, matrix):
 
 
 class TestEmbeddingReaders:
-    """The chunked C reader against the per-line float() reader, bit for bit."""
+    """numpy's chunk reader and the per-line float() parser, each bit for bit
+    against float(), and which chunks reach the per-line parser."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -254,21 +257,21 @@ class TestEmbeddingReaders:
             "past-one-chunk-repeats", "past-one-chunk-dim-1", "repeats-header",
         ],
     )
-    def test_chunked_reader_matches_per_line_reader(
-        self, monkeypatch, tmp_path, seed, n_words, dim, options
-    ):
+    def test_both_parsers_match_float(self, monkeypatch, tmp_path, seed, n_words, dim, options):
         text, rows, matrix = _random_table(random.Random(seed), n_words, dim, **options)
         path = tmp_path / "emb.txt"
         path.write_bytes(text.encode("utf-8"))
-        chunked = _load_with(monkeypatch, path, "_load_per_line", _must_not_run)
-        per_line = _load_with(monkeypatch, path, "_load_chunked", _chunks_fail)
-        _assert_same_bits(chunked, rows, matrix)
-        _assert_same_bits(per_line, rows, matrix)
+        _assert_same_bits(
+            _load_with(monkeypatch, path, baselines, "_parse_lines", _must_not_run), rows, matrix
+        )
+        _assert_same_bits(_load_with(monkeypatch, path, np, "loadtxt", _chunks_fail), rows, matrix)
 
-    def test_well_formed_tables_need_no_per_line_reader(self, monkeypatch, mini_dir, tmp_path):
+    def test_well_formed_tables_never_reach_the_per_line_parser(
+        self, monkeypatch, mini_dir, tmp_path
+    ):
         mini = mini_dir / "embeddings.txt"
-        table = _load_with(monkeypatch, mini, "_load_per_line", _must_not_run)
-        expected = _load_with(monkeypatch, mini, "_load_chunked", _chunks_fail)
+        table = _load_with(monkeypatch, mini, baselines, "_parse_lines", _must_not_run)
+        expected = _load_with(monkeypatch, mini, np, "loadtxt", _chunks_fail)
         _assert_same_bits(table, expected.rows, expected.matrix)
         assert table.dim == 2 and len(table.rows) > 0
 
@@ -276,7 +279,7 @@ class TestEmbeddingReaders:
         path = tmp_path / "emb300.txt"
         path.write_text(text, encoding="utf-8")
         _assert_same_bits(
-            _load_with(monkeypatch, path, "_load_per_line", _must_not_run), rows, matrix
+            _load_with(monkeypatch, path, baselines, "_parse_lines", _must_not_run), rows, matrix
         )
 
     @pytest.mark.parametrize(
@@ -295,10 +298,61 @@ class TestEmbeddingReaders:
         path = tmp_path / "emb.txt"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(AssertionError, match="must not run"):
-            _load_with(monkeypatch, path, "_load_per_line", _must_not_run)
+            _load_with(monkeypatch, path, baselines, "_parse_lines", _must_not_run)
         table = load_embeddings(path)
         assert table.matrix[table.rows[word]].tolist() == vector
         assert len(table.rows) == len(content.splitlines())
+
+    def test_only_the_rejected_chunk_is_parsed_line_by_line(self, monkeypatch, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text(_long_table({1500: "w1500 1_0 0.25"}), encoding="utf-8")
+        parsed = []
+
+        def spy(chunk, dim, path):
+            parsed.append((chunk[0][0], chunk[-1][0], dim))
+            return parse_lines(chunk, dim, path)
+
+        parse_lines = baselines._parse_lines
+        table = _load_with(monkeypatch, path, baselines, "_parse_lines", spy)
+        assert parsed == [(CHUNK_EDGE, LAST_CHUNK - 1, 2)]
+        assert table.matrix[table.rows["w1500"]].tolist() == [10.0, 0.25]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(
+                _long_table({3: "w3 0.1 high"}), "line 3: not a number: 'high'",
+                id="first-chunk",
+            ),
+            pytest.param(
+                _long_table({1999: "w1999 inf 0.1"}), "line 1999: vector value is not finite",
+                id="last-partial-chunk",
+            ),
+            pytest.param(
+                _long_table({100: "w100 1_0 0.5", 1800: "w1800 0.1"}),
+                "line 1800: expected 2 dims, got 1",
+                id="float-only-chunk-then-later-fault",
+            ),
+            pytest.param(
+                _long_table({100: "w100 1_0 0.5", 300: "w300 nan 0.1"}),
+                "line 300: vector value is not finite",
+                id="float-only-line-then-fault-in-its-chunk",
+            ),
+            pytest.param(
+                _long_table(
+                    {5: "w5 1_0 0.5", **{i: f"w{i} 0.5" for i in range(LAST_CHUNK, 2001)}}
+                ),
+                f"line {LAST_CHUNK}: expected 2 dims, got 1",
+                id="width-set-line-by-line-then-a-narrower-chunk",
+            ),
+        ],
+    )
+    def test_fault_is_named_in_any_chunk(self, tmp_path, content, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        with pytest.raises(IngestionError) as error:
+            load_embeddings(path)
+        assert str(error.value) == f"{path}: {message}"
 
 
 class TestEmbeddingFile:
@@ -390,3 +444,15 @@ class TestEmbeddingFile:
         table = load_embeddings(mini_dir / "embeddings.txt")
         assert table.dim == 2
         assert table.lookup("alice") is not None
+
+
+@pytest.mark.parametrize(
+    "content", ["\ufeffsun 1 0\nmoon 0 1\n", "\ufeff2 2\nsun 1 0\nmoon 0 1\n"],
+    ids=["before-first-word", "before-header"],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, content):
+    path = tmp_path / "bom.txt"
+    path.write_text(content, encoding="utf-8")
+    table = load_embeddings(path)
+    assert table.rows == {"sun": 0, "moon": 1}
+    assert table.matrix.tolist() == [[1, 0], [0, 1]]

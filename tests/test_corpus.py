@@ -66,6 +66,11 @@ def test_headerless_file_is_accepted(tmp_path):
     assert len(load_wikiqa(path)) == 1
 
 
+def test_leading_byte_order_mark_is_not_part_of_the_question_id(tmp_path):
+    path = write(tmp_path / "c.tsv", "\ufeffQ1\tq\tD1\tt\tS1\ts\t1\n")
+    assert [group.question_id for group in load_wikiqa(path)] == ["Q1"]
+
+
 def test_groups_preserve_first_appearance_order(tmp_path):
     path = write(
         tmp_path / "c.tsv",
@@ -148,6 +153,21 @@ def test_attach_parses_by_index_file(tmp_path):
     groups = attach_parses(load_wikiqa(corpus), conllu, index)
     assert groups[0].question.lemmas[0] == "nobody"
     assert groups[0].candidates[0][1].lemmas[0] == "alice"
+
+
+def test_sent_id_key_is_matched_exactly(tmp_path):
+    corpus = write(tmp_path / "c.tsv", "Q1\tnobody won\tD\tt\tS1\talice won\t1\n")
+    block = (
+        "1\tnobody\tnobody\tPRON\tNN\t_\t2\tnsubj\t_\t_\n"
+        "2\twon\twin\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+    )
+    conllu = write(
+        tmp_path / "p.conllu",
+        "# sent_id = q1\n# sent_id_orig = 17\n" + block + "\n# sent_id = a1\n" + block,
+    )
+    index = write(tmp_path / "i.tsv", "q1\tQ1\na1\tS1\n")
+    groups = attach_parses(load_wikiqa(corpus), conllu, index)
+    assert groups[0].question.lemmas == ("nobody", "win")
 
 
 def test_attach_parses_skips_mwt_and_empty_nodes(tmp_path):
