@@ -13,7 +13,6 @@ from qatrigger import (
     FeatureResources,
     bm25_idf,
     bm25_scores,
-    ngram_coverage,
     ngram_scores,
     semantic_similarities,
     tokenize,
@@ -40,8 +39,9 @@ orders = range(1, n_max + 1)
 weights = "+".join(map(str, orders))
 print(f"\nn-gram coverage up to trigrams (clipped counts, weighted by {weights})")
 for text, tokens, score in zip(answers, tokenized, ngram_scores(question, tokenized, n_max)):
-    per_n = [ngram_coverage(question, tokens, n) for n in orders]
-    print(f"  score {score:.3f}  per-n {per_n}  {text}")
+    # The same answer scored alone with each shorter n_max.
+    by_n = [round(ngram_scores(question, [tokens], n)[0], 3) for n in orders]
+    print(f"  score {score:.3f}  by n_max {by_n}  {text}")
 
 # A toy embedding table; real runs load word2vec/GloVe-style text files.
 rng = np.random.default_rng(0)

@@ -14,7 +14,6 @@ from .baselines import (
     bm25_idf,
     bm25_scores,
     load_embeddings,
-    ngram_coverage,
     ngram_scores,
     semantic_similarities,
     tokenize,

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import IngestionError, open_text, parse_number
+from .errors import IngestionError, open_text
 
 
 def tokenize(text: str) -> list[str]:
@@ -96,16 +96,6 @@ def _coverage(counts_q: Counter, total: int, answer_tokens: Sequence[str], n: in
         return 0.0
     counts_a = Counter(filter(counts_q.__contains__, _ngrams(answer_tokens, n)))
     return sum(min(count, counts_q[gram]) for gram, count in counts_a.items()) / total
-
-
-def ngram_coverage(
-    question_tokens: Sequence[str], answer_tokens: Sequence[str], n: int
-) -> float:
-    """Clipped common n-gram count over the question's n-gram count."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    counts_q = Counter(_ngrams(question_tokens, n))
-    return _coverage(counts_q, counts_q.total(), answer_tokens, n)
 
 
 def ngram_scores(
@@ -223,14 +213,14 @@ def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> n
     block = []
     for lineno, text in chunk:
         values = text.split()
-        try:
-            vector = [float(v) for v in values]
-        except ValueError:
-            # Parsing the same fields again raises the named error.
-            for v in values:
-                parse_number(v, path, lineno)
-        if not all(map(math.isfinite, vector)):
-            raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
+        vector = []
+        for v in values:  # the first bad field, left to right, names the fault
+            try:
+                vector.append(float(v))
+            except ValueError:
+                raise IngestionError(f"{path}: line {lineno}: not a number: {v!r}") from None
+            if not math.isfinite(vector[-1]):
+                raise IngestionError(f"{path}: line {lineno}: vector value is not finite")
         if dim is None:
             if not values:
                 raise IngestionError(f"{path}: line {lineno}: empty vector")

@@ -15,7 +15,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,10 +25,11 @@ from . import combiner
 from .baselines import load_embeddings
 from .combiner import (
     DEFAULT_MANIFEST,
-    FEATURE_NAMES,
+    GRAPH_FEATURES,
     FeatureResources,
     TrainConfig,
     _fmt,
+    check_manifest,
     extract_features,
     load_model,
     save_model,
@@ -97,22 +98,20 @@ class RunConfig:
     ngram_threshold: float | None = _key("baselines")
     semvec_threshold: float | None = _key("baselines", 0.70)
 
-    def validate(self) -> None:
-        if min(self.alpha1, self.alpha2, self.alpha3) < 0:
-            raise ConfigError("alphas must be >= 0")
-        if self.subgraph_m < 0:
-            raise ConfigError("subgraph_m must be >= 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ConfigError("b must be in [0, 1]")
-        if self.k1 < 0 or self.n_max < 1:
-            raise ConfigError("k1 must be >= 0 and n_max >= 1")
-        if self.lr <= 0 or self.epochs < 1 or self.l2 < 0:
-            raise ConfigError("lr must be > 0, epochs >= 1, l2 >= 0")
-        if self.edge_weight < 0 or self.delete_cost < 0:
-            raise ConfigError("edge_weight and delete_cost must be >= 0")
-        bad = [name for name in self.manifest if name not in FEATURE_NAMES]
-        if bad:
-            raise ConfigError(f"unknown features in manifest: {', '.join(bad)}")
+    def feature_resources(self) -> FeatureResources:
+        """The FeatureResources, with its GedConfig, that the [hyper] keys set."""
+        return FeatureResources(
+            ged_config=GedConfig(edge_weight=self.edge_weight, delete_cost=self.delete_cost),
+            alphas=(self.alpha1, self.alpha2, self.alpha3),
+            subgraph_m=self.subgraph_m,
+            k1=self.k1,
+            b=self.b,
+            n_max=self.n_max,
+        )
+
+    def train_config(self) -> TrainConfig:
+        """The TrainConfig that the [hyper] keys set."""
+        return TrainConfig(lr=self.lr, epochs=self.epochs, l2=self.l2, threshold=self.threshold)
 
 
 # (section, key) -> RunConfig field name, and field name -> type.
@@ -141,7 +140,7 @@ def _apply(config: RunConfig, section: str, key: str, value: str, base: Path | N
             parsed = number(value)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not {what}: {value!r}") from exc
-        if not math.isfinite(parsed):
+        if number is float and not math.isfinite(parsed):  # int() gives no nan or inf
             raise ConfigError(f"[{section}] {key}: not a finite number: {value!r}")
         setattr(config, name, parsed)
 
@@ -179,7 +178,13 @@ def load_config(
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         _apply(config, section.strip(), key.strip(), value.strip(), base=None)
-    config.validate()
+    try:  # each library object checks the ranges of its own fields
+        config.feature_resources()
+        config.train_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if config.manifest:  # an empty one is an error only where features are made
+        check_manifest(config.manifest)
     return config
 
 
@@ -202,10 +207,6 @@ def load_split(config: RunConfig, split: str, with_parses: bool) -> list[Questio
             )
         groups = attach_parses(groups, conllu, getattr(config, f"index_{split}"))
     return groups
-
-
-def _needs_parses(manifest: tuple[str, ...]) -> bool:
-    return any(name in combiner.GRAPH_FEATURES for name in manifest)
 
 
 def _df_paths(config: RunConfig) -> dict[str, Path] | None:
@@ -243,17 +244,10 @@ def build_resources(
     It stays because bench/run.py, which changes only with the benchmark,
     passes it.
     """
-    pos_table = {"pos_table": load_pos_table(config.pos_costs)} if config.pos_costs else {}
-    resources = FeatureResources(
-        ged_config=GedConfig(
-            edge_weight=config.edge_weight, delete_cost=config.delete_cost, **pos_table
-        ),
-        alphas=(config.alpha1, config.alpha2, config.alpha3),
-        subgraph_m=config.subgraph_m,
-        k1=config.k1,
-        b=config.b,
-        n_max=config.n_max,
-    )
+    resources = config.feature_resources()
+    if config.pos_costs:
+        pos_table = load_pos_table(config.pos_costs)
+        resources.ged_config = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
         resources.df_tables = _df_tables(config)
     if "ext_score" in manifest:
@@ -268,9 +262,8 @@ def build_resources(
 
 
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
-    if not config.manifest:
-        raise ConfigError("no features enabled")
-    groups = load_split(config, split, with_parses=_needs_parses(config.manifest))
+    check_manifest(config.manifest)
+    groups = load_split(config, split, with_parses=not GRAPH_FEATURES.isdisjoint(config.manifest))
     resources = build_resources(config, config.manifest, groups)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
@@ -351,21 +344,19 @@ def _scored_groups(keys: list[tuple[str, str, int]], scores: list[float]) -> lis
 def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     names, keys, x = read_features(features_path)
     y = [label for _, _, label in keys]
+    hyper = config.train_config()
     try:
-        hyper = TrainConfig(
-            lr=config.lr, epochs=config.epochs, l2=config.l2, threshold=config.threshold
-        )
         model = train(x, y, names, hyper)
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     save_model(model, model_path)
     loss, _, _ = combiner.loss_and_gradient(
-        model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float), config.l2
+        model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float), hyper.l2
     )
     predictions = [1 if p > 0.5 else 0 for p in model.scores(x)]
     accuracy = sum(p == label for p, label in zip(predictions, y)) / len(y)
     print(
-        f"trained on {len(y)} pairs: epochs={config.epochs} "
+        f"trained on {len(y)} pairs: epochs={hyper.epochs} "
         f"final_loss={loss:.6f} train_accuracy={accuracy:.4f} -> {model_path}"
     )
     return 0

@@ -33,7 +33,7 @@ from .baselines import (
 )
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
-from .errors import ConfigError, IngestionError, open_text, parse_number
+from .errors import ConfigError, IngestionError, check_finite, open_text, parse_number
 from .ged import GedConfig, graph_edit_distances
 from .graphsim import DfTable, graph_similarities
 
@@ -41,7 +41,8 @@ from .graphsim import DfTable, graph_similarities
 @dataclass
 class FeatureResources:
     """Everything extract_features may need, depending on the manifest.  The
-    defaults are the published hyperparameters; the CLI's [hyper] reads them."""
+    defaults are the published hyperparameters; the CLI's [hyper] reads them.
+    Construction checks the hyperparameters' ranges."""
 
     ged_config: GedConfig = field(default_factory=GedConfig)
     df_tables: Mapping[str, DfTable] | None = None
@@ -52,6 +53,19 @@ class FeatureResources:
     k1: float = 1.5
     b: float = 0.75
     n_max: int = 3
+
+    def __post_init__(self) -> None:
+        if len(self.alphas) != 3:
+            raise ValueError(f"alphas must be three values, got {self.alphas!r}")
+        check_finite(self, "alphas", "subgraph_m", "k1", "b", "n_max")
+        if min(self.alphas) < 0:
+            raise ValueError("alphas must be >= 0")
+        if self.subgraph_m < 0:
+            raise ValueError("subgraph_m must be >= 0")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError("b must be in [0, 1]")
+        if self.k1 < 0 or self.n_max < 1:
+            raise ValueError("k1 must be >= 0 and n_max >= 1")
 
 
 class _Group(NamedTuple):
@@ -124,6 +138,15 @@ DEFAULT_MANIFEST = tuple(
 GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
 
 
+def check_manifest(manifest: Sequence[str]) -> None:
+    """Raise ConfigError when the manifest names an unknown feature, or none."""
+    unknown = [name for name in manifest if name not in FEATURE_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown features in manifest: {', '.join(unknown)}")
+    if not manifest:
+        raise ConfigError("no features enabled")
+
+
 def extract_features(
     group: QuestionGroup,
     resources: FeatureResources,
@@ -135,11 +158,7 @@ def extract_features(
     Raises ConfigError when an enabled feature's resource is missing; an
     enabled ext_score with no entry for a pair is an error, never imputed.
     """
-    unknown = [name for name in manifest if name not in FEATURE_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown features in manifest: {', '.join(unknown)}")
-    if not manifest:
-        raise ConfigError("no features enabled")
+    check_manifest(manifest)
     families = [f for f in _FAMILIES if any(name in manifest for name in f.columns)]
     for family in families:
         if family.requires and getattr(resources, family.requires[0]) is None:
@@ -223,12 +242,18 @@ def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent settings, and the threshold a new model starts with."""
+    """Gradient-descent settings, and the threshold a new model starts with;
+    construction checks their ranges."""
 
     lr: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
     threshold: float = 0.14
+
+    def __post_init__(self) -> None:
+        check_finite(self, "lr", "epochs", "l2", "threshold")
+        if self.lr <= 0 or self.epochs < 1 or self.l2 < 0:
+            raise ValueError("lr must be > 0, epochs >= 1, l2 >= 0")
 
 
 def loss_and_gradient(

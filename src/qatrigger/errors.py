@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the text reader that turns an
-undecodable input file into an IngestionError, and the numeric-field parser
-that does the same for a bad number."""
+"""Exception types shared across the package, the text reader and the
+numeric-field parser that turn an undecodable file or a bad number into an
+IngestionError, and the finiteness check of the library's parameters."""
 
 from __future__ import annotations
 
@@ -53,3 +53,14 @@ def parse_number(raw: str, path: str | Path, lineno: int, kind: type = float):
     if not math.isfinite(value):
         raise IngestionError(f"{path}: line {lineno}: not a finite number: {raw!r}")
     return value
+
+
+def check_finite(owner: object, *names: str) -> None:
+    """Raise ValueError naming the first of `owner`'s fields `names` that
+    holds nan or an infinity, a tuple field value by value; unlike
+    math.isfinite, comparing with the infinities takes an int of any size."""
+    for name in names:
+        value = getattr(owner, name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(-math.inf < v < math.inf for v in values):
+            raise ValueError(f"{name} must be finite, got {value!r}")

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Sentence
-from .errors import IngestionError, open_text, parse_number
+from .errors import IngestionError, check_finite, open_text, parse_number
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -125,9 +125,16 @@ def load_pos_table(path: str | Path) -> PosCostTable:
 
 @dataclass(frozen=True)
 class GedConfig:
+    """Edit costs of graph_edit_distances; construction checks the ranges."""
+
     pos_table: PosCostTable = field(default_factory=default_pos_table)
     edge_weight: float = 0.5
     delete_cost: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_finite(self, "edge_weight", "delete_cost")
+        if self.edge_weight < 0 or self.delete_cost < 0:
+            raise ValueError("edge_weight and delete_cost must be >= 0")
 
 
 def _relation_counts(

@@ -12,7 +12,6 @@ from qatrigger.baselines import (
     bm25_idf,
     bm25_scores,
     load_embeddings,
-    ngram_coverage,
     ngram_scores,
     semantic_similarities,
     semantic_vector,
@@ -79,15 +78,16 @@ class TestBm25Score:
 
 class TestNgram:
     def test_identical_sentences_cover_fully(self):
+        # Each order's coverage is 1, so the score is n_max / (1 + ... + n_max).
         tokens = ["a", "b", "c", "d"]
-        for n in (1, 2, 3):
-            assert ngram_coverage(tokens, tokens, n) == 1.0
+        for n_max in (1, 2, 3):
+            assert ngram_scores(tokens, [tokens], n_max) == [2 / (n_max + 1)]
 
     def test_disjoint_sentences(self):
-        assert ngram_coverage(["a", "b"], ["c", "d"], 1) == 0.0
+        assert ngram_scores(["a", "b"], [["c", "d"]], 1) == [0.0]
 
     def test_clipped_counts(self):
-        assert ngram_coverage(["a", "b", "a"], ["a", "b"], 1) == pytest.approx(2 / 3)
+        assert ngram_scores(["a", "b", "a"], [["a", "b"]], 1) == [pytest.approx(2 / 3)]
 
     def test_ngram_score_identical_three_tokens(self):
         tokens = ["a", "b", "c"]
@@ -383,6 +383,9 @@ class TestEmbeddingFile:
             # The messages featurize reports for corrupt embedding files.
             ("who 0.1 high\n", "line 1: not a number: 'high'"),
             ("who 0.1 nan\n", "line 1: vector value is not finite"),
+            # The first bad field, read left to right, decides the message.
+            ("who nan high\n", "line 1: vector value is not finite"),
+            ("who high nan\n", "line 1: not a number: 'high'"),
             ("who 0.1 0.2\nwon 0.3\n", "line 2: expected 2 dims, got 1"),
             ("who\n", "line 1: empty vector"),
             ("\n\n", "no vectors found"),
@@ -397,6 +400,10 @@ class TestEmbeddingFile:
             pytest.param(
                 _long_table({1500: "w1500 0.1 inf"}), "line 1500: vector value is not finite",
                 id="line-1500-not-finite",
+            ),
+            pytest.param(
+                _long_table({1500: "w1500 nan high"}), "line 1500: vector value is not finite",
+                id="line-1500-not-finite-before-not-a-number",
             ),
             pytest.param(
                 _long_table({1500: "w1500 0.1"}), "line 1500: expected 2 dims, got 1",

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,14 @@ from qatrigger.cli import (
     main,
     read_features,
 )
-from qatrigger.combiner import FEATURE_NAMES, TrainConfig, load_model, save_model, train
+from qatrigger.combiner import (
+    FEATURE_NAMES,
+    FeatureResources,
+    TrainConfig,
+    load_model,
+    save_model,
+    train,
+)
 from qatrigger.errors import ConfigError
 from qatrigger.ged import GedConfig, load_pos_table
 
@@ -231,19 +239,107 @@ class TestConfig:
         assert code == 2
         assert capsys.readouterr().err == f"error:config: config file not found: {config}\n"
 
-    def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            load_config(None, overrides=["hyper.b=1.5"], env={})
-        with pytest.raises(ConfigError):
-            load_config(None, overrides=["hyper.alpha1=-1"], env={})
-        with pytest.raises(ConfigError):
-            load_config(None, overrides=["hyper.m=-2"], env={})
-
     def test_help_documents_positional_alignment_and_env(self, capsys):
         parser = build_parser()
         help_text = parser.format_help()
         assert "positionally" in help_text
         assert "QATRIGGER_" in help_text
+
+
+# Each [hyper] range rule: a key and value that break it, the library object
+# the key sets with the field value that breaks it, and the message both give.
+RANGE_RULES = [
+    ("alpha1", "-1", FeatureResources, {"alphas": (-1.0, 5.0, 2.0)}, "alphas must be >= 0"),
+    ("alpha3", "-0.5", FeatureResources, {"alphas": (7.0, 5.0, -0.5)}, "alphas must be >= 0"),
+    ("m", "-2", FeatureResources, {"subgraph_m": -2}, "subgraph_m must be >= 0"),
+    ("b", "1.5", FeatureResources, {"b": 1.5}, "b must be in [0, 1]"),
+    ("b", "-0.25", FeatureResources, {"b": -0.25}, "b must be in [0, 1]"),
+    ("k1", "-1", FeatureResources, {"k1": -1.0}, "k1 must be >= 0 and n_max >= 1"),
+    ("n_max", "0", FeatureResources, {"n_max": 0}, "k1 must be >= 0 and n_max >= 1"),
+    ("edge_weight", "-0.5", GedConfig, {"edge_weight": -0.5},
+     "edge_weight and delete_cost must be >= 0"),
+    ("delete_cost", "-1", GedConfig, {"delete_cost": -1.0},
+     "edge_weight and delete_cost must be >= 0"),
+    ("lr", "0", TrainConfig, {"lr": 0.0}, "lr must be > 0, epochs >= 1, l2 >= 0"),
+    ("lr", "-0.1", TrainConfig, {"lr": -0.1}, "lr must be > 0, epochs >= 1, l2 >= 0"),
+    ("epochs", "0", TrainConfig, {"epochs": 0}, "lr must be > 0, epochs >= 1, l2 >= 0"),
+    ("l2", "-0.001", TrainConfig, {"l2": -0.001}, "lr must be > 0, epochs >= 1, l2 >= 0"),
+]
+
+
+class TestRangeRules:
+    """Each [hyper] range rule is checked by the library object that owns the
+    field, and the CLI reports that object's message as its config error."""
+
+    @pytest.mark.parametrize(
+        "key, value, owner, kwargs, message",
+        RANGE_RULES,
+        ids=[f"{key}={value}" for key, value, *_ in RANGE_RULES],
+    )
+    def test_library_object_config_and_cli_give_one_message(
+        self, key, value, owner, kwargs, message, mini_config, mini_dir, tmp_path, capsys
+    ):
+        with pytest.raises(ValueError) as built:
+            owner(**kwargs)
+        assert str(built.value) == message
+
+        with pytest.raises(ConfigError) as loaded:
+            load_config(None, overrides=[f"hyper.{key}={value}"], env={})
+        assert str(loaded.value) == message
+
+        out = tmp_path / "out.txt"
+        if owner is TrainConfig:
+            command = ["train", "--features", str(mini_dir / "golden_features_train.tsv")]
+            command += ["--model", str(out)]
+        else:
+            command = ["featurize", "--split", "dev", "--out", str(out)]
+        code = run("--config", mini_config, "--set", f"hyper.{key}={value}", *command)
+        assert code == 2
+        assert capsys.readouterr().err == f"error:config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "owner, kwargs, message",
+        [
+            (TrainConfig, {"lr": math.nan}, "lr must be finite, got nan"),
+            (TrainConfig, {"epochs": math.inf}, "epochs must be finite, got inf"),
+            (TrainConfig, {"threshold": math.inf}, "threshold must be finite, got inf"),
+            (GedConfig, {"edge_weight": math.inf}, "edge_weight must be finite, got inf"),
+            (GedConfig, {"delete_cost": -math.inf}, "delete_cost must be finite, got -inf"),
+            (FeatureResources, {"alphas": (1.0, math.nan, 0.0)},
+             "alphas must be finite, got (1.0, nan, 0.0)"),
+            (FeatureResources, {"b": math.nan}, "b must be finite, got nan"),
+            (FeatureResources, {"k1": math.inf}, "k1 must be finite, got inf"),
+            (FeatureResources, {"alphas": (7.0, 5.0)},
+             "alphas must be three values, got (7.0, 5.0)"),
+        ],
+        ids=[
+            "lr-nan", "epochs-inf", "threshold-inf", "edge_weight-inf", "delete_cost-minus-inf",
+            "alpha2-nan", "b-nan", "k1-inf", "two-alphas",
+        ],
+    )
+    def test_library_object_rejects_values_config_text_cannot_hold(self, owner, kwargs, message):
+        # The config parser rejects nan and inf as text, so only a library
+        # caller can pass them, or a wrong number of alphas.
+        with pytest.raises(ValueError) as built:
+            owner(**kwargs)
+        assert str(built.value) == message
+
+    def test_bounds_are_allowed(self):
+        FeatureResources(alphas=(0.0, 0.0, 0.0), subgraph_m=0, k1=0.0, b=0.0, n_max=1)
+        FeatureResources(b=1.0)
+        GedConfig(edge_weight=0.0, delete_cost=0.0)
+        TrainConfig(lr=1e-300, epochs=1, l2=0.0, threshold=-7.5)
+        overrides = ["hyper.b=1", "hyper.m=0", "hyper.n_max=1", "hyper.epochs=1", "hyper.l2=0"]
+        config = load_config(None, overrides=overrides, env={})
+        assert (config.b, config.subgraph_m, config.n_max) == (1.0, 0, 1)
+
+    def test_integer_of_any_size_is_range_checked(self):
+        huge = "9" * 400
+        assert load_config(None, overrides=[f"hyper.m={huge}"], env={}).subgraph_m == int(huge)
+        with pytest.raises(ConfigError) as error:
+            load_config(None, overrides=[f"hyper.m=-{huge}"], env={})
+        assert str(error.value) == "subgraph_m must be >= 0"
 
 
 class TestFeaturize:
