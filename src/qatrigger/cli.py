@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,7 +37,7 @@ from .combiner import (
     train,
 )
 from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
-from .errors import ConfigError, IngestionError, QaTriggerError, open_text, parse_number
+from .errors import ConfigError, IngestionError, QaTriggerError, open_text, parse_number, tsv_rows
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
 from .ged import GedConfig, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
@@ -245,20 +246,21 @@ def build_resources(
     passes it.
     """
     resources = config.feature_resources()
+    loaded: dict[str, object] = {}
     if config.pos_costs:
         pos_table = load_pos_table(config.pos_costs)
-        resources.ged_config = replace(resources.ged_config, pos_table=pos_table)
+        loaded["ged_config"] = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
-        resources.df_tables = _df_tables(config)
+        loaded["df_tables"] = _df_tables(config)
     if "ext_score" in manifest:
         scores_path = _require(config.scores, "[data] scores (ext_score enabled)")
-        resources.scores, duplicates = load_scores(scores_path)
+        loaded["scores"], duplicates = load_scores(scores_path)
         if duplicates:
             print(f"warning: {duplicates} duplicate score rows (last wins)", file=sys.stderr)
     if "semvec" in manifest:
         emb_path = _require(config.embeddings, "[data] embeddings (semvec enabled)")
-        resources.embeddings = load_embeddings(emb_path)
-    return resources
+        loaded["embeddings"] = load_embeddings(emb_path)
+    return replace(resources, **loaded)
 
 
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
@@ -294,36 +296,29 @@ def read_features(
     linenos: list[int] = []
     with open_text(path) as handle:
         header = handle.readline().rstrip("\r\n").split("\t")
-        if header[:3] != ["question_id", "candidate_id", "gold_label"]:
-            raise IngestionError(f"{path}: not a feature file (bad header)")
-        names = tuple(header[3:])
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3 + len(names):
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected {3 + len(names)} columns"
-                )
-            try:
-                label = int(columns[2])
-                values.extend(map(float, columns[3:]))
-            except ValueError:
-                # Parsing the same fields again raises the named error.
-                parse_number(columns[2], path, lineno, int)
-                for v in columns[3:]:
-                    parse_number(v, path, lineno)
-            if label not in (0, 1):
-                raise IngestionError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
-                )
-            pair = (columns[0], columns[1])
-            if pair in seen:
-                raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
-            seen.add(pair)
-            keys.append((*pair, label))
-            linenos.append(lineno)
+    if header[:3] != ["question_id", "candidate_id", "gold_label"]:
+        raise IngestionError(f"{path}: not a feature file (bad header)")
+    names = tuple(header[3:])
+    # Line 1, the header read above, is skipped.
+    for lineno, columns in islice(tsv_rows(path, len(header)), 1, None):
+        try:
+            label = int(columns[2])
+            values.extend(map(float, columns[3:]))
+        except ValueError:
+            # Parsing the same fields again raises the named error.
+            parse_number(columns[2], path, lineno, int)
+            for v in columns[3:]:
+                parse_number(v, path, lineno)
+        if label not in (0, 1):
+            raise IngestionError(
+                f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
+            )
+        pair = (columns[0], columns[1])
+        if pair in seen:
+            raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
+        seen.add(pair)
+        keys.append((*pair, label))
+        linenos.append(lineno)
     if not keys:
         raise IngestionError(f"{path}: no feature rows")
     matrix = np.array(values, dtype=float).reshape(len(keys), len(names))

@@ -38,11 +38,12 @@ from .ged import GedConfig, graph_edit_distances
 from .graphsim import DfTable, graph_similarities
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureResources:
     """Everything extract_features may need, depending on the manifest.  The
     defaults are the published hyperparameters; the CLI's [hyper] reads them.
-    Construction checks the hyperparameters' ranges."""
+    Construction checks the hyperparameters' ranges, and the object is frozen,
+    so a field changes only through dataclasses.replace, which checks again."""
 
     ged_config: GedConfig = field(default_factory=GedConfig)
     df_tables: Mapping[str, DfTable] | None = None

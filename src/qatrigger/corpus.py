@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import IngestionError, open_text, parse_number
+from .errors import IngestionError, open_text, parse_number, tsv_rows
 
 WIKIQA_COLUMNS = 7
 
@@ -131,37 +131,30 @@ def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
     """
     path = Path(tsv_path)
     grouped: dict[str, dict] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if lineno == 1 and _is_header(columns):
-                continue
-            if len(columns) < WIKIQA_COLUMNS:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected >= {WIKIQA_COLUMNS} columns, "
-                    f"got {len(columns)}"
-                )
-            qid, question_text = columns[0], columns[1]
-            sent_id, sent_text, label_text = columns[4], columns[5], columns[6].strip()
-            if label_text not in ("0", "1"):
-                raise IngestionError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {label_text!r}"
-                )
-            entry = grouped.setdefault(
-                qid, {"question": question_text, "candidates": [], "seen": set()}
+    for lineno, columns in tsv_rows(path):
+        if lineno == 1 and _is_header(columns):
+            continue
+        if len(columns) < WIKIQA_COLUMNS:
+            raise IngestionError(
+                f"{path}: line {lineno}: expected >= {WIKIQA_COLUMNS} columns, "
+                f"got {len(columns)}"
             )
-            if sent_id in entry["seen"]:
-                raise IngestionError(
-                    f"{path}: line {lineno}: duplicate candidate id {sent_id!r} "
-                    f"for question {qid!r}"
-                )
-            entry["seen"].add(sent_id)
-            entry["candidates"].append(
-                (sent_id, Sentence(sent_id, sent_text), int(label_text))
+        qid, question_text = columns[0], columns[1]
+        sent_id, sent_text, label_text = columns[4], columns[5], columns[6].strip()
+        if label_text not in ("0", "1"):
+            raise IngestionError(
+                f"{path}: line {lineno}: label must be 0 or 1, got {label_text!r}"
             )
+        entry = grouped.setdefault(
+            qid, {"question": question_text, "candidates": [], "seen": set()}
+        )
+        if sent_id in entry["seen"]:
+            raise IngestionError(
+                f"{path}: line {lineno}: duplicate candidate id {sent_id!r} "
+                f"for question {qid!r}"
+            )
+        entry["seen"].add(sent_id)
+        entry["candidates"].append((sent_id, Sentence(sent_id, sent_text), int(label_text)))
     return [
         QuestionGroup(qid, Sentence(qid, entry["question"]), tuple(entry["candidates"]))
         for qid, entry in grouped.items()
@@ -238,27 +231,17 @@ def _read_index(index_path: Path) -> dict[str, str]:
     """Read `conllu_sent_id<TAB>wikiqa_id` lines; duplicates on either side fail."""
     mapping: dict[str, str] = {}
     seen_targets: set[str] = set()
-    with open_text(index_path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise IngestionError(
-                    f"{index_path}: line {lineno}: expected 2 columns, got {len(columns)}"
-                )
-            conllu_id, wikiqa_id = columns
-            if conllu_id in mapping:
-                raise IngestionError(
-                    f"{index_path}: line {lineno}: duplicate mapping for {conllu_id!r}"
-                )
-            if wikiqa_id in seen_targets:
-                raise IngestionError(
-                    f"{index_path}: line {lineno}: duplicate mapping for {wikiqa_id!r}"
-                )
-            mapping[conllu_id] = wikiqa_id
-            seen_targets.add(wikiqa_id)
+    for lineno, (conllu_id, wikiqa_id) in tsv_rows(index_path, 2):
+        if conllu_id in mapping:
+            raise IngestionError(
+                f"{index_path}: line {lineno}: duplicate mapping for {conllu_id!r}"
+            )
+        if wikiqa_id in seen_targets:
+            raise IngestionError(
+                f"{index_path}: line {lineno}: duplicate mapping for {wikiqa_id!r}"
+            )
+        mapping[conllu_id] = wikiqa_id
+        seen_targets.add(wikiqa_id)
     return mapping
 
 
@@ -338,19 +321,10 @@ def load_scores(tsv_path: str | Path) -> tuple[dict[tuple[str, str], float], int
     path = Path(tsv_path)
     scores: dict[tuple[str, str], float] = {}
     duplicates = 0
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
-                )
-            value = parse_number(columns[2], path, lineno)
-            key = (columns[0], columns[1])
-            if key in scores:
-                duplicates += 1
-            scores[key] = value
+    for lineno, (qid, cid, raw) in tsv_rows(path, 3):
+        value = parse_number(raw, path, lineno)
+        key = (qid, cid)
+        if key in scores:
+            duplicates += 1
+        scores[key] = value
     return scores, duplicates

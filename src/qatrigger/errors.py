@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the text reader and the
-numeric-field parser that turn an undecodable file or a bad number into an
-IngestionError, and the finiteness check of the library's parameters."""
+"""Exception types shared across the package; the text reader, the
+tab-separated row reader and the numeric-field parser that turn an
+undecodable file, a wrong column count or a bad number into an
+IngestionError; and the finiteness check of the library's parameters."""
 
 from __future__ import annotations
 
@@ -38,6 +39,28 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
             yield handle
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def tsv_rows(path: str | Path, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, columns) of each non-empty line of the
+    tab-separated file `path`, read with open_text: a line ends in LF or
+    CRLF, and line numbers count blank lines too.  With `width`, a line of
+    another column count raises IngestionError `line N: expected K columns,
+    got M`.  CoNLL-U (a blank line ends a block), embeddings (split on
+    whitespace) and the model file (whitespace-only lines skipped too) keep
+    their own readers.
+    """
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            columns = line.split("\t")
+            if width is not None and len(columns) != width:
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(columns)}"
+                )
+            yield lineno, columns
 
 
 def parse_number(raw: str, path: str | Path, lineno: int, kind: type = float):

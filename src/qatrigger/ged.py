@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Sentence
-from .errors import IngestionError, check_finite, open_text, parse_number
+from .errors import IngestionError, check_finite, parse_number, tsv_rows
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -95,29 +95,26 @@ def load_pos_table(path: str | Path) -> PosCostTable:
     entries: dict[tuple[str, str], float] = {}
     default_cost = 1.0
     saw_default = False
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            is_default = columns[0] == "DEFAULT"
-            if is_default and len(columns) != 2:
-                raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
-            if not is_default and len(columns) != 3:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
-                )
-            cost = parse_number(columns[-1], path, lineno)
-            if not 0.0 <= cost <= 1.0:
-                raise IngestionError(f"{path}: line {lineno}: cost must be in [0, 1]")
-            if is_default:
-                default_cost, saw_default = cost, True
-                continue
-            a, b = columns[:2]
-            if entries.get((b, a), cost) != cost or entries.get((a, b), cost) != cost:
-                raise IngestionError(f"{path}: line {lineno}: asymmetric entry {a}/{b}")
-            entries[(a, b)] = cost
+    for lineno, columns in tsv_rows(path):
+        if columns[0].startswith("#"):
+            continue
+        is_default = columns[0] == "DEFAULT"
+        if is_default and len(columns) != 2:
+            raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
+        if not is_default and len(columns) != 3:
+            raise IngestionError(
+                f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
+            )
+        cost = parse_number(columns[-1], path, lineno)
+        if not 0.0 <= cost <= 1.0:
+            raise IngestionError(f"{path}: line {lineno}: cost must be in [0, 1]")
+        if is_default:
+            default_cost, saw_default = cost, True
+            continue
+        a, b = columns[:2]
+        if entries.get((b, a), cost) != cost or entries.get((a, b), cost) != cost:
+            raise IngestionError(f"{path}: line {lineno}: asymmetric entry {a}/{b}")
+        entries[(a, b)] = cost
     if not saw_default:
         raise IngestionError(f"{path}: missing DEFAULT line")
     return PosCostTable(entries=entries, default_cost=default_cost)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
-from .errors import IngestionError, open_text, parse_number
+from .errors import IngestionError, parse_number, tsv_rows
 
 LEVELS = ("word", "pair", "triplet")
 
@@ -145,27 +145,19 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
     path = Path(path)
     df: dict[str, int] = {}
     n_docs: int | None = None
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(columns)}"
-                )
-            if lineno == 1:
-                if columns[0] != "N":
-                    raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
-                n_docs = parse_number(columns[1], path, lineno, int)
-                continue
-            if columns[0] in df:
-                raise IngestionError(f"{path}: line {lineno}: duplicate key {columns[0]!r}")
-            try:
-                df[columns[0]] = int(columns[1])
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: bad count") from exc
+    for lineno, (key, count) in tsv_rows(path, 2):
+        if lineno == 1:
+            if key != "N":
+                raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
+            n_docs = parse_number(count, path, lineno, int)
+            continue
+        if key in df:
+            raise IngestionError(f"{path}: line {lineno}: duplicate key {key!r}")
+        try:
+            df[key] = int(count)
+        except ValueError:
+            # Parsing the same field again raises the named error.
+            parse_number(count, path, lineno, int)
     if n_docs is None:
         raise IngestionError(f"{path}: empty DF table file")
     try:

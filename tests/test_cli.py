@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from qatrigger.cli import (
     read_features,
 )
 from qatrigger.combiner import (
+    DEFAULT_MANIFEST,
     FEATURE_NAMES,
     FeatureResources,
     TrainConfig,
@@ -325,6 +326,13 @@ class TestRangeRules:
             owner(**kwargs)
         assert str(built.value) == message
 
+    def test_feature_resources_change_only_through_checked_replace(self):
+        resources = FeatureResources()
+        with pytest.raises(FrozenInstanceError):
+            resources.b = 5.0
+        with pytest.raises(ValueError, match=r"b must be in \[0, 1\]"):
+            replace(resources, b=5.0)
+
     def test_bounds_are_allowed(self):
         FeatureResources(alphas=(0.0, 0.0, 0.0), subgraph_m=0, k1=0.0, b=0.0, n_max=1)
         FeatureResources(b=1.0)
@@ -358,6 +366,48 @@ class TestFeaturize:
         ) == 0
         golden = mini_dir / "golden_features_lexical_train.tsv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_crlf_and_blank_lines_in_tab_separated_inputs_change_nothing(
+        self, mini_config, mini_dir, tmp_path
+    ):
+        # Every tab-separated input is copied with CRLF endings and a blank
+        # line in its middle; the CoNLL-U files are not, since a blank line
+        # ends a block there.
+        assert run("--config", mini_config, "build-df", "--out-dir", str(tmp_path)) == 0
+        sources = {
+            "data.train": mini_dir / "train.tsv",
+            "data.index_train": mini_dir / "index_train.tsv",
+            "data.scores": mini_dir / "scores.tsv",
+            "resources.pos_costs": mini_dir / "pos_costs.tsv",
+            **{f"resources.df_{level}": tmp_path / f"df_{level}.tsv"
+               for level in ("word", "pair", "triplet")},
+            "features": mini_dir / "golden_features_train.tsv",
+        }
+        copies = {key: tmp_path / f"crlf-{key}.tsv" for key in sources}
+        for key, source in sources.items():
+            lines = source.read_text().splitlines()
+            middle = len(lines) // 2
+            lines[middle:middle] = [""]
+            copies[key].write_text("\r\n".join(lines) + "\r\n", newline="")
+        overrides = [arg for key, copy in copies.items() if key != "features"
+                     for arg in ("--set", f"{key}={copy}")]
+        for manifest, golden in [
+            (DEFAULT_MANIFEST, "golden_features_train.tsv"),
+            (FEATURE_NAMES, "golden_features_lexical_train.tsv"),
+        ]:
+            out = tmp_path / golden
+            assert run(
+                "--config", mini_config, *overrides,
+                "--set", f"features.manifest={','.join(manifest)}",
+                "featurize", "--split", "train", "--out", str(out),
+            ) == 0
+            assert out.read_bytes() == (mini_dir / golden).read_bytes()
+        model = tmp_path / "model.txt"
+        assert run(
+            "--config", mini_config, "train", "--features", str(copies["features"]),
+            "--model", str(model),
+        ) == 0
+        assert model.read_bytes() == (mini_dir / "golden_model_train.txt").read_bytes()
 
     def test_every_feature_is_independent_of_the_hash_seed(
         self, mini_config, mini_dir, tmp_path
@@ -710,11 +760,13 @@ MALFORMED_INPUTS = [
      "line 4: duplicate pair ('q1', 'c1')"),
     ("features", "header-only", FEATURES_HEAD.splitlines(True)[0], "no feature rows"),
     ("features", "wrong-column-count", FEATURES_HEAD + "q1\tc1\t1\n",
-     "line 3: expected 4 columns"),
+     "line 3: expected 4 columns, got 3"),
     ("features", "label-2", FEATURES_HEAD + "q1\tc1\t2\t0.5\n",
      "line 3: label must be 0 or 1, got '2'"),
     ("features", "label-minus-1", FEATURES_HEAD + "q1\tc1\t-1\t0.5\n",
      "line 3: label must be 0 or 1, got '-1'"),
+    ("corpus", "wrong-column-count", "Q1\ta b\tD\tt\tS1\tc\n",
+     "line 1: expected >= 7 columns, got 6"),
     ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
     ("conllu", "short-row", "# sent_id = q\n1\tc\tc\tVERB\n",
      "line 2: expected 10 columns, got 4"),
@@ -728,10 +780,16 @@ MALFORMED_INPUTS = [
      "line 3: non-numeric id or head"),
     ("index", "duplicate-mapping", "q\tQ1\nq\tS1\n",
      "line 2: duplicate mapping for 'q'"),
+    ("index", "wrong-column-count", "q\tQ1\ts\n", "line 1: expected 2 columns, got 3"),
+    ("pos_costs", "wrong-column-count", "DEFAULT\t1.0\nNOUN\tVERB\n",
+     "line 2: expected 3 columns, got 2"),
     ("pos_costs", "default-below-0", "NOUN\tVERB\t0.5\nDEFAULT\t-3\n",
      "line 2: cost must be in [0, 1]"),
     ("pos_costs", "default-above-1", "DEFAULT\t7.5\n", "line 1: cost must be in [0, 1]"),
     ("df", "duplicate-key", "N\t5\nfoo\t2\nfoo\t3\n", "line 3: duplicate key 'foo'"),
+    ("df", "wrong-column-count", "N\t5\n\nfoo\t2\t3\n", "line 3: expected 2 columns, got 3"),
+    ("df", "count-nan", "N\t12\nwho\tnan\n", "line 2: not a number: 'nan'"),
+    ("scores", "wrong-column-count", "Q1\tS1\t0.5\nQ1\tS2\n", "line 2: expected 3 columns, got 2"),
 ]
 
 
