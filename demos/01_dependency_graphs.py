@@ -7,6 +7,7 @@ CoNLL-U columns of each token (lemma, UPOS, head, deprel), so token i's lemma
 is `sentence.lemmas[i - 1]`.
 """
 
+from collections import Counter
 from pathlib import Path
 import tempfile
 
@@ -58,5 +59,5 @@ for label, sentence in (("question", question), ("answer", answer)):
 # Edge signatures are (governor lemma, dependent lemma, relation) triples;
 # the question and the answer share the compound and nsubj links even though
 # "die" and "died" differ on the surface.
-shared = edge_signatures(question) & edge_signatures(answer)
+shared = Counter(edge_signatures(question)) & Counter(edge_signatures(answer))
 print("shared edge signatures:", sorted(shared))

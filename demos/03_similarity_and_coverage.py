@@ -72,8 +72,9 @@ print(f"word similarity with alpha=1.5:  {strict_word:.4f} (filtering drops weig
 print(f"\nrelation coverage:  {rel_cov:.4f}  (matched edges / question edges)")
 print(f"vocabulary coverage: {vocab_cov:.4f}  (matched lemmas / question nodes)")
 
-sub = align_subgraph(set(question.lemmas), answer, m=3)
-print(f"\naligned sub-graph over shared lemmas: nodes {sorted(sub.nodes)}, edges {sorted(sub.edges)}")
+edges = align_subgraph(set(question.lemmas), answer, m=3)
+nodes = {node for edge in edges for node in edge}
+print(f"\naligned sub-graph over shared lemmas: nodes {sorted(nodes)}, edges {sorted(edges)}")
 [(cov_ans, cov_ques)] = graph_coverage_features(question, [answer], m=3)
 print(f"graph coverage vs answer:   {cov_ans:.4f}")
 print(f"graph coverage vs question: {cov_ques:.4f}")

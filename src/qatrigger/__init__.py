@@ -38,7 +38,6 @@ from .corpus import (
     load_wikiqa,
 )
 from .coverage import (
-    SubGraph,
     align_subgraph,
     graph_coverage_features,
     relation_coverages,

@@ -3,7 +3,8 @@
 These operate on plain token lists (whitespace split, lowercased, punctuation
 stripped at token edges); dependency parses are not required.  Each scorer
 takes a question and its whole group of answers, prepares the question once
-and returns one score per answer, in answer order.
+and returns one score per answer, in answer order.  The n-gram score is the
+coverage features' clipped overlap, `coverage.overlap_ratios`, over n-grams.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .coverage import overlap_ratios
 from .errors import IngestionError, open_text
 
 
@@ -89,33 +91,20 @@ def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
     return zip(*(tokens[i:] for i in range(n)))
 
 
-def _coverage(counts_q: Counter, total: int, answer_tokens: Sequence[str], n: int) -> float:
-    """Clipped common n-gram count over `total`; only the answer's n-grams
-    that the question has are counted."""
-    if total == 0:
-        return 0.0
-    counts_a = Counter(filter(counts_q.__contains__, _ngrams(answer_tokens, n)))
-    return sum(min(count, counts_q[gram]) for gram, count in counts_a.items()) / total
-
-
 def ngram_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
     n_max: int,
 ) -> list[float]:
-    """Sum of each answer's 1..n_max coverages divided by 1 + 2 + ... + n_max;
-    the question's n-grams are counted once."""
+    """Sum of each answer's 1..n_max n-gram coverages, each the clipped
+    overlap of coverage.overlap_ratios, divided by 1 + 2 + ... + n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    questions = []
-    for n in range(1, n_max + 1):
-        counts_q = Counter(_ngrams(question_tokens, n))
-        questions.append((n, counts_q, counts_q.total()))
-    return [
-        math.fsum(_coverage(counts_q, total, answer_tokens, n) for n, counts_q, total in questions)
-        / (n_max * (n_max + 1) / 2)
-        for answer_tokens in answers
+    per_n = [
+        overlap_ratios(_ngrams(question_tokens, n), (_ngrams(tokens, n) for tokens in answers))
+        for n in range(1, n_max + 1)
     ]
+    return [math.fsum(ratios) / (n_max * (n_max + 1) / 2) for ratios in zip(*per_n)]
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,7 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a text embedding file: one `word v1 ... vd` line per word.
 
-    A leading `count dim` header line (word2vec text format) is skipped, and
+    A first non-empty line `count dim` (word2vec text format) is skipped, and
     a word given twice keeps the row of its first line and its later vector.
     The non-empty lines are counted first, so the vectors are parsed straight
     into one matrix, _CHUNK_LINES lines at a time by numpy's C text reader.
@@ -148,7 +137,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """
     path = Path(path)
     with open_text(path) as handle:
-        n_lines = sum(1 for line in handle if not line.isspace())
+        filled = (lineno for lineno, line in enumerate(handle, start=1) if not line.isspace())
+        first = next(filled, 0)  # only the first non-empty line may be a header
+        n_lines = 1 + sum(1 for _ in filled)
     rows: dict[str, int] = {}  # word -> number of its last vector line
     n_vectors = 0
     chunk: list[tuple[int, str]] = []  # (line number, vector text)
@@ -174,7 +165,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split(None, 1)
-            if not parts or (lineno == 1 and _is_header(line)):
+            if not parts or (lineno == first and _is_header(line)):
                 continue
             rows[parts[0]] = n_vectors
             n_vectors += 1

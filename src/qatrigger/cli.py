@@ -15,6 +15,7 @@ import configparser
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -294,12 +295,12 @@ def read_features(
     seen: set[tuple[str, str]] = set()
     values: list[float] = []
     linenos: list[int] = []
-    with open_text(path) as handle:
-        header = handle.readline().rstrip("\r\n").split("\t")
+    with closing(tsv_rows(path)) as rows:
+        _, header = next(rows, (0, []))
     if header[:3] != ["question_id", "candidate_id", "gold_label"]:
         raise IngestionError(f"{path}: not a feature file (bad header)")
     names = tuple(header[3:])
-    # Line 1, the header read above, is skipped.
+    # The first non-empty row, the header read above, is skipped.
     for lineno, columns in islice(tsv_rows(path, len(header)), 1, None):
         try:
             label = int(columns[2])

@@ -17,6 +17,7 @@ zero-initialized, so identical inputs always give identical models.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -140,10 +141,13 @@ GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
 
 
 def check_manifest(manifest: Sequence[str]) -> None:
-    """Raise ConfigError when the manifest names an unknown feature, or none."""
+    """Raise ConfigError when the manifest names an unknown feature, one twice, or none."""
     unknown = [name for name in manifest if name not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown features in manifest: {', '.join(unknown)}")
+    twice = [name for name, count in Counter(manifest).items() if count > 1]
+    if twice:
+        raise ConfigError(f"features named twice in manifest: {', '.join(twice)}")
     if not manifest:
         raise ConfigError("no features enabled")
 
@@ -354,10 +358,12 @@ def load_model(path: str | Path) -> TriggerModel:
         if columns[0] == "BIAS":
             if len(columns) != 2:
                 raise IngestionError(f"{path}: line {lineno}: BIAS needs one value")
+            if bias is not None:
+                raise IngestionError(f"{path}: line {lineno}: duplicate BIAS row")
             bias = parse_number(columns[1], path, lineno)
             continue
         if len(columns) != 4:
-            raise IngestionError(f"{path}: malformed model row {line!r}")
+            raise IngestionError(f"{path}: line {lineno}: expected 4 columns, got {len(columns)}")
         names.append(columns[0])
         weights.append(parse_number(columns[1], path, lineno))
         means.append(parse_number(columns[2], path, lineno))

@@ -116,23 +116,19 @@ class QuestionGroup:
         return any(label == 1 for _, _, label in self.candidates)
 
 
-def _is_header(columns: list[str]) -> bool:
-    # Header rows are recognised by a non-numeric Label column.
-    return len(columns) >= WIKIQA_COLUMNS and not columns[6].strip().isdigit()
-
-
 def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
     """Load a WikiQA TSV into question groups in first-appearance order.
 
     Rows need at least 7 tab-separated columns; extra columns are ignored.
-    A header row is auto-detected and skipped.  Malformed rows (too few
-    columns, a label other than 0/1, a duplicate SentenceID within one
-    question) raise IngestionError naming the line.
+    The first non-empty row is skipped when it is a header.  Malformed rows
+    (too few columns, a label other than 0/1, a duplicate SentenceID within
+    one question) raise IngestionError naming the line.
     """
     path = Path(tsv_path)
     grouped: dict[str, dict] = {}
-    for lineno, columns in tsv_rows(path):
-        if lineno == 1 and _is_header(columns):
+    for row, (lineno, columns) in enumerate(tsv_rows(path)):
+        # A header, on the first row only, has a non-numeric Label column.
+        if row == 0 and len(columns) >= WIKIQA_COLUMNS and not columns[6].strip().isdigit():
             continue
         if len(columns) < WIKIQA_COLUMNS:
             raise IngestionError(

@@ -4,10 +4,10 @@ answers'.
 Each graph is a parsed Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
 Each feature takes the question and its whole group of answers, builds the
-question's side (edge signatures, lemma multiset, lemma set) once, and
-returns one value per answer.  Relation coverage counts one-to-one
-edge-signature matches relative to the question's edges; vocabulary coverage
-does the same over node lemmas.
+question's side once, and returns one value per answer.
+Relation and vocabulary coverage, and the n-gram baseline, score one
+quantity, the clipped overlap that `overlap_ratios` defines: relation
+coverage over edge signatures, vocabulary coverage over lemmas.
 Graph coverage builds the sub-graph of the answer tree spanned by every tree
 path of at most `m` edges between two answer nodes whose lemmas also occur
 in the question, and reports the sub-graph's edge count relative to each
@@ -20,56 +20,49 @@ for every edge at once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from .corpus import Sentence
 
 
-@dataclass(frozen=True)
-class SubGraph:
-    """Node indices and undirected edges (sorted pairs) inside the answer graph."""
+def overlap_ratios(
+    question_items: Iterable[Hashable], answers_items: Iterable[Iterable[Hashable]]
+) -> list[float]:
+    """Clipped overlap of each answer's items with the question's: the sum,
+    over the question's distinct items, of the smaller of the two counts,
+    divided by the question's item count; 0 for a question with no items.
+    The question is counted once, and of each answer only the items the
+    question has."""
+    counts_q = Counter(question_items)
+    total = counts_q.total() or 1  # no item of an empty question matches: 0 / 1
+    ratios = []
+    for items in answers_items:
+        counts_a = Counter(filter(counts_q.__contains__, items))
+        ratios.append(sum(min(count, counts_q[item]) for item, count in counts_a.items()) / total)
+    return ratios
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
 
-
-EMPTY_SUBGRAPH = SubGraph(nodes=frozenset(), edges=frozenset())
-
-
-def edge_signatures(graph: Sentence) -> Counter[tuple[str, str, str]]:
-    """Multiset of (governor lemma, dependent lemma, relation) per edge."""
+def edge_signatures(graph: Sentence) -> list[tuple[str, str, str]]:
+    """(governor lemma, dependent lemma, relation) of each edge, in edge order."""
     lemmas = graph.lemmas
-    return Counter((lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in graph.edges)
+    return [(lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in graph.edges]
 
 
 def relation_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
-    """Matched edge signatures of each answer over the question's edge count;
-    0 for an edgeless question."""
-    sig_q = edge_signatures(gq)
-    if not sig_q:
-        return [0.0] * len(answers)
-    total = sig_q.total()
-    return [
-        sum(min(count, sig_a[sig]) for sig, count in sig_q.items()) / total
-        for sig_a in map(edge_signatures, answers)
-    ]
+    """Clipped overlap of each answer's edge signatures with the question's."""
+    return overlap_ratios(edge_signatures(gq), map(edge_signatures, answers))
 
 
 def vocabulary_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
-    """Matched lemmas of each answer over the question's node count."""
-    if not gq.lemmas:
-        return [0.0] * len(answers)
-    lem_q = Counter(gq.lemmas)
-    total = len(gq.lemmas)
-    return [
-        sum(min(count, lem_a[lemma]) for lemma, count in lem_q.items()) / total
-        for lem_a in (Counter(ga.lemmas) for ga in answers)
-    ]
+    """Clipped overlap of each answer's lemmas with the question's."""
+    return overlap_ratios(gq.lemmas, (ga.lemmas for ga in answers))
 
 
-def align_subgraph(question_lemmas: AbstractSet[str], ga: Sentence, m: int) -> SubGraph:
-    """Answer sub-graph spanned by short paths between question-shared nodes.
+def align_subgraph(
+    question_lemmas: AbstractSet[str], ga: Sentence, m: int
+) -> frozenset[tuple[int, int]]:
+    """Edges of the answer sub-graph spanned by short paths between
+    question-shared nodes, each a (lower, higher) pair of token indices.
 
     A token is shared when its lemma is one of `question_lemmas`.  The answer
     edge (v, head of v) lies on a tree path of at most m edges between two
@@ -78,13 +71,13 @@ def align_subgraph(question_lemmas: AbstractSet[str], ga: Sentence, m: int) -> S
     nearest shared token outside it, the edge to v's head included.  Two
     linear passes find both for every token: deepest tokens first (the
     answer Sentence holds each token's depth), then shallowest first.  The
-    sub-graph holds the kept edges and their endpoints.
+    sub-graph's nodes are the kept edges' endpoints.
     """
     if m < 0:
         raise ValueError("path threshold m must be non-negative")
     shared = [False] + [lemma in question_lemmas for lemma in ga.lemmas]
     if sum(shared) < 2 or m == 0:
-        return EMPTY_SUBGRAPH
+        return frozenset()
     far = m + 1  # any distance beyond m counts as unreachable
     head = [0, *ga.heads]
     order = sorted(range(1, len(head)), key=ga.depth.__getitem__, reverse=True)
@@ -101,7 +94,6 @@ def align_subgraph(question_lemmas: AbstractSet[str], ga: Sentence, m: int) -> S
         elif reach < second[h]:
             second[h] = reach
     up = [far] * len(head)  # edges to the nearest shared token outside v's subtree
-    nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for v in reversed(order):
         h = head[v]
@@ -114,9 +106,8 @@ def align_subgraph(question_lemmas: AbstractSet[str], ga: Sentence, m: int) -> S
             outside = min(up[h], sibling)
         up[v] = min(outside + 1, far)
         if down[v] + up[v] <= m:
-            nodes.update((v, h))
             edges.add((v, h) if v < h else (h, v))
-    return SubGraph(nodes=frozenset(nodes), edges=frozenset(edges))
+    return frozenset(edges)
 
 
 def graph_coverage_features(
@@ -128,7 +119,7 @@ def graph_coverage_features(
     edges_q = len(gq.edges)
     rows = []
     for ga in answers:
-        n_sub = len(align_subgraph(question_lemmas, ga, m).edges)
+        n_sub = len(align_subgraph(question_lemmas, ga, m))
         edges_a = len(ga.edges)
         cov_ans = n_sub / edges_a if edges_a else 0.0
         cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0

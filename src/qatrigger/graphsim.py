@@ -146,7 +146,7 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
     df: dict[str, int] = {}
     n_docs: int | None = None
     for lineno, (key, count) in tsv_rows(path, 2):
-        if lineno == 1:
+        if n_docs is None:  # the first non-empty line
             if key != "N":
                 raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
             n_docs = parse_number(count, path, lineno, int)

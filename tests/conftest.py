@@ -16,6 +16,11 @@ def make_sentence(sentence_id, rows):
     return Sentence(sentence_id, " ".join(forms), lemmas, upos, heads, deprels)
 
 
+def endpoints(edges):
+    """The nodes of a sub-graph: every endpoint of its edges."""
+    return frozenset(node for edge in edges for node in edge)
+
+
 @pytest.fixture
 def question_sentence():
     # "how did david carradine die", rooted at "die"

@@ -331,6 +331,12 @@ def direct_bm25(question, answer, pool_tokens, k1, b) -> float:
     return total
 
 
+def clipped_overlap(question, answer) -> float:
+    """Multiset intersection size of `question` and `answer` over the
+    question's length; 0 for an empty question."""
+    return (Counter(question) & Counter(answer)).total() / len(question) if question else 0.0
+
+
 def direct_ngram_score(question, answer, n_max) -> float:
     def grams(tokens, n):
         return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))

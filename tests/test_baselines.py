@@ -370,6 +370,16 @@ class TestEmbeddingFile:
         assert table.rows == {"sun": 0, "moon": 1}
         assert table.matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
 
+    def test_header_is_the_first_non_empty_line_only(self, tmp_path):
+        path = tmp_path / "headed.txt"
+        path.write_text("\n \n2 3\nsun 1 0 0\nmoon 0 1 0\n")
+        table = load_embeddings(path)
+        assert table.rows == {"sun": 0, "moon": 1}
+        assert table.matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
+        path.write_text("\n2 3\n2 3\nsun 1 0 0\n")
+        with pytest.raises(IngestionError, match="line 4: expected 1 dims, got 3"):
+            load_embeddings(path)
+
     def test_duplicate_word_keeps_later_vector(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("sun 1 0\n\nmoon 0 1\nsun 2 2\n")

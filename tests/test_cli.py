@@ -25,7 +25,7 @@ from qatrigger.combiner import (
     save_model,
     train,
 )
-from qatrigger.errors import ConfigError
+from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.ged import GedConfig, load_pos_table
 
 
@@ -370,9 +370,9 @@ class TestFeaturize:
     def test_crlf_and_blank_lines_in_tab_separated_inputs_change_nothing(
         self, mini_config, mini_dir, tmp_path
     ):
-        # Every tab-separated input is copied with CRLF endings and a blank
-        # line in its middle; the CoNLL-U files are not, since a blank line
-        # ends a block there.
+        # Every tab-separated input is copied with CRLF endings, a blank
+        # first line and a blank line in its middle; the CoNLL-U files are
+        # not, since a blank line ends a block there.
         assert run("--config", mini_config, "build-df", "--out-dir", str(tmp_path)) == 0
         sources = {
             "data.train": mini_dir / "train.tsv",
@@ -388,6 +388,7 @@ class TestFeaturize:
             lines = source.read_text().splitlines()
             middle = len(lines) // 2
             lines[middle:middle] = [""]
+            lines.insert(0, "")
             copies[key].write_text("\r\n".join(lines) + "\r\n", newline="")
         overrides = [arg for key, copy in copies.items() if key != "features"
                      for arg in ("--set", f"{key}={copy}")]
@@ -436,6 +437,22 @@ class TestFeaturize:
         assert code != 0
         assert "error:config" in capsys.readouterr().err
 
+    def test_feature_named_twice_fails_with_one_config_error(
+        self, mini_config, mini_dir, tmp_path, capsys
+    ):
+        message = "features named twice in manifest: ged"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(mini_config, ["features.manifest=ged,ged"], env={})
+        for command in (
+            ["featurize", "--split", "train", "--out", str(tmp_path / "x.tsv")],
+            ["train", "--features", str(mini_dir / "golden_features_train.tsv"),
+             "--model", str(tmp_path / "m.txt")],
+        ):
+            code = run("--config", mini_config, "--set", "features.manifest=ged,ged", *command)
+            assert code == 2
+            assert capsys.readouterr().err == f"error:config: {message}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_single_feature_manifest_gives_four_columns(self, mini_config, tmp_path):
         out = tmp_path / "features.tsv"
         run(
@@ -468,6 +485,18 @@ class TestFeaturize:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+
+def test_feature_header_is_the_first_non_empty_row_only(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("\n\n" + GOOD_FEATURES)
+    names, keys, matrix = read_features(path)
+    assert (names, keys, matrix.tolist()) == (
+        ("ged",), [("q1", "c2", 0), ("q1", "c1", 1)], [[0.25], [0.5]]
+    )
+    path.write_text("\n" + GOOD_FEATURES + FEATURES_HEAD.splitlines(True)[0])
+    with pytest.raises(IngestionError, match="line 5: not a number: 'gold_label'"):
+        read_features(path)
 
 
 class TestTrainTunePredictEvaluate:
@@ -726,6 +755,8 @@ CORRUPT_INPUTS = [
     ("model", "non-numeric", "version 1\nhigh\nged\t1.0\t0.3\t0.1\nBIAS\t0\n"),
     ("model", "nan", MODEL_ROWS.replace("0.3", "nan") + "BIAS\t0\n"),
     ("model", "missing", MODEL_ROWS + "BIAS\n"),
+    ("model", "wrong-column-count", "version 1\n0.5\nged\t1.0\t0.3\nBIAS\t0\n"),
+    ("model", "duplicate-bias", MODEL_ROWS + "BIAS\t0\nBIAS\t1\n"),
     ("pos_costs", "non-numeric", "DEFAULT\tone\n"),
     ("pos_costs", "nan", "DEFAULT\tnan\n"),
     ("pos_costs", "inf", "DEFAULT\tinf\n"),
@@ -768,6 +799,9 @@ MALFORMED_INPUTS = [
     ("corpus", "wrong-column-count", "Q1\ta b\tD\tt\tS1\tc\n",
      "line 1: expected >= 7 columns, got 6"),
     ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
+    ("model", "wrong-column-count", "version 1\n\n0.5\nged\t1.0\t0.3\nBIAS\t0\n",
+     "line 4: expected 4 columns, got 3"),
+    ("model", "duplicate-bias", MODEL_ROWS + "BIAS\t0\nBIAS\t1\n", "line 5: duplicate BIAS row"),
     ("conllu", "short-row", "# sent_id = q\n1\tc\tc\tVERB\n",
      "line 2: expected 10 columns, got 4"),
     ("conllu", "duplicate-sent-id", GOOD_CONLLU + f"\n# sent_id = q\n{ROOT_ROW}",

@@ -105,6 +105,10 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError, match="unknown"):
             extract_features(fig_group, FeatureResources(), ["ged", "mystery"])
 
+    def test_feature_named_twice_is_an_error(self, fig_group):
+        with pytest.raises(ConfigError, match="^features named twice in manifest: ged, bm25$"):
+            extract_features(fig_group, FeatureResources(), ["ged", "bm25", "ged", "bm25"])
+
     def test_full_default_manifest_matches_per_module_values(self, fig_group):
         resources = FeatureResources(df_tables=uniform_tables(), alphas=(0.0, 0.0, 0.0))
         [values] = extract_features(fig_group, resources, DEFAULT_MANIFEST)
@@ -156,7 +160,7 @@ class TestExtractFeatures:
             subgraph_m=2,
         )
         pool = AnswerPool.build([tokenize(s.text) for _, s in answers])
-        manifest = FEATURE_NAMES[::-1] + ("sim_pair",)
+        manifest = FEATURE_NAMES[::-1]
         rows = extract_features(group, resources, manifest)
         assert len(rows) == 3
         for (cid, answer), row in zip(answers, rows):

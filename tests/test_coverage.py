@@ -5,15 +5,22 @@ import pytest
 
 from qatrigger.corpus import Sentence
 from qatrigger.coverage import (
-    SubGraph,
     align_subgraph,
     graph_coverage_features,
+    overlap_ratios,
     relation_coverages,
     vocabulary_coverages,
 )
 
-from conftest import check_tree_paths_against_bfs, make_sentence, random_tree_sentence
-from oracles import bfs_subgraph, find_path, head_edges, pairwise_subgraph, tree_arrays
+from conftest import check_tree_paths_against_bfs, endpoints, make_sentence, random_tree_sentence
+from oracles import (
+    bfs_subgraph,
+    clipped_overlap,
+    find_path,
+    head_edges,
+    pairwise_subgraph,
+    tree_arrays,
+)
 
 
 def chain(*lemmas):
@@ -23,6 +30,55 @@ def chain(*lemmas):
         rel = "root" if i == 1 else "dep"
         rows.append((lemma, lemma, "NOUN", head, rel))
     return make_sentence("chain", rows)
+
+
+class TestOverlapRatios:
+    @pytest.mark.parametrize("kind", ["string", "tuple"])
+    def test_matches_clipped_overlap_oracle(self, kind):
+        rng = np.random.default_rng(83 if kind == "string" else 89)
+
+        def items(size):
+            words = [str(w) for w in rng.choice(list("abcde"), size=size)]
+            if kind == "string":
+                return words
+            return [(w, str(r)) for w, r in zip(words, rng.choice(list("xy"), size=size))]
+
+        for _ in range(500):
+            question = items(int(rng.integers(0, 8)))
+            answers = [items(int(rng.integers(0, 8))) for _ in range(int(rng.integers(0, 5)))]
+            expected = [clipped_overlap(question, answer) for answer in answers]
+            assert overlap_ratios(question, answers) == expected
+            # One pass over generators gives the same values.
+            assert overlap_ratios(
+                (item for item in question), ((item for item in a) for a in answers)
+            ) == expected
+
+    def test_empty_question_and_empty_answer(self):
+        assert overlap_ratios([], [[], ["a"], [("a", "b")]]) == [0.0, 0.0, 0.0]
+        assert overlap_ratios(["a", "b"], [[], ["b"]]) == [0.0, 0.5]
+        assert overlap_ratios(["a"], []) == []
+
+    def test_repeated_items_are_clipped_on_both_sides(self):
+        question = ["a", "a", "b"]
+        answers = [["a"], ["a", "a", "a", "b"], ["b", "b", "b"], ["c", "a", "c", "a"]]
+        assert overlap_ratios(question, answers) == [1 / 3, 1.0, 1 / 3, 2 / 3]
+
+    def test_relation_and_vocabulary_coverage_are_clipped_overlaps(self):
+        def signatures(graph):
+            lemmas = graph.lemmas
+            return [(lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in head_edges(graph)]
+
+        rng = np.random.default_rng(97)
+        pool = ["die", "win", "sun"]
+        for _ in range(200):
+            gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
+            answers = [random_tree_sentence(rng, max_nodes=8, lemma_pool=pool) for _ in range(3)]
+            assert relation_coverages(gq, answers) == [
+                clipped_overlap(signatures(gq), signatures(ga)) for ga in answers
+            ]
+            assert vocabulary_coverages(gq, answers) == [
+                clipped_overlap(gq.lemmas, ga.lemmas) for ga in answers
+            ]
 
 
 class TestRelationCoverage:
@@ -130,26 +186,24 @@ class TestFindPath:
 class TestAlignSubgraph:
     def test_single_common_node_gives_empty(self, answer_sentence):
         gq = chain("david")
-        sub = align_subgraph(set(gq.lemmas), answer_sentence, 3)
-        assert not sub.nodes and not sub.edges
+        assert align_subgraph(set(gq.lemmas), answer_sentence, 3) == frozenset()
 
     def test_m_zero_gives_empty(self, question_sentence, answer_sentence):
-        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 0)
-        assert not sub.nodes and not sub.edges
+        assert align_subgraph(set(question_sentence.lemmas), answer_sentence, 0) == frozenset()
 
     def test_fig_pair_connects_shared_nodes(self, question_sentence, answer_sentence):
-        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 3)
+        edges = align_subgraph(set(question_sentence.lemmas), answer_sentence, 3)
         # david(1), carradine(2), died(3) in the answer graph
-        assert sub.nodes == frozenset({1, 2, 3})
-        assert sub.edges == frozenset({(1, 2), (2, 3)})
+        assert endpoints(edges) == frozenset({1, 2, 3})
+        assert edges == frozenset({(1, 2), (2, 3)})
 
     def test_subgraph_edges_are_answer_edges(self, question_sentence, answer_sentence):
-        sub = align_subgraph(set(question_sentence.lemmas), answer_sentence, 4)
+        edges = align_subgraph(set(question_sentence.lemmas), answer_sentence, 4)
         undirected = {
             (min(g, d), max(g, d)) for g, d, _ in answer_sentence.edges
         }
-        assert sub.edges <= undirected
-        assert all(a in sub.nodes and b in sub.nodes for a, b in sub.edges)
+        assert edges <= undirected
+        assert all(a < b for a, b in edges)
 
     def test_monotone_in_m(self):
         rng = np.random.default_rng(31)
@@ -160,8 +214,8 @@ class TestAlignSubgraph:
             previous = align_subgraph(set(gq.lemmas), ga, 0)
             for m in range(1, 5):
                 current = align_subgraph(set(gq.lemmas), ga, m)
-                assert previous.nodes <= current.nodes
-                assert previous.edges <= current.edges
+                assert endpoints(previous) <= endpoints(current)
+                assert previous <= current
                 previous = current
 
     def test_matches_bfs_oracle_with_forward_heads(self):
@@ -173,15 +227,16 @@ class TestAlignSubgraph:
             lemmas = set(gq.lemmas)
             for m in range(6):
                 nodes, edges = bfs_subgraph(ga, lemmas, m)
-                assert align_subgraph(lemmas, ga, m) == SubGraph(frozenset(nodes), frozenset(edges))
+                assert nodes == endpoints(edges)
+                assert align_subgraph(lemmas, ga, m) == edges
 
     def test_exactly_m_edges_kept_through_interior_ancestor(self):
         ga = interior_ancestor_graph()
         gq = chain("a", "b")
         kept = align_subgraph(set(gq.lemmas), ga, 4)
-        assert kept.nodes == frozenset({1, 2, 3, 4, 5})
-        assert kept.edges == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
-        assert align_subgraph(set(gq.lemmas), ga, 3) == SubGraph(frozenset(), frozenset())
+        assert endpoints(kept) == frozenset({1, 2, 3, 4, 5})
+        assert kept == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
+        assert align_subgraph(set(gq.lemmas), ga, 3) == frozenset()
 
     def test_non_tree_heads_rejected(self):
         # 1 -> 2 -> 1 is a cycle beside the root 3: the Sentence rejects it, so
@@ -213,9 +268,9 @@ def sentence_of(heads, lemmas):
 def matches_pairwise(gq, ga, m):
     lemmas = set(gq.lemmas)
     nodes, edges = pairwise_subgraph(ga, lemmas, m)
-    expected = SubGraph(frozenset(nodes), frozenset(edges))
-    assert align_subgraph(lemmas, ga, m) == expected
-    return expected
+    assert nodes == endpoints(edges)
+    assert align_subgraph(lemmas, ga, m) == edges
+    return frozenset(edges)
 
 
 class TestAlignSubgraphAgainstPairwiseWalk:
@@ -239,15 +294,14 @@ class TestAlignSubgraphAgainstPairwiseWalk:
         gq = chain("w")
         everything = {(min(h, i), max(h, i)) for i, h in enumerate(heads, start=1) if h}
         for m in range(7):
-            sub = matches_pairwise(gq, ga, m)
-            assert sub.edges == (everything if m else frozenset())
+            assert matches_pairwise(gq, ga, m) == (everything if m else frozenset())
 
     def test_shared_root(self):
         # root 1 is shared; its only partner 4 hangs three edges below it
         ga = sentence_of([0, 1, 2, 3, 1], ["q", "x", "x", "q", "x"])
         gq = chain("q")
-        assert matches_pairwise(gq, ga, 2).edges == frozenset()
-        assert matches_pairwise(gq, ga, 3).edges == {(1, 2), (2, 3), (3, 4)}
+        assert matches_pairwise(gq, ga, 2) == frozenset()
+        assert matches_pairwise(gq, ga, 3) == {(1, 2), (2, 3), (3, 4)}
         for m in range(7):
             matches_pairwise(gq, ga, m)
 
@@ -257,19 +311,19 @@ class TestAlignSubgraphAgainstPairwiseWalk:
         ga = sentence_of([0, 1, 2, 2], ["r", "v", "q", "q"])
         gq = chain("q")
         for m in range(7):
-            sub = matches_pairwise(gq, ga, m)
-            assert sub.edges == ({(2, 3), (2, 4)} if m >= 2 else frozenset())
-            assert (1, 2) not in sub.edges
+            edges = matches_pairwise(gq, ga, m)
+            assert edges == ({(2, 3), (2, 4)} if m >= 2 else frozenset())
+            assert (1, 2) not in edges
 
     def test_only_partner_in_a_sibling_branch(self):
         # r(1) has children x(2) and y(3); a(4) under x, b(6) two below y:
         # a..b is 5 edges, through r, which is not shared
         ga = sentence_of([0, 1, 1, 2, 3, 5], ["r", "x", "y", "q", "y", "q"])
         gq = chain("q")
-        assert matches_pairwise(gq, ga, 4).edges == frozenset()
+        assert matches_pairwise(gq, ga, 4) == frozenset()
         kept = matches_pairwise(gq, ga, 5)
-        assert kept.nodes == frozenset(range(1, 7))
-        assert kept.edges == {(1, 2), (1, 3), (2, 4), (3, 5), (5, 6)}
+        assert endpoints(kept) == frozenset(range(1, 7))
+        assert kept == {(1, 2), (1, 3), (2, 4), (3, 5), (5, 6)}
 
     @pytest.mark.parametrize("distance", range(1, 7))
     def test_partners_exactly_m_and_m_plus_one_apart(self, distance):
@@ -278,9 +332,9 @@ class TestAlignSubgraphAgainstPairwiseWalk:
         ga = sentence_of(heads, ["r"] + ["q"] + ["x"] * (distance - 1) + ["q"])
         gq = chain("q")
         path = {(i, i + 1) for i in range(2, distance + 2)}
-        assert matches_pairwise(gq, ga, distance).edges == path
-        assert matches_pairwise(gq, ga, distance - 1).edges == frozenset()
-        assert matches_pairwise(gq, ga, distance + 1).edges == path
+        assert matches_pairwise(gq, ga, distance) == path
+        assert matches_pairwise(gq, ga, distance - 1) == frozenset()
+        assert matches_pairwise(gq, ga, distance + 1) == path
 
 
 class TestGraphCoverage:

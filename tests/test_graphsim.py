@@ -317,3 +317,11 @@ class TestDfTableIO:
         path.write_text("key\t5\n")
         with pytest.raises(IngestionError):
             load_df_table(path, "word")
+
+    def test_n_line_is_the_first_non_empty_line(self, tmp_path):
+        path = tmp_path / "df.tsv"
+        path.write_text("\n\r\nN\t5\nkey\t2\n")
+        assert load_df_table(path, "word") == DfTable("word", n_docs=5, df={"key": 2})
+        path.write_text("\nkey\t2\nN\t5\n")
+        with pytest.raises(IngestionError, match="first line must be `N<TAB>n_docs`"):
+            load_df_table(path, "word")
