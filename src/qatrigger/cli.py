@@ -27,7 +27,6 @@ from . import combiner
 from .baselines import load_embeddings
 from .combiner import (
     DEFAULT_MANIFEST,
-    GRAPH_FEATURES,
     FeatureResources,
     TrainConfig,
     _fmt,
@@ -266,7 +265,7 @@ def build_resources(
 
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     check_manifest(config.manifest)
-    groups = load_split(config, split, with_parses=not GRAPH_FEATURES.isdisjoint(config.manifest))
+    groups = load_split(config, split, any(n in DEFAULT_MANIFEST for n in config.manifest))
     resources = build_resources(config, config.manifest, groups)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
@@ -296,10 +295,13 @@ def read_features(
     values: list[float] = []
     linenos: list[int] = []
     with closing(tsv_rows(path)) as rows:
-        _, header = next(rows, (0, []))
+        lineno, header = next(rows, (0, []))
     if header[:3] != ["question_id", "candidate_id", "gold_label"]:
         raise IngestionError(f"{path}: not a feature file (bad header)")
     names = tuple(header[3:])
+    twice = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if twice:
+        raise IngestionError(f"{path}: line {lineno}: features named twice: {', '.join(twice)}")
     # The first non-empty row, the header read above, is skipped.
     for lineno, columns in islice(tsv_rows(path, len(header)), 1, None):
         try:
@@ -448,6 +450,7 @@ def cmd_build_df(config: RunConfig, out_dir: Path | None) -> int:
             raise ConfigError("set [resources] df_* paths or pass --out-dir")
         targets = {level: out_dir / f"df_{level}.tsv" for level in LEVELS}
     for level, table in build_df(_train_sentences(config)).items():
+        targets[level].parent.mkdir(parents=True, exist_ok=True)
         save_df_table(table, targets[level])
         print(f"df[{level}]: {len(table.df)} keys over {table.n_docs} docs -> {targets[level]}")
     return 0

@@ -1,26 +1,27 @@
 """Feature extraction and the logistic-regression trigger model.
 
-Features are computed one question group at a time.  The graph features
-read each parsed Sentence directly, as its dependency graph; the question's
-tokens are built once per group, each candidate's once, and the group's BM25
-pool comes from those same candidate tokens.  Each feature family (graph
-alignment features, lexical baselines, and optionally an external neural
-score) is one call of one per-group function, from `ged`, `graphsim`,
-`coverage` or `baselines`, that prepares the question's side once and then
-scores every candidate; no family is scored pair by pair.  The families'
-columns give each candidate a fixed-order feature vector, and a
-standardized logistic regression maps the vector to a trigger probability.
-Training is full-batch gradient descent on L2-regularized log loss,
-zero-initialized, so identical inputs always give identical models.
-"""
+Features are computed one question group at a time, from one table of
+feature families (graph alignment features, lexical baselines, and
+optionally an external neural score).  Each family gives its column names,
+whether it reads dependency parses, the resource it requires, and one call
+of one per-group function, from `ged`, `graphsim`, `coverage` or
+`baselines`, that prepares the question's side once and returns the
+family's columns, one value per candidate; no family is scored pair by
+pair.  The graph features read each parsed Sentence directly, as its
+dependency graph; the tokens and the BM25 pool are built on first use, once
+per group.  A standardized logistic regression maps each candidate's
+manifest-ordered vector to a trigger probability.  Training is full-batch
+gradient descent on L2-regularized log loss, zero-initialized, so identical
+inputs always give identical models."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,74 +71,73 @@ class FeatureResources:
             raise ValueError("k1 must be >= 0 and n_max >= 1")
 
 
-class _Group(NamedTuple):
-    """One question group's inputs, each built once: the question and its
-    answers (Sentences, which are also their dependency graphs), their
-    tokens and the answers' BM25 pool."""
+@dataclass
+class _Group:
+    """One question group's inputs: the question and its answers (Sentences,
+    which are also their dependency graphs).  Their tokens and the answers'
+    BM25 pool are built on first read, once per group."""
 
     keys: list[tuple[str, str]]
     question: Sentence
     answers: list[Sentence]
-    q_tokens: list[str] | None
-    a_tokens: list[list[str]] | None
-    pool: AnswerPool | None
+
+    @cached_property
+    def q_tokens(self) -> list[str]:
+        return tokenize(self.question.text)
+
+    @cached_property
+    def a_tokens(self) -> list[list[str]]:
+        return [tokenize(answer.text) for answer in self.answers]
+
+    @cached_property
+    def pool(self) -> AnswerPool:
+        return AnswerPool.build(self.a_tokens)
 
 
-def _ext_scores(group: _Group, res: FeatureResources) -> list[tuple[float]]:
+def _ext_scores(group: _Group, res: FeatureResources) -> list[list[float]]:
     for qid, cid in group.keys:
         if (qid, cid) not in res.scores:
             raise ConfigError(f"ext_score missing for pair {qid}/{cid}")
-    return [(res.scores[key],) for key in group.keys]
-
-
-def _column(values: Sequence[float]) -> list[tuple[float]]:
-    return [(value,) for value in values]
+    return [[res.scores[key] for key in group.keys]]
 
 
 class _Family(NamedTuple):
     """Columns computed together for a whole group by one function."""
 
     columns: tuple[str, ...]
-    # What the group must carry: "parses", "tokens", "pool".
-    inputs: frozenset[str]
+    # Whether the family reads dependency parses.
+    parses: bool
     # (FeatureResources field that must be set, the error when it is not).
     requires: tuple[str, str] | None
-    # One row of the family's columns per candidate, in candidate order.
-    rows: Callable[[_Group, FeatureResources], Sequence[Sequence[float]]]
+    # The family's columns: one sequence per column, one value per candidate.
+    fn: Callable[[_Group, FeatureResources], Iterable[Sequence[float]]]
 
-
-_PARSES = frozenset({"parses"})
-_TOKENS = frozenset({"tokens"})
 
 _FAMILIES = (
-    _Family(("ext_score",), frozenset(), ("scores", "ext_score requires a score file"),
-            _ext_scores),
-    _Family(("ged",), _PARSES, None,
-            lambda g, res: _column(graph_edit_distances(g.question, g.answers, res.ged_config))),
-    _Family(("sim_word", "sim_pair", "sim_triplet"), _PARSES,
+    _Family(("ext_score",), False, ("scores", "ext_score requires a score file"), _ext_scores),
+    _Family(("ged",), True, None,
+            lambda g, res: [graph_edit_distances(g.question, g.answers, res.ged_config)]),
+    _Family(("sim_word", "sim_pair", "sim_triplet"), True,
             ("df_tables", "similarity features require DF tables"),
-            lambda g, res: graph_similarities(g.question, g.answers, res.df_tables, res.alphas)),
-    _Family(("rel_cov",), _PARSES, None,
-            lambda g, res: _column(relation_coverages(g.question, g.answers))),
-    _Family(("graph_cov_ans", "graph_cov_ques"), _PARSES, None,
-            lambda g, res: graph_coverage_features(g.question, g.answers, res.subgraph_m)),
-    _Family(("vocab_cov",), _PARSES, None,
-            lambda g, res: _column(vocabulary_coverages(g.question, g.answers))),
-    _Family(("bm25",), _TOKENS | {"pool"}, None,
-            lambda g, res: _column(bm25_scores(g.q_tokens, g.a_tokens, g.pool, res.k1, res.b))),
-    _Family(("ngram",), _TOKENS, None,
-            lambda g, res: _column(ngram_scores(g.q_tokens, g.a_tokens, res.n_max))),
-    _Family(("semvec",), _TOKENS, ("embeddings", "semvec requires an embedding table"),
-            lambda g, res: _column(semantic_similarities(g.q_tokens, g.a_tokens, res.embeddings))),
+            lambda g, res: zip(*graph_similarities(
+                g.question, g.answers, res.df_tables, res.alphas))),
+    _Family(("rel_cov",), True, None,
+            lambda g, res: [relation_coverages(g.question, g.answers)]),
+    _Family(("graph_cov_ans", "graph_cov_ques"), True, None,
+            lambda g, res: zip(*graph_coverage_features(g.question, g.answers, res.subgraph_m))),
+    _Family(("vocab_cov",), True, None,
+            lambda g, res: [vocabulary_coverages(g.question, g.answers)]),
+    _Family(("bm25",), False, None,
+            lambda g, res: [bm25_scores(g.q_tokens, g.a_tokens, g.pool, res.k1, res.b)]),
+    _Family(("ngram",), False, None,
+            lambda g, res: [ngram_scores(g.q_tokens, g.a_tokens, res.n_max)]),
+    _Family(("semvec",), False, ("embeddings", "semvec requires an embedding table"),
+            lambda g, res: [semantic_similarities(g.q_tokens, g.a_tokens, res.embeddings)]),
 )
 
 FEATURE_NAMES = tuple(name for family in _FAMILIES for name in family.columns)
 
-DEFAULT_MANIFEST = tuple(
-    name for family in _FAMILIES if family.inputs == _PARSES for name in family.columns
-)
-
-GRAPH_FEATURES = frozenset(DEFAULT_MANIFEST)
+DEFAULT_MANIFEST = tuple(name for family in _FAMILIES if family.parses for name in family.columns)
 
 
 def check_manifest(manifest: Sequence[str]) -> None:
@@ -168,34 +168,19 @@ def extract_features(
     for family in families:
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
-    needs = frozenset().union(*(family.inputs for family in families))
-    tokens = "tokens" in needs
-
     qid, question = group.question_id, group.question
-    if "parses" in needs:
+    if any(family.parses for family in families):
         for cid, answer, _ in group.candidates:
             if not (question.parsed and answer.parsed):
                 raise ConfigError(
                     f"graph features require dependency parses (pair {qid}/{cid} has none)"
                 )
     answers = [answer for _, answer, _ in group.candidates]
-    a_tokens = [tokenize(answer.text) for answer in answers] if tokens else None
-    inputs = _Group(
-        keys=[(qid, cid) for cid, _, _ in group.candidates],
-        question=question,
-        answers=answers,
-        q_tokens=tokenize(question.text) if tokens else None,
-        a_tokens=a_tokens,
-        pool=AnswerPool.build(a_tokens) if "pool" in needs else None,
-    )
-
-    # (family, column within its rows) of each manifest feature.
-    where = {
-        name: (i, k) for i, family in enumerate(families) for k, name in enumerate(family.columns)
-    }
-    picks = [where[name] for name in manifest]
-    family_rows = [family.rows(inputs, resources) for family in families]
-    return [[family_rows[i][row][k] for i, k in picks] for row in range(len(answers))]
+    inputs = _Group([(qid, cid) for cid, _, _ in group.candidates], question, answers)
+    table = {name: column for family in families
+             for name, column in zip(family.columns, family.fn(inputs, resources))}
+    # By row index: with no candidates, a zipped family gives no columns to read.
+    return [[table[name][row] for name in manifest] for row in range(len(answers))]
 
 
 def sigmoid(x: float) -> float:
@@ -355,11 +340,11 @@ def load_model(path: str | Path) -> TriggerModel:
     bias: float | None = None
     for lineno, line in lines[2:]:
         columns = line.split("\t")
+        if columns[0] in names or (columns[0] == "BIAS" and bias is not None):
+            raise IngestionError(f"{path}: line {lineno}: duplicate {columns[0]} row")
         if columns[0] == "BIAS":
             if len(columns) != 2:
                 raise IngestionError(f"{path}: line {lineno}: BIAS needs one value")
-            if bias is not None:
-                raise IngestionError(f"{path}: line {lineno}: duplicate BIAS row")
             bias = parse_number(columns[1], path, lineno)
             continue
         if len(columns) != 4:

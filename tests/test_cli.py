@@ -27,6 +27,7 @@ from qatrigger.combiner import (
 )
 from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.ged import GedConfig, load_pos_table
+from qatrigger.graphsim import LEVELS, load_df_table
 
 
 def run(*argv):
@@ -692,8 +693,6 @@ class TestBuildDf:
         assert run(
             "--config", mini_config, "build-df", "--out-dir", str(tmp_path)
         ) == 0
-        from qatrigger.graphsim import load_df_table
-
         for level in ("word", "pair", "triplet"):
             table = load_df_table(tmp_path / f"df_{level}.tsv", level)
             assert table.n_docs == 56  # 12 questions + 44 candidates
@@ -713,6 +712,20 @@ class TestBuildDf:
             "featurize", "--split", "dev", "--out", str(out_loaded),
         )
         assert out_self.read_bytes() == out_loaded.read_bytes()
+
+    @pytest.mark.parametrize("configured", [False, True])
+    def test_build_df_creates_missing_directories(self, configured, mini_config, tmp_path):
+        out_dir = tmp_path / "not" / "yet"
+        if configured:
+            written = [out_dir / level / "df.tsv" for level in LEVELS]
+            argv = [arg for level, path in zip(LEVELS, written)
+                    for arg in ("--set", f"resources.df_{level}={path}")] + ["build-df"]
+        else:
+            argv = ["build-df", "--out-dir", str(out_dir)]
+            written = [out_dir / f"df_{level}.tsv" for level in LEVELS]
+        assert run("--config", mini_config, *argv) == 0
+        for path, level in zip(written, LEVELS):
+            assert load_df_table(path, level).n_docs == 56
 
     @pytest.mark.parametrize("command", ["build-df", "featurize"])
     def test_some_df_paths_set_fails_with_one_config_error(
@@ -796,12 +809,16 @@ MALFORMED_INPUTS = [
      "line 3: label must be 0 or 1, got '2'"),
     ("features", "label-minus-1", FEATURES_HEAD + "q1\tc1\t-1\t0.5\n",
      "line 3: label must be 0 or 1, got '-1'"),
+    ("features", "feature-named-twice", "\nquestion_id\tcandidate_id\tgold_label\tged\tged\n"
+     "q1\tc1\t1\t0.5\t0.5\n", "line 2: features named twice: ged"),
     ("corpus", "wrong-column-count", "Q1\ta b\tD\tt\tS1\tc\n",
      "line 1: expected >= 7 columns, got 6"),
     ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
     ("model", "wrong-column-count", "version 1\n\n0.5\nged\t1.0\t0.3\nBIAS\t0\n",
      "line 4: expected 4 columns, got 3"),
     ("model", "duplicate-bias", MODEL_ROWS + "BIAS\t0\nBIAS\t1\n", "line 5: duplicate BIAS row"),
+    ("model", "duplicate-feature", MODEL_ROWS + "ged\t2.0\t0.3\t0.1\nBIAS\t0\n",
+     "line 4: duplicate ged row"),
     ("conllu", "short-row", "# sent_id = q\n1\tc\tc\tVERB\n",
      "line 2: expected 10 columns, got 4"),
     ("conllu", "duplicate-sent-id", GOOD_CONLLU + f"\n# sent_id = q\n{ROOT_ROW}",

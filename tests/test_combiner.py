@@ -16,7 +16,6 @@ from qatrigger.baselines import (
 from qatrigger.combiner import (
     DEFAULT_MANIFEST,
     FEATURE_NAMES,
-    GRAPH_FEATURES,
     FeatureResources,
     TrainConfig,
     extract_features,
@@ -77,7 +76,14 @@ class TestExtractFeatures:
             "graph_cov_ans", "graph_cov_ques", "vocab_cov", "bm25", "ngram", "semvec",
         )
         assert DEFAULT_MANIFEST == FEATURE_NAMES[1:9]
-        assert GRAPH_FEATURES == frozenset(DEFAULT_MANIFEST)
+        assert DEFAULT_MANIFEST == tuple(
+            name for family in combiner._FAMILIES if family.parses for name in family.columns
+        )
+
+    def test_group_with_no_candidates_gives_no_rows(self, question_sentence):
+        empty = QuestionGroup("q1", question_sentence, ())
+        resources = FeatureResources(df_tables=uniform_tables())
+        assert extract_features(empty, resources, DEFAULT_MANIFEST) == []
 
     def test_identity_pair_identity_features(self, question_sentence):
         group = one_candidate(question_sentence, question_sentence, "q", "c")
