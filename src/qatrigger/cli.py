@@ -299,6 +299,8 @@ def read_features(
     if header[:3] != ["question_id", "candidate_id", "gold_label"]:
         raise IngestionError(f"{path}: not a feature file (bad header)")
     names = tuple(header[3:])
+    if not names:
+        raise IngestionError(f"{path}: line {lineno}: no feature columns")
     twice = [name for name in dict.fromkeys(names) if names.count(name) > 1]
     if twice:
         raise IngestionError(f"{path}: line {lineno}: features named twice: {', '.join(twice)}")

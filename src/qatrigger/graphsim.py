@@ -8,21 +8,26 @@ read by token position from the lemma column.  Weights are tf * idf with
 idf = ln((N + 1) / (df + 1)) + 1, entries at or below the level's threshold
 are dropped, and similarity is the cosine of the surviving vectors.  idf
 depends on a key only through its df, so each DfTable computes it once per
-distinct df; a question's vectors and norms are built once per group.
+distinct df; a question's vectors and norms are built once per group, and an
+answer's weights are summed as they are computed, with no vector built.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
-from .errors import IngestionError, parse_number, tsv_rows
+from .errors import IngestionError, open_text, parse_number, tsv_rows
 
 LEVELS = ("word", "pair", "triplet")
+# Characters per chunk of load_df_table; larger chunks raise peak memory.
+_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,21 +98,18 @@ def _norm(vector: Mapping[str, float]) -> float:
     return math.sqrt(math.fsum([w * w for w in vector.values()]))
 
 
-def cosine(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
-    """Cosine over the key union; 0 when either vector is empty."""
-    return _cosine(v1, _norm(v1), v2)
-
-
-def _cosine(v1: Mapping[str, float], norm1: float, v2: Mapping[str, float]) -> float:
-    """cosine of v1, whose norm is given, and v2.  math.fsum is correctly
-    rounded, so the order of the keys cannot change the result."""
-    if not v1 or not v2:
-        return 0.0
-    dot = math.fsum([w * v2[k] for k, w in v1.items() if k in v2])
-    norm2 = _norm(v2)
+def _ratio(dot: float, norm1: float, norm2: float) -> float:
     if norm1 == 0.0 or norm2 == 0.0:
         return 0.0
     return min(1.0, dot / (norm1 * norm2))
+
+
+def cosine(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
+    """Cosine over the key union; 0 when either vector is empty.  math.fsum
+    is correctly rounded, so the order of the keys cannot change the result."""
+    if not v1 or not v2:
+        return 0.0
+    return _ratio(math.fsum([w * v2[k] for k, w in v1.items() if k in v2]), _norm(v1), _norm(v2))
 
 
 def graph_similarities(
@@ -117,8 +119,9 @@ def graph_similarities(
     alphas: tuple[float, float, float],
 ) -> list[tuple[float, float, float]]:
     """(word, pair, triplet) cosine similarities between the question graph
-    and each answer graph; the question's TF-IDF vectors and their norms are
-    built once per level."""
+    and each answer graph, with the bits of `cosine` of their tfidf_vectors.
+    An answer's norm sums its kept weights' squares, and its dot product looks
+    up only the question's keys in its key counts, so it needs no vector."""
     levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]
     keys_q = extract_keys(gq)
     vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
@@ -126,10 +129,19 @@ def graph_similarities(
     rows = []
     for ga in answers:
         keys_a = extract_keys(ga)
-        rows.append(tuple(
-            _cosine(vq, norm_q, tfidf_vector(keys_a[table.level], table, alpha))
-            for (vq, norm_q), (table, alpha) in zip(question, levels)
-        ))
+        row = []
+        for (vq, norm_q), (table, alpha) in zip(question, levels):
+            counts, idf, df = keys_a[table.level], table.idf_by_df, table.df.get
+            squares = [w * w for key, tf in counts.items() if (w := tf * idf[df(key, 0)]) > alpha]
+            if not vq or not squares:
+                row.append(0.0)
+                continue
+            dot = math.fsum([
+                wq * w for key, wq in vq.items()
+                if key in counts and (w := counts[key] * idf[df(key, 0)]) > alpha
+            ])
+            row.append(_ratio(dot, norm_q, math.sqrt(math.fsum(squares))))
+        rows.append(tuple(row))
     return rows
 
 
@@ -142,7 +154,42 @@ def save_df_table(table: DfTable, path: str | Path) -> None:
 
 
 def load_df_table(path: str | Path, level: str) -> DfTable:
+    """Read a DF table written by save_df_table, splitting its lines in bulk a
+    chunk at a time.  A file that breaks any rule in bulk is read again by the
+    line reader, which names the first bad line, so both accept the same files
+    with the same tables and messages."""
     path = Path(path)
+    df: dict[str, int] = {}
+    n_docs: int | None = None
+    # int(), DfTable and the decoder (on a byte that is not UTF-8) raise ValueError.
+    with open_text(path) as handle, suppress(ValueError):
+        while lines := handle.readlines(_CHUNK_CHARS):
+            rows = [line for line in lines if line != "\n"]  # CRLF reads as LF
+            # One tab per line, else a line with none and a line with two
+            # would shift every later field.
+            if set(map(str.count, rows, repeat("\t"))) - {1}:
+                break
+            fields = "".join(rows).replace("\n", "\t").split("\t")
+            keys, counts = fields[0:2 * len(rows):2], fields[1::2]  # drop a last ""
+            values = {text: int(text) for text in set(counts)}
+            if n_docs is None and rows:  # the first non-empty line
+                if keys[0] != "N":
+                    break
+                n_docs = values[counts[0]]
+                keys, counts = keys[1:], counts[1:]
+            size = len(df)
+            df.update(zip(keys, map(values.__getitem__, counts)))
+            if len(df) - size != len(keys):  # a repeated key
+                break
+        else:  # no chunk broke a rule
+            if n_docs is not None:
+                return DfTable(level=level, n_docs=n_docs, df=df)
+    return _load_df_lines(path, level)
+
+
+def _load_df_lines(path: Path, level: str) -> DfTable:
+    """The DF table of `path` read line by line through tsv_rows, raising
+    IngestionError at the first line that breaks a rule."""
     df: dict[str, int] = {}
     n_docs: int | None = None
     for lineno, (key, count) in tsv_rows(path, 2):

@@ -809,6 +809,8 @@ MALFORMED_INPUTS = [
      "line 3: label must be 0 or 1, got '2'"),
     ("features", "label-minus-1", FEATURES_HEAD + "q1\tc1\t-1\t0.5\n",
      "line 3: label must be 0 or 1, got '-1'"),
+    ("features", "no-feature-columns", "question_id\tcandidate_id\tgold_label\n"
+     "q1\tc1\t1\nq1\tc2\t0\n", "line 1: no feature columns"),
     ("features", "feature-named-twice", "\nquestion_id\tcandidate_id\tgold_label\tged\tged\n"
      "q1\tc1\t1\t0.5\t0.5\n", "line 2: features named twice: ged"),
     ("corpus", "wrong-column-count", "Q1\ta b\tD\tt\tS1\tc\n",
@@ -840,6 +842,10 @@ MALFORMED_INPUTS = [
     ("df", "duplicate-key", "N\t5\nfoo\t2\nfoo\t3\n", "line 3: duplicate key 'foo'"),
     ("df", "wrong-column-count", "N\t5\n\nfoo\t2\t3\n", "line 3: expected 2 columns, got 3"),
     ("df", "count-nan", "N\t12\nwho\tnan\n", "line 2: not a number: 'nan'"),
+    ("df", "blank-lines-only", "\n\r\n\n", "empty DF table file"),
+    ("df", "trailing-tab", "N\t5\nfoo\t2\t\n", "line 2: expected 2 columns, got 3"),
+    ("df", "no-tab-then-two-tabs", "N\t5\nfoo\nbar\t1\t2\n",
+     "line 2: expected 2 columns, got 1"),
     ("scores", "wrong-column-count", "Q1\tS1\t0.5\nQ1\tS2\n", "line 2: expected 3 columns, got 2"),
 ]
 

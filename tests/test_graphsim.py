@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qatrigger import graphsim
 from qatrigger.corpus import Sentence
 from qatrigger.errors import IngestionError
 from qatrigger.graphsim import (
@@ -287,6 +289,34 @@ class TestSimilarityFeatures:
                     expected.append(direct_cosine(*vectors))
                 assert row == pytest.approx(tuple(expected), abs=1e-12)
 
+    def test_bitwise_equal_to_cosine_of_tfidf_vectors(self):
+        # graph_similarities builds no answer vector; every value must keep the
+        # bits of `cosine` over the two tfidf_vectors.  Alphas up to 2 empty
+        # some vectors, and a third of the sentences stay out of the tables.
+        rng = np.random.default_rng(101)
+        pool = ["die", "win", "sun", "man", "city", "dog"]
+        empty = nonempty = 0
+        for _ in range(200):
+            gq = random_tree_sentence(rng, max_nodes=7, lemma_pool=pool, relabel=True)
+            answers = [
+                random_tree_sentence(rng, max_nodes=9, lemma_pool=pool, relabel=True)
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            tables = build_df([gq, *answers][: 1 + 2 * len(answers) // 3])
+            alphas = tuple(float(rng.random()) * 2 for _ in LEVELS)
+            keys_q = extract_keys(gq)
+            rows = graph_similarities(gq, answers, tables, alphas)
+            for ga, row in zip(answers, rows):
+                keys_a = extract_keys(ga)
+                for level, alpha, value in zip(LEVELS, alphas, row):
+                    vq, va = (
+                        tfidf_vector(keys[level], tables[level], alpha) for keys in (keys_q, keys_a)
+                    )
+                    assert value.hex() == cosine(vq, va).hex()
+                    empty += not vq or not va
+                    nonempty += bool(vq and va)
+        assert empty and nonempty
+
     def test_symmetry(self, question_sentence, answer_sentence):
         tables = self.tables_for([question_sentence, answer_sentence])
         forward = graph_similarities(
@@ -325,3 +355,81 @@ class TestDfTableIO:
         path.write_text("\nkey\t2\nN\t5\n")
         with pytest.raises(IngestionError, match="first line must be `N<TAB>n_docs`"):
             load_df_table(path, "word")
+
+    def test_table_bigger_than_one_chunk_round_trips(self, tmp_path):
+        table = DfTable("triplet", n_docs=50, df={f"k{i}|w|obj": 1 + i % 50 for i in range(20000)})
+        path = tmp_path / "df.tsv"
+        save_df_table(table, path)
+        assert len(path.read_text()) > 3 * graphsim._CHUNK_CHARS
+        loaded = load_df_table(path, "triplet")
+        assert loaded == table
+        assert list(loaded.df) == sorted(table.df)
+
+    def test_duplicate_key_in_a_later_chunk_names_its_line(self, tmp_path):
+        # Line 1 is blank, line 3 a CRLF blank line; keys fill lines 4-20003.
+        rows = "".join(f"k{i}\t1\r\n" for i in range(20000))
+        path = tmp_path / "df.tsv"
+        path.write_bytes(f"\nN\t9\r\n\r\n{rows}k3\t1\n".encode())
+        assert len(rows) > 2 * graphsim._CHUNK_CHARS
+        with pytest.raises(IngestionError, match=r"line 20004: duplicate key 'k3'$"):
+            load_df_table(path, "word")
+
+    @pytest.mark.parametrize("chunk_chars", [24, 1 << 16])
+    def test_bulk_split_matches_the_line_reader(self, chunk_chars, tmp_path, monkeypatch):
+        # Seeded valid and mutated DF files must give the same table, in the
+        # same key order, or the same message from load_df_table as from the
+        # line reader it falls back to.
+        monkeypatch.setattr(graphsim, "_CHUNK_CHARS", chunk_chars)
+        line_reader, fallbacks = graphsim._load_df_lines, []
+        monkeypatch.setattr(
+            graphsim, "_load_df_lines", lambda *args: fallbacks.append(args) or line_reader(*args)
+        )
+        rng = random.Random(4111 + chunk_chars)
+        counts = ["x", "", "nan", "1.5", " 3", "+2", "0", "-1", "1_0", "\u0663", "2\t", "99", "7"]
+        extras = [b"\n", b"\r\n", b" \n", b"\r", b"\xff", b"\xef\xbb\xbf", b"N\t4\n",
+                  b"\t\n", b"a\tb\tc\n", b"lone\n"]
+
+        def outcome(load, path):
+            try:
+                table = load(path, "pair")
+            except IngestionError as exc:
+                return str(exc)
+            return table, list(table.df.items())
+
+        accepted = rejected = 0
+        for case in range(150):
+            keys = rng.sample(["N", "a|b", "b|a", "7", "x y|z", "\u00e9|e", "q|r", "s|t", "u|v"]
+                              + [f"w{i}|v" for i in range(40)], rng.randint(3, 30))
+            lines = [f"{key}\t{rng.randint(1, 12)}\n".encode() for key in keys]
+            lines.insert(0, b"N\t12\n")
+            for _ in range(rng.randint(0, 3) if case % 3 else 0):
+                i = rng.randrange(len(lines))
+                op = rng.randrange(6)
+                if op == 0:
+                    lines[i] = lines[i].replace(b"\t", b"", 1)
+                elif op == 1:
+                    lines[i] = lines[i].rstrip(b"\n") + b"\t1\n"
+                elif op == 2:
+                    key = lines[i].split(b"\t")[0]
+                    lines[i] = key + b"\t" + rng.choice(counts).encode() + b"\n"
+                elif op == 3:
+                    lines.insert(i, lines[rng.randrange(len(lines))])
+                elif op == 4:
+                    lines.insert(i, rng.choice(extras))
+                else:
+                    del lines[i]
+            if rng.random() < 0.3:
+                lines = [line.replace(b"\n", b"\r\n") for line in lines]
+            if rng.random() < 0.3:
+                lines[-1] = lines[-1].rstrip(b"\r\n")
+            path = tmp_path / f"df{case}.tsv"
+            path.write_bytes(b"".join(lines))
+            expected = outcome(line_reader, path)
+            fallbacks.clear()
+            assert outcome(load_df_table, path) == expected, path.read_bytes()
+            if isinstance(expected, str):
+                rejected += 1
+            else:
+                accepted += 1
+                assert not fallbacks  # the bulk split read the file
+        assert accepted > 20 and rejected > 20
