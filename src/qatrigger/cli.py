@@ -91,8 +91,6 @@ class RunConfig:
     k1: float = _key("hyper", FeatureResources.k1)
     b: float = _key("hyper", FeatureResources.b)
     n_max: int = _key("hyper", FeatureResources.n_max)
-    lr: float = _key("hyper", TrainConfig.lr)
-    epochs: int = _key("hyper", TrainConfig.epochs)
     l2: float = _key("hyper", TrainConfig.l2)
     threshold: float = _key("hyper", TrainConfig.threshold)
     bm25_threshold: float | None = _key("baselines")
@@ -112,7 +110,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         """The TrainConfig that the [hyper] keys set."""
-        return TrainConfig(lr=self.lr, epochs=self.epochs, l2=self.l2, threshold=self.threshold)
+        return TrainConfig(l2=self.l2, threshold=self.threshold)
 
 
 # (section, key) -> RunConfig field name, and field name -> type.
@@ -350,13 +348,14 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     save_model(model, model_path)
-    loss, _, _ = combiner.loss_and_gradient(
+    loss, grad_w, grad_b = combiner.loss_and_gradient(
         model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float), hyper.l2
     )
     predictions = [1 if p > 0.5 else 0 for p in model.scores(x)]
     accuracy = sum(p == label for p, label in zip(predictions, y)) / len(y)
+    grad_norm = np.linalg.norm(np.append(grad_w, grad_b))
     print(
-        f"trained on {len(y)} pairs: epochs={hyper.epochs} "
+        f"trained on {len(y)} pairs: grad_norm={grad_norm:.1e} "
         f"final_loss={loss:.6f} train_accuracy={accuracy:.4f} -> {model_path}"
     )
     return 0

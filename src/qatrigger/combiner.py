@@ -10,9 +10,9 @@ family's columns, one value per candidate; no family is scored pair by
 pair.  The graph features read each parsed Sentence directly, as its
 dependency graph; the tokens and the BM25 pool are built on first use, once
 per group.  A standardized logistic regression maps each candidate's
-manifest-ordered vector to a trigger probability.  Training is full-batch
-gradient descent on L2-regularized log loss, zero-initialized, so identical
-inputs always give identical models."""
+manifest-ordered vector to a trigger probability.  Training minimizes
+L2-regularized log loss by Newton's method from zero weights, to a fixed
+gradient-norm tolerance, so identical inputs always give identical models."""
 
 from __future__ import annotations
 
@@ -232,18 +232,26 @@ def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent settings, and the threshold a new model starts with;
-    construction checks their ranges."""
+    """The training loss's L2 strength and a new model's threshold, range-checked."""
 
-    lr: float = 0.1
-    epochs: int = 200
     l2: float = 1e-4
     threshold: float = 0.14
 
     def __post_init__(self) -> None:
-        check_finite(self, "lr", "epochs", "l2", "threshold")
-        if self.lr <= 0 or self.epochs < 1 or self.l2 < 0:
-            raise ValueError("lr must be > 0, epochs >= 1, l2 >= 0")
+        check_finite(self, "l2", "threshold")
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
+
+
+# Newton's method stops below gradient norm _TOLERANCE or after _MAX_STEPS
+# steps, and halves a step that raises the loss at most _MAX_HALVINGS times.
+_TOLERANCE = 1e-8
+_MAX_STEPS = 50
+_MAX_HALVINGS = 30
+
+
+def _logistic(logits: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
 
 
 def loss_and_gradient(
@@ -254,8 +262,7 @@ def loss_and_gradient(
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean log loss with L2 on the weights, and its analytic gradient."""
-    logits = z @ weights + bias
-    probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
+    probs = _logistic(z @ weights + bias)
     eps = 1e-12
     loss = float(
         -np.mean(y * np.log(probs + eps) + (1 - y) * np.log(1 - probs + eps))
@@ -273,11 +280,11 @@ def train(
     feature_names: Sequence[str],
     hyper: TrainConfig = TrainConfig(),
 ) -> TriggerModel:
-    """Fit the trigger model by full-batch gradient descent.
-
-    Features are standardized with training-set statistics (constant columns
-    are zeroed rather than divided by zero).  Needs at least one example of
-    each class.
+    """Fit the trigger model: minimize loss_and_gradient's loss by Newton's
+    method (IRLS) from zero.  Each step solves H s = g by least squares, which
+    takes a singular H too: H = X' diag(p(1-p)) X / n + l2 on the weights,
+    where X is the standardized matrix (constant columns zeroed) with a ones
+    column for the unregularized bias.  Needs both classes.
     """
     x = np.asarray(vectors, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -290,16 +297,29 @@ def train(
     stds = x.std(axis=0)
     z = _standardize(x, means, stds)
 
-    weights = np.zeros(x.shape[1])
-    bias = 0.0
-    for _ in range(hyper.epochs):
-        _, grad_w, grad_b = loss_and_gradient(weights, bias, z, y, hyper.l2)
-        weights = weights - hyper.lr * grad_w
-        bias = bias - hyper.lr * grad_b
+    design = np.hstack([z, np.ones((len(y), 1))])
+    ridge = np.diag([hyper.l2] * x.shape[1] + [0.0])
+    theta = np.zeros(x.shape[1] + 1)  # the weights, then the bias
+    for _ in range(_MAX_STEPS):
+        loss, grad_w, grad_b = loss_and_gradient(theta[:-1], float(theta[-1]), z, y, hyper.l2)
+        grad = np.append(grad_w, grad_b)
+        if np.linalg.norm(grad) < _TOLERANCE:
+            break
+        p = _logistic(design @ theta)
+        hessian = (design.T * (p * (1 - p))) @ design / len(y) + ridge
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            new = theta - step
+            if loss_and_gradient(new[:-1], float(new[-1]), z, y, hyper.l2)[0] <= loss:
+                break
+            step = step / 2
+        else:  # no step along this direction lowers the loss
+            break
+        theta = new
     return TriggerModel(
         feature_names=tuple(feature_names),
-        weights=weights,
-        bias=bias,
+        weights=theta[:-1],
+        bias=float(theta[-1]),
         means=means,
         stds=stds,
         threshold=hyper.threshold,

@@ -28,8 +28,8 @@ class ConfigError(QaTriggerError):
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` as UTF-8 text for reading; a leading byte order mark is
-    dropped.
+    """Open `path` as UTF-8 text for reading, with universal newlines (LF,
+    CRLF or a lone CR ends a line); a leading byte order mark is dropped.
 
     A byte that is not UTF-8, met anywhere while the block reads the file,
     raises IngestionError naming the file; an OSError passes through.
@@ -43,12 +43,12 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 def tsv_rows(path: str | Path, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, columns) of each non-empty line of the
-    tab-separated file `path`, read with open_text: a line ends in LF or
-    CRLF, and line numbers count blank lines too.  With `width`, a line of
-    another column count raises IngestionError `line N: expected K columns,
-    got M`.  CoNLL-U (a blank line ends a block), embeddings (split on
-    whitespace) and the model file (whitespace-only lines skipped too) keep
-    their own readers.
+    tab-separated file `path`, read with open_text: a line ends in LF, CRLF
+    or a lone CR, and line numbers count lines that way, blank ones too.
+    With `width`, a line of another column count raises IngestionError
+    `line N: expected K columns, got M`.  CoNLL-U (a blank line ends a
+    block), embeddings (split on whitespace) and the model file
+    (whitespace-only lines skipped too) keep their own readers.
     """
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):

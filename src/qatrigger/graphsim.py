@@ -164,7 +164,7 @@ def load_df_table(path: str | Path, level: str) -> DfTable:
     # int(), DfTable and the decoder (on a byte that is not UTF-8) raise ValueError.
     with open_text(path) as handle, suppress(ValueError):
         while lines := handle.readlines(_CHUNK_CHARS):
-            rows = [line for line in lines if line != "\n"]  # CRLF reads as LF
+            rows = [line for line in lines if line != "\n"]  # CRLF and a lone CR read as LF
             # One tab per line, else a line with none and a line with two
             # would shift every later field.
             if set(map(str.count, rows, repeat("\t"))) - {1}:

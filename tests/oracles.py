@@ -10,7 +10,9 @@ the defining equations directly.  Graph oracles take a parsed Sentence and
 derive its edges and depths from the head column themselves, never from
 `Sentence.edges` or `Sentence.depth`.  The threshold oracle
 scores every candidate threshold with a full triggering report, whose
-metrics acceptance criterion 5 checks against exact rationals.
+metrics acceptance criterion 5 checks against exact rationals.  The
+gradient-descent reference takes plain fixed-size steps down its own
+transcription of the log-loss gradient.
 """
 
 from __future__ import annotations
@@ -389,3 +391,15 @@ def tune_threshold_exhaustive(groups) -> tuple[float, float]:
     if best_f1 == 0.0:
         return candidates[-1], 0.0
     return best_threshold, best_f1
+
+
+def gradient_descent(z, y, l2, lr=0.1, epochs=20000) -> tuple[np.ndarray, float]:
+    """Weights and bias after `epochs` full-batch steps of size `lr` from
+    zero, down the gradient of mean log loss plus l2/2 * |weights|^2 (the
+    bias unregularized), on standardized features `z` and 0/1 labels `y`."""
+    weights, bias = np.zeros(z.shape[1]), 0.0
+    for _ in range(epochs):
+        residual = 1.0 / (1.0 + np.exp(-(z @ weights + bias))) - y
+        weights = weights - lr * (z.T @ residual / len(y) + l2 * weights)
+        bias -= lr * float(np.mean(residual))
+    return weights, bias

@@ -6,8 +6,11 @@ import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qatrigger import graphsim
+from qatrigger.baselines import load_embeddings
 from qatrigger.cli import (
     RunConfig,
     build_parser,
@@ -25,6 +28,7 @@ from qatrigger.combiner import (
     save_model,
     train,
 )
+from qatrigger.corpus import _read_index, attach_parses, load_scores, load_wikiqa
 from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.ged import GedConfig, load_pos_table
 from qatrigger.graphsim import LEVELS, load_df_table
@@ -32,6 +36,10 @@ from qatrigger.graphsim import LEVELS, load_df_table
 
 def run(*argv):
     return main(list(argv))
+
+
+def _must_not_fall_back(*args):
+    raise AssertionError("the line reader must not run")
 
 
 @pytest.fixture
@@ -58,8 +66,6 @@ EVERY_KEY = [
     ("hyper", "k1", "1.25", "k1", 1.25),
     ("hyper", "b", "0.5", "b", 0.5),
     ("hyper", "n_max", "2", "n_max", 2),
-    ("hyper", "lr", "0.05", "lr", 0.05),
-    ("hyper", "epochs", "7", "epochs", 7),
     ("hyper", "l2", "0.001", "l2", 0.001),
     ("hyper", "threshold", "0.3", "threshold", 0.3),
     ("baselines", "bm25_threshold", "1.75", "bm25_threshold", 1.75),
@@ -112,7 +118,7 @@ class TestConfig:
         published = {
             "alpha1": 7.0, "alpha2": 5.0, "alpha3": 2.0, "subgraph_m": 3,
             "edge_weight": 0.5, "delete_cost": 1.0, "k1": 1.5, "b": 0.75, "n_max": 3,
-            "lr": 0.1, "epochs": 200, "l2": 1e-4, "threshold": 0.14,
+            "l2": 1e-4, "threshold": 0.14,
         }
         # repr tells 3 from 3.0, so an integer key must default to an int.
         assert {name: repr(getattr(config, name)) for name in hyper} == {
@@ -151,12 +157,11 @@ class TestConfig:
         model = tmp_path / "model.txt"
         assert run(
             "--config", mini_config,
-            "--set", "hyper.lr=0.05", "--set", "hyper.epochs=37",
             "--set", "hyper.l2=0.01", "--set", "hyper.threshold=0.3",
             "train", "--features", str(features), "--model", str(model),
         ) == 0
         names, keys, x = read_features(features)
-        hyper = TrainConfig(lr=0.05, epochs=37, l2=0.01, threshold=0.3)
+        hyper = TrainConfig(l2=0.01, threshold=0.3)
         expected = tmp_path / "expected.txt"
         save_model(train(x, [label for _, _, label in keys], names, hyper), expected)
         assert model.read_bytes() == expected.read_bytes()
@@ -164,11 +169,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "setting, command",
         [
-            ("hyper.lr=nan", ["train", "--features", "{golden}", "--model", "{out}"]),
+            ("hyper.l2=nan", ["train", "--features", "{golden}", "--model", "{out}"]),
             ("hyper.edge_weight=inf", ["featurize", "--split", "dev", "--out", "{out}"]),
             ("hyper.alpha1=nan", ["featurize", "--split", "dev", "--out", "{out}"]),
         ],
-        ids=["lr-train", "edge_weight-featurize", "alpha1-featurize"],
+        ids=["l2-train", "edge_weight-featurize", "alpha1-featurize"],
     )
     def test_non_finite_value_fails_with_one_config_error(
         self, setting, command, mini_config, mini_dir, tmp_path, capsys
@@ -208,13 +213,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             load_config(None, overrides=["hyper.bogus=1"], env={})
 
-    def test_deleted_seed_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "source, key",
+        [("file", "seed"), ("file", "lr"), ("file", "epochs"), ("env", "lr"), ("flag", "epochs")],
+        ids=["file-seed", "file-lr", "file-epochs", "env-lr", "flag-epochs"],
+    )
+    def test_deleted_key_rejected(self, source, key, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.ini"
-        config.write_text("[hyper]\nseed = 0\n")
-        code = run("--config", str(config), "build-df", "--out-dir", str(tmp_path))
+        config.write_text(f"[hyper]\n{key} = 200\n" if source == "file" else "[hyper]\n")
+        flags = ["--set", f"hyper.{key}=200"] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv(f"QATRIGGER_HYPER_{key.upper()}", "200")
+        code = run("--config", str(config), *flags, "build-df", "--out-dir", str(tmp_path))
         err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert err == ["error:config: unknown configuration key [hyper] seed"]
+        assert err == [f"error:config: unknown configuration key [hyper] {key}"]
 
     @pytest.mark.parametrize(
         "content, message",
@@ -262,10 +275,7 @@ RANGE_RULES = [
      "edge_weight and delete_cost must be >= 0"),
     ("delete_cost", "-1", GedConfig, {"delete_cost": -1.0},
      "edge_weight and delete_cost must be >= 0"),
-    ("lr", "0", TrainConfig, {"lr": 0.0}, "lr must be > 0, epochs >= 1, l2 >= 0"),
-    ("lr", "-0.1", TrainConfig, {"lr": -0.1}, "lr must be > 0, epochs >= 1, l2 >= 0"),
-    ("epochs", "0", TrainConfig, {"epochs": 0}, "lr must be > 0, epochs >= 1, l2 >= 0"),
-    ("l2", "-0.001", TrainConfig, {"l2": -0.001}, "lr must be > 0, epochs >= 1, l2 >= 0"),
+    ("l2", "-0.001", TrainConfig, {"l2": -0.001}, "l2 must be >= 0"),
 ]
 
 
@@ -303,8 +313,7 @@ class TestRangeRules:
     @pytest.mark.parametrize(
         "owner, kwargs, message",
         [
-            (TrainConfig, {"lr": math.nan}, "lr must be finite, got nan"),
-            (TrainConfig, {"epochs": math.inf}, "epochs must be finite, got inf"),
+            (TrainConfig, {"l2": math.nan}, "l2 must be finite, got nan"),
             (TrainConfig, {"threshold": math.inf}, "threshold must be finite, got inf"),
             (GedConfig, {"edge_weight": math.inf}, "edge_weight must be finite, got inf"),
             (GedConfig, {"delete_cost": -math.inf}, "delete_cost must be finite, got -inf"),
@@ -316,7 +325,7 @@ class TestRangeRules:
              "alphas must be three values, got (7.0, 5.0)"),
         ],
         ids=[
-            "lr-nan", "epochs-inf", "threshold-inf", "edge_weight-inf", "delete_cost-minus-inf",
+            "l2-nan", "threshold-inf", "edge_weight-inf", "delete_cost-minus-inf",
             "alpha2-nan", "b-nan", "k1-inf", "two-alphas",
         ],
     )
@@ -338,8 +347,8 @@ class TestRangeRules:
         FeatureResources(alphas=(0.0, 0.0, 0.0), subgraph_m=0, k1=0.0, b=0.0, n_max=1)
         FeatureResources(b=1.0)
         GedConfig(edge_weight=0.0, delete_cost=0.0)
-        TrainConfig(lr=1e-300, epochs=1, l2=0.0, threshold=-7.5)
-        overrides = ["hyper.b=1", "hyper.m=0", "hyper.n_max=1", "hyper.epochs=1", "hyper.l2=0"]
+        TrainConfig(l2=0.0, threshold=-7.5)
+        overrides = ["hyper.b=1", "hyper.m=0", "hyper.n_max=1", "hyper.l2=0"]
         config = load_config(None, overrides=overrides, env={})
         assert (config.b, config.subgraph_m, config.n_max) == (1.0, 0, 1)
 
@@ -545,7 +554,9 @@ class TestTrainTunePredictEvaluate:
         )
         out = capsys.readouterr().out
         assert "train_accuracy=1.0000" in out
-        assert "final_loss=" in out and "epochs=200" in out
+        assert "final_loss=" in out
+        # Training stops at the optimum; the line reports how near it is.
+        assert float(out.split("grad_norm=")[1].split()[0]) < 1e-8
 
     def test_tune_updates_model_threshold(self, mini_config, pipeline, capsys):
         code = run(
@@ -847,6 +858,20 @@ MALFORMED_INPUTS = [
     ("df", "no-tab-then-two-tabs", "N\t5\nfoo\nbar\t1\t2\n",
      "line 2: expected 2 columns, got 1"),
     ("scores", "wrong-column-count", "Q1\tS1\t0.5\nQ1\tS2\n", "line 2: expected 3 columns, got 2"),
+    # A lone CR ends a line, so one inside a row splits it.
+    ("features", "cr-inside-row", FEATURES_HEAD + "q1\tc1\r1\t0.5\n",
+     "line 3: expected 4 columns, got 2"),
+    ("corpus", "cr-inside-row", "Q1\ta b\tD\tt\tS1\tc\r\t0\n",
+     "line 1: expected >= 7 columns, got 6"),
+    ("index", "cr-inside-row", "q\tQ1\ns\r\tS1\n", "line 2: expected 2 columns, got 1"),
+    ("pos_costs", "cr-inside-row", "DEFAULT\t1.0\nNOUN\tVERB\r\t0.5\n",
+     "line 2: expected 3 columns, got 2"),
+    ("df", "cr-inside-row", "N\t5\nfoo\r\t2\n", "line 2: expected 2 columns, got 1"),
+    ("scores", "cr-inside-row", "Q1\tS1\t0.5\nQ1\tS2\r\t0.5\n",
+     "line 2: expected 3 columns, got 2"),
+    ("embeddings", "cr-inside-row", "who 0.1 0.2\nwhat 0.3\r0.4\n", "line 2: expected 2 dims, got 1"),
+    ("model", "cr-inside-row", "version 1\n0.5\nged\t1.0\r0.3\t0.1\nBIAS\t0\n",
+     "line 3: expected 4 columns, got 2"),
 ]
 
 
@@ -923,6 +948,43 @@ def _input_argv(kind, path, tmp_path, mini_config):
     if kind == "config":
         return ["--config", str(path), "train", "--features", "f.tsv", "--model", "m.txt"]
     return ["--config", mini_config, *_corrupt_input_argv(kind, path, tmp_path, mini_config)]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("kind", [
+        "df-bulk", "df-lines", "corpus", "index", "scores", "pos_costs", "features",
+        "conllu", "embeddings", "model", "config",
+    ])
+    def test_lone_carriage_return_ends_a_line(
+        self, kind, mini_config, mini_dir, tmp_path, monkeypatch
+    ):
+        # Every reader opens text with universal newlines: a copy of an LF
+        # input whose line ends are all lone CRs loads equal to the LF copy.
+        assert run("--config", mini_config, "build-df", "--out-dir", str(tmp_path)) == 0
+        if kind == "df-bulk":
+            monkeypatch.setattr(graphsim, "_load_df_lines", _must_not_fall_back)
+        index = mini_dir / "index_train.tsv"
+        source, load = {
+            "df-bulk": (tmp_path / "df_word.tsv", lambda path: load_df_table(path, "word")),
+            "df-lines": (tmp_path / "df_pair.tsv",
+                         lambda path: graphsim._load_df_lines(path, "pair")),
+            "corpus": (mini_dir / "train.tsv", load_wikiqa),
+            "index": (index, _read_index),
+            "scores": (mini_dir / "scores.tsv", load_scores),
+            "pos_costs": (mini_dir / "pos_costs.tsv", load_pos_table),
+            "features": (mini_dir / "golden_features_train.tsv", read_features),
+            "conllu": (mini_dir / "parses_train.conllu", lambda path: attach_parses(
+                load_wikiqa(mini_dir / "train.tsv"), path, index)),
+            "embeddings": (mini_dir / "embeddings.txt", lambda path: vars(load_embeddings(path))),
+            "model": (mini_dir / "golden_model_train.txt", lambda path: vars(load_model(path))),
+            "config": (mini_dir / "config.ini", lambda path: load_config(path, env={})),
+        }[kind]
+        text = source.read_bytes()
+        assert b"\r" not in text and text.count(b"\n") > 2
+        lf, cr = tmp_path / f"lf-{source.name}", tmp_path / f"cr-{source.name}"
+        lf.write_bytes(text)
+        cr.write_bytes(text.replace(b"\n", b"\r"))
+        np.testing.assert_equal(load(cr), load(lf))
 
 
 class TestCorruptInputs:

@@ -33,7 +33,7 @@ from qatrigger.ged import GedConfig, graph_edit_distances
 from qatrigger.graphsim import DfTable, build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import direct_semantic_similarity, prob
+from oracles import direct_semantic_similarity, gradient_descent, prob
 
 
 def one_candidate(question, answer, qid="q1", cid="a1"):
@@ -369,7 +369,7 @@ def separable_dataset(n=20, seed=0):
 class TestTrain:
     def test_separable_set_reaches_full_accuracy(self):
         x, y = separable_dataset()
-        model = train(x, y, ("f1", "f2"), TrainConfig(lr=0.1, epochs=200, l2=1e-4))
+        model = train(x, y, ("f1", "f2"), TrainConfig(l2=1e-4))
         predictions = [1 if prob(model, row) > 0.5 else 0 for row in x]
         assert predictions == y
 
@@ -505,3 +505,49 @@ def test_train_on_mini_features_matches_golden_model(mini_dir, tmp_path):
     save_model(model, tmp_path / "model.txt")
     golden = mini_dir / "golden_model_train.txt"
     assert (tmp_path / "model.txt").read_bytes() == golden.read_bytes()
+
+
+def _gradient_norm(weights, bias, z, y, l2):
+    _, grad_w, grad_b = loss_and_gradient(weights, bias, z, y, l2)
+    return float(np.linalg.norm(np.append(grad_w, grad_b)))
+
+
+@pytest.mark.parametrize(
+    "name", ["golden_features_train.tsv", "golden_features_lexical_train.tsv"]
+)
+def test_train_reaches_the_optimum_of_mini_features(name, mini_dir):
+    names, keys, x = read_features(mini_dir / name)
+    y = np.array([label for _, _, label in keys], dtype=float)
+    hyper = TrainConfig()
+    model = train(x, y, names, hyper)
+    z = model.standardize(x)
+    assert _gradient_norm(model.weights, model.bias, z, y, hyper.l2) < 1e-8
+    # No loss below the optimum's: 20,000 plain gradient steps do not reach it.
+    loss, _, _ = loss_and_gradient(model.weights, model.bias, z, y, hyper.l2)
+    gd_loss, _, _ = loss_and_gradient(*gradient_descent(z, y, hyper.l2), z, y, hyper.l2)
+    assert loss <= gd_loss
+
+
+def test_train_without_l2_takes_equal_columns(mini_dir):
+    # sim_pair and sim_triplet are equal columns here, so with l2 = 0 the
+    # Hessian is singular; the least-squares step still reaches a minimum.
+    names, keys, x = read_features(mini_dir / "golden_features_train.tsv")
+    assert np.array_equal(x[:, names.index("sim_pair")], x[:, names.index("sim_triplet")])
+    y = np.array([label for _, _, label in keys], dtype=float)
+    model = train(x, y, names, TrainConfig(l2=0.0))
+    assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+    assert _gradient_norm(model.weights, model.bias, model.standardize(x), y, 0.0) < 1e-8
+
+
+def test_golden_model_is_the_optimum_of_golden_features(mini_dir):
+    # Pinned by optimality as well as by bytes: with standardization rebuilt
+    # by numpy, the committed weights and bias have a vanishing gradient.
+    names, keys, x = read_features(mini_dir / "golden_features_train.tsv")
+    y = np.array([label for _, _, label in keys], dtype=float)
+    golden = load_model(mini_dir / "golden_model_train.txt")
+    assert golden.feature_names == names
+    means, stds = np.mean(x, axis=0), np.std(x, axis=0)
+    assert (golden.means.tolist(), golden.stds.tolist()) == (means.tolist(), stds.tolist())
+    assert (stds > 0).all()
+    z = (x - means) / stds
+    assert _gradient_norm(golden.weights, golden.bias, z, y, TrainConfig().l2) < 1e-8
