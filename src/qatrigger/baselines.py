@@ -14,6 +14,7 @@ import string
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -68,19 +69,19 @@ def bm25_scores(
 ) -> list[float]:
     """Okapi BM25 of each answer against the question, using pool statistics.
 
-    The sum runs over question token occurrences; terms absent from the
-    answer contribute nothing.  Each distinct question term's idf is
-    computed once.
+    The sum runs over question token occurrences, in question order; terms
+    absent from the answer contribute nothing.  Each distinct question
+    term's idf is computed once, and a term's frequency is counted in the
+    answer's token list, so no per-answer Counter is built.
     """
     idf = {term: bm25_idf(pool, term) for term in question_tokens}
     scores = []
     for answer_tokens in answers:
-        tf = Counter(answer_tokens)
         length_ratio = len(answer_tokens) / pool.avgdl if pool.avgdl > 0 else 0.0
         saturation = k1 * (1.0 - b + b * length_ratio)
         total = 0.0
         for term in question_tokens:
-            f = tf.get(term, 0)
+            f = answer_tokens.count(term)
             if f:
                 total += idf[term] * f * (k1 + 1.0) / (f + saturation)
         scores.append(total)
@@ -97,11 +98,27 @@ def ngram_scores(
     n_max: int,
 ) -> list[float]:
     """Sum of each answer's 1..n_max n-gram coverages, each the clipped
-    overlap of coverage.overlap_ratios, divided by 1 + 2 + ... + n_max."""
+    overlap of coverage.overlap_ratios, divided by 1 + 2 + ... + n_max.
+
+    An answer n-gram can match only if each of its tokens is a question
+    token, so n-grams are built only inside the answer's maximal runs of
+    question tokens (a run shorter than n holds none); the n-grams skipped
+    would not match."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    vocabulary = set(question_tokens)
+    answer_runs = [
+        [list(run) for shared, run in groupby(tokens, vocabulary.__contains__) if shared]
+        for tokens in answers
+    ]
     per_n = [
-        overlap_ratios(_ngrams(question_tokens, n), (_ngrams(tokens, n) for tokens in answers))
+        overlap_ratios(
+            _ngrams(question_tokens, n),
+            (
+                [gram for run in runs if len(run) >= n for gram in _ngrams(run, n)]
+                for runs in answer_runs
+            ),
+        )
         for n in range(1, n_max + 1)
     ]
     return [math.fsum(ratios) / (n_max * (n_max + 1) / 2) for ratios in zip(*per_n)]
@@ -239,14 +256,38 @@ def semantic_similarities(
 ) -> list[float]:
     """Cosine of the question's and each answer's averaged word vectors, 0
     when either is undefined; the question's mean vector and its norm are
-    computed once."""
+    computed once.
+
+    The group's word rows are gathered in one index, and each answer's mean
+    is its block's row sum over its length, the sum semantic_vector takes.
+    The dot products and norms of all means come from np.vecdot, which
+    reaches the same dot kernel as np.dot and np.linalg.norm on one vector,
+    so each value keeps the bits of scoring its answer alone."""
     vq = semantic_vector(question_tokens, embeddings)
     if vq is None:
         return [0.0] * len(answers)
     norm_q = np.linalg.norm(vq)
-    scores = []
-    for answer_tokens in answers:
-        va = semantic_vector(answer_tokens, embeddings)
-        norm = 0.0 if va is None else float(norm_q * np.linalg.norm(va))
-        scores.append(0.0 if norm == 0.0 else float(np.dot(vq, va) / norm))
+    get, lookup = embeddings.rows.get, embeddings.lookup
+    flat_rows: list[int] = []
+    spans = []  # (answer index, start, end) of each answer with a vector
+    for i, answer_tokens in enumerate(answers):
+        start = len(flat_rows)
+        for token in answer_tokens:
+            row = get(token)
+            if row is None:
+                row = lookup(token)
+            if row is not None:
+                flat_rows.append(row)
+        if len(flat_rows) > start:
+            spans.append((i, start, len(flat_rows)))
+    scores = [0.0] * len(answers)
+    if not spans:
+        return scores
+    block = embeddings.matrix[flat_rows]
+    means = np.array([block[a:b].sum(axis=0) / (b - a) for _, a, b in spans])
+    dots = np.vecdot(means, vq).tolist()
+    norms = (norm_q * np.sqrt(np.vecdot(means, means))).tolist()
+    for (i, _, _), dot, norm in zip(spans, dots, norms):
+        if norm != 0.0:
+            scores[i] = dot / norm
     return scores

@@ -539,7 +539,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, overrides=args.overrides)
-        return args.run(config, args)
+        code = args.run(config, args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head -1`). Exit as a process killed
+        # by SIGPIPE would, with stdout on devnull so the flush at exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return 2

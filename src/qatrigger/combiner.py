@@ -215,11 +215,12 @@ class TriggerModel:
         return _standardize(raw, self.means, self.stds)
 
     def scores(self, matrix: np.ndarray) -> list[float]:
-        """Trigger probability of every row; a per-row np.dot and math.exp
-        keep each bitwise equal to scoring its row alone, where `z @ w` or
-        np.exp can differ in the last bit."""
+        """Trigger probability of every row; np.vecdot reaches the per-row
+        np.dot kernel and math.exp is taken per value, so each is bitwise
+        equal to scoring its row alone, where `z @ w` or np.exp can differ
+        in the last bit."""
         z = self.standardize(matrix)
-        return [sigmoid(float(np.dot(self.weights, row)) + self.bias) for row in z]
+        return [sigmoid(s + self.bias) for s in np.vecdot(z, self.weights).tolist()]
 
 
 def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:

@@ -32,12 +32,16 @@ def overlap_ratios(
     over the question's distinct items, of the smaller of the two counts,
     divided by the question's item count; 0 for a question with no items.
     The question is counted once, and of each answer only the items the
-    question has."""
+    question has; an answer that shares none scores 0 without a Counter."""
     counts_q = Counter(question_items)
     total = counts_q.total() or 1  # no item of an empty question matches: 0 / 1
     ratios = []
     for items in answers_items:
-        counts_a = Counter(filter(counts_q.__contains__, items))
+        shared = [item for item in items if item in counts_q]
+        if not shared:
+            ratios.append(0.0)
+            continue
+        counts_a = Counter(shared)
         ratios.append(sum(min(count, counts_q[item]) for item, count in counts_a.items()) / total)
     return ratios
 

@@ -12,7 +12,9 @@ derive its edges and depths from the head column themselves, never from
 scores every candidate threshold with a full triggering report, whose
 metrics acceptance criterion 5 checks against exact rationals.  The
 gradient-descent reference takes plain fixed-size steps down its own
-transcription of the log-loss gradient.
+transcription of the log-loss gradient.  The looped lexical oracles
+transcribe the per-answer n-gram, BM25 and embedding-cosine loops as first
+written, which the group scorers must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -366,6 +368,65 @@ def direct_semantic_similarity(question, answer, vectors) -> float:
         return 0.0
     norm = float(np.linalg.norm(vq) * np.linalg.norm(va))
     return 0.0 if norm == 0.0 else float(np.dot(vq, va) / norm)
+
+
+def looped_ngram_scores(question, answers, n_max) -> list[float]:
+    """The n-gram score as first written: every n-gram of each side, each
+    order's clipped_overlap summed with math.fsum and divided by
+    1 + 2 + ... + n_max."""
+
+    def grams(tokens, n):
+        return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+    return [
+        math.fsum(clipped_overlap(grams(question, n), grams(answer, n)) for n in range(1, n_max + 1))
+        / (n_max * (n_max + 1) / 2)
+        for answer in answers
+    ]
+
+
+def counter_bm25_scores(question, answers, pool, k1, b) -> list[float]:
+    """The BM25 loop as first written, over a pool's size, avgdl and
+    document frequencies: each answer's term frequencies from a Counter."""
+    idf = {
+        term: math.log((pool.size - pool.df_in_pool.get(term, 0) + 0.5)
+                       / (pool.df_in_pool.get(term, 0) + 0.5))
+        for term in question
+    }
+    scores = []
+    for answer in answers:
+        tf = Counter(answer)
+        length_ratio = len(answer) / pool.avgdl if pool.avgdl > 0 else 0.0
+        saturation = k1 * (1.0 - b + b * length_ratio)
+        total = 0.0
+        for term in question:
+            f = tf.get(term, 0)
+            if f:
+                total += idf[term] * f * (k1 + 1.0) / (f + saturation)
+        scores.append(total)
+    return scores
+
+
+def looped_semantic_similarities(question, answers, matrix, rows) -> list[float]:
+    """The embedding cosine loop as first written, over a (words x dim)
+    matrix and a word -> row dict: one mean vector per answer, each side's
+    norm from np.linalg.norm, and the dot product from np.dot."""
+
+    def mean(tokens):
+        found = [rows.get(t, rows.get(t.lower())) for t in tokens]
+        found = [row for row in found if row is not None]
+        return matrix[found].sum(axis=0) / len(found) if found else None
+
+    vq = mean(question)
+    if vq is None:
+        return [0.0] * len(answers)
+    norm_q = np.linalg.norm(vq)
+    scores = []
+    for answer in answers:
+        va = mean(answer)
+        norm = 0.0 if va is None else float(norm_q * np.linalg.norm(va))
+        scores.append(0.0 if norm == 0.0 else float(np.dot(vq, va) / norm))
+    return scores
 
 
 def tune_threshold_exhaustive(groups) -> tuple[float, float]:

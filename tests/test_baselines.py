@@ -19,7 +19,13 @@ from qatrigger.baselines import (
 )
 from qatrigger.errors import IngestionError
 
-from oracles import direct_bm25, direct_ngram_score
+from oracles import (
+    counter_bm25_scores,
+    direct_bm25,
+    direct_ngram_score,
+    looped_ngram_scores,
+    looped_semantic_similarities,
+)
 
 
 def test_tokenize_lowercases_and_strips_edge_punctuation():
@@ -154,6 +160,66 @@ class TestSemanticVector:
         value_ba = semantic_similarities(["moon"], [["sun", "star"]], emb)[0]
         assert value_ab == pytest.approx(value_ba)
         assert -1.0 <= value_ab <= 1.0
+
+
+class TestAgainstFirstLoops:
+    """ngram, bm25 and semvec against transcriptions of their first loops,
+    bit for bit: repr tells every float apart, 0.0 from -0.0 included."""
+
+    WORDS = ["sun", "moon", "star", "sky", "sea"]
+    # Upper-case forms (Sky has a vector of its own) and a word with none.
+    RARE = ["SUN", "Moon", "Sky", "zzz"]
+    EDGES = [
+        ([], [[], ["sun"], ["sun", "sun"]]),
+        (["sun"], [[]]),
+        (["zzz"], [["zzz"], ["sun"]]),
+        (["sea"], [["sea"], ["sun", "sea"]]),  # sea's vector is zero
+        (["sun", "sun", "moon"], [["sun"], ["sun", "sun", "sun", "moon"], ["moon", "sun"]]),
+    ]
+
+    def groups(self, seed):
+        rng = random.Random(seed)
+
+        def tokens(longest):
+            return [
+                rng.choice(self.WORDS) if rng.random() < 0.85 else rng.choice(self.RARE)
+                for _ in range(rng.randrange(longest + 1))
+            ]
+
+        yield from self.EDGES
+        for _ in range(300):
+            yield tokens(7), [tokens(9) for _ in range(rng.randrange(1, 7))]
+
+    def test_ngram_scores(self):
+        for question, answers in self.groups(1):
+            for n_max in range(1, 5):
+                assert repr(ngram_scores(question, answers, n_max)) == repr(
+                    looped_ngram_scores(question, answers, n_max)
+                )
+
+    def test_bm25_scores(self):
+        for question, answers in self.groups(2):
+            pool = AnswerPool.build(answers)
+            for k1, b in ((1.2, 0.75), (1.5, 0.0), (0.9, 1.0)):
+                assert repr(bm25_scores(question, answers, pool, k1, b)) == repr(
+                    counter_bm25_scores(question, answers, pool, k1, b)
+                )
+
+    @pytest.mark.parametrize("dim", [3, 50, 300])
+    def test_semantic_similarities(self, tmp_path, dim):
+        rng = random.Random(dim)
+        lines = []
+        for word in ["sun", "moon", "star", "sky", "Sky", "moon"]:  # moon twice
+            lines.append(" ".join([word, *(repr(rng.uniform(-1.0, 1.0)) for _ in range(dim))]))
+        lines.append(" ".join(["sea", *["0"] * dim]))
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n".join(lines) + "\n")
+        table = load_embeddings(path)
+        assert len(table.rows) == 6
+        for question, answers in self.groups(3):
+            assert repr(semantic_similarities(question, answers, table)) == repr(
+                looped_semantic_similarities(question, answers, table.matrix, table.rows)
+            )
 
 
 # More vector lines than one chunk of the C reader holds, and the first line

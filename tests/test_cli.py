@@ -439,6 +439,28 @@ class TestFeaturize:
         golden = (mini_dir / "golden_features_lexical_train.tsv").read_bytes()
         assert outputs == [golden, golden]
 
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_without_an_error_line(
+        self, mini_config, tmp_path, flags
+    ):
+        # The reader closes its end before the first write; buffered output
+        # fails at the final flush, unbuffered output at the first print.
+        src = Path(__file__).resolve().parent.parent / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = tmp_path / "features.tsv"
+        try:
+            child = subprocess.run(
+                [sys.executable, *flags, "-m", "qatrigger.cli", "--config", mini_config,
+                 "featurize", "--split", "train", "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(src)), stdout=write_end,
+                stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
+        assert out.is_file()
+
     def test_empty_manifest_fails_cleanly(self, mini_config, tmp_path, capsys):
         code = run(
             "--config", mini_config, "--set", "features.manifest=",

@@ -482,7 +482,7 @@ class TestModelIO:
 class TestScores:
     def test_matrix_scores_equal_per_row_prob_bitwise(self):
         rng = np.random.default_rng(71)
-        for k in range(1, 9):
+        for k in (*range(1, 9), 12, 50, 100, 300):
             x = rng.normal(0.0, 3.0, size=(200, k))
             x[:, k // 2] = 1.25  # a constant column gets std 0
             y = [int(v > 0) for v in x[:, 0]]
