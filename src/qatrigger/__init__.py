@@ -47,8 +47,6 @@ from .errors import ConfigError, IngestionError, QaTriggerError
 from .evaluation import (
     EvalReport,
     ScoredGroup,
-    average_precision,
-    reciprocal_rank,
     triggering_report,
     tune_threshold,
 )

@@ -5,6 +5,8 @@ stripped at token edges); dependency parses are not required.  Each scorer
 takes a question and its whole group of answers, prepares the question once
 and returns one score per answer, in answer order.  The n-gram score is the
 coverage features' clipped overlap, `coverage.overlap_ratios`, over n-grams.
+The embedding cosine looks each token up exactly as tokenized, with no case
+folding, and gathers the question's word vectors with its answers'.
 """
 
 from __future__ import annotations
@@ -126,21 +128,11 @@ def ngram_scores(
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Word vectors as the rows of one (words x dim) matrix."""
+    """Word vectors as the rows of one (words x dim) matrix; `rows` maps each
+    word, exactly as spelled in the file, to its row."""
 
     matrix: np.ndarray
     rows: dict[str, int]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def lookup(self, word: str) -> int | None:
-        """Row of `word`, else of its lowercase form; None when neither has one."""
-        row = self.rows.get(word)
-        if row is None:
-            row = self.rows.get(word.lower())
-        return row
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -239,55 +231,39 @@ def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> n
     return np.array(block)
 
 
-def semantic_vector(
-    tokens: Sequence[str], embeddings: EmbeddingTable
-) -> np.ndarray | None:
-    """Mean of the available word vectors; None when no token has one."""
-    rows = [row for row in map(embeddings.lookup, tokens) if row is not None]
-    if not rows:
-        return None
-    return embeddings.matrix[rows].sum(axis=0) / len(rows)
-
-
 def semantic_similarities(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
     embeddings: EmbeddingTable,
 ) -> list[float]:
     """Cosine of the question's and each answer's averaged word vectors, 0
-    when either is undefined; the question's mean vector and its norm are
-    computed once.
+    when either is undefined.  A token is looked up exactly as given;
+    tokenize() has already lowercased it.
 
-    The group's word rows are gathered in one index, and each answer's mean
-    is its block's row sum over its length, the sum semantic_vector takes.
-    The dot products and norms of all means come from np.vecdot, which
-    reaches the same dot kernel as np.dot and np.linalg.norm on one vector,
-    so each value keeps the bits of scoring its answer alone."""
-    vq = semantic_vector(question_tokens, embeddings)
-    if vq is None:
-        return [0.0] * len(answers)
-    norm_q = np.linalg.norm(vq)
-    get, lookup = embeddings.rows.get, embeddings.lookup
+    The rows of the question's words and of every answer's words are
+    gathered in one index, and each mean is its block's row sum over its
+    length.  The dot products and norms of the answers' means come from
+    np.vecdot, which reaches the same dot kernel as np.dot and np.linalg.norm
+    on one vector, so each value keeps the bits of scoring its answer alone."""
+    get = embeddings.rows.get
     flat_rows: list[int] = []
-    spans = []  # (answer index, start, end) of each answer with a vector
-    for i, answer_tokens in enumerate(answers):
+    spans = []  # (start, end) of the question, then of each answer
+    for tokens in (question_tokens, *answers):
         start = len(flat_rows)
-        for token in answer_tokens:
-            row = get(token)
-            if row is None:
-                row = lookup(token)
-            if row is not None:
-                flat_rows.append(row)
-        if len(flat_rows) > start:
-            spans.append((i, start, len(flat_rows)))
+        flat_rows += [row for row in map(get, tokens) if row is not None]
+        spans.append((start, len(flat_rows)))
+    (qa, qb), *answer_spans = spans
+    found = [(i, a, b) for i, (a, b) in enumerate(answer_spans) if b > a]
     scores = [0.0] * len(answers)
-    if not spans:
+    if qa == qb or not found:
         return scores
     block = embeddings.matrix[flat_rows]
-    means = np.array([block[a:b].sum(axis=0) / (b - a) for _, a, b in spans])
+    vq = block[qa:qb].sum(axis=0) / (qb - qa)
+    norm_q = np.linalg.norm(vq)
+    means = np.array([block[a:b].sum(axis=0) / (b - a) for _, a, b in found])
     dots = np.vecdot(means, vq).tolist()
     norms = (norm_q * np.sqrt(np.vecdot(means, means))).tolist()
-    for (i, _, _), dot, norm in zip(spans, dots, norms):
+    for (i, _, _), dot, norm in zip(found, dots, norms):
         if norm != 0.0:
             scores[i] = dot / norm
     return scores

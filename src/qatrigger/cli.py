@@ -228,8 +228,11 @@ def _df_tables(config: RunConfig) -> dict[str, object]:
 
 
 def _train_sentences(config: RunConfig) -> list[Sentence]:
-    """Every question and candidate sentence of the parsed train split."""
+    """Every question and candidate sentence of the parsed train split;
+    IngestionError when it holds no question."""
     groups = load_split(config, "train", with_parses=True)
+    if not groups:
+        raise IngestionError(f"{config.train}: no questions to build the DF tables from")
     sentences = [g.question for g in groups]
     return sentences + [sent for g in groups for _, sent, _ in g.candidates]
 
@@ -405,7 +408,10 @@ def _baseline_threshold(config: RunConfig, name: str, groups: list[ScoredGroup])
     configured = getattr(config, f"{name}_threshold")
     if configured is not None:
         return configured
-    threshold, _ = tune_threshold(groups)
+    try:
+        threshold, _ = tune_threshold(groups)
+    except ValueError as exc:
+        raise IngestionError(f"baseline {name}: {exc}; set [baselines] {name}_threshold") from exc
     return threshold
 
 

@@ -1,11 +1,12 @@
 """Answer-selection and answer-triggering metrics.
 
-MAP and MRR rank candidates within each question and average over answerable
-questions only.  Triggering looks at each question's highest-scoring
-candidate: the question is triggered when that score strictly exceeds the
-threshold, and the trigger is correct when the selected candidate is gold
-positive.  Precision, recall, and F-score are reported as percentages at the
-question level.
+MAP and MRR come from one ranking of each answerable question's candidates:
+the 1-based ranks of its positives give both its average precision and its
+reciprocal rank, and each is averaged over answerable questions only.
+Triggering looks at each question's highest-scoring candidate: the question
+is triggered when that score strictly exceeds the threshold, and the trigger
+is correct when the selected candidate is gold positive.  Precision, recall,
+and F-score are reported as percentages at the question level.
 """
 
 from __future__ import annotations
@@ -69,28 +70,6 @@ def _ranked(group: ScoredGroup) -> list[tuple[str, float, int]]:
     return sorted(group.candidates, key=lambda c: -c[1])
 
 
-def average_precision(group: ScoredGroup) -> float | None:
-    """AP of the group's ranking, or None when it has no positive candidate."""
-    ranked = _ranked(group)
-    positives = 0
-    precision_sum = 0.0
-    for rank, (_, _, label) in enumerate(ranked, start=1):
-        if label == 1:
-            positives += 1
-            precision_sum += positives / rank
-    if positives == 0:
-        return None
-    return precision_sum / positives
-
-
-def reciprocal_rank(group: ScoredGroup) -> float | None:
-    """1 / rank of the first positive, or None when there is none."""
-    for rank, (_, _, label) in enumerate(_ranked(group), start=1):
-        if label == 1:
-            return 1.0 / rank
-    return None
-
-
 def top_candidate(group: ScoredGroup) -> tuple[str, float, int]:
     """Highest-scoring candidate; ties go to the earliest in corpus order."""
     best = group.candidates[0]
@@ -118,8 +97,9 @@ def triggering_report(groups: list[ScoredGroup], threshold: float) -> EvalReport
     for group in groups:
         if group.answerable:
             answerable += 1
-            ap_values.append(average_precision(group))
-            rr_values.append(reciprocal_rank(group))
+            ranks = [rank for rank, (_, _, label) in enumerate(_ranked(group), 1) if label == 1]
+            ap_values.append(sum(i / rank for i, rank in enumerate(ranks, 1)) / len(ranks))
+            rr_values.append(1.0 / ranks[0])
         _, score, label = top_candidate(group)
         if score > threshold:
             triggered += 1

@@ -356,10 +356,10 @@ def direct_ngram_score(question, answer, n_max) -> float:
 
 def direct_semantic_similarity(question, answer, vectors) -> float:
     """Cosine of the mean word vectors, averaged from a word -> vector dict
-    by stacking the found vectors, with the lowercase fallback."""
+    by stacking the vectors of the tokens found as spelled (no case folding)."""
 
     def mean(tokens):
-        found = [vectors.get(t, vectors.get(t.lower())) for t in tokens]
+        found = [vectors.get(t) for t in tokens]
         found = [v for v in found if v is not None]
         return np.sum(found, axis=0) / len(found) if found else None
 
@@ -410,10 +410,11 @@ def counter_bm25_scores(question, answers, pool, k1, b) -> list[float]:
 def looped_semantic_similarities(question, answers, matrix, rows) -> list[float]:
     """The embedding cosine loop as first written, over a (words x dim)
     matrix and a word -> row dict: one mean vector per answer, each side's
-    norm from np.linalg.norm, and the dot product from np.dot."""
+    norm from np.linalg.norm, and the dot product from np.dot.  A token is
+    looked up exactly as spelled."""
 
     def mean(tokens):
-        found = [rows.get(t, rows.get(t.lower())) for t in tokens]
+        found = [rows.get(t) for t in tokens]
         found = [row for row in found if row is not None]
         return matrix[found].sum(axis=0) / len(found) if found else None
 
@@ -427,6 +428,30 @@ def looped_semantic_similarities(question, answers, matrix, rows) -> list[float]
         norm = 0.0 if va is None else float(norm_q * np.linalg.norm(va))
         scores.append(0.0 if norm == 0.0 else float(np.dot(vq, va) / norm))
     return scores
+
+
+def looped_map_mrr(groups) -> tuple[float, float]:
+    """MAP and MRR as first written: each answerable group sorted twice, once
+    for a running AP sum and once for the rank of its first positive."""
+
+    def ranked(group):
+        return sorted(group.candidates, key=lambda c: -c[1])
+
+    ap_values, rr_values = [], []
+    for group in groups:
+        if not group.answerable:
+            continue
+        positives, precision_sum = 0, 0.0
+        for rank, (_, _, label) in enumerate(ranked(group), start=1):
+            if label == 1:
+                positives += 1
+                precision_sum += positives / rank
+        ap_values.append(precision_sum / positives)
+        rr_values.append(next(
+            1.0 / rank for rank, (_, _, label) in enumerate(ranked(group), start=1) if label == 1
+        ))
+    n = len(ap_values)
+    return (sum(ap_values) / n if n else 0.0, sum(rr_values) / n if n else 0.0)
 
 
 def tune_threshold_exhaustive(groups) -> tuple[float, float]:

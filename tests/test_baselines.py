@@ -14,7 +14,6 @@ from qatrigger.baselines import (
     load_embeddings,
     ngram_scores,
     semantic_similarities,
-    semantic_vector,
     tokenize,
 )
 from qatrigger.errors import IngestionError
@@ -121,26 +120,36 @@ class TestNgram:
 
 
 class TestSemanticVector:
+    """The averaged word vectors, seen through the cosines they give."""
+
     def embeddings(self):
         return EmbeddingTable(
-            matrix=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-            rows={"sun": 0, "moon": 1, "star": 2},
+            matrix=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]]),
+            rows={"sun": 0, "moon": 1, "star": 2, "Sky": 3},
         )
 
     def test_all_oov_gives_none(self):
-        assert semantic_vector(["zzz", "qqq"], self.embeddings()) is None
+        # No question token has a vector: the mean is undefined, every score 0.
+        emb = self.embeddings()
+        assert semantic_similarities(["zzz", "qqq"], [["zzz", "qqq"], ["sun"]], emb) == [0.0, 0.0]
 
     def test_single_token_mean_is_itself(self):
-        vector = semantic_vector(["sun", "zzz"], self.embeddings())
-        assert vector == pytest.approx([1.0, 0.0])
+        emb = self.embeddings()
+        scores = semantic_similarities(["sun", "zzz"], [["sun"], ["moon"], ["star"]], emb)
+        assert scores == pytest.approx([1.0, 0.0, 1 / math.sqrt(2)], abs=1e-12)
 
     def test_mean_of_two(self):
-        vector = semantic_vector(["sun", "moon"], self.embeddings())
-        assert vector == pytest.approx([0.5, 0.5])
+        emb = self.embeddings()
+        scores = semantic_similarities(["sun", "moon"], [["star"], ["sun"], ["moon", "zzz"]], emb)
+        assert scores == pytest.approx([1.0, 1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-12)
 
-    def test_uppercase_falls_back_to_lowercase(self):
-        vector = semantic_vector(["SUN"], self.embeddings())
-        assert vector == pytest.approx([1.0, 0.0])
+    def test_lookup_is_exact(self):
+        emb = self.embeddings()
+        # SUN has no row of its own, and tokenize() never yields it.
+        assert semantic_similarities(["SUN"], [["sun"]], emb) == [0.0]
+        assert semantic_similarities(["sun"], [["SUN"], ["Moon"]], emb) == [0.0, 0.0]
+        # Sky keeps its own row, and sky has none.
+        assert semantic_similarities(["Sky"], [["moon"], ["sky"]], emb) == pytest.approx([-1.0, 0.0])
 
     def test_similarity_identical_sentences(self):
         emb = self.embeddings()
@@ -339,7 +348,7 @@ class TestEmbeddingReaders:
         table = _load_with(monkeypatch, mini, baselines, "_parse_lines", _must_not_run)
         expected = _load_with(monkeypatch, mini, np, "loadtxt", _chunks_fail)
         _assert_same_bits(table, expected.rows, expected.matrix)
-        assert table.dim == 2 and len(table.rows) > 0
+        assert table.matrix.shape[1] == 2 and len(table.rows) > 0
 
         text, rows, matrix = _random_table(random.Random(300), 50, 300, header=True)
         path = tmp_path / "emb300.txt"
@@ -426,13 +435,13 @@ class TestEmbeddingFile:
         plain = tmp_path / "plain.txt"
         plain.write_text("sun 1.0 0.0\nmoon 0.0 1.0\n")
         table = load_embeddings(plain)
-        assert table.dim == 2
-        assert table.matrix[table.lookup("moon")] == pytest.approx([0.0, 1.0])
+        assert table.matrix.shape[1] == 2
+        assert table.matrix[table.rows["moon"]] == pytest.approx([0.0, 1.0])
 
         headed = tmp_path / "headed.txt"
         headed.write_text("2 3\nsun 1 0 0\nmoon 0 1 0\n")
         table = load_embeddings(headed)
-        assert table.dim == 3
+        assert table.matrix.shape[1] == 3
         assert table.rows == {"sun": 0, "moon": 1}
         assert table.matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
 
@@ -525,8 +534,8 @@ class TestEmbeddingFile:
 
     def test_mini_embeddings_load(self, mini_dir):
         table = load_embeddings(mini_dir / "embeddings.txt")
-        assert table.dim == 2
-        assert table.lookup("alice") is not None
+        assert table.matrix.shape[1] == 2
+        assert "alice" in table.rows
 
 
 @pytest.mark.parametrize(

@@ -721,6 +721,27 @@ class TestEvaluateBaselines:
         assert "baseline bm25 (threshold 99)" in out
 
 
+    def test_unanswerable_file_without_threshold_fails_with_one_data_error(
+        self, mini_config, tmp_path, capsys
+    ):
+        head = "question_id\tcandidate_id\tgold_label\tbm25\n"
+        train_file, dev_file, model = tmp_path / "t.tsv", tmp_path / "d.tsv", tmp_path / "m.txt"
+        train_file.write_text(head + "q1\tc1\t1\t0.5\nq1\tc2\t0\t0.25\n")
+        dev_file.write_text(head + "q1\tc1\t0\t0.5\nq1\tc2\t0\t0.25\n")
+        assert run("--config", mini_config, "train", "--features", str(train_file),
+                   "--model", str(model)) == 0
+        capsys.readouterr()
+        code = run(
+            "--config", mini_config,
+            "evaluate", "--model", str(model), "--features", str(dev_file), "--baselines",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error:data: baseline bm25: threshold tuning needs at least one answerable "
+            "group; set [baselines] bm25_threshold\n"
+        )
+
+
 class TestBuildDf:
     def test_build_df_writes_three_tables(self, mini_config, tmp_path):
         assert run(
@@ -778,6 +799,25 @@ class TestBuildDf:
             "error:config: set all three DF table paths or none\n"
         )
         assert sorted(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command", ["build-df", "featurize"])
+    def test_empty_train_split_fails_with_one_data_error(self, command, tmp_path, capsys):
+        corpus = tmp_path / "train.tsv"
+        corpus.write_text(
+            "QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\tLabel\n"
+        )
+        (tmp_path / "train.conllu").write_text("")
+        config = tmp_path / "config.ini"
+        config.write_text("[data]\ntrain = train.tsv\nconllu_train = train.conllu\n")
+        argv = {
+            "build-df": ["build-df", "--out-dir", str(tmp_path / "df")],
+            "featurize": ["featurize", "--split", "train", "--out", str(tmp_path / "f.tsv")],
+        }[command]
+        assert run("--config", str(config), *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error:data: {corpus}: no questions to build the DF tables from\n"
+        )
 
 
 CYCLIC_CONLLU = (

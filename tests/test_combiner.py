@@ -236,7 +236,7 @@ EDGE_QUESTIONS = [
     ["die", "carradine"],  # shorter than n_max
     ["zzz", "qqq"],  # all out of vocabulary
     ["zero"],  # a zero vector: norm 0
-    ["SUN", "moon", "zzz"],  # SUN only through the lowercase fallback
+    ["SUN", "moon", "zzz"],  # SUN has no row: lookup is exact
 ]
 WORDS = ["die", "carradine", "sun", "moon", "zero", "SUN", "zzz", "qqq", "of", "in"]
 
@@ -291,8 +291,8 @@ class TestCandidateIndependence:
             ]
         for question in (["zzz", "qqq"], ["zero"]):
             assert semantic_similarities(question, [["die"], ["zero"]], table) == [0.0, 0.0]
-        upper = semantic_similarities(["SUN"], [["moon"]], table)
-        assert upper == semantic_similarities(["sun"], [["moon"]], table) and upper != [0.0]
+        assert semantic_similarities(["SUN"], [["sun"], ["moon"]], table) == [0.0, 0.0]
+        assert semantic_similarities(["sun"], [["moon"]], table) != [0.0]
 
     def test_graph_families(self):
         rng = np.random.default_rng(2025)

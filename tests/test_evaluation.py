@@ -6,49 +6,61 @@ import pytest
 
 from qatrigger.evaluation import (
     ScoredGroup,
-    average_precision,
-    reciprocal_rank,
     top_candidate,
     triggering_report,
     tune_threshold,
 )
 
-from oracles import tune_threshold_exhaustive
+from oracles import looped_map_mrr, tune_threshold_exhaustive
 
 
 def group(qid, *candidates):
     return ScoredGroup(qid, tuple(candidates))
 
 
+def map_of(g):
+    return triggering_report([g], 0.0).map_value
+
+
+def mrr_of(g):
+    return triggering_report([g], 0.0).mrr_value
+
+
 class TestAveragePrecision:
     def test_single_positive_candidate(self):
-        assert average_precision(group("q", ("c", 0.3, 1))) == 1.0
+        assert map_of(group("q", ("c", 0.3, 1))) == 1.0
 
     def test_positives_at_ranks_one_and_three(self):
         g = group("q", ("a", 0.9, 1), ("b", 0.5, 0), ("c", 0.1, 1))
-        assert average_precision(g) == pytest.approx((1 / 1 + 2 / 3) / 2)
+        assert map_of(g) == pytest.approx((1 / 1 + 2 / 3) / 2)
 
     def test_all_negative_returns_none(self):
-        assert average_precision(group("q", ("a", 0.9, 0), ("b", 0.5, 0))) is None
+        # A group with no positive has no AP: it is left out of MAP.
+        g = group("q", ("a", 0.9, 0), ("b", 0.5, 0))
+        assert triggering_report([g], 0.0).questions_answerable == 0
+        assert triggering_report([g, group("p", ("a", 0.5, 0), ("b", 0.1, 1))], 0.0).map_value == 0.5
 
     def test_score_ties_keep_corpus_order(self):
         g = group("q", ("a", 0.5, 0), ("b", 0.5, 1))
-        assert average_precision(g) == 0.5
+        assert map_of(g) == 0.5
 
 
 class TestReciprocalRank:
     def test_first_ranked_positive(self):
-        assert reciprocal_rank(group("q", ("a", 0.9, 1), ("b", 0.5, 0))) == 1.0
+        assert mrr_of(group("q", ("a", 0.9, 1), ("b", 0.5, 0))) == 1.0
 
     def test_first_positive_at_rank_four(self):
         g = group(
             "q",
             ("a", 0.9, 0), ("b", 0.8, 0), ("c", 0.7, 0), ("d", 0.6, 1),
         )
-        assert reciprocal_rank(g) == 0.25
+        assert mrr_of(g) == 0.25
 
     def test_all_negative_returns_none(self):
-        assert reciprocal_rank(group("q", ("a", 0.9, 0))) is None
+        # A group with no positive has no RR: it is left out of MRR.
+        g = group("q", ("a", 0.9, 0))
+        assert triggering_report([g], 0.0).questions_answerable == 0
+        assert triggering_report([g, group("p", ("a", 0.9, 0), ("b", 0.1, 1))], 0.0).mrr_value == 0.5
 
 
 class TestTopCandidate:
@@ -142,6 +154,15 @@ class TestTriggeringReport:
         assert report.recall == float(expected_r)
         expected_f = 2 * expected_p * expected_r / (expected_p + expected_r)
         assert report.f1 == float(expected_f)
+
+
+    def test_map_mrr_equal_two_sort_loops_bitwise(self):
+        # repr tells every float apart; random_groups ties and near-ties scores.
+        rng = np.random.default_rng(71)
+        for _ in range(1500):
+            groups = random_groups(rng)
+            report = triggering_report(groups, 0.0)
+            assert repr((report.map_value, report.mrr_value)) == repr(looped_map_mrr(groups))
 
 
 class TestTuneThreshold:
