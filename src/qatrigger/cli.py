@@ -160,9 +160,10 @@ def load_config(
             raise ConfigError(f"config file not found: {path}") from exc
         except configparser.Error as exc:
             raise ConfigError(" ".join(str(exc).split())) from exc
+        base = path.parent.resolve()
         for section in parser.sections():
             for key, value in parser.items(section):
-                _apply(config, section, key, value, base=path.parent.resolve())
+                _apply(config, section, key, value, base=base)
     env = os.environ if env is None else env
     for name, value in sorted(env.items()):
         if not name.startswith(ENV_PREFIX + "_"):

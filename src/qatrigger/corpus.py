@@ -32,7 +32,9 @@ def tree_depths(heads: Sequence[int]) -> tuple[int, ...]:
     heads[i - 1] is the head of token i, and 0 marks the root, whose depth
     is 1.  Raises ValueError unless the heads form one tree: exactly one
     root, every head in range, no self-head, and no cycle.  Linear in n:
-    each head chain is walked only up to the first token already placed.
+    a token already placed is skipped, one whose head is placed is placed
+    without a walk, and each head chain is walked only up to the first
+    token already placed.
     """
     n = len(heads)
     roots = heads.count(0)
@@ -41,20 +43,26 @@ def tree_depths(heads: Sequence[int]) -> tuple[int, ...]:
     if min(heads) < 0 or max(heads) > n:
         head = next(h for h in heads if not 0 <= h <= n)
         raise ValueError(f"head {head} out of range 0..{n}")
+    head_of = (0, *heads)
     # -1 marks a token not yet reached, -2 one on the chain being walked.
     depth = [0] + [-1] * n
     for start in range(1, n + 1):
-        chain = []
-        node = start
-        while depth[node] < 0:
-            if depth[node] == -2:
+        if depth[start] > 0:
+            continue
+        node = head_of[start]
+        if (level := depth[node]) >= 0:
+            depth[start] = level + 1
+            continue
+        chain = [start]
+        depth[start] = -2
+        while (level := depth[node]) < 0:
+            if level == -2:
                 if node == chain[-1]:
                     raise ValueError(f"token {node} is its own head")
                 raise ValueError(f"cycle through token {node}")
             depth[node] = -2
             chain.append(node)
-            node = heads[node - 1]
-        level = depth[node]
+            node = head_of[node]
         for node in reversed(chain):
             level += 1
             depth[node] = level
@@ -90,13 +98,11 @@ class Sentence:
             raise ValueError("lemma, UPOS, head and deprel columns differ in length")
         if not heads:
             return
-        object.__setattr__(self, "lemmas", tuple([lemma.lower() for lemma in self.lemmas]))
+        object.__setattr__(self, "lemmas", tuple(map(str.lower, self.lemmas)))
         object.__setattr__(self, "depth", tree_depths(heads))
-        object.__setattr__(self, "edges", tuple([
-            (head, index, rel)
-            for index, (head, rel) in enumerate(zip(heads, self.deprels), start=1)
-            if head
-        ]))
+        edges = list(zip(heads, range(1, len(heads) + 1), self.deprels))
+        del edges[heads.index(0)]  # tree_depths found exactly one root
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def parsed(self) -> bool:
@@ -169,11 +175,13 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, _Block]]:
     1-based block ordinal as a string.  Only ID, LEMMA (FORM when LEMMA is
     empty or `_`), UPOS, HEAD and DEPREL are read.  Multi-word-token lines
     (id "1-2") and empty-node lines (id "1.1") are skipped; any other id that
-    is not an integer raises IngestionError naming the line.
+    is not an integer raises IngestionError naming the line.  The file is
+    read line by line, and each distinct ID or HEAD text is parsed once.
     """
     blocks: list[tuple[str, _Block]] = []
     sent_id: str | None = None
     rows: list[tuple[int, str, str, int, str]] = []
+    numbers: dict[str, int] = {}  # each ID or HEAD text parsed so far
 
     def flush() -> None:
         nonlocal sent_id, rows
@@ -183,11 +191,12 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, _Block]]:
 
     with open_text(conllu_path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
+            # Universal newlines end each line but the last in one "\n",
+            # which stays on MISC, a column never read.
+            if line == "\n":
                 flush()
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 key, _, value = line[1:].partition("=")
                 if key.strip() == "sent_id":
                     sent_id = value.strip()
@@ -197,16 +206,20 @@ def _read_conllu_blocks(conllu_path: Path) -> list[tuple[str, _Block]]:
                 raise IngestionError(
                     f"{conllu_path}: line {lineno}: expected 10 columns, got {len(columns)}"
                 )
-            try:
-                index = int(columns[0])
-                head = int(columns[6])
-            except ValueError as exc:
-                if _RANGE_OR_EMPTY_NODE.fullmatch(columns[0]):
-                    continue
-                raise IngestionError(
-                    f"{conllu_path}: line {lineno}: non-numeric id or head"
-                ) from exc
-            lemma = columns[2] if columns[2] not in ("", "_") else columns[1]
+            index = numbers.get(columns[0])
+            head = numbers.get(columns[6])
+            if index is None or head is None:
+                try:
+                    index = numbers[columns[0]] = int(columns[0])
+                    head = numbers[columns[6]] = int(columns[6])
+                except ValueError as exc:
+                    if _RANGE_OR_EMPTY_NODE.fullmatch(columns[0]):
+                        continue
+                    raise IngestionError(
+                        f"{conllu_path}: line {lineno}: non-numeric id or head"
+                    ) from exc
+            # The only texts `in "_"` are "" and "_".
+            lemma = columns[2] if columns[2] not in "_" else columns[1]
             rows.append((index, lemma, columns[3], head, columns[7]))
     flush()
     return blocks
@@ -254,7 +267,7 @@ def attach_parses(
     both in corpus order.  A parse whose ids do not run 1..n in order, or
     that is not a tree (see `tree_depths`), raises IngestionError naming the
     file and the sentence; sentences left without a parse raise
-    IngestionError listing the missing ids.
+    IngestionError giving their count and the first five of their ids.
     """
     conllu_path = Path(conllu_path)
     blocks = _read_conllu_blocks(conllu_path)
@@ -286,8 +299,10 @@ def attach_parses(
 
     missing = [target for target in targets if target not in by_wikiqa_id]
     if missing:
+        more = ", ..." if len(missing) > 5 else ""
         raise IngestionError(
-            f"{conllu_path}: no parse for ids: {', '.join(missing)}"
+            f"{conllu_path}: no parse for {len(missing)} of {len(targets)} ids: "
+            f"{', '.join(missing[:5])}{more}"
         )
 
     def parsed(sentence: Sentence, key: str) -> Sentence:

@@ -14,19 +14,24 @@ metrics acceptance criterion 5 checks against exact rationals.  The
 gradient-descent reference takes plain fixed-size steps down its own
 transcription of the log-loss gradient.  The looped lexical oracles
 transcribe the per-answer n-gram, BM25 and embedding-cosine loops as first
-written, which the group scorers must equal bit for bit.
+written, which the group scorers must equal bit for bit.  The ingestion
+references transcribe the CoNLL-U line loop and the head-chain depth walk
+as first written: the library's reader and `tree_depths` must return the
+same blocks and depths, or raise the same first error text.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from qatrigger.combiner import sigmoid
+from qatrigger.errors import IngestionError
 from qatrigger.evaluation import top_candidate, triggering_report
 
 
@@ -39,6 +44,80 @@ def head_edges(sentence) -> list[tuple[int, int, str]]:
 def token_indices(sentence) -> range:
     """Token indices 1..n."""
     return range(1, len(sentence.heads) + 1)
+
+
+def reference_tree_depths(heads) -> tuple[int, ...]:
+    """Depths of a head array (slot 0 the virtual root) by the walk as first
+    written: every token starts a walk up its head chain, which stops at the
+    first token already placed; the same ValueError texts on a non-tree."""
+    n = len(heads)
+    roots = heads.count(0)
+    if roots != 1:
+        raise ValueError(f"single-root violation ({roots} roots in {n} tokens)")
+    if min(heads) < 0 or max(heads) > n:
+        head = next(h for h in heads if not 0 <= h <= n)
+        raise ValueError(f"head {head} out of range 0..{n}")
+    depth = [0] + [-1] * n
+    for start in range(1, n + 1):
+        chain = []
+        node = start
+        while depth[node] < 0:
+            if depth[node] == -2:
+                if node == chain[-1]:
+                    raise ValueError(f"token {node} is its own head")
+                raise ValueError(f"cycle through token {node}")
+            depth[node] = -2
+            chain.append(node)
+            node = heads[node - 1]
+        level = depth[node]
+        for node in reversed(chain):
+            level += 1
+            depth[node] = level
+    return tuple(depth)
+
+
+def reference_conllu_blocks(path) -> list[tuple[str, tuple]]:
+    """(block id, (ids, lemmas, UPOS tags, heads, deprels)) of each CoNLL-U
+    block by the line loop as first written: every line stripped of its end,
+    int() on every ID and HEAD, multi-word and empty-node lines skipped; the
+    same IngestionError texts on a malformed line."""
+    blocks = []
+    sent_id = None
+    rows = []
+
+    def flush():
+        nonlocal sent_id, rows
+        if rows:
+            blocks.append((sent_id or str(len(blocks) + 1), tuple(zip(*rows))))
+        sent_id, rows = None, []
+
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                flush()
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "sent_id":
+                    sent_id = value.strip()
+                continue
+            columns = line.split("\t")
+            if len(columns) != 10:
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected 10 columns, got {len(columns)}"
+                )
+            try:
+                index = int(columns[0])
+                head = int(columns[6])
+            except ValueError as exc:
+                if re.fullmatch(r"\d+-\d+|\d+\.\d+", columns[0]):
+                    continue
+                raise IngestionError(f"{path}: line {lineno}: non-numeric id or head") from exc
+            lemma = columns[2] if columns[2] not in ("", "_") else columns[1]
+            rows.append((index, lemma, columns[3], head, columns[7]))
+    flush()
+    return blocks
 
 
 def prob(model, x) -> float:

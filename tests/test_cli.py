@@ -1124,6 +1124,23 @@ class TestCorruptInputs:
             outcomes.append(code)
         assert {0, 3} <= set(outcomes)  # both kinds of mutation were drawn
 
+    def test_index_that_maps_nothing_fails_with_one_short_data_error(
+        self, mini_config, mini_dir, tmp_path, capsys
+    ):
+        # The error counts the sentences left without a parse and names five.
+        index = tmp_path / "index.tsv"
+        index.write_text("")
+        code = run(
+            "--config", mini_config, "--set", f"data.index_train={index}",
+            "featurize", "--split", "train", "--out", str(tmp_path / "out.tsv"),
+        )
+        ids = ", ".join(f"train-q0{i}" for i in range(1, 6))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:data: {mini_dir / 'parses_train.conllu'}: no parse for 56 of 56 ids: "
+            f"{ids}, ..."
+        ]
+
     def test_cyclic_parse_fails_with_one_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.tsv"
         corpus.write_text("Q1\ta b c\tD\tt\tS1\tc\t0\n")

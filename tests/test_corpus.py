@@ -1,13 +1,17 @@
 import dataclasses
+import random
+import re
 
 import numpy as np
 import pytest
 
 from qatrigger.corpus import (
     Sentence,
+    _read_conllu_blocks,
     attach_parses,
     load_scores,
     load_wikiqa,
+    tree_depths,
 )
 from qatrigger.coverage import (
     edge_signatures,
@@ -20,7 +24,7 @@ from qatrigger.ged import GedConfig, graph_edit_distances
 from qatrigger.graphsim import build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import head_edges, tree_arrays
+from oracles import head_edges, reference_conllu_blocks, reference_tree_depths, tree_arrays
 
 HEADER = "QuestionID\tQuestion\tDocumentID\tDocumentTitle\tSentenceID\tSentence\tLabel\n"
 
@@ -290,8 +294,27 @@ def test_attach_parses_missing_parse_lists_ids(tmp_path):
         "# sent_id = only\n1\twon\twin\tVERB\tVBD\t_\t0\troot\t_\t_\n",
     )
     index = write(tmp_path / "i.tsv", "only\tQ1\n")
-    with pytest.raises(IngestionError, match="S1"):
+    with pytest.raises(IngestionError) as missing:
         attach_parses(load_wikiqa(corpus), conllu, index)
+    assert str(missing.value) == f"{conllu}: no parse for 1 of 2 ids: S1"
+
+
+@pytest.mark.parametrize("candidates, shown", [
+    (4, "Q1, S1, S2, S3, S4"),
+    (11, "Q1, S1, S2, S3, S4, ..."),
+])
+def test_attach_parses_missing_ids_are_counted_and_the_first_five_named(
+    tmp_path, candidates, shown
+):
+    # An index that covers none of a large corpus must not print every id.
+    rows = "".join(f"Q1\tq\tD\tt\tS{i}\tc\t0\n" for i in range(1, candidates + 1))
+    corpus = write(tmp_path / "c.tsv", rows)
+    conllu = write(tmp_path / "p.conllu", "# sent_id = x\n1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n")
+    index = write(tmp_path / "i.tsv", "")
+    n = candidates + 1  # the question too
+    with pytest.raises(IngestionError) as missing:
+        attach_parses(load_wikiqa(corpus), conllu, index)
+    assert str(missing.value) == f"{conllu}: no parse for {n} of {n} ids: {shown}"
 
 
 def test_attach_parses_duplicate_mapping_is_an_error(tmp_path):
@@ -449,3 +472,144 @@ def test_load_scores_non_numeric_is_an_error(tmp_path):
     path = write(tmp_path / "s.tsv", "Q1\tA1\thigh\n")
     with pytest.raises(IngestionError, match="line 1"):
         load_scores(path)
+
+
+# Parity with the ingestion loops as first written (oracles.py): the reader
+# and the depth walk must return what they returned, or raise the same error.
+
+
+def outcome(function, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return function(*args)
+    except (ValueError, IngestionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def message_kind(result, prefix=""):
+    """The kind of an outcome: "read" for a returned value, else the error
+    text after `prefix` with every number replaced by N."""
+    if not isinstance(result[0], str):
+        return "read"
+    return re.sub(r"-?\d+", "N", result[1].removeprefix(prefix))
+
+
+def seeded_head_arrays(rng, count):
+    """Head arrays of random trees of 1 to 12 tokens (root anywhere); six
+    of every seven are broken where the size allows: a self-head, a
+    2-cycle, a longer cycle, no root, two or more roots, or a head out of
+    range."""
+    for i in range(count):
+        n = rng.randint(1, 12)
+        order = rng.sample(range(1, n + 1), n)  # order[0] is the root
+        heads = [0] * n
+        for k, token in enumerate(order[1:], start=1):
+            heads[token - 1] = order[rng.randrange(k)]
+        dependents = order[1:]
+        kind = i % 7
+        if kind == 1:
+            token = rng.choice(order)
+            heads[token - 1] = token
+        elif kind == 2 and n >= 3:
+            a, b = rng.sample(dependents, 2)
+            heads[a - 1], heads[b - 1] = b, a
+        elif kind == 3 and n >= 4:
+            cycle = rng.sample(dependents, rng.randint(3, len(dependents)))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                heads[a - 1] = b
+        elif kind == 4:
+            heads[order[0] - 1] = rng.randint(1, n)
+        elif kind == 5 and n >= 2:
+            for token in rng.sample(dependents, rng.randint(1, len(dependents))):
+                heads[token - 1] = 0
+        elif kind == 6:
+            heads[rng.randrange(n)] = rng.choice((-2, -1, n + 1, n + 5))
+        yield tuple(heads)
+
+
+def test_tree_depths_match_the_first_written_walk():
+    kinds = set()
+    for heads in seeded_head_arrays(random.Random(2403), 3000):
+        result = outcome(tree_depths, heads)
+        assert result == outcome(reference_tree_depths, heads), heads
+        kinds.add(message_kind(result))
+    # trees were drawn, and arrays that meet each error of tree_depths
+    assert kinds == {
+        "read", "single-root violation (N roots in N tokens)", "head N out of range N..N",
+        "token N is its own head", "cycle through token N",
+    }
+
+
+# Texts a mutation writes into the ID or HEAD column.
+ID_TEXTS = ("01", "+1", " 1", "1_0", "1-2", "1.1", "1-", ".5", "_")
+
+
+def mutate_conllu(lines, rng):
+    """A copy of CoNLL-U lines with one to three edits: an odd ID or HEAD
+    text, a LEMMA of "_", "" or " ", a column dropped or added, a
+    `#sent_id=x` or `# sent_id_orig` comment, an empty or whitespace line,
+    or a lone CR inside a line."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        columns = lines[i].split("\t")
+        op = rng.randrange(7)
+        if op == 0 and len(columns) == 10:
+            columns[rng.choice((0, 0, 6))] = rng.choice(ID_TEXTS)
+        elif op == 1 and len(columns) == 10:
+            columns[2] = rng.choice(("_", "", " "))
+        elif op == 2:
+            del columns[rng.randrange(len(columns))]
+        elif op == 3:
+            columns.insert(rng.randrange(len(columns) + 1), "x")
+        elif op == 4:
+            lines.insert(i, rng.choice(("#sent_id=x", "# sent_id_orig = 7", "#")))
+            continue
+        elif op == 5:
+            lines.insert(i, rng.choice(("", "", " ", "\t")))
+            continue
+        else:
+            line = lines[i]
+            cut = rng.randrange(len(line) + 1)
+            lines[i] = line[:cut] + "\r" + line[cut:]
+            continue
+        lines[i] = "\t".join(columns)
+    return lines
+
+
+def test_conllu_reader_matches_the_first_written_loop(mini_dir, tmp_path):
+    lines = (mini_dir / "parses_train.conllu").read_text(encoding="utf-8").splitlines()[:60]
+    rng = random.Random(2404)
+    path = tmp_path / "p.conllu"
+    kinds = set()
+    for _ in range(400):
+        end = rng.choice(("\n", "\r\n", "\r"))
+        text = end.join(mutate_conllu(lines, rng)) + rng.choice(("", end))
+        path.write_bytes(text.encode("utf-8"))
+        result = outcome(_read_conllu_blocks, path)
+        assert result == outcome(reference_conllu_blocks, path), text
+        kinds.add(message_kind(result, f"{path}: "))
+    # blocks were read, and both line errors were met
+    assert kinds == {
+        "read", "line N: expected N columns, got N", "line N: non-numeric id or head",
+    }
+
+
+def test_conllu_reader_reads_each_odd_number_text_as_int_does(tmp_path):
+    # Each distinct ID or HEAD text is parsed once and reused: "01", "+1",
+    # " 1" and "1" are all 1, and "1_0" is 10, wherever they appear.
+    rows = [("01", "0"), ("+2", "01"), (" 3", "+2"), ("1_0", "1")]
+    block = "".join(f"{i}\tw\tw\tX\t_\t_\t{h}\tdep\t_\t_\n" for i, h in rows)
+    path = write(tmp_path / "p.conllu", block + "\n" + block)
+    expected = ((1, 2, 3, 10), ("w",) * 4, ("X",) * 4, (0, 1, 2, 1), ("dep",) * 4)
+    assert _read_conllu_blocks(path) == [("1", expected), ("2", expected)]
+    assert reference_conllu_blocks(path) == _read_conllu_blocks(path)
+
+
+@pytest.mark.parametrize("heads", [(0, 1, 1, 3), (2, 0, 2, 3), (4, 4, 2, 0)],
+                         ids=["root-first", "root-middle", "root-last"])
+def test_edges_leave_out_the_root_wherever_it_is(heads):
+    n = len(heads)
+    sentence = Sentence("s", "w", ("w",) * n, ("X",) * n, heads, ("a", "b", "c", "d"))
+    assert list(sentence.edges) == head_edges(sentence)
+    assert len(sentence.edges) == n - 1
