@@ -269,18 +269,24 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     check_manifest(config.manifest)
     groups = load_split(config, split, any(n in DEFAULT_MANIFEST for n in config.manifest))
     resources = build_resources(config, config.manifest, groups)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(
-            "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
-        )
-        for group in groups:
-            rows = extract_features(group, resources, config.manifest)
-            for (cid, _, label), values in zip(group.candidates, rows):
-                handle.write(
-                    f"{group.question_id}\t{cid}\t{label}\t"
-                    + "\t".join(_fmt(v) for v in values)
-                    + "\n"
-                )
+    handle = open(out_path, "w", encoding="utf-8", newline="")
+    try:  # rows are written as they are made, so a failed run removes its file
+        with handle:
+            handle.write(
+                "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
+            )
+            for group in groups:
+                rows = extract_features(group, resources, config.manifest)
+                for (cid, _, label), values in zip(group.candidates, rows):
+                    handle.write(
+                        f"{group.question_id}\t{cid}\t{label}\t"
+                        + "\t".join(_fmt(v) for v in values)
+                        + "\n"
+                    )
+    except BaseException:
+        if out_path.is_file() and not out_path.is_symlink():  # not a device, pipe or link
+            out_path.unlink()
+        raise
     n_pairs = sum(len(g.candidates) for g in groups)
     print(f"featurized {len(groups)} questions / {n_pairs} pairs -> {out_path}")
     return 0

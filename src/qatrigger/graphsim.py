@@ -16,18 +16,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
-from .errors import IngestionError, open_text, parse_number, tsv_rows
+from .errors import IngestionError, open_text, parse_number
 
 LEVELS = ("word", "pair", "triplet")
-# Characters per chunk of load_df_table; larger chunks raise peak memory.
-_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,57 +150,39 @@ def save_df_table(table: DfTable, path: str | Path) -> None:
 
 
 def load_df_table(path: str | Path, level: str) -> DfTable:
-    """Read a DF table written by save_df_table, splitting its lines in bulk a
-    chunk at a time.  A file that breaks any rule in bulk is read again by the
-    line reader, which names the first bad line, so both accept the same files
-    with the same tables and messages."""
+    """Read a DF table written by save_df_table in one pass, keeping the rules
+    of tsv_rows in a loop of its own: a blank line is skipped but counted, any
+    other line has exactly one tab, and the first non-empty line is
+    `N<TAB>n_docs`.  The first line that breaks a rule raises IngestionError
+    naming it."""
     path = Path(path)
     df: dict[str, int] = {}
     n_docs: int | None = None
-    # int(), DfTable and the decoder (on a byte that is not UTF-8) raise ValueError.
-    with open_text(path) as handle, suppress(ValueError):
-        while lines := handle.readlines(_CHUNK_CHARS):
-            rows = [line for line in lines if line != "\n"]  # CRLF and a lone CR read as LF
-            # One tab per line, else a line with none and a line with two
-            # would shift every later field.
-            if set(map(str.count, rows, repeat("\t"))) - {1}:
-                break
-            fields = "".join(rows).replace("\n", "\t").split("\t")
-            keys, counts = fields[0:2 * len(rows):2], fields[1::2]  # drop a last ""
-            values = {text: int(text) for text in set(counts)}
-            if n_docs is None and rows:  # the first non-empty line
-                if keys[0] != "N":
-                    break
-                n_docs = values[counts[0]]
-                keys, counts = keys[1:], counts[1:]
-            size = len(df)
-            df.update(zip(keys, map(values.__getitem__, counts)))
-            if len(df) - size != len(keys):  # a repeated key
-                break
-        else:  # no chunk broke a rule
-            if n_docs is not None:
-                return DfTable(level=level, n_docs=n_docs, df=df)
-    return _load_df_lines(path, level)
-
-
-def _load_df_lines(path: Path, level: str) -> DfTable:
-    """The DF table of `path` read line by line through tsv_rows, raising
-    IngestionError at the first line that breaks a rule."""
-    df: dict[str, int] = {}
-    n_docs: int | None = None
-    for lineno, (key, count) in tsv_rows(path, 2):
-        if n_docs is None:  # the first non-empty line
-            if key != "N":
-                raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
-            n_docs = parse_number(count, path, lineno, int)
-            continue
-        if key in df:
-            raise IngestionError(f"{path}: line {lineno}: duplicate key {key!r}")
-        try:
-            df[key] = int(count)
-        except ValueError:
-            # Parsing the same field again raises the named error.
-            parse_number(count, path, lineno, int)
+    # Each distinct count text, line end included, is parsed once; int()
+    # ignores surrounding whitespace, so the line end cannot change a value.
+    values: dict[str, int] = {}
+    with open_text(path) as handle:  # CRLF and a lone CR read as LF
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                key, text = line.split("\t")
+            except ValueError:  # no tab, or a second one
+                if line == "\n":
+                    continue
+                got = line.count("\t") + 1
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected 2 columns, got {got}"
+                ) from None
+            if n_docs is None:  # the first non-empty line
+                if key != "N":
+                    raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
+                n_docs = parse_number(text.rstrip("\n"), path, lineno, int)
+            elif key in df:
+                raise IngestionError(f"{path}: line {lineno}: duplicate key {key!r}")
+            else:
+                try:
+                    df[key] = values[text]
+                except KeyError:  # the first line with this count text
+                    df[key] = values[text] = parse_number(text.rstrip("\n"), path, lineno, int)
     if n_docs is None:
         raise IngestionError(f"{path}: empty DF table file")
     try:

@@ -1,23 +1,25 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here but `prob` deliberately avoids the library's own code
-paths: the assignment oracle enumerates permutations, the reference
-shortest-augmenting-path solver scans every column at every step, the
-edit-distance oracle enumerates partial injections, paths come from plain
-BFS, the pairwise sub-graph walks one tree path per pair of shared nodes with
-`find_path` (itself checked against BFS), and the formula oracles transcribe
-the defining equations directly.  Graph oracles take a parsed Sentence and
-derive its edges and depths from the head column themselves, never from
-`Sentence.edges` or `Sentence.depth`.  The threshold oracle
+Everything here but `prob` and `reference_df_table` deliberately avoids the
+library's own code paths: the assignment oracle enumerates permutations, the
+reference shortest-augmenting-path solver scans every column at every step,
+the edit-distance oracle enumerates partial injections, paths come from
+plain BFS, the pairwise sub-graph walks one tree path per pair of shared
+nodes with `find_path` (itself checked against BFS), and the formula oracles
+transcribe the defining equations directly.  Graph oracles take a parsed
+Sentence and derive its edges and depths from the head column themselves,
+never from `Sentence.edges` or `Sentence.depth`.  The threshold oracle
 scores every candidate threshold with a full triggering report, whose
 metrics acceptance criterion 5 checks against exact rationals.  The
 gradient-descent reference takes plain fixed-size steps down its own
 transcription of the log-loss gradient.  The looped lexical oracles
 transcribe the per-answer n-gram, BM25 and embedding-cosine loops as first
 written, which the group scorers must equal bit for bit.  The ingestion
-references transcribe the CoNLL-U line loop and the head-chain depth walk
-as first written: the library's reader and `tree_depths` must return the
-same blocks and depths, or raise the same first error text.
+references transcribe the CoNLL-U line loop and the head-chain depth walk as
+first written: the library's reader and `tree_depths` must return the same
+blocks and depths, or raise the same first error text.  The DF table
+reference reads through the library's `tsv_rows`, as the loader first did,
+so the loader's own line loop must keep the shared TSV rules.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from qatrigger.combiner import sigmoid
-from qatrigger.errors import IngestionError
+from qatrigger.errors import IngestionError, parse_number, tsv_rows
 from qatrigger.evaluation import top_candidate, triggering_report
+from qatrigger.graphsim import DfTable
 
 
 def head_edges(sentence) -> list[tuple[int, int, str]]:
@@ -118,6 +121,32 @@ def reference_conllu_blocks(path) -> list[tuple[str, tuple]]:
             rows.append((index, lemma, columns[3], head, columns[7]))
     flush()
     return blocks
+
+
+def reference_df_table(path, level) -> DfTable:
+    """The DF table of `path` read line by line through tsv_rows, as first
+    written: IngestionError at the first line that breaks a rule."""
+    df: dict[str, int] = {}
+    n_docs = None
+    for lineno, (key, count) in tsv_rows(path, 2):
+        if n_docs is None:  # the first non-empty line
+            if key != "N":
+                raise IngestionError(f"{path}: first line must be `N<TAB>n_docs`")
+            n_docs = parse_number(count, path, lineno, int)
+            continue
+        if key in df:
+            raise IngestionError(f"{path}: line {lineno}: duplicate key {key!r}")
+        try:
+            df[key] = int(count)
+        except ValueError:
+            # Parsing the same field again raises the named error.
+            parse_number(count, path, lineno, int)
+    if n_docs is None:
+        raise IngestionError(f"{path}: empty DF table file")
+    try:
+        return DfTable(level=level, n_docs=n_docs, df=df)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 def prob(model, x) -> float:

@@ -287,9 +287,9 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
 
 
 def test_criterion_9_real_wikiqa_split_sizes():
-    root = os.environ.get("QATRIGGER_WIKIQA_DIR")
+    root = os.environ.get("WIKIQA_DIR")
     if not root:
-        pytest.skip("set QATRIGGER_WIKIQA_DIR to run the real-dataset check")
+        pytest.skip("set WIKIQA_DIR to run the real-dataset check")
     expected = {"train": 2118, "dev": 296, "test": 633}
     for split, count in expected.items():
         path = Path(root) / f"WikiQA-{split}.tsv"

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qatrigger import graphsim
 from qatrigger.baselines import load_embeddings
 from qatrigger.cli import (
     RunConfig,
@@ -36,10 +35,6 @@ from qatrigger.graphsim import LEVELS, load_df_table
 
 def run(*argv):
     return main(list(argv))
-
-
-def _must_not_fall_back(*args):
-    raise AssertionError("the line reader must not run")
 
 
 @pytest.fixture
@@ -376,6 +371,24 @@ class TestFeaturize:
         ) == 0
         golden = mini_dir / "golden_features_lexical_train.tsv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_failed_run_leaves_no_partial_file(self, mini_config, mini_dir, tmp_path, capsys):
+        # The missing score is met after 41 rows are written; train must not
+        # find those rows and fit a model to them.
+        scores = tmp_path / "scores.tsv"
+        lines = (mini_dir / "scores.tsv").read_text().splitlines(True)
+        kept = [line for line in lines if not line.startswith("train-q12\ttrain-q12-c3\t")]
+        assert len(kept) == len(lines) - 1
+        scores.write_text("".join(kept))
+        out = tmp_path / "features.tsv"
+        code = run(
+            "--config", mini_config, "--set", f"data.scores={scores}",
+            "--set", "features.manifest=ext_score,bm25",
+            "featurize", "--split", "train", "--out", str(out),
+        )
+        assert code == 2
+        assert "train-q12-c3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_crlf_and_blank_lines_in_tab_separated_inputs_change_nothing(
         self, mini_config, mini_dir, tmp_path
@@ -886,6 +899,9 @@ MALFORMED_INPUTS = [
      "q1\tc1\t1\nq1\tc2\t0\n", "line 1: no feature columns"),
     ("features", "feature-named-twice", "\nquestion_id\tcandidate_id\tgold_label\tged\tged\n"
      "q1\tc1\t1\t0.5\t0.5\n", "line 2: features named twice: ged"),
+    # A label of any size is a finite int, so the bad value after it is named.
+    ("features", "huge-label-then-bad-value", FEATURES_HEAD + f"q1\tc1\t{'9' * 400}\tx\n",
+     "line 3: not a number: 'x'"),
     ("corpus", "wrong-column-count", "Q1\ta b\tD\tt\tS1\tc\n",
      "line 1: expected >= 7 columns, got 6"),
     ("model", "truncated", "version 1\n0.5\n", "truncated model file"),
@@ -917,6 +933,7 @@ MALFORMED_INPUTS = [
     ("df", "count-nan", "N\t12\nwho\tnan\n", "line 2: not a number: 'nan'"),
     ("df", "blank-lines-only", "\n\r\n\n", "empty DF table file"),
     ("df", "trailing-tab", "N\t5\nfoo\t2\t\n", "line 2: expected 2 columns, got 3"),
+    ("df", "huge-count", f"N\t5\nfoo\t{'9' * 400}\n", "df out of range for keys: ['foo']"),
     ("df", "no-tab-then-two-tabs", "N\t5\nfoo\nbar\t1\t2\n",
      "line 2: expected 2 columns, got 1"),
     ("scores", "wrong-column-count", "Q1\tS1\t0.5\nQ1\tS2\n", "line 2: expected 3 columns, got 2"),
@@ -1014,22 +1031,16 @@ def _input_argv(kind, path, tmp_path, mini_config):
 
 class TestLineEnds:
     @pytest.mark.parametrize("kind", [
-        "df-bulk", "df-lines", "corpus", "index", "scores", "pos_costs", "features",
+        "df", "corpus", "index", "scores", "pos_costs", "features",
         "conllu", "embeddings", "model", "config",
     ])
-    def test_lone_carriage_return_ends_a_line(
-        self, kind, mini_config, mini_dir, tmp_path, monkeypatch
-    ):
+    def test_lone_carriage_return_ends_a_line(self, kind, mini_config, mini_dir, tmp_path):
         # Every reader opens text with universal newlines: a copy of an LF
         # input whose line ends are all lone CRs loads equal to the LF copy.
         assert run("--config", mini_config, "build-df", "--out-dir", str(tmp_path)) == 0
-        if kind == "df-bulk":
-            monkeypatch.setattr(graphsim, "_load_df_lines", _must_not_fall_back)
         index = mini_dir / "index_train.tsv"
         source, load = {
-            "df-bulk": (tmp_path / "df_word.tsv", lambda path: load_df_table(path, "word")),
-            "df-lines": (tmp_path / "df_pair.tsv",
-                         lambda path: graphsim._load_df_lines(path, "pair")),
+            "df": (tmp_path / "df_word.tsv", lambda path: load_df_table(path, "word")),
             "corpus": (mini_dir / "train.tsv", load_wikiqa),
             "index": (index, _read_index),
             "scores": (mini_dir / "scores.tsv", load_scores),

@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qatrigger import graphsim
 from qatrigger.corpus import Sentence
 from qatrigger.errors import IngestionError
 from qatrigger.graphsim import (
@@ -22,7 +21,13 @@ from qatrigger.graphsim import (
 )
 
 from conftest import make_sentence, random_tree_sentence
-from oracles import direct_cosine, direct_tfidf_vector, head_edges, sorted_cosine
+from oracles import (
+    direct_cosine,
+    direct_tfidf_vector,
+    head_edges,
+    reference_df_table,
+    sorted_cosine,
+)
 
 
 def word_keys(graph):
@@ -357,10 +362,10 @@ class TestDfTableIO:
             load_df_table(path, "word")
 
     def test_table_bigger_than_one_chunk_round_trips(self, tmp_path):
+        # The file spans many of the text reader's 8 KiB reads.
         table = DfTable("triplet", n_docs=50, df={f"k{i}|w|obj": 1 + i % 50 for i in range(20000)})
         path = tmp_path / "df.tsv"
         save_df_table(table, path)
-        assert len(path.read_text()) > 3 * graphsim._CHUNK_CHARS
         loaded = load_df_table(path, "triplet")
         assert loaded == table
         assert list(loaded.df) == sorted(table.df)
@@ -370,66 +375,67 @@ class TestDfTableIO:
         rows = "".join(f"k{i}\t1\r\n" for i in range(20000))
         path = tmp_path / "df.tsv"
         path.write_bytes(f"\nN\t9\r\n\r\n{rows}k3\t1\n".encode())
-        assert len(rows) > 2 * graphsim._CHUNK_CHARS
         with pytest.raises(IngestionError, match=r"line 20004: duplicate key 'k3'$"):
             load_df_table(path, "word")
 
-    @pytest.mark.parametrize("chunk_chars", [24, 1 << 16])
-    def test_bulk_split_matches_the_line_reader(self, chunk_chars, tmp_path, monkeypatch):
+    def test_loader_matches_the_reference_reader(self, tmp_path):
         # Seeded valid and mutated DF files must give the same table, in the
         # same key order, or the same message from load_df_table as from the
-        # line reader it falls back to.
-        monkeypatch.setattr(graphsim, "_CHUNK_CHARS", chunk_chars)
-        line_reader, fallbacks = graphsim._load_df_lines, []
-        monkeypatch.setattr(
-            graphsim, "_load_df_lines", lambda *args: fallbacks.append(args) or line_reader(*args)
-        )
-        rng = random.Random(4111 + chunk_chars)
-        counts = ["x", "", "nan", "1.5", " 3", "+2", "0", "-1", "1_0", "\u0663", "2\t", "99", "7"]
-        extras = [b"\n", b"\r\n", b" \n", b"\r", b"\xff", b"\xef\xbb\xbf", b"N\t4\n",
-                  b"\t\n", b"a\tb\tc\n", b"lone\n"]
-
-        def outcome(load, path):
-            try:
-                table = load(path, "pair")
-            except IngestionError as exc:
-                return str(exc)
-            return table, list(table.df.items())
-
+        # reference reader on tsv_rows.
         accepted = rejected = 0
-        for case in range(150):
-            keys = rng.sample(["N", "a|b", "b|a", "7", "x y|z", "\u00e9|e", "q|r", "s|t", "u|v"]
-                              + [f"w{i}|v" for i in range(40)], rng.randint(3, 30))
-            lines = [f"{key}\t{rng.randint(1, 12)}\n".encode() for key in keys]
-            lines.insert(0, b"N\t12\n")
-            for _ in range(rng.randint(0, 3) if case % 3 else 0):
-                i = rng.randrange(len(lines))
-                op = rng.randrange(6)
-                if op == 0:
-                    lines[i] = lines[i].replace(b"\t", b"", 1)
-                elif op == 1:
-                    lines[i] = lines[i].rstrip(b"\n") + b"\t1\n"
-                elif op == 2:
-                    key = lines[i].split(b"\t")[0]
-                    lines[i] = key + b"\t" + rng.choice(counts).encode() + b"\n"
-                elif op == 3:
-                    lines.insert(i, lines[rng.randrange(len(lines))])
-                elif op == 4:
-                    lines.insert(i, rng.choice(extras))
-                else:
-                    del lines[i]
-            if rng.random() < 0.3:
-                lines = [line.replace(b"\n", b"\r\n") for line in lines]
-            if rng.random() < 0.3:
-                lines[-1] = lines[-1].rstrip(b"\r\n")
-            path = tmp_path / f"df{case}.tsv"
-            path.write_bytes(b"".join(lines))
-            expected = outcome(line_reader, path)
-            fallbacks.clear()
-            assert outcome(load_df_table, path) == expected, path.read_bytes()
+        for path in mutated_df_files(random.Random(4111), 300, tmp_path):
+            expected = df_outcome(reference_df_table, path)
+            assert df_outcome(load_df_table, path) == expected, path.read_bytes()
             if isinstance(expected, str):
                 rejected += 1
             else:
                 accepted += 1
-                assert not fallbacks  # the bulk split read the file
-        assert accepted > 20 and rejected > 20
+        assert accepted > 40 and rejected > 40
+
+
+def df_outcome(load, path):
+    """The table and its items in key order that `load` reads from `path`,
+    or the text of the IngestionError it raises."""
+    try:
+        table = load(path, "pair")
+    except IngestionError as exc:
+        return str(exc)
+    return table, list(table.df.items())
+
+
+def mutated_df_files(rng, n_files, directory):
+    """Write and yield `n_files` DF table files: every third one valid, the
+    rest with up to three seeded line mutations (a dropped or an extra tab, a
+    bad count, a repeated, extra or missing line), CRLF line ends or no
+    final line end."""
+    counts = ["x", "", "nan", "1.5", " 3", "+2", "0", "-1", "1_0", "\u0663", "2\t", "99", "7"]
+    extras = [b"\n", b"\r\n", b" \n", b"\r", b"\xff", b"\xef\xbb\xbf", b"N\t4\n",
+              b"\t\n", b"a\tb\tc\n", b"lone\n"]
+    for case in range(n_files):
+        keys = rng.sample(["N", "a|b", "b|a", "7", "x y|z", "\u00e9|e", "q|r", "s|t", "u|v"]
+                          + [f"w{i}|v" for i in range(40)], rng.randint(3, 30))
+        lines = [f"{key}\t{rng.randint(1, 12)}\n".encode() for key in keys]
+        lines.insert(0, b"N\t12\n")
+        for _ in range(rng.randint(0, 3) if case % 3 else 0):
+            i = rng.randrange(len(lines))
+            op = rng.randrange(6)
+            if op == 0:
+                lines[i] = lines[i].replace(b"\t", b"", 1)
+            elif op == 1:
+                lines[i] = lines[i].rstrip(b"\n") + b"\t1\n"
+            elif op == 2:
+                key = lines[i].split(b"\t")[0]
+                lines[i] = key + b"\t" + rng.choice(counts).encode() + b"\n"
+            elif op == 3:
+                lines.insert(i, lines[rng.randrange(len(lines))])
+            elif op == 4:
+                lines.insert(i, rng.choice(extras))
+            else:
+                del lines[i]
+        if rng.random() < 0.3:
+            lines = [line.replace(b"\n", b"\r\n") for line in lines]
+        if rng.random() < 0.3:
+            lines[-1] = lines[-1].rstrip(b"\r\n")
+        path = directory / f"df{case}.tsv"
+        path.write_bytes(b"".join(lines))
+        yield path
