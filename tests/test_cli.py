@@ -32,6 +32,8 @@ from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.ged import GedConfig, load_pos_table
 from qatrigger.graphsim import LEVELS, load_df_table
 
+from oracles import reference_df_table
+
 
 def run(*argv):
     return main(list(argv))
@@ -1031,16 +1033,19 @@ def _input_argv(kind, path, tmp_path, mini_config):
 
 class TestLineEnds:
     @pytest.mark.parametrize("kind", [
-        "df", "corpus", "index", "scores", "pos_costs", "features",
+        "df-bulk", "df-lines", "corpus", "index", "scores", "pos_costs", "features",
         "conllu", "embeddings", "model", "config",
     ])
     def test_lone_carriage_return_ends_a_line(self, kind, mini_config, mini_dir, tmp_path):
         # Every reader opens text with universal newlines: a copy of an LF
         # input whose line ends are all lone CRs loads equal to the LF copy.
+        # `df-lines` reads through the line reader on tsv_rows that the DF
+        # parity test holds load_df_table to.
         assert run("--config", mini_config, "build-df", "--out-dir", str(tmp_path)) == 0
         index = mini_dir / "index_train.tsv"
         source, load = {
-            "df": (tmp_path / "df_word.tsv", lambda path: load_df_table(path, "word")),
+            "df-bulk": (tmp_path / "df_word.tsv", lambda path: load_df_table(path, "word")),
+            "df-lines": (tmp_path / "df_pair.tsv", lambda path: reference_df_table(path, "pair")),
             "corpus": (mini_dir / "train.tsv", load_wikiqa),
             "index": (index, _read_index),
             "scores": (mini_dir / "scores.tsv", load_scores),

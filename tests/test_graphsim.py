@@ -378,19 +378,23 @@ class TestDfTableIO:
         with pytest.raises(IngestionError, match=r"line 20004: duplicate key 'k3'$"):
             load_df_table(path, "word")
 
-    def test_loader_matches_the_reference_reader(self, tmp_path):
+    @pytest.mark.parametrize("lead_chars", [24, 1 << 16])
+    def test_bulk_split_matches_the_line_reader(self, lead_chars, tmp_path):
         # Seeded valid and mutated DF files must give the same table, in the
-        # same key order, or the same message from load_df_table as from the
-        # reference reader on tsv_rows.
+        # same key order, or the same message from load_df_table, which
+        # splits each line inline, as from the line reader on tsv_rows.  A
+        # 64 Ki-character lead of valid rows puts the mutations, and some
+        # CRLF pairs, past several of the text reader's 8 KiB reads.
         accepted = rejected = 0
-        for path in mutated_df_files(random.Random(4111), 300, tmp_path):
+        rng = random.Random(4111 + lead_chars)
+        for path in mutated_df_files(rng, 150, tmp_path, lead_chars):
             expected = df_outcome(reference_df_table, path)
             assert df_outcome(load_df_table, path) == expected, path.read_bytes()
             if isinstance(expected, str):
                 rejected += 1
             else:
                 accepted += 1
-        assert accepted > 40 and rejected > 40
+        assert accepted > 20 and rejected > 20
 
 
 def df_outcome(load, path):
@@ -403,11 +407,17 @@ def df_outcome(load, path):
     return table, list(table.df.items())
 
 
-def mutated_df_files(rng, n_files, directory):
+def mutated_df_files(rng, n_files, directory, lead_chars=0):
     """Write and yield `n_files` DF table files: every third one valid, the
     rest with up to three seeded line mutations (a dropped or an extra tab, a
     bad count, a repeated, extra or missing line), CRLF line ends or no
-    final line end."""
+    final line end.  At least `lead_chars` characters of valid rows, keys
+    `k0|v`, `k1|v`, ..., follow the first line."""
+    lead, total = [], 0
+    while total < lead_chars:
+        lead.append(f"k{len(lead)}|v\t{1 + len(lead) % 12}\n".encode())
+        total += len(lead[-1])
+    lead = b"".join(lead)
     counts = ["x", "", "nan", "1.5", " 3", "+2", "0", "-1", "1_0", "\u0663", "2\t", "99", "7"]
     extras = [b"\n", b"\r\n", b" \n", b"\r", b"\xff", b"\xef\xbb\xbf", b"N\t4\n",
               b"\t\n", b"a\tb\tc\n", b"lone\n"]
@@ -432,6 +442,7 @@ def mutated_df_files(rng, n_files, directory):
                 lines.insert(i, rng.choice(extras))
             else:
                 del lines[i]
+        lines.insert(1, lead)
         if rng.random() < 0.3:
             lines = [line.replace(b"\n", b"\r\n") for line in lines]
         if rng.random() < 0.3:
