@@ -105,9 +105,12 @@ def ngram_scores(
     An answer n-gram can match only if each of its tokens is a question
     token, so n-grams are built only inside the answer's maximal runs of
     question tokens (a run shorter than n holds none); the n-grams skipped
-    would not match."""
+    would not match.  For the same reason an order longer than the question
+    adds exactly 0.0, so only orders up to the question's length are built."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not question_tokens:
+        return [0.0] * len(answers)
     vocabulary = set(question_tokens)
     answer_runs = [
         [list(run) for shared, run in groupby(tokens, vocabulary.__contains__) if shared]
@@ -121,7 +124,7 @@ def ngram_scores(
                 for runs in answer_runs
             ),
         )
-        for n in range(1, n_max + 1)
+        for n in range(1, min(n_max, len(question_tokens)) + 1)
     ]
     return [math.fsum(ratios) / (n_max * (n_max + 1) / 2) for ratios in zip(*per_n)]
 

@@ -33,6 +33,7 @@ from .combiner import (
     check_manifest,
     extract_features,
     load_model,
+    reads_parses,
     save_model,
     train,
 )
@@ -220,18 +221,13 @@ def _df_paths(config: RunConfig) -> dict[str, Path] | None:
     return paths
 
 
-def _df_tables(config: RunConfig) -> dict[str, object]:
-    """Load the three DF tables, or derive them from the training split."""
-    paths = _df_paths(config)
-    if paths is not None:
-        return {level: load_df_table(paths[level], level) for level in LEVELS}
-    return build_df(_train_sentences(config))
-
-
-def _train_sentences(config: RunConfig) -> list[Sentence]:
-    """Every question and candidate sentence of the parsed train split;
-    IngestionError when it holds no question."""
-    groups = load_split(config, "train", with_parses=True)
+def _train_sentences(
+    config: RunConfig, groups: list[QuestionGroup] | None = None
+) -> list[Sentence]:
+    """Every question and candidate sentence of the parsed train split,
+    `groups` or else loaded; IngestionError when it holds no question."""
+    if groups is None:
+        groups = load_split(config, "train", with_parses=True)
     if not groups:
         raise IngestionError(f"{config.train}: no questions to build the DF tables from")
     sentences = [g.question for g in groups]
@@ -239,21 +235,26 @@ def _train_sentences(config: RunConfig) -> list[Sentence]:
 
 
 def build_resources(
-    config: RunConfig, manifest: tuple[str, ...], groups: list[QuestionGroup]
+    config: RunConfig, manifest: tuple[str, ...], train_split: list[QuestionGroup] | None
 ) -> FeatureResources:
-    """Resources for the manifest's features.
+    """Resources for the manifest's features; each file is read only when a
+    selected feature reads it.
 
-    `groups` is unused, since extract_features builds each group's BM25 pool.
-    It stays because bench/run.py, which changes only with the benchmark,
-    passes it.
+    `train_split` is the parsed train split when the caller already holds
+    it, and None otherwise.  DF tables with no configured paths are built
+    from it, so that the split is not read twice.
     """
     resources = config.feature_resources()
     loaded: dict[str, object] = {}
-    if config.pos_costs:
+    if config.pos_costs and "ged" in manifest:
         pos_table = load_pos_table(config.pos_costs)
         loaded["ged_config"] = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
-        loaded["df_tables"] = _df_tables(config)
+        paths = _df_paths(config)
+        loaded["df_tables"] = (
+            build_df(_train_sentences(config, train_split)) if paths is None
+            else {level: load_df_table(paths[level], level) for level in LEVELS}
+        )
     if "ext_score" in manifest:
         scores_path = _require(config.scores, "[data] scores (ext_score enabled)")
         loaded["scores"], duplicates = load_scores(scores_path)
@@ -267,8 +268,8 @@ def build_resources(
 
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     check_manifest(config.manifest)
-    groups = load_split(config, split, any(n in DEFAULT_MANIFEST for n in config.manifest))
-    resources = build_resources(config, config.manifest, groups)
+    groups = load_split(config, split, reads_parses(config.manifest))
+    resources = build_resources(config, config.manifest, groups if split == "train" else None)
     handle = open(out_path, "w", encoding="utf-8", newline="")
     try:  # rows are written as they are made, so a failed run removes its file
         with handle:

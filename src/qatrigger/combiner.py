@@ -69,6 +69,8 @@ class FeatureResources:
             raise ValueError("b must be in [0, 1]")
         if self.k1 < 0 or self.n_max < 1:
             raise ValueError("k1 must be >= 0 and n_max >= 1")
+        if self.n_max > 2**53:  # keeps 1 + 2 + ... + n_max a finite float
+            raise ValueError("n_max must be at most 2**53")
 
 
 @dataclass
@@ -150,6 +152,11 @@ def check_manifest(manifest: Sequence[str]) -> None:
         raise ConfigError(f"features named twice in manifest: {', '.join(twice)}")
     if not manifest:
         raise ConfigError("no features enabled")
+
+
+def reads_parses(manifest: Sequence[str]) -> bool:
+    """Whether any of the manifest's features reads dependency parses."""
+    return any(f.parses for f in _FAMILIES if any(name in manifest for name in f.columns))
 
 
 def extract_features(

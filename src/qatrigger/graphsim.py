@@ -43,6 +43,8 @@ class DfTable:
             raise ValueError(f"unknown level {self.level!r}")
         if self.n_docs < 1:
             raise ValueError("n_docs must be positive")
+        if self.n_docs > 2**53:  # keeps (N + 1) / (df + 1) a finite float
+            raise ValueError("n_docs must be at most 2**53")
         dfs = set(self.df.values())
         if dfs and (min(dfs) < 1 or max(dfs) > self.n_docs):
             bad = [k for k, v in self.df.items() if v < 1 or v > self.n_docs]

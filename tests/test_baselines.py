@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qatrigger.baselines import (
     semantic_similarities,
     tokenize,
 )
+from qatrigger.corpus import load_wikiqa
 from qatrigger.errors import IngestionError
 
 from oracles import (
@@ -104,6 +106,26 @@ class TestNgram:
 
     def test_ngram_score_disjoint(self):
         assert ngram_scores(["a", "b"], [["c", "d"]], 3)[0] == 0.0
+
+    def test_orders_past_the_question_match_every_order_bitwise(self, mini_dir):
+        # Orders longer than the question are skipped; the all-orders
+        # reference builds each of them, up to 40 on the mini groups.
+        groups = [group for split in ("train", "dev", "test")
+                  for group in load_wikiqa(mini_dir / f"{split}.tsv")]
+        for group in groups:
+            question = tokenize(group.question.text)
+            answers = [tokenize(answer.text) for _, answer, _ in group.candidates]
+            for n_max in range(1, 41):
+                assert repr(ngram_scores(question, answers, n_max)) == repr(
+                    looped_ngram_scores(question, answers, n_max)
+                )
+
+    def test_huge_order_costs_no_more_than_the_question_length(self):
+        question, answers = ["a", "b", "c"], [["a", "b", "c"], ["c", "a"]]
+        started = time.perf_counter()
+        scores = ngram_scores(question, answers, 10**6)
+        assert time.perf_counter() - started < 0.5
+        assert scores == [3 / (10**6 * (10**6 + 1) / 2), 2 / 3 / (10**6 * (10**6 + 1) / 2)]
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(41)

@@ -1,14 +1,17 @@
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qatrigger import cli
 from qatrigger.baselines import load_embeddings
 from qatrigger.cli import (
     RunConfig,
@@ -132,7 +135,7 @@ class TestConfig:
             "hyper.k1=1.125", "hyper.b=0.25", "hyper.n_max=4",
         ]
         config = load_config(None, overrides=overrides, env={})
-        resources = build_resources(config, config.manifest, [])
+        resources = build_resources(config, config.manifest, None)
         assert resources.alphas == (1.25, 2.25, 3.25)
         assert resources.subgraph_m == 5
         assert (resources.k1, resources.b, resources.n_max) == (1.125, 0.25, 4)
@@ -143,7 +146,7 @@ class TestConfig:
         config = load_config(
             None, overrides=[*overrides, f"resources.pos_costs={pos_costs}"], env={}
         )
-        ged_config = build_resources(config, config.manifest, []).ged_config
+        ged_config = build_resources(config, config.manifest, None).ged_config
         assert ged_config == GedConfig(
             pos_table=load_pos_table(pos_costs), edge_weight=0.375, delete_cost=0.625
         )
@@ -268,6 +271,8 @@ RANGE_RULES = [
     ("b", "-0.25", FeatureResources, {"b": -0.25}, "b must be in [0, 1]"),
     ("k1", "-1", FeatureResources, {"k1": -1.0}, "k1 must be >= 0 and n_max >= 1"),
     ("n_max", "0", FeatureResources, {"n_max": 0}, "k1 must be >= 0 and n_max >= 1"),
+    ("n_max", str(2**53 + 1), FeatureResources, {"n_max": 2**53 + 1},
+     "n_max must be at most 2**53"),
     ("edge_weight", "-0.5", GedConfig, {"edge_weight": -0.5},
      "edge_weight and delete_cost must be >= 0"),
     ("delete_cost", "-1", GedConfig, {"delete_cost": -1.0},
@@ -345,6 +350,7 @@ class TestRangeRules:
         FeatureResources(b=1.0)
         GedConfig(edge_weight=0.0, delete_cost=0.0)
         TrainConfig(l2=0.0, threshold=-7.5)
+        FeatureResources(n_max=2**53)
         overrides = ["hyper.b=1", "hyper.m=0", "hyper.n_max=1", "hyper.l2=0"]
         config = load_config(None, overrides=overrides, env={})
         assert (config.b, config.subgraph_m, config.n_max) == (1.0, 0, 1)
@@ -391,6 +397,17 @@ class TestFeaturize:
         assert code == 2
         assert "train-q12-c3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pos_costs_are_read_only_with_ged(self, mini_config, tmp_path):
+        outputs = []
+        for extra in ([], ["--set", f"resources.pos_costs={tmp_path / 'missing.tsv'}"]):
+            out = tmp_path / f"features-{len(extra)}.tsv"
+            assert run(
+                "--config", mini_config, "--set", "features.manifest=bm25", *extra,
+                "featurize", "--split", "train", "--out", str(out),
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_crlf_and_blank_lines_in_tab_separated_inputs_change_nothing(
         self, mini_config, mini_dir, tmp_path
@@ -936,6 +953,7 @@ MALFORMED_INPUTS = [
     ("df", "blank-lines-only", "\n\r\n\n", "empty DF table file"),
     ("df", "trailing-tab", "N\t5\nfoo\t2\t\n", "line 2: expected 2 columns, got 3"),
     ("df", "huge-count", f"N\t5\nfoo\t{'9' * 400}\n", "df out of range for keys: ['foo']"),
+    ("df", "huge-n", f"N\t{'9' * 400}\nfoo\t1\n", "n_docs must be at most 2**53"),
     ("df", "no-tab-then-two-tabs", "N\t5\nfoo\nbar\t1\t2\n",
      "line 2: expected 2 columns, got 1"),
     ("scores", "wrong-column-count", "Q1\tS1\t0.5\nQ1\tS2\n", "line 2: expected 3 columns, got 2"),
@@ -1171,3 +1189,142 @@ class TestCorruptInputs:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error:data:"), err
         assert "cycle" in err[0]
+
+
+# The CLI's reader of each kind of input file, and the positions of the
+# paths it is given among its arguments.
+READERS = {
+    "load_wikiqa": (0,), "attach_parses": (1, 2), "load_scores": (0,), "load_embeddings": (0,),
+    "load_pos_table": (0,), "load_df_table": (0,), "read_features": (0,), "load_model": (0,),
+}
+
+
+class TestEachInputReadOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """A Counter of the paths given to each reader, as the CLI calls them."""
+        counts = Counter()
+
+        def counted(name, reader, positions):
+            def wrapper(*args):
+                counts.update((name, str(args[i])) for i in positions if args[i] is not None)
+                return reader(*args)
+            return wrapper
+
+        for name, positions in READERS.items():
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name), positions))
+        return counts
+
+    @pytest.mark.parametrize("command", [
+        "build-df", "featurize-train", "featurize-dev", "featurize-test",
+        "featurize-train-all", "featurize-dev-all", "train", "tune", "predict", "evaluate",
+    ])
+    def test_every_subcommand_reads_each_input_at_most_once(
+        self, command, reads, mini_config, mini_dir, tmp_path, capsys
+    ):
+        model = tmp_path / "model.txt"
+        model.write_bytes((mini_dir / "golden_model_train.txt").read_bytes())
+        features = str(mini_dir / "golden_features_train.tsv")
+        stage, _, rest = command.partition("-")
+        argv = {
+            "build-df": ["build-df", "--out-dir", str(tmp_path)],
+            "train": ["train", "--features", features, "--model", str(tmp_path / "new.txt")],
+            "tune": ["tune", "--model", str(model), "--features", features, "--update-model"],
+            "predict": ["predict", "--model", str(model), "--features", features,
+                        "--out", str(tmp_path / "p.tsv")],
+            "evaluate": ["evaluate", "--model", str(model), "--features", features,
+                         "--baselines"],
+        }.get(command)
+        if stage == "featurize":
+            split, _, every = rest.partition("-")
+            argv = ["featurize", "--split", split, "--out", str(tmp_path / "f.tsv")]
+            if every:
+                argv = ["--set", f"features.manifest={','.join(FEATURE_NAMES)}", *argv]
+        assert run("--config", mini_config, *argv) == 0
+        capsys.readouterr()
+        assert reads and max(reads.values()) == 1, reads
+        if command.startswith("featurize-train"):
+            # The in-memory DF tables come from the train split featurize read.
+            assert reads[("load_wikiqa", str(mini_dir / "train.tsv"))] == 1
+            assert reads[("attach_parses", str(mini_dir / "parses_train.conllu"))] == 1
+
+
+class _Expired(BaseException):
+    """Raised by the timer; main turns only Exception subclasses into exits."""
+
+
+def run_within(seconds, *argv):
+    """run(*argv), failing with _Expired if it takes longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise _Expired(f"{' '.join(argv)} took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(*argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+EXTREMES = {"0": "0", "1": "1", "2**31": str(2**31), "2**63": str(2**63), "400-digits": "9" * 400}
+# Each numeric [hyper] key and the features that read it; l2 and threshold
+# are read by train.
+HYPER_READERS = {
+    "alpha1": "sim_word", "alpha2": "sim_pair", "alpha3": "sim_triplet",
+    "m": "graph_cov_ans,graph_cov_ques", "edge_weight": "ged", "delete_cost": "ged",
+    "k1": "bm25", "b": "bm25", "n_max": "ngram", "l2": None, "threshold": None,
+}
+# Each place a number is written: [hyper] keys, the DF table's N and counts,
+# a POS table's default cost, the two fields of an embedding header, and a
+# feature file's labels.
+EXTREME_TARGETS = [f"hyper.{key}" for key in HYPER_READERS] + [
+    "df-n", "df-count", "pos_costs-default", "embeddings-header-count",
+    "embeddings-header-dim", "features-label",
+]
+EXIT_KINDS = {2: "config", 3: "data", 4: "io", 5: "internal"}
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("value", EXTREMES.values(), ids=EXTREMES.keys())
+    @pytest.mark.parametrize("target", EXTREME_TARGETS)
+    def test_ends_in_success_or_one_documented_error_line(
+        self, target, value, mini_config, mini_dir, tmp_path, capsys
+    ):
+        features = str(mini_dir / "golden_features_train.tsv")
+        train = ["train", "--features", features, "--model", str(tmp_path / "m.txt")]
+        featurize = ["featurize", "--split", "dev", "--out", str(tmp_path / "f.tsv")]
+        if target.startswith("hyper."):
+            manifest = HYPER_READERS[target.split(".")[1]]
+            argv = ["--set", f"{target}={value}"]
+            argv += train if manifest is None else ["--set", f"features.manifest={manifest}",
+                                                    *featurize]
+        elif target.startswith("df-"):
+            table = tmp_path / "df.tsv"
+            n, count = (value, "1") if target == "df-n" else ("5", value)
+            table.write_text(f"N\t{n}\nfoo\t{count}\n")
+            argv = [arg for level in LEVELS
+                    for arg in ("--set", f"resources.df_{level}={table}")]
+            argv += ["--set", "features.manifest=sim_word", *featurize]
+        elif target == "pos_costs-default":
+            table = tmp_path / "pos_costs.tsv"
+            table.write_text(f"DEFAULT\t{value}\n")
+            argv = ["--set", f"resources.pos_costs={table}",
+                    "--set", "features.manifest=ged", *featurize]
+        elif target.startswith("embeddings-"):
+            header = f"{value} 2" if target.endswith("count") else f"94 {value}"
+            embeddings = tmp_path / "embeddings.txt"
+            embeddings.write_text(f"{header}\n{(mini_dir / 'embeddings.txt').read_text()}")
+            argv = ["--set", f"data.embeddings={embeddings}",
+                    "--set", "features.manifest=semvec", *featurize]
+        else:
+            path = tmp_path / "features.tsv"
+            path.write_text(f"{FEATURES_HEAD}q1\tc1\t{value}\t0.5\n")
+            argv = ["train", "--features", str(path), "--model", str(tmp_path / "m.txt")]
+        code = run_within(20, "--config", mini_config, *argv)
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith(f"error:{EXIT_KINDS[code]}: "), (code, err)

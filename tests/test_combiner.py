@@ -21,6 +21,7 @@ from qatrigger.combiner import (
     extract_features,
     load_model,
     loss_and_gradient,
+    reads_parses,
     save_model,
     sigmoid,
     train,
@@ -79,6 +80,12 @@ class TestExtractFeatures:
         assert DEFAULT_MANIFEST == tuple(
             name for family in combiner._FAMILIES if family.parses for name in family.columns
         )
+
+    def test_parses_are_read_exactly_when_a_graph_feature_is_selected(self):
+        for name in FEATURE_NAMES:
+            assert reads_parses((name,)) == (name in DEFAULT_MANIFEST)
+            assert reads_parses(("bm25", name)) == (name in DEFAULT_MANIFEST)
+        assert not reads_parses(())
 
     def test_group_with_no_candidates_gives_no_rows(self, question_sentence):
         empty = QuestionGroup("q1", question_sentence, ())

@@ -127,6 +127,12 @@ class TestIdfByDf:
         for d, idf in table.idf_by_df.items():
             assert idf.hex() == (math.log((40 + 1) / (d + 1)) + 1.0).hex()
 
+    def test_n_docs_is_bounded_so_every_idf_is_finite(self):
+        table = DfTable("word", n_docs=2**53, df={"k": 1})
+        assert all(math.isfinite(idf) for idf in table.idf_by_df.values())
+        with pytest.raises(ValueError, match=r"^n_docs must be at most 2\*\*53$"):
+            DfTable("word", n_docs=2**53 + 1, df={})
+
 
 class TestTfidfVector:
     def test_formula_with_saturated_df(self):
