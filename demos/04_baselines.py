@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """The three standalone lexical scorers: BM25, n-gram coverage, embeddings.
 
-Each treats the candidate answers of one question as a tiny document pool
-and scores the whole group in one call; no parses are involved.
+Each scores the candidate answers of one question in one call; BM25 treats
+them as a tiny document pool.  No parses are involved.
 """
+
+import math
 
 import numpy as np
 
 from qatrigger import (
-    AnswerPool,
     EmbeddingTable,
     FeatureResources,
-    bm25_idf,
     bm25_scores,
     ngram_scores,
     semantic_similarities,
@@ -25,15 +25,22 @@ answers = [
     "how did the dinosaurs die out?",
 ]
 tokenized = [tokenize(a) for a in answers]
-pool = AnswerPool.build(tokenized)
 # The published defaults, which the feature pipeline and the CLI use too.
 defaults = FeatureResources()
 k1, b, n_max = defaults.k1, defaults.b, defaults.n_max
 
 print(f"BM25 (k1={k1}, b={b}); pool idf saturates for terms shared across candidates")
-for text, score in zip(answers, bm25_scores(question, tokenized, pool, k1, b)):
+for text, score in zip(answers, bm25_scores(question, tokenized, k1, b)):
     print(f"  {score:7.3f}  {text}")
-print(f"  idf('die') = {bm25_idf(pool, 'die'):.3f}, idf('carradine') = {bm25_idf(pool, 'carradine'):.3f}")
+
+
+def idf(term):
+    """ln((N - n + 0.5) / (n + 0.5)) over the pool: N answers, n holding `term`."""
+    n = sum(term in tokens for tokens in tokenized)
+    return math.log((len(tokenized) - n + 0.5) / (n + 0.5))
+
+
+print(f"  idf('die') = {idf('die'):.3f}, idf('carradine') = {idf('carradine'):.3f}")
 
 orders = range(1, n_max + 1)
 weights = "+".join(map(str, orders))

@@ -9,9 +9,7 @@ question-level precision/recall/F-score.
 """
 
 from .baselines import (
-    AnswerPool,
     EmbeddingTable,
-    bm25_idf,
     bm25_scores,
     load_embeddings,
     ngram_scores,

@@ -3,10 +3,12 @@
 These operate on plain token lists (whitespace split, lowercased, punctuation
 stripped at token edges); dependency parses are not required.  Each scorer
 takes a question and its whole group of answers, prepares the question once
-and returns one score per answer, in answer order.  The n-gram score is the
-coverage features' clipped overlap, `coverage.overlap_ratios`, over n-grams.
-The embedding cosine looks each token up exactly as tokenized, with no case
-folding, and gathers the question's word vectors with its answers'.
+and returns one score per answer, in answer order.  BM25's document pool is
+the answers it scores, so its N, avgdl and each term's n come from them.
+The n-gram score is the coverage features' clipped overlap,
+`coverage.overlap_ratios`, over n-grams.  The embedding cosine looks each
+token up exactly as tokenized, with no case folding, and gathers the
+question's word vectors with its answers'.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import string
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -36,54 +37,36 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class AnswerPool:
-    """Per-question candidate statistics shared by every BM25 score."""
-
-    size: int
-    avgdl: float
-    df_in_pool: Counter
-
-    @classmethod
-    def build(cls, tokenized_candidates: Sequence[Sequence[str]]) -> "AnswerPool":
-        size = len(tokenized_candidates)
-        if not size:
-            raise ValueError("answer pool must contain at least one candidate")
-        avgdl = sum(len(c) for c in tokenized_candidates) / size
-        df: Counter = Counter()
-        for candidate in tokenized_candidates:
-            df.update(set(candidate))
-        return cls(size=size, avgdl=avgdl, df_in_pool=df)
-
-
-def bm25_idf(pool: AnswerPool, term: str) -> float:
-    """ln((N - n + 0.5) / (n + 0.5)); negative for terms in most candidates."""
-    n = pool.df_in_pool.get(term, 0)
-    return math.log((pool.size - n + 0.5) / (n + 0.5))
-
-
 def bm25_scores(
     question_tokens: Sequence[str],
     answers: Sequence[Sequence[str]],
-    pool: AnswerPool,
     k1: float,
     b: float,
 ) -> list[float]:
-    """Okapi BM25 of each answer against the question, using pool statistics.
+    """Okapi BM25 of each answer against the question, with the answers as
+    the pool: N is their number, avgdl their mean length, and a term's n
+    the number of answers that hold it; idf = ln((N - n + 0.5) / (n + 0.5)).
 
     The sum runs over question token occurrences, in question order; terms
-    absent from the answer contribute nothing.  Each distinct question
-    term's idf is computed once, and a term's frequency is counted in the
-    answer's token list, so no per-answer Counter is built.
+    absent from the answer contribute nothing.  Each distinct question term
+    is counted once in each answer's token list, and those counts give both
+    its n and its frequencies, so no per-answer Counter is built.
     """
-    idf = {term: bm25_idf(pool, term) for term in question_tokens}
+    if not answers:
+        return []
+    avgdl = sum(map(len, answers)) / len(answers)
+    counts = {term: [a.count(term) for a in answers] for term in dict.fromkeys(question_tokens)}
+    idf = {}
+    for term, column in counts.items():
+        absent = column.count(0)  # N - n
+        idf[term] = math.log((absent + 0.5) / (len(answers) - absent + 0.5))
     scores = []
-    for answer_tokens in answers:
-        length_ratio = len(answer_tokens) / pool.avgdl if pool.avgdl > 0 else 0.0
+    for i, answer_tokens in enumerate(answers):
+        length_ratio = len(answer_tokens) / avgdl if avgdl > 0 else 0.0
         saturation = k1 * (1.0 - b + b * length_ratio)
         total = 0.0
         for term in question_tokens:
-            f = answer_tokens.count(term)
+            f = counts[term][i]
             if f:
                 total += idf[term] * f * (k1 + 1.0) / (f + saturation)
         scores.append(total)
@@ -141,17 +124,22 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a text embedding file: one `word v1 ... vd` line per word.
 
-    A first non-empty line `count dim` (word2vec text format) is skipped, and
-    a word given twice keeps the row of its first line and its later vector.
+    A first non-empty line `count dim` (word2vec text format) is a header:
+    `count` must equal the number of vector lines, a repeated word counted
+    once per line, and `dim` their width, or IngestionError names the header
+    line.  A word given twice keeps the row of its first line and its later
+    vector.
     The non-empty lines are counted first, so the vectors are parsed straight
     into one matrix, _CHUNK_LINES lines at a time by numpy's C text reader.
     A chunk that reader rejects is parsed again line by line with float().
     """
     path = Path(path)
     with open_text(path) as handle:
-        filled = (lineno for lineno, line in enumerate(handle, start=1) if not line.isspace())
-        first = next(filled, 0)  # only the first non-empty line may be a header
+        filled = ((lineno, line) for lineno, line in enumerate(handle, start=1)
+                  if not line.isspace())
+        first, first_line = next(filled, (0, ""))  # only this line may be a header
         n_lines = 1 + sum(1 for _ in filled)
+    header = _header(first_line)
     rows: dict[str, int] = {}  # word -> number of its last vector line
     n_vectors = 0
     chunk: list[tuple[int, str]] = []  # (line number, vector text)
@@ -177,7 +165,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split(None, 1)
-            if not parts or (lineno == first and _is_header(line)):
+            if not parts or (lineno == first and header):
                 continue
             rows[parts[0]] = n_vectors
             n_vectors += 1
@@ -188,6 +176,12 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         flush()
     if matrix is None:
         raise IngestionError(f"{path}: no vectors found")
+    # Checked after the vectors parse, so a bad vector line is named first.
+    if header and header != (n_vectors, matrix.shape[1]):
+        raise IngestionError(
+            f"{path}: line {first}: header says {header[0]} vectors of {header[1]} dims, "
+            f"file has {n_vectors} of {matrix.shape[1]}"
+        )
     if len(rows) == n_vectors:
         return EmbeddingTable(matrix=matrix[:n_vectors], rows=rows)
     # A repeated word keeps the row of its first line and its last vector.
@@ -200,13 +194,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 _CHUNK_LINES = 512
 
 
-def _is_header(line: str) -> bool:
-    """Whether `line` is a word2vec `count dim` header: two integers."""
+def _header(line: str) -> tuple[int, int] | None:
+    """(count, dim) when `line` is a word2vec `count dim` header, two
+    integers; otherwise None."""
     try:
-        _count, _dim = map(int, line.split())
+        count, dim = map(int, line.split())
     except ValueError:
-        return False
-    return True
+        return None
+    return count, dim
 
 
 def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> np.ndarray:

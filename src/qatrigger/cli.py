@@ -17,7 +17,6 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -297,7 +296,9 @@ def read_features(
     path: str | Path,
 ) -> tuple[tuple[str, ...], list[tuple[str, str, int]], np.ndarray]:
     """Read a non-empty feature TSV of unique pairs and finite values into
-    (feature_names, (question_id, candidate_id, label) per row, matrix)."""
+    (feature_names, (question_id, candidate_id, label) per row, matrix).
+    The file is read in one pass: its first non-empty row is the header, and
+    every later row must have the header's width."""
     path = Path(path)
     keys: list[tuple[str, str, int]] = []
     seen: set[tuple[str, str]] = set()
@@ -305,34 +306,39 @@ def read_features(
     linenos: list[int] = []
     with closing(tsv_rows(path)) as rows:
         lineno, header = next(rows, (0, []))
-    if header[:3] != ["question_id", "candidate_id", "gold_label"]:
-        raise IngestionError(f"{path}: not a feature file (bad header)")
-    names = tuple(header[3:])
-    if not names:
-        raise IngestionError(f"{path}: line {lineno}: no feature columns")
-    twice = [name for name in dict.fromkeys(names) if names.count(name) > 1]
-    if twice:
-        raise IngestionError(f"{path}: line {lineno}: features named twice: {', '.join(twice)}")
-    # The first non-empty row, the header read above, is skipped.
-    for lineno, columns in islice(tsv_rows(path, len(header)), 1, None):
-        try:
-            label = int(columns[2])
-            values.extend(map(float, columns[3:]))
-        except ValueError:
-            # Parsing the same fields again raises the named error.
-            parse_number(columns[2], path, lineno, int)
-            for v in columns[3:]:
-                parse_number(v, path, lineno)
-        if label not in (0, 1):
+        if header[:3] != ["question_id", "candidate_id", "gold_label"]:
+            raise IngestionError(f"{path}: not a feature file (bad header)")
+        names = tuple(header[3:])
+        if not names:
+            raise IngestionError(f"{path}: line {lineno}: no feature columns")
+        twice = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if twice:
             raise IngestionError(
-                f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
+                f"{path}: line {lineno}: features named twice: {', '.join(twice)}"
             )
-        pair = (columns[0], columns[1])
-        if pair in seen:
-            raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
-        seen.add(pair)
-        keys.append((*pair, label))
-        linenos.append(lineno)
+        for lineno, columns in rows:
+            if len(columns) != len(header):
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected {len(header)} columns, got {len(columns)}"
+                )
+            try:
+                label = int(columns[2])
+                values.extend(map(float, columns[3:]))
+            except ValueError:
+                # Parsing the same fields again raises the named error.
+                parse_number(columns[2], path, lineno, int)
+                for v in columns[3:]:
+                    parse_number(v, path, lineno)
+            if label not in (0, 1):
+                raise IngestionError(
+                    f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
+                )
+            pair = (columns[0], columns[1])
+            if pair in seen:
+                raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
+            seen.add(pair)
+            keys.append((*pair, label))
+            linenos.append(lineno)
     if not keys:
         raise IngestionError(f"{path}: no feature rows")
     matrix = np.array(values, dtype=float).reshape(len(keys), len(names))

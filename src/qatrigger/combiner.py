@@ -8,11 +8,13 @@ of one per-group function, from `ged`, `graphsim`, `coverage` or
 `baselines`, that prepares the question's side once and returns the
 family's columns, one value per candidate; no family is scored pair by
 pair.  The graph features read each parsed Sentence directly, as its
-dependency graph; the tokens and the BM25 pool are built on first use, once
-per group.  A standardized logistic regression maps each candidate's
-manifest-ordered vector to a trigger probability.  Training minimizes
-L2-regularized log loss by Newton's method from zero weights, to a fixed
-gradient-norm tolerance, so identical inputs always give identical models."""
+dependency graph; the tokens are built on first use, once per group, and
+BM25 takes its pool from the group's own answers, so `bm25` is the one
+feature whose value depends on a candidate's groupmates.  A standardized
+logistic regression maps each candidate's manifest-ordered vector to a
+trigger probability.  Training minimizes L2-regularized log loss by
+Newton's method from zero weights, to a fixed gradient-norm tolerance, so
+identical inputs always give identical models."""
 
 from __future__ import annotations
 
@@ -25,14 +27,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import (
-    AnswerPool,
-    EmbeddingTable,
-    bm25_scores,
-    ngram_scores,
-    semantic_similarities,
-    tokenize,
-)
+from .baselines import EmbeddingTable, bm25_scores, ngram_scores, semantic_similarities, tokenize
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from .errors import ConfigError, IngestionError, check_finite, open_text, parse_number
@@ -76,8 +71,8 @@ class FeatureResources:
 @dataclass
 class _Group:
     """One question group's inputs: the question and its answers (Sentences,
-    which are also their dependency graphs).  Their tokens and the answers'
-    BM25 pool are built on first read, once per group."""
+    which are also their dependency graphs).  Their tokens are built on first
+    read, once per group."""
 
     keys: list[tuple[str, str]]
     question: Sentence
@@ -90,10 +85,6 @@ class _Group:
     @cached_property
     def a_tokens(self) -> list[list[str]]:
         return [tokenize(answer.text) for answer in self.answers]
-
-    @cached_property
-    def pool(self) -> AnswerPool:
-        return AnswerPool.build(self.a_tokens)
 
 
 def _ext_scores(group: _Group, res: FeatureResources) -> list[list[float]]:
@@ -130,7 +121,7 @@ _FAMILIES = (
     _Family(("vocab_cov",), True, None,
             lambda g, res: [vocabulary_coverages(g.question, g.answers)]),
     _Family(("bm25",), False, None,
-            lambda g, res: [bm25_scores(g.q_tokens, g.a_tokens, g.pool, res.k1, res.b)]),
+            lambda g, res: [bm25_scores(g.q_tokens, g.a_tokens, res.k1, res.b)]),
     _Family(("ngram",), False, None,
             lambda g, res: [ngram_scores(g.q_tokens, g.a_tokens, res.n_max)]),
     _Family(("semvec",), False, ("embeddings", "semvec requires an embedding table"),

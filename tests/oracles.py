@@ -493,18 +493,23 @@ def looped_ngram_scores(question, answers, n_max) -> list[float]:
     ]
 
 
-def counter_bm25_scores(question, answers, pool, k1, b) -> list[float]:
-    """The BM25 loop as first written, over a pool's size, avgdl and
-    document frequencies: each answer's term frequencies from a Counter."""
-    idf = {
-        term: math.log((pool.size - pool.df_in_pool.get(term, 0) + 0.5)
-                       / (pool.df_in_pool.get(term, 0) + 0.5))
-        for term in question
-    }
+def counter_bm25_scores(question, answers, k1, b) -> list[float]:
+    """The BM25 loop as first written, with the answers as the pool: N,
+    avgdl and each term's n from a Counter of each answer's token set, and
+    each answer's term frequencies from a Counter."""
+    if not answers:
+        return []
+    size = len(answers)
+    avgdl = sum(len(answer) for answer in answers) / size
+    df: Counter = Counter()
+    for answer in answers:
+        df.update(set(answer))
+    idf = {term: math.log((size - df.get(term, 0) + 0.5) / (df.get(term, 0) + 0.5))
+           for term in question}
     scores = []
     for answer in answers:
         tf = Counter(answer)
-        length_ratio = len(answer) / pool.avgdl if pool.avgdl > 0 else 0.0
+        length_ratio = len(answer) / avgdl if avgdl > 0 else 0.0
         saturation = k1 * (1.0 - b + b * length_ratio)
         total = 0.0
         for term in question:

@@ -8,9 +8,7 @@ import pytest
 
 from qatrigger import baselines
 from qatrigger.baselines import (
-    AnswerPool,
     EmbeddingTable,
-    bm25_idf,
     bm25_scores,
     load_embeddings,
     ngram_scores,
@@ -37,31 +35,41 @@ def test_tokenize_lowercases_and_strips_edge_punctuation():
 
 
 class TestBm25Idf:
-    def pool(self, *answers):
-        return AnswerPool.build([tokenize(a) for a in answers])
+    """One-term questions, whose score is the term's idf times its
+    saturated frequency, with the scored answers as the pool."""
+
+    @staticmethod
+    def scores(term, *answers):
+        tokens = [tokenize(a) for a in answers]
+        mine = bm25_scores([term], tokens, 1.5, 0.75)
+        assert mine == pytest.approx([direct_bm25([term], a, tokens, 1.5, 0.75) for a in tokens])
+        return mine
 
     def test_one_of_three(self):
-        pool = self.pool("alpha beta", "gamma", "delta")
-        assert bm25_idf(pool, "alpha") == pytest.approx(math.log(2.5 / 1.5))
+        # idf = ln(2.5 / 1.5) > 0: the term is rare in the pool.
+        alpha, gamma, delta = self.scores("alpha", "alpha beta", "gamma", "delta")
+        assert alpha > 0 and gamma == delta == 0.0
 
     def test_single_candidate_can_go_negative(self):
-        pool = self.pool("alpha")
-        assert bm25_idf(pool, "alpha") == pytest.approx(math.log(0.5 / 1.5))
+        # idf = ln(0.5 / 1.5) < 0: the only answer holds the term.
+        [score] = self.scores("alpha", "alpha")
+        assert score == pytest.approx(math.log(0.5 / 1.5))
 
     def test_absent_term(self):
-        pool = self.pool("a", "b", "c")
-        assert bm25_idf(pool, "zzz") == pytest.approx(math.log(3.5 / 0.5))
+        assert self.scores("zzz", "a", "b", "c") == [0.0, 0.0, 0.0]
 
 
 class TestBm25Score:
     def test_empty_question_scores_zero(self):
-        pool = AnswerPool.build([["a"], ["b"]])
-        assert bm25_scores([], [["a"]], pool, 1.5, 0.75)[0] == 0.0
+        assert bm25_scores([], [["a"], ["b"]], 1.5, 0.75) == [0.0, 0.0]
+
+    def test_no_answers_give_no_scores(self):
+        assert bm25_scores(["a"], [], 1.5, 0.75) == []
 
     def test_absent_term_contributes_nothing(self):
-        pool = AnswerPool.build([["alpha", "beta"], ["gamma"]])
-        with_term = bm25_scores(["alpha"], [["alpha", "beta"]], pool, 1.5, 0.75)[0]
-        with_extra = bm25_scores(["alpha", "zzz"], [["alpha", "beta"]], pool, 1.5, 0.75)[0]
+        answers = [["alpha", "beta"], ["gamma"]]
+        with_term = bm25_scores(["alpha"], answers, 1.5, 0.75)
+        with_extra = bm25_scores(["alpha", "zzz"], answers, 1.5, 0.75)
         assert with_term == with_extra
 
     def test_matches_hand_oracle_on_three_candidate_pool(self):
@@ -70,16 +78,15 @@ class TestBm25Score:
             ["a", "dog", "sat", "on", "the", "mat"],
             ["birds", "fly"],
         ]
-        pool = AnswerPool.build(answers)
         question = ["the", "cat", "sat", "where"]
-        mine = bm25_scores(question, answers, pool, k1=1.5, b=0.75)
+        mine = bm25_scores(question, answers, k1=1.5, b=0.75)
         reference = [direct_bm25(question, answer, answers, k1=1.5, b=0.75) for answer in answers]
         assert mine == pytest.approx(reference, abs=1e-9)
 
     def test_repeated_query_terms_count_each_occurrence(self):
-        pool = AnswerPool.build([["x", "y"], ["z"]])
-        once = bm25_scores(["x"], [["x", "y"]], pool, 1.5, 0.75)[0]
-        twice = bm25_scores(["x", "x"], [["x", "y"]], pool, 1.5, 0.75)[0]
+        answers = [["x", "y"], ["z"]]
+        once = bm25_scores(["x"], answers, 1.5, 0.75)[0]
+        twice = bm25_scores(["x", "x"], answers, 1.5, 0.75)[0]
         assert twice == pytest.approx(2 * once)
 
 
@@ -230,10 +237,9 @@ class TestAgainstFirstLoops:
 
     def test_bm25_scores(self):
         for question, answers in self.groups(2):
-            pool = AnswerPool.build(answers)
             for k1, b in ((1.2, 0.75), (1.5, 0.0), (0.9, 1.0)):
-                assert repr(bm25_scores(question, answers, pool, k1, b)) == repr(
-                    counter_bm25_scores(question, answers, pool, k1, b)
+                assert repr(bm25_scores(question, answers, k1, b)) == repr(
+                    counter_bm25_scores(question, answers, k1, b)
                 )
 
     @pytest.mark.parametrize("dim", [3, 50, 300])
@@ -296,7 +302,7 @@ def _random_table(rng, n_words, dim, header=False, crlf=False, blanks=False, rep
     words = [f"w{i}" for i in range(n_words)]
     for _ in range(repeats):
         words.insert(rng.randrange(1, len(words) + 1), rng.choice(words))
-    lines = [f"{n_words} {dim}"] if header else []
+    lines = [f"{len(words)} {dim}"] if header else []  # one count per vector line
     vectors: dict[str, list[str]] = {}
     for word in words:
         fields = [_random_field(rng) for _ in range(dim)]
@@ -476,6 +482,21 @@ class TestEmbeddingFile:
         path.write_text("\n2 3\n2 3\nsun 1 0 0\n")
         with pytest.raises(IngestionError, match="line 4: expected 1 dims, got 3"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("7 2", "line 1: header says 7 vectors of 2 dims, file has 3 of 2"),
+        ("2 2", "line 1: header says 2 vectors of 2 dims, file has 3 of 2"),  # sun twice
+        ("3 5", "line 1: header says 3 vectors of 5 dims, file has 3 of 2"),
+        ("0 0", "line 1: header says 0 vectors of 0 dims, file has 3 of 2"),
+    ], ids=["count", "count-of-words-not-lines", "dim", "zeros"])
+    def test_header_must_match_the_vectors(self, tmp_path, header, message):
+        path = tmp_path / "headed.txt"
+        path.write_text(f"{header}\nsun 1 0\nmoon 0 1\n\nsun 2 2\n")
+        with pytest.raises(IngestionError) as error:
+            load_embeddings(path)
+        assert str(error.value) == f"{path}: {message}"
+        path.write_text("\n3 2\nsun 1 0\nmoon 0 1\n\nsun 2 2\n")
+        assert load_embeddings(path).matrix.tolist() == [[2, 2], [0, 1]]
 
     def test_duplicate_word_keeps_later_vector(self, tmp_path):
         path = tmp_path / "dup.txt"

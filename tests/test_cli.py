@@ -969,6 +969,11 @@ MALFORMED_INPUTS = [
     ("scores", "cr-inside-row", "Q1\tS1\t0.5\nQ1\tS2\r\t0.5\n",
      "line 2: expected 3 columns, got 2"),
     ("embeddings", "cr-inside-row", "who 0.1 0.2\nwhat 0.3\r0.4\n", "line 2: expected 2 dims, got 1"),
+    # A word2vec `count dim` header must match the vector lines and their width.
+    ("embeddings", "header-count", "7 2\nwho 0.1 0.2\nwon 0.3 0.4\n",
+     "line 1: header says 7 vectors of 2 dims, file has 2 of 2"),
+    ("embeddings", "header-dim", "\n2 5\nwho 0.1 0.2\nwon 0.3 0.4\n",
+     "line 2: header says 2 vectors of 5 dims, file has 2 of 2"),
     ("model", "cr-inside-row", "version 1\n0.5\nged\t1.0\r0.3\t0.1\nBIAS\t0\n",
      "line 3: expected 4 columns, got 2"),
 ]
@@ -1215,19 +1220,14 @@ class TestEachInputReadOnce:
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name), positions))
         return counts
 
-    @pytest.mark.parametrize("command", [
-        "build-df", "featurize-train", "featurize-dev", "featurize-test",
-        "featurize-train-all", "featurize-dev-all", "train", "tune", "predict", "evaluate",
-    ])
-    def test_every_subcommand_reads_each_input_at_most_once(
-        self, command, reads, mini_config, mini_dir, tmp_path, capsys
-    ):
+    @staticmethod
+    def feature_argv(command, mini_dir, tmp_path):
+        """argv of `command` on the mini golden feature file, with a copy of
+        the golden model where it reads one."""
         model = tmp_path / "model.txt"
         model.write_bytes((mini_dir / "golden_model_train.txt").read_bytes())
         features = str(mini_dir / "golden_features_train.tsv")
-        stage, _, rest = command.partition("-")
-        argv = {
-            "build-df": ["build-df", "--out-dir", str(tmp_path)],
+        return {
             "train": ["train", "--features", features, "--model", str(tmp_path / "new.txt")],
             "tune": ["tune", "--model", str(model), "--features", features, "--update-model"],
             "predict": ["predict", "--model", str(model), "--features", features,
@@ -1235,6 +1235,18 @@ class TestEachInputReadOnce:
             "evaluate": ["evaluate", "--model", str(model), "--features", features,
                          "--baselines"],
         }.get(command)
+
+    @pytest.mark.parametrize("command", [
+        "build-df", "featurize-train", "featurize-dev", "featurize-test",
+        "featurize-train-all", "featurize-dev-all", "train", "tune", "predict", "evaluate",
+    ])
+    def test_every_subcommand_reads_each_input_at_most_once(
+        self, command, reads, mini_config, mini_dir, tmp_path, capsys
+    ):
+        stage, _, rest = command.partition("-")
+        argv = self.feature_argv(command, mini_dir, tmp_path)
+        if command == "build-df":
+            argv = ["build-df", "--out-dir", str(tmp_path)]
         if stage == "featurize":
             split, _, every = rest.partition("-")
             argv = ["featurize", "--split", split, "--out", str(tmp_path / "f.tsv")]
@@ -1247,6 +1259,22 @@ class TestEachInputReadOnce:
             # The in-memory DF tables come from the train split featurize read.
             assert reads[("load_wikiqa", str(mini_dir / "train.tsv"))] == 1
             assert reads[("attach_parses", str(mini_dir / "parses_train.conllu"))] == 1
+
+    @pytest.mark.parametrize("command", ["train", "tune", "predict", "evaluate"])
+    def test_feature_file_is_opened_once(
+        self, command, mini_config, mini_dir, tmp_path, monkeypatch, capsys
+    ):
+        opened = Counter()
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert run("--config", mini_config, *self.feature_argv(command, mini_dir, tmp_path)) == 0
+        capsys.readouterr()
+        assert opened[str(mini_dir / "golden_features_train.tsv")] == 1, opened
 
 
 class _Expired(BaseException):

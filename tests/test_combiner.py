@@ -6,7 +6,6 @@ import pytest
 
 from qatrigger import combiner
 from qatrigger.baselines import (
-    AnswerPool,
     EmbeddingTable,
     bm25_scores,
     ngram_scores,
@@ -50,10 +49,12 @@ def uniform_tables():
     return {level: DfTable(level, n_docs=1, df={}) for level in ("word", "pair", "triplet")}
 
 
-def per_module_features(question, answer, key, resources, pool):
+def per_module_features(question, answer, key, resources, group_answers):
     """All twelve features of one pair, each from its own module's per-group
-    function on the answer alone, by name."""
+    function on the answer alone, by name; bm25, whose pool is the group,
+    from the answer's place among `group_answers`."""
     q_tokens, a_tokens = tokenize(question.text), tokenize(answer.text)
+    group_tokens = [tokenize(a.text) for a in group_answers]
     sims = graph_similarities(question, [answer], resources.df_tables, resources.alphas)[0]
     cov = graph_coverage_features(question, [answer], resources.subgraph_m)[0]
     values = [
@@ -63,7 +64,9 @@ def per_module_features(question, answer, key, resources, pool):
         relation_coverages(question, [answer])[0],
         *cov,
         vocabulary_coverages(question, [answer])[0],
-        bm25_scores(q_tokens, [a_tokens], pool, resources.k1, resources.b)[0],
+        bm25_scores(q_tokens, group_tokens, resources.k1, resources.b)[
+            group_answers.index(answer)
+        ],
         ngram_scores(q_tokens, [a_tokens], resources.n_max)[0],
         semantic_similarities(q_tokens, [a_tokens], resources.embeddings)[0],
     ]
@@ -88,9 +91,15 @@ class TestExtractFeatures:
         assert not reads_parses(())
 
     def test_group_with_no_candidates_gives_no_rows(self, question_sentence):
+        # Every feature alone, the default manifest and all twelve together.
         empty = QuestionGroup("q1", question_sentence, ())
-        resources = FeatureResources(df_tables=uniform_tables())
-        assert extract_features(empty, resources, DEFAULT_MANIFEST) == []
+        resources = FeatureResources(
+            df_tables=uniform_tables(),
+            embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
+            scores={},
+        )
+        for manifest in [(name,) for name in FEATURE_NAMES] + [DEFAULT_MANIFEST, FEATURE_NAMES]:
+            assert extract_features(empty, resources, manifest) == [], manifest
 
     def test_identity_pair_identity_features(self, question_sentence):
         group = one_candidate(question_sentence, question_sentence, "q", "c")
@@ -172,13 +181,12 @@ class TestExtractFeatures:
             alphas=(0.0, 0.5, 1.0),
             subgraph_m=2,
         )
-        pool = AnswerPool.build([tokenize(s.text) for _, s in answers])
         manifest = FEATURE_NAMES[::-1]
         rows = extract_features(group, resources, manifest)
         assert len(rows) == 3
         for (cid, answer), row in zip(answers, rows):
             expected = per_module_features(
-                question_sentence, answer, ("q1", cid), resources, pool
+                question_sentence, answer, ("q1", cid), resources, [s for _, s in answers]
             )
             assert row == [expected[name] for name in manifest]
         # One column of a family, alone.
@@ -285,9 +293,9 @@ class TestCandidateIndependence:
         questions = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(30)]
         for question in questions:
             answers = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(5)]
-            pool = AnswerPool.build(answers)
+            # bm25 is left out: its pool is the group, so its value depends
+            # on the candidate's groupmates by definition.
             scorers = [
-                lambda q, a: bm25_scores(q, a, pool, 1.2, 0.6),
                 *(lambda q, a, n=n: ngram_scores(q, a, n) for n in (1, 3, 5)),
                 lambda q, a: semantic_similarities(q, a, table),
             ]
@@ -341,10 +349,11 @@ class TestCandidateIndependence:
                 scores={(qid, cid): float(rng.random()) for cid, _ in answers},
                 alphas=(0.0, 0.5, 1.0),
             )
-            pool = AnswerPool.build([tokenize(a.text) for _, a in answers])
             rows = extract_features(group, resources, FEATURE_NAMES)
+            group_answers = [a for _, a in answers]
             assert rows == [
-                list(per_module_features(question, a, (qid, cid), resources, pool).values())
+                list(per_module_features(question, a, (qid, cid), resources, group_answers)
+                     .values())
                 for cid, a in answers
             ]
 
