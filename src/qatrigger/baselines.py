@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import string
-import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .coverage import overlap_ratios
-from .errors import IngestionError, open_text
+from .errors import IngestionError, open_text, parse_block
 
 
 def tokenize(text: str) -> list[str]:
@@ -130,8 +129,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     line.  A word given twice keeps the row of its first line and its later
     vector.
     The non-empty lines are counted first, so the vectors are parsed straight
-    into one matrix, _CHUNK_LINES lines at a time by numpy's C text reader.
-    A chunk that reader rejects is parsed again line by line with float().
+    into one matrix, _CHUNK_LINES lines at a time by numpy's C text reader
+    (errors.parse_block).  Only a chunk that reader rejects is parsed again
+    line by line with float(), which names the bad line or takes what only
+    float() parses, such as `1_0`.
     """
     path = Path(path)
     with open_text(path) as handle:
@@ -148,14 +149,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     def flush() -> None:
         nonlocal matrix
         dim = None if matrix is None else matrix.shape[1]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                block = np.loadtxt([text for _, text in chunk], comments=None, ndmin=2)
-            if block.shape != (len(chunk), dim or block.shape[1]) or not np.isfinite(block).all():
-                raise ValueError("a chunk is ragged or not finite")
-        except (ValueError, Warning):
-            # Only float() names the bad line and takes spellings like 1_0.
+        block = parse_block([text for _, text in chunk], dim)
+        if block is None:
             block = _parse_lines(chunk, dim, path)
         if matrix is None:
             matrix = np.empty((n_lines, block.shape[1]))

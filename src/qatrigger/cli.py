@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -37,7 +38,9 @@ from .combiner import (
     train,
 )
 from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
-from .errors import ConfigError, IngestionError, QaTriggerError, open_text, parse_number, tsv_rows
+from .errors import (
+    ConfigError, IngestionError, QaTriggerError, open_text, parse_block, parse_number, tsv_rows
+)
 from .evaluation import ScoredGroup, triggering_report, tune_threshold
 from .ged import GedConfig, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
@@ -292,21 +295,68 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     return 0
 
 
+_FEATURE_HEAD = ["question_id", "candidate_id", "gold_label"]
+_LABELS = {"0": 0, "1": 1}
+
+
 def read_features(
     path: str | Path,
 ) -> tuple[tuple[str, ...], list[tuple[str, str, int]], np.ndarray]:
     """Read a non-empty feature TSV of unique pairs and finite values into
     (feature_names, (question_id, candidate_id, label) per row, matrix).
-    The file is read in one pass: its first non-empty row is the header, and
-    every later row must have the header's width."""
+    Its first non-empty row is the header, and every later row must have
+    the header's width.
+
+    numpy's C reader parses the numbers of a valid file, column-wise in one
+    pass (_read_feature_columns).  A file it rejects, or that breaks any
+    rule, is read again row by row with int() and float()
+    (_read_feature_rows), which names the first fault or takes what only
+    they parse, such as a label `01` or a value `1_0`.
+    """
     path = Path(path)
+    try:
+        parsed = _read_feature_columns(path)
+    except IngestionError:  # not UTF-8; the row loop names the file's first fault
+        parsed = None
+    return _read_feature_rows(path) if parsed is None else parsed
+
+
+def _read_feature_columns(path: Path):
+    """read_features' result for a valid file whose labels are spelled `0`
+    or `1` and whose values numpy's reader takes, else None.  Each line is
+    split once into one flat list of fields, and every fourth field makes a
+    column, so no list per row is kept for the garbage collector to walk.
+    The rules are checked on whole columns."""
+    with open_text(path) as handle:
+        header = next((line for line in handle if line != "\n"), "").rstrip("\n").split("\t")
+        lines = [line for line in handle if line != "\n"]
+    names = tuple(header[3:])
+    fields = list(chain.from_iterable(map(str.split, lines, repeat("\t"), repeat(3))))
+    # A line splits into at most 4 fields, so 4 per line means all have 4.
+    if (header[:3] != _FEATURE_HEAD or not names or len(set(names)) < len(names)
+            or not lines or len(fields) != 4 * len(lines)):
+        return None
+    qids, cids, labels, values = (fields[i::4] for i in range(4))
+    # No id holds a tab, so joining a pair with one keeps pairs apart.
+    if not _LABELS.keys() >= set(labels) or len(set(map("\t".join, zip(qids, cids)))) < len(qids):
+        return None
+    matrix = parse_block(values, len(names), "\t")
+    if matrix is None:
+        return None
+    return names, list(zip(qids, cids, map(_LABELS.__getitem__, labels))), matrix
+
+
+def _read_feature_rows(
+    path: Path,
+) -> tuple[tuple[str, ...], list[tuple[str, str, int]], np.ndarray]:
+    """read_features one row at a time: IngestionError at the first fault."""
     keys: list[tuple[str, str, int]] = []
     seen: set[tuple[str, str]] = set()
     values: list[float] = []
     linenos: list[int] = []
     with closing(tsv_rows(path)) as rows:
         lineno, header = next(rows, (0, []))
-        if header[:3] != ["question_id", "candidate_id", "gold_label"]:
+        if header[:3] != _FEATURE_HEAD:
             raise IngestionError(f"{path}: not a feature file (bad header)")
         names = tuple(header[3:])
         if not names:
@@ -349,11 +399,31 @@ def read_features(
     return names, keys, matrix
 
 
-def _scored_groups(keys: list[tuple[str, str, int]], scores: list[float]) -> list[ScoredGroup]:
-    grouped: dict[str, list[tuple[str, float, int]]] = {}
-    for (qid, cid, label), score in zip(keys, scores):
-        grouped.setdefault(qid, []).append((cid, score, label))
-    return [ScoredGroup(qid, tuple(cands)) for qid, cands in grouped.items()]
+# The rows grouped by question: the row indices question by question, and
+# each question id with the start and end of its rows in that list.
+_Questions = tuple[list[int], list[tuple[str, int, int]]]
+
+
+def _questions(keys: list[tuple[str, str, int]]) -> _Questions:
+    """The feature file's rows grouped by question, in first-appearance order."""
+    grouped: dict[str, list[int]] = {}
+    for i, (qid, _, _) in enumerate(keys):
+        grouped.setdefault(qid, []).append(i)
+    order: list[int] = []
+    spans = []
+    for qid, rows in grouped.items():
+        spans.append((qid, len(order), len(order) + len(rows)))
+        order += rows
+    return order, spans
+
+
+def _scored_groups(
+    keys: list[tuple[str, str, int]], questions: _Questions, scores: list[float]
+) -> list[ScoredGroup]:
+    """One ScoredGroup per question, each candidate scored by its row's score."""
+    order, spans = questions
+    candidates = [(keys[i][1], scores[i], keys[i][2]) for i in order]
+    return [ScoredGroup(qid, tuple(candidates[a:b])) for qid, a, b in spans]
 
 
 def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
@@ -394,7 +464,7 @@ def cmd_tune(
     config: RunConfig, model_path: Path, features_path: Path, update_model: bool
 ) -> int:
     model, keys, _, scores = _score_features(model_path, features_path)
-    groups = _scored_groups(keys, scores)
+    groups = _scored_groups(keys, _questions(keys), scores)
     try:
         threshold, best_f1 = tune_threshold(groups)
     except ValueError as exc:
@@ -437,7 +507,8 @@ def cmd_evaluate(
     with_baselines: bool,
 ) -> int:
     model, keys, matrix, scores = _score_features(model_path, features_path)
-    groups = _scored_groups(keys, scores)
+    questions = _questions(keys)
+    groups = _scored_groups(keys, questions, scores)
     names = model.feature_names
     report = triggering_report(groups, model.threshold)
     sections = [
@@ -450,7 +521,7 @@ def cmd_evaluate(
             if name not in names:
                 continue
             column = names.index(name)
-            baseline_groups = _scored_groups(keys, matrix[:, column].tolist())
+            baseline_groups = _scored_groups(keys, questions, matrix[:, column].tolist())
             threshold = _baseline_threshold(config, name, baseline_groups)
             baseline_report = triggering_report(baseline_groups, threshold)
             sections.append(f"== baseline {name} (threshold {_fmt(threshold)}) ==")

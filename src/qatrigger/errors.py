@@ -1,14 +1,18 @@
 """Exception types shared across the package; the text reader, the
 tab-separated row reader and the numeric-field parser that turn an
 undecodable file, a wrong column count or a bad number into an
-IngestionError; and the finiteness check of the library's parameters."""
+IngestionError; numpy's C reader for a block of number rows; and the
+finiteness check of the library's parameters."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 class QaTriggerError(Exception):
@@ -50,7 +54,9 @@ def tsv_rows(path: str | Path, width: int | None = None) -> Iterator[tuple[int, 
     block), embeddings (split on whitespace) and the model file
     (whitespace-only lines skipped too) keep their own readers; so do DF
     tables, the largest TSV input, whose loop keeps these rules inline, with
-    no generator step or strip per line, for speed.
+    no generator step or strip per line, for speed, and valid feature files,
+    which are split once per line and checked column by column; any other
+    feature file is read again through this function.
     """
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -79,6 +85,41 @@ def parse_number(raw: str, path: str | Path, lineno: int, kind: type = float):
     if kind is float and not math.isfinite(value):
         raise IngestionError(f"{path}: line {lineno}: not a finite number: {raw!r}")
     return value
+
+
+def parse_block(
+    lines: Sequence[str], width: int | None, delimiter: str | None = None
+) -> np.ndarray | None:
+    """The numbers of `lines`, one row per line, split on `delimiter` (None:
+    whitespace), as a (len(lines) x width) matrix of finite floats parsed by
+    numpy's C text reader; `width` None takes the first row's.
+
+    None when the reader rejects a value or warns, when a row is missing
+    (a blank line), of another width or holds nan or an infinity, or when a
+    delimited block holds a character of _STRIPPED.  A value the reader
+    takes has float()'s bits; float() also takes spellings the reader
+    rejects, such as `1_0` or non-ASCII digits, so a caller parses a
+    rejected block again with float(), which names its first bad line.
+    """
+    if delimiter is not None:
+        text = "".join(lines)
+        if any(sep in text for sep in _STRIPPED):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if block.shape != (len(lines), width or block.shape[1]) or not np.isfinite(block).all():
+        return None
+    return block
+
+
+# ASCII separators that numpy's reader strips around a field and float() does
+# not; a whitespace split cuts at them, so only a set delimiter leaves them
+# inside a field.
+_STRIPPED = "\x1c\x1d\x1e\x1f"
 
 
 def check_finite(owner: object, *names: str) -> None:

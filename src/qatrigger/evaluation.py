@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 
@@ -23,7 +24,7 @@ class ScoredGroup:
     question_id: str
     candidates: tuple[tuple[str, float, int], ...]
 
-    @property
+    @cached_property
     def answerable(self) -> bool:
         return any(label == 1 for _, _, label in self.candidates)
 

@@ -1,6 +1,7 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here but `prob` and `reference_df_table` deliberately avoids the
+Everything here but `prob`, `reference_df_table` and `reference_read_features`
+deliberately avoids the
 library's own code paths: the assignment oracle enumerates permutations, the
 reference shortest-augmenting-path solver scans every column at every step,
 the edit-distance oracle enumerates partial injections, paths come from
@@ -19,7 +20,10 @@ references transcribe the CoNLL-U line loop and the head-chain depth walk as
 first written: the library's reader and `tree_depths` must return the same
 blocks and depths, or raise the same first error text.  The DF table
 reference reads through the library's `tsv_rows`, as the loader first did,
-so the loader's own line loop must keep the shared TSV rules.
+so the loader's own line loop must keep the shared TSV rules.  The feature
+file reference is the row loop that read every feature file before numpy's
+reader parsed valid ones: `read_features` must return the same names, keys
+and matrix bits, or raise the same first error text.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import itertools
 import math
 import re
 from collections import Counter
+from contextlib import closing
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -147,6 +153,59 @@ def reference_df_table(path, level) -> DfTable:
         return DfTable(level=level, n_docs=n_docs, df=df)
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
+
+
+def reference_read_features(path):
+    """The feature file `path` read one row at a time through tsv_rows, with
+    int() and float(), as first written: IngestionError at the first fault."""
+    path = Path(path)
+    keys: list[tuple[str, str, int]] = []
+    seen: set[tuple[str, str]] = set()
+    values: list[float] = []
+    linenos: list[int] = []
+    with closing(tsv_rows(path)) as rows:
+        lineno, header = next(rows, (0, []))
+        if header[:3] != ["question_id", "candidate_id", "gold_label"]:
+            raise IngestionError(f"{path}: not a feature file (bad header)")
+        names = tuple(header[3:])
+        if not names:
+            raise IngestionError(f"{path}: line {lineno}: no feature columns")
+        twice = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if twice:
+            raise IngestionError(
+                f"{path}: line {lineno}: features named twice: {', '.join(twice)}"
+            )
+        for lineno, columns in rows:
+            if len(columns) != len(header):
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected {len(header)} columns, got {len(columns)}"
+                )
+            try:
+                label = int(columns[2])
+                values.extend(map(float, columns[3:]))
+            except ValueError:
+                # Parsing the same fields again raises the named error.
+                parse_number(columns[2], path, lineno, int)
+                for v in columns[3:]:
+                    parse_number(v, path, lineno)
+            if label not in (0, 1):
+                raise IngestionError(
+                    f"{path}: line {lineno}: label must be 0 or 1, got {columns[2]!r}"
+                )
+            pair = (columns[0], columns[1])
+            if pair in seen:
+                raise IngestionError(f"{path}: line {lineno}: duplicate pair {pair}")
+            seen.add(pair)
+            keys.append((*pair, label))
+            linenos.append(lineno)
+    if not keys:
+        raise IngestionError(f"{path}: no feature rows")
+    matrix = np.array(values, dtype=float).reshape(len(keys), len(names))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise IngestionError(f"{path}: line {linenos[row]}: feature value is not finite")
+    return names, keys, matrix
 
 
 def prob(model, x) -> float:

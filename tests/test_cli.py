@@ -35,7 +35,7 @@ from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.ged import GedConfig, load_pos_table
 from qatrigger.graphsim import LEVELS, load_df_table
 
-from oracles import reference_df_table
+from oracles import reference_df_table, reference_read_features
 
 
 def run(*argv):
@@ -561,6 +561,126 @@ def test_feature_header_is_the_first_non_empty_row_only(tmp_path):
     path.write_text("\n" + GOOD_FEATURES + FEATURES_HEAD.splitlines(True)[0])
     with pytest.raises(IngestionError, match="line 5: not a number: 'gold_label'"):
         read_features(path)
+
+
+# Tokens a feature file mutation writes over one field or inserts into a
+# line.  numpy's reader strips a leading or trailing \x1f and float() does
+# not, so that token must reach the row loop too.
+FEATURE_TOKENS = [
+    "\t", "\n", "\r", "", "nan", "inf", "1e999", "1_0", "01", "+1", "-0", "2", "-1", "\x00",
+    " ", "\u0661", "\ufeff", "9" * 400, "\x1f",
+]
+
+
+def feature_outcome(read, path):
+    """The names, keys and matrix shape and bytes that `read` gives for
+    `path`, or the text of the IngestionError it raises."""
+    try:
+        names, keys, matrix = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return names, keys, matrix.shape, matrix.dtype, matrix.tobytes()
+
+
+def mutated_feature_files(rng, n_files, source, directory):
+    """Write and yield `n_files` copies of the feature file `source`, each
+    with one to three seeded mutations: a FEATURE_TOKENS token written over
+    a random field or over the label, or inserted at a random character, or
+    a line repeated, which repeats its pair."""
+    lines = source.read_text(encoding="utf-8").splitlines(True)
+    for case in range(n_files):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(mutated))
+            token = rng.choice(FEATURE_TOKENS)
+            op = rng.randrange(4)
+            if op < 2:
+                fields = mutated[i].rstrip("\n").split("\t")
+                fields[2 if op and len(fields) > 2 else rng.randrange(len(fields))] = token
+                mutated[i] = "\t".join(fields) + "\n"
+            elif op == 2:
+                at = rng.randrange(len(mutated[i]) + 1)
+                mutated[i] = mutated[i][:at] + token + mutated[i][at:]
+            else:
+                mutated.insert(i, mutated[rng.randrange(1, len(mutated))])
+        path = directory / f"features{case}.tsv"
+        path.write_bytes("".join(mutated).encode())
+        yield path
+
+
+class TestFeatureReader:
+    """read_features parses a valid file with numpy's reader and reads any
+    other one again with the row loop, which oracles.reference_read_features
+    keeps as first written."""
+
+    @pytest.fixture
+    def row_loop_calls(self, monkeypatch):
+        """The paths read_features hands to its row loop."""
+        calls = []
+        row_loop = cli._read_feature_rows
+
+        def counted(path):
+            calls.append(path)
+            return row_loop(path)
+
+        monkeypatch.setattr(cli, "_read_feature_rows", counted)
+        return calls
+
+    def test_mutated_files_read_as_the_row_loop_reads_them(
+        self, row_loop_calls, mini_dir, tmp_path
+    ):
+        # Each of 300 seeded mutated files gives equal names and keys and a
+        # bit-equal matrix, or the same message, as the reference.
+        tally = Counter()
+        rng = random.Random(2801)
+        source = mini_dir / "golden_features_lexical_train.tsv"
+        for path in mutated_feature_files(rng, 300, source, tmp_path):
+            expected = feature_outcome(reference_read_features, path)
+            assert feature_outcome(read_features, path) == expected, path.read_bytes()
+            read_by = "row loop" if path in row_loop_calls else "numpy"
+            tally[read_by, "rejected" if isinstance(expected, str) else "accepted"] += 1
+        assert tally[("numpy", "rejected")] == 0
+        assert min(tally.values()) >= 5 and len(tally) == 3, tally
+
+    def test_valid_file_never_reaches_the_row_loop(self, mini_dir, tmp_path, monkeypatch):
+        rng = random.Random(2802)
+        big = tmp_path / "big.tsv"
+        big.write_text("question_id\tcandidate_id\tgold_label\tbm25\text_score\n" + "".join(
+            f"q{i // 10}\tc{i}\t{rng.randint(0, 1)}\t{rng.uniform(-9, 9)!r}\t{rng.random()!r}\n"
+            for i in range(20000)
+        ))
+        lexical = mini_dir / "golden_features_lexical_train.tsv"
+        blank_crlf = tmp_path / "blank_crlf.tsv"
+        blank_crlf.write_bytes(b"\r\n" + lexical.read_bytes().replace(b"\n", b"\r\n\n"))
+        paths = [mini_dir / "golden_features_train.tsv", lexical, blank_crlf, big]
+        expected = [feature_outcome(reference_read_features, path) for path in paths]
+
+        def row_loop(path):
+            raise AssertionError(f"{path} reached the row loop")
+
+        monkeypatch.setattr(cli, "_read_feature_rows", row_loop)
+        assert [feature_outcome(read_features, path) for path in paths] == expected
+
+    @pytest.mark.parametrize("row, outcome", [
+        ("q1\tc1\t1\t1_0\n", ([("q1", "c2", 0), ("q1", "c1", 1)], [[0.25], [10.0]])),
+        ("q1\tc1\t1\t\u0661\n", ([("q1", "c2", 0), ("q1", "c1", 1)], [[0.25], [1.0]])),
+        ("q1\tc1\t01\t0.5\n", ([("q1", "c2", 0), ("q1", "c1", 1)], [[0.25], [0.5]])),
+        ("q1\tc1\t-0\t0.5\n", ([("q1", "c2", 0), ("q1", "c1", 0)], [[0.25], [0.5]])),
+        ("q1\tc1\t1\t0.5\x1f\n", "line 3: not a number: '0.5\\x1f'"),
+    ])
+    def test_spelling_numpy_rejects_goes_through_the_row_loop(
+        self, row, outcome, row_loop_calls, tmp_path
+    ):
+        path = tmp_path / "features.tsv"
+        path.write_text(FEATURES_HEAD + row, encoding="utf-8")
+        got = feature_outcome(read_features, path)
+        assert row_loop_calls == [path]
+        assert got == feature_outcome(reference_read_features, path)
+        if isinstance(outcome, str):
+            assert got == f"{path}: {outcome}"
+        else:
+            names, keys, matrix = read_features(path)
+            assert (keys, matrix.tolist()) == outcome
 
 
 class TestTrainTunePredictEvaluate:
