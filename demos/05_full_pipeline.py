@@ -10,7 +10,7 @@ from pathlib import Path
 
 from qatrigger import (
     FeatureResources,
-    ScoredGroup,
+    QuestionIndex,
     TrainConfig,
     attach_parses,
     extract_features,
@@ -51,13 +51,11 @@ def featurize(groups, manifest=DEFAULT_MANIFEST):
     return [row for group in groups for row in extract_features(group, resources, manifest)]
 
 
-def scored(groups, scores):
-    """ScoredGroups from one score per candidate, every group in order."""
-    out, scores = [], iter(scores)
-    for group in groups:
-        candidates = tuple((cid, next(scores), label) for cid, _, label in group.candidates)
-        out.append(ScoredGroup(group.question_id, candidates))
-    return out
+def indexed(groups):
+    """The question index of the groups' candidates, every group in order;
+    it serves every score column of those candidates."""
+    rows = [(g.question_id, cid, label) for g in groups for cid, _, label in g.candidates]
+    return QuestionIndex.build(rows)
 
 
 train_rows = featurize(train_groups)
@@ -72,19 +70,19 @@ model = train(
 for name, weight in sorted(zip(model.feature_names, model.weights), key=lambda x: -abs(x[1])):
     print(f"  weight {name:15s} {weight:+.3f}")
 
-dev_scored = scored(dev_groups, model.scores(featurize(dev_groups)))
-threshold, dev_f1 = tune_threshold(dev_scored)
+dev_index, test_index = indexed(dev_groups), indexed(test_groups)
+threshold, dev_f1 = tune_threshold(dev_index, model.scores(featurize(dev_groups)))
 print(f"\ntuned threshold {threshold:.4f} -> dev F1 {dev_f1:.2f}")
 
-report = triggering_report(scored(test_groups, model.scores(featurize(test_groups))), threshold)
+report = triggering_report(test_index, model.scores(featurize(test_groups)), threshold)
 print("\ntest-set report (graph-feature model):")
 print(report.as_text())
 
 # BM25 baseline, threshold tuned on the same dev split; each question's
 # candidates form its BM25 pool.
-bm25 = lambda groups: scored(groups, [row[0] for row in featurize(groups, ["bm25"])])
-bm25_threshold, bm25_dev_f1 = tune_threshold(bm25(dev_groups))
-bm25_report = triggering_report(bm25(test_groups), bm25_threshold)
+bm25 = lambda groups: [row[0] for row in featurize(groups, ["bm25"])]
+bm25_threshold, bm25_dev_f1 = tune_threshold(dev_index, bm25(dev_groups))
+bm25_report = triggering_report(test_index, bm25(test_groups), bm25_threshold)
 print(f"\nBM25 baseline: dev F1 {bm25_dev_f1:.2f}, test report:")
 print(bm25_report.as_text())
 

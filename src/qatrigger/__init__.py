@@ -44,7 +44,7 @@ from .coverage import (
 from .errors import ConfigError, IngestionError, QaTriggerError
 from .evaluation import (
     EvalReport,
-    ScoredGroup,
+    QuestionIndex,
     triggering_report,
     tune_threshold,
 )

@@ -23,7 +23,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import combiner
 from .baselines import load_embeddings
 from .combiner import (
     DEFAULT_MANIFEST,
@@ -35,13 +34,15 @@ from .combiner import (
     load_model,
     reads_parses,
     save_model,
+    sigmoid,
     train,
 )
 from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
 from .errors import (
-    ConfigError, IngestionError, QaTriggerError, open_text, parse_block, parse_number, tsv_rows
+    ConfigError, IngestionError, QaTriggerError, open_output, open_text, parse_block,
+    parse_number, tsv_rows,
 )
-from .evaluation import ScoredGroup, triggering_report, tune_threshold
+from .evaluation import QuestionIndex, triggering_report, tune_threshold
 from .ged import GedConfig, load_pos_table
 from .graphsim import LEVELS, build_df, load_df_table, save_df_table
 
@@ -272,24 +273,18 @@ def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
     check_manifest(config.manifest)
     groups = load_split(config, split, reads_parses(config.manifest))
     resources = build_resources(config, config.manifest, groups if split == "train" else None)
-    handle = open(out_path, "w", encoding="utf-8", newline="")
-    try:  # rows are written as they are made, so a failed run removes its file
-        with handle:
-            handle.write(
-                "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
-            )
-            for group in groups:
-                rows = extract_features(group, resources, config.manifest)
-                for (cid, _, label), values in zip(group.candidates, rows):
-                    handle.write(
-                        f"{group.question_id}\t{cid}\t{label}\t"
-                        + "\t".join(_fmt(v) for v in values)
-                        + "\n"
-                    )
-    except BaseException:
-        if out_path.is_file() and not out_path.is_symlink():  # not a device, pipe or link
-            out_path.unlink()
-        raise
+    with open_output(out_path) as handle:  # rows are written as they are made
+        handle.write(
+            "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
+        )
+        for group in groups:
+            rows = extract_features(group, resources, config.manifest)
+            for (cid, _, label), values in zip(group.candidates, rows):
+                handle.write(
+                    f"{group.question_id}\t{cid}\t{label}\t"
+                    + "\t".join(_fmt(v) for v in values)
+                    + "\n"
+                )
     n_pairs = sum(len(g.candidates) for g in groups)
     print(f"featurized {len(groups)} questions / {n_pairs} pairs -> {out_path}")
     return 0
@@ -399,33 +394,6 @@ def _read_feature_rows(
     return names, keys, matrix
 
 
-# The rows grouped by question: the row indices question by question, and
-# each question id with the start and end of its rows in that list.
-_Questions = tuple[list[int], list[tuple[str, int, int]]]
-
-
-def _questions(keys: list[tuple[str, str, int]]) -> _Questions:
-    """The feature file's rows grouped by question, in first-appearance order."""
-    grouped: dict[str, list[int]] = {}
-    for i, (qid, _, _) in enumerate(keys):
-        grouped.setdefault(qid, []).append(i)
-    order: list[int] = []
-    spans = []
-    for qid, rows in grouped.items():
-        spans.append((qid, len(order), len(order) + len(rows)))
-        order += rows
-    return order, spans
-
-
-def _scored_groups(
-    keys: list[tuple[str, str, int]], questions: _Questions, scores: list[float]
-) -> list[ScoredGroup]:
-    """One ScoredGroup per question, each candidate scored by its row's score."""
-    order, spans = questions
-    candidates = [(keys[i][1], scores[i], keys[i][2]) for i in order]
-    return [ScoredGroup(qid, tuple(candidates[a:b])) for qid, a, b in spans]
-
-
 def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     names, keys, x = read_features(features_path)
     y = [label for _, _, label in keys]
@@ -435,15 +403,17 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     save_model(model, model_path)
-    loss, grad_w, grad_b = combiner.loss_and_gradient(
-        model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float), hyper.l2
-    )
-    predictions = [1 if p > 0.5 else 0 for p in model.scores(x)]
-    accuracy = sum(p == label for p, label in zip(predictions, y)) / len(y)
-    grad_norm = np.linalg.norm(np.append(grad_w, grad_b))
+    # A row is predicted positive when its probability is above 0.5, i.e.
+    # when its logit is positive; only a logit this close to 0 can round
+    # the probability onto 0.5, so only there is the probability taken.
+    logits = model.logits(x)
+    predictions = logits > 0
+    near = np.abs(logits) < 1e-6
+    predictions[near] = [sigmoid(v) > 0.5 for v in logits[near].tolist()]
+    accuracy = int(np.count_nonzero(predictions == np.asarray(y))) / len(y)
     print(
-        f"trained on {len(y)} pairs: grad_norm={grad_norm:.1e} "
-        f"final_loss={loss:.6f} train_accuracy={accuracy:.4f} -> {model_path}"
+        f"trained on {len(y)} pairs: grad_norm={model.grad_norm:.1e} "
+        f"final_loss={model.final_loss:.6f} train_accuracy={accuracy:.4f} -> {model_path}"
     )
     return 0
 
@@ -464,9 +434,8 @@ def cmd_tune(
     config: RunConfig, model_path: Path, features_path: Path, update_model: bool
 ) -> int:
     model, keys, _, scores = _score_features(model_path, features_path)
-    groups = _scored_groups(keys, _questions(keys), scores)
     try:
-        threshold, best_f1 = tune_threshold(groups)
+        threshold, best_f1 = tune_threshold(QuestionIndex.build(keys), scores)
     except ValueError as exc:
         raise IngestionError(str(exc)) from exc
     print(f"threshold={_fmt(threshold)} dev_f1={best_f1:.2f}")
@@ -488,12 +457,14 @@ def cmd_predict(
     return 0
 
 
-def _baseline_threshold(config: RunConfig, name: str, groups: list[ScoredGroup]) -> float:
+def _baseline_threshold(
+    config: RunConfig, name: str, index: QuestionIndex, scores: list[float]
+) -> float:
     configured = getattr(config, f"{name}_threshold")
     if configured is not None:
         return configured
     try:
-        threshold, _ = tune_threshold(groups)
+        threshold, _ = tune_threshold(index, scores)
     except ValueError as exc:
         raise IngestionError(f"baseline {name}: {exc}; set [baselines] {name}_threshold") from exc
     return threshold
@@ -507,10 +478,9 @@ def cmd_evaluate(
     with_baselines: bool,
 ) -> int:
     model, keys, matrix, scores = _score_features(model_path, features_path)
-    questions = _questions(keys)
-    groups = _scored_groups(keys, questions, scores)
+    index = QuestionIndex.build(keys)
     names = model.feature_names
-    report = triggering_report(groups, model.threshold)
+    report = triggering_report(index, scores, model.threshold)
     sections = [
         f"== model (threshold {_fmt(model.threshold)}) ==",
         report.as_text(),
@@ -520,10 +490,9 @@ def cmd_evaluate(
         for name in ("bm25", "ngram", "semvec"):
             if name not in names:
                 continue
-            column = names.index(name)
-            baseline_groups = _scored_groups(keys, questions, matrix[:, column].tolist())
-            threshold = _baseline_threshold(config, name, baseline_groups)
-            baseline_report = triggering_report(baseline_groups, threshold)
+            column = matrix[:, names.index(name)].tolist()
+            threshold = _baseline_threshold(config, name, index, column)
+            baseline_report = triggering_report(index, column, threshold)
             sections.append(f"== baseline {name} (threshold {_fmt(threshold)}) ==")
             sections.append(baseline_report.as_text())
             sections.append(baseline_report.as_kv())

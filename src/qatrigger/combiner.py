@@ -197,6 +197,10 @@ class TriggerModel:
     means: np.ndarray
     stds: np.ndarray
     threshold: float
+    # The loss and gradient norm where train() stopped; None for a model
+    # read from a file, which does not store them.
+    final_loss: float | None = field(default=None, compare=False, repr=False)
+    grad_norm: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         k = len(self.feature_names)
@@ -212,13 +216,16 @@ class TriggerModel:
             )
         return _standardize(raw, self.means, self.stds)
 
+    def logits(self, matrix: np.ndarray) -> np.ndarray:
+        """w . z + bias of every row; np.vecdot reaches the per-row np.dot
+        kernel, so each is bitwise equal to its row's alone, where `z @ w`
+        can differ in the last bit."""
+        return np.vecdot(self.standardize(matrix), self.weights) + self.bias
+
     def scores(self, matrix: np.ndarray) -> list[float]:
-        """Trigger probability of every row; np.vecdot reaches the per-row
-        np.dot kernel and math.exp is taken per value, so each is bitwise
-        equal to scoring its row alone, where `z @ w` or np.exp can differ
-        in the last bit."""
-        z = self.standardize(matrix)
-        return [sigmoid(s + self.bias) for s in np.vecdot(z, self.weights).tolist()]
+        """Trigger probability of every row, with math.exp taken per value,
+        where np.exp can differ in the last bit."""
+        return [sigmoid(v) for v in self.logits(matrix).tolist()]
 
 
 def _standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -315,6 +322,9 @@ def train(
         else:  # no step along this direction lowers the loss
             break
         theta = new
+    else:  # the step limit ended the loop after a step: its loss is not known yet
+        loss, grad_w, grad_b = loss_and_gradient(theta[:-1], float(theta[-1]), z, y, hyper.l2)
+        grad = np.append(grad_w, grad_b)
     return TriggerModel(
         feature_names=tuple(feature_names),
         weights=theta[:-1],
@@ -322,6 +332,8 @@ def train(
         means=means,
         stds=stds,
         threshold=hyper.threshold,
+        final_loss=loss,
+        grad_norm=float(np.linalg.norm(grad)),
     )
 
 

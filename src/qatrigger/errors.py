@@ -1,8 +1,9 @@
 """Exception types shared across the package; the text reader, the
 tab-separated row reader and the numeric-field parser that turn an
 undecodable file, a wrong column count or a bad number into an
-IngestionError; numpy's C reader for a block of number rows; and the
-finiteness check of the library's parameters."""
+IngestionError; numpy's C reader for a block of number rows; the writer
+that leaves no cut output file; and the finiteness check of the library's
+parameters."""
 
 from __future__ import annotations
 
@@ -43,6 +44,23 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
             yield handle
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` as UTF-8 text for writing, with LF line ends.  When the
+    block fails, the file is closed and removed: a feature file or DF table
+    cut at a line boundary would read as a whole one.  A device, pipe or
+    link is left in place; an error opening the file removes nothing."""
+    path = Path(path)
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
+        raise
 
 
 def tsv_rows(path: str | Path, width: int | None = None) -> Iterator[tuple[int, list[str]]]:

@@ -1,32 +1,66 @@
 """Answer-selection and answer-triggering metrics.
 
-MAP and MRR come from one ranking of each answerable question's candidates:
-the 1-based ranks of its positives give both its average precision and its
-reciprocal rank, and each is averaged over answerable questions only.
+MAP and MRR come from the 1-based ranks of each answerable question's
+positives, counted with no sort: they give both its average precision and
+its reciprocal rank, and each is averaged over answerable questions only.
 Triggering looks at each question's highest-scoring candidate: the question
 is triggered when that score strictly exceeds the threshold, and the trigger
 is correct when the selected candidate is gold positive.  Precision, recall,
 and F-score are reported as percentages at the question level.
+
+A file's rows are grouped by question once, in a QuestionIndex; each metric
+then takes that index and one score per row, so the model's column and every
+baseline column are read in one pass each, with no per-candidate objects.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
-class ScoredGroup:
-    """Candidates of one question as (candidate_id, score, gold_label) in corpus order."""
+class QuestionIndex:
+    """The rows of one scored file, (question_id, candidate_id, label) each,
+    grouped by question once for every score column of that file.
 
-    question_id: str
-    candidates: tuple[tuple[str, float, int], ...]
+    `order` lists the row indices question by question: questions in the
+    order of their first row, and each question's rows in file order.
+    `spans[q]` is question q's (start, end) in that order, `labels` the
+    rows' labels in that order, and `positives[q]` the offsets within
+    question q's span of its gold rows.
+    """
 
-    @cached_property
-    def answerable(self) -> bool:
-        return any(label == 1 for _, _, label in self.candidates)
+    order: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    labels: tuple[int, ...]
+    positives: tuple[tuple[int, ...], ...]
+    answerable: int
+
+    @classmethod
+    def build(cls, rows: Sequence[tuple[str, str, int]]) -> QuestionIndex:
+        grouped: dict[str, list[int]] = {}
+        for i, (qid, _, _) in enumerate(rows):
+            grouped.setdefault(qid, []).append(i)
+        order = tuple(i for members in grouped.values() for i in members)
+        labels = tuple(rows[i][2] for i in order)
+        spans, positives, start = [], [], 0
+        for members in grouped.values():
+            end = start + len(members)
+            spans.append((start, end))
+            positives.append(tuple(j - start for j in range(start, end) if labels[j] == 1))
+            start = end
+        return cls(order, tuple(spans), labels, tuple(positives), sum(map(bool, positives)))
+
+    def questions(self, scores: Sequence[float]) -> Iterator[tuple[list[float], tuple[int, ...]]]:
+        """Each question's scores in file order, with the offsets of its
+        positives; `scores` holds one score per row, in file order."""
+        if len(scores) != len(self.order):
+            raise ValueError(f"expected {len(self.order)} scores, one per row, got {len(scores)}")
+        scores = [scores[i] for i in self.order]
+        return ((scores[a:b], offsets) for (a, b), offsets in zip(self.spans, self.positives))
 
 
 @dataclass(frozen=True)
@@ -66,20 +100,6 @@ class EvalReport:
         )
 
 
-def _ranked(group: ScoredGroup) -> list[tuple[str, float, int]]:
-    # Stable sort: equal scores keep corpus order.
-    return sorted(group.candidates, key=lambda c: -c[1])
-
-
-def top_candidate(group: ScoredGroup) -> tuple[str, float, int]:
-    """Highest-scoring candidate; ties go to the earliest in corpus order."""
-    best = group.candidates[0]
-    for candidate in group.candidates[1:]:
-        if candidate[1] > best[1]:
-            best = candidate
-    return best
-
-
 def _prf(correct: int, triggered: int, answerable: int) -> tuple[float, float, float]:
     """Question-level precision, recall and F-score as percentages."""
     precision = 100.0 * correct / triggered if triggered else 0.0
@@ -88,24 +108,33 @@ def _prf(correct: int, triggered: int, answerable: int) -> tuple[float, float, f
     return precision, recall, f1
 
 
-def triggering_report(groups: list[ScoredGroup], threshold: float) -> EvalReport:
-    """Question-level triggering metrics plus MAP/MRR over answerable groups."""
-    answerable = 0
+def _rank(scores: list[float], offset: int) -> int:
+    """1-based rank of the row at `offset` when the scores are sorted from
+    high to low and ties keep file order."""
+    score = scores[offset]
+    return 1 + sum(map(score.__lt__, scores)) + sum(map(score.__eq__, scores[:offset]))
+
+
+def triggering_report(
+    index: QuestionIndex, scores: Sequence[float], threshold: float
+) -> EvalReport:
+    """Question-level triggering metrics plus MAP/MRR over answerable
+    questions, from one score per row of the indexed file.  A question's
+    top candidate is its first highest-scoring row, i.e. its row of rank 1."""
     triggered = 0
     correct = 0
     ap_values: list[float] = []
     rr_values: list[float] = []
-    for group in groups:
-        if group.answerable:
-            answerable += 1
-            ranks = [rank for rank, (_, _, label) in enumerate(_ranked(group), 1) if label == 1]
+    for group, positives in index.questions(scores):
+        ranks = sorted(_rank(group, offset) for offset in positives)
+        if ranks:
             ap_values.append(sum(i / rank for i, rank in enumerate(ranks, 1)) / len(ranks))
             rr_values.append(1.0 / ranks[0])
-        _, score, label = top_candidate(group)
-        if score > threshold:
+        if max(group) > threshold:
             triggered += 1
-            if label == 1:
+            if ranks and ranks[0] == 1:
                 correct += 1
+    answerable = index.answerable
     precision, recall, f1 = _prf(correct, triggered, answerable)
     return EvalReport(
         map_value=sum(ap_values) / answerable if answerable else 0.0,
@@ -113,15 +142,16 @@ def triggering_report(groups: list[ScoredGroup], threshold: float) -> EvalReport
         precision=precision,
         recall=recall,
         f1=f1,
-        questions_total=len(groups),
+        questions_total=len(index.spans),
         questions_answerable=answerable,
         questions_triggered=triggered,
         triggers_correct=correct,
     )
 
 
-def tune_threshold(groups: list[ScoredGroup]) -> tuple[float, float]:
-    """Best triggering threshold on development groups.
+def tune_threshold(index: QuestionIndex, scores: Sequence[float]) -> tuple[float, float]:
+    """Best triggering threshold on a development file, from one score per
+    row of the indexed file.
 
     Candidate thresholds are the midpoints between consecutive distinct
     top-candidate scores plus one sentinel below the minimum (trigger all)
@@ -131,16 +161,21 @@ def tune_threshold(groups: list[ScoredGroup]) -> tuple[float, float]:
     One sort, then one bisection per candidate: a midpoint of adjacent floats
     can round onto the upper score, so counts never come from its position.
     """
-    answerable = sum(g.answerable for g in groups)
+    answerable = index.answerable
     if not answerable:
         raise ValueError("threshold tuning needs at least one answerable group")
-    ranked = sorted((top_candidate(g) for g in groups), key=lambda c: c[1])
-    scores = [score for _, score, _ in ranked]
-    correct_upto = list(accumulate((label == 1 for _, _, label in ranked), initial=0))
-    tops = sorted(set(scores))
-    candidates = [tops[0] - 1.0]
-    candidates += [(a + b) / 2.0 for a, b in zip(tops, tops[1:])]
-    candidates.append(tops[-1])
+    # (top score, whether the first row holding it is gold) per question
+    tops = []
+    for group, positives in index.questions(scores):
+        top = max(group)
+        tops.append((top, group.index(top) in positives))
+    ranked = sorted(tops, key=lambda t: t[0])
+    scores = [score for score, _ in ranked]
+    correct_upto = list(accumulate((hit for _, hit in ranked), initial=0))
+    distinct = sorted(set(scores))
+    candidates = [distinct[0] - 1.0]
+    candidates += [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    candidates.append(distinct[-1])
     best_threshold = candidates[0]
     best_f1 = -1.0
     for threshold in candidates:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
-from .errors import IngestionError, open_text, parse_number
+from .errors import IngestionError, open_output, open_text, parse_number
 
 LEVELS = ("word", "pair", "triplet")
 
@@ -144,8 +144,9 @@ def graph_similarities(
 
 
 def save_df_table(table: DfTable, path: str | Path) -> None:
-    """Write `N<TAB>n_docs` then sorted `key<TAB>df` lines."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Write `N<TAB>n_docs` then sorted `key<TAB>df` lines; a write that
+    fails removes the file (errors.open_output)."""
+    with open_output(path) as handle:
         handle.write(f"N\t{table.n_docs}\n")
         for key in sorted(table.df):
             handle.write(f"{key}\t{table.df[key]}\n")

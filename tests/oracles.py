@@ -9,9 +9,11 @@ plain BFS, the pairwise sub-graph walks one tree path per pair of shared
 nodes with `find_path` (itself checked against BFS), and the formula oracles
 transcribe the defining equations directly.  Graph oracles take a parsed
 Sentence and derive its edges and depths from the head column themselves,
-never from `Sentence.edges` or `Sentence.depth`.  The threshold oracle
-scores every candidate threshold with a full triggering report, whose
-metrics acceptance criterion 5 checks against exact rationals.  The
+never from `Sentence.edges` or `Sentence.depth`.  The metric oracles
+group a file's rows by question in a dict of their own, sort each question
+for MAP and MRR, and find each top candidate with a loop; the threshold
+oracle runs that loop once per candidate threshold.  None of them imports
+`qatrigger.evaluation`.  The
 gradient-descent reference takes plain fixed-size steps down its own
 transcription of the log-loss gradient.  The looped lexical oracles
 transcribe the per-answer n-gram, BM25 and embedding-cosine loops as first
@@ -40,7 +42,6 @@ import numpy as np
 
 from qatrigger.combiner import sigmoid
 from qatrigger.errors import IngestionError, parse_number, tsv_rows
-from qatrigger.evaluation import top_candidate, triggering_report
 from qatrigger.graphsim import DfTable
 
 
@@ -602,47 +603,84 @@ def looped_semantic_similarities(question, answers, matrix, rows) -> list[float]
     return scores
 
 
-def looped_map_mrr(groups) -> tuple[float, float]:
-    """MAP and MRR as first written: each answerable group sorted twice, once
-    for a running AP sum and once for the rank of its first positive."""
+def question_groups(rows, scores) -> list[list[tuple[float, int]]]:
+    """(score, label) of each question's rows in file order, questions in the
+    order of their first row; `rows` are (question_id, candidate_id, label)."""
+    groups: dict = {}
+    for (qid, _, label), score in zip(rows, scores, strict=True):
+        groups.setdefault(qid, []).append((score, label))
+    return list(groups.values())
+
+
+def looped_map_mrr(rows, scores) -> tuple[float, float]:
+    """MAP and MRR as first written: each answerable question sorted twice,
+    once for a running AP sum and once for the rank of its first positive."""
 
     def ranked(group):
-        return sorted(group.candidates, key=lambda c: -c[1])
+        return sorted(group, key=lambda c: -c[0])
 
     ap_values, rr_values = [], []
-    for group in groups:
-        if not group.answerable:
+    for group in question_groups(rows, scores):
+        if not any(label == 1 for _, label in group):
             continue
         positives, precision_sum = 0, 0.0
-        for rank, (_, _, label) in enumerate(ranked(group), start=1):
+        for rank, (_, label) in enumerate(ranked(group), start=1):
             if label == 1:
                 positives += 1
                 precision_sum += positives / rank
         ap_values.append(precision_sum / positives)
         rr_values.append(next(
-            1.0 / rank for rank, (_, _, label) in enumerate(ranked(group), start=1) if label == 1
+            1.0 / rank for rank, (_, label) in enumerate(ranked(group), start=1) if label == 1
         ))
     n = len(ap_values)
     return (sum(ap_values) / n if n else 0.0, sum(rr_values) / n if n else 0.0)
 
 
-def tune_threshold_exhaustive(groups) -> tuple[float, float]:
-    """The tuner's contract by brute force: one full report per candidate.
+def looped_triggering(rows, scores, threshold) -> dict:
+    """Question counts and P/R/F by one loop per question: its top candidate
+    is its first row of highest score, it triggers when that score is above
+    the threshold, and the trigger is correct when its label is 1.  P/R/F
+    transcribe the defining formulas as percentages."""
+    total = answerable = triggered = correct = 0
+    for group in question_groups(rows, scores):
+        total += 1
+        answerable += any(label == 1 for _, label in group)
+        top_score, top_label = group[0]
+        for score, label in group[1:]:
+            if score > top_score:
+                top_score, top_label = score, label
+        if top_score > threshold:
+            triggered += 1
+            correct += top_label == 1
+    precision = 100.0 * correct / triggered if triggered else 0.0
+    recall = 100.0 * correct / answerable if answerable else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {
+        "questions_total": total, "questions_answerable": answerable,
+        "questions_triggered": triggered, "triggers_correct": correct,
+        "precision": precision, "recall": recall, "f1": f1,
+    }
+
+
+def tune_threshold_exhaustive(rows, scores) -> tuple[float, float]:
+    """The tuner's contract by brute force: one full triggering loop per
+    candidate threshold.
 
     Candidates are the sentinel below the lowest top score, the midpoints of
     consecutive distinct top scores, and the highest top score; the first
     best F-score wins, and a best of zero means trigger nothing.
     """
-    if not any(g.answerable for g in groups):
+    groups = question_groups(rows, scores)
+    if not any(label == 1 for group in groups for _, label in group):
         raise ValueError("threshold tuning needs at least one answerable group")
-    tops = sorted({top_candidate(g)[1] for g in groups})
+    tops = sorted({max(score for score, _ in group) for group in groups})
     candidates = [tops[0] - 1.0]
     candidates += [(a + b) / 2.0 for a, b in zip(tops, tops[1:])]
     candidates.append(tops[-1])
     best_threshold = candidates[0]
     best_f1 = -1.0
     for threshold in candidates:
-        f1 = triggering_report(groups, threshold).f1
+        f1 = looped_triggering(rows, scores, threshold)["f1"]
         if f1 > best_f1:
             best_f1 = f1
             best_threshold = threshold

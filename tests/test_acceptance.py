@@ -20,12 +20,7 @@ from qatrigger.cli import main
 from qatrigger.combiner import loss_and_gradient, sigmoid
 from qatrigger.corpus import attach_parses, load_wikiqa
 from qatrigger.coverage import align_subgraph
-from qatrigger.evaluation import (
-    ScoredGroup,
-    top_candidate,
-    triggering_report,
-    tune_threshold,
-)
+from qatrigger.evaluation import QuestionIndex, triggering_report, tune_threshold
 from qatrigger.ged import GedConfig, graph_edit_distances, load_pos_table, solve_assignment
 from qatrigger.graphsim import cosine
 
@@ -114,22 +109,23 @@ def test_criterion_4_subgraph_monotone_in_m():
 
 
 def test_criterion_5_metrics_match_rational_hand_values():
-    def group(qid, *candidates):
-        return ScoredGroup(qid, tuple(candidates))
-
     groups = [
-        group("q01", ("a", 0.9, 1), ("b", 0.5, 0)),
-        group("q02", ("a", 0.8, 0), ("b", 0.7, 1)),
-        group("q03", ("a", 0.9, 1), ("b", 0.6, 0), ("c", 0.1, 0)),
-        group("q04", ("a", 0.7, 0), ("b", 0.6, 0), ("c", 0.55, 0), ("d", 0.5, 1)),
-        group("q05", ("a", 0.9, 1), ("b", 0.8, 1)),
-        group("q06", ("a", 0.3, 1)),
-        group("q07", ("a", 0.9, 0), ("b", 0.2, 0)),
-        group("q08", ("a", 0.1, 0)),
-        group("q09", ("a", 0.8, 0), ("b", 0.7, 0), ("c", 0.6, 0), ("d", 0.5, 1)),
-        group("q10", ("a", 0.9, 1), ("b", 0.4, 0)),
+        ("q01", ("a", 0.9, 1), ("b", 0.5, 0)),
+        ("q02", ("a", 0.8, 0), ("b", 0.7, 1)),
+        ("q03", ("a", 0.9, 1), ("b", 0.6, 0), ("c", 0.1, 0)),
+        ("q04", ("a", 0.7, 0), ("b", 0.6, 0), ("c", 0.55, 0), ("d", 0.5, 1)),
+        ("q05", ("a", 0.9, 1), ("b", 0.8, 1)),
+        ("q06", ("a", 0.3, 1)),
+        ("q07", ("a", 0.9, 0), ("b", 0.2, 0)),
+        ("q08", ("a", 0.1, 0)),
+        ("q09", ("a", 0.8, 0), ("b", 0.7, 0), ("c", 0.6, 0), ("d", 0.5, 1)),
+        ("q10", ("a", 0.9, 1), ("b", 0.4, 0)),
     ]
-    result = triggering_report(groups, threshold=0.45)
+    index = QuestionIndex.build(
+        [(qid, cid, label) for qid, *candidates in groups for cid, _, label in candidates]
+    )
+    scores = [score for _, *candidates in groups for _, score, _ in candidates]
+    result = triggering_report(index, scores, threshold=0.45)
 
     per_group_ap = [
         Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 4),
@@ -144,13 +140,13 @@ def test_criterion_5_metrics_match_rational_hand_values():
     assert result.recall == float(Fraction(4, 8) * 100)
     assert result.f1 == float(Fraction(1, 2) * 100)
 
-    threshold, best = tune_threshold(groups)
-    tops = {top_candidate(g)[1] for g in groups}
+    threshold, best = tune_threshold(index, scores)
+    tops = {max(score for _, score, _ in candidates) for _, *candidates in groups}
     probes = [t - 1e-9 for t in tops] + [t + 1e-9 for t in tops]
     probes += [min(tops) - 1.0, max(tops) + 1.0]
-    oracle_best = max(triggering_report(groups, p).f1 for p in probes)
+    oracle_best = max(triggering_report(index, scores, p).f1 for p in probes)
     assert best == pytest.approx(oracle_best, abs=1e-9)
-    assert triggering_report(groups, threshold).f1 == best
+    assert triggering_report(index, scores, threshold).f1 == best
     report(5, "MAP/MRR/P/R/F match exact rational hand values; tuning matches sweep")
 
 
@@ -254,11 +250,8 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
 
     model = load_model(first_dir / "model.txt")
     _, dev_keys, dev_matrix = read_features(first_dir / "f_dev.tsv")
-    model_groups = {}
-    for (qid, cid, label), values in zip(dev_keys, dev_matrix):
-        model_groups.setdefault(qid, []).append((cid, prob(model, values), label))
     model_f1 = tune_threshold(
-        [ScoredGroup(q, tuple(c)) for q, c in model_groups.items()]
+        QuestionIndex.build(dev_keys), [prob(model, values) for values in dev_matrix]
     )[1]
 
     bm25_path = tmp_path / "dev_bm25.tsv"
@@ -267,12 +260,7 @@ def test_criterion_8_end_to_end_deterministic_and_beats_bm25(tmp_path, capsys):
         "featurize", "--split", "dev", "--out", str(bm25_path),
     ]) == 0
     _, bm25_keys, bm25_matrix = read_features(bm25_path)
-    bm25_groups = {}
-    for (qid, cid, label), values in zip(bm25_keys, bm25_matrix):
-        bm25_groups.setdefault(qid, []).append((cid, float(values[0]), label))
-    bm25_f1 = tune_threshold(
-        [ScoredGroup(q, tuple(c)) for q, c in bm25_groups.items()]
-    )[1]
+    bm25_f1 = tune_threshold(QuestionIndex.build(bm25_keys), bm25_matrix[:, 0].tolist())[1]
 
     elapsed = time.perf_counter() - started
     assert model_f1 > bm25_f1

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qatrigger import cli
+from qatrigger import cli, combiner
 from qatrigger.baselines import load_embeddings
 from qatrigger.cli import (
     RunConfig,
@@ -27,11 +28,14 @@ from qatrigger.combiner import (
     FeatureResources,
     TrainConfig,
     load_model,
+    loss_and_gradient,
     save_model,
+    sigmoid,
     train,
 )
 from qatrigger.corpus import _read_index, attach_parses, load_scores, load_wikiqa
 from qatrigger.errors import ConfigError, IngestionError
+from qatrigger.evaluation import QuestionIndex
 from qatrigger.ged import GedConfig, load_pos_table
 from qatrigger.graphsim import LEVELS, load_df_table
 
@@ -732,6 +736,53 @@ class TestTrainTunePredictEvaluate:
         # Training stops at the optimum; the line reports how near it is.
         assert float(out.split("grad_norm=")[1].split()[0]) < 1e-8
 
+    @pytest.mark.parametrize("max_steps", [None, 1, 2])
+    def test_train_line_equals_a_fresh_evaluation_of_the_saved_model(
+        self, max_steps, mini_config, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        # With a step limit the loop ends after a step, whose loss the fit
+        # has not evaluated yet.
+        if max_steps is not None:
+            monkeypatch.setattr(combiner, "_MAX_STEPS", max_steps)
+        model_path = tmp_path / "m.txt"
+        assert run(
+            "--config", mini_config,
+            "train", "--features", str(pipeline["train"]), "--model", str(model_path),
+        ) == 0
+        _, keys, x = read_features(pipeline["train"])
+        y = [label for _, _, label in keys]
+        model = load_model(model_path)
+        loss, grad_w, grad_b = loss_and_gradient(
+            model.weights, model.bias, model.standardize(x), np.asarray(y, dtype=float),
+            TrainConfig().l2,
+        )
+        grad_norm = np.linalg.norm(np.append(grad_w, grad_b))
+        hits = sum((p > 0.5) == label for p, label in zip(model.scores(x), y))
+        assert capsys.readouterr().out == (
+            f"trained on {len(y)} pairs: grad_norm={grad_norm:.1e} "
+            f"final_loss={loss:.6f} train_accuracy={hits / len(y):.4f} -> {model_path}\n"
+        )
+
+    def test_accuracy_near_a_zero_logit_follows_the_probability(
+        self, mini_config, tmp_path, monkeypatch, capsys
+    ):
+        # sigmoid(1e-17) rounds to 0.5, which is not above 0.5: 3 of the 7
+        # rows are right.  The sign of the logit alone would count row 0 as
+        # a positive prediction and report 4 of 7.
+        logits = np.array([1e-17, -1e-17, 0.0, 1e-7, -1e-7, 2.0, -2.0])
+        assert [sigmoid(v) > 0.5 for v in logits] == [False] * 3 + [True, False, True, False]
+        monkeypatch.setattr(combiner.TriggerModel, "logits", lambda self, matrix: logits.copy())
+        features = tmp_path / "f.tsv"
+        features.write_text(
+            "question_id\tcandidate_id\tgold_label\tbm25\n"
+            + "".join(f"q\tc{i}\t{int(i < 6)}\t{i}\n" for i in range(7))
+        )
+        assert run(
+            "--config", mini_config,
+            "train", "--features", str(features), "--model", str(tmp_path / "m.txt"),
+        ) == 0
+        assert f"train_accuracy={3 / 7:.4f} " in capsys.readouterr().out
+
     def test_tune_updates_model_threshold(self, mini_config, pipeline, capsys):
         code = run(
             "--config", mini_config, "tune",
@@ -918,6 +969,37 @@ class TestBuildDf:
             "featurize", "--split", "dev", "--out", str(out_loaded),
         )
         assert out_self.read_bytes() == out_loaded.read_bytes()
+
+    def test_failed_write_leaves_no_partial_table(
+        self, mini_config, tmp_path, monkeypatch, capsys
+    ):
+        # The pair table's write fails at its 40th key, as a full disk would.
+        class FullDisk(dict):
+            def __getitem__(self, key):
+                if len(written) == 40:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(key)
+                return super().__getitem__(key)
+
+        written = []
+        build_df = cli.build_df
+
+        def failing_build_df(sentences):
+            tables = build_df(sentences)
+            tables["pair"] = replace(tables["pair"], df=FullDisk(tables["pair"].df))
+            return tables
+
+        monkeypatch.setattr(cli, "build_df", failing_build_df)
+        code = run("--config", mini_config, "build-df", "--out-dir", str(tmp_path))
+        assert code == 4
+        assert capsys.readouterr().err == "error:io: [Errno 28] No space left on device\n"
+        # The word table was whole and stays; the pair table was cut, and a
+        # table cut at a line boundary would load as a valid one.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["df_word.tsv"]
+        assert load_df_table(tmp_path / "df_word.tsv", "word").n_docs == 56
+        cut = tmp_path / "cut.tsv"
+        cut.write_text("N\t56\n" + "".join(f"{key}\t1\n" for key in sorted(written)))
+        assert len(load_df_table(cut, "pair").df) == 40
 
     @pytest.mark.parametrize("configured", [False, True])
     def test_build_df_creates_missing_directories(self, configured, mini_config, tmp_path):
@@ -1395,6 +1477,34 @@ class TestEachInputReadOnce:
         assert run("--config", mini_config, *self.feature_argv(command, mini_dir, tmp_path)) == 0
         capsys.readouterr()
         assert opened[str(mini_dir / "golden_features_train.tsv")] == 1, opened
+
+    @pytest.mark.parametrize("command", ["tune", "evaluate"])
+    def test_feature_file_is_indexed_once_for_every_score_column(
+        self, command, mini_config, mini_dir, tmp_path, monkeypatch, capsys
+    ):
+        # The lexical golden file holds the bm25, ngram and semvec columns,
+        # so evaluate --baselines scores four columns against one index.
+        features = str(mini_dir / "golden_features_lexical_train.tsv")
+        model = str(tmp_path / "model.txt")
+        assert run("--config", mini_config, "train", "--features", features, "--model", model) == 0
+        built, reports = [], []
+        build, report = QuestionIndex.build, cli.triggering_report
+        monkeypatch.setattr(
+            QuestionIndex, "build",
+            classmethod(lambda cls, rows: built.append(len(rows)) or build(rows)),
+        )
+        monkeypatch.setattr(
+            cli, "triggering_report", lambda *args: reports.append(args[0]) or report(*args)
+        )
+        argv = {
+            "tune": ["tune", "--model", model, "--features", features],
+            "evaluate": ["evaluate", "--model", model, "--features", features, "--baselines"],
+        }[command]
+        assert run("--config", mini_config, *argv) == 0
+        capsys.readouterr()
+        assert built == [len(read_features(features)[1])]
+        if command == "evaluate":
+            assert len(reports) == 4 and all(index is reports[0] for index in reports)
 
 
 class _Expired(BaseException):
