@@ -450,7 +450,7 @@ def cmd_predict(
     config: RunConfig, model_path: Path, features_path: Path, out_path: Path
 ) -> int:
     _, keys, _, scores = _score_features(model_path, features_path)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with open_output(out_path) as handle:
         for (qid, cid, _), score in zip(keys, scores):
             handle.write(f"{qid}\t{cid}\t{_fmt(score)}\n")
     print(f"wrote {len(keys)} predictions -> {out_path}")
@@ -499,7 +499,7 @@ def cmd_evaluate(
     text = "\n".join(sections) + "\n"
     print(text, end="")
     if report_path is not None:
-        with open(report_path, "w", encoding="utf-8", newline="") as handle:
+        with open_output(report_path) as handle:
             handle.write(text)
     return 0
 

@@ -30,7 +30,7 @@ import numpy as np
 from .baselines import EmbeddingTable, bm25_scores, ngram_scores, semantic_similarities, tokenize
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
-from .errors import ConfigError, IngestionError, check_finite, open_text, parse_number
+from .errors import ConfigError, IngestionError, check_finite, open_output, open_text, parse_number
 from .ged import GedConfig, graph_edit_distances
 from .graphsim import DfTable, graph_similarities
 
@@ -342,8 +342,9 @@ def _fmt(value: float) -> str:
 
 
 def save_model(model: TriggerModel, path: str | Path) -> None:
-    """Versioned plain-text model file; floats round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Versioned plain-text model file; floats round-trip bit-exactly.  It is
+    written through errors.open_output, so a failed write keeps the old file."""
+    with open_output(path) as handle:
         handle.write("version 1\n")
         handle.write(f"{_fmt(model.threshold)}\n")
         for i, name in enumerate(model.feature_names):

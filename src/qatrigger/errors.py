@@ -1,13 +1,14 @@
 """Exception types shared across the package; the text reader, the
 tab-separated row reader and the numeric-field parser that turn an
 undecodable file, a wrong column count or a bad number into an
-IngestionError; numpy's C reader for a block of number rows; the writer
-that leaves no cut output file; and the finiteness check of the library's
-parameters."""
+IngestionError; numpy's C reader for a block of number rows; the package's
+one writer of output files, which replaces a file whole or leaves it as it
+was; and the finiteness check of the library's parameters."""
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,18 +49,25 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 @contextmanager
 def open_output(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` as UTF-8 text for writing, with LF line ends.  When the
-    block fails, the file is closed and removed: a feature file or DF table
-    cut at a line boundary would read as a whole one.  A device, pipe or
-    link is left in place; an error opening the file removes nothing."""
+    """Open `path` as UTF-8 text for writing, with LF line ends; the only way
+    the package opens a file to write.  A regular or missing `path` is
+    written as the hidden sibling `.<name>.partial`, which replaces it only
+    when the block ends without error; when the block fails, the sibling is
+    removed and `path` keeps its old bytes or stays absent, since a file cut
+    at a line boundary would read as a whole one.  A device, pipe, directory
+    or symlink is opened in place, never renamed over or removed."""
     path = Path(path)
-    handle = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with handle:
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
+        return
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(partial, path)
     except BaseException:
-        if path.is_file() and not path.is_symlink():
-            path.unlink()
+        partial.unlink(missing_ok=True)
         raise
 
 

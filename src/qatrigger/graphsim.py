@@ -145,7 +145,7 @@ def graph_similarities(
 
 def save_df_table(table: DfTable, path: str | Path) -> None:
     """Write `N<TAB>n_docs` then sorted `key<TAB>df` lines; a write that
-    fails removes the file (errors.open_output)."""
+    fails keeps the file as it was (errors.open_output)."""
     with open_output(path) as handle:
         handle.write(f"N\t{table.n_docs}\n")
         for key in sorted(table.df):

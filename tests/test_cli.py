@@ -945,6 +945,86 @@ class TestEvaluateBaselines:
         )
 
 
+class _FullDisk:
+    """A text file that takes `room` characters, then fails each write as a
+    full disk would, after writing what fits."""
+
+    def __init__(self, handle, room):
+        self.handle, self.room = handle, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        written = self.handle.write(text[:self.room])
+        self.room -= written
+        if written < len(text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return written
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, existing", [
+        ("train", True), ("train", False), ("tune", True), ("predict", True),
+        ("predict", False), ("evaluate", True), ("evaluate", False),
+    ])
+    def test_failed_write_keeps_the_target_as_it_was(
+        self, command, existing, mini_config, mini_dir, tmp_path, monkeypatch, capsys
+    ):
+        golden_model = (mini_dir / "golden_model_train.txt").read_bytes()
+        model = tmp_path / "model.txt"
+        model.write_bytes(golden_model)
+        features = str(mini_dir / "golden_features_train.tsv")
+        out = {"train": tmp_path / "new.txt", "tune": model,
+               "predict": tmp_path / "p.tsv", "evaluate": tmp_path / "report.txt"}[command]
+        argv = {
+            "train": ["train", "--features", features, "--model", str(out)],
+            "tune": ["tune", "--model", str(model), "--features", features, "--update-model"],
+            "predict": ["predict", "--model", str(model), "--features", features,
+                        "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(model), "--features", features,
+                         "--baselines", "--report", str(out)],
+        }[command]
+        if existing and out != model:
+            out.write_bytes(golden_model if command == "train" else b"an earlier output\n")
+        before = out.read_bytes() if existing else None
+        # Every file opened to write takes 100 characters, fewer than any of
+        # these outputs holds.
+        real_open = open
+
+        def opening(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(handle, 100) if "w" in mode else handle
+
+        monkeypatch.setattr("builtins.open", opening)
+        code = run("--config", mini_config, *argv)
+        monkeypatch.undo()
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert err == ["error:io: [Errno 28] No space left on device"]
+        assert (out.read_bytes() if out.exists() else None) == before
+        assert [path.name for path in tmp_path.iterdir() if path.name.endswith(".partial")] == []
+        if command == "tune":
+            assert run(
+                "--config", mini_config, "evaluate", "--model", str(model), "--features", features
+            ) == 0
+
+    def test_symlink_output_is_written_through_the_link(self, mini_config, mini_dir, tmp_path):
+        target = tmp_path / "target.tsv"
+        target.write_text("an earlier output\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        assert run(
+            "--config", mini_config, "featurize", "--split", "train", "--out", str(link)
+        ) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == (mini_dir / "golden_features_train.tsv").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
+
+
 class TestBuildDf:
     def test_build_df_writes_three_tables(self, mini_config, tmp_path):
         assert run(
@@ -973,7 +1053,12 @@ class TestBuildDf:
     def test_failed_write_leaves_no_partial_table(
         self, mini_config, tmp_path, monkeypatch, capsys
     ):
-        # The pair table's write fails at its 40th key, as a full disk would.
+        # The pair table's write fails at its 40th key, as a full disk would,
+        # once into an empty directory and once over an earlier run's tables.
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        assert run("--config", mini_config, "build-df", "--out-dir", str(earlier)) == 0
+        before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+
         class FullDisk(dict):
             def __getitem__(self, key):
                 if len(written) == 40:
@@ -990,13 +1075,18 @@ class TestBuildDf:
             return tables
 
         monkeypatch.setattr(cli, "build_df", failing_build_df)
-        code = run("--config", mini_config, "build-df", "--out-dir", str(tmp_path))
-        assert code == 4
-        assert capsys.readouterr().err == "error:io: [Errno 28] No space left on device\n"
+        capsys.readouterr()
+        for out_dir in (fresh, earlier):
+            written.clear()
+            code = run("--config", mini_config, "build-df", "--out-dir", str(out_dir))
+            assert code == 4
+            assert capsys.readouterr().err == "error:io: [Errno 28] No space left on device\n"
         # The word table was whole and stays; the pair table was cut, and a
-        # table cut at a line boundary would load as a valid one.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["df_word.tsv"]
-        assert load_df_table(tmp_path / "df_word.tsv", "word").n_docs == 56
+        # table cut at a line boundary would load as a valid one.  Over the
+        # earlier run, every table keeps its bytes.
+        assert sorted(p.name for p in fresh.iterdir()) == ["df_word.tsv"]
+        assert load_df_table(fresh / "df_word.tsv", "word").n_docs == 56
+        assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
         cut = tmp_path / "cut.tsv"
         cut.write_text("N\t56\n" + "".join(f"{key}\t1\n" for key in sorted(written)))
         assert len(load_df_table(cut, "pair").df) == 40
