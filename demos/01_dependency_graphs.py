@@ -2,9 +2,11 @@
 """Read dependency graphs from CoNLL-U parses and inspect their structure.
 
 A parsed sentence is a rooted tree: one node per token, one labeled edge per
-non-root token running from governor to dependent.  A Sentence keeps four
-CoNLL-U columns of each token (lemma, UPOS, head, deprel), so token i's lemma
-is `sentence.lemmas[i - 1]`.
+non-root token running from governor to dependent.  A Sentence is one such
+parse: it keeps four CoNLL-U columns of each token (lemma, UPOS, head,
+deprel), so token i's lemma is `sentence.lemmas[i - 1]`.  A question group
+holds the texts, and `attach_parses` adds `group.parses`: the question's
+parse, then each candidate's.
 """
 
 from collections import Counter
@@ -46,11 +48,11 @@ with tempfile.TemporaryDirectory() as tmp:
     groups = attach_parses(groups, conllu_path)  # no index file -> positional
 
 group = groups[0]
-question = group.question
-answer = group.candidates[0][1]
+question, answer = group.parses
+texts = (group.question, group.candidates[0][1])
 
-for label, sentence in (("question", question), ("answer", answer)):
-    print(f"{label}:", sentence.text)
+for label, text, sentence in zip(("question", "answer"), texts, group.parses):
+    print(f"{label}:", text)
     print("  edges (head, dependent, relation):", sentence.edges)
     for gov, dep, rel in sentence.edges:
         print(f"  {sentence.lemmas[gov - 1]} -[{rel}]-> {sentence.lemmas[dep - 1]}")

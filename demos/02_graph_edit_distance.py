@@ -13,15 +13,15 @@ from qatrigger import GedConfig, graph_edit_distances
 from qatrigger.corpus import Sentence
 
 
-def sentence(sid, rows):
+def sentence(rows):
     """rows: (form, lemma, upos, head, deprel) of tokens 1, 2, ...; a Sentence
-    keeps the lemma, UPOS, head and deprel columns, and the forms as its text."""
-    forms, lemmas, upos, heads, deprels = zip(*rows)
-    return Sentence(sid, " ".join(forms), lemmas, upos, heads, deprels)
+    is the parse, and keeps the lemma, UPOS, head and deprel columns."""
+    _, lemmas, upos, heads, deprels = zip(*rows)
+    return Sentence(lemmas, upos, heads, deprels)
 
 
+question_text = "how old was sue lyon when she made lolita"
 question = sentence(
-    "q",
     [
         ("how", "how", "ADV", 2, "advmod"),
         ("old", "old", "ADJ", 0, "root"),
@@ -37,7 +37,6 @@ question = sentence(
 
 candidates = {
     "lolita is a film by kubrick from 1962": sentence(
-        "a1",
         [
             ("lolita", "lolita", "PROPN", 4, "nsubj"),
             ("is", "be", "AUX", 4, "cop"),
@@ -50,7 +49,6 @@ candidates = {
         ],
     ),
     "the actress who played lolita sue lyon was fourteen": sentence(
-        "a2",
         [
             ("the", "the", "DET", 2, "det"),
             ("actress", "actress", "NOUN", 8, "nsubj"),
@@ -64,7 +62,6 @@ candidates = {
         ],
     ),
     "kubrick later said censorship was severe for the film": sentence(
-        "a3",
         [
             ("kubrick", "kubrick", "PROPN", 3, "nsubj"),
             ("later", "later", "ADV", 3, "advmod"),
@@ -81,7 +78,7 @@ candidates = {
 
 config = GedConfig()  # the default POS weights, edge weight and delete cost
 
-print("question:", question.text, "\n")
+print("question:", question_text, "\n")
 # One call scores the whole group: the question's side is prepared once.
 distances = graph_edit_distances(question, list(candidates.values()), config)
 ranked = sorted(zip(distances, candidates))

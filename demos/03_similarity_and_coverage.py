@@ -22,15 +22,15 @@ from qatrigger import (
 from qatrigger.corpus import Sentence
 
 
-def sentence(sid, rows):
-    """rows: (form, lemma, upos, head, deprel) of tokens 1, 2, ...; a Sentence
-    keeps the lemma, UPOS, head and deprel columns, and the forms as its text."""
+def sentence(rows):
+    """rows: (form, lemma, upos, head, deprel) of tokens 1, 2, ...; returns
+    the text, the forms joined by spaces, and the parse: a Sentence keeps the
+    lemma, UPOS, head and deprel columns."""
     forms, lemmas, upos, heads, deprels = zip(*rows)
-    return Sentence(sid, " ".join(forms), lemmas, upos, heads, deprels)
+    return " ".join(forms), Sentence(lemmas, upos, heads, deprels)
 
 
-question = sentence(
-    "q",
+question_text, question = sentence(
     [
         ("how", "how", "ADV", 5, "advmod"),
         ("did", "do", "AUX", 5, "aux"),
@@ -39,8 +39,7 @@ question = sentence(
         ("die", "die", "VERB", 0, "root"),
     ],
 )
-answer = sentence(
-    "a",
+answer_text, answer = sentence(
     [
         ("david", "david", "PROPN", 2, "compound"),
         ("carradine", "carradine", "PROPN", 3, "nsubj"),
@@ -57,8 +56,8 @@ tables = build_df([question, answer])
 [(sim_word, sim_pair, sim_triplet)] = graph_similarities(
     question, [answer], tables, alphas=(0.0, 0.0, 0.0)
 )
-print("question:", question.text)
-print("answer:  ", answer.text, "\n")
+print("question:", question_text)
+print("answer:  ", answer_text, "\n")
 print(f"word-level similarity:    {sim_word:.4f}")
 print(f"pair-level similarity:    {sim_pair:.4f}")
 print(f"triplet-level similarity: {sim_triplet:.4f}")

@@ -36,12 +36,11 @@ train_groups = load_split("train")
 dev_groups = load_split("dev")
 test_groups = load_split("test")
 
-# Resources: DF tables from the training split, default POS cost table file.
-sentences = [g.question for g in train_groups]
-sentences += [s for g in train_groups for _, s, _ in g.candidates]
+# Resources: DF tables from the training split's parses, default POS cost
+# table file.
 resources = FeatureResources(
     ged_config=GedConfig(pos_table=load_pos_table(MINI / "pos_costs.tsv")),
-    df_tables=build_df(sentences),
+    df_tables=build_df(parse for g in train_groups for parse in g.parses),
     alphas=(0.0, 0.0, 0.0),
 )
 

@@ -59,7 +59,6 @@ from .ged import (
 from .graphsim import (
     DfTable,
     build_df,
-    cosine,
     graph_similarities,
     load_df_table,
     save_df_table,

@@ -227,14 +227,15 @@ def _df_paths(config: RunConfig) -> dict[str, Path] | None:
 def _train_sentences(
     config: RunConfig, groups: list[QuestionGroup] | None = None
 ) -> list[Sentence]:
-    """Every question and candidate sentence of the parsed train split,
-    `groups` or else loaded; IngestionError when it holds no question."""
+    """The parses of the train split, `groups` or else loaded; IngestionError
+    when it holds no question, ConfigError when it holds no parses."""
     if groups is None:
         groups = load_split(config, "train", with_parses=True)
     if not groups:
         raise IngestionError(f"{config.train}: no questions to build the DF tables from")
-    sentences = [g.question for g in groups]
-    return sentences + [sent for g in groups for _, sent, _ in g.candidates]
+    if any(g.parses is None for g in groups):
+        raise ConfigError("graph features need parses: set [data] conllu_train")
+    return [sentence for g in groups for sentence in g.parses]
 
 
 def build_resources(

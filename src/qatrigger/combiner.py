@@ -7,10 +7,10 @@ whether it reads dependency parses, the resource it requires, and one call
 of one per-group function, from `ged`, `graphsim`, `coverage` or
 `baselines`, that prepares the question's side once and returns the
 family's columns, one value per candidate; no family is scored pair by
-pair.  The graph features read each parsed Sentence directly, as its
-dependency graph; the tokens are built on first use, once per group, and
-BM25 takes its pool from the group's own answers, so `bm25` is the one
-feature whose value depends on a candidate's groupmates.  A standardized
+pair.  The lexical features read a group's texts, tokenized on first use,
+once per group, and the graph features its parses.  BM25 takes its pool
+from the group's own answers, so `bm25` is the one feature whose value
+depends on a candidate's groupmates.  A standardized
 logistic regression maps each candidate's manifest-ordered vector to a
 trigger probability.  Training minimizes L2-regularized log loss by
 Newton's method from zero weights, to a fixed gradient-norm tolerance, so
@@ -70,21 +70,22 @@ class FeatureResources:
 
 @dataclass
 class _Group:
-    """One question group's inputs: the question and its answers (Sentences,
-    which are also their dependency graphs).  Their tokens are built on first
-    read, once per group."""
+    """One question group's inputs: the texts, tokenized on first read, once
+    per group, and the parses (None and [] when the group has none)."""
 
     keys: list[tuple[str, str]]
-    question: Sentence
-    answers: list[Sentence]
+    question: str
+    answers: list[str]
+    gq: Sentence | None
+    graphs: Sequence[Sentence]
 
     @cached_property
     def q_tokens(self) -> list[str]:
-        return tokenize(self.question.text)
+        return tokenize(self.question)
 
     @cached_property
     def a_tokens(self) -> list[list[str]]:
-        return [tokenize(answer.text) for answer in self.answers]
+        return [tokenize(answer) for answer in self.answers]
 
 
 def _ext_scores(group: _Group, res: FeatureResources) -> list[list[float]]:
@@ -109,17 +110,17 @@ class _Family(NamedTuple):
 _FAMILIES = (
     _Family(("ext_score",), False, ("scores", "ext_score requires a score file"), _ext_scores),
     _Family(("ged",), True, None,
-            lambda g, res: [graph_edit_distances(g.question, g.answers, res.ged_config)]),
+            lambda g, res: [graph_edit_distances(g.gq, g.graphs, res.ged_config)]),
     _Family(("sim_word", "sim_pair", "sim_triplet"), True,
             ("df_tables", "similarity features require DF tables"),
             lambda g, res: zip(*graph_similarities(
-                g.question, g.answers, res.df_tables, res.alphas))),
+                g.gq, g.graphs, res.df_tables, res.alphas))),
     _Family(("rel_cov",), True, None,
-            lambda g, res: [relation_coverages(g.question, g.answers)]),
+            lambda g, res: [relation_coverages(g.gq, g.graphs)]),
     _Family(("graph_cov_ans", "graph_cov_ques"), True, None,
-            lambda g, res: zip(*graph_coverage_features(g.question, g.answers, res.subgraph_m))),
+            lambda g, res: zip(*graph_coverage_features(g.gq, g.graphs, res.subgraph_m))),
     _Family(("vocab_cov",), True, None,
-            lambda g, res: [vocabulary_coverages(g.question, g.answers)]),
+            lambda g, res: [vocabulary_coverages(g.gq, g.graphs)]),
     _Family(("bm25",), False, None,
             lambda g, res: [bm25_scores(g.q_tokens, g.a_tokens, res.k1, res.b)]),
     _Family(("ngram",), False, None,
@@ -158,27 +159,26 @@ def extract_features(
     """Feature rows for the group's candidates, in candidate order; each row
     holds the manifest's features in manifest order.
 
-    Raises ConfigError when an enabled feature's resource is missing; an
-    enabled ext_score with no entry for a pair is an error, never imputed.
+    Raises ConfigError when an enabled feature's resource is missing or a
+    graph feature meets a group without parses; an enabled ext_score with
+    no entry for a pair is an error, never imputed.
     """
     check_manifest(manifest)
     families = [f for f in _FAMILIES if any(name in manifest for name in f.columns)]
     for family in families:
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
-    qid, question = group.question_id, group.question
-    if any(family.parses for family in families):
-        for cid, answer, _ in group.candidates:
-            if not (question.parsed and answer.parsed):
-                raise ConfigError(
-                    f"graph features require dependency parses (pair {qid}/{cid} has none)"
-                )
-    answers = [answer for _, answer, _ in group.candidates]
-    inputs = _Group([(qid, cid) for cid, _, _ in group.candidates], question, answers)
+    if not group.candidates:
+        return []
+    qid, first = group.question_id, group.candidates[0][0]
+    if group.parses is None and any(family.parses for family in families):
+        raise ConfigError(f"graph features require dependency parses (pair {qid}/{first} has none)")
+    gq, *graphs = group.parses or (None,)
+    inputs = _Group([(qid, cid) for cid, _, _ in group.candidates], group.question,
+                    [text for _, text, _ in group.candidates], gq, graphs)
     table = {name: column for family in families
              for name, column in zip(family.columns, family.fn(inputs, resources))}
-    # By row index: with no candidates, a zipped family gives no columns to read.
-    return [[table[name][row] for name in manifest] for row in range(len(answers))]
+    return [[table[name][row] for name in manifest] for row in range(len(inputs.keys))]
 
 
 def sigmoid(x: float) -> float:

@@ -1,19 +1,19 @@
 """WikiQA-format corpus ingestion.
 
 Reads the public 7-column WikiQA TSV (QuestionID, Question, DocumentID,
-DocumentTitle, SentenceID, Sentence, Label), groups candidate answers by
-question, and aligns every sentence with a dependency parse supplied as a
-CoNLL-U sidecar file.  Parsing itself is out of scope: parses are ingested,
-never produced.  A parsed Sentence is the dependency graph every feature
-reads, held as four columns (lemmas, UPOS tags, heads, deprels): token i is
-position i - 1 of each, and `Sentence.edges` gives one labeled edge per
-non-root token, from governor to dependent.
+DocumentTitle, SentenceID, Sentence, Label) into question groups of texts,
+and attaches each sentence's dependency parse from a CoNLL-U sidecar file.
+Parsing itself is out of scope: parses are ingested, never produced.  A
+Sentence is one parse, built once, by `attach_parses`: the graph that every
+graph feature reads, held as four columns (lemmas, UPOS tags, heads,
+deprels).  Token i is position i - 1 of each, and `Sentence.edges` holds one
+labeled edge per non-root token, from governor to dependent.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,22 +71,20 @@ def tree_depths(heads: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence, parsed when it carries columns.
+    """The dependency parse of a sentence.
 
-    Position i - 1 of each column describes token i of a parse: its lemma,
-    its UPOS tag, its head (0 for the root) and the relation to that head.  Lemmas
+    Position i - 1 of each column describes token i: its lemma, its UPOS
+    tag, its head (0 for the root) and the relation to that head.  Lemmas
     are lowercased here and nowhere else.  The heads must form a dependency
     tree (see `tree_depths`), else ValueError; `depth` then holds each
     token's depth, and `edges` the (head, index, deprel) of each non-root
-    token, in token order.
+    token, in token order.  A Sentence of no tokens is the empty graph.
     """
 
-    sentence_id: str
-    text: str
-    lemmas: tuple[str, ...] = ()
-    upos: tuple[str, ...] = ()
-    heads: tuple[int, ...] = ()
-    deprels: tuple[str, ...] = ()
+    lemmas: tuple[str, ...]
+    upos: tuple[str, ...]
+    heads: tuple[int, ...]
+    deprels: tuple[str, ...]
     depth: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
     edges: tuple[tuple[int, int, str], ...] = field(
         default=(), init=False, compare=False, repr=False
@@ -104,22 +102,21 @@ class Sentence:
         del edges[heads.index(0)]  # tree_depths found exactly one root
         object.__setattr__(self, "edges", tuple(edges))
 
-    @property
-    def parsed(self) -> bool:
-        return bool(self.heads)
-
 
 @dataclass(frozen=True)
 class QuestionGroup:
-    """One question with its candidate answers in corpus order."""
+    """One question with its (candidate id, text, label) answers in corpus
+    order.  `parses`, when set, holds the question's parse, then each
+    candidate's, in candidate order."""
 
     question_id: str
-    question: Sentence
-    candidates: tuple[tuple[str, Sentence, int], ...]
+    question: str
+    candidates: tuple[tuple[str, str, int], ...]
+    parses: tuple[Sentence, ...] | None = None
 
-    @property
-    def answerable(self) -> bool:
-        return any(label == 1 for _, _, label in self.candidates)
+    def __post_init__(self) -> None:
+        if self.parses is not None and len(self.parses) != 1 + len(self.candidates):
+            raise ValueError(f"expected {1 + len(self.candidates)} parses, got {len(self.parses)}")
 
 
 def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
@@ -156,9 +153,9 @@ def load_wikiqa(tsv_path: str | Path) -> list[QuestionGroup]:
                 f"for question {qid!r}"
             )
         entry["seen"].add(sent_id)
-        entry["candidates"].append((sent_id, Sentence(sent_id, sent_text), int(label_text)))
+        entry["candidates"].append((sent_id, sent_text, int(label_text)))
     return [
-        QuestionGroup(qid, Sentence(qid, entry["question"]), tuple(entry["candidates"]))
+        QuestionGroup(qid, entry["question"], tuple(entry["candidates"]))
         for qid, entry in grouped.items()
     ]
 
@@ -259,7 +256,8 @@ def attach_parses(
     conllu_path: str | Path,
     index_path: str | Path | None = None,
 ) -> list[QuestionGroup]:
-    """Return new groups whose sentences carry columns from a CoNLL-U file.
+    """Return new groups that carry the parse of every sentence, built once
+    from the columns of a CoNLL-U file.
 
     With an index file, each CoNLL-U block (keyed by `# sent_id` comment or by
     1-based order) is mapped to a WikiQA QuestionID or SentenceID.  Without
@@ -305,20 +303,18 @@ def attach_parses(
             f"{', '.join(missing[:5])}{more}"
         )
 
-    def parsed(sentence: Sentence, key: str) -> Sentence:
+    def parse(key: str) -> Sentence:
         ids, lemmas, upos, heads, deprels = by_wikiqa_id[key]
         try:
             _check_ids(ids)
-            return Sentence(sentence.sentence_id, sentence.text, lemmas, upos, heads, deprels)
+            return Sentence(lemmas, upos, heads, deprels)
         except ValueError as exc:
             raise IngestionError(f"{conllu_path}: sentence {key!r}: {exc}") from exc
 
     return [
-        QuestionGroup(
-            group.question_id,
-            parsed(group.question, group.question_id),
-            tuple((cid, parsed(sent, cid), label) for cid, sent, label in group.candidates),
-        )
+        replace(group, parses=tuple(
+            map(parse, (group.question_id, *(cid for cid, _, _ in group.candidates)))
+        ))
         for group in groups
     ]
 

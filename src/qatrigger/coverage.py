@@ -1,7 +1,7 @@
 """Coverage features between a question's dependency graph and each of its
 answers'.
 
-Each graph is a parsed Sentence: token i is a node with lemma
+Each graph is a Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
 Each feature takes the question and its whole group of answers, builds the
 question's side once, and returns one value per answer.

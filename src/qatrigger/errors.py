@@ -54,8 +54,9 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
     written as the hidden sibling `.<name>.partial`, which replaces it only
     when the block ends without error; when the block fails, the sibling is
     removed and `path` keeps its old bytes or stays absent, since a file cut
-    at a line boundary would read as a whole one.  A device, pipe, directory
-    or symlink is opened in place, never renamed over or removed."""
+    at a line boundary would read as a whole one; a sibling that cannot be
+    opened raises the OSError with `path` as its filename.  A device, pipe,
+    directory or symlink is opened in place, never renamed over or removed."""
     path = Path(path)
     if path.is_symlink() or (path.exists() and not path.is_file()):
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -63,7 +64,12 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
         return
     partial = path.with_name(f".{path.name}.partial")
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as handle:
+        handle = open(partial, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # the error names the path asked for
+        exc.filename = str(path)
+        raise
+    try:
+        with handle:
             yield handle
         os.replace(partial, path)
     except BaseException:

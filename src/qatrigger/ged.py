@@ -1,7 +1,7 @@
 """Normalized graph edit distance between a question's dependency graph and
 each of its answers'.
 
-Each graph is a parsed Sentence: token i is a node with lemma `lemmas[i - 1]`
+Each graph is a Sentence: token i is a node with lemma `lemmas[i - 1]`
 and tag `upos[i - 1]`, and `Sentence.edges` are the edges.  The distance is
 the bipartite approximation of Riesen & Bunke (2009): every question node is
 either substituted by one answer node or deleted, and every answer node not

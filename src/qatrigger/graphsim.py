@@ -1,7 +1,7 @@
 """TF-IDF weighted similarity between a question's dependency graph and each
 of its answers'.
 
-Each graph, a parsed Sentence, is rendered as a weighted vector at three
+Each graph, a Sentence, is rendered as a weighted vector at three
 granularities: node lemmas (word), governor|dependent lemma pairs (pair),
 and pairs extended with the relation label (triplet); an edge's lemmas are
 read by token position from the lemma column.  Weights are tf * idf with
@@ -68,16 +68,10 @@ def extract_keys(graph: Sentence) -> dict[str, Counter[str]]:
 
 
 def build_df(sentences: Iterable[Sentence]) -> dict[str, DfTable]:
-    """Count each parsed sentence as one document at all three levels.
-
-    An unparsed sentence raises ValueError rather than count as an empty
-    document.
-    """
+    """Count each sentence's parse as one document at all three levels."""
     df: dict[str, Counter[str]] = {level: Counter() for level in LEVELS}
     n_docs = 0
     for sentence in sentences:
-        if not sentence.parsed:
-            raise ValueError(f"sentence {sentence.sentence_id!r} has no parse")
         n_docs += 1
         for level, keys in extract_keys(sentence).items():
             df[level].update(keys.keys())
@@ -102,14 +96,6 @@ def _ratio(dot: float, norm1: float, norm2: float) -> float:
     return min(1.0, dot / (norm1 * norm2))
 
 
-def cosine(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
-    """Cosine over the key union; 0 when either vector is empty.  math.fsum
-    is correctly rounded, so the order of the keys cannot change the result."""
-    if not v1 or not v2:
-        return 0.0
-    return _ratio(math.fsum([w * v2[k] for k, w in v1.items() if k in v2]), _norm(v1), _norm(v2))
-
-
 def graph_similarities(
     gq: Sentence,
     answers: Sequence[Sentence],
@@ -117,7 +103,9 @@ def graph_similarities(
     alphas: tuple[float, float, float],
 ) -> list[tuple[float, float, float]]:
     """(word, pair, triplet) cosine similarities between the question graph
-    and each answer graph, with the bits of `cosine` of their tfidf_vectors.
+    and each answer graph: the cosine over the key union of their
+    tfidf_vectors, 0 when either is empty, with every sum a math.fsum, which
+    is correctly rounded, so the order of the keys cannot change a value.
     An answer's norm sums its kept weights' squares, and its dot product looks
     up only the question's keys in its key counts, so it needs no vector."""
     levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]

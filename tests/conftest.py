@@ -9,11 +9,11 @@ from oracles import adjacency, bfs_distances, find_path, tree_arrays
 MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 
 
-def make_sentence(sentence_id, rows):
-    """rows: (form, lemma, upos, head, deprel) of tokens 1..n; the text is
-    the forms joined by spaces."""
-    forms, lemmas, upos, heads, deprels = zip(*rows)
-    return Sentence(sentence_id, " ".join(forms), lemmas, upos, heads, deprels)
+def make_sentence(rows):
+    """rows: (form, lemma, upos, head, deprel) of tokens 1..n; the form is
+    not part of a parse."""
+    _, lemmas, upos, heads, deprels = zip(*rows)
+    return Sentence(lemmas, upos, heads, deprels)
 
 
 def endpoints(edges):
@@ -25,7 +25,6 @@ def endpoints(edges):
 def question_sentence():
     # "how did david carradine die", rooted at "die"
     return make_sentence(
-        "q1",
         [
             ("how", "how", "ADV", 5, "advmod"),
             ("did", "do", "AUX", 5, "aux"),
@@ -40,7 +39,6 @@ def question_sentence():
 def answer_sentence():
     # "david carradine died on june 3 2009 apparently of asphyxiation"
     return make_sentence(
-        "a1",
         [
             ("david", "david", "PROPN", 2, "compound"),
             ("carradine", "carradine", "PROPN", 3, "nsubj"),
@@ -61,8 +59,8 @@ def mini_dir():
     return MINI_DIR
 
 
-def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, prefix="t", relabel=False):
-    """Random labeled tree as a parsed Sentence.
+def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, relabel=False):
+    """Random labeled tree as a Sentence.
 
     Parent indices precede children unless relabel is set, which renumbers the
     tokens by a random permutation so the root can be any token and heads can
@@ -85,7 +83,7 @@ def random_tree_sentence(rng, max_nodes=8, lemma_pool=None, prefix="t", relabel=
         for old, (form, lemma, tag, head, rel) in enumerate(rows, start=1):
             moved[new_index[old] - 1] = (form, lemma, tag, new_index[head], rel)
         rows = moved
-    return make_sentence(f"{prefix}{rng.integers(0, 10**9)}", rows)
+    return make_sentence(rows)
 
 
 def check_tree_paths_against_bfs(graph) -> int:

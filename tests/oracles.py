@@ -476,6 +476,20 @@ def direct_cosine(v1, v2) -> float:
     return dot / (n1 * n2)
 
 
+def cosine(v1, v2) -> float:
+    """Cosine over the key union; 0 when either vector is empty.  Every sum
+    is a math.fsum, which is correctly rounded, so the order of the keys
+    cannot change the result; `graph_similarities` must give these bits for
+    the tfidf_vectors of a question and an answer."""
+    if not v1 or not v2:
+        return 0.0
+    norm1 = math.sqrt(math.fsum([w * w for w in v1.values()]))
+    norm2 = math.sqrt(math.fsum([w * w for w in v2.values()]))
+    if norm1 == 0.0 or norm2 == 0.0:
+        return 0.0
+    return min(1.0, math.fsum([w * v2[k] for k, w in v1.items() if k in v2]) / (norm1 * norm2))
+
+
 def sorted_cosine(v1, v2) -> float:
     """Cosine with every math.fsum taken over keys in sorted order."""
     if not v1 or not v2:

@@ -22,7 +22,6 @@ from qatrigger.corpus import attach_parses, load_wikiqa
 from qatrigger.coverage import align_subgraph
 from qatrigger.evaluation import QuestionIndex, triggering_report, tune_threshold
 from qatrigger.ged import GedConfig, graph_edit_distances, load_pos_table, solve_assignment
-from qatrigger.graphsim import cosine
 
 from conftest import MINI_DIR, check_tree_paths_against_bfs, endpoints, random_tree_sentence
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     bfs_subgraph,
     brute_force_assignment,
     brute_force_ged,
+    cosine,
     direct_bm25,
     direct_ngram_score,
     head_edges,
@@ -350,8 +350,7 @@ class TestGoldenFeaturesAgainstOracles:
         )
         pos_table = load_pos_table(MINI_DIR / "pos_costs.tsv")
 
-        sentences = [g.question for g in groups]
-        sentences += [s for g in groups for _, s, _ in g.candidates]
+        sentences = [sentence for g in groups for sentence in g.parses]
         df_tables = {}
         for level in ("word", "pair", "triplet"):
             df: Counter = Counter()
@@ -375,9 +374,10 @@ class TestGoldenFeaturesAgainstOracles:
 
         checked = 0
         for group in groups:
-            for cid, answer, _ in group.candidates:
+            question, *answers = group.parses
+            for (cid, _, _), answer in zip(group.candidates, answers):
                 expected = self._oracle_features(
-                    group.question, answer, pos_table, df_tables, len(sentences)
+                    question, answer, pos_table, df_tables, len(sentences)
                 )
                 actual = golden[(group.question_id, cid)]
                 assert actual == pytest.approx(expected, abs=1e-9)

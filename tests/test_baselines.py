@@ -120,8 +120,8 @@ class TestNgram:
         groups = [group for split in ("train", "dev", "test")
                   for group in load_wikiqa(mini_dir / f"{split}.tsv")]
         for group in groups:
-            question = tokenize(group.question.text)
-            answers = [tokenize(answer.text) for _, answer, _ in group.candidates]
+            question = tokenize(group.question)
+            answers = [tokenize(text) for _, text, _ in group.candidates]
             for n_max in range(1, 41):
                 assert repr(ngram_scores(question, answers, n_max)) == repr(
                     looped_ngram_scores(question, answers, n_max)

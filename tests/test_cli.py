@@ -156,6 +156,18 @@ class TestConfig:
         )
         assert ged_config.pos_table != GedConfig().pos_table
 
+    def test_df_tables_from_an_unparsed_train_split_are_a_config_error(self, mini_dir):
+        # build_resources builds DF tables from the train split it is given;
+        # one loaded without parses has no graph to count.
+        config = load_config(
+            mini_dir / "config.ini", overrides=["features.manifest=sim_word"], env={}
+        )
+        unparsed = cli.load_split(config, "train", with_parses=False)
+        with pytest.raises(
+            ConfigError, match=r"^graph features need parses: set \[data\] conllu_train$"
+        ):
+            build_resources(config, config.manifest, unparsed)
+
     def test_every_train_key_reaches_the_model(self, mini_config, mini_dir, tmp_path):
         features = mini_dir / "golden_features_train.tsv"
         model = tmp_path / "model.txt"
@@ -1023,6 +1035,21 @@ class TestOutputFiles:
         assert link.is_symlink() and link.resolve() == target.resolve()
         assert target.read_bytes() == (mini_dir / "golden_features_train.tsv").read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
+
+    @pytest.mark.parametrize("command", ["train", "featurize"])
+    def test_output_that_cannot_be_created_is_named_as_given(
+        self, command, mini_config, mini_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "m.txt"
+        argv = {
+            "train": ["train", "--features", str(mini_dir / "golden_features_train.tsv"),
+                      "--model", str(out)],
+            "featurize": ["featurize", "--split", "train", "--out", str(out)],
+        }[command]
+        assert run("--config", mini_config, *argv) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error:io: [Errno 2] No such file or directory: '{out}'"]
+        assert ".partial" not in err
 
 
 class TestBuildDf:

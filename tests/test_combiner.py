@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +37,21 @@ from conftest import make_sentence, random_tree_sentence
 from oracles import direct_semantic_similarity, gradient_descent, prob
 
 
+def make_group(question_id, question, candidates):
+    """A parsed QuestionGroup from a question Sentence and (candidate id,
+    Sentence, label) triples; each text is its parse's lemmas joined by
+    spaces."""
+    parses = (question, *(sentence for _, sentence, _ in candidates))
+    return QuestionGroup(
+        question_id,
+        " ".join(question.lemmas),
+        tuple((cid, " ".join(sentence.lemmas), label) for cid, sentence, label in candidates),
+        parses,
+    )
+
+
 def one_candidate(question, answer, qid="q1", cid="a1"):
-    return QuestionGroup(qid, question, ((cid, answer, 1),))
+    return make_group(qid, question, ((cid, answer, 1),))
 
 
 @pytest.fixture
@@ -49,24 +63,24 @@ def uniform_tables():
     return {level: DfTable(level, n_docs=1, df={}) for level in ("word", "pair", "triplet")}
 
 
-def per_module_features(question, answer, key, resources, group_answers):
-    """All twelve features of one pair, each from its own module's per-group
-    function on the answer alone, by name; bm25, whose pool is the group,
-    from the answer's place among `group_answers`."""
-    q_tokens, a_tokens = tokenize(question.text), tokenize(answer.text)
-    group_tokens = [tokenize(a.text) for a in group_answers]
+def per_module_features(group, row, resources):
+    """All twelve features of the group's candidate `row`, each from its own
+    module's per-group function on that answer alone, by name; bm25, whose
+    pool is the group, from the answer's place in the group."""
+    question, answer = group.parses[0], group.parses[1 + row]
+    cid, text, _ = group.candidates[row]
+    q_tokens, a_tokens = tokenize(group.question), tokenize(text)
+    group_tokens = [tokenize(t) for _, t, _ in group.candidates]
     sims = graph_similarities(question, [answer], resources.df_tables, resources.alphas)[0]
     cov = graph_coverage_features(question, [answer], resources.subgraph_m)[0]
     values = [
-        resources.scores[key],
+        resources.scores[(group.question_id, cid)],
         graph_edit_distances(question, [answer], resources.ged_config)[0],
         *sims,
         relation_coverages(question, [answer])[0],
         *cov,
         vocabulary_coverages(question, [answer])[0],
-        bm25_scores(q_tokens, group_tokens, resources.k1, resources.b)[
-            group_answers.index(answer)
-        ],
+        bm25_scores(q_tokens, group_tokens, resources.k1, resources.b)[row],
         ngram_scores(q_tokens, [a_tokens], resources.n_max)[0],
         semantic_similarities(q_tokens, [a_tokens], resources.embeddings)[0],
     ]
@@ -92,7 +106,7 @@ class TestExtractFeatures:
 
     def test_group_with_no_candidates_gives_no_rows(self, question_sentence):
         # Every feature alone, the default manifest and all twelve together.
-        empty = QuestionGroup("q1", question_sentence, ())
+        empty = make_group("q1", question_sentence, ())
         resources = FeatureResources(
             df_tables=uniform_tables(),
             embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
@@ -136,8 +150,7 @@ class TestExtractFeatures:
         [values] = extract_features(fig_group, resources, DEFAULT_MANIFEST)
         assert len(values) == 8
 
-        gq = fig_group.question
-        ga = fig_group.candidates[0][1]
+        gq, ga = fig_group.parses
         sims = graph_similarities(gq, [ga], uniform_tables(), (0.0, 0.0, 0.0))[0]
         cov = graph_coverage_features(gq, [ga], resources.subgraph_m)[0]
         expected = [
@@ -156,7 +169,6 @@ class TestExtractFeatures:
         self, question_sentence, answer_sentence
     ):
         other = make_sentence(
-            "a3",
             [
                 ("carradine", "carradine", "PROPN", 2, "nsubj"),
                 ("acted", "act", "VERB", 0, "root"),
@@ -165,7 +177,7 @@ class TestExtractFeatures:
             ],
         )
         answers = [("a1", answer_sentence), ("a2", question_sentence), ("a3", other)]
-        group = QuestionGroup(
+        group = make_group(
             "q1", question_sentence, tuple((cid, s, i % 2) for i, (cid, s) in enumerate(answers))
         )
         resources = FeatureResources(
@@ -184,10 +196,8 @@ class TestExtractFeatures:
         manifest = FEATURE_NAMES[::-1]
         rows = extract_features(group, resources, manifest)
         assert len(rows) == 3
-        for (cid, answer), row in zip(answers, rows):
-            expected = per_module_features(
-                question_sentence, answer, ("q1", cid), resources, [s for _, s in answers]
-            )
+        for i, row in enumerate(rows):
+            expected = per_module_features(group, i, resources)
             assert row == [expected[name] for name in manifest]
         # One column of a family, alone.
         assert extract_features(group, resources, ["graph_cov_ques"]) == [
@@ -195,21 +205,22 @@ class TestExtractFeatures:
         ]
 
     def test_graph_features_need_parses(self):
-        bare = one_candidate(
-            Sentence("q", "text without a parse"),
-            make_sentence("a", [("y", "y", "NOUN", 0, "root")]),
-            "q", "c",
-        )
-        with pytest.raises(ConfigError, match=r"parses \(pair q/c has none\)"):
+        bare = QuestionGroup("q", "text without a parse", (("c", "y", 1), ("d", "z", 0)))
+        with pytest.raises(
+            ConfigError, match=r"^graph features require dependency parses \(pair q/c has none\)$"
+        ):
             extract_features(bare, FeatureResources(), ["ged"])
+        assert extract_features(QuestionGroup("q", "text", ()), FeatureResources(), ["ged"]) == []
 
     def test_lexical_features_without_parses(self, fig_group):
         resources = FeatureResources(
             embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
         )
-        [values] = extract_features(fig_group, resources, ["bm25", "ngram", "semvec"])
+        lexical = ["bm25", "ngram", "semvec"]
+        [values] = extract_features(fig_group, resources, lexical)
         assert len(values) == 3
         assert values[1] > 0  # shared words give n-gram mass
+        assert extract_features(replace(fig_group, parses=None), resources, lexical) == [values]
 
     def test_semvec_requires_embeddings(self, fig_group):
         with pytest.raises(ConfigError, match="embedding"):
@@ -219,29 +230,43 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError, match="DF"):
             extract_features(fig_group, FeatureResources(), ["sim_word"])
 
-    @pytest.mark.parametrize("manifest", [DEFAULT_MANIFEST, FEATURE_NAMES])
+    @pytest.mark.parametrize("manifest", [
+        DEFAULT_MANIFEST, FEATURE_NAMES, ("bm25", "ngram", "semvec", "ext_score"),
+    ])
     def test_each_sentence_built_and_tokenized_once(
         self, manifest, mini_dir, tmp_path, monkeypatch
     ):
+        # A Sentence is a parse: each is built once, and only when a graph
+        # feature reads it.  Each text is tokenized once, and only when a
+        # lexical feature reads it.
+        built = 0
+        post_init = Sentence.__post_init__
+
+        def counting_post_init(sentence):
+            nonlocal built
+            built += 1
+            post_init(sentence)
+
         tokenized = Counter()
 
         def counting_tokenize(text):
             tokenized[text] += 1
             return tokenize(text)
 
+        monkeypatch.setattr(Sentence, "__post_init__", counting_post_init)
         monkeypatch.setattr(combiner, "tokenize", counting_tokenize)
         assert main([
             "--config", str(mini_dir / "config.ini"),
             "--set", f"features.manifest={','.join(manifest)}",
             "featurize", "--split", "train", "--out", str(tmp_path / "f.tsv"),
         ]) == 0
+        assert built == (56 if reads_parses(manifest) else 0)
 
         groups = load_wikiqa(mini_dir / "train.tsv")
-        sentences = [g.question for g in groups]
-        sentences += [s for g in groups for _, s, _ in g.candidates]
-        assert len(sentences) == 56
-        lexical = manifest == FEATURE_NAMES
-        assert tokenized == (Counter(s.text for s in sentences) if lexical else Counter())
+        texts = [g.question for g in groups] + [t for g in groups for _, t, _ in g.candidates]
+        assert len(texts) == 56
+        lexical = "bm25" in manifest
+        assert tokenized == (Counter(texts) if lexical else Counter())
 
 
 # Lexical questions for the per-group checks, each an edge case.
@@ -313,13 +338,13 @@ class TestCandidateIndependence:
         rng = np.random.default_rng(2025)
         lemmas = ["die", "live", "win", "city", "Die", "man"]
         config = GedConfig(edge_weight=0.75, delete_cost=0.5)
-        empty = Sentence("e", "")
+        empty = Sentence((), (), (), ())
         for k in range(25):
             gq = empty if k == 0 else random_tree_sentence(rng, lemma_pool=lemmas, relabel=True)
             answers = [random_tree_sentence(rng, lemma_pool=lemmas) for _ in range(6)]
-            answers.append(make_sentence("one", [("die", "die", "VERB", 0, "root")]))
+            answers.append(make_sentence([("die", "die", "VERB", 0, "root")]))
             answers.append(empty)
-            tables = build_df([s for s in (gq, *answers) if s.parsed])
+            tables = build_df([s for s in (gq, *answers) if s.heads])
             scorers = [
                 lambda q, a: graph_edit_distances(q, a, config),
                 lambda q, a: graph_similarities(q, a, tables, (0.0, 0.5, 1.0)),
@@ -333,7 +358,7 @@ class TestCandidateIndependence:
     def test_every_feature_of_seeded_groups(self):
         rng = np.random.default_rng(2026)
         lemmas = ["die", "live", "win", "city", "man", "sun", "of"]
-        no_tokens = make_sentence("q?", [("?!", "?!", "PUNCT", 0, "root")])  # tokenizes to []
+        no_tokens = make_sentence([("?!", "?!", "PUNCT", 0, "root")])  # tokenizes to []
         table = self.table(self.vectors(rng))
         for g in range(12):
             question = no_tokens if g == 0 else random_tree_sentence(rng, lemma_pool=lemmas)
@@ -342,7 +367,7 @@ class TestCandidateIndependence:
                 for i in range(int(rng.integers(1, 8)))
             ]
             qid = f"q{g}"
-            group = QuestionGroup(qid, question, tuple((cid, a, 0) for cid, a in answers))
+            group = make_group(qid, question, tuple((cid, a, 0) for cid, a in answers))
             resources = FeatureResources(
                 df_tables=build_df([question] + [a for _, a in answers]),
                 embeddings=table,
@@ -350,11 +375,9 @@ class TestCandidateIndependence:
                 alphas=(0.0, 0.5, 1.0),
             )
             rows = extract_features(group, resources, FEATURE_NAMES)
-            group_answers = [a for _, a in answers]
             assert rows == [
-                list(per_module_features(question, a, (qid, cid), resources, group_answers)
-                     .values())
-                for cid, a in answers
+                list(per_module_features(group, i, resources).values())
+                for i in range(len(answers))
             ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qatrigger.corpus import (
+    QuestionGroup,
     Sentence,
     _read_conllu_blocks,
     attach_parses,
@@ -37,9 +38,9 @@ def write(path, text):
 def save_wikiqa(groups, path):
     """Write groups back to the 7-column TSV layout (placeholder doc fields)."""
     rows = [
-        f"{g.question_id}\t{g.question.text}\tD0\t-\t{cid}\t{sent.text}\t{label}\n"
+        f"{g.question_id}\t{g.question}\tD0\t-\t{cid}\t{text}\t{label}\n"
         for g in groups
-        for cid, sent, label in g.candidates
+        for cid, text, label in g.candidates
     ]
     write(path, HEADER + "".join(rows))
 
@@ -56,9 +57,21 @@ def test_three_row_file_single_group(tmp_path):
     assert len(groups) == 1
     group = groups[0]
     assert group.question_id == "Q1"
-    assert [cid for cid, _, _ in group.candidates] == ["S1", "S2", "S3"]
-    assert [label for _, _, label in group.candidates] == [0, 1, 0]
-    assert group.answerable
+    assert group.question == "who won"
+    assert group.candidates == (
+        ("S1", "nobody won", 0), ("S2", "alice won", 1), ("S3", "bob lost", 0),
+    )
+    assert group.parses is None
+
+
+def test_parses_must_match_the_candidates(question_sentence):
+    # The question's parse, then one per candidate, or none at all.
+    candidates = (("S1", "nobody won", 0), ("S2", "alice won", 1))
+    for count in (0, 1, 2, 4):
+        with pytest.raises(ValueError, match=f"^expected 3 parses, got {count}$"):
+            QuestionGroup("Q1", "who won", candidates, (question_sentence,) * count)
+    assert QuestionGroup("Q1", "who won", candidates, (question_sentence,) * 3).parses
+    assert QuestionGroup("Q1", "who won", candidates).parses is None
 
 
 def test_empty_file_gives_empty_list(tmp_path):
@@ -141,13 +154,13 @@ CONLLU_TWO = """1\tnobody\tnobody\tPRON\tNN\t_\t2\tnsubj\t_\t_
 def test_attach_parses_positional(tmp_path):
     corpus = write(tmp_path / "c.tsv", "Q1\tnobody won\tD\tt\tS1\talice won\t1\n")
     conllu = write(tmp_path / "p.conllu", CONLLU_TWO)
-    groups = attach_parses(load_wikiqa(corpus), conllu)
-    question = groups[0].question
+    [group] = attach_parses(load_wikiqa(corpus), conllu)
+    assert (group.question, group.candidates) == ("nobody won", (("S1", "alice won", 1),))
+    question, answer = group.parses
     assert question.lemmas == ("nobody", "win")
     assert question.upos == ("PRON", "VERB")
     assert question.heads == (2, 0)
     assert question.deprels == ("nsubj", "root")
-    _, answer, _ = groups[0].candidates[0]
     assert answer.lemmas[0] == "alice"
 
 
@@ -164,8 +177,8 @@ def test_attach_parses_by_index_file(tmp_path):
     conllu = write(tmp_path / "p.conllu", blocks)
     index = write(tmp_path / "i.tsv", "p-question\tQ1\np-answer\tS1\n")
     groups = attach_parses(load_wikiqa(corpus), conllu, index)
-    assert groups[0].question.lemmas[0] == "nobody"
-    assert groups[0].candidates[0][1].lemmas[0] == "alice"
+    assert groups[0].parses[0].lemmas[0] == "nobody"
+    assert groups[0].parses[1].lemmas[0] == "alice"
 
 
 def test_sent_id_key_is_matched_exactly(tmp_path):
@@ -180,7 +193,7 @@ def test_sent_id_key_is_matched_exactly(tmp_path):
     )
     index = write(tmp_path / "i.tsv", "q1\tQ1\na1\tS1\n")
     groups = attach_parses(load_wikiqa(corpus), conllu, index)
-    assert groups[0].question.lemmas == ("nobody", "win")
+    assert groups[0].parses[0].lemmas == ("nobody", "win")
 
 
 def test_attach_parses_skips_mwt_and_empty_nodes(tmp_path):
@@ -193,8 +206,8 @@ def test_attach_parses_skips_mwt_and_empty_nodes(tmp_path):
     )
     conllu = write(tmp_path / "p.conllu", block + "\n" + block)
     groups = attach_parses(load_wikiqa(corpus), conllu)
-    assert groups[0].question.lemmas == ("do", "it")
-    assert groups[0].question.heads == (0, 1)
+    assert groups[0].parses[0].lemmas == ("do", "it")
+    assert groups[0].parses[0].heads == (0, 1)
 
 
 def test_attach_parses_rejects_double_root(tmp_path):
@@ -251,7 +264,7 @@ def test_non_tree_rejected_when_sentence_is_built(tmp_path, heads, message):
     """heads[i] is the head of token i + 1."""
     n = len(heads)
     with pytest.raises(ValueError) as built:
-        Sentence("S1", "w", ("w",) * n, ("NOUN",) * n, tuple(heads), ("dep",) * n)
+        Sentence(("w",) * n, ("NOUN",) * n, tuple(heads), ("dep",) * n)
     assert str(built.value) == message
     error, conllu = ingest_second_block(tmp_path, enumerate(heads, start=1))
     assert str(error) == f"{conllu}: sentence 'S1': {message}"
@@ -281,7 +294,7 @@ def test_copied_sentence_rejects_bad_heads(heads, message):
     # coverage indexes per-token arrays by head, so the Sentence (which is the
     # dependency graph) checks its columns whenever it is built, including
     # when an existing Sentence is copied with new heads
-    root = make_sentence("s", [("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
+    root = make_sentence([("a", "a", "NOUN", 0, "root"), ("b", "b", "NOUN", 1, "dep")])
     with pytest.raises(ValueError) as copied:
         dataclasses.replace(root, heads=heads)
     assert str(copied.value) == message
@@ -332,8 +345,8 @@ def test_attach_parses_mini_corpus_invariants(mini_dir):
         mini_dir / "index_train.tsv",
     )
     for group in groups:
-        sentences = [group.question] + [s for _, s, _ in group.candidates]
-        for sentence in sentences:
+        assert len(group.parses) == 1 + len(group.candidates)
+        for sentence in group.parses:
             n = len(sentence.heads)
             assert n > 0
             assert len(sentence.lemmas) == len(sentence.upos) == len(sentence.deprels) == n
@@ -348,15 +361,14 @@ def test_fig_style_question_graph(question_sentence):
 
 
 def test_single_token_sentence():
-    sentence = make_sentence("s", [("go", "go", "VERB", 0, "root")])
+    sentence = make_sentence([("go", "go", "VERB", 0, "root")])
     assert sentence.lemmas == ("go",)
     assert sentence.edges == ()
-    assert Sentence("s", "go").edges == ()
+    assert Sentence((), (), (), ()).edges == ()
 
 
 def test_five_token_fixture_edges():
     sentence = make_sentence(
-        "s",
         [
             ("the", "the", "DET", 2, "det"),
             ("dog", "dog", "NOUN", 3, "nsubj"),
@@ -375,7 +387,6 @@ def test_five_token_fixture_edges():
 
 def test_edge_signature_multiset_counts_repeats():
     sentence = make_sentence(
-        "s",
         [
             ("run", "run", "VERB", 0, "root"),
             ("fast", "fast", "ADV", 1, "advmod"),
@@ -406,7 +417,7 @@ def test_lemma_falls_back_to_lowercased_form(tmp_path):
     block = "1\tParis\t_\tPROPN\tNNP\t_\t0\troot\t_\t_\n"
     conllu = write(tmp_path / "p.conllu", block + "\n" + block)
     groups = attach_parses(load_wikiqa(corpus), conllu)
-    assert groups[0].question.lemmas == ("paris",)
+    assert groups[0].parses[0].lemmas == ("paris",)
 
 
 QUESTION_ROWS = [
@@ -441,9 +452,9 @@ def test_lemma_case_is_normalized_once_for_every_feature():
     def recased(rows, case):
         return [(form, case(lemma), upos, head, rel) for form, lemma, upos, head, rel in rows]
 
-    lower = graph_features(make_sentence("q", QUESTION_ROWS), make_sentence("a", ANSWER_ROWS))
-    gq = make_sentence("q", recased(QUESTION_ROWS, str.upper))
-    ga = make_sentence("a", recased(ANSWER_ROWS, str.title))
+    lower = graph_features(make_sentence(QUESTION_ROWS), make_sentence(ANSWER_ROWS))
+    gq = make_sentence(recased(QUESTION_ROWS, str.upper))
+    ga = make_sentence(recased(ANSWER_ROWS, str.title))
     assert gq.lemmas == ("how", "do", "carradine", "die")
     assert graph_features(gq, ga) == lower
     assert lower[5] == 0.5  # vocab_cov: carradine and die of four question lemmas
@@ -610,6 +621,6 @@ def test_conllu_reader_reads_each_odd_number_text_as_int_does(tmp_path):
                          ids=["root-first", "root-middle", "root-last"])
 def test_edges_leave_out_the_root_wherever_it_is(heads):
     n = len(heads)
-    sentence = Sentence("s", "w", ("w",) * n, ("X",) * n, heads, ("a", "b", "c", "d"))
+    sentence = Sentence(("w",) * n, ("X",) * n, heads, ("a", "b", "c", "d"))
     assert list(sentence.edges) == head_edges(sentence)
     assert len(sentence.edges) == n - 1

@@ -29,7 +29,7 @@ def chain(*lemmas):
         head = 0 if i == 1 else i - 1
         rel = "root" if i == 1 else "dep"
         rows.append((lemma, lemma, "NOUN", head, rel))
-    return make_sentence("chain", rows)
+    return make_sentence(rows)
 
 
 class TestOverlapRatios:
@@ -92,7 +92,6 @@ class TestRelationCoverage:
 
     def test_half_matched(self):
         gq = make_sentence(
-            "q",
             [
                 ("a", "a", "NOUN", 5, "nsubj"),
                 ("b", "b", "NOUN", 5, "obj"),
@@ -102,7 +101,6 @@ class TestRelationCoverage:
             ],
         )
         ga = make_sentence(
-            "a",
             [
                 ("a", "a", "NOUN", 3, "nsubj"),
                 ("b", "b", "NOUN", 3, "obj"),
@@ -143,7 +141,6 @@ def interior_ancestor_graph():
     # the a..b path has 4 edges and turns at the interior node 3, and heads
     # point both forward and backward.
     return make_sentence(
-        "fork",
         [
             ("a", "a", "NOUN", 2, "nmod"),
             ("p", "p", "NOUN", 3, "nmod"),
@@ -243,7 +240,6 @@ class TestAlignSubgraph:
         # no graph of it ever reaches coverage
         with pytest.raises(ValueError, match="cycle through token 1"):
             make_sentence(
-                "cycle",
                 [
                     ("a", "a", "NOUN", 2, "dep"),
                     ("b", "b", "NOUN", 1, "dep"),
@@ -262,7 +258,7 @@ def sentence_of(heads, lemmas):
         (lemma, lemma, "NOUN", head, "root" if head == 0 else "dep")
         for head, lemma in zip(heads, lemmas)
     ]
-    return make_sentence("s", rows)
+    return make_sentence(rows)
 
 
 def matches_pairwise(gq, ga, m):
@@ -379,9 +375,7 @@ class TestGraphCoverage:
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             shape = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
             other = random_tree_sentence(rng, max_nodes=8, lemma_pool=pool, relabel=True)
-            by_hand = Sentence(
-                "a", shape.text, shape.lemmas, shape.upos, shape.heads, shape.deprels
-            )
+            by_hand = Sentence(shape.lemmas, shape.upos, shape.heads, shape.deprels)
             replaced = dataclasses.replace(
                 by_hand, lemmas=other.lemmas, upos=other.upos, heads=other.heads,
                 deprels=other.deprels,

@@ -28,8 +28,8 @@ from oracles import (
 def pair_costs(q_rows, a_rows, config=GedConfig()):
     """(substitutions, deletions, insertions) of two sentences given as
     (form, lemma, upos, head, deprel) rows, the answer alone in its group."""
-    gq = make_sentence("q", q_rows)
-    ga = make_sentence("a", a_rows)
+    gq = make_sentence(q_rows)
+    ga = make_sentence(a_rows)
     return group_cost_matrix(gq, [ga], config)[:3]
 
 
@@ -75,8 +75,8 @@ class TestNodeCost:
         assert node_cost(("a", "XYZ"), ("b", "_")) == 1.0
         assert node_cost(("a", "XYZ"), ("b", "NOUN")) == 1.0
         table = PosCostTable({("NOUN", "NOUN"): 0.2}, default_cost=0.9)
-        gq = make_sentence("q", [("a", "a", "XYZ", 0, "root")])
-        ga = make_sentence("a", [("b", "b", "XYZ", 0, "root")])
+        gq = make_sentence([("a", "a", "XYZ", 0, "root")])
+        ga = make_sentence([("b", "b", "XYZ", 0, "root")])
         substitution = group_cost_matrix(gq, [ga], GedConfig(pos_table=table))[0]
         assert substitution[0, 0] == 0.9
 
@@ -94,8 +94,8 @@ class TestIncidentEdgeCost:
 
 class TestCostMatrix:
     def test_empty_graphs_give_empty_matrix(self):
-        g = make_sentence("s", [("x", "x", "NOUN", 0, "root")])
-        empty = Sentence("e", "")
+        g = make_sentence([("x", "x", "NOUN", 0, "root")])
+        empty = Sentence((), (), (), ())
         substitution, deletion, insertion, _ = group_cost_matrix(g, [empty], GedConfig())
         assert substitution.shape == (1, 0)
         assert deletion.tolist() == [1.0]
@@ -106,7 +106,7 @@ class TestCostMatrix:
         assert insertion.tolist() == [1.0]
 
     def test_one_node_same_lemma(self):
-        g = make_sentence("s", [("die", "die", "VERB", 0, "root")])
+        g = make_sentence([("die", "die", "VERB", 0, "root")])
         substitution, deletion, insertion, _ = group_cost_matrix(g, [g], GedConfig())
         assert substitution.tolist() == [[0.0]]
         assert deletion.tolist() == [1.0]  # deletion of a degree-0 node
@@ -245,10 +245,10 @@ def random_group(rng):
     rels = ["nsubj", "obj", "amod", "x", "case"]
     lemmas = ["a", "b", "c", "d", "e"][: int(rng.integers(2, 6))]
 
-    def sentence(name, max_nodes):
+    def sentence(max_nodes):
         n = int(rng.integers(0, max_nodes + 1))
         if n == 0:
-            return Sentence(name, "")
+            return Sentence((), (), (), ())
         rows = []
         for i in range(1, n + 1):
             head = 0 if i == 1 else int(rng.integers(1, i))
@@ -256,10 +256,10 @@ def random_group(rng):
             tag = tags[int(rng.integers(0, len(tags)))]
             rel = "root" if head == 0 else rels[int(rng.integers(0, len(rels)))]
             rows.append((lemma, lemma, tag, head, rel))
-        return make_sentence(name, rows)
+        return make_sentence(rows)
 
-    question = sentence("q", 7)
-    return question, [sentence(f"a{k}", 9) for k in range(int(rng.integers(0, 11)))]
+    question = sentence(7)
+    return question, [sentence(9) for k in range(int(rng.integers(0, 11)))]
 
 
 class TestGroupCostPass:
@@ -320,12 +320,12 @@ class TestGraphEditDistance:
         assert graph_edit_distances(question_sentence, [question_sentence], GedConfig())[0] == 0.0
 
     def test_empty_question_vs_answer_is_one(self, answer_sentence):
-        empty = Sentence("e", "")
+        empty = Sentence((), (), (), ())
         assert graph_edit_distances(empty, [answer_sentence], GedConfig())[0] == 1.0
         assert graph_edit_distances(answer_sentence, [empty], GedConfig())[0] == 1.0
 
     def test_both_empty_is_zero(self):
-        empty = Sentence("e", "")
+        empty = Sentence((), (), (), ())
         assert graph_edit_distances(empty, [empty], GedConfig())[0] == 0.0
 
     def test_matches_partial_injection_oracle(self, mini_dir):
@@ -369,7 +369,6 @@ class TestGraphEditDistance:
         # "how old was sue lyon when she made lolita" against three candidates;
         # the one sharing sue/lyon/lolita/be should attain the minimum distance.
         question = make_sentence(
-            "q",
             [
                 ("how", "how", "ADV", 2, "advmod"),
                 ("old", "old", "ADJ", 0, "root"),
@@ -383,7 +382,6 @@ class TestGraphEditDistance:
             ],
         )
         wrong_film = make_sentence(
-            "a1",
             [
                 ("lolita", "lolita", "PROPN", 4, "nsubj"),
                 ("is", "be", "AUX", 4, "cop"),
@@ -396,7 +394,6 @@ class TestGraphEditDistance:
             ],
         )
         correct = make_sentence(
-            "a2",
             [
                 ("the", "the", "DET", 2, "det"),
                 ("actress", "actress", "NOUN", 8, "nsubj"),
@@ -410,7 +407,6 @@ class TestGraphEditDistance:
             ],
         )
         wrong_censor = make_sentence(
-            "a3",
             [
                 ("kubrick", "kubrick", "PROPN", 3, "nsubj"),
                 ("later", "later", "ADV", 3, "advmod"),

@@ -12,7 +12,6 @@ from qatrigger.graphsim import (
     LEVELS,
     DfTable,
     build_df,
-    cosine,
     extract_keys,
     graph_similarities,
     load_df_table,
@@ -22,6 +21,7 @@ from qatrigger.graphsim import (
 
 from conftest import make_sentence, random_tree_sentence
 from oracles import (
+    cosine,
     direct_cosine,
     direct_tfidf_vector,
     head_edges,
@@ -48,7 +48,7 @@ class TestExtractKeys:
         assert sum(triplets.values()) == len(answer_sentence.edges)
 
     def test_single_node_has_no_pairs(self):
-        graph = make_sentence("s", [("hi", "hi", "INTJ", 0, "root")])
+        graph = make_sentence([("hi", "hi", "INTJ", 0, "root")])
         keys = extract_keys(graph)
         assert not keys["pair"] and not keys["triplet"]
 
@@ -63,9 +63,8 @@ class TestExtractKeys:
 
 class TestBuildDf:
     def test_counts_sentences_containing_key(self):
-        s1 = make_sentence("1", [("die", "die", "VERB", 0, "root")])
+        s1 = make_sentence([("die", "die", "VERB", 0, "root")])
         s2 = make_sentence(
-            "2",
             [("he", "he", "PRON", 2, "nsubj"), ("die", "die", "VERB", 0, "root")],
         )
         table = build_df([s1, s2])["word"]
@@ -76,7 +75,6 @@ class TestBuildDf:
 
     def test_repeats_within_one_sentence_count_once(self):
         s = make_sentence(
-            "1",
             [("fast", "fast", "ADV", 2, "advmod"),
              ("go", "go", "VERB", 0, "root"),
              ("fast", "fast", "ADV", 2, "advmod")],
@@ -89,7 +87,6 @@ class TestBuildDf:
             lemma = "even" if i % 2 == 0 else "odd"
             sentences.append(
                 make_sentence(
-                    str(i),
                     [(lemma, lemma, "NOUN", 2, "nsubj"), ("is", "be", "AUX", 0, "root")],
                 )
             )
@@ -100,15 +97,10 @@ class TestBuildDf:
         with pytest.raises(ValueError):
             build_df([])
 
-    def test_unparsed_sentence_is_an_error(self):
-        parsed = make_sentence("1", [("die", "die", "VERB", 0, "root")])
-        with pytest.raises(ValueError, match="sentence 'bare' has no parse"):
-            build_df([parsed, Sentence("bare", "die")])
-
     def test_one_graph_per_sentence_for_all_levels(self):
         rng = np.random.default_rng(73)
         sentences = [
-            random_tree_sentence(rng, lemma_pool=["a", "b", "c"], prefix=f"s{i}")
+            random_tree_sentence(rng, lemma_pool=["a", "b", "c"])
             for i in range(30)
         ]
         tables = build_df(sentences)
@@ -136,13 +128,13 @@ class TestIdfByDf:
 
 class TestTfidfVector:
     def test_formula_with_saturated_df(self):
-        graph = make_sentence("s", [("die", "die", "VERB", 0, "root")])
+        graph = make_sentence([("die", "die", "VERB", 0, "root")])
         table = DfTable("word", n_docs=4, df={"die": 4})
         vector = tfidf_vector(word_keys(graph), table, alpha=0.0)
         assert vector["die"] == pytest.approx(math.log(5 / 5) + 1.0)
 
     def test_unseen_key_uses_zero_df(self):
-        graph = make_sentence("s", [("new", "new", "ADJ", 0, "root")])
+        graph = make_sentence([("new", "new", "ADJ", 0, "root")])
         table = DfTable("word", n_docs=9, df={"old": 1})
         assert tfidf_vector(word_keys(graph), table, 0.0)["new"] == pytest.approx(math.log(10) + 1)
 
@@ -173,7 +165,7 @@ class TestTfidfVector:
 
     def test_bitwise_equal_to_direct_formula_at_every_level(self):
         rng = np.random.default_rng(79)
-        graphs = [random_tree_sentence(rng, max_nodes=9, prefix=f"g{i}") for i in range(60)]
+        graphs = [random_tree_sentence(rng, max_nodes=9) for i in range(60)]
         tables = build_df(graphs[:30])
         for graph in graphs:
             for level, table in tables.items():
@@ -250,8 +242,8 @@ class TestSimilarityFeatures:
         assert sims == pytest.approx((1.0, 1.0, 1.0))
 
     def test_disjoint_graphs_score_zero(self):
-        g1 = make_sentence("1", [("sun", "sun", "NOUN", 0, "root")])
-        g2 = make_sentence("2", [("rain", "rain", "NOUN", 0, "root")])
+        g1 = make_sentence([("sun", "sun", "NOUN", 0, "root")])
+        g2 = make_sentence([("rain", "rain", "NOUN", 0, "root")])
         tables = self.tables_for([g1, g2])
         assert graph_similarities(g1, [g2], tables, (0.0, 0.0, 0.0))[0] == (0, 0, 0)
 
