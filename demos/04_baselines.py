@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """The three standalone lexical scorers: BM25, n-gram coverage, embeddings.
 
-Each scores the candidate answers of one question in one call; BM25 treats
-them as a tiny document pool.  No parses are involved.
+BM25 and n-gram coverage score the candidate answers of one question in one
+call, and BM25 treats them as a tiny document pool; the embedding cosine
+scores a batch of such groups in one call, here a batch of one.  No parses
+are involved.
 """
 
 import math
@@ -58,5 +60,5 @@ table = EmbeddingTable(
 )
 
 print("\naveraged-embedding cosine (out-of-vocabulary words are skipped)")
-for text, score in zip(answers, semantic_similarities(question, tokenized, table)):
+for text, score in zip(answers, semantic_similarities([(question, tokenized)], table)):
     print(f"  {score:7.3f}  {text}")

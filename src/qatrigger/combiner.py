@@ -1,20 +1,21 @@
 """Feature extraction and the logistic-regression trigger model.
 
-Features are computed one question group at a time, from one table of
-feature families (graph alignment features, lexical baselines, and
-optionally an external neural score).  Each family gives its column names,
-whether it reads dependency parses, the resource it requires, and one call
-of one per-group function, from `ged`, `graphsim`, `coverage` or
-`baselines`, that prepares the question's side once and returns the
-family's columns, one value per candidate; no family is scored pair by
-pair.  The lexical features read a group's texts, tokenized on first use,
-once per group, and the graph features its parses.  BM25 takes its pool
-from the group's own answers, so `bm25` is the one feature whose value
-depends on a candidate's groupmates.  A standardized
-logistic regression maps each candidate's manifest-ordered vector to a
-trigger probability.  Training minimizes L2-regularized log loss by
-Newton's method from zero weights, to a fixed gradient-norm tolerance, so
-identical inputs always give identical models."""
+Features are computed for a batch of question groups at a time, from one
+table of feature families (graph alignment features, lexical baselines,
+and optionally an external neural score).  Each family gives its column
+names, whether it reads dependency parses, the resource it requires, and
+the columns of the whole batch, one value per candidate.  Every family but
+`semvec` calls its per-group function from `ged`, `graphsim`, `coverage` or
+`baselines` once per group, which prepares the question's side once; the
+`semvec` function takes the whole batch.  No family is scored pair by
+pair.  The lexical features read the texts, tokenized on first use, once
+per batch, and the graph features the parses.  BM25 takes its pool from
+the group's own answers, so `bm25` is the one feature whose value depends
+on a candidate's groupmates; no value depends on its batch-mates.  A
+standardized logistic regression maps each candidate's manifest-ordered
+vector to a trigger probability.  Training minimizes L2-regularized log
+loss by Newton's method from zero weights, to a fixed gradient-norm
+tolerance, so identical inputs always give identical models."""
 
 from __future__ import annotations
 
@@ -69,34 +70,37 @@ class FeatureResources:
 
 
 @dataclass
-class _Group:
-    """One question group's inputs: the texts, tokenized on first read, once
-    per group, and the parses (None and [] when the group has none)."""
+class _Batch:
+    """A run of question groups, each with at least one candidate: their
+    pair keys, their texts, tokenized on first read, once per batch, and
+    their parses."""
 
-    keys: list[tuple[str, str]]
-    question: str
-    answers: list[str]
-    gq: Sentence | None
-    graphs: Sequence[Sentence]
+    groups: Sequence[QuestionGroup]
 
     @cached_property
-    def q_tokens(self) -> list[str]:
-        return tokenize(self.question)
+    def keys(self) -> list[tuple[str, str]]:
+        return [(g.question_id, cid) for g in self.groups for cid, _, _ in g.candidates]
 
     @cached_property
-    def a_tokens(self) -> list[list[str]]:
-        return [tokenize(answer) for answer in self.answers]
+    def tokens(self) -> list[tuple[list[str], list[list[str]]]]:
+        """Each group's question tokens and candidate token lists."""
+        return [(tokenize(g.question), [tokenize(text) for _, text, _ in g.candidates])
+                for g in self.groups]
+
+    @cached_property
+    def parses(self) -> list[tuple[Sentence, Sequence[Sentence]]]:
+        """Each group's question parse and candidate parses."""
+        return [(g.parses[0], g.parses[1:]) for g in self.groups]
 
 
-def _ext_scores(group: _Group, res: FeatureResources) -> list[list[float]]:
-    for qid, cid in group.keys:
-        if (qid, cid) not in res.scores:
-            raise ConfigError(f"ext_score missing for pair {qid}/{cid}")
-    return [[res.scores[key] for key in group.keys]]
+def _each_group(score: Callable[[object, Sequence], Sequence], inputs: Iterable) -> list:
+    """score(question, candidates) of each group's inputs, concatenated:
+    one value or row per candidate of the batch."""
+    return [value for question, candidates in inputs for value in score(question, candidates)]
 
 
 class _Family(NamedTuple):
-    """Columns computed together for a whole group by one function."""
+    """Columns computed together for a whole batch by one function."""
 
     columns: tuple[str, ...]
     # Whether the family reads dependency parses.
@@ -104,29 +108,34 @@ class _Family(NamedTuple):
     # (FeatureResources field that must be set, the error when it is not).
     requires: tuple[str, str] | None
     # The family's columns: one sequence per column, one value per candidate.
-    fn: Callable[[_Group, FeatureResources], Iterable[Sequence[float]]]
+    fn: Callable[[_Batch, FeatureResources], Iterable[Sequence[float]]]
 
 
 _FAMILIES = (
-    _Family(("ext_score",), False, ("scores", "ext_score requires a score file"), _ext_scores),
+    _Family(("ext_score",), False, ("scores", "ext_score requires a score file"),
+            lambda b, res: [[res.scores[key] for key in b.keys]]),
     _Family(("ged",), True, None,
-            lambda g, res: [graph_edit_distances(g.gq, g.graphs, res.ged_config)]),
+            lambda b, res: [_each_group(
+                lambda gq, graphs: graph_edit_distances(gq, graphs, res.ged_config), b.parses)]),
     _Family(("sim_word", "sim_pair", "sim_triplet"), True,
             ("df_tables", "similarity features require DF tables"),
-            lambda g, res: zip(*graph_similarities(
-                g.gq, g.graphs, res.df_tables, res.alphas))),
+            lambda b, res: zip(*_each_group(
+                lambda gq, graphs: graph_similarities(gq, graphs, res.df_tables, res.alphas),
+                b.parses))),
     _Family(("rel_cov",), True, None,
-            lambda g, res: [relation_coverages(g.gq, g.graphs)]),
+            lambda b, res: [_each_group(relation_coverages, b.parses)]),
     _Family(("graph_cov_ans", "graph_cov_ques"), True, None,
-            lambda g, res: zip(*graph_coverage_features(g.gq, g.graphs, res.subgraph_m))),
+            lambda b, res: zip(*_each_group(
+                lambda gq, graphs: graph_coverage_features(gq, graphs, res.subgraph_m),
+                b.parses))),
     _Family(("vocab_cov",), True, None,
-            lambda g, res: [vocabulary_coverages(g.gq, g.graphs)]),
+            lambda b, res: [_each_group(vocabulary_coverages, b.parses)]),
     _Family(("bm25",), False, None,
-            lambda g, res: [bm25_scores(g.q_tokens, g.a_tokens, res.k1, res.b)]),
+            lambda b, res: [_each_group(lambda q, a: bm25_scores(q, a, res.k1, res.b), b.tokens)]),
     _Family(("ngram",), False, None,
-            lambda g, res: [ngram_scores(g.q_tokens, g.a_tokens, res.n_max)]),
+            lambda b, res: [_each_group(lambda q, a: ngram_scores(q, a, res.n_max), b.tokens)]),
     _Family(("semvec",), False, ("embeddings", "semvec requires an embedding table"),
-            lambda g, res: [semantic_similarities(g.q_tokens, g.a_tokens, res.embeddings)]),
+            lambda b, res: [semantic_similarities(b.tokens, res.embeddings)]),
 )
 
 FEATURE_NAMES = tuple(name for family in _FAMILIES for name in family.columns)
@@ -152,33 +161,47 @@ def reads_parses(manifest: Sequence[str]) -> bool:
 
 
 def extract_features(
-    group: QuestionGroup,
+    groups: Iterable[QuestionGroup],
     resources: FeatureResources,
     manifest: Sequence[str] = DEFAULT_MANIFEST,
 ) -> list[list[float]]:
-    """Feature rows for the group's candidates, in candidate order; each row
-    holds the manifest's features in manifest order.
+    """Feature rows for the candidates of every group, groups in order and
+    each group's candidates in order; each row holds the manifest's features
+    in manifest order.  A row does not depend on the other groups, so a
+    batch gives the rows of its groups one at a time; to featurize one
+    group, pass `[group]`.
 
-    Raises ConfigError when an enabled feature's resource is missing or a
-    graph feature meets a group without parses; an enabled ext_score with
-    no entry for a pair is an error, never imputed.
+    The manifest and the resources are checked once per call, and each
+    family computes its columns over the whole batch.  Raises ConfigError
+    when an enabled feature's resource is missing, a graph feature meets a
+    group without parses, or an enabled ext_score has no entry for a pair
+    (never imputed); the groups are checked in order, so the first faulty
+    pair is the one that featurizing group by group would name.
     """
     check_manifest(manifest)
     families = [f for f in _FAMILIES if any(name in manifest for name in f.columns)]
     for family in families:
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
-    if not group.candidates:
+    groups = [group for group in groups if group.candidates]
+    graph = any(family.parses for family in families)
+    scores = resources.scores if "ext_score" in manifest else None
+    for group in groups:
+        qid = group.question_id
+        if graph and group.parses is None:
+            first = group.candidates[0][0]
+            raise ConfigError(
+                f"graph features require dependency parses (pair {qid}/{first} has none)")
+        if scores is not None:
+            for cid, _, _ in group.candidates:
+                if (qid, cid) not in scores:
+                    raise ConfigError(f"ext_score missing for pair {qid}/{cid}")
+    if not groups:
         return []
-    qid, first = group.question_id, group.candidates[0][0]
-    if group.parses is None and any(family.parses for family in families):
-        raise ConfigError(f"graph features require dependency parses (pair {qid}/{first} has none)")
-    gq, *graphs = group.parses or (None,)
-    inputs = _Group([(qid, cid) for cid, _, _ in group.candidates], group.question,
-                    [text for _, text, _ in group.candidates], gq, graphs)
+    batch = _Batch(groups)
     table = {name: column for family in families
-             for name, column in zip(family.columns, family.fn(inputs, resources))}
-    return [[table[name][row] for name in manifest] for row in range(len(inputs.keys))]
+             for name, column in zip(family.columns, family.fn(batch, resources))}
+    return list(map(list, zip(*(table[name] for name in manifest))))
 
 
 def sigmoid(x: float) -> float:

@@ -160,42 +160,54 @@ class TestSemanticVector:
     def test_all_oov_gives_none(self):
         # No question token has a vector: the mean is undefined, every score 0.
         emb = self.embeddings()
-        assert semantic_similarities(["zzz", "qqq"], [["zzz", "qqq"], ["sun"]], emb) == [0.0, 0.0]
+        groups = [(["zzz", "qqq"], [["zzz", "qqq"], ["sun"]])]
+        assert semantic_similarities(groups, emb) == [0.0, 0.0]
 
     def test_single_token_mean_is_itself(self):
         emb = self.embeddings()
-        scores = semantic_similarities(["sun", "zzz"], [["sun"], ["moon"], ["star"]], emb)
+        scores = semantic_similarities([(["sun", "zzz"], [["sun"], ["moon"], ["star"]])], emb)
         assert scores == pytest.approx([1.0, 0.0, 1 / math.sqrt(2)], abs=1e-12)
 
     def test_mean_of_two(self):
         emb = self.embeddings()
-        scores = semantic_similarities(["sun", "moon"], [["star"], ["sun"], ["moon", "zzz"]], emb)
+        groups = [(["sun", "moon"], [["star"], ["sun"], ["moon", "zzz"]])]
+        scores = semantic_similarities(groups, emb)
         assert scores == pytest.approx([1.0, 1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-12)
 
     def test_lookup_is_exact(self):
         emb = self.embeddings()
         # SUN has no row of its own, and tokenize() never yields it.
-        assert semantic_similarities(["SUN"], [["sun"]], emb) == [0.0]
-        assert semantic_similarities(["sun"], [["SUN"], ["Moon"]], emb) == [0.0, 0.0]
+        assert semantic_similarities([(["SUN"], [["sun"]])], emb) == [0.0]
+        assert semantic_similarities([(["sun"], [["SUN"], ["Moon"]])], emb) == [0.0, 0.0]
         # Sky keeps its own row, and sky has none.
-        assert semantic_similarities(["Sky"], [["moon"], ["sky"]], emb) == pytest.approx([-1.0, 0.0])
+        scores = semantic_similarities([(["Sky"], [["moon"], ["sky"]])], emb)
+        assert scores == pytest.approx([-1.0, 0.0])
 
     def test_similarity_identical_sentences(self):
         emb = self.embeddings()
-        assert semantic_similarities(["sun", "moon"], [["sun", "moon"]], emb)[0] == pytest.approx(1.0)
+        [score] = semantic_similarities([(["sun", "moon"], [["sun", "moon"]])], emb)
+        assert score == pytest.approx(1.0)
 
     def test_similarity_oov_side_is_zero(self):
-        assert semantic_similarities(["sun"], [["zzz"]], self.embeddings())[0] == 0.0
+        assert semantic_similarities([(["sun"], [["zzz"]])], self.embeddings())[0] == 0.0
 
     def test_similarity_hand_cosine(self):
         emb = self.embeddings()
-        value = semantic_similarities(["sun"], [["star"]], emb)[0]
+        value = semantic_similarities([(["sun"], [["star"]])], emb)[0]
         assert value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_integer_table_scores_as_its_float_copy(self, dim):
+        matrix = np.array([[1, 0], [0, 3], [2, 2], [0, -1]])[:, :dim]
+        rows = self.embeddings().rows
+        groups = [(["sun", "star"], [["moon"], ["star", "Sky", "sun"], ["sun"]])]
+        assert semantic_similarities(groups, EmbeddingTable(matrix, rows)) == (
+            semantic_similarities(groups, EmbeddingTable(matrix.astype(float), rows)))
 
     def test_similarity_symmetric_and_bounded(self):
         emb = self.embeddings()
-        value_ab = semantic_similarities(["sun", "star"], [["moon"]], emb)[0]
-        value_ba = semantic_similarities(["moon"], [["sun", "star"]], emb)[0]
+        value_ab = semantic_similarities([(["sun", "star"], [["moon"]])], emb)[0]
+        value_ba = semantic_similarities([(["moon"], [["sun", "star"]])], emb)[0]
         assert value_ab == pytest.approx(value_ba)
         assert -1.0 <= value_ab <= 1.0
 
@@ -242,21 +254,66 @@ class TestAgainstFirstLoops:
                     counter_bm25_scores(question, answers, k1, b)
                 )
 
-    @pytest.mark.parametrize("dim", [3, 50, 300])
+    def long_groups(self, seed):
+        """Groups whose answers have 8 to 140 tokens, where numpy sums a
+        one-column block pairwise; `big` and `minus` are +-2**53 in every
+        dimension, so the order of a sum shows in its bits."""
+        rng = random.Random(seed)
+        words = self.WORDS + ["big", "minus"]
+        for _ in range(20):
+            question = [rng.choice(words) for _ in range(rng.randrange(1, 8))]
+            answers = [[rng.choice(words) for _ in range(rng.randrange(8, 141))]
+                       for _ in range(rng.randrange(1, 4))]
+            yield question, answers
+        yield ["sun"], [["big", *["sun"] * k, "minus"] for k in (5, 6, 7, 30, 138)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 300])
     def test_semantic_similarities(self, tmp_path, dim):
         rng = random.Random(dim)
         lines = []
         for word in ["sun", "moon", "star", "sky", "Sky", "moon"]:  # moon twice
             lines.append(" ".join([word, *(repr(rng.uniform(-1.0, 1.0)) for _ in range(dim))]))
         lines.append(" ".join(["sea", *["0"] * dim]))
+        lines.append(" ".join(["big", *[repr(2.0**53)] * dim]))
+        lines.append(" ".join(["minus", *[repr(-(2.0**53))] * dim]))
         path = tmp_path / "vectors.txt"
         path.write_text("\n".join(lines) + "\n")
         table = load_embeddings(path)
-        assert len(table.rows) == 6
-        for question, answers in self.groups(3):
-            assert repr(semantic_similarities(question, answers, table)) == repr(
-                looped_semantic_similarities(question, answers, table.matrix, table.rows)
-            )
+        assert len(table.rows) == 8
+        groups = [*self.groups(3), *self.long_groups(dim)]
+        looped = [looped_semantic_similarities(q, a, table.matrix, table.rows) for q, a in groups]
+        for (question, answers), expected in zip(groups, looped):
+            assert repr(semantic_similarities([(question, answers)], table)) == repr(expected)
+        # All groups in one batch: each answer keeps its bits.
+        assert repr(semantic_similarities(groups, table)) == repr(sum(looped, []))
+
+    def test_a_square_that_overflows_beside_a_finite_dot_product(self):
+        # |big|**2 overflows while big . one stays finite: without a second
+        # scoring, dot / inf would be a false 0.
+        rows = {"one": 0, "big": 1}
+        huge = EmbeddingTable(np.array([[1.0, 0.5], [2.0**600, 2.0**599]]), rows)
+        plain = EmbeddingTable(np.array([[1.0, 0.5], [1.0, 0.5]]), rows)
+        groups = [(["big"], [["one"], ["big"]])]
+        assert semantic_similarities(groups, huge) == semantic_similarities(groups, plain)
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-520, 2.0**-600],
+                             ids=["2**600", "2**-520", "2**-600"])
+    @pytest.mark.parametrize("dim", [1, 2, 50])
+    def test_scaling_the_table_by_a_power_of_two_changes_no_score(self, dim, factor):
+        # At 2**600 the squares overflow, at 2**-520 they lose bits to
+        # underflow and at 2**-600 they underflow to 0; the pairs they touch
+        # are scored again from rescaled means, with no warning
+        # (filterwarnings = error).
+        rng = np.random.default_rng(dim)
+        words = [*self.WORDS, "Sky"]
+        matrix = rng.uniform(-1.0, 1.0, size=(len(words), dim))
+        matrix[words.index("sea")] = 0.0
+        table = EmbeddingTable(matrix, {w: i for i, w in enumerate(words)})
+        scaled = EmbeddingTable(matrix * factor, table.rows)
+        groups = [*self.groups(4), *self.long_groups(4)]
+        expected = semantic_similarities(groups, table)
+        assert any(score not in (0.0, 1.0, -1.0) for score in expected) or dim == 1
+        assert repr(semantic_similarities(groups, scaled)) == repr(expected)
 
 
 # More vector lines than one chunk of the C reader holds, and the first line

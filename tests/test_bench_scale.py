@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qatrigger import cli
 from qatrigger.cli import main
 from qatrigger.combiner import FEATURE_NAMES
 
@@ -80,6 +81,26 @@ def test_every_output_matches_its_committed_hash(tmp_path, capsys):
     argv = ["--config", str(no_df), "featurize", "--split", "train", "--out", str(in_memory)]
     assert main(argv) == 0
     assert in_memory.read_bytes() == (corpus / "out" / "feats_train.tsv").read_bytes()
+    capsys.readouterr()
+
+
+def test_batch_boundaries_change_no_feature_row(tmp_path, monkeypatch, capsys):
+    # featurize hands extract_features runs of groups of at most
+    # cli._BATCH_TEXTS texts.  One group per run, runs of at most 64 texts,
+    # the default (here a split of at most 254 texts is one run) and any
+    # split in one run all write the committed bytes.
+    corpus = tmp_path / "corpus"
+    generate(corpus)
+    cfg = ["--config", str(corpus / "config.ini")]
+    assert main(cfg + ["build-df"]) == 0
+    expected = json.loads(HASHES.read_text(encoding="utf-8"))
+    for cap in (1, 64, cli._BATCH_TEXTS, 10**9):
+        monkeypatch.setattr(cli, "_BATCH_TEXTS", cap)
+        for split in ("train", "dev", "test"):
+            out = tmp_path / f"feats_{split}_{cap}.tsv"
+            assert main(cfg + ["featurize", "--split", split, "--out", str(out)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == expected[f"featurize-{split}/feats_{split}.tsv"], (cap, split)
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ import random
 import signal
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -413,6 +414,56 @@ class TestFeaturize:
         assert code == 2
         assert "train-q12-c3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [DEFAULT_MANIFEST, FEATURE_NAMES],
+                             ids=["default", "all"])
+    def test_batch_boundaries_change_no_row(self, manifest, mini_config, tmp_path,
+                                            monkeypatch):
+        # One group per batch, two groups (5 + 5 or 4 + 4 texts), the default
+        # cap and the whole split in one batch write the same bytes.
+        batches = []
+        extract = cli.extract_features
+        monkeypatch.setattr(cli, "extract_features",
+                            lambda groups, *args: batches.append(len(groups))
+                            or extract(groups, *args))
+        for split in ("train", "dev", "test"):
+            outputs = []
+            for cap, sizes in ((1, [1] * 12), (10, [2] * 6), (cli._BATCH_TEXTS, [12]),
+                               (10**9, [12])):
+                monkeypatch.setattr(cli, "_BATCH_TEXTS", cap)
+                batches.clear()
+                out = tmp_path / f"{split}-{cap}.tsv"
+                assert run("--config", mini_config,
+                           "--set", f"features.manifest={','.join(manifest)}",
+                           "featurize", "--split", split, "--out", str(out)) == 0
+                assert batches == sizes
+                outputs.append(out.read_bytes())
+            assert outputs == [outputs[0]] * 4, split
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_semvec_is_unchanged_by_scaling_the_table_by_a_power_of_two(
+        self, factor, mini_config, mini_dir, tmp_path
+    ):
+        # At 2**600 every square overflows and at 2**-600 every square
+        # underflows to 0; each pair is scored again from rescaled means,
+        # with no warning, so the column keeps its bits.
+        scaled = tmp_path / "embeddings.txt"
+        with scaled.open("w") as handle:
+            for line in (mini_dir / "embeddings.txt").read_text().splitlines():
+                word, *values = line.split()
+                values = [repr(float(v) * factor) for v in values]
+                handle.write(" ".join([word, *values]) + "\n")
+        outputs = []
+        for embeddings in (mini_dir / "embeddings.txt", scaled):
+            out = tmp_path / f"semvec-{len(outputs)}.tsv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as `python -W error`
+                assert run("--config", mini_config, "--set", f"data.embeddings={embeddings}",
+                           "--set", "features.manifest=semvec",
+                           "featurize", "--split", "train", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert len(set(outputs[0].splitlines())) == 45
 
     def test_pos_costs_are_read_only_with_ged(self, mini_config, tmp_path):
         outputs = []

@@ -82,7 +82,7 @@ def per_module_features(group, row, resources):
         vocabulary_coverages(question, [answer])[0],
         bm25_scores(q_tokens, group_tokens, resources.k1, resources.b)[row],
         ngram_scores(q_tokens, [a_tokens], resources.n_max)[0],
-        semantic_similarities(q_tokens, [a_tokens], resources.embeddings)[0],
+        semantic_similarities([(q_tokens, [a_tokens])], resources.embeddings)[0],
     ]
     return dict(zip(FEATURE_NAMES, values))
 
@@ -113,41 +113,41 @@ class TestExtractFeatures:
             scores={},
         )
         for manifest in [(name,) for name in FEATURE_NAMES] + [DEFAULT_MANIFEST, FEATURE_NAMES]:
-            assert extract_features(empty, resources, manifest) == [], manifest
+            assert extract_features([empty], resources, manifest) == [], manifest
 
     def test_identity_pair_identity_features(self, question_sentence):
         group = one_candidate(question_sentence, question_sentence, "q", "c")
-        rows = extract_features(group, FeatureResources(), ["ged", "rel_cov"])
+        rows = extract_features([group], FeatureResources(), ["ged", "rel_cov"])
         assert rows == [[0.0, 1.0]]
 
     def test_ext_score_pass_through(self, fig_group):
         resources = FeatureResources(scores={("q1", "a1"): 0.73})
-        assert extract_features(fig_group, resources, ["ext_score"]) == [[0.73]]
+        assert extract_features([fig_group], resources, ["ext_score"]) == [[0.73]]
 
     def test_missing_ext_score_is_an_error(self, fig_group):
         resources = FeatureResources(scores={("q1", "other"): 0.5})
         with pytest.raises(ConfigError, match="ext_score missing for pair q1/a1"):
-            extract_features(fig_group, resources, ["ext_score"])
+            extract_features([fig_group], resources, ["ext_score"])
 
     def test_no_score_file_is_an_error(self, fig_group):
         with pytest.raises(ConfigError, match="score"):
-            extract_features(fig_group, FeatureResources(), ["ext_score"])
+            extract_features([fig_group], FeatureResources(), ["ext_score"])
 
     def test_empty_manifest_is_an_error(self, fig_group):
         with pytest.raises(ConfigError, match="no features"):
-            extract_features(fig_group, FeatureResources(), [])
+            extract_features([fig_group], FeatureResources(), [])
 
     def test_unknown_feature_is_an_error(self, fig_group):
         with pytest.raises(ConfigError, match="unknown"):
-            extract_features(fig_group, FeatureResources(), ["ged", "mystery"])
+            extract_features([fig_group], FeatureResources(), ["ged", "mystery"])
 
     def test_feature_named_twice_is_an_error(self, fig_group):
         with pytest.raises(ConfigError, match="^features named twice in manifest: ged, bm25$"):
-            extract_features(fig_group, FeatureResources(), ["ged", "bm25", "ged", "bm25"])
+            extract_features([fig_group], FeatureResources(), ["ged", "bm25", "ged", "bm25"])
 
     def test_full_default_manifest_matches_per_module_values(self, fig_group):
         resources = FeatureResources(df_tables=uniform_tables(), alphas=(0.0, 0.0, 0.0))
-        [values] = extract_features(fig_group, resources, DEFAULT_MANIFEST)
+        [values] = extract_features([fig_group], resources, DEFAULT_MANIFEST)
         assert len(values) == 8
 
         gq, ga = fig_group.parses
@@ -194,41 +194,71 @@ class TestExtractFeatures:
             subgraph_m=2,
         )
         manifest = FEATURE_NAMES[::-1]
-        rows = extract_features(group, resources, manifest)
+        rows = extract_features([group], resources, manifest)
         assert len(rows) == 3
         for i, row in enumerate(rows):
             expected = per_module_features(group, i, resources)
             assert row == [expected[name] for name in manifest]
         # One column of a family, alone.
-        assert extract_features(group, resources, ["graph_cov_ques"]) == [
+        assert extract_features([group], resources, ["graph_cov_ques"]) == [
             [row[manifest.index("graph_cov_ques")]] for row in rows
         ]
+
+    def test_batch_names_the_first_faulty_pair_in_file_order(self, fig_group):
+        # Group by group, a group's missing parses are named before its
+        # missing score, and an earlier group's fault before a later one's.
+        ok = fig_group
+        no_score = replace(fig_group, question_id="q2")
+        no_parses = replace(fig_group, question_id="q3", parses=None)
+        neither = replace(no_parses, question_id="q4")
+        scores = {("q1", "a1"): 0.5, ("q3", "a1"): 0.5}
+        resources = FeatureResources(scores=scores)
+        manifest = ["ext_score", "ged"]
+        orders = [[ok, no_score, no_parses], [ok, no_parses, no_score], [neither, no_score],
+                  [no_score, neither], [ok, replace(ok, question_id="q5")]]
+        for groups in orders:
+            expected = None
+            for group in groups:
+                try:
+                    extract_features([group], resources, manifest)
+                except ConfigError as exc:
+                    expected = str(exc)
+                    break
+            if expected is None:
+                assert len(extract_features(groups, resources, manifest)) == len(groups)
+                continue
+            with pytest.raises(ConfigError) as caught:
+                extract_features(groups, resources, manifest)
+            assert str(caught.value) == expected
+        with pytest.raises(ConfigError, match="pair q4/a1 has none"):
+            extract_features([neither, no_score], resources, manifest)
 
     def test_graph_features_need_parses(self):
         bare = QuestionGroup("q", "text without a parse", (("c", "y", 1), ("d", "z", 0)))
         with pytest.raises(
             ConfigError, match=r"^graph features require dependency parses \(pair q/c has none\)$"
         ):
-            extract_features(bare, FeatureResources(), ["ged"])
-        assert extract_features(QuestionGroup("q", "text", ()), FeatureResources(), ["ged"]) == []
+            extract_features([bare], FeatureResources(), ["ged"])
+        empty = QuestionGroup("q", "text", ())
+        assert extract_features([empty], FeatureResources(), ["ged"]) == []
 
     def test_lexical_features_without_parses(self, fig_group):
         resources = FeatureResources(
             embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
         )
         lexical = ["bm25", "ngram", "semvec"]
-        [values] = extract_features(fig_group, resources, lexical)
+        [values] = extract_features([fig_group], resources, lexical)
         assert len(values) == 3
         assert values[1] > 0  # shared words give n-gram mass
-        assert extract_features(replace(fig_group, parses=None), resources, lexical) == [values]
+        assert extract_features([replace(fig_group, parses=None)], resources, lexical) == [values]
 
     def test_semvec_requires_embeddings(self, fig_group):
         with pytest.raises(ConfigError, match="embedding"):
-            extract_features(fig_group, FeatureResources(), ["semvec"])
+            extract_features([fig_group], FeatureResources(), ["semvec"])
 
     def test_sims_require_df_tables(self, fig_group):
         with pytest.raises(ConfigError, match="DF"):
-            extract_features(fig_group, FeatureResources(), ["sim_word"])
+            extract_features([fig_group], FeatureResources(), ["sim_word"])
 
     @pytest.mark.parametrize("manifest", [
         DEFAULT_MANIFEST, FEATURE_NAMES, ("bm25", "ngram", "semvec", "ext_score"),
@@ -282,9 +312,11 @@ WORDS = ["die", "carradine", "sun", "moon", "zero", "SUN", "zzz", "qqq", "of", "
 
 
 class TestCandidateIndependence:
-    """A candidate's value does not depend on its groupmates: every per-group
-    function gives, bit for bit, on a whole group what it gives on each
-    candidate alone in a one-candidate group."""
+    """A candidate's value does not depend on its groupmates or on its
+    batch-mates: every per-group function gives, bit for bit, on a whole
+    group what it gives on each candidate alone in a one-candidate group,
+    and extract_features and semantic_similarities give on a batch of
+    groups what they give on each group alone."""
 
     @staticmethod
     def vectors(rng):
@@ -316,23 +348,27 @@ class TestCandidateIndependence:
         vectors = self.vectors(rng)
         table = self.table(vectors)
         questions = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(30)]
+        batch = []
         for question in questions:
             answers = EDGE_QUESTIONS + [self.random_tokens(rng) for _ in range(5)]
             # bm25 is left out: its pool is the group, so its value depends
             # on the candidate's groupmates by definition.
             scorers = [
                 *(lambda q, a, n=n: ngram_scores(q, a, n) for n in (1, 3, 5)),
-                lambda q, a: semantic_similarities(q, a, table),
+                lambda q, a: semantic_similarities([(q, a)], table),
             ]
             for score in scorers:
                 self.assert_alone_equals_together(score, question, answers)
-            assert semantic_similarities(question, answers, table) == [
+            assert semantic_similarities([(question, answers)], table) == [
                 direct_semantic_similarity(question, a, vectors) for a in answers
             ]
+            batch.append((question, answers))
+        alone = [semantic_similarities([group], table) for group in batch]
+        assert repr(semantic_similarities(batch, table)) == repr(sum(alone, []))
         for question in (["zzz", "qqq"], ["zero"]):
-            assert semantic_similarities(question, [["die"], ["zero"]], table) == [0.0, 0.0]
-        assert semantic_similarities(["SUN"], [["sun"], ["moon"]], table) == [0.0, 0.0]
-        assert semantic_similarities(["sun"], [["moon"]], table) != [0.0]
+            assert semantic_similarities([(question, [["die"], ["zero"]])], table) == [0.0, 0.0]
+        assert semantic_similarities([(["SUN"], [["sun"], ["moon"]])], table) == [0.0, 0.0]
+        assert semantic_similarities([(["sun"], [["moon"]])], table) != [0.0]
 
     def test_graph_families(self):
         rng = np.random.default_rng(2025)
@@ -355,6 +391,37 @@ class TestCandidateIndependence:
             for score in scorers:
                 self.assert_alone_equals_together(score, gq, answers)
 
+    def test_every_feature_of_a_batch_of_seeded_groups(self):
+        # bm25's pool is its own group, so it too is free of batch-mates.
+        rng = np.random.default_rng(2027)
+        lemmas = ["die", "live", "win", "city", "man", "sun", "of"]
+        no_tokens = make_sentence([("?!", "?!", "PUNCT", 0, "root")])
+        groups = [make_group("q0", no_tokens, ())]
+        for g in range(1, 15):
+            question = no_tokens if g == 1 else random_tree_sentence(rng, lemma_pool=lemmas)
+            answers = tuple(
+                (f"c{i}", random_tree_sentence(rng, lemma_pool=lemmas, relabel=True), 0)
+                for i in range(int(rng.integers(1, 8)))
+            )
+            groups.append(make_group(f"q{g}", question, answers))
+        sentences = [s for group in groups for s in group.parses]
+        resources = FeatureResources(
+            df_tables=build_df(sentences),
+            embeddings=self.table(self.vectors(rng)),
+            scores={(g.question_id, cid): float(rng.random())
+                    for g in groups for cid, _, _ in g.candidates},
+            alphas=(0.0, 0.5, 1.0),
+        )
+        alone = [row for group in groups
+                 for row in extract_features([group], resources, FEATURE_NAMES)]
+        assert len(alone) == sum(len(g.candidates) for g in groups)
+        assert repr(extract_features(groups, resources, FEATURE_NAMES)) == repr(alone)
+        for manifest in (DEFAULT_MANIFEST, ("semvec", "bm25")):
+            columns = [FEATURE_NAMES.index(name) for name in manifest]
+            assert repr(extract_features(groups, resources, manifest)) == repr(
+                [[row[i] for i in columns] for row in alone]
+            )
+
     def test_every_feature_of_seeded_groups(self):
         rng = np.random.default_rng(2026)
         lemmas = ["die", "live", "win", "city", "man", "sun", "of"]
@@ -374,7 +441,7 @@ class TestCandidateIndependence:
                 scores={(qid, cid): float(rng.random()) for cid, _ in answers},
                 alphas=(0.0, 0.5, 1.0),
             )
-            rows = extract_features(group, resources, FEATURE_NAMES)
+            rows = extract_features([group], resources, FEATURE_NAMES)
             assert rows == [
                 list(per_module_features(group, i, resources).values())
                 for i in range(len(answers))
