@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The three standalone lexical scorers: BM25, n-gram coverage, embeddings.
 
-BM25 and n-gram coverage score the candidate answers of one question in one
-call, and BM25 treats them as a tiny document pool; the embedding cosine
-scores a batch of such groups in one call, here a batch of one.  No parses
-are involved.
+Each scorer takes a batch of (question tokens, candidate token lists)
+groups, here a batch of one, and returns one score per candidate.  BM25
+treats each group's candidates as a tiny document pool.  No parses are
+involved.
 """
 
 import math
@@ -32,7 +32,7 @@ defaults = FeatureResources()
 k1, b, n_max = defaults.k1, defaults.b, defaults.n_max
 
 print(f"BM25 (k1={k1}, b={b}); pool idf saturates for terms shared across candidates")
-for text, score in zip(answers, bm25_scores(question, tokenized, k1, b)):
+for text, score in zip(answers, bm25_scores([(question, tokenized)], k1, b)):
     print(f"  {score:7.3f}  {text}")
 
 
@@ -47,9 +47,9 @@ print(f"  idf('die') = {idf('die'):.3f}, idf('carradine') = {idf('carradine'):.3
 orders = range(1, n_max + 1)
 weights = "+".join(map(str, orders))
 print(f"\nn-gram coverage up to trigrams (clipped counts, weighted by {weights})")
-for text, tokens, score in zip(answers, tokenized, ngram_scores(question, tokenized, n_max)):
+for text, tokens, score in zip(answers, tokenized, ngram_scores([(question, tokenized)], n_max)):
     # The same answer scored alone with each shorter n_max.
-    by_n = [round(ngram_scores(question, [tokens], n)[0], 3) for n in orders]
+    by_n = [round(ngram_scores([(question, [tokens])], n)[0], 3) for n in orders]
     print(f"  score {score:.3f}  by n_max {by_n}  {text}")
 
 # A toy embedding table; real runs load word2vec/GloVe-style text files.

@@ -1,15 +1,22 @@
 """Standalone lexical scorers: BM25, n-gram coverage, and embedding cosine.
 
-These operate on plain token lists (whitespace split, lowercased, punctuation
-stripped at token edges); dependency parses are not required.  BM25 and
-n-gram coverage take a question and its whole group of answers, prepare the
-question once and return one score per answer, in answer order.  BM25's
-document pool is the answers it scores, so its N, avgdl and each term's n
-come from them.  The n-gram score is the coverage features' clipped overlap,
-`coverage.overlap_ratios`, over n-grams.  The embedding cosine takes a batch
-of such groups and returns one score per answer of every group: it looks
-each token up exactly as tokenized, with no case folding, and sums the word
-vectors of all the batch's texts together, one position at a time.
+These operate on plain token lists (whitespace split, lowercased, and
+stripped at token edges of ASCII `string.punctuation` only, so that marks
+such as “ ” ’ – stay on their tokens); dependency parses are not
+required.  Each scorer takes a batch of (question tokens, answer token
+lists) groups and returns one score per answer of every group, in order:
+`bm25_scores(groups, k1, b)`, `ngram_scores(groups, n_max)` and
+`semantic_similarities(groups, table)`.  The per-group
+`bm25_scores(question, answers, k1, b)` and `ngram_scores(question,
+answers, n_max)` are gone; to score one group, pass `[(question,
+answers)]`.  BM25's document pool is the group's answers, so its N, avgdl
+and each term's n come from them.  The n-gram score is the coverage
+features' clipped overlap (`coverage.overlap_ratios`) over n-grams,
+counted for the whole batch at once.  BM25 and n-gram coverage map every
+token through its group's question-term ids (_encode), so each works on
+integer arrays.  The embedding cosine looks each token up exactly as
+tokenized, with no case folding, and sums the word vectors of all the
+batch's texts together, one position at a time.
 """
 
 from __future__ import annotations
@@ -17,18 +24,17 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .coverage import overlap_ratios
 from .errors import IngestionError, open_text, parse_block
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace tokens with edge punctuation removed."""
+    """Lowercased whitespace tokens with edge ASCII punctuation removed."""
     tokens = []
     for raw in text.lower().split():
         token = raw.strip(string.punctuation)
@@ -37,79 +43,158 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def bm25_scores(
-    question_tokens: Sequence[str],
-    answers: Sequence[Sequence[str]],
-    k1: float,
-    b: float,
-) -> list[float]:
-    """Okapi BM25 of each answer against the question, with the answers as
-    the pool: N is their number, avgdl their mean length, and a term's n
-    the number of answers that hold it; idf = ln((N - n + 0.5) / (n + 0.5)).
-
-    The sum runs over question token occurrences, in question order; terms
-    absent from the answer contribute nothing.  Each distinct question term
-    is counted once in each answer's token list, and those counts give both
-    its n and its frequencies, so no per-answer Counter is built.
-    """
-    if not answers:
-        return []
-    avgdl = sum(map(len, answers)) / len(answers)
-    counts = {term: [a.count(term) for a in answers] for term in dict.fromkeys(question_tokens)}
-    idf = {}
-    for term, column in counts.items():
-        absent = column.count(0)  # N - n
-        idf[term] = math.log((absent + 0.5) / (len(answers) - absent + 0.5))
-    scores = []
-    for i, answer_tokens in enumerate(answers):
-        length_ratio = len(answer_tokens) / avgdl if avgdl > 0 else 0.0
-        saturation = k1 * (1.0 - b + b * length_ratio)
-        total = 0.0
-        for term in question_tokens:
-            f = counts[term][i]
-            if f:
-                total += idf[term] * f * (k1 + 1.0) / (f + saturation)
-        scores.append(total)
-    return scores
+TokenGroup = tuple[Sequence[str], Sequence[Sequence[str]]]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    return zip(*(tokens[i:] for i in range(n)))
+class _Terms(NamedTuple):
+    """The texts of a batch of groups, each group's question and then its
+    answers, with each group's distinct question tokens given batch-wide
+    integer ids, in order of first occurrence, group by group."""
+
+    # Every token of every text: its group's id for it, or -1 when its
+    # group's question lacks it.
+    ids: np.ndarray
+    lengths: np.ndarray  # tokens per text
+    group: np.ndarray  # each text's group
+    is_answer: np.ndarray  # whether each text is an answer, not a question
+    offsets: np.ndarray  # each group's first id, then the number of ids
 
 
-def ngram_scores(
-    question_tokens: Sequence[str],
-    answers: Sequence[Sequence[str]],
-    n_max: int,
-) -> list[float]:
-    """Sum of each answer's 1..n_max n-gram coverages, each the clipped
-    overlap of coverage.overlap_ratios, divided by 1 + 2 + ... + n_max.
+def _encode(groups: list[TokenGroup]) -> _Terms:
+    vocabularies = []
+    offsets = [0]
+    for question, _ in groups:
+        terms = dict.fromkeys(question)
+        vocabularies.append(dict(zip(terms, range(offsets[-1], offsets[-1] + len(terms)))))
+        offsets.append(offsets[-1] + len(terms))
+    texts = [tokens for question, answers in groups for tokens in (question, *answers)]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    ids = np.fromiter(
+        chain.from_iterable(map(vocabulary.get, chain(question, *answers), repeat(-1))
+                            for vocabulary, (question, answers) in zip(vocabularies, groups)),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    sizes = np.array([1 + len(answers) for _, answers in groups], dtype=np.int64)
+    is_answer = np.ones(len(texts), dtype=bool)
+    is_answer[np.cumsum(sizes) - sizes] = False
+    return _Terms(ids, lengths, np.repeat(np.arange(len(groups)), sizes), is_answer,
+                  np.array(offsets))
 
-    An answer n-gram can match only if each of its tokens is a question
-    token, so n-grams are built only inside the answer's maximal runs of
-    question tokens (a run shorter than n holds none); the n-grams skipped
-    would not match.  For the same reason an order longer than the question
-    adds exactly 0.0, so only orders up to the question's length are built."""
+
+def bm25_scores(groups: Iterable[TokenGroup], k1: float, b: float) -> list[float]:
+    """Okapi BM25 of each answer against its question, with the group's
+    answers as the pool: one score per answer, over every (question tokens,
+    answer token lists) group in order.  N is the group's number of
+    answers, avgdl their mean length, and a term's n the number of them
+    that hold it; idf = ln((N - n + 0.5) / (n + 0.5)).
+
+    The sum runs over question token occurrences, in question order, and
+    terms absent from the answer contribute nothing.  Each answer has one
+    cell per distinct term of its question, and one bincount gives every
+    cell's f.  n, avgdl and the saturation are whole arrays, computed in the
+    operations and order of one answer's loop, and each idf is one
+    math.log, taken once per distinct (N - n, N).  The sum is a left fold
+    over question positions: step j adds term j's idf * f * (k1 + 1) /
+    (f + saturation) to every answer whose question has a position j.
+    Where f is 0 it adds +0.0, which changes no sum that starts at +0.0.
+    So each score keeps the bits of scoring its group alone."""
+    groups = list(groups)
+    terms = _encode(groups)
+    answer_group = terms.group[terms.is_answer]
+    pool = np.bincount(answer_group, minlength=len(groups))  # N of each group
+    vocabulary = np.diff(terms.offsets)  # distinct question terms of each group
+    # Answer a's cell for term id x is first_cell[a] + x.
+    cell_counts = vocabulary[answer_group]
+    first_cell = np.cumsum(cell_counts) - cell_counts - terms.offsets[answer_group]
+    text_of = np.repeat(np.arange(len(terms.lengths)), terms.lengths)  # of each token
+    answer_of = np.cumsum(terms.is_answer) - 1  # of each text
+    shared = (terms.ids >= 0) & terms.is_answer[text_of]
+    f = np.bincount(first_cell[answer_of[text_of[shared]]] + terms.ids[shared],
+                    minlength=int(cell_counts.sum()))
+    cell_answer = np.repeat(np.arange(len(cell_counts)), cell_counts)
+    cell_term = np.arange(len(f)) - first_cell[cell_answer]
+    held = np.bincount(cell_term[f > 0], minlength=int(terms.offsets[-1]))
+    pools = np.repeat(pool, vocabulary)
+    keys = list(zip((pools - held).tolist(), pools.tolist()))  # (N - n, N) of each term
+    idf_of = {key: math.log((key[0] + 0.5) / (key[1] - key[0] + 0.5)) for key in set(keys)}
+    idf = np.fromiter(map(idf_of.__getitem__, keys), dtype=float, count=len(keys))
+    lengths = terms.lengths[terms.is_answer]
+    avgdl = np.zeros(len(groups))
+    np.divide(np.bincount(answer_group, weights=lengths, minlength=len(groups)), pool,
+              out=avgdl, where=pool > 0)
+    length_ratio = np.zeros(len(lengths))
+    np.divide(lengths, avgdl[answer_group], out=length_ratio, where=avgdl[answer_group] > 0)
+    saturation = k1 * (1.0 - b + b * length_ratio)
+    found = np.flatnonzero(f)
+    contribution = np.zeros(len(f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        contribution[found] = (idf[cell_term[found]] * f[found] * (k1 + 1.0)
+                               / (f[found] + saturation[cell_answer[found]]))
+    # The answers with the longest questions first, so that step j's answers
+    # are a prefix; question_start: where each one's question tokens start.
+    question_length = terms.lengths[~terms.is_answer][answer_group]
+    order = np.argsort(-question_length, kind="stable")
+    question_start = (np.cumsum(terms.lengths) - terms.lengths)[~terms.is_answer]
+    question_start = question_start[answer_group[order]]
+    first_cell = first_cell[order]
+    alive = np.searchsorted(-question_length[order], -np.arange(question_length.max(initial=0)))
+    total = np.zeros(len(order))
+    for j, n in enumerate(alive.tolist()):
+        total[:n] += contribution[first_cell[:n] + terms.ids[question_start[:n] + j]]
+    scores = np.empty(len(order))
+    scores[order] = total
+    return scores.tolist()
+
+
+def ngram_scores(groups: Iterable[TokenGroup], n_max: int) -> list[float]:
+    """Sum of each answer's 1..n_max n-gram coverages against its question,
+    each the clipped overlap of coverage.overlap_ratios, divided by
+    1 + 2 + ... + n_max: one score per answer, over every (question tokens,
+    answer token lists) group in order.
+
+    An n-gram can match only if each of its tokens is a question token of
+    its group, so only those n-grams get ids, and orders run only to the
+    longest question of the batch: an order longer than a question adds
+    exactly 0.0 to its answers' math.fsum.  Order n's ids come from order
+    n - 1's and the next token with one np.unique.  An answer n-gram that
+    its question lacks starts no longer n-gram that the question has, so
+    it is dropped before the next order.  The counts are exact integers,
+    so each coverage is one correctly rounded division, as for one answer."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not question_tokens:
-        return [0.0] * len(answers)
-    vocabulary = set(question_tokens)
-    answer_runs = [
-        [list(run) for shared, run in groupby(tokens, vocabulary.__contains__) if shared]
-        for tokens in answers
-    ]
-    per_n = [
-        overlap_ratios(
-            _ngrams(question_tokens, n),
-            (
-                [gram for run in runs if len(run) >= n for gram in _ngrams(run, n)]
-                for runs in answer_runs
-            ),
-        )
-        for n in range(1, min(n_max, len(question_tokens)) + 1)
-    ]
-    return [math.fsum(ratios) / (n_max * (n_max + 1) / 2) for ratios in zip(*per_n)]
+    terms = _encode(list(groups))
+    # The length of each answer's question.
+    question_length = terms.lengths[~terms.is_answer][terms.group[terms.is_answer]]
+    answer_of = np.cumsum(terms.is_answer) - 1  # of each text
+    # Each text followed by one -1, so that no n-gram runs past its text.
+    stream = np.insert(terms.ids, np.cumsum(terms.lengths), -1)
+    text_of = np.repeat(np.arange(len(terms.lengths)), terms.lengths + 1)
+    start = np.flatnonzero(stream >= 0)  # where each kept n-gram starts
+    gram = stream[start]  # its id
+    n_grams = int(terms.offsets[-1])
+    orders = min(n_max, int(question_length.max(initial=0)))
+    coverages = np.zeros((orders, len(question_length)))
+    for n in range(orders):
+        if n:
+            following = stream[start + n]
+            kept = following >= 0
+            start = start[kept]
+            ids, gram = np.unique(gram[kept] * terms.offsets[-1] + following[kept],
+                                  return_inverse=True)
+            n_grams = len(ids)
+        text = text_of[start]
+        in_question = ~terms.is_answer[text]
+        question_count = np.bincount(gram[in_question], minlength=n_grams)
+        shared = ~in_question & (question_count[gram] > 0)
+        keys, counts = np.unique(text[shared] * n_grams + gram[shared], return_counts=True)
+        overlap = np.bincount(answer_of[keys // n_grams],
+                              weights=np.minimum(counts, question_count[keys % n_grams]),
+                              minlength=len(question_length))
+        coverages[n] = overlap / np.maximum(question_length - n, 1)
+        kept = in_question | shared
+        start, gram = start[kept], gram[kept]
+    weight = n_max * (n_max + 1) / 2
+    return [math.fsum(ratios) / weight for ratios in coverages.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -225,10 +310,7 @@ def _parse_lines(chunk: list[tuple[int, str]], dim: int | None, path: Path) -> n
     return np.array(block)
 
 
-def semantic_similarities(
-    groups: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]],
-    embeddings: EmbeddingTable,
-) -> list[float]:
+def semantic_similarities(groups: Iterable[TokenGroup], embeddings: EmbeddingTable) -> list[float]:
     """Cosine of each question's and each of its answers' averaged word
     vectors, 0 when either is undefined: one score per answer, over every
     (question tokens, answer token lists) group in order.  A token is looked

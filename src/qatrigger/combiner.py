@@ -4,14 +4,17 @@ Features are computed for a batch of question groups at a time, from one
 table of feature families (graph alignment features, lexical baselines,
 and optionally an external neural score).  Each family gives its column
 names, whether it reads dependency parses, the resource it requires, and
-the columns of the whole batch, one value per candidate.  Every family but
-`semvec` calls its per-group function from `ged`, `graphsim`, `coverage` or
-`baselines` once per group, which prepares the question's side once; the
-`semvec` function takes the whole batch.  No family is scored pair by
-pair.  The lexical features read the texts, tokenized on first use, once
-per batch, and the graph features the parses.  BM25 takes its pool from
-the group's own answers, so `bm25` is the one feature whose value depends
-on a candidate's groupmates; no value depends on its batch-mates.  A
+the columns of the whole batch, one value per candidate.  Every graph
+family calls its per-group function from `ged`, `graphsim` or `coverage`
+once per group, which prepares the question's side once; the lexical
+families `bm25`, `ngram` and `semvec` call their `baselines` function once
+per batch, on the batch's token lists; the per-group
+`bm25_scores(question, answers, k1, b)` and `ngram_scores(question,
+answers, n_max)` are gone.  No family is scored pair by pair.  The lexical
+features read the texts, tokenized on first use, once per batch, and the
+graph features the parses.  BM25 takes its pool from the group's own
+answers, so `bm25` is the one feature whose value depends on a
+candidate's groupmates; no value depends on its batch-mates.  A
 standardized logistic regression maps each candidate's manifest-ordered
 vector to a trigger probability.  Training minimizes L2-regularized log
 loss by Newton's method from zero weights, to a fixed gradient-norm
@@ -131,9 +134,9 @@ _FAMILIES = (
     _Family(("vocab_cov",), True, None,
             lambda b, res: [_each_group(vocabulary_coverages, b.parses)]),
     _Family(("bm25",), False, None,
-            lambda b, res: [_each_group(lambda q, a: bm25_scores(q, a, res.k1, res.b), b.tokens)]),
+            lambda b, res: [bm25_scores(b.tokens, res.k1, res.b)]),
     _Family(("ngram",), False, None,
-            lambda b, res: [_each_group(lambda q, a: ngram_scores(q, a, res.n_max), b.tokens)]),
+            lambda b, res: [ngram_scores(b.tokens, res.n_max)]),
     _Family(("semvec",), False, ("embeddings", "semvec requires an embedding table"),
             lambda b, res: [semantic_similarities(b.tokens, res.embeddings)]),
 )

@@ -5,9 +5,13 @@ Each graph is a Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
 Each feature takes the question and its whole group of answers, builds the
 question's side once, and returns one value per answer.
-Relation and vocabulary coverage, and the n-gram baseline, score one
-quantity, the clipped overlap that `overlap_ratios` defines: relation
-coverage over edge signatures, vocabulary coverage over lemmas.
+Relation and vocabulary coverage score one quantity, the clipped overlap
+that `overlap_ratios` defines: relation coverage over edge signatures,
+vocabulary coverage over lemmas.  The n-gram baseline,
+`baselines.ngram_scores`, scores the same overlap over n-grams, but counts
+it for a whole batch of groups in numpy; the per-group
+`ngram_scores(question, answers, n_max)` that called `overlap_ratios` is
+gone.
 Graph coverage builds the sub-graph of the answer tree spanned by every tree
 path of at most `m` edges between two answer nodes whose lemmas also occur
 in the question, and reports the sub-graph's edge count relative to each

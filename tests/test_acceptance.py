@@ -158,7 +158,7 @@ def test_criterion_6_formula_checks_against_hand_evaluations():
         ["birds", "fly"],
     ]
     question = ["the", "cat", "sat", "where", "sat"]
-    assert bm25_scores(question, answers, 1.5, 0.75) == pytest.approx(
+    assert bm25_scores([(question, answers)], 1.5, 0.75) == pytest.approx(
         [direct_bm25(question, answer, answers, 1.5, 0.75) for answer in answers], abs=1e-9
     )
 
@@ -169,7 +169,7 @@ def test_criterion_6_formula_checks_against_hand_evaluations():
         (["a", "b", "a"], ["a", "b"], None),
     ]
     for q, a, expected in cases:
-        value = ngram_scores(q, [a], 3)[0]
+        value = ngram_scores([(q, [a])], 3)[0]
         assert value == pytest.approx(direct_ngram_score(q, a, 3), abs=1e-9)
         if expected is not None:
             assert value == pytest.approx(expected, abs=1e-9)

@@ -19,6 +19,7 @@ from qatrigger.corpus import load_wikiqa
 from qatrigger.errors import IngestionError
 
 from oracles import (
+    clipped_overlap,
     counter_bm25_scores,
     direct_bm25,
     direct_ngram_score,
@@ -41,7 +42,7 @@ class TestBm25Idf:
     @staticmethod
     def scores(term, *answers):
         tokens = [tokenize(a) for a in answers]
-        mine = bm25_scores([term], tokens, 1.5, 0.75)
+        mine = bm25_scores([([term], tokens)], 1.5, 0.75)
         assert mine == pytest.approx([direct_bm25([term], a, tokens, 1.5, 0.75) for a in tokens])
         return mine
 
@@ -61,15 +62,15 @@ class TestBm25Idf:
 
 class TestBm25Score:
     def test_empty_question_scores_zero(self):
-        assert bm25_scores([], [["a"], ["b"]], 1.5, 0.75) == [0.0, 0.0]
+        assert bm25_scores([([], [["a"], ["b"]])], 1.5, 0.75) == [0.0, 0.0]
 
     def test_no_answers_give_no_scores(self):
-        assert bm25_scores(["a"], [], 1.5, 0.75) == []
+        assert bm25_scores([(["a"], [])], 1.5, 0.75) == []
 
     def test_absent_term_contributes_nothing(self):
         answers = [["alpha", "beta"], ["gamma"]]
-        with_term = bm25_scores(["alpha"], answers, 1.5, 0.75)
-        with_extra = bm25_scores(["alpha", "zzz"], answers, 1.5, 0.75)
+        with_term = bm25_scores([(["alpha"], answers)], 1.5, 0.75)
+        with_extra = bm25_scores([(["alpha", "zzz"], answers)], 1.5, 0.75)
         assert with_term == with_extra
 
     def test_matches_hand_oracle_on_three_candidate_pool(self):
@@ -79,14 +80,14 @@ class TestBm25Score:
             ["birds", "fly"],
         ]
         question = ["the", "cat", "sat", "where"]
-        mine = bm25_scores(question, answers, k1=1.5, b=0.75)
+        mine = bm25_scores([(question, answers)], k1=1.5, b=0.75)
         reference = [direct_bm25(question, answer, answers, k1=1.5, b=0.75) for answer in answers]
         assert mine == pytest.approx(reference, abs=1e-9)
 
     def test_repeated_query_terms_count_each_occurrence(self):
         answers = [["x", "y"], ["z"]]
-        once = bm25_scores(["x"], answers, 1.5, 0.75)[0]
-        twice = bm25_scores(["x", "x"], answers, 1.5, 0.75)[0]
+        once = bm25_scores([(["x"], answers)], 1.5, 0.75)[0]
+        twice = bm25_scores([(["x", "x"], answers)], 1.5, 0.75)[0]
         assert twice == pytest.approx(2 * once)
 
 
@@ -95,42 +96,42 @@ class TestNgram:
         # Each order's coverage is 1, so the score is n_max / (1 + ... + n_max).
         tokens = ["a", "b", "c", "d"]
         for n_max in (1, 2, 3):
-            assert ngram_scores(tokens, [tokens], n_max) == [2 / (n_max + 1)]
+            assert ngram_scores([(tokens, [tokens])], n_max) == [2 / (n_max + 1)]
 
     def test_disjoint_sentences(self):
-        assert ngram_scores(["a", "b"], [["c", "d"]], 1) == [0.0]
+        assert ngram_scores([(["a", "b"], [["c", "d"]])], 1) == [0.0]
 
     def test_clipped_counts(self):
-        assert ngram_scores(["a", "b", "a"], [["a", "b"]], 1) == [pytest.approx(2 / 3)]
+        assert ngram_scores([(["a", "b", "a"], [["a", "b"]])], 1) == [pytest.approx(2 / 3)]
 
     def test_ngram_score_identical_three_tokens(self):
         tokens = ["a", "b", "c"]
-        assert ngram_scores(tokens, [tokens], 3)[0] == pytest.approx(0.5)
+        assert ngram_scores([(tokens, [tokens])], 3)[0] == pytest.approx(0.5)
 
     def test_ngram_score_two_token_sentences(self):
         tokens = ["a", "b"]
-        assert ngram_scores(tokens, [tokens], 3)[0] == pytest.approx((1 + 1 + 0) / 6)
+        assert ngram_scores([(tokens, [tokens])], 3)[0] == pytest.approx((1 + 1 + 0) / 6)
 
     def test_ngram_score_disjoint(self):
-        assert ngram_scores(["a", "b"], [["c", "d"]], 3)[0] == 0.0
+        assert ngram_scores([(["a", "b"], [["c", "d"]])], 3)[0] == 0.0
 
     def test_orders_past_the_question_match_every_order_bitwise(self, mini_dir):
         # Orders longer than the question are skipped; the all-orders
         # reference builds each of them, up to 40 on the mini groups.
         groups = [group for split in ("train", "dev", "test")
                   for group in load_wikiqa(mini_dir / f"{split}.tsv")]
-        for group in groups:
-            question = tokenize(group.question)
-            answers = [tokenize(text) for _, text, _ in group.candidates]
-            for n_max in range(1, 41):
-                assert repr(ngram_scores(question, answers, n_max)) == repr(
-                    looped_ngram_scores(question, answers, n_max)
-                )
+        tokens = [(tokenize(group.question), [tokenize(text) for _, text, _ in group.candidates])
+                  for group in groups]
+        for n_max in range(1, 41):
+            looped = [looped_ngram_scores(question, answers, n_max) for question, answers in tokens]
+            for group, expected in zip(tokens, looped):
+                assert repr(ngram_scores([group], n_max)) == repr(expected)
+            assert repr(ngram_scores(tokens, n_max)) == repr(sum(looped, []))
 
     def test_huge_order_costs_no_more_than_the_question_length(self):
         question, answers = ["a", "b", "c"], [["a", "b", "c"], ["c", "a"]]
         started = time.perf_counter()
-        scores = ngram_scores(question, answers, 10**6)
+        scores = ngram_scores([(question, answers)], 10**6)
         assert time.perf_counter() - started < 0.5
         assert scores == [3 / (10**6 * (10**6 + 1) / 2), 2 / 3 / (10**6 * (10**6 + 1) / 2)]
 
@@ -143,7 +144,7 @@ class TestNgram:
                 [vocab[int(rng.integers(0, 5))] for _ in range(int(rng.integers(1, 8)))]
                 for _ in range(int(rng.integers(1, 5)))
             ]
-            assert ngram_scores(q, answers, 3) == pytest.approx(
+            assert ngram_scores([(q, answers)], 3) == pytest.approx(
                 [direct_ngram_score(q, a, 3) for a in answers], abs=1e-12
             )
 
@@ -225,6 +226,16 @@ class TestAgainstFirstLoops:
         (["zzz"], [["zzz"], ["sun"]]),
         (["sea"], [["sea"], ["sun", "sea"]]),  # sea's vector is zero
         (["sun", "sun", "moon"], [["sun"], ["sun", "sun", "sun", "moon"], ["moon", "sun"]]),
+        # N = 1, and a term in every answer: idf < 0.
+        (["sun"], [["sun", "moon"]]),
+        (["moon", "sun"], [["sun"], ["sun", "moon"], ["sun", "sun"]]),
+        # No answers, and answers that are all empty (avgdl 0).
+        (["sun", "moon"], []),
+        (["sun"], [[], [], []]),
+        # A question longer than every answer, and one term repeated.
+        (["sun", "moon", "star", "sky", "sea", "sun", "moon", "star", "sky"],
+         [["moon", "star"], ["sun"], [], ["star", "sky", "sea", "sun"]]),
+        (["sea", "sea", "sea"], [["sea"], ["sea", "sea", "sea", "sea"], ["sky", "sea", "sea"]]),
     ]
 
     def groups(self, seed):
@@ -239,20 +250,41 @@ class TestAgainstFirstLoops:
         yield from self.EDGES
         for _ in range(300):
             yield tokens(7), [tokens(9) for _ in range(rng.randrange(1, 7))]
+        # One group of more texts than a featurize batch holds.
+        yield tokens(7), [tokens(9) for _ in range(600)]
 
     def test_ngram_scores(self):
-        for question, answers in self.groups(1):
-            for n_max in range(1, 5):
-                assert repr(ngram_scores(question, answers, n_max)) == repr(
-                    looped_ngram_scores(question, answers, n_max)
-                )
+        groups = list(self.groups(1))
+        for n_max in range(1, 41):
+            looped = [looped_ngram_scores(question, answers, n_max) for question, answers in groups]
+            if n_max <= 4:
+                for group, expected in zip(groups, looped):
+                    assert repr(ngram_scores([group], n_max)) == repr(expected)
+            assert repr(ngram_scores(groups, n_max)) == repr(sum(looped, []))
+        # Orders past the longest question add no work, and no bits: the
+        # loop's orders past a question have no question n-gram, and add 0.
+        def grams(tokens, n):
+            return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+        n_max = 10**6
+        weight = n_max * (n_max + 1) / 2
+        expected = [
+            math.fsum(clipped_overlap(grams(question, n), grams(answer, n))
+                      for n in range(1, len(question) + 1)) / weight
+            for question, answers in groups for answer in answers
+        ]
+        started = time.perf_counter()
+        scores = ngram_scores(groups, n_max)
+        assert time.perf_counter() - started < 0.5
+        assert repr(scores) == repr(expected)
 
     def test_bm25_scores(self):
-        for question, answers in self.groups(2):
-            for k1, b in ((1.2, 0.75), (1.5, 0.0), (0.9, 1.0)):
-                assert repr(bm25_scores(question, answers, k1, b)) == repr(
-                    counter_bm25_scores(question, answers, k1, b)
-                )
+        groups = list(self.groups(2))
+        for k1, b in ((1.2, 0.75), (1.5, 0.0), (0.9, 1.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.75)):
+            looped = [counter_bm25_scores(question, answers, k1, b) for question, answers in groups]
+            for group, expected in zip(groups, looped):
+                assert repr(bm25_scores([group], k1, b)) == repr(expected)
+            assert repr(bm25_scores(groups, k1, b)) == repr(sum(looped, []))
 
     def long_groups(self, seed):
         """Groups whose answers have 8 to 140 tokens, where numpy sums a

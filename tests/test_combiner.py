@@ -80,8 +80,8 @@ def per_module_features(group, row, resources):
         relation_coverages(question, [answer])[0],
         *cov,
         vocabulary_coverages(question, [answer])[0],
-        bm25_scores(q_tokens, group_tokens, resources.k1, resources.b)[row],
-        ngram_scores(q_tokens, [a_tokens], resources.n_max)[0],
+        bm25_scores([(q_tokens, group_tokens)], resources.k1, resources.b)[row],
+        ngram_scores([(q_tokens, [a_tokens])], resources.n_max)[0],
         semantic_similarities([(q_tokens, [a_tokens])], resources.embeddings)[0],
     ]
     return dict(zip(FEATURE_NAMES, values))
@@ -354,7 +354,7 @@ class TestCandidateIndependence:
             # bm25 is left out: its pool is the group, so its value depends
             # on the candidate's groupmates by definition.
             scorers = [
-                *(lambda q, a, n=n: ngram_scores(q, a, n) for n in (1, 3, 5)),
+                *(lambda q, a, n=n: ngram_scores([(q, a)], n) for n in (1, 3, 5)),
                 lambda q, a: semantic_similarities([(q, a)], table),
             ]
             for score in scorers:
