@@ -2,7 +2,9 @@
 """TF-IDF graph similarity and coverage features on one question/answer pair.
 
 Every feature function scores a question against a group of answers and
-returns one value per answer; here the group holds one answer.
+returns one value per answer; here the group holds one answer.  Relation
+and vocabulary coverage score a batch of such groups at once, here a batch
+of one group.
 
 Similarity renders each graph as weighted vectors of lemmas, lemma pairs,
 and (pair, relation) triplets, then takes cosines.  Coverage counts how
@@ -66,8 +68,8 @@ print(f"triplet-level similarity: {sim_triplet:.4f}")
 [(strict_word, _, _)] = graph_similarities(question, [answer], tables, alphas=(1.5, 0.0, 0.0))
 print(f"word similarity with alpha=1.5:  {strict_word:.4f} (filtering drops weights)")
 
-[rel_cov] = relation_coverages(question, [answer])
-[vocab_cov] = vocabulary_coverages(question, [answer])
+[rel_cov] = relation_coverages([(question, [answer])])
+[vocab_cov] = vocabulary_coverages([(question, [answer])])
 print(f"\nrelation coverage:  {rel_cov:.4f}  (matched edges / question edges)")
 print(f"vocabulary coverage: {vocab_cov:.4f}  (matched lemmas / question nodes)")
 

@@ -6,16 +6,15 @@ such as “ ” ’ – stay on their tokens); dependency parses are not
 required.  Each scorer takes a batch of (question tokens, answer token
 lists) groups and returns one score per answer of every group, in order:
 `bm25_scores(groups, k1, b)`, `ngram_scores(groups, n_max)` and
-`semantic_similarities(groups, table)`.  The per-group
-`bm25_scores(question, answers, k1, b)` and `ngram_scores(question,
-answers, n_max)` are gone; to score one group, pass `[(question,
-answers)]`.  BM25's document pool is the group's answers, so its N, avgdl
-and each term's n come from them.  The n-gram score is the coverage
-features' clipped overlap (`coverage.overlap_ratios`) over n-grams,
-counted for the whole batch at once.  BM25 and n-gram coverage map every
-token through its group's question-term ids (_encode), so each works on
-integer arrays.  The embedding cosine looks each token up exactly as
-tokenized, with no case folding, and sums the word vectors of all the
+`semantic_similarities(groups, table)`; to score one group, pass
+`[(question, answers)]`.  BM25's document pool is the group's answers, so
+its N, avgdl and each term's n come from them.  The n-gram score sums
+clipped overlaps over n-grams, counted for the whole batch at once; at
+order 1, over edge signatures or lemmas instead of tokens, it is also the
+relation and vocabulary coverage of `coverage`.  BM25 and n-gram coverage
+map every token through its group's question-term ids (_encode), so each
+works on integer arrays.  The embedding cosine looks each token up exactly
+as tokenized, with no case folding, and sums the word vectors of all the
 batch's texts together, one position at a time.
 """
 
@@ -26,7 +25,7 @@ import string
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +42,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-TokenGroup = tuple[Sequence[str], Sequence[Sequence[str]]]
+# A question's items and each answer's: tokens, or for _encode, bm25_scores
+# and ngram_scores any hashable values, such as edge signatures (3-tuples).
+TokenGroup = tuple[Sequence[Hashable], Sequence[Sequence[Hashable]]]
 
 
 class _Terms(NamedTuple):
@@ -61,6 +62,7 @@ class _Terms(NamedTuple):
 
 
 def _encode(groups: list[TokenGroup]) -> _Terms:
+    """The batch's _Terms; its tokens may be any hashable values."""
     vocabularies = []
     offsets = [0]
     for question, _ in groups:
@@ -148,9 +150,12 @@ def bm25_scores(groups: Iterable[TokenGroup], k1: float, b: float) -> list[float
 
 def ngram_scores(groups: Iterable[TokenGroup], n_max: int) -> list[float]:
     """Sum of each answer's 1..n_max n-gram coverages against its question,
-    each the clipped overlap of coverage.overlap_ratios, divided by
-    1 + 2 + ... + n_max: one score per answer, over every (question tokens,
-    answer token lists) group in order.
+    divided by 1 + 2 + ... + n_max: one score per answer, over every
+    (question tokens, answer token lists) group in order.  Order n's
+    coverage is the clipped overlap of the answer's n-grams with the
+    question's: the sum, over the question's distinct n-grams, of the
+    smaller of the two counts, divided by the question's n-gram count, or by
+    1 when it has none.  Tokens may be any hashable values.
 
     An n-gram can match only if each of its tokens is a question token of
     its group, so only those n-grams get ids, and orders run only to the

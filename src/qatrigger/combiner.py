@@ -4,13 +4,13 @@ Features are computed for a batch of question groups at a time, from one
 table of feature families (graph alignment features, lexical baselines,
 and optionally an external neural score).  Each family gives its column
 names, whether it reads dependency parses, the resource it requires, and
-the columns of the whole batch, one value per candidate.  Every graph
-family calls its per-group function from `ged`, `graphsim` or `coverage`
-once per group, which prepares the question's side once; the lexical
-families `bm25`, `ngram` and `semvec` call their `baselines` function once
-per batch, on the batch's token lists; the per-group
-`bm25_scores(question, answers, k1, b)` and `ngram_scores(question,
-answers, n_max)` are gone.  No family is scored pair by pair.  The lexical
+the columns of the whole batch, one value per candidate.  The graph
+families `ged`, `sim_*` and `graph_cov_*` call their per-group function
+from `ged`, `graphsim` or `coverage` once per group, which prepares the
+question's side once; `rel_cov` and `vocab_cov` call their `coverage`
+function once per batch, on the batch's parses, and the lexical families
+`bm25`, `ngram` and `semvec` their `baselines` function once per batch, on
+the batch's token lists.  No family is scored pair by pair.  The lexical
 features read the texts, tokenized on first use, once per batch, and the
 graph features the parses.  BM25 takes its pool from the group's own
 answers, so `bm25` is the one feature whose value depends on a
@@ -126,13 +126,13 @@ _FAMILIES = (
                 lambda gq, graphs: graph_similarities(gq, graphs, res.df_tables, res.alphas),
                 b.parses))),
     _Family(("rel_cov",), True, None,
-            lambda b, res: [_each_group(relation_coverages, b.parses)]),
+            lambda b, res: [relation_coverages(b.parses)]),
     _Family(("graph_cov_ans", "graph_cov_ques"), True, None,
             lambda b, res: zip(*_each_group(
                 lambda gq, graphs: graph_coverage_features(gq, graphs, res.subgraph_m),
                 b.parses))),
     _Family(("vocab_cov",), True, None,
-            lambda b, res: [_each_group(vocabulary_coverages, b.parses)]),
+            lambda b, res: [vocabulary_coverages(b.parses)]),
     _Family(("bm25",), False, None,
             lambda b, res: [bm25_scores(b.tokens, res.k1, res.b)]),
     _Family(("ngram",), False, None,
@@ -187,7 +187,7 @@ def extract_features(
         if family.requires and getattr(resources, family.requires[0]) is None:
             raise ConfigError(family.requires[1])
     groups = [group for group in groups if group.candidates]
-    graph = any(family.parses for family in families)
+    graph = reads_parses(manifest)
     scores = resources.scores if "ext_score" in manifest else None
     for group in groups:
         qid = group.question_id
@@ -316,7 +316,8 @@ def train(
     method (IRLS) from zero.  Each step solves H s = g by least squares, which
     takes a singular H too: H = X' diag(p(1-p)) X / n + l2 on the weights,
     where X is the standardized matrix (constant columns zeroed) with a ones
-    column for the unregularized bias.  Needs both classes.
+    column for the unregularized bias.  Needs both classes, and every
+    column's mean and standard deviation must be finite floats.
     """
     x = np.asarray(vectors, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -325,8 +326,13 @@ def train(
     if not (np.any(y == 1.0) and np.any(y == 0.0)):
         raise ValueError("training set must contain both classes")
 
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=0)
+        stds = x.std(axis=0)
+    overflowed = ~(np.isfinite(means) & np.isfinite(stds))
+    if overflowed.any():
+        raise ValueError(f"feature column {feature_names[int(np.argmax(overflowed))]!r} "
+                         "has a mean or standard deviation that is not a finite number")
     z = _standardize(x, means, stds)
 
     design = np.hstack([z, np.ones((len(y), 1))])

@@ -3,51 +3,28 @@ answers'.
 
 Each graph is a Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
-Each feature takes the question and its whole group of answers, builds the
-question's side once, and returns one value per answer.
-Relation and vocabulary coverage score one quantity, the clipped overlap
-that `overlap_ratios` defines: relation coverage over edge signatures,
-vocabulary coverage over lemmas.  The n-gram baseline,
-`baselines.ngram_scores`, scores the same overlap over n-grams, but counts
-it for a whole batch of groups in numpy; the per-group
-`ngram_scores(question, answers, n_max)` that called `overlap_ratios` is
-gone.
-Graph coverage builds the sub-graph of the answer tree spanned by every tree
-path of at most `m` edges between two answer nodes whose lemmas also occur
-in the question, and reports the sub-graph's edge count relative to each
-side.  An answer edge joins the sub-graph when the nearest shared node below
-it plus the nearest shared node outside that subtree, the edge counted, is
-at most `m` edges away; two linear passes over the tree find both distances
+Relation and vocabulary coverage take a batch of (question parse, answer
+parses) groups and return one value per answer of every group.  Each is the
+clipped overlap that the n-gram baseline counts, `baselines.ngram_scores` at
+order 1: relation coverage over edge signatures, vocabulary coverage over
+lemmas.
+Graph coverage takes the question and its whole group of answers, builds
+the question's side once, and returns one pair of values per answer.  It
+builds the sub-graph of the answer tree spanned by every tree path of at
+most `m` edges between two answer nodes whose lemmas also occur in the
+question, and reports the sub-graph's edge count relative to each side.
+An answer edge joins the sub-graph when the nearest shared node below it
+plus the nearest shared node outside that subtree, the edge counted, is at
+most `m` edges away; two linear passes over the tree find both distances
 for every edge at once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import AbstractSet, Hashable, Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
+from .baselines import ngram_scores
 from .corpus import Sentence
-
-
-def overlap_ratios(
-    question_items: Iterable[Hashable], answers_items: Iterable[Iterable[Hashable]]
-) -> list[float]:
-    """Clipped overlap of each answer's items with the question's: the sum,
-    over the question's distinct items, of the smaller of the two counts,
-    divided by the question's item count; 0 for a question with no items.
-    The question is counted once, and of each answer only the items the
-    question has; an answer that shares none scores 0 without a Counter."""
-    counts_q = Counter(question_items)
-    total = counts_q.total() or 1  # no item of an empty question matches: 0 / 1
-    ratios = []
-    for items in answers_items:
-        shared = [item for item in items if item in counts_q]
-        if not shared:
-            ratios.append(0.0)
-            continue
-        counts_a = Counter(shared)
-        ratios.append(sum(min(count, counts_q[item]) for item, count in counts_a.items()) / total)
-    return ratios
 
 
 def edge_signatures(graph: Sentence) -> list[tuple[str, str, str]]:
@@ -56,14 +33,15 @@ def edge_signatures(graph: Sentence) -> list[tuple[str, str, str]]:
     return [(lemmas[gov - 1], lemmas[dep - 1], rel) for gov, dep, rel in graph.edges]
 
 
-def relation_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
-    """Clipped overlap of each answer's edge signatures with the question's."""
-    return overlap_ratios(edge_signatures(gq), map(edge_signatures, answers))
+def relation_coverages(groups: Iterable[tuple[Sentence, Sequence[Sentence]]]) -> list[float]:
+    """Clipped overlap of each answer's edge signatures with its question's."""
+    return ngram_scores([(edge_signatures(gq), list(map(edge_signatures, answers)))
+                         for gq, answers in groups], 1)
 
 
-def vocabulary_coverages(gq: Sentence, answers: Sequence[Sentence]) -> list[float]:
-    """Clipped overlap of each answer's lemmas with the question's."""
-    return overlap_ratios(gq.lemmas, (ga.lemmas for ga in answers))
+def vocabulary_coverages(groups: Iterable[tuple[Sentence, Sequence[Sentence]]]) -> list[float]:
+    """Clipped overlap of each answer's lemmas with its question's."""
+    return ngram_scores([(gq.lemmas, [ga.lemmas for ga in answers]) for gq, answers in groups], 1)
 
 
 def align_subgraph(

@@ -943,6 +943,27 @@ class TestTrainTunePredictEvaluate:
         assert code != 0
         assert "error:data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [["1.7e308", "1.7e308"], ["1.7e308", "-1.7e308"]],
+                             ids=["mean-overflows", "std-overflows"])
+    @pytest.mark.parametrize("filter_", ["default", "error"])
+    def test_column_whose_mean_or_std_overflows_fails_with_one_data_error(
+        self, column, filter_, mini_config, tmp_path, capsys
+    ):
+        features = tmp_path / "huge.tsv"
+        features.write_text(
+            "question_id\tcandidate_id\tgold_label\tged\tf\n"
+            f"q1\tc1\t1\t0.5\t{column[0]}\nq1\tc2\t0\t0.25\t{column[1]}\n"
+        )
+        model = tmp_path / "m.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)  # "error" as `python -W error`
+            code = run("--config", mini_config,
+                       "train", "--features", str(features), "--model", str(model))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:data: ") and "'f'" in err[0], err
+        assert not model.exists()
+
 
 class TestEvaluateBaselines:
     def test_baseline_sections_reported(self, mini_config, tmp_path, capsys):

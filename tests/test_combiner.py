@@ -77,9 +77,9 @@ def per_module_features(group, row, resources):
         resources.scores[(group.question_id, cid)],
         graph_edit_distances(question, [answer], resources.ged_config)[0],
         *sims,
-        relation_coverages(question, [answer])[0],
+        relation_coverages([(question, [answer])])[0],
         *cov,
-        vocabulary_coverages(question, [answer])[0],
+        vocabulary_coverages([(question, [answer])])[0],
         bm25_scores([(q_tokens, group_tokens)], resources.k1, resources.b)[row],
         ngram_scores([(q_tokens, [a_tokens])], resources.n_max)[0],
         semantic_similarities([(q_tokens, [a_tokens])], resources.embeddings)[0],
@@ -158,10 +158,10 @@ class TestExtractFeatures:
             sims[0],
             sims[1],
             sims[2],
-            relation_coverages(gq, [ga])[0],
+            relation_coverages([(gq, [ga])])[0],
             cov[0],
             cov[1],
-            vocabulary_coverages(gq, [ga])[0],
+            vocabulary_coverages([(gq, [ga])])[0],
         ]
         assert values == pytest.approx(expected)
 
@@ -315,8 +315,9 @@ class TestCandidateIndependence:
     """A candidate's value does not depend on its groupmates or on its
     batch-mates: every per-group function gives, bit for bit, on a whole
     group what it gives on each candidate alone in a one-candidate group,
-    and extract_features and semantic_similarities give on a batch of
-    groups what they give on each group alone."""
+    and extract_features, semantic_similarities, relation_coverages and
+    vocabulary_coverages give on a batch of groups what they give on each
+    group alone."""
 
     @staticmethod
     def vectors(rng):
@@ -375,6 +376,7 @@ class TestCandidateIndependence:
         lemmas = ["die", "live", "win", "city", "Die", "man"]
         config = GedConfig(edge_weight=0.75, delete_cost=0.5)
         empty = Sentence((), (), (), ())
+        batch = []
         for k in range(25):
             gq = empty if k == 0 else random_tree_sentence(rng, lemma_pool=lemmas, relabel=True)
             answers = [random_tree_sentence(rng, lemma_pool=lemmas) for _ in range(6)]
@@ -384,12 +386,18 @@ class TestCandidateIndependence:
             scorers = [
                 lambda q, a: graph_edit_distances(q, a, config),
                 lambda q, a: graph_similarities(q, a, tables, (0.0, 0.5, 1.0)),
-                relation_coverages,
-                vocabulary_coverages,
+                lambda q, a: relation_coverages([(q, a)]),
+                lambda q, a: vocabulary_coverages([(q, a)]),
                 *(lambda q, a, m=m: graph_coverage_features(q, a, m) for m in (0, 1, 3)),
             ]
             for score in scorers:
                 self.assert_alone_equals_together(score, gq, answers)
+            batch.append((gq, answers))
+        # Each group's ids are its own: an answer lemma or signature that only
+        # another group's question holds matches nothing.
+        for score in (relation_coverages, vocabulary_coverages):
+            alone = [score([group]) for group in batch]
+            assert repr(score(batch)) == repr(sum(alone, []))
 
     def test_every_feature_of_a_batch_of_seeded_groups(self):
         # bm25's pool is its own group, so it too is free of batch-mates.

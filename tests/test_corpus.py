@@ -440,8 +440,8 @@ def graph_features(gq, ga):
     return (
         graph_edit_distances(gq, [ga], GedConfig())[0],
         *graph_similarities(gq, [ga], tables, (0.0, 0.0, 0.0))[0],
-        relation_coverages(gq, [ga])[0],
-        vocabulary_coverages(gq, [ga])[0],
+        relation_coverages([(gq, [ga])])[0],
+        vocabulary_coverages([(gq, [ga])])[0],
         *graph_coverage_features(gq, [ga], 3)[0],
     )
 

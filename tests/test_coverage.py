@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qatrigger.baselines import ngram_scores
 from qatrigger.corpus import Sentence
 from qatrigger.coverage import (
     align_subgraph,
     graph_coverage_features,
-    overlap_ratios,
     relation_coverages,
     vocabulary_coverages,
 )
@@ -32,9 +32,12 @@ def chain(*lemmas):
     return make_sentence(rows)
 
 
-class TestOverlapRatios:
+class TestClippedOverlap:
+    """rel_cov, vocab_cov and ngram share one counter of the clipped overlap,
+    baselines.ngram_scores; at order 1 it is the overlap itself."""
+
     @pytest.mark.parametrize("kind", ["string", "tuple"])
-    def test_matches_clipped_overlap_oracle(self, kind):
+    def test_order_one_ngram_scores_match_clipped_overlap_oracle(self, kind):
         rng = np.random.default_rng(83 if kind == "string" else 89)
 
         def items(size):
@@ -43,25 +46,31 @@ class TestOverlapRatios:
                 return words
             return [(w, str(r)) for w, r in zip(words, rng.choice(list("xy"), size=size))]
 
-        for _ in range(500):
-            question = items(int(rng.integers(0, 8)))
-            answers = [items(int(rng.integers(0, 8))) for _ in range(int(rng.integers(0, 5)))]
-            expected = [clipped_overlap(question, answer) for answer in answers]
-            assert overlap_ratios(question, answers) == expected
-            # One pass over generators gives the same values.
-            assert overlap_ratios(
-                (item for item in question), ((item for item in a) for a in answers)
-            ) == expected
+        for _ in range(100):
+            groups = [
+                (items(int(rng.integers(0, 8))),
+                 [items(int(rng.integers(0, 8))) for _ in range(int(rng.integers(0, 5)))])
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            expected = [clipped_overlap(question, answer)
+                        for question, answers in groups for answer in answers]
+            # repr tells every float apart, 0.0 from -0.0 included.
+            assert repr(ngram_scores(groups, 1)) == repr(expected)
+            assert repr(ngram_scores(iter(groups), 1)) == repr(expected)
 
     def test_empty_question_and_empty_answer(self):
-        assert overlap_ratios([], [[], ["a"], [("a", "b")]]) == [0.0, 0.0, 0.0]
-        assert overlap_ratios(["a", "b"], [[], ["b"]]) == [0.0, 0.5]
-        assert overlap_ratios(["a"], []) == []
+        groups = [([], [[], ["a"], [("a", "b")]]), (["a", "b"], [[], ["b"]]), (["a"], [])]
+        assert ngram_scores(groups, 1) == [0.0, 0.0, 0.0, 0.0, 0.5]
+        assert ngram_scores([], 1) == []
 
     def test_repeated_items_are_clipped_on_both_sides(self):
         question = ["a", "a", "b"]
         answers = [["a"], ["a", "a", "a", "b"], ["b", "b", "b"], ["c", "a", "c", "a"]]
-        assert overlap_ratios(question, answers) == [1 / 3, 1.0, 1 / 3, 2 / 3]
+        assert ngram_scores([(question, answers)], 1) == [1 / 3, 1.0, 1 / 3, 2 / 3]
+
+    def test_items_of_one_group_never_match_another_groups_question(self):
+        groups = [(["a"], [["b"]]), (["b"], [["a"], ["b", "a"]]), ([("a", "b")], [[("a", "b")]])]
+        assert ngram_scores(groups, 1) == [0.0, 0.0, 1.0, 1.0]
 
     def test_relation_and_vocabulary_coverage_are_clipped_overlaps(self):
         def signatures(graph):
@@ -70,25 +79,30 @@ class TestOverlapRatios:
 
         rng = np.random.default_rng(97)
         pool = ["die", "win", "sun"]
-        for _ in range(200):
-            gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
-            answers = [random_tree_sentence(rng, max_nodes=8, lemma_pool=pool) for _ in range(3)]
-            assert relation_coverages(gq, answers) == [
-                clipped_overlap(signatures(gq), signatures(ga)) for ga in answers
-            ]
-            assert vocabulary_coverages(gq, answers) == [
-                clipped_overlap(gq.lemmas, ga.lemmas) for ga in answers
-            ]
+        for _ in range(40):
+            groups = []
+            for _ in range(int(rng.integers(1, 6))):
+                gq = random_tree_sentence(rng, max_nodes=6, lemma_pool=pool)
+                answers = [random_tree_sentence(rng, max_nodes=8, lemma_pool=pool)
+                           for _ in range(int(rng.integers(0, 4)))]
+                groups.append((gq, answers))
+            assert repr(relation_coverages(groups)) == repr([
+                clipped_overlap(signatures(gq), signatures(ga))
+                for gq, answers in groups for ga in answers
+            ])
+            assert repr(vocabulary_coverages(groups)) == repr([
+                clipped_overlap(gq.lemmas, ga.lemmas) for gq, answers in groups for ga in answers
+            ])
 
 
 class TestRelationCoverage:
     def test_identical_graphs(self, question_sentence):
-        assert relation_coverages(question_sentence, [question_sentence])[0] == 1.0
+        assert relation_coverages([(question_sentence, [question_sentence])])[0] == 1.0
 
     def test_no_shared_signatures(self):
         g1 = chain("a", "b")
         g2 = chain("c", "d")
-        assert relation_coverages(g1, [g2])[0] == 0.0
+        assert relation_coverages([(g1, [g2])])[0] == 0.0
 
     def test_half_matched(self):
         gq = make_sentence(
@@ -108,32 +122,33 @@ class TestRelationCoverage:
             ],
         )
         # answer edges (e,a,nsubj) and (e,b,obj) match two of four question edges
-        assert relation_coverages(gq, [ga])[0] == 0.5
+        assert relation_coverages([(gq, [ga])])[0] == 0.5
 
     def test_edgeless_question(self):
         g1 = chain("only")
         g2 = chain("x", "y")
-        assert relation_coverages(g1, [g2])[0] == 0.0
+        assert relation_coverages([(g1, [g2])])[0] == 0.0
 
     def test_fig_pair(self, question_sentence, answer_sentence):
         # compound and nsubj edges match; advmod and aux have no counterpart
-        assert relation_coverages(question_sentence, [answer_sentence])[0] == 0.5
+        assert relation_coverages([(question_sentence, [answer_sentence])])[0] == 0.5
 
 
 class TestVocabularyCoverage:
     def test_identical(self, question_sentence):
-        assert vocabulary_coverages(question_sentence, [question_sentence])[0] == 1.0
+        assert vocabulary_coverages([(question_sentence, [question_sentence])])[0] == 1.0
 
     def test_disjoint(self):
-        assert vocabulary_coverages(chain("a", "b"), [chain("c", "d")])[0] == 0.0
+        assert vocabulary_coverages([(chain("a", "b"), [chain("c", "d")])])[0] == 0.0
 
     def test_fig_pair_three_of_five(self, question_sentence, answer_sentence):
-        assert vocabulary_coverages(question_sentence, [answer_sentence])[0] == pytest.approx(0.6)
+        [coverage] = vocabulary_coverages([(question_sentence, [answer_sentence])])
+        assert coverage == pytest.approx(0.6)
 
     def test_repeated_lemmas_match_one_to_one(self):
         gq = chain("go", "go", "go")
         ga = chain("go")
-        assert vocabulary_coverages(gq, [ga])[0] == pytest.approx(1 / 3)
+        assert vocabulary_coverages([(gq, [ga])])[0] == pytest.approx(1 / 3)
 
 
 def interior_ancestor_graph():
