@@ -79,8 +79,8 @@ candidates = {
 config = GedConfig()  # the default POS weights, edge weight and delete cost
 
 print("question:", question_text, "\n")
-# One call scores the whole group: the question's side is prepared once.
-distances = graph_edit_distances(question, list(candidates.values()), config)
+# One call scores a batch of groups, here one: each question's side is prepared once.
+distances = graph_edit_distances([(question, list(candidates.values()))], config)
 ranked = sorted(zip(distances, candidates))
 for distance, text in ranked:
     print(f"  {distance:.4f}  {text}")

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """TF-IDF graph similarity and coverage features on one question/answer pair.
 
-Every feature function scores a question against a group of answers and
-returns one value per answer; here the group holds one answer.  Relation
-and vocabulary coverage score a batch of such groups at once, here a batch
-of one group.
+Every feature function scores a batch of (question, answers) groups and
+returns one value per answer of every group; here the batch holds one group
+of one answer.
 
 Similarity renders each graph as weighted vectors of lemmas, lemma pairs,
 and (pair, relation) triplets, then takes cosines.  Coverage counts how
@@ -56,7 +55,7 @@ answer_text, answer = sentence(
 tables = build_df([question, answer])
 
 [(sim_word, sim_pair, sim_triplet)] = graph_similarities(
-    question, [answer], tables, alphas=(0.0, 0.0, 0.0)
+    [(question, [answer])], tables, alphas=(0.0, 0.0, 0.0)
 )
 print("question:", question_text)
 print("answer:  ", answer_text, "\n")
@@ -65,7 +64,7 @@ print(f"pair-level similarity:    {sim_pair:.4f}")
 print(f"triplet-level similarity: {sim_triplet:.4f}")
 
 # Raising a threshold only ever removes vector entries, never adds them.
-[(strict_word, _, _)] = graph_similarities(question, [answer], tables, alphas=(1.5, 0.0, 0.0))
+[(strict_word, _, _)] = graph_similarities([(question, [answer])], tables, alphas=(1.5, 0.0, 0.0))
 print(f"word similarity with alpha=1.5:  {strict_word:.4f} (filtering drops weights)")
 
 [rel_cov] = relation_coverages([(question, [answer])])
@@ -76,6 +75,6 @@ print(f"vocabulary coverage: {vocab_cov:.4f}  (matched lemmas / question nodes)"
 edges = align_subgraph(set(question.lemmas), answer, m=3)
 nodes = {node for edge in edges for node in edge}
 print(f"\naligned sub-graph over shared lemmas: nodes {sorted(nodes)}, edges {sorted(edges)}")
-[(cov_ans, cov_ques)] = graph_coverage_features(question, [answer], m=3)
+[(cov_ans, cov_ques)] = graph_coverage_features([(question, [answer])], m=3)
 print(f"graph coverage vs answer:   {cov_ans:.4f}")
 print(f"graph coverage vs question: {cov_ques:.4f}")

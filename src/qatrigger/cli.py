@@ -27,6 +27,7 @@ from .baselines import load_embeddings
 from .combiner import (
     DEFAULT_MANIFEST,
     FeatureResources,
+    NotFiniteRowError,
     TrainConfig,
     _fmt,
     check_manifest,
@@ -447,14 +448,18 @@ def cmd_train(config: RunConfig, features_path: Path, model_path: Path) -> int:
 
 def _score_features(model_path: Path, features_path: Path):
     """The model, the feature file's keys and matrix, and the model's
-    probability for each row."""
+    probability for each row; a row whose logit is not finite is an IngestionError."""
     model = load_model(model_path)
     names, keys, matrix = read_features(features_path)
     if names != model.feature_names:
         raise ConfigError(
             f"feature file columns {names} do not match model features {model.feature_names}"
         )
-    return model, keys, matrix, model.scores(matrix)
+    try:
+        return model, keys, matrix, model.scores(matrix)
+    except NotFiniteRowError as exc:
+        qid, cid, _ = keys[exc.row]
+        raise IngestionError(f"{features_path}: pair {qid}/{cid}: {exc}") from exc
 
 
 def cmd_tune(

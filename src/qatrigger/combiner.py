@@ -4,18 +4,16 @@ Features are computed for a batch of question groups at a time, from one
 table of feature families (graph alignment features, lexical baselines,
 and optionally an external neural score).  Each family gives its column
 names, whether it reads dependency parses, the resource it requires, and
-the columns of the whole batch, one value per candidate.  The graph
-families `ged`, `sim_*` and `graph_cov_*` call their per-group function
-from `ged`, `graphsim` or `coverage` once per group, which prepares the
-question's side once; `rel_cov` and `vocab_cov` call their `coverage`
-function once per batch, on the batch's parses, and the lexical families
-`bm25`, `ngram` and `semvec` their `baselines` function once per batch, on
-the batch's token lists.  No family is scored pair by pair.  The lexical
-features read the texts, tokenized on first use, once per batch, and the
-graph features the parses.  BM25 takes its pool from the group's own
-answers, so `bm25` is the one feature whose value depends on a
-candidate's groupmates; no value depends on its batch-mates.  A
-standardized logistic regression maps each candidate's manifest-ordered
+the columns of the whole batch, one value per candidate.  Every family but
+`ext_score` calls one scorer from `ged`, `graphsim`, `coverage` or
+`baselines` once per batch, and every scorer has one contract: it takes the
+batch's (question, answers) groups, as parses for the graph families or as
+token lists, tokenized on first use once per batch, for the lexical ones,
+and returns one value or one row per answer of every group, doing each
+question's side once.  No family is scored pair by pair.  BM25 takes its
+pool from the group's own answers, so `bm25` is the one feature whose value
+depends on a candidate's groupmates; no value depends on its batch-mates.
+A standardized logistic regression maps each candidate's manifest-ordered
 vector to a trigger probability.  Training minimizes L2-regularized log
 loss by Newton's method from zero weights, to a fixed gradient-norm
 tolerance, so identical inputs always give identical models."""
@@ -96,12 +94,6 @@ class _Batch:
         return [(g.parses[0], g.parses[1:]) for g in self.groups]
 
 
-def _each_group(score: Callable[[object, Sequence], Sequence], inputs: Iterable) -> list:
-    """score(question, candidates) of each group's inputs, concatenated:
-    one value or row per candidate of the batch."""
-    return [value for question, candidates in inputs for value in score(question, candidates)]
-
-
 class _Family(NamedTuple):
     """Columns computed together for a whole batch by one function."""
 
@@ -118,19 +110,14 @@ _FAMILIES = (
     _Family(("ext_score",), False, ("scores", "ext_score requires a score file"),
             lambda b, res: [[res.scores[key] for key in b.keys]]),
     _Family(("ged",), True, None,
-            lambda b, res: [_each_group(
-                lambda gq, graphs: graph_edit_distances(gq, graphs, res.ged_config), b.parses)]),
+            lambda b, res: [graph_edit_distances(b.parses, res.ged_config)]),
     _Family(("sim_word", "sim_pair", "sim_triplet"), True,
             ("df_tables", "similarity features require DF tables"),
-            lambda b, res: zip(*_each_group(
-                lambda gq, graphs: graph_similarities(gq, graphs, res.df_tables, res.alphas),
-                b.parses))),
+            lambda b, res: zip(*graph_similarities(b.parses, res.df_tables, res.alphas))),
     _Family(("rel_cov",), True, None,
             lambda b, res: [relation_coverages(b.parses)]),
     _Family(("graph_cov_ans", "graph_cov_ques"), True, None,
-            lambda b, res: zip(*_each_group(
-                lambda gq, graphs: graph_coverage_features(gq, graphs, res.subgraph_m),
-                b.parses))),
+            lambda b, res: zip(*graph_coverage_features(b.parses, res.subgraph_m))),
     _Family(("vocab_cov",), True, None,
             lambda b, res: [vocabulary_coverages(b.parses)]),
     _Family(("bm25",), False, None,
@@ -215,6 +202,14 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
+class NotFiniteRowError(ValueError):
+    """Row `row` of a scored matrix has a standardized value or logit that is not finite."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__("a standardized feature value or the logit is not a finite number")
+        self.row = row
+
+
 @dataclass
 class TriggerModel:
     feature_names: tuple[str, ...]
@@ -245,8 +240,15 @@ class TriggerModel:
     def logits(self, matrix: np.ndarray) -> np.ndarray:
         """w . z + bias of every row; np.vecdot reaches the per-row np.dot
         kernel, so each is bitwise equal to its row's alone, where `z @ w`
-        can differ in the last bit."""
-        return np.vecdot(self.standardize(matrix), self.weights) + self.bias
+        can differ in the last bit.  Nothing warns of overflow; instead
+        NotFiniteRowError names the first row whose logit is not finite, as
+        is every row with an infinite standardized value."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.vecdot(self.standardize(matrix), self.weights) + self.bias
+        finite = np.isfinite(logits)
+        if not finite.all():
+            raise NotFiniteRowError(int(np.argmin(finite)))
+        return logits
 
     def scores(self, matrix: np.ndarray) -> list[float]:
         """Trigger probability of every row, with math.exp taken per value,

@@ -3,20 +3,18 @@ answers'.
 
 Each graph is a Sentence: token i is a node with lemma
 `lemmas[i - 1]` and head `heads[i - 1]`, and `Sentence.edges` are the edges.
-Relation and vocabulary coverage take a batch of (question parse, answer
-parses) groups and return one value per answer of every group.  Each is the
-clipped overlap that the n-gram baseline counts, `baselines.ngram_scores` at
-order 1: relation coverage over edge signatures, vocabulary coverage over
-lemmas.
-Graph coverage takes the question and its whole group of answers, builds
-the question's side once, and returns one pair of values per answer.  It
-builds the sub-graph of the answer tree spanned by every tree path of at
-most `m` edges between two answer nodes whose lemmas also occur in the
-question, and reports the sub-graph's edge count relative to each side.
-An answer edge joins the sub-graph when the nearest shared node below it
-plus the nearest shared node outside that subtree, the edge counted, is at
-most `m` edges away; two linear passes over the tree find both distances
-for every edge at once.
+Each scorer takes a batch of (question parse, answer parses) groups and
+returns one value, or one pair, per answer of every group.  Relation and
+vocabulary coverage are the clipped overlap that the n-gram baseline counts,
+`baselines.ngram_scores` at order 1: relation coverage over edge signatures,
+vocabulary coverage over lemmas.  Graph coverage builds each question's side
+once, then for each answer the sub-graph of the answer tree spanned by every
+tree path of at most `m` edges between two answer nodes whose lemmas also
+occur in the question, and reports the sub-graph's edge count relative to
+each side.  An answer edge joins the sub-graph when the nearest shared node
+below it plus the nearest shared node outside that subtree, the edge
+counted, is at most `m` edges away; two linear passes over the tree find
+both distances for every edge at once.
 """
 
 from __future__ import annotations
@@ -97,17 +95,18 @@ def align_subgraph(
 
 
 def graph_coverage_features(
-    gq: Sentence, answers: Sequence[Sentence], m: int
+    groups: Iterable[tuple[Sentence, Sequence[Sentence]]], m: int
 ) -> list[tuple[float, float]]:
-    """(coverage vs answer edges, coverage vs question edges) of each answer's
-    aligned sub-graph, both in [0, 1]; the question's lemma set is built once."""
-    question_lemmas = set(gq.lemmas)
-    edges_q = len(gq.edges)
+    """(coverage vs answer edges, coverage vs question edges), both in [0, 1], of
+    the aligned sub-graph of each answer of every group; a question's lemma set is built once."""
     rows = []
-    for ga in answers:
-        n_sub = len(align_subgraph(question_lemmas, ga, m))
-        edges_a = len(ga.edges)
-        cov_ans = n_sub / edges_a if edges_a else 0.0
-        cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0
-        rows.append((cov_ans, cov_ques))
+    for gq, answers in groups:
+        question_lemmas = set(gq.lemmas)
+        edges_q = len(gq.edges)
+        for ga in answers:
+            n_sub = len(align_subgraph(question_lemmas, ga, m))
+            edges_a = len(ga.edges)
+            cov_ans = n_sub / edges_a if edges_a else 0.0
+            cov_ques = min(1.0, n_sub / edges_q) if edges_q else 0.0
+            rows.append((cov_ans, cov_ques))
     return rows

@@ -18,11 +18,12 @@ substitutions, and every node left out is deleted or inserted.  The edit cost
 is normalized by the cost of deleting one graph entirely and inserting the
 other, which bounds the result to [0, 1].
 
-A question is scored against its whole group of answers at once: every cost
-depends on one question node and one answer node only, so one numpy pass
-builds the n x sum(m) matrix of all answers side by side, reading POS
-weights from one array per PosCostTable, and each answer's columns then go
-to the assignment solver on their own.
+graph_edit_distances scores a batch of (question, answers) groups, each
+question against its whole group at once: every cost depends on one
+question node and one answer node only, so one numpy pass builds the
+n x sum(m) matrix of all answers side by side, reading POS weights from one
+array per PosCostTable, and each answer's columns then go to the assignment
+solver on their own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -293,41 +294,40 @@ def solve_assignment(
 
 
 def graph_edit_distances(
-    gq: Sentence, answers: Sequence[Sentence], config: GedConfig
+    groups: Iterable[tuple[Sentence, Sequence[Sentence]]], config: GedConfig
 ) -> list[float]:
-    """Assignment-based edit distance of each answer graph, normalized to [0, 1].
+    """Assignment-based edit distance in [0, 1] of each answer of every group.
 
-    The costs come from one group_cost_matrix, and each answer's reduced
-    costs go to solve_assignment on their own.  The normalizer is the cost of
-    deleting every question node and inserting every answer node, which is
-    itself a feasible edit; identical graphs score 0, and an empty question
-    against any answer scores 1.
+    Each group's costs come from one group_cost_matrix, and each answer's
+    reduced costs go to solve_assignment on their own.  The normalizer is the
+    cost of deleting every question node and inserting every answer node,
+    which is itself a feasible edit; identical graphs score 0, and an empty
+    question against any answer scores 1.
     """
-    substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, config)
-    reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
-    sub_rows, reduced_rows = substitution.tolist(), reduced.tolist()
-    deletion, insertion = deletion.tolist(), insertion.tolist()
-    deletion_total = math.fsum(deletion)
     distances = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        assignment, _ = solve_assignment(reduced[:, lo:hi])
-        # Total over the original entries the assignment implies: a pair with
-        # a negative reduced cost is substituted, every other node deleted or
-        # inserted.
-        substituted = [
-            (i, lo + j) for i, j in enumerate(assignment)
-            if j >= 0 and reduced_rows[i][lo + j] < 0.0
-        ]
-        kept_q = {i for i, _ in substituted}
-        kept_a = {j for _, j in substituted}
-        total = math.fsum(
-            [sub_rows[i][j] for i, j in substituted]
-            + [cost for i, cost in enumerate(deletion) if i not in kept_q]
-            + [insertion[j] for j in range(lo, hi) if j not in kept_a]
-        )
-        denominator = deletion_total + math.fsum(insertion[lo:hi])
-        if denominator <= 0.0:  # two empty graphs, or zero costs
-            distances.append(0.0)
-        else:
-            distances.append(min(1.0, max(0.0, total / denominator)))
+    for gq, answers in groups:
+        substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, config)
+        reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
+        sub_rows, reduced_rows = substitution.tolist(), reduced.tolist()
+        deletion, insertion = deletion.tolist(), insertion.tolist()
+        deletion_total = math.fsum(deletion)
+        for lo, hi in zip(bounds, bounds[1:]):
+            assignment, _ = solve_assignment(reduced[:, lo:hi])
+            # Total over the original entries the assignment implies: a pair
+            # with a negative reduced cost is substituted, every other node
+            # deleted or inserted.
+            substituted = [
+                (i, lo + j) for i, j in enumerate(assignment)
+                if j >= 0 and reduced_rows[i][lo + j] < 0.0
+            ]
+            kept_q = {i for i, _ in substituted}
+            kept_a = {j for _, j in substituted}
+            total = math.fsum(
+                [sub_rows[i][j] for i, j in substituted]
+                + [cost for i, cost in enumerate(deletion) if i not in kept_q]
+                + [insertion[j] for j in range(lo, hi) if j not in kept_a]
+            )
+            denominator = deletion_total + math.fsum(insertion[lo:hi])
+            # A denominator of 0 comes from two empty graphs, or zero costs.
+            distances.append(min(1.0, max(0.0, total / denominator)) if denominator > 0.0 else 0.0)
     return distances

@@ -1,5 +1,5 @@
 """TF-IDF weighted similarity between a question's dependency graph and each
-of its answers'.
+of its answers', for a batch of (question parse, answer parses) groups.
 
 Each graph, a Sentence, is rendered as a weighted vector at three
 granularities: node lemmas (word), governor|dependent lemma pairs (pair),
@@ -86,48 +86,41 @@ def tfidf_vector(keys: Counter[str], table: DfTable, alpha: float) -> dict[str, 
     return {key: w for key, tf in keys.items() if (w := tf * idf[df(key, 0)]) > alpha}
 
 
-def _norm(vector: Mapping[str, float]) -> float:
-    return math.sqrt(math.fsum([w * w for w in vector.values()]))
-
-
-def _ratio(dot: float, norm1: float, norm2: float) -> float:
-    if norm1 == 0.0 or norm2 == 0.0:
-        return 0.0
-    return min(1.0, dot / (norm1 * norm2))
-
-
 def graph_similarities(
-    gq: Sentence,
-    answers: Sequence[Sentence],
+    groups: Iterable[tuple[Sentence, Sequence[Sentence]]],
     tables: Mapping[str, DfTable],
     alphas: tuple[float, float, float],
 ) -> list[tuple[float, float, float]]:
-    """(word, pair, triplet) cosine similarities between the question graph
-    and each answer graph: the cosine over the key union of their
-    tfidf_vectors, 0 when either is empty, with every sum a math.fsum, which
-    is correctly rounded, so the order of the keys cannot change a value.
-    An answer's norm sums its kept weights' squares, and its dot product looks
-    up only the question's keys in its key counts, so it needs no vector."""
+    """(word, pair, triplet) cosine similarities between each answer graph
+    and its question's, one row per answer of every group: the cosine over
+    the key union of their tfidf_vectors, 0 when either is empty, with every
+    sum a math.fsum, which is correctly rounded, so the order of the keys
+    cannot change a value.  A question's vectors and norms are built once.
+    An answer's norm sums its kept weights' squares, and its dot product
+    looks up only the question's keys in its key counts, so it needs no
+    vector.  A kept weight is tf * idf >= 1, so only an empty vector has norm 0."""
     levels = [(tables[level], alpha) for level, alpha in zip(LEVELS, alphas)]
-    keys_q = extract_keys(gq)
-    vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
-    question = [(vq, _norm(vq)) for vq in vectors_q]
     rows = []
-    for ga in answers:
-        keys_a = extract_keys(ga)
-        row = []
-        for (vq, norm_q), (table, alpha) in zip(question, levels):
-            counts, idf, df = keys_a[table.level], table.idf_by_df, table.df.get
-            squares = [w * w for key, tf in counts.items() if (w := tf * idf[df(key, 0)]) > alpha]
-            if not vq or not squares:
-                row.append(0.0)
-                continue
-            dot = math.fsum([
-                wq * w for key, wq in vq.items()
-                if key in counts and (w := counts[key] * idf[df(key, 0)]) > alpha
-            ])
-            row.append(_ratio(dot, norm_q, math.sqrt(math.fsum(squares))))
-        rows.append(tuple(row))
+    for gq, answers in groups:
+        keys_q = extract_keys(gq)
+        vectors_q = [tfidf_vector(keys_q[table.level], table, alpha) for table, alpha in levels]
+        question = [(vq, math.sqrt(math.fsum([w * w for w in vq.values()]))) for vq in vectors_q]
+        for ga in answers:
+            keys_a = extract_keys(ga)
+            row = []
+            for (vq, norm_q), (table, alpha) in zip(question, levels):
+                counts, idf, df = keys_a[table.level], table.idf_by_df, table.df.get
+                squares = [w * w for key, tf in counts.items()
+                           if (w := tf * idf[df(key, 0)]) > alpha]
+                if not vq or not squares:
+                    row.append(0.0)
+                    continue
+                dot = math.fsum([
+                    wq * w for key, wq in vq.items()
+                    if key in counts and (w := counts[key] * idf[df(key, 0)]) > alpha
+                ])
+                row.append(min(1.0, dot / (norm_q * math.sqrt(math.fsum(squares)))))
+            rows.append(tuple(row))
     return rows
 
 

@@ -82,10 +82,10 @@ def test_criterion_3_ged_identity_symmetry_range():
     for _ in range(200):
         gq = random_tree_sentence(rng, max_nodes=8)
         ga = random_tree_sentence(rng, max_nodes=8)
-        assert graph_edit_distances(gq, [gq], config)[0] == 0.0
-        assert graph_edit_distances(ga, [ga], config)[0] == 0.0
-        forward = graph_edit_distances(gq, [ga], config)[0]
-        backward = graph_edit_distances(ga, [gq], config)[0]
+        assert graph_edit_distances([(gq, [gq])], config)[0] == 0.0
+        assert graph_edit_distances([(ga, [ga])], config)[0] == 0.0
+        forward = graph_edit_distances([(gq, [ga])], config)[0]
+        backward = graph_edit_distances([(ga, [gq])], config)[0]
         assert abs(forward - backward) <= 1e-12
         assert 0.0 <= forward <= 1.0
     report(3, "edit distance: identity 0, symmetric within 1e-12, range [0,1], 200 pairs")

@@ -964,6 +964,44 @@ class TestTrainTunePredictEvaluate:
         assert len(err) == 1 and err[0].startswith("error:data: ") and "'f'" in err[0], err
         assert not model.exists()
 
+    # Trained on f = g = 1 and 0, each column has mean 0.5, std 0.5 and a
+    # weight near 3.9.
+    @pytest.mark.parametrize("values", [
+        "1.7e308\t0.5", "-1.7e308\t0.5", "1.7e308\t-1.7e308", "8e307\t0.5",
+    ], ids=["z-inf", "z-minus-inf", "z-inf-and-minus-inf", "finite-z-logit-overflows"])
+    @pytest.mark.parametrize("command", ["evaluate", "tune", "predict"])
+    @pytest.mark.parametrize("filter_", ["default", "error"])
+    def test_value_whose_standardized_value_overflows_fails_with_one_data_error(
+        self, values, command, filter_, mini_config, tmp_path, capsys
+    ):
+        train_file, scored = tmp_path / "train.tsv", tmp_path / "far.tsv"
+        head = "question_id\tcandidate_id\tgold_label\tf\tg\n"
+        train_file.write_text(f"{head}q1\tc1\t1\t1\t1\nq1\tc2\t0\t0\t0\n")
+        scored.write_text(
+            f"{head}q1\tc1\t1\t0.5\t0.5\nq1\tc2\t0\t{values}\nq2\tc1\t1\t{values}\n")
+        model, out = tmp_path / "m.txt", tmp_path / "out.tsv"
+        assert run("--config", mini_config,
+                   "train", "--features", str(train_file), "--model", str(model)) == 0
+        trained = model.read_bytes()
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--model", str(model), "--features", str(scored)],
+            "tune": ["tune", "--model", str(model), "--features", str(scored), "--update-model"],
+            "predict": ["predict", "--model", str(model), "--features", str(scored),
+                        "--out", str(out)],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)  # "error" as `python -W error`
+            code = run("--config", mini_config, *argv)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 3
+        assert err == [f"error:data: {scored}: pair q1/c2: a standardized feature value "
+                       "or the logit is not a finite number"], err
+        assert captured.out == ""
+        assert model.read_bytes() == trained
+        assert not out.exists()
+
 
 class TestEvaluateBaselines:
     def test_baseline_sections_reported(self, mini_config, tmp_path, capsys):

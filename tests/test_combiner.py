@@ -65,17 +65,17 @@ def uniform_tables():
 
 def per_module_features(group, row, resources):
     """All twelve features of the group's candidate `row`, each from its own
-    module's per-group function on that answer alone, by name; bm25, whose
-    pool is the group, from the answer's place in the group."""
+    module's scorer on a batch of one group of that answer alone, by name;
+    bm25, whose pool is the group, from the answer's place in the group."""
     question, answer = group.parses[0], group.parses[1 + row]
     cid, text, _ = group.candidates[row]
     q_tokens, a_tokens = tokenize(group.question), tokenize(text)
     group_tokens = [tokenize(t) for _, t, _ in group.candidates]
-    sims = graph_similarities(question, [answer], resources.df_tables, resources.alphas)[0]
-    cov = graph_coverage_features(question, [answer], resources.subgraph_m)[0]
+    sims = graph_similarities([(question, [answer])], resources.df_tables, resources.alphas)[0]
+    cov = graph_coverage_features([(question, [answer])], resources.subgraph_m)[0]
     values = [
         resources.scores[(group.question_id, cid)],
-        graph_edit_distances(question, [answer], resources.ged_config)[0],
+        graph_edit_distances([(question, [answer])], resources.ged_config)[0],
         *sims,
         relation_coverages([(question, [answer])])[0],
         *cov,
@@ -151,10 +151,10 @@ class TestExtractFeatures:
         assert len(values) == 8
 
         gq, ga = fig_group.parses
-        sims = graph_similarities(gq, [ga], uniform_tables(), (0.0, 0.0, 0.0))[0]
-        cov = graph_coverage_features(gq, [ga], resources.subgraph_m)[0]
+        sims = graph_similarities([(gq, [ga])], uniform_tables(), (0.0, 0.0, 0.0))[0]
+        cov = graph_coverage_features([(gq, [ga])], resources.subgraph_m)[0]
         expected = [
-            graph_edit_distances(gq, [ga], GedConfig())[0],
+            graph_edit_distances([(gq, [ga])], GedConfig())[0],
             sims[0],
             sims[1],
             sims[2],
@@ -299,7 +299,7 @@ class TestExtractFeatures:
         assert tokenized == (Counter(texts) if lexical else Counter())
 
 
-# Lexical questions for the per-group checks, each an edge case.
+# Lexical questions for the one-group checks, each an edge case.
 EDGE_QUESTIONS = [
     [],  # "?!" tokenizes to nothing
     ["die", "die", "carradine", "die"],  # repeated tokens
@@ -313,11 +313,11 @@ WORDS = ["die", "carradine", "sun", "moon", "zero", "SUN", "zzz", "qqq", "of", "
 
 class TestCandidateIndependence:
     """A candidate's value does not depend on its groupmates or on its
-    batch-mates: every per-group function gives, bit for bit, on a whole
-    group what it gives on each candidate alone in a one-candidate group,
-    and extract_features, semantic_similarities, relation_coverages and
-    vocabulary_coverages give on a batch of groups what they give on each
-    group alone."""
+    batch-mates: every scorer but bm25, whose pool is the group, gives, bit
+    for bit, on a whole group what it gives on each candidate alone in a
+    one-candidate group, and extract_features, semantic_similarities and
+    the graph scorers give on a batch of groups what they give on each group
+    alone."""
 
     @staticmethod
     def vectors(rng):
@@ -384,18 +384,26 @@ class TestCandidateIndependence:
             answers.append(empty)
             tables = build_df([s for s in (gq, *answers) if s.heads])
             scorers = [
-                lambda q, a: graph_edit_distances(q, a, config),
-                lambda q, a: graph_similarities(q, a, tables, (0.0, 0.5, 1.0)),
+                lambda q, a: graph_edit_distances([(q, a)], config),
+                lambda q, a: graph_similarities([(q, a)], tables, (0.0, 0.5, 1.0)),
                 lambda q, a: relation_coverages([(q, a)]),
                 lambda q, a: vocabulary_coverages([(q, a)]),
-                *(lambda q, a, m=m: graph_coverage_features(q, a, m) for m in (0, 1, 3)),
+                *(lambda q, a, m=m: graph_coverage_features([(q, a)], m) for m in (0, 1, 3)),
             ]
             for score in scorers:
                 self.assert_alone_equals_together(score, gq, answers)
             batch.append((gq, answers))
         # Each group's ids are its own: an answer lemma or signature that only
-        # another group's question holds matches nothing.
-        for score in (relation_coverages, vocabulary_coverages):
+        # another group's question holds matches nothing.  No family carries
+        # a question's side over to the next group.
+        tables = build_df([s for group in batch for s in (group[0], *group[1]) if s.heads])
+        for score in (
+            relation_coverages,
+            vocabulary_coverages,
+            lambda groups: graph_edit_distances(groups, config),
+            lambda groups: graph_similarities(groups, tables, (0.0, 0.5, 1.0)),
+            *(lambda groups, m=m: graph_coverage_features(groups, m) for m in (0, 1, 3)),
+        ):
             alone = [score([group]) for group in batch]
             assert repr(score(batch)) == repr(sum(alone, []))
 

@@ -438,11 +438,11 @@ def graph_features(gq, ga):
     """Every graph feature of a pair, with DF tables built from the pair."""
     tables = build_df([gq, ga])
     return (
-        graph_edit_distances(gq, [ga], GedConfig())[0],
-        *graph_similarities(gq, [ga], tables, (0.0, 0.0, 0.0))[0],
+        graph_edit_distances([(gq, [ga])], GedConfig())[0],
+        *graph_similarities([(gq, [ga])], tables, (0.0, 0.0, 0.0))[0],
         relation_coverages([(gq, [ga])])[0],
         vocabulary_coverages([(gq, [ga])])[0],
-        *graph_coverage_features(gq, [ga], 3)[0],
+        *graph_coverage_features([(gq, [ga])], 3)[0],
     )
 
 

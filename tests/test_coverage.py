@@ -352,14 +352,14 @@ class TestGraphCoverage:
     def test_empty_subgraph_scores_zero(self):
         g1 = chain("a", "b")
         g2 = chain("c", "d")
-        assert graph_coverage_features(g1, [g2], 3)[0] == (0.0, 0.0)
+        assert graph_coverage_features([(g1, [g2])], 3)[0] == (0.0, 0.0)
 
     def test_full_answer_coverage(self):
         g = chain("a", "b", "c")
-        assert graph_coverage_features(g, [g], 3)[0] == (1.0, 1.0)
+        assert graph_coverage_features([(g, [g])], 3)[0] == (1.0, 1.0)
 
     def test_fig_pair_ratios(self, question_sentence, answer_sentence):
-        cov_ans, cov_ques = graph_coverage_features(question_sentence, [answer_sentence], 3)[0]
+        cov_ans, cov_ques = graph_coverage_features([(question_sentence, [answer_sentence])], 3)[0]
         assert cov_ans == pytest.approx(2 / 9)
         assert cov_ques == pytest.approx(2 / 4)
 
@@ -367,7 +367,7 @@ class TestGraphCoverage:
         # tiny question, richly connected shared nodes in the answer
         gq = chain("a", "b")
         ga = chain("a", "b", "x", "a", "b")
-        cov_ans, cov_ques = graph_coverage_features(gq, [ga], 4)[0]
+        cov_ans, cov_ques = graph_coverage_features([(gq, [ga])], 4)[0]
         assert 0.0 <= cov_ans <= 1.0
         assert cov_ques == 1.0
 
@@ -377,7 +377,7 @@ class TestGraphCoverage:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=7, lemma_pool=pool)
-            cov_ans, cov_ques = graph_coverage_features(gq, [ga], 3)[0]
+            cov_ans, cov_ques = graph_coverage_features([(gq, [ga])], 3)[0]
             assert 0.0 <= cov_ans <= 1.0
             assert 0.0 <= cov_ques <= 1.0
 
@@ -404,4 +404,4 @@ class TestGraphCoverage:
                     len(edges) / n_a if n_a else 0.0,
                     min(1.0, len(edges) / n_q) if n_q else 0.0,
                 )
-                assert graph_coverage_features(gq, [ga], 3)[0] == expected
+                assert graph_coverage_features([(gq, [ga])], 3)[0] == expected

@@ -278,8 +278,8 @@ class TestGroupCostPass:
         for k in range(400):
             config = configs[k % 2]
             question, answers = random_group(rng)
-            group = graph_edit_distances(question, answers, config)
-            single = [graph_edit_distances(question, [a], config)[0] for a in answers]
+            group = graph_edit_distances([(question, answers)], config)
+            single = [graph_edit_distances([(question, [a])], config)[0] for a in answers]
             assert [d.hex() for d in group] == [d.hex() for d in single]
             n = len(question.heads)
             for a in answers:
@@ -317,16 +317,17 @@ class TestGroupCostPass:
 
 class TestGraphEditDistance:
     def test_identical_graphs_distance_zero(self, question_sentence):
-        assert graph_edit_distances(question_sentence, [question_sentence], GedConfig())[0] == 0.0
+        group = [(question_sentence, [question_sentence])]
+        assert graph_edit_distances(group, GedConfig())[0] == 0.0
 
     def test_empty_question_vs_answer_is_one(self, answer_sentence):
         empty = Sentence((), (), (), ())
-        assert graph_edit_distances(empty, [answer_sentence], GedConfig())[0] == 1.0
-        assert graph_edit_distances(answer_sentence, [empty], GedConfig())[0] == 1.0
+        assert graph_edit_distances([(empty, [answer_sentence])], GedConfig())[0] == 1.0
+        assert graph_edit_distances([(answer_sentence, [empty])], GedConfig())[0] == 1.0
 
     def test_both_empty_is_zero(self):
         empty = Sentence((), (), (), ())
-        assert graph_edit_distances(empty, [empty], GedConfig())[0] == 0.0
+        assert graph_edit_distances([(empty, [empty])], GedConfig())[0] == 0.0
 
     def test_matches_partial_injection_oracle(self, mini_dir):
         # Every third pair draws from five lemmas, so equal-cost matchings
@@ -348,7 +349,7 @@ class TestGraphEditDistance:
             ga = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             for first, second in ((gq, ga), (ga, gq)):
                 orientations.add(np.sign(len(first.lemmas) - len(second.lemmas)))
-                fast = graph_edit_distances(first, [second], cfg)[0]
+                fast = graph_edit_distances([(first, [second])], cfg)[0]
                 slow = brute_force_ged(
                     first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost
                 )
@@ -360,8 +361,8 @@ class TestGraphEditDistance:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=6)
             ga = random_tree_sentence(rng, max_nodes=6)
-            d1 = graph_edit_distances(gq, [ga], GedConfig())[0]
-            d2 = graph_edit_distances(ga, [gq], GedConfig())[0]
+            d1 = graph_edit_distances([(gq, [ga])], GedConfig())[0]
+            d2 = graph_edit_distances([(ga, [gq])], GedConfig())[0]
             assert abs(d1 - d2) <= 1e-12
             assert 0.0 <= d1 <= 1.0
 
@@ -420,7 +421,7 @@ class TestGraphEditDistance:
             ],
         )
         distances = graph_edit_distances(
-            question, [wrong_film, correct, wrong_censor], GedConfig()
+            [(question, [wrong_film, correct, wrong_censor])], GedConfig()
         )
         assert distances[1] == min(distances)
         assert distances[1] < distances[0]

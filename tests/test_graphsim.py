@@ -237,7 +237,7 @@ class TestSimilarityFeatures:
     def test_identical_graphs_score_one(self, question_sentence):
         tables = self.tables_for([question_sentence])
         sims = graph_similarities(
-            question_sentence, [question_sentence], tables, (0.0, 0.0, 0.0)
+            [(question_sentence, [question_sentence])], tables, (0.0, 0.0, 0.0)
         )[0]
         assert sims == pytest.approx((1.0, 1.0, 1.0))
 
@@ -245,12 +245,12 @@ class TestSimilarityFeatures:
         g1 = make_sentence([("sun", "sun", "NOUN", 0, "root")])
         g2 = make_sentence([("rain", "rain", "NOUN", 0, "root")])
         tables = self.tables_for([g1, g2])
-        assert graph_similarities(g1, [g2], tables, (0.0, 0.0, 0.0))[0] == (0, 0, 0)
+        assert graph_similarities([(g1, [g2])], tables, (0.0, 0.0, 0.0))[0] == (0, 0, 0)
 
     def test_fig_pair_shares_word_level_mass(self, question_sentence, answer_sentence):
         tables = self.tables_for([question_sentence, answer_sentence])
         sims = graph_similarities(
-            question_sentence, [answer_sentence], tables, (0.0, 0.0, 0.0)
+            [(question_sentence, [answer_sentence])], tables, (0.0, 0.0, 0.0)
         )[0]
         assert sims[0] > 0  # die, david, carradine shared
         assert sims[1] > 0  # carradine|david pair shared
@@ -280,7 +280,7 @@ class TestSimilarityFeatures:
             ]
             tables = build_df([gq, *answers][: 1 + 2 * len(answers) // 3])
             alphas = tuple(float(rng.random()) * 2 for _ in LEVELS)
-            rows = graph_similarities(gq, answers, tables, alphas)
+            rows = graph_similarities([(gq, answers)], tables, alphas)
             for ga, row in zip(answers, rows):
                 expected = []
                 for level, alpha in zip(LEVELS, alphas):
@@ -308,7 +308,7 @@ class TestSimilarityFeatures:
             tables = build_df([gq, *answers][: 1 + 2 * len(answers) // 3])
             alphas = tuple(float(rng.random()) * 2 for _ in LEVELS)
             keys_q = extract_keys(gq)
-            rows = graph_similarities(gq, answers, tables, alphas)
+            rows = graph_similarities([(gq, answers)], tables, alphas)
             for ga, row in zip(answers, rows):
                 keys_a = extract_keys(ga)
                 for level, alpha, value in zip(LEVELS, alphas, row):
@@ -323,10 +323,10 @@ class TestSimilarityFeatures:
     def test_symmetry(self, question_sentence, answer_sentence):
         tables = self.tables_for([question_sentence, answer_sentence])
         forward = graph_similarities(
-            question_sentence, [answer_sentence], tables, (0.0, 0.0, 0.0)
+            [(question_sentence, [answer_sentence])], tables, (0.0, 0.0, 0.0)
         )[0]
         backward = graph_similarities(
-            answer_sentence, [question_sentence], tables, (0.0, 0.0, 0.0)
+            [(answer_sentence, [question_sentence])], tables, (0.0, 0.0, 0.0)
         )[0]
         assert forward == pytest.approx(backward, abs=1e-12)
 
