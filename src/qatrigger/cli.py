@@ -17,9 +17,10 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, get_type_hints
+from typing import Callable, Iterator, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -38,14 +39,14 @@ from .combiner import (
     sigmoid,
     train,
 )
-from .corpus import QuestionGroup, Sentence, attach_parses, load_scores, load_wikiqa
+from .corpus import QuestionGroup, attach_parses, load_scores, load_wikiqa
 from .errors import (
-    ConfigError, IngestionError, QaTriggerError, open_output, open_text, parse_block,
-    parse_number, tsv_rows,
+    ConfigError, IngestionError, QaTriggerError, file_digest, open_output, open_text,
+    parse_block, parse_number, tsv_rows,
 )
 from .evaluation import QuestionIndex, triggering_report, tune_threshold
 from .ged import GedConfig, load_pos_table
-from .graphsim import LEVELS, build_df, load_df_table, save_df_table
+from .graphsim import LEVELS, DfTable, build_df, load_df_table, save_df_table
 
 ENV_PREFIX = "QATRIGGER"
 SPLITS = ("train", "dev", "test")
@@ -225,18 +226,59 @@ def _df_paths(config: RunConfig) -> dict[str, Path] | None:
     return paths
 
 
-def _train_sentences(
-    config: RunConfig, groups: list[QuestionGroup] | None = None
-) -> list[Sentence]:
-    """The parses of the train split, `groups` or else loaded; IngestionError
-    when it holds no question, ConfigError when it holds no parses."""
-    if groups is None:
-        groups = load_split(config, "train", with_parses=True)
+_T = TypeVar("_T")
+
+# Tables parsed or built in this process, one per slot: slot -> (the
+# functions that made it, the sha256 of each file they read, the table).
+_HELD: dict[str, tuple[tuple[Callable, ...], list[str | None], object]] = {}
+
+
+def _held(
+    slot: str, makers: tuple[Callable, ...], paths: list[Path | None], make: Callable[[], _T]
+) -> _T:
+    """make(), unless the slot holds a table that the same `makers` made from
+    files holding the bytes that `paths` hold now (an unset path matches
+    only an unset one).  A miss replaces the slot's table; a make() that
+    raises stores nothing.  A path that is not a regular file (missing, a
+    directory, a pipe) is left to make() alone, to read once or to raise
+    its own error."""
+    if not all(p is None or p.is_file() for p in paths):
+        return make()
+    digests = [None if p is None else file_digest(p) for p in paths]
+    held = _HELD.get(slot)
+    if held is not None and held[0] == makers and held[1] == digests:
+        return held[2]
+    table = make()
+    _HELD[slot] = (makers, digests, table)
+    return table
+
+
+def _train_parses(config: RunConfig, groups: list[QuestionGroup]) -> list[QuestionGroup]:
+    """`groups`, the train split, checked: IngestionError when it holds no
+    question, ConfigError when it holds no parses."""
     if not groups:
         raise IngestionError(f"{config.train}: no questions to build the DF tables from")
     if any(g.parses is None for g in groups):
         raise ConfigError("graph features need parses: set [data] conllu_train")
-    return [sentence for g in groups for sentence in g.parses]
+    return groups
+
+
+def _train_df_tables(
+    config: RunConfig, groups: list[QuestionGroup] | None = None
+) -> dict[str, DfTable]:
+    """The DF tables of the train split's parses, `groups` or else loaded,
+    built once for each content of its corpus, CoNLL-U and index files."""
+    if groups is not None:
+        _train_parses(config, groups)
+
+    def make() -> dict[str, DfTable]:
+        split = groups
+        if split is None:
+            split = _train_parses(config, load_split(config, "train", with_parses=True))
+        return build_df(sentence for g in split for sentence in g.parses)
+
+    paths = [config.train, config.conllu_train, config.index_train]
+    return _held("df_train", (build_df, load_wikiqa, attach_parses), paths, make)
 
 
 def build_resources(
@@ -247,19 +289,23 @@ def build_resources(
 
     `train_split` is the parsed train split when the caller already holds
     it, and None otherwise.  DF tables with no configured paths are built
-    from it, so that the split is not read twice.
+    from it, so that the split is not read twice.  The DF and POS cost
+    tables, constant for a corpus, are parsed or built once per process for
+    each content of their files (_held).
     """
     resources = config.feature_resources()
     loaded: dict[str, object] = {}
     if config.pos_costs and "ged" in manifest:
-        pos_table = load_pos_table(config.pos_costs)
+        pos_table = _held("pos_costs", (load_pos_table,), [config.pos_costs],
+                          partial(load_pos_table, config.pos_costs))
         loaded["ged_config"] = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
         paths = _df_paths(config)
-        loaded["df_tables"] = (
-            build_df(_train_sentences(config, train_split)) if paths is None
-            else {level: load_df_table(paths[level], level) for level in LEVELS}
-        )
+        loaded["df_tables"] = _train_df_tables(config, train_split) if paths is None else {
+            level: _held(f"df_{level}", (load_df_table,), [paths[level]],
+                         partial(load_df_table, paths[level], level))
+            for level in LEVELS
+        }
     if "ext_score" in manifest:
         scores_path = _require(config.scores, "[data] scores (ext_score enabled)")
         loaded["scores"], duplicates = load_scores(scores_path)
@@ -542,7 +588,7 @@ def cmd_build_df(config: RunConfig, out_dir: Path | None) -> int:
         if out_dir is None:
             raise ConfigError("set [resources] df_* paths or pass --out-dir")
         targets = {level: out_dir / f"df_{level}.tsv" for level in LEVELS}
-    for level, table in build_df(_train_sentences(config)).items():
+    for level, table in _train_df_tables(config).items():
         targets[level].parent.mkdir(parents=True, exist_ok=True)
         save_df_table(table, targets[level])
         print(f"df[{level}]: {len(table.df)} keys over {table.n_docs} docs -> {targets[level]}")

@@ -3,10 +3,12 @@ tab-separated row reader and the numeric-field parser that turn an
 undecodable file, a wrong column count or a bad number into an
 IngestionError; numpy's C reader for a block of number rows; the package's
 one writer of output files, which replaces a file whole or leaves it as it
-was; and the finiteness check of the library's parameters."""
+was; the sha256 of a file's bytes; and the finiteness check of the
+library's parameters."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import warnings
@@ -75,6 +77,16 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def file_digest(path: str | Path) -> str:
+    """The sha256 hex digest of the bytes of `path`, read in blocks of 1 MiB
+    (hashlib.file_digest does the same from Python 3.11 on)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def tsv_rows(path: str | Path, width: int | None = None) -> Iterator[tuple[int, list[str]]]:

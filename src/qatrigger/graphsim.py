@@ -56,10 +56,17 @@ class DfTable:
 
 def extract_keys(graph: Sentence) -> dict[str, Counter[str]]:
     """Multiset of keys of a graph at each level; the edges are derived once
-    for both the pair and the triplet level."""
+    for both the pair and the triplet level.  In a pair or triplet key each
+    lemma has its `\\` and `|` escaped by a `\\`, so that two edges of other
+    lemmas never make one key; one check per sentence skips the escaping
+    when no lemma holds either character."""
     lemmas = graph.lemmas
     edges = graph.edges
-    pairs = [f"{lemmas[gov - 1]}|{lemmas[dep - 1]}" for gov, dep, _ in edges]
+    joined = "".join(lemmas)
+    escaped = lemmas
+    if "|" in joined or "\\" in joined:
+        escaped = [lemma.replace("\\", "\\\\").replace("|", "\\|") for lemma in lemmas]
+    pairs = [f"{escaped[gov - 1]}|{escaped[dep - 1]}" for gov, dep, _ in edges]
     return {
         "word": Counter(lemmas),
         "pair": Counter(pairs),

@@ -1281,6 +1281,120 @@ class TestBuildDf:
         )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(*argv):
+    """Run the CLI with `argv` in a process of its own, which holds no table yet."""
+    subprocess.run(
+        [sys.executable, "-m", "qatrigger.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, timeout=120, check=True,
+    )
+
+
+@pytest.fixture
+def no_held_tables(monkeypatch):
+    """A process-wide memo of DF and POS tables that holds nothing yet."""
+    monkeypatch.setattr(cli, "_HELD", {})
+
+
+def df_flags(directory):
+    """--set flags that point the three [resources] df_* paths into `directory`."""
+    return [arg for level in LEVELS
+            for arg in ("--set", f"resources.df_{level}={directory / f'df_{level}.tsv'}")]
+
+
+@pytest.mark.usefixtures("no_held_tables")
+class TestHeldTables:
+    """A process parses each DF table once for each content of its file."""
+
+    @pytest.fixture
+    def df_loads(self, monkeypatch):
+        """The level of each cli.load_df_table call."""
+        calls = []
+        load = cli.load_df_table
+
+        def counted(path, level):
+            calls.append(level)
+            return load(path, level)
+
+        monkeypatch.setattr(cli, "load_df_table", counted)
+        return calls
+
+    def test_three_featurize_calls_load_each_table_once(
+        self, df_loads, mini_config, tmp_path, capsys
+    ):
+        flags = ["--config", mini_config, *df_flags(tmp_path)]
+        assert run(*flags, "build-df") == 0
+        for split in ("train", "dev", "test"):
+            out = tmp_path / f"{split}.tsv"
+            assert run(*flags, "featurize", "--split", split, "--out", str(out)) == 0
+        assert sorted(df_loads) == sorted(LEVELS)
+
+    def test_tables_rewritten_with_the_same_bytes_are_not_loaded_again(
+        self, df_loads, mini_config, tmp_path, capsys
+    ):
+        flags = ["--config", mini_config, *df_flags(tmp_path)]
+        featurize = [*flags, "featurize", "--split", "dev", "--out", str(tmp_path / "f.tsv")]
+        assert run(*flags, "build-df") == 0
+        assert run(*featurize) == 0
+        before = {path: (path.read_bytes(), path.stat().st_ino)
+                  for path in tmp_path.glob("df_*.tsv")}
+        assert run(*flags, "build-df") == 0
+        # Each file is a new one (open_output renames a sibling over it) with
+        # the same bytes.
+        for path, (text, inode) in before.items():
+            assert path.read_bytes() == text and path.stat().st_ino != inode
+        assert run(*featurize) == 0
+        assert len(df_loads) == 3
+
+    def test_table_rewritten_with_its_size_and_mtime_is_loaded_again(
+        self, df_loads, mini_config, tmp_path, capsys
+    ):
+        # Only the bytes tell this rewrite apart: a memo keyed on the file's
+        # size and mtime would keep the old table.
+        flags = ["--config", mini_config, *df_flags(tmp_path)]
+        assert run(*flags, "build-df") == 0
+        outs = [tmp_path / name for name in ("before.tsv", "after.tsv", "fresh.tsv")]
+        featurize = [*flags, "featurize", "--split", "dev", "--out"]
+        assert run(*featurize, str(outs[0])) == 0
+        table = tmp_path / "df_word.tsv"
+        text, stat = table.read_bytes(), table.stat()
+        assert text.startswith(b"N\t56\n")
+        table.write_bytes(text.replace(b"N\t56\n", b"N\t57\n", 1))
+        os.utime(table, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        now = table.stat()
+        assert (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        assert run(*featurize, str(outs[1])) == 0
+        run_fresh(*featurize, str(outs[2]))
+        assert sorted(df_loads) == sorted([*LEVELS, "word"])
+        after, fresh = outs[1].read_bytes(), outs[2].read_bytes()
+        assert after == fresh != outs[0].read_bytes()
+
+    def test_malformed_table_fails_alike_on_every_call(
+        self, df_loads, mini_config, tmp_path, capsys
+    ):
+        # A load that raises holds nothing: the same bad bytes fail again,
+        # and a good table read before them is not taken for them.
+        table = tmp_path / "df.tsv"
+        argv = [arg for level in LEVELS for arg in ("--set", f"resources.df_{level}={table}")]
+        argv = ["--config", mini_config, *argv, "--set", "features.manifest=sim_word",
+                "featurize", "--split", "dev", "--out", str(tmp_path / "f.tsv")]
+        good = "N\t5\nfoo\t2\n"
+        table.write_text(good)
+        assert run(*argv) == 0
+        capsys.readouterr()
+        table.write_text("N\t5\nfoo\t2\nfoo\t3\n")
+        for _ in range(2):
+            assert run(*argv) == 3
+            assert capsys.readouterr().err == f"error:data: {table}: line 3: duplicate key 'foo'\n"
+        table.write_text(good)
+        assert run(*argv) == 0
+        # Each failing call stops at the word table; the good bytes are still
+        # held, so the last call loads nothing.
+        assert df_loads == [*LEVELS, "word", "word"]
+
+
 CYCLIC_CONLLU = (
     "1\ta\ta\tNOUN\tNN\t_\t2\tdep\t_\t_\n"
     "2\tb\tb\tNOUN\tNN\t_\t1\tdep\t_\t_\n"
@@ -1688,6 +1802,23 @@ class TestEachInputReadOnce:
             # The in-memory DF tables come from the train split featurize read.
             assert reads[("load_wikiqa", str(mini_dir / "train.tsv"))] == 1
             assert reads[("attach_parses", str(mini_dir / "parses_train.conllu"))] == 1
+
+    @pytest.mark.usefixtures("no_held_tables")
+    def test_featurize_of_every_split_in_one_process_reads_train_once(
+        self, reads, mini_config, mini_dir, tmp_path, capsys
+    ):
+        # With no [resources] df_* paths, dev and test take the DF tables
+        # that featurize built from the train split it read.
+        splits = ("train", "dev", "test")
+        for split in splits:
+            out = tmp_path / f"{split}.tsv"
+            assert run("--config", mini_config, "featurize", "--split", split, "--out", str(out)) == 0
+        assert reads[("load_wikiqa", str(mini_dir / "train.tsv"))] == 1
+        assert reads[("attach_parses", str(mini_dir / "parses_train.conllu"))] == 1
+        for split in splits:
+            fresh = tmp_path / f"fresh-{split}.tsv"
+            run_fresh("--config", mini_config, "featurize", "--split", split, "--out", str(fresh))
+            assert fresh.read_bytes() == (tmp_path / f"{split}.tsv").read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "tune", "predict", "evaluate"])
     def test_feature_file_is_opened_once(

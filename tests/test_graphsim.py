@@ -52,6 +52,33 @@ class TestExtractKeys:
         keys = extract_keys(graph)
         assert not keys["pair"] and not keys["triplet"]
 
+    def test_lemmas_holding_a_separator_make_distinct_keys(self, tmp_path):
+        # Joined with a bare `|`, the edges a|b -> c and a -> b|c were one
+        # pair key `a|b|c`, so two graphs with no lemma in common scored
+        # sim_pair = sim_triplet = 1, and their DF files held one key.
+        question = Sentence(("a|b", "c"), ("NOUN", "NOUN"), (0, 1), ("root", "nmod"))
+        answer = Sentence(("a", "b|c"), ("NOUN", "NOUN"), (0, 1), ("root", "nmod"))
+        tables = build_df([question, answer, make_sentence([("d", "d", "NOUN", 0, "root")])])
+        assert graph_similarities([(question, [answer])], tables, (0.0, 0.0, 0.0)) == [
+            (0.0, 0.0, 0.0)
+        ]
+        for level in ("pair", "triplet"):
+            path = tmp_path / f"df_{level}.tsv"
+            save_df_table(tables[level], path)
+            loaded = load_df_table(path, level)
+            assert loaded == tables[level] and len(loaded.df) == 2
+
+    def test_every_edge_of_other_lemmas_makes_another_key(self):
+        lemmas = ["a", "b", "|", "\\", "a|", "|b", "a\\", "\\|", "a\\|b", "a|b", "\\\\"]
+        edges = [(gov, dep) for gov in lemmas for dep in lemmas]
+        keys = [extract_keys(Sentence((gov, dep), ("X", "X"), (0, 1), ("root", "r|s")))
+                for gov, dep in edges]
+        for level in ("pair", "triplet"):
+            assert len({next(iter(k[level])) for k in keys}) == len(edges)
+        # Word keys, and the keys of lemmas with neither character, are as before.
+        assert [next(iter(k["pair"])) for k in keys[:2]] == ["a|a", "a|b"]
+        assert all(set(k["word"]) <= set(lemmas) for k in keys)
+
     def test_edges_derived_once_for_every_level(self, answer_sentence):
         # A Sentence stores its edges (and depths) when it is built, so every
         # level reads the same tuple and none derives it again.
