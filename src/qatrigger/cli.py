@@ -228,28 +228,30 @@ def _df_paths(config: RunConfig) -> dict[str, Path] | None:
 
 _T = TypeVar("_T")
 
-# Tables parsed or built in this process, one per slot: slot -> (the
-# functions that made it, the sha256 of each file they read, the table).
-_HELD: dict[str, tuple[tuple[Callable, ...], list[str | None], object]] = {}
+# Tables parsed or built in this process, one per slot: slot -> (the sha256
+# of each file it was made from, the table).
+_HELD: dict[str, tuple[list[str | None], object]] = {}
 
 
-def _held(
-    slot: str, makers: tuple[Callable, ...], paths: list[Path | None], make: Callable[[], _T]
-) -> _T:
-    """make(), unless the slot holds a table that the same `makers` made from
-    files holding the bytes that `paths` hold now (an unset path matches
-    only an unset one).  A miss replaces the slot's table; a make() that
-    raises stores nothing.  A path that is not a regular file (missing, a
-    directory, a pipe) is left to make() alone, to read once or to raise
-    its own error."""
+def _held(slot: str, paths: list[Path | None], make: Callable[[], _T]) -> _T:
+    """make(), unless the slot holds a table made from files that held the
+    bytes `paths` hold now (an unset path matches only an unset one).  A
+    miss replaces the slot's table; a make() that raises stores nothing.  A
+    path that is not a regular file (missing, a directory, a pipe) is left
+    to make() alone, to read once or to raise its own error.
+
+    The files are hashed in a read of their own, before make() reads them
+    (or, for a train split the caller passed in, after it was read), so a
+    file rewritten while a stage runs can leave a table held under the
+    digest of bytes it was not made from."""
     if not all(p is None or p.is_file() for p in paths):
         return make()
     digests = [None if p is None else file_digest(p) for p in paths]
     held = _HELD.get(slot)
-    if held is not None and held[0] == makers and held[1] == digests:
-        return held[2]
+    if held is not None and held[0] == digests:
+        return held[1]
     table = make()
-    _HELD[slot] = (makers, digests, table)
+    _HELD[slot] = (digests, table)
     return table
 
 
@@ -277,8 +279,7 @@ def _train_df_tables(
             split = _train_parses(config, load_split(config, "train", with_parses=True))
         return build_df(sentence for g in split for sentence in g.parses)
 
-    paths = [config.train, config.conllu_train, config.index_train]
-    return _held("df_train", (build_df, load_wikiqa, attach_parses), paths, make)
+    return _held("df_train", [config.train, config.conllu_train, config.index_train], make)
 
 
 def build_resources(
@@ -296,13 +297,12 @@ def build_resources(
     resources = config.feature_resources()
     loaded: dict[str, object] = {}
     if config.pos_costs and "ged" in manifest:
-        pos_table = _held("pos_costs", (load_pos_table,), [config.pos_costs],
-                          partial(load_pos_table, config.pos_costs))
+        pos_table = _held("pos_costs", [config.pos_costs], partial(load_pos_table, config.pos_costs))
         loaded["ged_config"] = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
         paths = _df_paths(config)
         loaded["df_tables"] = _train_df_tables(config, train_split) if paths is None else {
-            level: _held(f"df_{level}", (load_df_table,), [paths[level]],
+            level: _held(f"df_{level}", [paths[level]],
                          partial(load_df_table, paths[level], level))
             for level in LEVELS
         }

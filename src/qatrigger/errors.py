@@ -8,7 +8,6 @@ library's parameters."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import warnings
@@ -82,6 +81,10 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
 def file_digest(path: str | Path) -> str:
     """The sha256 hex digest of the bytes of `path`, read in blocks of 1 MiB
     (hashlib.file_digest does the same from Python 3.11 on)."""
+    # Imported here: hashlib loads OpenSSL, about 3.5 MB of memory and 3 ms
+    # that a command hashing no file need not pay.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         while block := handle.read(1 << 20):

@@ -2,11 +2,19 @@ from pathlib import Path
 
 import pytest
 
+from qatrigger import cli
 from qatrigger.corpus import Sentence
 
 from oracles import adjacency, bfs_distances, find_path, tree_arrays
 
 MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
+
+
+@pytest.fixture(autouse=True)
+def no_held_tables(monkeypatch):
+    """Each test starts with a process-wide memo of DF and POS tables that
+    holds nothing yet, so a test that counts reader calls sees them all."""
+    monkeypatch.setattr(cli, "_HELD", {})
 
 
 def make_sentence(rows):

@@ -1212,6 +1212,9 @@ class TestBuildDf:
             return tables
 
         monkeypatch.setattr(cli, "build_df", failing_build_df)
+        # The memo holds the tables of the run above; emptied, it gets the
+        # tables of the runs below from failing_build_df.
+        cli._HELD.clear()
         capsys.readouterr()
         for out_dir in (fresh, earlier):
             written.clear()
@@ -1292,19 +1295,12 @@ def run_fresh(*argv):
     )
 
 
-@pytest.fixture
-def no_held_tables(monkeypatch):
-    """A process-wide memo of DF and POS tables that holds nothing yet."""
-    monkeypatch.setattr(cli, "_HELD", {})
-
-
 def df_flags(directory):
     """--set flags that point the three [resources] df_* paths into `directory`."""
     return [arg for level in LEVELS
             for arg in ("--set", f"resources.df_{level}={directory / f'df_{level}.tsv'}")]
 
 
-@pytest.mark.usefixtures("no_held_tables")
 class TestHeldTables:
     """A process parses each DF table once for each content of its file."""
 
@@ -1803,7 +1799,6 @@ class TestEachInputReadOnce:
             assert reads[("load_wikiqa", str(mini_dir / "train.tsv"))] == 1
             assert reads[("attach_parses", str(mini_dir / "parses_train.conllu"))] == 1
 
-    @pytest.mark.usefixtures("no_held_tables")
     def test_featurize_of_every_split_in_one_process_reads_train_once(
         self, reads, mini_config, mini_dir, tmp_path, capsys
     ):
