@@ -12,9 +12,12 @@ its N, avgdl and each term's n come from them.  The n-gram score sums
 clipped overlaps over n-grams, counted for the whole batch at once; at
 order 1, over edge signatures or lemmas instead of tokens, it is also the
 relation and vocabulary coverage of `coverage`.  BM25 and n-gram coverage
-map every token through its group's question-term ids (_encode), so each
-works on integer arrays.  The embedding cosine looks each token up exactly
-as tokenized, with no case folding, and sums the word vectors of all the
+work on integer arrays: _encode maps every token of a batch through its
+group's question-term ids, and its _Terms feed the cores _bm25 and _ngram.
+The encoding is made once per batch: the public functions each encode
+their own groups, and combiner's batch encodes its token groups once for
+both families.  The embedding cosine looks each token up exactly as
+tokenized, with no case folding, and sums the word vectors of all the
 batch's texts together, one position at a time.
 """
 
@@ -88,22 +91,27 @@ def bm25_scores(groups: Iterable[TokenGroup], k1: float, b: float) -> list[float
     answers as the pool: one score per answer, over every (question tokens,
     answer token lists) group in order.  N is the group's number of
     answers, avgdl their mean length, and a term's n the number of them
-    that hold it; idf = ln((N - n + 0.5) / (n + 0.5)).
+    that hold it; idf = ln((N - n + 0.5) / (n + 0.5)).  The sum runs over
+    question token occurrences, in question order, and terms absent from the
+    answer contribute nothing."""
+    return _bm25(_encode(list(groups)), k1, b)
 
-    The sum runs over question token occurrences, in question order, and
-    terms absent from the answer contribute nothing.  Each answer has one
-    cell per distinct term of its question, and one bincount gives every
-    cell's f.  n, avgdl and the saturation are whole arrays, computed in the
-    operations and order of one answer's loop, and each idf is one
-    math.log, taken once per distinct (N - n, N).  The sum is a left fold
-    over question positions: step j adds term j's idf * f * (k1 + 1) /
-    (f + saturation) to every answer whose question has a position j.
-    Where f is 0 it adds +0.0, which changes no sum that starts at +0.0.
-    So each score keeps the bits of scoring its group alone."""
-    groups = list(groups)
-    terms = _encode(groups)
+
+def _bm25(terms: _Terms, k1: float, b: float) -> list[float]:
+    """bm25_scores of an encoded batch.
+
+    Each answer has one cell per distinct term of its question, and one
+    bincount gives every cell's f.  n, avgdl and the saturation are whole
+    arrays, computed in the operations and order of one answer's loop, and
+    each idf is one math.log, taken once per distinct (N - n, N).  The sum
+    is a left fold over question positions: step j adds term j's idf * f *
+    (k1 + 1) / (f + saturation) to every answer whose question has a
+    position j.  Where f is 0 it adds +0.0, which changes no sum that
+    starts at +0.0.  So each score keeps the bits of scoring its group
+    alone."""
+    n_groups = len(terms.offsets) - 1
     answer_group = terms.group[terms.is_answer]
-    pool = np.bincount(answer_group, minlength=len(groups))  # N of each group
+    pool = np.bincount(answer_group, minlength=n_groups)  # N of each group
     vocabulary = np.diff(terms.offsets)  # distinct question terms of each group
     # Answer a's cell for term id x is first_cell[a] + x.
     cell_counts = vocabulary[answer_group]
@@ -121,8 +129,8 @@ def bm25_scores(groups: Iterable[TokenGroup], k1: float, b: float) -> list[float
     idf_of = {key: math.log((key[0] + 0.5) / (key[1] - key[0] + 0.5)) for key in set(keys)}
     idf = np.fromiter(map(idf_of.__getitem__, keys), dtype=float, count=len(keys))
     lengths = terms.lengths[terms.is_answer]
-    avgdl = np.zeros(len(groups))
-    np.divide(np.bincount(answer_group, weights=lengths, minlength=len(groups)), pool,
+    avgdl = np.zeros(n_groups)
+    np.divide(np.bincount(answer_group, weights=lengths, minlength=n_groups), pool,
               out=avgdl, where=pool > 0)
     length_ratio = np.zeros(len(lengths))
     np.divide(lengths, avgdl[answer_group], out=length_ratio, where=avgdl[answer_group] > 0)
@@ -155,7 +163,14 @@ def ngram_scores(groups: Iterable[TokenGroup], n_max: int) -> list[float]:
     coverage is the clipped overlap of the answer's n-grams with the
     question's: the sum, over the question's distinct n-grams, of the
     smaller of the two counts, divided by the question's n-gram count, or by
-    1 when it has none.  Tokens may be any hashable values.
+    1 when it has none.  Tokens may be any hashable values."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return _ngram(_encode(list(groups)), n_max)
+
+
+def _ngram(terms: _Terms, n_max: int) -> list[float]:
+    """ngram_scores of an encoded batch, for n_max >= 1.
 
     An n-gram can match only if each of its tokens is a question token of
     its group, so only those n-grams get ids, and orders run only to the
@@ -165,9 +180,6 @@ def ngram_scores(groups: Iterable[TokenGroup], n_max: int) -> list[float]:
     its question lacks starts no longer n-gram that the question has, so
     it is dropped before the next order.  The counts are exact integers,
     so each coverage is one correctly rounded division, as for one answer."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    terms = _encode(list(groups))
     # The length of each answer's question.
     question_length = terms.lengths[~terms.is_answer][terms.group[terms.is_answer]]
     answer_of = np.cumsum(terms.is_answer) - 1  # of each text

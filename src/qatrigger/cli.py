@@ -318,11 +318,11 @@ def build_resources(
 
 
 # Texts, a question and its candidates each, per extract_features call in
-# featurize.  A batch's token lists are held at once, with the semvec means
-# and the bm25 and ngram token-id and count arrays of the family being
-# scored.  On a WikiQA-sized train split, 1,024 texts were no faster than
-# 512 beyond the noise of the measurement and took about 3 MB more peak
-# memory; scoring bm25 and ngram by batch moved a fresh-process `featurize
+# featurize.  A batch's token lists and its one bm25 and ngram token-id
+# encoding are held at once, with the semvec means or the count arrays of
+# the family being scored.  On a WikiQA-sized train split, 1,024 texts were
+# no faster than 512 beyond the noise of the measurement and took about 3 MB
+# more peak memory; scoring bm25 and ngram by batch moved a fresh-process `featurize
 # --split train`'s peak RSS from 66.0 to 66.3 MB (three runs each).
 _BATCH_TEXTS = 512
 

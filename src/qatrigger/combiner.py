@@ -10,9 +10,12 @@ the columns of the whole batch, one value per candidate.  Every family but
 batch's (question, answers) groups, as parses for the graph families or as
 token lists, tokenized on first use once per batch, for the lexical ones,
 and returns one value or one row per answer of every group, doing each
-question's side once.  No family is scored pair by pair.  BM25 takes its
-pool from the group's own answers, so `bm25` is the one feature whose value
-depends on a candidate's groupmates; no value depends on its batch-mates.
+question's side once.  `bm25` and `ngram` share more: the batch encodes its
+token groups' question terms once, and both score from that encoding
+through the cores of `bm25_scores` and `ngram_scores`.  No family is scored
+pair by pair.  BM25 takes its pool from the group's own answers, so `bm25`
+is the one feature whose value depends on a candidate's groupmates; no
+value depends on its batch-mates.
 A standardized logistic regression maps each candidate's manifest-ordered
 vector to a trigger probability.  Training minimizes L2-regularized log
 loss by Newton's method from zero weights, to a fixed gradient-norm
@@ -29,7 +32,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import EmbeddingTable, bm25_scores, ngram_scores, semantic_similarities, tokenize
+from .baselines import (EmbeddingTable, _bm25, _encode, _ngram, _Terms, semantic_similarities,
+                        tokenize)
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from .errors import ConfigError, IngestionError, check_finite, open_output, open_text, parse_number
@@ -73,8 +77,9 @@ class FeatureResources:
 @dataclass
 class _Batch:
     """A run of question groups, each with at least one candidate: their
-    pair keys, their texts, tokenized on first read, once per batch, and
-    their parses."""
+    pair keys, their texts, tokenized on first read, once per batch, the
+    token groups' question-term encoding, made once per batch for bm25 and
+    ngram, and their parses."""
 
     groups: Sequence[QuestionGroup]
 
@@ -87,6 +92,11 @@ class _Batch:
         """Each group's question tokens and candidate token lists."""
         return [(tokenize(g.question), [tokenize(text) for _, text, _ in g.candidates])
                 for g in self.groups]
+
+    @cached_property
+    def terms(self) -> _Terms:
+        """The token groups, each token mapped to its group's question-term id."""
+        return _encode(self.tokens)
 
     @cached_property
     def parses(self) -> list[tuple[Sentence, Sequence[Sentence]]]:
@@ -121,9 +131,9 @@ _FAMILIES = (
     _Family(("vocab_cov",), True, None,
             lambda b, res: [vocabulary_coverages(b.parses)]),
     _Family(("bm25",), False, None,
-            lambda b, res: [bm25_scores(b.tokens, res.k1, res.b)]),
+            lambda b, res: [_bm25(b.terms, res.k1, res.b)]),
     _Family(("ngram",), False, None,
-            lambda b, res: [ngram_scores(b.tokens, res.n_max)]),
+            lambda b, res: [_ngram(b.terms, res.n_max)]),
     _Family(("semvec",), False, ("embeddings", "semvec requires an embedding table"),
             lambda b, res: [semantic_similarities(b.tokens, res.embeddings)]),
 )
@@ -340,8 +350,9 @@ def train(
     design = np.hstack([z, np.ones((len(y), 1))])
     ridge = np.diag([hyper.l2] * x.shape[1] + [0.0])
     theta = np.zeros(x.shape[1] + 1)  # the weights, then the bias
+    # The loss and gradient at theta; after a step, its check computed them.
+    loss, grad_w, grad_b = loss_and_gradient(theta[:-1], float(theta[-1]), z, y, hyper.l2)
     for _ in range(_MAX_STEPS):
-        loss, grad_w, grad_b = loss_and_gradient(theta[:-1], float(theta[-1]), z, y, hyper.l2)
         grad = np.append(grad_w, grad_b)
         if np.linalg.norm(grad) < _TOLERANCE:
             break
@@ -350,14 +361,15 @@ def train(
         step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         for _ in range(_MAX_HALVINGS):
             new = theta - step
-            if loss_and_gradient(new[:-1], float(new[-1]), z, y, hyper.l2)[0] <= loss:
+            trial = loss_and_gradient(new[:-1], float(new[-1]), z, y, hyper.l2)
+            if trial[0] <= loss:
                 break
             step = step / 2
         else:  # no step along this direction lowers the loss
             break
         theta = new
-    else:  # the step limit ended the loop after a step: its loss is not known yet
-        loss, grad_w, grad_b = loss_and_gradient(theta[:-1], float(theta[-1]), z, y, hyper.l2)
+        loss, grad_w, grad_b = trial
+    else:  # the step limit ended the loop after a step
         grad = np.append(grad_w, grad_b)
     return TriggerModel(
         feature_names=tuple(feature_names),

@@ -268,6 +268,19 @@ def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int
     return row_to_col
 
 
+def _assign(rows: list[list[float]]) -> list[int]:
+    """Row-to-column minimum-cost assignment of a rectangular matrix given
+    as its rows.  With more rows than columns, the transpose is solved, so
+    every column gets a distinct row, and the rows left over map to -1."""
+    n_cols = len(rows[0]) if rows else 0
+    if len(rows) <= n_cols:
+        return _shortest_augmenting_paths(rows, n_cols)
+    row_to_col = [-1] * len(rows)
+    for j, i in enumerate(_shortest_augmenting_paths([list(c) for c in zip(*rows)], len(rows))):
+        row_to_col[i] = j
+    return row_to_col
+
+
 def solve_assignment(
     matrix: np.ndarray | Sequence[Sequence[float]],
 ) -> tuple[tuple[int, ...], float]:
@@ -278,19 +291,10 @@ def solve_assignment(
     unassigned rows map to -1.  Returns (row_to_column assignment, total
     cost); the total is the exact float sum of the selected entries.
     """
-    cost = np.asarray(matrix, dtype=float)
-    transposed = cost.shape[0] > cost.shape[1]
-    if transposed:
-        cost = cost.T
-    rows = cost.tolist()
-    assignment = _shortest_augmenting_paths(rows, cost.shape[1])
-    total = math.fsum([rows[i][j] for i, j in enumerate(assignment)])
-    if not transposed:
-        return tuple(assignment), total
-    row_to_col = [-1] * cost.shape[1]
-    for j, i in enumerate(assignment):
-        row_to_col[i] = j
-    return tuple(row_to_col), total
+    rows = np.asarray(matrix, dtype=float).tolist()
+    assignment = _assign(rows)
+    total = math.fsum([rows[i][j] for i, j in enumerate(assignment) if j >= 0])
+    return tuple(assignment), total
 
 
 def graph_edit_distances(
@@ -299,10 +303,11 @@ def graph_edit_distances(
     """Assignment-based edit distance in [0, 1] of each answer of every group.
 
     Each group's costs come from one group_cost_matrix, and each answer's
-    reduced costs go to solve_assignment on their own.  The normalizer is the
-    cost of deleting every question node and inserting every answer node,
-    which is itself a feasible edit; identical graphs score 0, and an empty
-    question against any answer scores 1.
+    columns of the reduced costs, as lists, go to the assignment solver on
+    their own.  The normalizer is the cost of deleting every question node
+    and inserting every answer node, which is itself a feasible edit;
+    identical graphs score 0, and an empty question against any answer
+    scores 1.
     """
     distances = []
     for gq, answers in groups:
@@ -312,13 +317,12 @@ def graph_edit_distances(
         deletion, insertion = deletion.tolist(), insertion.tolist()
         deletion_total = math.fsum(deletion)
         for lo, hi in zip(bounds, bounds[1:]):
-            assignment, _ = solve_assignment(reduced[:, lo:hi])
+            block = [row[lo:hi] for row in reduced_rows]
             # Total over the original entries the assignment implies: a pair
             # with a negative reduced cost is substituted, every other node
             # deleted or inserted.
             substituted = [
-                (i, lo + j) for i, j in enumerate(assignment)
-                if j >= 0 and reduced_rows[i][lo + j] < 0.0
+                (i, lo + j) for i, j in enumerate(_assign(block)) if j >= 0 and block[i][j] < 0.0
             ]
             kept_q = {i for i, _ in substituted}
             kept_a = {j for _, j in substituted}

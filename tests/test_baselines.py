@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qatrigger import baselines
+from qatrigger import baselines, combiner
 from qatrigger.baselines import (
     EmbeddingTable,
     bm25_scores,
@@ -285,6 +285,21 @@ class TestAgainstFirstLoops:
             for group, expected in zip(groups, looped):
                 assert repr(bm25_scores([group], k1, b)) == repr(expected)
             assert repr(bm25_scores(groups, k1, b)) == repr(sum(looped, []))
+
+    def test_batch_columns_equal_the_public_scorers(self):
+        # A featurize batch encodes its token groups once for bm25 and ngram;
+        # the public scorers each encode the groups they are given.
+        family = {f.columns[0]: f.fn for f in combiner._FAMILIES}
+        for seed in (1, 2):
+            groups = list(self.groups(seed))
+            batch = combiner._Batch([])
+            batch.tokens = groups
+            for k1, b, n_max in ((1.5, 0.75, 3), (0.0, 1.0, 1), (1.2, 0.0, 40)):
+                resources = combiner.FeatureResources(k1=k1, b=b, n_max=n_max)
+                [bm25] = family["bm25"](batch, resources)
+                [ngram] = family["ngram"](batch, resources)
+                assert repr(bm25) == repr(bm25_scores(groups, k1, b))
+                assert repr(ngram) == repr(ngram_scores(groups, n_max))
 
     def long_groups(self, seed):
         """Groups whose answers have 8 to 140 tokens, where numpy sums a

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qatrigger import combiner
+from qatrigger import baselines, combiner
 from qatrigger.baselines import (
     EmbeddingTable,
     bm25_scores,
@@ -251,6 +251,28 @@ class TestExtractFeatures:
         assert len(values) == 3
         assert values[1] > 0  # shared words give n-gram mass
         assert extract_features([replace(fig_group, parses=None)], resources, lexical) == [values]
+
+    def test_bm25_and_ngram_share_one_encoding_per_batch(self, fig_group, monkeypatch):
+        calls = 0
+        encode = baselines._encode
+
+        def counting_encode(groups):
+            nonlocal calls
+            calls += 1
+            return encode(groups)
+
+        # combiner binds the name too, so both bindings count.
+        monkeypatch.setattr(baselines, "_encode", counting_encode)
+        monkeypatch.setattr(combiner, "_encode", counting_encode)
+        other = replace(fig_group, question_id="q2")
+        resources = FeatureResources(
+            scores={("q1", "a1"): 0.25, ("q2", "a1"): 0.75},
+            embeddings=EmbeddingTable(matrix=np.array([[1.0, 0.0]]), rows={"die": 0}),
+        )
+        rows = extract_features([fig_group, other], resources,
+                                ["ext_score", "bm25", "ngram", "semvec"])
+        assert len(rows) == 2
+        assert calls == 1
 
     def test_semvec_requires_embeddings(self, fig_group):
         with pytest.raises(ConfigError, match="embedding"):
@@ -627,6 +649,22 @@ def test_train_on_mini_features_matches_golden_model(mini_dir, tmp_path):
     save_model(model, tmp_path / "model.txt")
     golden = mini_dir / "golden_model_train.txt"
     assert (tmp_path / "model.txt").read_bytes() == golden.read_bytes()
+
+
+def test_train_evaluates_the_loss_once_at_each_point(mini_dir, monkeypatch):
+    # The accepted step's check gives the next iteration its loss and
+    # gradient, so no theta is evaluated twice.
+    names, keys, matrix = read_features(mini_dir / "golden_features_train.tsv")
+    points = []
+
+    def recording(weights, bias, z, y, l2):
+        points.append((weights.tobytes(), bias))
+        return loss_and_gradient(weights, bias, z, y, l2)
+
+    monkeypatch.setattr(combiner, "loss_and_gradient", recording)
+    model = train(matrix, [label for _, _, label in keys], names)
+    assert model.grad_norm < 1e-8
+    assert len(points) == len(set(points)) > 1
 
 
 def _gradient_norm(weights, bias, z, y, l2):
