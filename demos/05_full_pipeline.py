@@ -14,7 +14,6 @@ from qatrigger import (
     TrainConfig,
     attach_parses,
     extract_features,
-    load_pos_table,
     load_wikiqa,
     train,
     triggering_report,
@@ -36,10 +35,10 @@ train_groups = load_split("train")
 dev_groups = load_split("dev")
 test_groups = load_split("test")
 
-# Resources: DF tables from the training split's parses, default POS cost
-# table file.
+# Resources: DF tables from the training split's parses, the default edit
+# costs.
 resources = FeatureResources(
-    ged_config=GedConfig(pos_table=load_pos_table(MINI / "pos_costs.tsv")),
+    ged_config=GedConfig(),
     df_tables=build_df(parse for g in train_groups for parse in g.parses),
     alphas=(0.0, 0.0, 0.0),
 )

@@ -325,22 +325,6 @@ def write_embeddings(out: Path, all_parses: list[dict]) -> None:
     (out / "embeddings.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_pos_costs(out: Path) -> None:
-    tags = [
-        "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
-        "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
-    ]
-    classes = [("NOUN", "PROPN", "PRON"), ("VERB", "AUX"), ("ADJ", "ADV")]
-    lines = ["DEFAULT\t1.0"]
-    for tag in tags:
-        lines.append(f"{tag}\t{tag}\t0.3")
-    for group in classes:
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                lines.append(f"{a}\t{b}\t0.5")
-    (out / "pos_costs.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_config(out: Path) -> None:
     config = """[data]
 train = train.tsv
@@ -354,9 +338,6 @@ index_dev = index_dev.tsv
 index_test = index_test.tsv
 scores = scores.tsv
 embeddings = embeddings.txt
-
-[resources]
-pos_costs = pos_costs.tsv
 
 [features]
 manifest = ged,sim_word,sim_pair,sim_triplet,rel_cov,graph_cov_ans,graph_cov_ques,vocab_cov
@@ -383,7 +364,6 @@ def main(argv: list[str] | None = None) -> None:
         all_parses.append(parses)
     write_scores(out, all_groups)
     write_embeddings(out, all_parses)
-    write_pos_costs(out)
     write_config(out)
     n = sum(len(g) for g in all_groups.values())
     print(f"wrote mini corpus ({n} questions) to {out}")

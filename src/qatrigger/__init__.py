@@ -50,10 +50,7 @@ from .evaluation import (
 )
 from .ged import (
     GedConfig,
-    PosCostTable,
-    default_pos_table,
     graph_edit_distances,
-    load_pos_table,
     solve_assignment,
 )
 from .graphsim import (

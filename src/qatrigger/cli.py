@@ -45,7 +45,7 @@ from .errors import (
     parse_block, parse_number, tsv_rows,
 )
 from .evaluation import QuestionIndex, triggering_report, tune_threshold
-from .ged import GedConfig, load_pos_table
+from .ged import GedConfig
 from .graphsim import LEVELS, DfTable, build_df, load_df_table, save_df_table
 
 ENV_PREFIX = "QATRIGGER"
@@ -85,7 +85,6 @@ class RunConfig:
     df_word: Path | None = _key("resources")
     df_pair: Path | None = _key("resources")
     df_triplet: Path | None = _key("resources")
-    pos_costs: Path | None = _key("resources")
     manifest: tuple[str, ...] = _key("features", DEFAULT_MANIFEST)
     # Each [hyper] default is the library's, read from the field it sets.
     alpha1: float = _key("hyper", FeatureResources.alphas[0])
@@ -290,15 +289,12 @@ def build_resources(
 
     `train_split` is the parsed train split when the caller already holds
     it, and None otherwise.  DF tables with no configured paths are built
-    from it, so that the split is not read twice.  The DF and POS cost
-    tables, constant for a corpus, are parsed or built once per process for
-    each content of their files (_held).
+    from it, so that the split is not read twice.  The DF tables, constant
+    for a corpus, are parsed or built once per process for each content of
+    their files (_held).
     """
     resources = config.feature_resources()
     loaded: dict[str, object] = {}
-    if config.pos_costs and "ged" in manifest:
-        pos_table = _held("pos_costs", [config.pos_costs], partial(load_pos_table, config.pos_costs))
-        loaded["ged_config"] = replace(resources.ged_config, pos_table=pos_table)
     if any(name.startswith("sim_") for name in manifest):
         paths = _df_paths(config)
         loaded["df_tables"] = _train_df_tables(config, train_split) if paths is None else {

@@ -6,10 +6,12 @@ and tag `upos[i - 1]`, and `Sentence.edges` are the edges.  The distance is
 the bipartite approximation of Riesen & Bunke (2009): every question node is
 either substituted by one answer node or deleted, and every answer node not
 substituted is inserted.  Node substitution cost is zero for equal lemmas
-(the Sentence lowercases them when it is built) and otherwise a POS-pair
-substitute weight; every cost additionally charges the mismatch between the
-incident relation multisets of the two nodes, and deleting or inserting a
-node charges its incident edges.
+(the Sentence lowercases them when it is built) and otherwise a fixed POS-pair
+substitute weight: SAME_TAG_COST for one UPOS tag, SAME_CLASS_COST for two
+tags of one class in _POS_CLASSES, and OTHER_COST for any other pair.  Every
+cost additionally charges the mismatch between the incident relation
+multisets of the two nodes, and deleting or inserting a node charges its
+incident edges.
 
 The optimum is found as in Serratosa's Fast BP (2014): instead of the
 (n+m) x (n+m) matrix with deletion, insertion and epsilon blocks, one n x m
@@ -22,22 +24,20 @@ graph_edit_distances scores a batch of (question, answers) groups, each
 question against its whole group at once: every cost depends on one
 question node and one answer node only, so one numpy pass builds the
 n x sum(m) matrix of all answers side by side, reading POS weights from one
-array per PosCostTable, and each answer's columns then go to the assignment
+array built at import, and each answer's columns then go to the assignment
 solver on their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Sentence
-from .errors import IngestionError, check_finite, parse_number, tsv_rows
+from .errors import check_finite
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -51,81 +51,35 @@ _POS_CLASSES = (
     ("ADJ", "ADV"),
 )
 
+# POS substitute weights: the same UPOS tag, two tags of one class above,
+# and every other pair, an unknown tag against itself included.
 SAME_TAG_COST = 0.3
 SAME_CLASS_COST = 0.5
+OTHER_COST = 1.0
 
 
-@dataclass(frozen=True)
-class PosCostTable:
-    """Symmetric POS-pair substitute weights with a default for unknown pairs."""
-
-    entries: Mapping[tuple[str, str], float]
-    default_cost: float = 1.0
-
-    def cost(self, upos_a: str, upos_b: str) -> float:
-        value = self.entries.get((upos_a, upos_b))
-        if value is None:
-            value = self.entries.get((upos_b, upos_a))
-        return self.default_cost if value is None else value
-
-    @cached_property
-    def cost_rows(self) -> tuple[dict[str, int], np.ndarray]:
-        """(index of each UPOS tag and each tag the table names, the
-        (T+1) x (T+1) array of their `cost`s).  Index T stands for any other
-        tag: it costs `default_cost` against every tag, itself included,
-        since the table names no pair with it."""
-        tags = list(dict.fromkeys([*UPOS_TAGS, *(tag for pair in self.entries for tag in pair)]))
-        costs = np.full((len(tags) + 1, len(tags) + 1), self.default_cost, dtype=float)
-        costs[:-1, :-1] = [[self.cost(a, b) for b in tags] for a in tags]
-        return {tag: i for i, tag in enumerate(tags)}, costs
-
-
-def default_pos_table() -> PosCostTable:
-    entries = {(tag, tag): SAME_TAG_COST for tag in UPOS_TAGS}
+def _pos_weights() -> tuple[dict[str, int], np.ndarray]:
+    """(index of each UPOS tag, the read-only (T+1) x (T+1) array of the
+    substitute weights between them).  Index T stands for any tag outside
+    UPOS_TAGS: it costs OTHER_COST against every tag, itself included."""
+    index = {tag: i for i, tag in enumerate(UPOS_TAGS)}
+    costs = np.full((len(index) + 1, len(index) + 1), OTHER_COST)
     for group in _POS_CLASSES:
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                entries[(a, b)] = SAME_CLASS_COST
-    return PosCostTable(entries=entries)
+        rows = [index[tag] for tag in group]
+        costs[np.ix_(rows, rows)] = SAME_CLASS_COST
+    for i in range(len(index)):
+        costs[i, i] = SAME_TAG_COST
+    costs.setflags(write=False)
+    return index, costs
 
 
-def load_pos_table(path: str | Path) -> PosCostTable:
-    """Load `UPOS_A<TAB>UPOS_B<TAB>cost` lines plus one `DEFAULT<TAB>cost` line;
-    every cost, the default's included, must lie in [0, 1]."""
-    path = Path(path)
-    entries: dict[tuple[str, str], float] = {}
-    default_cost = 1.0
-    saw_default = False
-    for lineno, columns in tsv_rows(path):
-        if columns[0].startswith("#"):
-            continue
-        is_default = columns[0] == "DEFAULT"
-        if is_default and len(columns) != 2:
-            raise IngestionError(f"{path}: line {lineno}: DEFAULT needs one cost")
-        if not is_default and len(columns) != 3:
-            raise IngestionError(
-                f"{path}: line {lineno}: expected 3 columns, got {len(columns)}"
-            )
-        cost = parse_number(columns[-1], path, lineno)
-        if not 0.0 <= cost <= 1.0:
-            raise IngestionError(f"{path}: line {lineno}: cost must be in [0, 1]")
-        if is_default:
-            default_cost, saw_default = cost, True
-            continue
-        a, b = columns[:2]
-        if entries.get((b, a), cost) != cost or entries.get((a, b), cost) != cost:
-            raise IngestionError(f"{path}: line {lineno}: asymmetric entry {a}/{b}")
-        entries[(a, b)] = cost
-    if not saw_default:
-        raise IngestionError(f"{path}: missing DEFAULT line")
-    return PosCostTable(entries=entries, default_cost=default_cost)
+_POS_INDEX, _POS_WEIGHTS = _pos_weights()
 
 
 @dataclass(frozen=True)
 class GedConfig:
     """Edit costs of graph_edit_distances; construction checks the ranges."""
 
-    pos_table: PosCostTable = field(default_factory=default_pos_table)
     edge_weight: float = 0.5
     delete_cost: float = 1.0
 
@@ -191,14 +145,13 @@ def group_cost_matrix(
     a_lemmas = np.asarray(
         [lemmas.get(lemma, -1) for ga in answers for lemma in ga.lemmas], dtype=np.intp
     )
-    index, pos_costs = config.pos_table.cost_rows
-    other = len(index)
-    q_tags = np.asarray([index.get(tag, other) for tag in gq.upos], dtype=np.intp)
+    other = len(_POS_INDEX)
+    q_tags = np.asarray([_POS_INDEX.get(tag, other) for tag in gq.upos], dtype=np.intp)
     a_tags = np.asarray(
-        [index.get(tag, other) for ga in answers for tag in ga.upos], dtype=np.intp
+        [_POS_INDEX.get(tag, other) for ga in answers for tag in ga.upos], dtype=np.intp
     )
     node = np.where(
-        q_lemmas[:, None] == a_lemmas[None, :], 0.0, pos_costs[q_tags[:, None], a_tags[None, :]]
+        q_lemmas[:, None] == a_lemmas[None, :], 0.0, _POS_WEIGHTS[q_tags[:, None], a_tags[None, :]]
     )
 
     substitution = node + config.edge_weight * mismatch / 2.0

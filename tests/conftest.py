@@ -12,8 +12,8 @@ MINI_DIR = Path(__file__).resolve().parent / "data" / "mini"
 
 @pytest.fixture(autouse=True)
 def no_held_tables(monkeypatch):
-    """Each test starts with a process-wide memo of DF and POS tables that
-    holds nothing yet, so a test that counts reader calls sees them all."""
+    """Each test starts with a process-wide memo of DF tables that holds
+    nothing yet, so a test that counts reader calls sees them all."""
     monkeypatch.setattr(cli, "_HELD", {})
 
 

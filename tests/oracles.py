@@ -4,7 +4,8 @@ Everything here but `prob`, `reference_df_table` and `reference_read_features`
 deliberately avoids the
 library's own code paths: the assignment oracle enumerates permutations, the
 reference shortest-augmenting-path solver scans every column at every step,
-the edit-distance oracle enumerates partial injections, paths come from
+the edit-distance oracle enumerates partial injections and takes its POS
+weights from `pos_cost`, a transcription of the rule, paths come from
 plain BFS, the pairwise sub-graph walks one tree path per pair of shared
 nodes with `find_path` (itself checked against BFS), and the formula oracles
 transcribe the defining equations directly.  Graph oracles take a parsed
@@ -299,8 +300,26 @@ def _degree(graph) -> dict[int, int]:
     return deg
 
 
-def brute_force_ged(gq, ga, pos_table, edge_weight, delete_cost) -> float:
-    """Normalized edit distance by enumerating every partial injection."""
+# The 17 UPOS tags, and the tags that substitute for each other at a discount.
+UPOS = frozenset(
+    "ADJ ADP ADV AUX CCONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X".split()
+)
+_POS_GROUPS = ({"NOUN", "PROPN", "PRON"}, {"VERB", "AUX"}, {"ADJ", "ADV"})
+
+
+def pos_cost(a, b) -> float:
+    """POS substitute weight: 0.3 for one UPOS tag, 0.5 for two tags of one
+    group, 1.0 otherwise, a tag outside UPOS against itself included."""
+    if a == b and a in UPOS:
+        return 0.3
+    if any(a in group and b in group for group in _POS_GROUPS):
+        return 0.5
+    return 1.0
+
+
+def brute_force_ged(gq, ga, edge_weight, delete_cost) -> float:
+    """Normalized edit distance by enumerating every partial injection, with
+    pos_cost as the substitute weight of two nodes of different lemmas."""
     nodes_q = list(token_indices(gq))
     nodes_a = list(token_indices(ga))
     rels_q, rels_a = _incident(gq), _incident(ga)
@@ -310,7 +329,7 @@ def brute_force_ged(gq, ga, pos_table, edge_weight, delete_cost) -> float:
         if gq.lemmas[u - 1].lower() == ga.lemmas[v - 1].lower():
             base = 0.0
         else:
-            base = pos_table.cost(gq.upos[u - 1], ga.upos[v - 1])
+            base = pos_cost(gq.upos[u - 1], ga.upos[v - 1])
         diff = (rels_q[u] - rels_a[v]) + (rels_a[v] - rels_q[u])
         return base + edge_weight * sum(diff.values()) / 2.0
 

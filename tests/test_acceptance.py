@@ -21,7 +21,7 @@ from qatrigger.combiner import loss_and_gradient, sigmoid
 from qatrigger.corpus import attach_parses, load_wikiqa
 from qatrigger.coverage import align_subgraph
 from qatrigger.evaluation import QuestionIndex, triggering_report, tune_threshold
-from qatrigger.ged import GedConfig, graph_edit_distances, load_pos_table, solve_assignment
+from qatrigger.ged import GedConfig, graph_edit_distances, solve_assignment
 
 from conftest import MINI_DIR, check_tree_paths_against_bfs, endpoints, random_tree_sentence
 from oracles import (
@@ -288,12 +288,12 @@ def test_criterion_9_real_wikiqa_split_sizes():
 class TestGoldenFeaturesAgainstOracles:
     """The committed golden feature file must agree with independent oracles."""
 
-    def _oracle_features(self, gq, ga, pos_table, df_tables, n_docs):
+    def _oracle_features(self, gq, ga, df_tables, n_docs):
         lemma_q = dict(enumerate(gq.lemmas, start=1))
         lemma_a = dict(enumerate(ga.lemmas, start=1))
         edges_q, edges_a = head_edges(gq), head_edges(ga)
 
-        ged = brute_force_ged(gq, ga, pos_table, 0.5, 1.0)
+        ged = brute_force_ged(gq, ga, 0.5, 1.0)
 
         def keys(graph, lemma, level):
             if level == "word":
@@ -348,8 +348,6 @@ class TestGoldenFeaturesAgainstOracles:
             MINI_DIR / "parses_train.conllu",
             MINI_DIR / "index_train.tsv",
         )
-        pos_table = load_pos_table(MINI_DIR / "pos_costs.tsv")
-
         sentences = [sentence for g in groups for sentence in g.parses]
         df_tables = {}
         for level in ("word", "pair", "triplet"):
@@ -376,9 +374,7 @@ class TestGoldenFeaturesAgainstOracles:
         for group in groups:
             question, *answers = group.parses
             for (cid, _, _), answer in zip(group.candidates, answers):
-                expected = self._oracle_features(
-                    question, answer, pos_table, df_tables, len(sentences)
-                )
+                expected = self._oracle_features(question, answer, df_tables, len(sentences))
                 actual = golden[(group.question_id, cid)]
                 assert actual == pytest.approx(expected, abs=1e-9)
                 checked += 1

@@ -37,7 +37,7 @@ from qatrigger.combiner import (
 from qatrigger.corpus import _read_index, attach_parses, load_scores, load_wikiqa
 from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.evaluation import QuestionIndex
-from qatrigger.ged import GedConfig, load_pos_table
+from qatrigger.ged import GedConfig
 from qatrigger.graphsim import LEVELS, load_df_table
 
 from oracles import reference_df_table, reference_read_features
@@ -59,7 +59,7 @@ EVERY_KEY = [
         "index_train", "index_dev", "index_test", "scores", "embeddings",
     )),
     *(("resources", name, f"{name}.tsv", name, Path(f"{name}.tsv")) for name in (
-        "df_word", "df_pair", "df_triplet", "pos_costs",
+        "df_word", "df_pair", "df_triplet",
     )),
     ("features", "manifest", " bm25 ,ged,", "manifest", ("bm25", "ged")),
     ("hyper", "alpha1", "1.5", "alpha1", 1.5),
@@ -131,7 +131,7 @@ class TestConfig:
         }
         assert config.semvec_threshold == 0.70
 
-    def test_every_feature_key_reaches_its_library_field(self, tmp_path):
+    def test_every_feature_key_reaches_its_library_field(self):
         # Distinct values, so a key copied into the wrong field fails.
         overrides = [
             "features.manifest=ged,rel_cov,graph_cov_ans,bm25,ngram",
@@ -145,17 +145,6 @@ class TestConfig:
         assert resources.subgraph_m == 5
         assert (resources.k1, resources.b, resources.n_max) == (1.125, 0.25, 4)
         assert resources.ged_config == GedConfig(edge_weight=0.375, delete_cost=0.625)
-
-        pos_costs = tmp_path / "pos_costs.tsv"
-        pos_costs.write_text("DEFAULT\t0.875\nNOUN\tVERB\t0.125\n")
-        config = load_config(
-            None, overrides=[*overrides, f"resources.pos_costs={pos_costs}"], env={}
-        )
-        ged_config = build_resources(config, config.manifest, None).ged_config
-        assert ged_config == GedConfig(
-            pos_table=load_pos_table(pos_costs), edge_weight=0.375, delete_cost=0.625
-        )
-        assert ged_config.pos_table != GedConfig().pos_table
 
     def test_df_tables_from_an_unparsed_train_split_are_a_config_error(self, mini_dir):
         # build_resources builds DF tables from the train split it is given;
@@ -231,20 +220,24 @@ class TestConfig:
             load_config(None, overrides=["hyper.bogus=1"], env={})
 
     @pytest.mark.parametrize(
-        "source, key",
-        [("file", "seed"), ("file", "lr"), ("file", "epochs"), ("env", "lr"), ("flag", "epochs")],
-        ids=["file-seed", "file-lr", "file-epochs", "env-lr", "flag-epochs"],
+        "source, section, key",
+        [("file", "hyper", "seed"), ("file", "hyper", "lr"), ("file", "hyper", "epochs"),
+         ("env", "hyper", "lr"), ("flag", "hyper", "epochs"),
+         *((source, "resources", "pos_costs") for source in ("file", "env", "flag"))],
+        ids=["file-seed", "file-lr", "file-epochs", "env-lr", "flag-epochs",
+             "file-pos_costs", "env-pos_costs", "flag-pos_costs"],
     )
-    def test_deleted_key_rejected(self, source, key, tmp_path, capsys, monkeypatch):
+    def test_deleted_key_rejected(self, source, section, key, tmp_path, capsys, monkeypatch):
+        value = "200" if section == "hyper" else "pos_costs.tsv"
         config = tmp_path / "config.ini"
-        config.write_text(f"[hyper]\n{key} = 200\n" if source == "file" else "[hyper]\n")
-        flags = ["--set", f"hyper.{key}=200"] if source == "flag" else []
+        config.write_text(f"[{section}]\n" + (f"{key} = {value}\n" if source == "file" else ""))
+        flags = ["--set", f"{section}.{key}={value}"] if source == "flag" else []
         if source == "env":
-            monkeypatch.setenv(f"QATRIGGER_HYPER_{key.upper()}", "200")
+            monkeypatch.setenv(f"QATRIGGER_{section.upper()}_{key.upper()}", value)
         code = run("--config", str(config), *flags, "build-df", "--out-dir", str(tmp_path))
         err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert err == [f"error:config: unknown configuration key [hyper] {key}"]
+        assert err == [f"error:config: unknown configuration key [{section}] {key}"]
 
     @pytest.mark.parametrize(
         "content, message",
@@ -465,17 +458,6 @@ class TestFeaturize:
         assert outputs[1] == outputs[0]
         assert len(set(outputs[0].splitlines())) == 45
 
-    def test_pos_costs_are_read_only_with_ged(self, mini_config, tmp_path):
-        outputs = []
-        for extra in ([], ["--set", f"resources.pos_costs={tmp_path / 'missing.tsv'}"]):
-            out = tmp_path / f"features-{len(extra)}.tsv"
-            assert run(
-                "--config", mini_config, "--set", "features.manifest=bm25", *extra,
-                "featurize", "--split", "train", "--out", str(out),
-            ) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_crlf_and_blank_lines_in_tab_separated_inputs_change_nothing(
         self, mini_config, mini_dir, tmp_path
     ):
@@ -487,7 +469,6 @@ class TestFeaturize:
             "data.train": mini_dir / "train.tsv",
             "data.index_train": mini_dir / "index_train.tsv",
             "data.scores": mini_dir / "scores.tsv",
-            "resources.pos_costs": mini_dir / "pos_costs.tsv",
             **{f"resources.df_{level}": tmp_path / f"df_{level}.tsv"
                for level in ("word", "pair", "triplet")},
             "features": mini_dir / "golden_features_train.tsv",
@@ -1414,10 +1395,6 @@ CORRUPT_INPUTS = [
     ("model", "missing", MODEL_ROWS + "BIAS\n"),
     ("model", "wrong-column-count", "version 1\n0.5\nged\t1.0\t0.3\nBIAS\t0\n"),
     ("model", "duplicate-bias", MODEL_ROWS + "BIAS\t0\nBIAS\t1\n"),
-    ("pos_costs", "non-numeric", "DEFAULT\tone\n"),
-    ("pos_costs", "nan", "DEFAULT\tnan\n"),
-    ("pos_costs", "inf", "DEFAULT\tinf\n"),
-    ("pos_costs", "missing", "DEFAULT\t\n"),
     ("df", "non-numeric", "N\tmany\nwho\t3\n"),
     ("df", "nan", "N\t12\nwho\tnan\n"),
     ("df", "missing", "N\t\nwho\t3\n"),
@@ -1481,11 +1458,6 @@ MALFORMED_INPUTS = [
     ("index", "duplicate-mapping", "q\tQ1\nq\tS1\n",
      "line 2: duplicate mapping for 'q'"),
     ("index", "wrong-column-count", "q\tQ1\ts\n", "line 1: expected 2 columns, got 3"),
-    ("pos_costs", "wrong-column-count", "DEFAULT\t1.0\nNOUN\tVERB\n",
-     "line 2: expected 3 columns, got 2"),
-    ("pos_costs", "default-below-0", "NOUN\tVERB\t0.5\nDEFAULT\t-3\n",
-     "line 2: cost must be in [0, 1]"),
-    ("pos_costs", "default-above-1", "DEFAULT\t7.5\n", "line 1: cost must be in [0, 1]"),
     ("df", "duplicate-key", "N\t5\nfoo\t2\nfoo\t3\n", "line 3: duplicate key 'foo'"),
     ("df", "wrong-column-count", "N\t5\n\nfoo\t2\t3\n", "line 3: expected 2 columns, got 3"),
     ("df", "count-nan", "N\t12\nwho\tnan\n", "line 2: not a number: 'nan'"),
@@ -1502,8 +1474,6 @@ MALFORMED_INPUTS = [
     ("corpus", "cr-inside-row", "Q1\ta b\tD\tt\tS1\tc\r\t0\n",
      "line 1: expected >= 7 columns, got 6"),
     ("index", "cr-inside-row", "q\tQ1\ns\r\tS1\n", "line 2: expected 2 columns, got 1"),
-    ("pos_costs", "cr-inside-row", "DEFAULT\t1.0\nNOUN\tVERB\r\t0.5\n",
-     "line 2: expected 3 columns, got 2"),
     ("df", "cr-inside-row", "N\t5\nfoo\r\t2\n", "line 2: expected 2 columns, got 1"),
     ("scores", "cr-inside-row", "Q1\tS1\t0.5\nQ1\tS2\r\t0.5\n",
      "line 2: expected 3 columns, got 2"),
@@ -1567,7 +1537,6 @@ def _corrupt_input_argv(kind, path, tmp_path, mini_config):
         overrides.append(f"data.{kind}_dev={path}")
     else:
         manifest, keys = {
-            "pos_costs": ("ged", ["resources.pos_costs"]),
             "df": ("sim_word", [f"resources.df_{level}" for level in ("word", "pair", "triplet")]),
             "embeddings": ("semvec", ["data.embeddings"]),
             "scores": ("ext_score", ["data.scores"]),
@@ -1581,7 +1550,7 @@ def _corrupt_input_argv(kind, path, tmp_path, mini_config):
 
 # Every kind of file the CLI reads.
 INPUT_KINDS = (
-    "config", "corpus", "conllu", "index", "scores", "embeddings", "pos_costs", "df",
+    "config", "corpus", "conllu", "index", "scores", "embeddings", "df",
     "features", "model",
 )
 
@@ -1595,7 +1564,7 @@ def _input_argv(kind, path, tmp_path, mini_config):
 
 class TestLineEnds:
     @pytest.mark.parametrize("kind", [
-        "df-bulk", "df-lines", "corpus", "index", "scores", "pos_costs", "features",
+        "df-bulk", "df-lines", "corpus", "index", "scores", "features",
         "conllu", "embeddings", "model", "config",
     ])
     def test_lone_carriage_return_ends_a_line(self, kind, mini_config, mini_dir, tmp_path):
@@ -1611,7 +1580,6 @@ class TestLineEnds:
             "corpus": (mini_dir / "train.tsv", load_wikiqa),
             "index": (index, _read_index),
             "scores": (mini_dir / "scores.tsv", load_scores),
-            "pos_costs": (mini_dir / "pos_costs.tsv", load_pos_table),
             "features": (mini_dir / "golden_features_train.tsv", read_features),
             "conllu": (mini_dir / "parses_train.conllu", lambda path: attach_parses(
                 load_wikiqa(mini_dir / "train.tsv"), path, index)),
@@ -1739,7 +1707,7 @@ class TestCorruptInputs:
 # paths it is given among its arguments.
 READERS = {
     "load_wikiqa": (0,), "attach_parses": (1, 2), "load_scores": (0,), "load_embeddings": (0,),
-    "load_pos_table": (0,), "load_df_table": (0,), "read_features": (0,), "load_model": (0,),
+    "load_df_table": (0,), "read_features": (0,), "load_model": (0,),
 }
 
 
@@ -1888,11 +1856,9 @@ HYPER_READERS = {
     "k1": "bm25", "b": "bm25", "n_max": "ngram", "l2": None, "threshold": None,
 }
 # Each place a number is written: [hyper] keys, the DF table's N and counts,
-# a POS table's default cost, the two fields of an embedding header, and a
-# feature file's labels.
+# the two fields of an embedding header, and a feature file's labels.
 EXTREME_TARGETS = [f"hyper.{key}" for key in HYPER_READERS] + [
-    "df-n", "df-count", "pos_costs-default", "embeddings-header-count",
-    "embeddings-header-dim", "features-label",
+    "df-n", "df-count", "embeddings-header-count", "embeddings-header-dim", "features-label",
 ]
 EXIT_KINDS = {2: "config", 3: "data", 4: "io", 5: "internal"}
 
@@ -1918,11 +1884,6 @@ class TestExtremeValues:
             argv = [arg for level in LEVELS
                     for arg in ("--set", f"resources.df_{level}={table}")]
             argv += ["--set", "features.manifest=sim_word", *featurize]
-        elif target == "pos_costs-default":
-            table = tmp_path / "pos_costs.tsv"
-            table.write_text(f"DEFAULT\t{value}\n")
-            argv = ["--set", f"resources.pos_costs={table}",
-                    "--set", "features.manifest=ged", *featurize]
         elif target.startswith("embeddings-"):
             header = f"{value} 2" if target.endswith("count") else f"94 {value}"
             embeddings = tmp_path / "embeddings.txt"

@@ -8,19 +8,18 @@ from qatrigger.ged import (
     SAME_TAG_COST,
     UPOS_TAGS,
     GedConfig,
-    PosCostTable,
     _shortest_augmenting_paths,
     graph_edit_distances,
     group_cost_matrix,
-    load_pos_table,
     solve_assignment,
 )
-from qatrigger.errors import IngestionError
 
 from conftest import make_sentence, random_tree_sentence
 from oracles import (
+    UPOS,
     brute_force_assignment,
     brute_force_ged,
+    pos_cost,
     reference_shortest_augmenting_paths,
 )
 
@@ -70,15 +69,20 @@ class TestNodeCost:
         assert node_cost(("she", "PRON"), ("alice", "PROPN")) == 0.5
 
     def test_unknown_tag_against_itself_costs_the_default(self):
-        # The table names no pair with XYZ, so XYZ/XYZ is not a same-tag pair.
+        # XYZ is no UPOS tag, so XYZ/XYZ is not a same-tag pair.
         assert node_cost(("a", "XYZ"), ("b", "XYZ")) == 1.0 != SAME_TAG_COST
         assert node_cost(("a", "XYZ"), ("b", "_")) == 1.0
         assert node_cost(("a", "XYZ"), ("b", "NOUN")) == 1.0
-        table = PosCostTable({("NOUN", "NOUN"): 0.2}, default_cost=0.9)
-        gq = make_sentence([("a", "a", "XYZ", 0, "root")])
-        ga = make_sentence([("b", "b", "XYZ", 0, "root")])
-        substitution = group_cost_matrix(gq, [ga], GedConfig(pos_table=table))[0]
-        assert substitution[0, 0] == 0.9
+
+    def test_every_tag_pair_matches_the_oracle(self):
+        # The 17 UPOS tags and one unknown tag, every ordered pair.
+        assert set(UPOS_TAGS) == UPOS and len(UPOS_TAGS) == 17
+        tags = [*UPOS_TAGS, "XYZ"]
+        pairs = [(a, b) for a in tags for b in tags]
+        assert len(pairs) == 324
+        for a, b in pairs:
+            assert node_cost(("dog", a), ("run", b)) == pos_cost(a, b), (a, b)
+            assert node_cost(("dog", a), ("dog", b)) == 0.0, (a, b)
 
 
 class TestIncidentEdgeCost:
@@ -263,20 +267,13 @@ def random_group(rng):
 
 
 class TestGroupCostPass:
-    def configs(self, tmp_path):
-        path = tmp_path / "pos.tsv"
-        path.write_text("DEFAULT\t0.8\nNOUN\tNOUN\t0.3\nXYZ\tXYZ\t0.1\nXYZ\tVERB\t0.6\n")
-        return (
-            GedConfig(),
-            GedConfig(pos_table=load_pos_table(path), edge_weight=0.25, delete_cost=0.75),
-        )
+    CONFIGS = (GedConfig(), GedConfig(edge_weight=0.25, delete_cost=0.75))
 
-    def test_group_equals_one_answer_groups_bitwise(self, tmp_path):
+    def test_group_equals_one_answer_groups_bitwise(self):
         rng = np.random.default_rng(47)
-        configs = self.configs(tmp_path)
         seen = set()
         for k in range(400):
-            config = configs[k % 2]
+            config = self.CONFIGS[k % 2]
             question, answers = random_group(rng)
             group = graph_edit_distances([(question, answers)], config)
             single = [graph_edit_distances([(question, [a])], config)[0] for a in answers]
@@ -287,11 +284,10 @@ class TestGroupCostPass:
                 seen.add("empty answer" if m == 0 else "n > m" if n > m else "n <= m")
         assert seen == {"empty answer", "n > m", "n <= m"}
 
-    def test_one_answer_group_is_its_slice_of_the_group(self, tmp_path):
+    def test_one_answer_group_is_its_slice_of_the_group(self):
         rng = np.random.default_rng(53)
-        configs = self.configs(tmp_path)
         for k in range(200):
-            config = configs[k % 2]
+            config = self.CONFIGS[k % 2]
             question, answers = random_group(rng)
             substitution, deletion, insertion, bounds = group_cost_matrix(
                 question, answers, config
@@ -303,16 +299,6 @@ class TestGroupCostPass:
                 for mine, theirs in zip(pair, group):
                     assert mine.shape == theirs.shape
                     assert mine.tobytes() == np.ascontiguousarray(theirs).tobytes()
-
-    def test_cost_rows_cover_every_named_tag(self, tmp_path):
-        table = self.configs(tmp_path)[1].pos_table
-        index, costs = table.cost_rows
-        assert list(index) == [*UPOS_TAGS, "XYZ"] and "_" not in index
-        assert costs.shape == (len(index) + 1, len(index) + 1)
-        for a in [*index, "_"]:
-            for b in [*index, "_"]:
-                cell = costs[index.get(a, len(index)), index.get(b, len(index))]
-                assert cell == table.cost(a, b)
 
 
 class TestGraphEditDistance:
@@ -329,17 +315,12 @@ class TestGraphEditDistance:
         empty = Sentence((), (), (), ())
         assert graph_edit_distances([(empty, [empty])], GedConfig())[0] == 0.0
 
-    def test_matches_partial_injection_oracle(self, mini_dir):
+    def test_matches_partial_injection_oracle(self):
         # Every third pair draws from five lemmas, so equal-cost matchings
         # abound; each pair is scored in both orientations, so both n < m and
-        # n > m occur; odd pairs use the mini corpus's POS table file with
-        # other edge and deletion weights.
+        # n > m occur; odd pairs use other edge and deletion weights.
         rng = np.random.default_rng(23)
-        table = load_pos_table(mini_dir / "pos_costs.tsv")
-        configs = (
-            GedConfig(),
-            GedConfig(pos_table=table, edge_weight=0.25, delete_cost=0.75),
-        )
+        configs = (GedConfig(), GedConfig(edge_weight=0.25, delete_cost=0.75))
         tie_pool = ["die", "win", "city", "man", "sun"]
         orientations = set()
         for k in range(120):
@@ -350,9 +331,7 @@ class TestGraphEditDistance:
             for first, second in ((gq, ga), (ga, gq)):
                 orientations.add(np.sign(len(first.lemmas) - len(second.lemmas)))
                 fast = graph_edit_distances([(first, [second])], cfg)[0]
-                slow = brute_force_ged(
-                    first, second, cfg.pos_table, cfg.edge_weight, cfg.delete_cost
-                )
+                slow = brute_force_ged(first, second, cfg.edge_weight, cfg.delete_cost)
                 assert fast == pytest.approx(slow, abs=1e-12)
         assert orientations == {-1, 0, 1}
 
@@ -426,30 +405,3 @@ class TestGraphEditDistance:
         assert distances[1] == min(distances)
         assert distances[1] < distances[0]
         assert distances[1] < distances[2]
-
-
-class TestPosTableFile:
-    def test_load_round_trip(self, tmp_path, mini_dir):
-        table = load_pos_table(mini_dir / "pos_costs.tsv")
-        assert table.cost("NOUN", "NOUN") == 0.3
-        assert table.cost("PROPN", "NOUN") == 0.5
-        assert table.cost("NOUN", "PUNCT") == 1.0
-        assert table.default_cost == 1.0
-
-    def test_missing_default_line_fails(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("NOUN\tNOUN\t0.3\n")
-        with pytest.raises(IngestionError, match="DEFAULT"):
-            load_pos_table(path)
-
-    def test_out_of_range_cost_fails(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("DEFAULT\t1.0\nNOUN\tVERB\t1.5\n")
-        with pytest.raises(IngestionError, match="0, 1"):
-            load_pos_table(path)
-
-    def test_asymmetric_entries_fail(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("DEFAULT\t1.0\nNOUN\tVERB\t0.4\nVERB\tNOUN\t0.6\n")
-        with pytest.raises(IngestionError, match="asymmetric"):
-            load_pos_table(path)
