@@ -239,6 +239,33 @@ class TestConfig:
         assert code == 2
         assert err == [f"error:config: unknown configuration key [{section}] {key}"]
 
+    @pytest.mark.parametrize("command", [
+        ["featurize", "--split", "train", "--out", "out.tsv"],
+        ["train", "--features", "f.tsv", "--model", "out.tsv"],
+        ["tune", "--model", "m.txt", "--features", "f.tsv", "--update-model"],
+        ["predict", "--model", "m.txt", "--features", "f.tsv", "--out", "out.tsv"],
+        ["evaluate", "--model", "m.txt", "--features", "f.tsv", "--report", "out.tsv"],
+        ["build-df", "--out-dir", "out"],
+    ], ids=lambda command: command[0])
+    def test_old_config_naming_the_pos_table_stops_every_command(
+        self, command, mini_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The mini config as it was when it named a POS table: every command
+        # stops at the key and writes nothing.
+        config = tmp_path / "config.ini"
+        config.write_text(
+            (mini_dir / "config.ini").read_text() + "\n[resources]\npos_costs = pos_costs.tsv\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        code = run("--config", str(config), *command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error:config: unknown configuration key [resources] pos_costs"
+        ]
+        assert [path.name for path in tmp_path.iterdir()] == ["config.ini"]
+
     @pytest.mark.parametrize(
         "content, message",
         [

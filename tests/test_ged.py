@@ -1,13 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qatrigger.corpus import Sentence
+import qatrigger
+from qatrigger import ged
 from qatrigger.ged import (
+    OTHER_COST,
+    SAME_CLASS_COST,
     SAME_TAG_COST,
     UPOS_TAGS,
     GedConfig,
+    _POS_INDEX,
+    _POS_WEIGHTS,
     _shortest_augmenting_paths,
     graph_edit_distances,
     group_cost_matrix,
@@ -83,6 +90,51 @@ class TestNodeCost:
         for a, b in pairs:
             assert node_cost(("dog", a), ("run", b)) == pos_cost(a, b), (a, b)
             assert node_cost(("dog", a), ("dog", b)) == 0.0, (a, b)
+
+
+class TestPosWeights:
+    """The substitute-weight array built at import, row and column T standing
+    for every tag outside UPOS_TAGS."""
+
+    def test_weights_are_symmetric(self):
+        assert np.array_equal(_POS_WEIGHTS, _POS_WEIGHTS.T)
+
+    def test_weights_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _POS_WEIGHTS[0, 0] = 0.0
+        assert _POS_WEIGHTS[0, 0] == SAME_TAG_COST
+
+    def test_weights_hold_the_three_named_costs(self):
+        # 17 same-tag cells; 3 * 2 + 2 + 2 ordered same-class pairs.
+        values, counts = np.unique(_POS_WEIGHTS, return_counts=True)
+        assert dict(zip(values.tolist(), counts.tolist())) == {
+            SAME_TAG_COST: 17, SAME_CLASS_COST: 10, OTHER_COST: 18 * 18 - 27,
+        }
+        assert (SAME_TAG_COST, SAME_CLASS_COST, OTHER_COST) == (0.3, 0.5, 1.0)
+
+    def test_unknown_index_costs_other_against_every_tag(self):
+        other = len(UPOS_TAGS)
+        assert _POS_WEIGHTS.shape == (other + 1, other + 1)
+        assert (_POS_WEIGHTS[other, :] == OTHER_COST).all()
+        assert (_POS_WEIGHTS[:, other] == OTHER_COST).all()
+
+    @pytest.mark.parametrize("tag", ["_", "", "XYZ", "noun", "Verb", "NOUN "])
+    def test_tag_outside_upos_costs_other_against_every_tag(self, tag):
+        # Tags are matched as written: no case folding, no trimming.
+        assert tag not in _POS_INDEX
+        for other in [*UPOS_TAGS, tag]:
+            assert node_cost(("dog", tag), ("run", other)) == OTHER_COST == pos_cost(tag, other)
+            assert node_cost(("dog", other), ("run", tag)) == OTHER_COST == pos_cost(other, tag)
+
+    @pytest.mark.parametrize("name", ["PosCostTable", "default_pos_table", "load_pos_table"])
+    def test_table_api_is_gone(self, name):
+        assert not hasattr(qatrigger, name)
+        assert not hasattr(ged, name)
+
+    def test_ged_config_holds_only_the_edit_weights(self):
+        assert [f.name for f in dataclasses.fields(GedConfig)] == ["edge_weight", "delete_cost"]
+        with pytest.raises(TypeError):
+            GedConfig(pos_table=None)
 
 
 class TestIncidentEdgeCost:
@@ -300,6 +352,15 @@ class TestGroupCostPass:
                     assert mine.shape == theirs.shape
                     assert mine.tobytes() == np.ascontiguousarray(theirs).tobytes()
 
+    def test_cost_rows_cover_every_named_tag(self):
+        index = _POS_INDEX
+        assert list(index) == list(UPOS_TAGS) and "_" not in index
+        assert _POS_WEIGHTS.shape == (len(index) + 1, len(index) + 1)
+        for a in [*index, "_", "XYZ"]:
+            for b in [*index, "_", "XYZ"]:
+                cell = _POS_WEIGHTS[index.get(a, len(index)), index.get(b, len(index))]
+                assert cell == pos_cost(a, b), (a, b)
+
 
 class TestGraphEditDistance:
     def test_identical_graphs_distance_zero(self, question_sentence):
@@ -314,6 +375,21 @@ class TestGraphEditDistance:
     def test_both_empty_is_zero(self):
         empty = Sentence((), (), (), ())
         assert graph_edit_distances([(empty, [empty])], GedConfig())[0] == 0.0
+
+    def test_tags_outside_upos_match_the_partial_injection_oracle(self):
+        # Retagged trees whose tags are partly outside UPOS, "_" among them.
+        rng = np.random.default_rng(29)
+        tags = ["NOUN", "PRON", "VERB", "AUX", "_", "XYZ", "noun"]
+
+        def retagged(sentence):
+            upos = tuple(tags[int(rng.integers(0, len(tags)))] for _ in sentence.upos)
+            return Sentence(sentence.lemmas, upos, sentence.heads, sentence.deprels)
+
+        for k in range(60):
+            gq = retagged(random_tree_sentence(rng, max_nodes=5))
+            ga = retagged(random_tree_sentence(rng, max_nodes=5))
+            fast = graph_edit_distances([(gq, [ga])], GedConfig())[0]
+            assert fast == pytest.approx(brute_force_ged(gq, ga, 0.5, 1.0), abs=1e-12)
 
     def test_matches_partial_injection_oracle(self):
         # Every third pair draws from five lemmas, so equal-cost matchings
