@@ -9,7 +9,7 @@ total is normalized by the all-delete/all-insert cost, so 0 means
 identical graphs and 1 means nothing aligns.
 """
 
-from qatrigger import GedConfig, graph_edit_distances
+from qatrigger import graph_edit_distances
 from qatrigger.corpus import Sentence
 
 
@@ -76,11 +76,10 @@ candidates = {
     ),
 }
 
-config = GedConfig()  # the default POS weights, edge weight and delete cost
-
 print("question:", question_text, "\n")
 # One call scores a batch of groups, here one: each question's side is prepared once.
-distances = graph_edit_distances([(question, list(candidates.values()))], config)
+# The POS weights, edge weight and delete cost are constants of qatrigger.ged.
+distances = graph_edit_distances([(question, list(candidates.values()))])
 ranked = sorted(zip(distances, candidates))
 for distance, text in ranked:
     print(f"  {distance:.4f}  {text}")

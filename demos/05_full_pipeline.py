@@ -20,7 +20,6 @@ from qatrigger import (
     tune_threshold,
 )
 from qatrigger.combiner import DEFAULT_MANIFEST
-from qatrigger.ged import GedConfig
 from qatrigger.graphsim import build_df
 
 MINI = Path(__file__).resolve().parent.parent / "tests" / "data" / "mini"
@@ -35,10 +34,8 @@ train_groups = load_split("train")
 dev_groups = load_split("dev")
 test_groups = load_split("test")
 
-# Resources: DF tables from the training split's parses, the default edit
-# costs.
+# Resources: DF tables from the training split's parses.
 resources = FeatureResources(
-    ged_config=GedConfig(),
     df_tables=build_df(parse for g in train_groups for parse in g.parses),
     alphas=(0.0, 0.0, 0.0),
 )

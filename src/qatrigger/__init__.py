@@ -48,11 +48,7 @@ from .evaluation import (
     triggering_report,
     tune_threshold,
 )
-from .ged import (
-    GedConfig,
-    graph_edit_distances,
-    solve_assignment,
-)
+from .ged import graph_edit_distances, solve_assignment
 from .graphsim import (
     DfTable,
     build_df,

@@ -45,7 +45,6 @@ from .errors import (
     parse_block, parse_number, tsv_rows,
 )
 from .evaluation import QuestionIndex, triggering_report, tune_threshold
-from .ged import GedConfig
 from .graphsim import LEVELS, DfTable, build_df, load_df_table, save_df_table
 
 ENV_PREFIX = "QATRIGGER"
@@ -91,8 +90,6 @@ class RunConfig:
     alpha2: float = _key("hyper", FeatureResources.alphas[1])
     alpha3: float = _key("hyper", FeatureResources.alphas[2])
     subgraph_m: int = _key("hyper", FeatureResources.subgraph_m, key="m")
-    edge_weight: float = _key("hyper", GedConfig.edge_weight)
-    delete_cost: float = _key("hyper", GedConfig.delete_cost)
     k1: float = _key("hyper", FeatureResources.k1)
     b: float = _key("hyper", FeatureResources.b)
     n_max: int = _key("hyper", FeatureResources.n_max)
@@ -103,9 +100,8 @@ class RunConfig:
     semvec_threshold: float | None = _key("baselines", 0.70)
 
     def feature_resources(self) -> FeatureResources:
-        """The FeatureResources, with its GedConfig, that the [hyper] keys set."""
+        """The FeatureResources that the [hyper] keys set."""
         return FeatureResources(
-            ged_config=GedConfig(edge_weight=self.edge_weight, delete_cost=self.delete_cost),
             alphas=(self.alpha1, self.alpha2, self.alpha3),
             subgraph_m=self.subgraph_m,
             k1=self.k1,

@@ -37,7 +37,7 @@ from .baselines import (EmbeddingTable, _bm25, _encode, _ngram, _Terms, semantic
 from .corpus import QuestionGroup, Sentence
 from .coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from .errors import ConfigError, IngestionError, check_finite, open_output, open_text, parse_number
-from .ged import GedConfig, graph_edit_distances
+from .ged import graph_edit_distances
 from .graphsim import DfTable, graph_similarities
 
 
@@ -48,7 +48,6 @@ class FeatureResources:
     Construction checks the hyperparameters' ranges, and the object is frozen,
     so a field changes only through dataclasses.replace, which checks again."""
 
-    ged_config: GedConfig = field(default_factory=GedConfig)
     df_tables: Mapping[str, DfTable] | None = None
     alphas: tuple[float, float, float] = (7.0, 5.0, 2.0)
     subgraph_m: int = 3
@@ -120,7 +119,7 @@ _FAMILIES = (
     _Family(("ext_score",), False, ("scores", "ext_score requires a score file"),
             lambda b, res: [[res.scores[key] for key in b.keys]]),
     _Family(("ged",), True, None,
-            lambda b, res: [graph_edit_distances(b.parses, res.ged_config)]),
+            lambda b, res: [graph_edit_distances(b.parses)]),
     _Family(("sim_word", "sim_pair", "sim_triplet"), True,
             ("df_tables", "similarity features require DF tables"),
             lambda b, res: zip(*graph_similarities(b.parses, res.df_tables, res.alphas))),

@@ -5,13 +5,14 @@ Each graph is a Sentence: token i is a node with lemma `lemmas[i - 1]`
 and tag `upos[i - 1]`, and `Sentence.edges` are the edges.  The distance is
 the bipartite approximation of Riesen & Bunke (2009): every question node is
 either substituted by one answer node or deleted, and every answer node not
-substituted is inserted.  Node substitution cost is zero for equal lemmas
-(the Sentence lowercases them when it is built) and otherwise a fixed POS-pair
-substitute weight: SAME_TAG_COST for one UPOS tag, SAME_CLASS_COST for two
-tags of one class in _POS_CLASSES, and OTHER_COST for any other pair.  Every
-cost additionally charges the mismatch between the incident relation
-multisets of the two nodes, and deleting or inserting a node charges its
-incident edges.
+substituted is inserted.  Five constants make the whole cost model.  Node
+substitution cost is zero for equal lemmas (the Sentence lowercases them when
+it is built) and otherwise a fixed POS-pair substitute weight: SAME_TAG_COST
+for one UPOS tag, SAME_CLASS_COST for two tags of one class in _POS_CLASSES,
+and OTHER_COST for any other pair.  Every substitution additionally charges
+EDGE_WEIGHT times half the mismatch between the incident relation multisets
+of the two nodes, and deleting or inserting a node costs DELETE_COST plus
+EDGE_WEIGHT per incident edge.
 
 The optimum is found as in Serratosa's Fast BP (2014): instead of the
 (n+m) x (n+m) matrix with deletion, insertion and epsilon blocks, one n x m
@@ -24,20 +25,18 @@ graph_edit_distances scores a batch of (question, answers) groups, each
 question against its whole group at once: every cost depends on one
 question node and one answer node only, so one numpy pass builds the
 n x sum(m) matrix of all answers side by side, reading POS weights from one
-array built at import, and each answer's columns then go to the assignment
-solver on their own.
+array built at import, and each answer's columns then go to
+solve_assignment on their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Sentence
-from .errors import check_finite
 
 UPOS_TAGS = (
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -56,6 +55,12 @@ _POS_CLASSES = (
 SAME_TAG_COST = 0.3
 SAME_CLASS_COST = 0.5
 OTHER_COST = 1.0
+# Edit weights: each incident edge of a node deleted or inserted costs
+# EDGE_WEIGHT, and each relation in the symmetric difference of two
+# substituted nodes' incident relation multisets half of it; deleting or
+# inserting the node itself costs DELETE_COST.
+EDGE_WEIGHT = 0.5
+DELETE_COST = 1.0
 
 
 def _pos_weights() -> tuple[dict[str, int], np.ndarray]:
@@ -74,19 +79,6 @@ def _pos_weights() -> tuple[dict[str, int], np.ndarray]:
 
 
 _POS_INDEX, _POS_WEIGHTS = _pos_weights()
-
-
-@dataclass(frozen=True)
-class GedConfig:
-    """Edit costs of graph_edit_distances; construction checks the ranges."""
-
-    edge_weight: float = 0.5
-    delete_cost: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_finite(self, "edge_weight", "delete_cost")
-        if self.edge_weight < 0 or self.delete_cost < 0:
-            raise ValueError("edge_weight and delete_cost must be >= 0")
 
 
 def _relation_counts(
@@ -111,16 +103,16 @@ def _relation_counts(
 
 
 def group_cost_matrix(
-    gq: Sentence, answers: Sequence[Sentence], config: GedConfig
+    gq: Sentence, answers: Sequence[Sentence]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Edit costs of the question against every answer, side by side:
     (n x sum(m) substitutions, n deletions, sum(m) insertions, bounds).
     Answer k owns columns bounds[k]:bounds[k + 1].
 
     A substitution costs 0 for equal lemmas, else the POS substitute weight,
-    plus `edge_weight` times half the symmetric difference of the two nodes'
+    plus EDGE_WEIGHT times half the symmetric difference of the two nodes'
     incident relation multisets.  Deleting or inserting a node costs
-    `delete_cost` plus `edge_weight` per incident edge.  Every cost depends
+    DELETE_COST plus EDGE_WEIGHT per incident edge.  Every cost depends
     only on one question node and one answer node, so an answer's slice
     holds the same bits whatever its groupmates.
     """
@@ -154,13 +146,13 @@ def group_cost_matrix(
         q_lemmas[:, None] == a_lemmas[None, :], 0.0, _POS_WEIGHTS[q_tags[:, None], a_tags[None, :]]
     )
 
-    substitution = node + config.edge_weight * mismatch / 2.0
-    deletion = config.delete_cost + config.edge_weight * q_counts.sum(axis=1)
-    insertion = config.delete_cost + config.edge_weight * a_counts.sum(axis=1)
+    substitution = node + EDGE_WEIGHT * mismatch / 2.0
+    deletion = DELETE_COST + EDGE_WEIGHT * q_counts.sum(axis=1)
+    insertion = DELETE_COST + EDGE_WEIGHT * a_counts.sum(axis=1)
     return substitution, deletion, insertion, bounds
 
 
-def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int]:
+def _shortest_augmenting_paths(cost: Sequence[Sequence[float]], n_cols: int) -> list[int]:
     """Shortest-augmenting-path assignment of a rows <= columns matrix, as row_to_col.
 
     Columns are 1-based and column 0 is the virtual start of each row's
@@ -221,11 +213,12 @@ def _shortest_augmenting_paths(cost: list[list[float]], n_cols: int) -> list[int
     return row_to_col
 
 
-def _assign(rows: list[list[float]]) -> list[int]:
+def solve_assignment(rows: Sequence[Sequence[float]]) -> list[int]:
     """Row-to-column minimum-cost assignment of a rectangular matrix given
-    as its rows.  With more rows than columns, the transpose is solved, so
+    as its rows, lists or an ndarray.  With rows <= columns every row gets a
+    distinct column; with more rows than columns the transpose is solved, so
     every column gets a distinct row, and the rows left over map to -1."""
-    n_cols = len(rows[0]) if rows else 0
+    n_cols = len(rows[0]) if len(rows) else 0
     if len(rows) <= n_cols:
         return _shortest_augmenting_paths(rows, n_cols)
     row_to_col = [-1] * len(rows)
@@ -234,37 +227,21 @@ def _assign(rows: list[list[float]]) -> list[int]:
     return row_to_col
 
 
-def solve_assignment(
-    matrix: np.ndarray | Sequence[Sequence[float]],
-) -> tuple[tuple[int, ...], float]:
-    """Minimum-cost assignment of a rectangular cost matrix.
-
-    Every row is assigned a distinct column when rows <= columns; with more
-    rows than columns every column is assigned a distinct row and the
-    unassigned rows map to -1.  Returns (row_to_column assignment, total
-    cost); the total is the exact float sum of the selected entries.
-    """
-    rows = np.asarray(matrix, dtype=float).tolist()
-    assignment = _assign(rows)
-    total = math.fsum([rows[i][j] for i, j in enumerate(assignment) if j >= 0])
-    return tuple(assignment), total
-
-
 def graph_edit_distances(
-    groups: Iterable[tuple[Sentence, Sequence[Sentence]]], config: GedConfig
+    groups: Iterable[tuple[Sentence, Sequence[Sentence]]]
 ) -> list[float]:
     """Assignment-based edit distance in [0, 1] of each answer of every group.
 
     Each group's costs come from one group_cost_matrix, and each answer's
-    columns of the reduced costs, as lists, go to the assignment solver on
-    their own.  The normalizer is the cost of deleting every question node
+    columns of the reduced costs, as lists, go to solve_assignment on their
+    own.  The normalizer is the cost of deleting every question node
     and inserting every answer node, which is itself a feasible edit;
     identical graphs score 0, and an empty question against any answer
     scores 1.
     """
     distances = []
     for gq, answers in groups:
-        substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers, config)
+        substitution, deletion, insertion, bounds = group_cost_matrix(gq, answers)
         reduced = np.minimum(0.0, substitution - deletion[:, None] - insertion[None, :])
         sub_rows, reduced_rows = substitution.tolist(), reduced.tolist()
         deletion, insertion = deletion.tolist(), insertion.tolist()
@@ -275,7 +252,9 @@ def graph_edit_distances(
             # with a negative reduced cost is substituted, every other node
             # deleted or inserted.
             substituted = [
-                (i, lo + j) for i, j in enumerate(_assign(block)) if j >= 0 and block[i][j] < 0.0
+                (i, lo + j)
+                for i, j in enumerate(solve_assignment(block))
+                if j >= 0 and block[i][j] < 0.0
             ]
             kept_q = {i for i, _ in substituted}
             kept_a = {j for _, j in substituted}

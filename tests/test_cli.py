@@ -37,7 +37,6 @@ from qatrigger.combiner import (
 from qatrigger.corpus import _read_index, attach_parses, load_scores, load_wikiqa
 from qatrigger.errors import ConfigError, IngestionError
 from qatrigger.evaluation import QuestionIndex
-from qatrigger.ged import GedConfig
 from qatrigger.graphsim import LEVELS, load_df_table
 
 from oracles import reference_df_table, reference_read_features
@@ -66,8 +65,6 @@ EVERY_KEY = [
     ("hyper", "alpha2", "2.5", "alpha2", 2.5),
     ("hyper", "alpha3", "3.5", "alpha3", 3.5),
     ("hyper", "m", "4", "subgraph_m", 4),
-    ("hyper", "edge_weight", "0.25", "edge_weight", 0.25),
-    ("hyper", "delete_cost", "0.75", "delete_cost", 0.75),
     ("hyper", "k1", "1.25", "k1", 1.25),
     ("hyper", "b", "0.5", "b", 0.5),
     ("hyper", "n_max", "2", "n_max", 2),
@@ -76,6 +73,17 @@ EVERY_KEY = [
     ("baselines", "bm25_threshold", "1.75", "bm25_threshold", 1.75),
     ("baselines", "ngram_threshold", "0.125", "ngram_threshold", 0.125),
     ("baselines", "semvec_threshold", "0.5", "semvec_threshold", 0.5),
+]
+
+
+# Every command, with arguments naming files in the working directory.
+EVERY_COMMAND = [
+    ["featurize", "--split", "train", "--out", "out.tsv"],
+    ["train", "--features", "f.tsv", "--model", "out.tsv"],
+    ["tune", "--model", "m.txt", "--features", "f.tsv", "--update-model"],
+    ["predict", "--model", "m.txt", "--features", "f.tsv", "--out", "out.tsv"],
+    ["evaluate", "--model", "m.txt", "--features", "f.tsv", "--report", "out.tsv"],
+    ["build-df", "--out-dir", "out"],
 ]
 
 
@@ -122,7 +130,7 @@ class TestConfig:
         hyper = [f.name for f in fields(RunConfig) if f.metadata["section"] == "hyper"]
         published = {
             "alpha1": 7.0, "alpha2": 5.0, "alpha3": 2.0, "subgraph_m": 3,
-            "edge_weight": 0.5, "delete_cost": 1.0, "k1": 1.5, "b": 0.75, "n_max": 3,
+            "k1": 1.5, "b": 0.75, "n_max": 3,
             "l2": 1e-4, "threshold": 0.14,
         }
         # repr tells 3 from 3.0, so an integer key must default to an int.
@@ -136,7 +144,6 @@ class TestConfig:
         overrides = [
             "features.manifest=ged,rel_cov,graph_cov_ans,bm25,ngram",
             "hyper.alpha1=1.25", "hyper.alpha2=2.25", "hyper.alpha3=3.25", "hyper.m=5",
-            "hyper.edge_weight=0.375", "hyper.delete_cost=0.625",
             "hyper.k1=1.125", "hyper.b=0.25", "hyper.n_max=4",
         ]
         config = load_config(None, overrides=overrides, env={})
@@ -144,7 +151,6 @@ class TestConfig:
         assert resources.alphas == (1.25, 2.25, 3.25)
         assert resources.subgraph_m == 5
         assert (resources.k1, resources.b, resources.n_max) == (1.125, 0.25, 4)
-        assert resources.ged_config == GedConfig(edge_weight=0.375, delete_cost=0.625)
 
     def test_df_tables_from_an_unparsed_train_split_are_a_config_error(self, mini_dir):
         # build_resources builds DF tables from the train split it is given;
@@ -176,10 +182,10 @@ class TestConfig:
         "setting, command",
         [
             ("hyper.l2=nan", ["train", "--features", "{golden}", "--model", "{out}"]),
-            ("hyper.edge_weight=inf", ["featurize", "--split", "dev", "--out", "{out}"]),
+            ("hyper.k1=inf", ["featurize", "--split", "dev", "--out", "{out}"]),
             ("hyper.alpha1=nan", ["featurize", "--split", "dev", "--out", "{out}"]),
         ],
-        ids=["l2-train", "edge_weight-featurize", "alpha1-featurize"],
+        ids=["l2-train", "k1-featurize", "alpha1-featurize"],
     )
     def test_non_finite_value_fails_with_one_config_error(
         self, setting, command, mini_config, mini_dir, tmp_path, capsys
@@ -239,14 +245,7 @@ class TestConfig:
         assert code == 2
         assert err == [f"error:config: unknown configuration key [{section}] {key}"]
 
-    @pytest.mark.parametrize("command", [
-        ["featurize", "--split", "train", "--out", "out.tsv"],
-        ["train", "--features", "f.tsv", "--model", "out.tsv"],
-        ["tune", "--model", "m.txt", "--features", "f.tsv", "--update-model"],
-        ["predict", "--model", "m.txt", "--features", "f.tsv", "--out", "out.tsv"],
-        ["evaluate", "--model", "m.txt", "--features", "f.tsv", "--report", "out.tsv"],
-        ["build-df", "--out-dir", "out"],
-    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda command: command[0])
     def test_old_config_naming_the_pos_table_stops_every_command(
         self, command, mini_dir, tmp_path, capsys, monkeypatch
     ):
@@ -263,6 +262,33 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error:config: unknown configuration key [resources] pos_costs"
+        ]
+        assert [path.name for path in tmp_path.iterdir()] == ["config.ini"]
+
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    @pytest.mark.parametrize("key, value", [("edge_weight", "0.5"), ("delete_cost", "1.0")])
+    @pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda command: command[0])
+    def test_old_config_naming_an_edit_weight_stops_every_command(
+        self, command, key, value, source, mini_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The edit weights are constants of ged now: an old config naming one
+        # at its old default stops every command at the key and writes nothing.
+        text = (mini_dir / "config.ini").read_text()
+        if source == "file":
+            assert "[hyper]\n" in text
+            text = text.replace("[hyper]\n", f"[hyper]\n{key} = {value}\n")
+        config = tmp_path / "config.ini"
+        config.write_text(text)
+        flags = ["--set", f"hyper.{key}={value}"] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv(f"QATRIGGER_HYPER_{key.upper()}", value)
+        monkeypatch.chdir(tmp_path)
+        code = run("--config", str(config), *flags, *command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error:config: unknown configuration key [hyper] {key}"
         ]
         assert [path.name for path in tmp_path.iterdir()] == ["config.ini"]
 
@@ -310,10 +336,6 @@ RANGE_RULES = [
     ("n_max", "0", FeatureResources, {"n_max": 0}, "k1 must be >= 0 and n_max >= 1"),
     ("n_max", str(2**53 + 1), FeatureResources, {"n_max": 2**53 + 1},
      "n_max must be at most 2**53"),
-    ("edge_weight", "-0.5", GedConfig, {"edge_weight": -0.5},
-     "edge_weight and delete_cost must be >= 0"),
-    ("delete_cost", "-1", GedConfig, {"delete_cost": -1.0},
-     "edge_weight and delete_cost must be >= 0"),
     ("l2", "-0.001", TrainConfig, {"l2": -0.001}, "l2 must be >= 0"),
 ]
 
@@ -354,8 +376,6 @@ class TestRangeRules:
         [
             (TrainConfig, {"l2": math.nan}, "l2 must be finite, got nan"),
             (TrainConfig, {"threshold": math.inf}, "threshold must be finite, got inf"),
-            (GedConfig, {"edge_weight": math.inf}, "edge_weight must be finite, got inf"),
-            (GedConfig, {"delete_cost": -math.inf}, "delete_cost must be finite, got -inf"),
             (FeatureResources, {"alphas": (1.0, math.nan, 0.0)},
              "alphas must be finite, got (1.0, nan, 0.0)"),
             (FeatureResources, {"b": math.nan}, "b must be finite, got nan"),
@@ -364,7 +384,7 @@ class TestRangeRules:
              "alphas must be three values, got (7.0, 5.0)"),
         ],
         ids=[
-            "l2-nan", "threshold-inf", "edge_weight-inf", "delete_cost-minus-inf",
+            "l2-nan", "threshold-inf",
             "alpha2-nan", "b-nan", "k1-inf", "two-alphas",
         ],
     )
@@ -385,7 +405,6 @@ class TestRangeRules:
     def test_bounds_are_allowed(self):
         FeatureResources(alphas=(0.0, 0.0, 0.0), subgraph_m=0, k1=0.0, b=0.0, n_max=1)
         FeatureResources(b=1.0)
-        GedConfig(edge_weight=0.0, delete_cost=0.0)
         TrainConfig(l2=0.0, threshold=-7.5)
         FeatureResources(n_max=2**53)
         overrides = ["hyper.b=1", "hyper.m=0", "hyper.n_max=1", "hyper.l2=0"]
@@ -1879,7 +1898,7 @@ EXTREMES = {"0": "0", "1": "1", "2**31": str(2**31), "2**63": str(2**63), "400-d
 # are read by train.
 HYPER_READERS = {
     "alpha1": "sim_word", "alpha2": "sim_pair", "alpha3": "sim_triplet",
-    "m": "graph_cov_ans,graph_cov_ques", "edge_weight": "ged", "delete_cost": "ged",
+    "m": "graph_cov_ans,graph_cov_ques",
     "k1": "bm25", "b": "bm25", "n_max": "ngram", "l2": None, "threshold": None,
 }
 # Each place a number is written: [hyper] keys, the DF table's N and counts,

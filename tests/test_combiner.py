@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qatrigger import baselines, combiner
+from qatrigger import baselines, combiner, ged
 from qatrigger.baselines import (
     EmbeddingTable,
     bm25_scores,
@@ -30,7 +30,7 @@ from qatrigger.cli import main, read_features
 from qatrigger.corpus import QuestionGroup, Sentence, load_wikiqa
 from qatrigger.coverage import graph_coverage_features, relation_coverages, vocabulary_coverages
 from qatrigger.errors import ConfigError
-from qatrigger.ged import GedConfig, graph_edit_distances
+from qatrigger.ged import graph_edit_distances
 from qatrigger.graphsim import DfTable, build_df, graph_similarities
 
 from conftest import make_sentence, random_tree_sentence
@@ -75,7 +75,7 @@ def per_module_features(group, row, resources):
     cov = graph_coverage_features([(question, [answer])], resources.subgraph_m)[0]
     values = [
         resources.scores[(group.question_id, cid)],
-        graph_edit_distances([(question, [answer])], resources.ged_config)[0],
+        graph_edit_distances([(question, [answer])])[0],
         *sims,
         relation_coverages([(question, [answer])])[0],
         *cov,
@@ -154,7 +154,7 @@ class TestExtractFeatures:
         sims = graph_similarities([(gq, [ga])], uniform_tables(), (0.0, 0.0, 0.0))[0]
         cov = graph_coverage_features([(gq, [ga])], resources.subgraph_m)[0]
         expected = [
-            graph_edit_distances([(gq, [ga])], GedConfig())[0],
+            graph_edit_distances([(gq, [ga])])[0],
             sims[0],
             sims[1],
             sims[2],
@@ -393,10 +393,11 @@ class TestCandidateIndependence:
         assert semantic_similarities([(["SUN"], [["sun"], ["moon"]])], table) == [0.0, 0.0]
         assert semantic_similarities([(["sun"], [["moon"]])], table) != [0.0]
 
-    def test_graph_families(self):
+    def test_graph_families(self, monkeypatch):
         rng = np.random.default_rng(2025)
         lemmas = ["die", "live", "win", "city", "Die", "man"]
-        config = GedConfig(edge_weight=0.75, delete_cost=0.5)
+        monkeypatch.setattr(ged, "EDGE_WEIGHT", 0.75)
+        monkeypatch.setattr(ged, "DELETE_COST", 0.5)
         empty = Sentence((), (), (), ())
         batch = []
         for k in range(25):
@@ -406,7 +407,7 @@ class TestCandidateIndependence:
             answers.append(empty)
             tables = build_df([s for s in (gq, *answers) if s.heads])
             scorers = [
-                lambda q, a: graph_edit_distances([(q, a)], config),
+                lambda q, a: graph_edit_distances([(q, a)]),
                 lambda q, a: graph_similarities([(q, a)], tables, (0.0, 0.5, 1.0)),
                 lambda q, a: relation_coverages([(q, a)]),
                 lambda q, a: vocabulary_coverages([(q, a)]),
@@ -422,7 +423,7 @@ class TestCandidateIndependence:
         for score in (
             relation_coverages,
             vocabulary_coverages,
-            lambda groups: graph_edit_distances(groups, config),
+            lambda groups: graph_edit_distances(groups),
             lambda groups: graph_similarities(groups, tables, (0.0, 0.5, 1.0)),
             *(lambda groups, m=m: graph_coverage_features(groups, m) for m in (0, 1, 3)),
         ):

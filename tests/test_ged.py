@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,11 +8,12 @@ from qatrigger.corpus import Sentence
 import qatrigger
 from qatrigger import ged
 from qatrigger.ged import (
+    DELETE_COST,
+    EDGE_WEIGHT,
     OTHER_COST,
     SAME_CLASS_COST,
     SAME_TAG_COST,
     UPOS_TAGS,
-    GedConfig,
     _POS_INDEX,
     _POS_WEIGHTS,
     _shortest_augmenting_paths,
@@ -31,12 +32,34 @@ from oracles import (
 )
 
 
-def pair_costs(q_rows, a_rows, config=GedConfig()):
+# (EDGE_WEIGHT, DELETE_COST) settings: the constants, then another pair.
+WEIGHTS = ((EDGE_WEIGHT, DELETE_COST), (0.25, 0.75))
+
+
+def set_weights(monkeypatch, edge_weight, delete_cost):
+    """Make ged charge these edit weights until the test ends."""
+    monkeypatch.setattr(ged, "EDGE_WEIGHT", edge_weight)
+    monkeypatch.setattr(ged, "DELETE_COST", delete_cost)
+
+
+def pair_costs(q_rows, a_rows):
     """(substitutions, deletions, insertions) of two sentences given as
     (form, lemma, upos, head, deprel) rows, the answer alone in its group."""
     gq = make_sentence(q_rows)
     ga = make_sentence(a_rows)
-    return group_cost_matrix(gq, [ga], config)[:3]
+    return group_cost_matrix(gq, [ga])[:3]
+
+
+def assignment_total(matrix, assignment):
+    """The exact float sum of the entries an assignment selects."""
+    return math.fsum(matrix[i][j] for i, j in enumerate(assignment) if j >= 0)
+
+
+def oracle_total(matrix):
+    """The permutation oracle's minimum of an ndarray, over its transpose when
+    rows outnumber columns."""
+    rows, cols = matrix.shape
+    return brute_force_assignment((matrix if rows <= cols else matrix.T).tolist())
 
 
 def node_cost(u, v):
@@ -131,10 +154,12 @@ class TestPosWeights:
         assert not hasattr(qatrigger, name)
         assert not hasattr(ged, name)
 
-    def test_ged_config_holds_only_the_edit_weights(self):
-        assert [f.name for f in dataclasses.fields(GedConfig)] == ["edge_weight", "delete_cost"]
-        with pytest.raises(TypeError):
-            GedConfig(pos_table=None)
+    def test_edit_weights_are_constants(self):
+        assert (EDGE_WEIGHT, DELETE_COST) == (0.5, 1.0)
+        assert not hasattr(qatrigger, "GedConfig")
+        assert not hasattr(ged, "GedConfig")
+        assert list(inspect.signature(graph_edit_distances).parameters) == ["groups"]
+        assert list(inspect.signature(group_cost_matrix).parameters) == ["gq", "answers"]
 
 
 class TestIncidentEdgeCost:
@@ -152,18 +177,18 @@ class TestCostMatrix:
     def test_empty_graphs_give_empty_matrix(self):
         g = make_sentence([("x", "x", "NOUN", 0, "root")])
         empty = Sentence((), (), (), ())
-        substitution, deletion, insertion, _ = group_cost_matrix(g, [empty], GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(g, [empty])
         assert substitution.shape == (1, 0)
         assert deletion.tolist() == [1.0]
         assert insertion.shape == (0,)
-        substitution, deletion, insertion, _ = group_cost_matrix(empty, [g], GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(empty, [g])
         assert substitution.shape == (0, 1)
         assert deletion.shape == (0,)
         assert insertion.tolist() == [1.0]
 
     def test_one_node_same_lemma(self):
         g = make_sentence([("die", "die", "VERB", 0, "root")])
-        substitution, deletion, insertion, _ = group_cost_matrix(g, [g], GedConfig())
+        substitution, deletion, insertion, _ = group_cost_matrix(g, [g])
         assert substitution.tolist() == [[0.0]]
         assert deletion.tolist() == [1.0]  # deletion of a degree-0 node
         assert insertion.tolist() == [1.0]
@@ -182,7 +207,8 @@ class TestCostMatrix:
         assert deletion.tolist() == [1.5, 1.5]
         assert insertion.tolist() == [1.0]
 
-    def test_chain_degrees(self):
+    def test_chain_degrees(self, monkeypatch):
+        set_weights(monkeypatch, 1.0, 0.0)
         _, deletion, _ = pair_costs(
             [
                 ("a", "a", "NOUN", 2, "dep"),
@@ -190,69 +216,68 @@ class TestCostMatrix:
                 ("c", "c", "NOUN", 2, "dep"),
             ],
             [("x", "x", "NOUN", 0, "root")],
-            GedConfig(edge_weight=1.0, delete_cost=0.0),
         )
         assert deletion.tolist() == [1.0, 2.0, 1.0]
 
 
 class TestSolveAssignment:
     def test_two_by_two(self):
-        assignment, cost = solve_assignment([[1.0, 2.0], [3.0, 0.0]])
-        assert assignment == (0, 1)
-        assert cost == 1.0
+        assert solve_assignment([[1.0, 2.0], [3.0, 0.0]]) == [0, 1]
 
     def test_zero_diagonal_prefers_identity(self):
-        matrix = np.ones((4, 4)) - np.eye(4)
-        assignment, cost = solve_assignment(matrix)
-        assert assignment == (0, 1, 2, 3)
-        assert cost == 0.0
+        assert solve_assignment(np.ones((4, 4)) - np.eye(4)) == [0, 1, 2, 3]
 
     def test_all_zero_matrix_breaks_ties_in_row_order(self):
-        assignment, cost = solve_assignment(np.zeros((5, 5)))
-        assert assignment == (0, 1, 2, 3, 4)
-        assert cost == 0.0
+        assert solve_assignment(np.zeros((5, 5))) == [0, 1, 2, 3, 4]
 
     def test_tied_costs_pick_smallest(self):
         # both permutations cost 2; (0, 1) is the smaller assignment vector
-        assignment, cost = solve_assignment([[1.0, 1.0], [1.0, 1.0]])
-        assert assignment == (0, 1)
-        assert cost == 2.0
+        assert solve_assignment([[1.0, 1.0], [1.0, 1.0]]) == [0, 1]
 
     def test_structured_tie(self):
-        # optimal cost 2 via (1, 0) or (2, 1, 0)-style mixes; check minimality
         matrix = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-        assignment, cost = solve_assignment(matrix)
-        assert cost == 0.0
-        assert assignment == (0, 1, 2)
+        assignment = solve_assignment(matrix)
+        assert assignment == [0, 1, 2]
+        assert assignment_total(matrix, assignment) == 0.0
+
+    def test_lists_and_ndarray_give_one_assignment(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            rows, cols = (int(k) for k in rng.integers(0, 6, size=2))
+            matrix = rng.random((rows, cols))
+            assert solve_assignment(matrix) == solve_assignment(matrix.tolist())
 
     def test_empty_matrix(self):
-        assert solve_assignment(np.zeros((0, 0))) == ((), 0.0)
-        assert solve_assignment(np.zeros((0, 3))) == ((), 0.0)
-        assert solve_assignment(np.zeros((2, 0))) == ((-1, -1), 0.0)
+        # No row, no column, and rows without columns: every row maps to -1.
+        for rows, cols, expected in ((0, 0, []), (0, 3, []), (2, 0, [-1, -1])):
+            matrix = np.zeros((rows, cols))
+            assignment = solve_assignment(matrix)
+            assert assignment == expected
+            assert assignment_total(matrix, assignment) == oracle_total(matrix) == 0.0
+            assert solve_assignment(matrix.tolist()) == expected
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(1, 7))
             matrix = rng.random((n, n))
-            _, cost = solve_assignment(matrix)
-            assert cost == brute_force_assignment(matrix.tolist())
+            assignment = solve_assignment(matrix)
+            assert assignment_total(matrix, assignment) == oracle_total(matrix)
 
     def test_rectangular_matches_brute_force(self):
         rng = np.random.default_rng(13)
+        shapes = set()
         for _ in range(100):
             rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+            shapes.add(np.sign(rows - cols))
             matrix = rng.random((rows, cols))
-            assignment, cost = solve_assignment(matrix)
-            if rows <= cols:
-                expected = brute_force_assignment(matrix.tolist())
-            else:
-                expected = brute_force_assignment(matrix.T.tolist())
-            assert cost == expected
+            assignment = solve_assignment(matrix)
+            assert assignment_total(matrix, assignment) == oracle_total(matrix)
             chosen = [(i, j) for i, j in enumerate(assignment) if j >= 0]
+            assert len(assignment) == rows
             assert len(chosen) == min(rows, cols)
             assert len({j for _, j in chosen}) == len(chosen)
-            assert cost == math.fsum(matrix[i, j] for i, j in chosen)
+        assert shapes == {-1, 0, 1}
 
 
 def random_matrix(rng, n, m):
@@ -285,13 +310,15 @@ class TestSolverMatchesReference:
             m = int(rng.integers(0, 6))
             n = m + int(rng.integers(1, 5))
             matrix = np.asarray(random_matrix(rng, n, m)).reshape(n, m)
-            assignment, total = solve_assignment(matrix)
+            assignment = solve_assignment(matrix)
             by_column = reference_shortest_augmenting_paths(matrix.T.tolist(), n)
             expected = [-1] * n
             for j, i in enumerate(by_column):
                 expected[i] = j
-            assert assignment == tuple(expected)
-            assert total == math.fsum(matrix[i, j] for j, i in enumerate(by_column))
+            assert assignment == expected
+            assert assignment_total(matrix, assignment) == math.fsum(
+                matrix[i, j] for j, i in enumerate(by_column)
+            )
 
 
 def random_group(rng):
@@ -319,16 +346,14 @@ def random_group(rng):
 
 
 class TestGroupCostPass:
-    CONFIGS = (GedConfig(), GedConfig(edge_weight=0.25, delete_cost=0.75))
-
-    def test_group_equals_one_answer_groups_bitwise(self):
+    def test_group_equals_one_answer_groups_bitwise(self, monkeypatch):
         rng = np.random.default_rng(47)
         seen = set()
         for k in range(400):
-            config = self.CONFIGS[k % 2]
+            set_weights(monkeypatch, *WEIGHTS[k % 2])
             question, answers = random_group(rng)
-            group = graph_edit_distances([(question, answers)], config)
-            single = [graph_edit_distances([(question, [a])], config)[0] for a in answers]
+            group = graph_edit_distances([(question, answers)])
+            single = [graph_edit_distances([(question, [a])])[0] for a in answers]
             assert [d.hex() for d in group] == [d.hex() for d in single]
             n = len(question.heads)
             for a in answers:
@@ -336,17 +361,15 @@ class TestGroupCostPass:
                 seen.add("empty answer" if m == 0 else "n > m" if n > m else "n <= m")
         assert seen == {"empty answer", "n > m", "n <= m"}
 
-    def test_one_answer_group_is_its_slice_of_the_group(self):
+    def test_one_answer_group_is_its_slice_of_the_group(self, monkeypatch):
         rng = np.random.default_rng(53)
         for k in range(200):
-            config = self.CONFIGS[k % 2]
+            set_weights(monkeypatch, *WEIGHTS[k % 2])
             question, answers = random_group(rng)
-            substitution, deletion, insertion, bounds = group_cost_matrix(
-                question, answers, config
-            )
+            substitution, deletion, insertion, bounds = group_cost_matrix(question, answers)
             assert bounds == [0, *np.cumsum([len(a.heads) for a in answers]).tolist()]
             for a, lo, hi in zip(answers, bounds, bounds[1:]):
-                pair = group_cost_matrix(question, [a], config)[:3]
+                pair = group_cost_matrix(question, [a])[:3]
                 group = (substitution[:, lo:hi], deletion, insertion[lo:hi])
                 for mine, theirs in zip(pair, group):
                     assert mine.shape == theirs.shape
@@ -363,18 +386,35 @@ class TestGroupCostPass:
 
 
 class TestGraphEditDistance:
+    def test_solves_one_assignment_per_answer(self, monkeypatch):
+        # bench/tracing.py times the assignment by wrapping
+        # ged.solve_assignment, so every answer, empty or not, goes through it.
+        rng = np.random.default_rng(59)
+        batch = [random_group(rng) for _ in range(30)]
+        expected = graph_edit_distances(batch)
+        solve, rows_seen = ged.solve_assignment, []
+
+        def counted(rows):
+            rows_seen.append(len(rows))
+            return solve(rows)
+
+        monkeypatch.setattr(ged, "solve_assignment", counted)
+        assert graph_edit_distances(batch) == expected
+        assert rows_seen == [len(question.heads) for question, answers in batch for _ in answers]
+        assert len(rows_seen) == len(expected) > 0
+
     def test_identical_graphs_distance_zero(self, question_sentence):
         group = [(question_sentence, [question_sentence])]
-        assert graph_edit_distances(group, GedConfig())[0] == 0.0
+        assert graph_edit_distances(group)[0] == 0.0
 
     def test_empty_question_vs_answer_is_one(self, answer_sentence):
         empty = Sentence((), (), (), ())
-        assert graph_edit_distances([(empty, [answer_sentence])], GedConfig())[0] == 1.0
-        assert graph_edit_distances([(answer_sentence, [empty])], GedConfig())[0] == 1.0
+        assert graph_edit_distances([(empty, [answer_sentence])])[0] == 1.0
+        assert graph_edit_distances([(answer_sentence, [empty])])[0] == 1.0
 
     def test_both_empty_is_zero(self):
         empty = Sentence((), (), (), ())
-        assert graph_edit_distances([(empty, [empty])], GedConfig())[0] == 0.0
+        assert graph_edit_distances([(empty, [empty])])[0] == 0.0
 
     def test_tags_outside_upos_match_the_partial_injection_oracle(self):
         # Retagged trees whose tags are partly outside UPOS, "_" among them.
@@ -388,26 +428,26 @@ class TestGraphEditDistance:
         for k in range(60):
             gq = retagged(random_tree_sentence(rng, max_nodes=5))
             ga = retagged(random_tree_sentence(rng, max_nodes=5))
-            fast = graph_edit_distances([(gq, [ga])], GedConfig())[0]
+            fast = graph_edit_distances([(gq, [ga])])[0]
             assert fast == pytest.approx(brute_force_ged(gq, ga, 0.5, 1.0), abs=1e-12)
 
-    def test_matches_partial_injection_oracle(self):
+    def test_matches_partial_injection_oracle(self, monkeypatch):
         # Every third pair draws from five lemmas, so equal-cost matchings
         # abound; each pair is scored in both orientations, so both n < m and
         # n > m occur; odd pairs use other edge and deletion weights.
         rng = np.random.default_rng(23)
-        configs = (GedConfig(), GedConfig(edge_weight=0.25, delete_cost=0.75))
         tie_pool = ["die", "win", "city", "man", "sun"]
         orientations = set()
         for k in range(120):
-            cfg = configs[k % 2]
+            weights = WEIGHTS[k % 2]
+            set_weights(monkeypatch, *weights)
             pool = tie_pool if k % 3 == 0 else None
             gq = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             ga = random_tree_sentence(rng, max_nodes=5, lemma_pool=pool)
             for first, second in ((gq, ga), (ga, gq)):
                 orientations.add(np.sign(len(first.lemmas) - len(second.lemmas)))
-                fast = graph_edit_distances([(first, [second])], cfg)[0]
-                slow = brute_force_ged(first, second, cfg.edge_weight, cfg.delete_cost)
+                fast = graph_edit_distances([(first, [second])])[0]
+                slow = brute_force_ged(first, second, *weights)
                 assert fast == pytest.approx(slow, abs=1e-12)
         assert orientations == {-1, 0, 1}
 
@@ -416,8 +456,8 @@ class TestGraphEditDistance:
         for _ in range(50):
             gq = random_tree_sentence(rng, max_nodes=6)
             ga = random_tree_sentence(rng, max_nodes=6)
-            d1 = graph_edit_distances([(gq, [ga])], GedConfig())[0]
-            d2 = graph_edit_distances([(ga, [gq])], GedConfig())[0]
+            d1 = graph_edit_distances([(gq, [ga])])[0]
+            d2 = graph_edit_distances([(ga, [gq])])[0]
             assert abs(d1 - d2) <= 1e-12
             assert 0.0 <= d1 <= 1.0
 
@@ -475,9 +515,7 @@ class TestGraphEditDistance:
                 ("film", "film", "NOUN", 6, "obl"),
             ],
         )
-        distances = graph_edit_distances(
-            [(question, [wrong_film, correct, wrong_censor])], GedConfig()
-        )
+        distances = graph_edit_distances([(question, [wrong_film, correct, wrong_censor])])
         assert distances[1] == min(distances)
         assert distances[1] < distances[0]
         assert distances[1] < distances[2]
